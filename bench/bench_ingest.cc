@@ -7,8 +7,8 @@
 //             divergence fails the run (the merge-view golden contract).
 //   ingest  — the staleness / ingest-rate trade of the re-freeze trigger:
 //             stream rating writes through a recommender at several
-//             min_refresh_ops settings, refreshing whenever the threshold
-//             trips, and record achieved rows/sec, refresh count, mean
+//             rebuild_threshold (the paper's N%) settings, refreshing
+//             whenever NeedsRefresh trips, and record achieved rows/sec, refresh count, mean
 //             delta size at refresh (the staleness proxy) and mean refresh
 //             wall time.
 // Writes BENCH_ingest.json with both result sets.
@@ -62,15 +62,11 @@ std::vector<Triple> WriteStream(size_t count) {
   return out;
 }
 
-RecommenderConfig IngestConfig(double refresh_threshold, size_t min_ops) {
+RecommenderConfig IngestConfig(double rebuild_threshold) {
   RecommenderConfig cfg;
   cfg.name = "bench_ingest";
   cfg.algorithm = RecAlgorithm::kItemCosCF;
-  cfg.refresh_threshold = refresh_threshold;
-  cfg.min_refresh_ops = min_ops;
-  // The N% policy is exercised separately (bench_table2); keep it out of
-  // the way so the refresh trigger under test is the only policy firing.
-  cfg.rebuild_threshold = 1e9;
+  cfg.rebuild_threshold = rebuild_threshold;
   return cfg;
 }
 
@@ -102,8 +98,8 @@ std::map<std::string, ScoreStat>& ScoreStats() {
   return s;
 }
 
-std::map<size_t, IngestStat>& IngestStats() {
-  static std::map<size_t, IngestStat> s;
+std::map<double, IngestStat>& IngestStats() {
+  static std::map<double, IngestStat> s;
   return s;
 }
 
@@ -115,7 +111,7 @@ Recommender& ScoringRec(bool merged) {
   static Recommender* recs[2] = {nullptr, nullptr};
   Recommender*& rec = recs[merged ? 1 : 0];
   if (rec == nullptr) {
-    rec = new Recommender(IngestConfig(1e9, 1u << 30));
+    rec = new Recommender(IngestConfig(1e9));
     for (const Triple& t : BaseRatings()) rec->AddRating(t.user, t.item, t.rating);
     RECDB_DCHECK(rec->Build().ok());
     for (const Triple& t : WriteStream(BaseRatings().size() / 20)) {
@@ -129,6 +125,12 @@ Recommender& ScoringRec(bool merged) {
     }
   }
   return *rec;
+}
+
+std::string ThresholdLabel(double threshold) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "%.2f", threshold);
+  return buf;
 }
 
 void BM_Score(benchmark::State& state, bool merged) {
@@ -165,7 +167,7 @@ void BM_Score(benchmark::State& state, bool merged) {
   state.SetLabel(merged ? "scoring/rebuilt" : "scoring/delta");
 }
 
-void BM_IngestStream(benchmark::State& state, size_t min_ops) {
+void BM_IngestStream(benchmark::State& state, double threshold) {
   PrintHardwareBanner();
   const std::vector<Triple> base = BaseRatings();
   const std::vector<Triple> stream = WriteStream(base.size() / 2);
@@ -177,7 +179,7 @@ void BM_IngestStream(benchmark::State& state, size_t min_ops) {
   double refresh_seconds = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    Recommender rec(IngestConfig(0.0, min_ops));
+    Recommender rec(IngestConfig(threshold));
     for (const Triple& t : base) rec.AddRating(t.user, t.item, t.rating);
     RECDB_DCHECK(rec.Build().ok());
     state.ResumeTiming();
@@ -197,7 +199,7 @@ void BM_IngestStream(benchmark::State& state, size_t min_ops) {
     rows += stream.size();
   }
 
-  IngestStat& stat = IngestStats()[min_ops];
+  IngestStat& stat = IngestStats()[threshold];
   stat.rows_per_sec = total_seconds > 0 ? rows / total_seconds : 0;
   const double iters = static_cast<double>(state.iterations());
   stat.refreshes = iters > 0 ? refreshes / iters : 0;
@@ -208,7 +210,7 @@ void BM_IngestStream(benchmark::State& state, size_t min_ops) {
   stat.set = true;
   state.SetItemsProcessed(static_cast<int64_t>(rows));
   state.counters["rows_per_sec"] = stat.rows_per_sec;
-  state.SetLabel("ingest/min_refresh_ops=" + std::to_string(min_ops));
+  state.SetLabel("ingest/rebuild_threshold=" + ThresholdLabel(threshold));
 }
 
 void RegisterAll() {
@@ -222,12 +224,14 @@ void RegisterAll() {
         ->Unit(benchmark::kMillisecond)
         ->MinTime(min_time);
   }
-  for (size_t min_ops : {16, 64, 256}) {
+  for (double threshold : {0.01, 0.05, 0.20}) {
     const std::string name =
-        "Ingest/stream/min_refresh_ops=" + std::to_string(min_ops);
+        "Ingest/stream/rebuild_threshold=" + ThresholdLabel(threshold);
     benchmark::RegisterBenchmark(
         name.c_str(),
-        [min_ops](benchmark::State& state) { BM_IngestStream(state, min_ops); })
+        [threshold](benchmark::State& state) {
+          BM_IngestStream(state, threshold);
+        })
         ->Unit(benchmark::kMillisecond)
         ->MinTime(min_time);
   }
@@ -264,16 +268,16 @@ bool WriteIngestJson() {
   }
 
   std::string curve;
-  for (const auto& [min_ops, stat] : IngestStats()) {
+  for (const auto& [threshold, stat] : IngestStats()) {
     if (!stat.set) continue;
     char buf[512];
     std::snprintf(buf, sizeof(buf),
-                  "    {\"min_refresh_ops\": %zu, "
+                  "    {\"rebuild_threshold\": %.2f, "
                   "\"ingest_rows_per_sec\": %.1f, "
                   "\"refreshes_per_run\": %.2f, "
                   "\"mean_delta_at_refresh\": %.1f, "
                   "\"mean_refresh_ms\": %.3f}",
-                  min_ops, stat.rows_per_sec, stat.refreshes,
+                  threshold, stat.rows_per_sec, stat.refreshes,
                   stat.mean_delta_at_refresh, stat.mean_refresh_ms);
     if (!curve.empty()) curve += ",\n";
     curve += buf;

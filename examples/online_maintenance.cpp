@@ -1,8 +1,8 @@
-// Online maintenance: the paper's Section III-A rebuild policy and
+// Online maintenance: the paper's Section III-A N% maintenance policy and
 // Section IV-D caching in action.
 //
 // Streams new ratings into a live recommender and shows (a) the N%-threshold
-// model-rebuild policy firing, and (b) the cache manager's hotness-based
+// incremental model refresh firing, and (b) the cache manager's hotness-based
 // admission/eviction reacting to a skewed query/update workload, with the
 // resulting IndexRecommend hit rate.
 //
@@ -19,8 +19,8 @@ using recdb::RecDB;
 int main() {
   recdb::ManualClock clock(0);
   recdb::RecDBOptions options;
-  options.rebuild_threshold = 0.05;  // rebuild when 5% new ratings arrive
-  options.auto_maintain = true;
+  options.rebuild_threshold = 0.05;  // refresh when 5% new ratings arrive
+  options.maintenance = recdb::MaintenanceMode::kInline;
   RecDB db(options);
   db.set_clock(&clock);
 
@@ -49,12 +49,12 @@ int main() {
   // both ranks; 0.02 admits roughly the hot few-dozen-by-few-dozen corner.
   auto mgr = db.GetCacheManager("rec", /*hotness_threshold=*/0.02).value();
 
-  // --- Part 1: model rebuild threshold -----------------------------------
-  std::printf("Part 1: streaming inserts against a %.0f%% rebuild threshold\n",
+  // --- Part 1: model maintenance threshold -------------------------------
+  std::printf("Part 1: streaming inserts against a %.0f%% refresh threshold\n",
               options.rebuild_threshold * 100);
   recdb::Rng rng(1);
   size_t base = rec->base_size();
-  size_t rebuilds = 0;
+  size_t refreshes = 0;
   for (int k = 0; k < 400; ++k) {
     int64_t u = rng.UniformInt(1, 185);
     int64_t i = rng.UniformInt(1, 785);
@@ -62,14 +62,15 @@ int main() {
         std::to_string(i) + ", " + std::to_string(rng.UniformInt(1, 5)) +
         ".0)");
     if (rec->base_size() != base) {
-      ++rebuilds;
-      std::printf("  insert #%3d triggered rebuild #%zu: model now holds %zu "
-                  "ratings (pending reset to %zu)\n",
-                  k + 1, rebuilds, rec->base_size(), rec->pending_updates());
+      ++refreshes;
+      std::printf("  insert #%3d triggered refresh #%zu: model now holds %zu "
+                  "ratings (delta reset to %zu)\n",
+                  k + 1, refreshes, rec->base_size(),
+                  rec->live().delta_size());
       base = rec->base_size();
     }
   }
-  std::printf("  %zu rebuilds over 400 inserts\n\n", rebuilds);
+  std::printf("  %zu refreshes over 400 inserts\n\n", refreshes);
 
   // --- Part 2: hotness-based caching -------------------------------------
   std::printf("Part 2: skewed workload feeding the cache manager "

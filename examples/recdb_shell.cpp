@@ -39,6 +39,9 @@ void PrintHelp() {
       "  SET parallelism = N          (worker threads for scoring/builds)\n"
       "  SET trace = on|off           (record a span tree per query; view\n"
       "                                with \\trace)\n"
+      "  SET maintenance = manual|inline|background\n"
+      "                               (what a write does once a recommender's\n"
+      "                                delta reaches its N%% threshold)\n"
       "meta: \\tables \\recommenders \\stats \\metrics [all] \\trace \\timing\n"
       "      \\help \\q\n");
 }
@@ -49,7 +52,7 @@ int main(int argc, char** argv) {
   RecDB db;
   bool timing = true;
   // Session totals for the batch scoring layer (summed over statements).
-  unsigned long long predict_calls = 0;
+  unsigned long long predictions = 0;
   unsigned long long predict_batches = 0;
 
   if (argc > 1) {
@@ -105,7 +108,7 @@ int main(int argc, char** argv) {
           std::printf("  %s: %s on %s (%zu ratings in model, %zu pending)\n",
                       name.c_str(), RecAlgorithmToString(cfg.algorithm),
                       cfg.ratings_table.c_str(), r.value()->base_size(),
-                      r.value()->pending_updates());
+                      r.value()->live().delta_size());
         }
       } else if (trimmed == "\\stats") {
         std::printf("  disk pages: %zu, reads: %llu, writes: %llu\n",
@@ -133,7 +136,7 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(sched.total_tasks()),
             sched.total_worker_ms());
         std::printf("  scoring: %llu predictions in %llu batches\n",
-                    predict_calls, predict_batches);
+                    predictions, predict_batches);
       } else if (trimmed == "\\metrics" || trimmed == "\\metrics all") {
         // `\metrics` hides zero-valued entries; `\metrics all` shows every
         // metric in the registry (the full inventory of metric_names.h).
@@ -172,7 +175,7 @@ int main(int argc, char** argv) {
       std::printf("error: %s\n", result.status().ToString().c_str());
     } else {
       const auto& rs = result.value();
-      predict_calls += rs.stats.predict_calls;
+      predictions += rs.stats.predictions;
       predict_batches += rs.stats.predict_batches;
       if (!rs.columns.empty()) {
         std::printf("%s(%zu rows", rs.ToString(40).c_str(), rs.NumRows());

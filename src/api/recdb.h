@@ -33,30 +33,33 @@ namespace recdb {
 
 class Session;
 
+/// How the engine acts on the one maintenance trigger
+/// (Recommender::NeedsRefresh, the paper's N%).
+enum class MaintenanceMode : uint8_t {
+  /// Never on its own: the embedder calls RefreshRecommender. The default,
+  /// so tests and benchmarks keep fully deterministic timing.
+  kManual,
+  /// The writing statement refreshes before it returns.
+  kInline,
+  /// The re-freeze is handed to the TaskScheduler's background lane.
+  kBackground,
+};
+
 struct RecDBOptions {
   /// Buffer-pool frames (pages of kPageSize bytes).
   size_t buffer_pool_pages = 4096;
   /// Planner / optimizer rule toggles.
   PlannerOptions planner;
-  /// Maintenance threshold (the paper's N%) used for new recommenders.
+  /// Maintenance threshold (the paper's N%) for new recommenders: refresh
+  /// once the delta log reaches this fraction of the base ratings.
+  /// Persisted with each recommender, so it survives Close/Open.
   double rebuild_threshold = 0.10;
   /// Model hyperparameters for new recommenders.
   SimilarityOptions sim_opts;
   SvdOptions svd_opts;
-  /// Check the rebuild threshold after every ratings insert. Since PR 7
-  /// reaching it triggers an incremental refresh (delta merge + model row
-  /// updates), never a full retrain.
-  bool auto_maintain = false;
-  /// Hand re-freeze/merge work to the TaskScheduler's background lane when
-  /// a recommender's delta log reaches its refresh trigger (ignored when
-  /// auto_maintain already refreshes inline). Runtime-adjustable via
-  /// `SET background_refresh = on|off`. Off by default: tests and
-  /// single-threaded embedders keep fully deterministic timing.
-  bool background_refresh = false;
-  /// Background refresh trigger for new recommenders: refresh once the
-  /// delta log reaches max(min_refresh_ops, refresh_threshold * base).
-  double refresh_threshold = 0.05;
-  size_t min_refresh_ops = 32;
+  /// What a write does once a recommender crosses rebuild_threshold.
+  /// Runtime-adjustable via `SET maintenance = manual|inline|background`.
+  MaintenanceMode maintenance = MaintenanceMode::kManual;
   /// Worker threads for morsel-parallel scoring and model builds; 0 leaves
   /// the process-wide scheduler unchanged (it defaults to 1 = serial).
   /// Runtime-adjustable via `SET parallelism = N`.
@@ -79,6 +82,13 @@ struct RecDBOptions {
   size_t shard_count = 1;
   size_t shard_index = 0;
 };
+
+struct CreateRecommenderStatement;
+
+/// The config a CREATE RECOMMENDER statement asks for: its names and
+/// algorithm, with the N% threshold and hyperparameters from `options`.
+Result<RecommenderConfig> RecommenderConfigFor(
+    const CreateRecommenderStatement& stmt, const RecDBOptions& options);
 
 /// Range-check the shard/serving knobs. Invalid combinations surface as
 /// InvalidArgument here (and from Open / SET / the first Execute) rather
@@ -366,8 +376,6 @@ class RecDB {
   std::mutex demand_mu_;
   std::atomic<uint64_t> next_session_id_{1};
 
-  /// `SET background_refresh = on|off` state; seeded from RecDBOptions.
-  std::atomic<bool> background_refresh_{false};
   /// `SET trace = on` state; seeded from RecDBOptions::trace.
   std::atomic<bool> trace_enabled_{false};
   /// Live tracer for the Execute() call in flight (null when tracing off;

@@ -23,7 +23,6 @@ namespace recdb {
 struct ExecStats {
   uint64_t tuples_scanned = 0;      // base-table tuples read
   uint64_t predictions = 0;         // candidate scores computed by the model
-  uint64_t predict_calls = 0;       // candidates scored via PredictBatch
   uint64_t predict_batches = 0;     // PredictBatch invocations (hot paths)
   uint64_t index_hits = 0;          // users served from RecScoreIndex
   uint64_t index_misses = 0;        // users that fell back to the model
@@ -40,6 +39,27 @@ struct ExecStats {
   uint64_t io_write_failures = 0;   // writes that failed after retries
   uint64_t io_retries = 0;          // transient-fault retries performed
   uint64_t io_checksum_failures = 0;  // pages that failed CRC verification
+
+  /// Field-wise sum: folds per-morsel, per-engine and per-shard counters
+  /// into one statement's totals.
+  ExecStats& operator+=(const ExecStats& o) {
+    tuples_scanned += o.tuples_scanned;
+    predictions += o.predictions;
+    predict_batches += o.predict_batches;
+    index_hits += o.index_hits;
+    index_misses += o.index_misses;
+    join_probes += o.join_probes;
+    candidates_generated += o.candidates_generated;
+    blocks_skipped += o.blocks_skipped;
+    items_pruned += o.items_pruned;
+    tasks_spawned += o.tasks_spawned;
+    worker_time_ms += o.worker_time_ms;
+    io_read_failures += o.io_read_failures;
+    io_write_failures += o.io_write_failures;
+    io_retries += o.io_retries;
+    io_checksum_failures += o.io_checksum_failures;
+    return *this;
+  }
 };
 
 struct ExecContext {

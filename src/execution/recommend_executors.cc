@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <mutex>
 #include <span>
 
 #include "common/task_scheduler.h"
@@ -180,7 +181,7 @@ void PruneEngine::GenerateCandidates(int32_t u) {
       }
     }
   }
-  candidates_generated += candidates_.size();
+  stats.candidates_generated += candidates_.size();
 }
 
 void PruneEngine::ScoreBatch(int64_t user_id,
@@ -195,8 +196,8 @@ void PruneEngine::ScoreBatch(int64_t user_id,
     const int64_t rank = rank_by_id_ ? batch_ids_[k] : items[k];
     pruner->Offer(batch_pred_[k], rank, batch_ids_[k]);
   }
-  predictions += items.size();
-  ++batches;
+  stats.predictions += items.size();
+  ++stats.predict_batches;
 }
 
 void PruneEngine::ZeroMerge(int64_t user_id, int32_t u, MergeMode mode,
@@ -314,15 +315,15 @@ std::vector<TopKPruner::Entry> PruneEngine::UserTopK(int64_t user_id,
                           B.suffix_offset))) {
         // No later block can beat the threshold either.
         for (size_t t2 = t; t2 < touched_blocks_.size(); ++t2) {
-          items_pruned += block_items_[touched_blocks_[t2]].size();
-          ++blocks_skipped;
+          stats.items_pruned += block_items_[touched_blocks_[t2]].size();
+          ++stats.blocks_skipped;
         }
         break;
       }
       if (pruner.CanSkip(
               PaddedBound(scale_u, offset_u, B.max_scale, B.max_offset))) {
-        items_pruned += block_items_[blk].size();
-        ++blocks_skipped;
+        stats.items_pruned += block_items_[blk].size();
+        ++stats.blocks_skipped;
         continue;
       }
       ScoreBatch(user_id, block_items_[blk], &pruner);
@@ -342,15 +343,15 @@ std::vector<TopKPruner::Entry> PruneEngine::UserTopK(int64_t user_id,
     if (pruner.CanSkip(PaddedBound(scale_u, offset_u, B.suffix_scale,
                                    B.suffix_offset))) {
       for (size_t b2 = bi; b2 < blocks.size(); ++b2) {
-        items_pruned += blocks[b2].end - blocks[b2].begin;
-        ++blocks_skipped;
+        stats.items_pruned += blocks[b2].end - blocks[b2].begin;
+        ++stats.blocks_skipped;
       }
       break;
     }
     if (pruner.CanSkip(
             PaddedBound(scale_u, offset_u, B.max_scale, B.max_offset))) {
-      items_pruned += B.end - B.begin;
-      ++blocks_skipped;
+      stats.items_pruned += B.end - B.begin;
+      ++stats.blocks_skipped;
       continue;
     }
     blk_cand.clear();
@@ -375,20 +376,9 @@ void PruneEngine::CandidateBitmap(int64_t user_id,
   for (int32_t c : candidates_) (*mark)[c] = 1;
 }
 
-void PruneEngine::FlushStats(ExecStats* stats) {
-  if (stats != nullptr) {
-    stats->candidates_generated += candidates_generated;
-    stats->blocks_skipped += blocks_skipped;
-    stats->items_pruned += items_pruned;
-    stats->predictions += predictions;
-    stats->predict_calls += predictions;
-    stats->predict_batches += batches;
-  }
-  obs::Count(obs::Counter::kPruneCandidatesGenerated, candidates_generated);
-  obs::Count(obs::Counter::kPruneBlocksSkipped, blocks_skipped);
-  obs::Count(obs::Counter::kPruneItemsPruned, items_pruned);
-  candidates_generated = blocks_skipped = items_pruned = 0;
-  predictions = batches = 0;
+void PruneEngine::FlushStats(ExecStats* out) {
+  *out += stats;
+  stats = ExecStats{};
 }
 
 // -------------------------------------------------- Recommend / FilterRec
@@ -444,8 +434,8 @@ Status RecommendExecutor::ScorePruned() {
   Stopwatch watch;
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   std::vector<std::vector<Tuple>> per_user(users_.size());
-  std::atomic<uint64_t> cand{0}, skipped{0}, pruned{0};
-  std::atomic<uint64_t> preds{0}, batches{0};
+  std::mutex fold_mu;
+  ExecStats folded;
   auto score_range = [&](size_t begin, size_t end) {
     PruneEngine engine(model, snapshot, index, /*rank_by_id=*/false);
     for (size_t ui = begin; ui < end; ++ui) {
@@ -466,11 +456,8 @@ Status RecommendExecutor::ScorePruned() {
                                    users_[ui], e.item_id, e.score));
       }
     }
-    cand.fetch_add(engine.candidates_generated, std::memory_order_relaxed);
-    skipped.fetch_add(engine.blocks_skipped, std::memory_order_relaxed);
-    pruned.fetch_add(engine.items_pruned, std::memory_order_relaxed);
-    preds.fetch_add(engine.predictions, std::memory_order_relaxed);
-    batches.fetch_add(engine.batches, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(fold_mu);
+    engine.FlushStats(&folded);
   };
   TaskScheduler& sched = TaskScheduler::Global();
   if (sched.num_threads() > 1 && users_.size() > 1) {
@@ -488,20 +475,7 @@ Status RecommendExecutor::ScorePruned() {
   for (auto& s : per_user) {
     for (auto& t : s) buffer_.push_back(std::move(t));
   }
-  const uint64_t predicted = preds.load(std::memory_order_relaxed);
-  ctx_->stats.predictions += predicted;
-  ctx_->stats.predict_calls += predicted;
-  ctx_->stats.predict_batches += batches.load(std::memory_order_relaxed);
-  ctx_->stats.candidates_generated +=
-      cand.load(std::memory_order_relaxed);
-  ctx_->stats.blocks_skipped += skipped.load(std::memory_order_relaxed);
-  ctx_->stats.items_pruned += pruned.load(std::memory_order_relaxed);
-  obs::Count(obs::Counter::kPruneCandidatesGenerated,
-             cand.load(std::memory_order_relaxed));
-  obs::Count(obs::Counter::kPruneBlocksSkipped,
-             skipped.load(std::memory_order_relaxed));
-  obs::Count(obs::Counter::kPruneItemsPruned,
-             pruned.load(std::memory_order_relaxed));
+  ctx_->stats += folded;
   obs::ObserveUs(obs::Histogram::kPruneGenUs,
                  static_cast<uint64_t>(watch.ElapsedSeconds() * 1e6));
   return Status::OK();
@@ -560,7 +534,6 @@ Status RecommendExecutor::ScoreAllParallel() {
   }
   const uint64_t predicted = predictions.load(std::memory_order_relaxed);
   ctx_->stats.predictions += predicted;
-  ctx_->stats.predict_calls += predicted;
   ctx_->stats.predict_batches += batches.load(std::memory_order_relaxed);
   ctx_->stats.tasks_spawned += run.tasks_spawned;
   ctx_->stats.worker_time_ms += run.worker_time_ms;
@@ -581,7 +554,6 @@ Result<std::optional<Tuple>> RecommendExecutor::NextImpl() {
       ScoreUserRange(model, snapshot, users_[user_pos_], items_, 0,
                      items_.size(), &row_);
       ctx_->stats.predictions += row_.predicted;
-      ctx_->stats.predict_calls += row_.predicted;
       ctx_->stats.predict_batches += row_.batches;
       row_ready_ = true;
       item_pos_ = 0;
@@ -728,13 +700,9 @@ Status JoinRecommendExecutor::FillWindow() {
       window_scores_[u * w + cand_slot[k]] = pred[k];
     }
     ctx_->stats.predictions += cand.size();
-    ctx_->stats.predict_calls += cand.size();
     ++ctx_->stats.predict_batches;
   }
-  if (zero_filled > 0) {
-    ctx_->stats.items_pruned += zero_filled;
-    obs::Count(obs::Counter::kPruneItemsPruned, zero_filled);
-  }
+  ctx_->stats.items_pruned += zero_filled;
   return Status::OK();
 }
 
@@ -894,7 +862,6 @@ Status IndexRecommendExecutor::LoadCurrentUser() {
     std::vector<double> pred(cand.size(), 0.0);
     model->PredictBatch(user_id, cand, pred);
     ctx_->stats.predictions += cand.size();
-    ctx_->stats.predict_calls += cand.size();
     ++ctx_->stats.predict_batches;
     for (size_t k = 0; k < cand.size(); ++k) {
       if (pred[k] >= plan_.min_score) current_.emplace_back(cand[k], pred[k]);

@@ -58,17 +58,12 @@ class PruneEngine {
   /// scores exactly 0.0 for this user.
   void CandidateBitmap(int64_t user_id, std::vector<uint8_t>* mark);
 
-  /// Add the accumulated counters into `stats` (may be null) and the
-  /// global prune.* metrics, then zero them.
-  void FlushStats(ExecStats* stats);
+  /// Add the accumulated counters into `out`, then zero them.
+  void FlushStats(ExecStats* out);
 
-  // Accumulated across calls until FlushStats (parallel morsels read these
-  // directly and fold them into atomics instead).
-  uint64_t candidates_generated = 0;
-  uint64_t blocks_skipped = 0;
-  uint64_t items_pruned = 0;
-  uint64_t predictions = 0;
-  uint64_t batches = 0;
+  /// Accumulated across calls until FlushStats (candidates_generated,
+  /// blocks_skipped, items_pruned, predictions, predict_batches).
+  ExecStats stats;
 
  private:
   /// Two-hop walk: start items = merged row of u (∪ base row, covering the

@@ -38,7 +38,6 @@ void Recommender::AddRating(int64_t user_id, int64_t item_id, double rating) {
   const size_t delta_before = matrix_->delta_size();
   RatingChange change = matrix_->Add(user_id, item_id, rating);
   if (change == RatingChange::kUnchanged) return;
-  ++pending_updates_;
   obs::Count(change == RatingChange::kInserted
                  ? obs::Counter::kIngestDeltaAdds
                  : obs::Counter::kIngestDeltaOverwrites);
@@ -53,7 +52,6 @@ void Recommender::AddRating(int64_t user_id, int64_t item_id, double rating) {
 void Recommender::RemoveRating(int64_t user_id, int64_t item_id) {
   const size_t delta_before = matrix_->delta_size();
   if (!matrix_->Remove(user_id, item_id)) return;
-  ++pending_updates_;
   obs::Count(obs::Counter::kIngestDeltaRemoves);
   const size_t landed = matrix_->delta_size() - delta_before;
   if (landed > 0) {
@@ -68,7 +66,6 @@ void Recommender::ApplyRatingBatch(
   const size_t delta_before = matrix_->delta_size();
   RatingMatrix::BatchResult res = matrix_->ApplyBatch(ops);
   if (res.effective_ops() == 0) return;
-  pending_updates_ += res.effective_ops();
   obs::Count(obs::Counter::kIngestDeltaAdds, res.inserted);
   obs::Count(obs::Counter::kIngestDeltaOverwrites, res.overwritten);
   obs::Count(obs::Counter::kIngestDeltaRemoves, res.removed);
@@ -146,7 +143,6 @@ Result<double> Recommender::Build() {
   model_ = std::move(model);
   candidate_index_ = CandidateIndex::Build(*matrix_, *model_);
   base_size_ = matrix_->NumRatings();
-  pending_updates_ = 0;
   if (delta_cleared > 0) {
     obs::AddGauge(obs::Gauge::kIngestDeltaPending,
                   -static_cast<int64_t>(delta_cleared));
@@ -220,7 +216,6 @@ bool Recommender::CommitRefresh(RefreshPlan&& plan) {
     candidate_index_ = std::move(plan.candidate_index);
   }
   base_size_ = matrix_->NumRatings();
-  pending_updates_ = 0;
   obs::AddGauge(obs::Gauge::kIngestDeltaPending,
                 -static_cast<int64_t>(plan.ops));
   obs::Count(obs::Counter::kIngestRefreshes);

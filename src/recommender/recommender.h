@@ -11,7 +11,6 @@
 // response to a statement.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <memory>
@@ -33,18 +32,12 @@ struct RecommenderConfig {
   std::string item_col;
   std::string rating_col;
   RecAlgorithm algorithm = kDefaultAlgorithm;
-  /// Maintain when pending updates / base model size >= this ratio
-  /// (the paper's N% system parameter). Since PR 7 reaching it triggers an
-  /// incremental refresh, not a retrain.
+  /// Maintain once the delta log reaches this fraction of the base ratings
+  /// (the paper's N% system parameter). Reaching it triggers an incremental
+  /// refresh, not a retrain.
   double rebuild_threshold = 0.10;
   SimilarityOptions sim_opts;
   SvdOptions svd_opts;
-  /// Background re-freeze trigger: refresh once the delta log reaches
-  /// max(min_refresh_ops, refresh_threshold * base ratings). Tuning knobs
-  /// only — intentionally not part of the persisted catalog record, so
-  /// database files written before PR 7 load unchanged.
-  double refresh_threshold = 0.05;
-  size_t min_refresh_ops = 32;
 };
 
 class Recommender {
@@ -83,39 +76,28 @@ class Recommender {
   /// wall time. The only full-retrain entry point.
   Result<double> Build();
 
-  /// True when pending updates have reached the paper's N% maintenance
-  /// threshold (or no model exists yet).
-  bool NeedsRebuild() const {
-    if (model_ == nullptr) return true;
-    if (base_size_ == 0) return pending_updates_ > 0;
-    return static_cast<double>(pending_updates_) >=
-           config_.rebuild_threshold * static_cast<double>(base_size_);
-  }
-
-  /// True when the delta log has reached the background re-freeze trigger.
-  /// A model with no incremental form cannot absorb delta rows at all, so
-  /// any pending op triggers immediately — a write must never sit silently
-  /// unreflected until a threshold trips.
+  /// The one maintenance trigger (the paper's N%): true once the delta log
+  /// reaches rebuild_threshold × base ratings. With an empty base any delta
+  /// trips it, and a model with no incremental form cannot absorb delta
+  /// rows at all, so any pending op trips it — a write must never sit
+  /// silently unreflected until a threshold trips.
   bool NeedsRefresh() const {
     if (model_ == nullptr || !matrix_->has_delta()) return false;
     if (!model_->SupportsIncrementalUpdate()) return true;
-    double by_ratio = config_.refresh_threshold *
-                      static_cast<double>(base_size_);
-    double trigger = std::max(static_cast<double>(config_.min_refresh_ops),
-                              by_ratio);
-    return static_cast<double>(matrix_->delta_size()) >= trigger;
+    return static_cast<double>(matrix_->delta_size()) >=
+           config_.rebuild_threshold * static_cast<double>(base_size_);
   }
 
-  /// Maintain if the paper's N% policy calls for it; returns whether any
-  /// maintenance happened. With a built model this is an incremental
-  /// Refresh() (bit-identical to a retrain for CF; fold-in for SVD) —
+  /// Build the model if none exists, else refresh incrementally once
+  /// NeedsRefresh() trips; returns whether any maintenance happened. The
+  /// refresh is bit-identical to a retrain for CF and a fold-in for SVD —
   /// statements never trigger a full retrain.
   Result<bool> MaintainIfNeeded() {
-    if (!NeedsRebuild()) return false;
     if (model_ == nullptr) {
       RECDB_RETURN_NOT_OK(Build().status());
       return true;
     }
+    if (!NeedsRefresh()) return false;
     return Refresh();
   }
 
@@ -181,7 +163,6 @@ class Recommender {
     matrix_->Freeze();
     model_ = std::move(model);
     base_size_ = matrix_->NumRatings();
-    pending_updates_ = 0;
     candidate_index_ = CandidateIndex::Build(*matrix_, *model_);
   }
 
@@ -199,7 +180,6 @@ class Recommender {
   const RatingMatrix& live() const { return *matrix_; }
   RatingMatrix* mutable_matrix() { return matrix_.get(); }
 
-  size_t pending_updates() const { return pending_updates_; }
   size_t base_size() const { return base_size_; }
 
   /// Pre-computed score store (paper Section IV-C); populated by the cache
@@ -230,7 +210,6 @@ class Recommender {
   std::unique_ptr<RecModel> model_;
   std::shared_ptr<const CandidateIndex> candidate_index_;
   size_t base_size_ = 0;
-  size_t pending_updates_ = 0;
   std::atomic<bool> refresh_scheduled_{false};
   std::function<void(const InvalidatedPairs&)> invalidation_listener_;
   RecScoreIndex score_index_;

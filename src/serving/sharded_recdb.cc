@@ -118,25 +118,6 @@ size_t ResolveColumn(const std::vector<std::string>& columns,
   return SIZE_MAX;
 }
 
-void AccumulateStats(const ExecStats& in, ExecStats* out) {
-  out->tuples_scanned += in.tuples_scanned;
-  out->predictions += in.predictions;
-  out->predict_calls += in.predict_calls;
-  out->predict_batches += in.predict_batches;
-  out->index_hits += in.index_hits;
-  out->index_misses += in.index_misses;
-  out->join_probes += in.join_probes;
-  out->candidates_generated += in.candidates_generated;
-  out->blocks_skipped += in.blocks_skipped;
-  out->items_pruned += in.items_pruned;
-  out->tasks_spawned += in.tasks_spawned;
-  out->worker_time_ms += in.worker_time_ms;
-  out->io_read_failures += in.io_read_failures;
-  out->io_write_failures += in.io_write_failures;
-  out->io_retries += in.io_retries;
-  out->io_checksum_failures += in.io_checksum_failures;
-}
-
 uint64_t ElapsedUs(const Stopwatch& watch) {
   return static_cast<uint64_t>(watch.ElapsedSeconds() * 1e6);
 }
@@ -264,7 +245,11 @@ Result<ResultSet> ShardedRecDB::Execute(const std::string& sql) {
       const auto& create = static_cast<const CreateRecommenderStatement&>(stmt);
       std::unique_lock<std::shared_mutex> lock(router_mu_);
       PartitionInfo* info = FindPartition(create.ratings_table);
-      if (info != nullptr) return finish(GatherCreateRecommender(create, info));
+      if (info != nullptr) {
+        auto config = RecommenderConfigFor(create, shards_[0]->options());
+        if (!config.ok()) return config.status();
+        return finish(GatherCreateRecommender(std::move(config).value(), info));
+      }
       // Non-partitioned ratings tables are fully replicated: every shard
       // scans an identical heap and trains an identical model.
       return finish(BroadcastWrite(sql, stmt));
@@ -354,7 +339,7 @@ Result<ResultSet> ShardedRecDB::ScatterSelect(const std::string& sql,
 
   ResultSet out;
   out.columns = legs[0].columns;
-  for (const ResultSet& leg : legs) AccumulateStats(leg.stats, &out.stats);
+  for (const ResultSet& leg : legs) out.stats += leg.stats;
 
   MergeSpec spec;
   spec.limit = stmt.limit;
@@ -491,7 +476,7 @@ Result<ResultSet> ShardedRecDB::BroadcastWrite(const std::string& sql,
 }
 
 Result<ResultSet> ShardedRecDB::GatherCreateRecommender(
-    const CreateRecommenderStatement& stmt, PartitionInfo* info) {
+    RecommenderConfig config, PartitionInfo* info) {
   obs::Count(obs::Counter::kServingDmlBroadcasts);
   Stopwatch watch;
 
@@ -505,9 +490,9 @@ Result<ResultSet> ShardedRecDB::GatherCreateRecommender(
     double rating;
   };
   std::vector<GatheredRow> rows;
-  const std::string gather_sql = "SELECT " + stmt.user_col + ", " +
-                                 stmt.item_col + ", " + stmt.rating_col +
-                                 " FROM " + stmt.ratings_table;
+  const std::string gather_sql = "SELECT " + config.user_col + ", " +
+                                 config.item_col + ", " + config.rating_col +
+                                 " FROM " + config.ratings_table;
   for (size_t k = 0; k < shards_.size(); ++k) {
     RECDB_ASSIGN_OR_RETURN(ResultSet part, shards_[k]->Execute(gather_sql));
     rows.reserve(rows.size() + part.rows.size());
@@ -531,23 +516,6 @@ Result<ResultSet> ShardedRecDB::GatherCreateRecommender(
                      if (a.user != b.user) return a.user < b.user;
                      return a.item < b.item;
                    });
-
-  RecommenderConfig config;
-  config.name = stmt.name;
-  config.ratings_table = stmt.ratings_table;
-  config.user_col = stmt.user_col;
-  config.item_col = stmt.item_col;
-  config.rating_col = stmt.rating_col;
-  const RecDBOptions& opts = shards_[0]->options();
-  config.rebuild_threshold = opts.rebuild_threshold;
-  config.refresh_threshold = opts.refresh_threshold;
-  config.min_refresh_ops = opts.min_refresh_ops;
-  config.sim_opts = opts.sim_opts;
-  config.svd_opts = opts.svd_opts;
-  if (stmt.algorithm.has_value()) {
-    RECDB_ASSIGN_OR_RETURN(config.algorithm,
-                           RecAlgorithmFromString(*stmt.algorithm));
-  }
 
   Recommender* last = nullptr;
   for (size_t k = 0; k < shards_.size(); ++k) {
@@ -586,8 +554,8 @@ Result<ResultSet> ShardedRecDB::GatherCreateRecommender(
 Status ShardedRecDB::ReseedTableLocked(const std::string& table,
                                        PartitionInfo* info) {
   // Recommenders a reopened shard re-trained during recovery saw only its
-  // own partition of the heap — drop and re-create them from the gathered
-  // canonical stream.
+  // own partition of the heap — drop and re-create them, with their
+  // persisted configs, from the gathered canonical stream.
   std::vector<RecommenderConfig> configs;
   for (Recommender* rec : shards_[0]->registry()->FindAllOnTable(table)) {
     configs.push_back(rec->config());
@@ -599,14 +567,7 @@ Status ShardedRecDB::ReseedTableLocked(const std::string& table,
           shards_[k]->Execute("DROP RECOMMENDER " + config.name));
       (void)dropped;
     }
-    CreateRecommenderStatement create;
-    create.name = config.name;
-    create.ratings_table = config.ratings_table;
-    create.user_col = config.user_col;
-    create.item_col = config.item_col;
-    create.rating_col = config.rating_col;
-    create.algorithm = RecAlgorithmToString(config.algorithm);
-    RECDB_RETURN_NOT_OK(GatherCreateRecommender(create, info).status());
+    RECDB_RETURN_NOT_OK(GatherCreateRecommender(config, info).status());
   }
   if (configs.empty()) {
     // No recommenders yet (fresh declaration): seed the rank map and skew

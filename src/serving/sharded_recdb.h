@@ -120,8 +120,8 @@ class ShardedRecDB {
                                   const std::vector<size_t>& targets);
   Result<ResultSet> BroadcastWrite(const std::string& sql,
                                    const Statement& stmt);
-  Result<ResultSet> GatherCreateRecommender(
-      const CreateRecommenderStatement& stmt, PartitionInfo* info);
+  Result<ResultSet> GatherCreateRecommender(RecommenderConfig config,
+                                            PartitionInfo* info);
 
   /// Re-seed every recommender on `table` (and rebuild `info`'s rank map)
   /// from a gathered, (uid,iid)-sorted canonical matrix. Caller holds the

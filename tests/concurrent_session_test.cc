@@ -150,20 +150,11 @@ TEST(ConcurrentSessionTest, ReadersScanWhileWriterInserts) {
 TEST(ConcurrentSessionTest, ReadersScanAcrossBackgroundRefreshSwaps) {
   // The PR-7 race under test (TSan target): RECOMMEND readers score
   // through the delta overlay while the background re-freeze job swaps a
-  // merged CSR in under the writer lock. A small min_refresh_ops forces
-  // many swap cycles within one writer stream.
+  // merged CSR in under the writer lock. A small rebuild_threshold (4 ops
+  // against the initial base) forces many swap cycles within one writer
+  // stream.
   std::string path = TempDbPath("recdb_bg_refresh.db");
   obs::MetricsRegistry::Global().ResetForTest();
-  RecDBOptions options;
-  options.background_refresh = true;
-  options.min_refresh_ops = 4;
-  options.refresh_threshold = 0.0;
-  auto db_or = RecDB::Open(path, options);
-  ASSERT_TRUE(db_or.ok()) << db_or.status();
-  auto db = std::move(db_or).value();
-  ASSERT_TRUE(
-      db->Execute("CREATE TABLE Ratings (uid INT, iid INT, ratingval DOUBLE)")
-          .ok());
   std::vector<std::vector<Value>> ratings;
   for (int u = 1; u <= 10; ++u) {
     for (int i = 1; i <= 8; ++i) {
@@ -172,6 +163,15 @@ TEST(ConcurrentSessionTest, ReadersScanAcrossBackgroundRefreshSwaps) {
                          Value::Double(1.0 + (u * 7 + i * 3) % 5)});
     }
   }
+  RecDBOptions options;
+  options.maintenance = MaintenanceMode::kBackground;
+  options.rebuild_threshold = 4.0 / static_cast<double>(ratings.size());
+  auto db_or = RecDB::Open(path, options);
+  ASSERT_TRUE(db_or.ok()) << db_or.status();
+  auto db = std::move(db_or).value();
+  ASSERT_TRUE(
+      db->Execute("CREATE TABLE Ratings (uid INT, iid INT, ratingval DOUBLE)")
+          .ok());
   ASSERT_TRUE(db->BulkInsert("Ratings", ratings).ok());
   ASSERT_TRUE(db->Execute("CREATE RECOMMENDER Rec ON Ratings USERS FROM uid "
                           "ITEMS FROM iid RATINGS FROM ratingval "

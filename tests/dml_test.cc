@@ -126,7 +126,7 @@ TEST_F(RatingsDmlTest, DeleteRemovesFromLiveMatrix) {
                   .ok());
   EXPECT_FALSE(rec_->live().Get(1, 2).has_value());
   EXPECT_EQ(rec_->live().NumRatings(), 5u);
-  EXPECT_EQ(rec_->pending_updates(), 1u);
+  EXPECT_EQ(rec_->live().delta_size(), 1u);
 }
 
 TEST_F(RatingsDmlTest, UpdateRewritesLiveRating) {

@@ -293,9 +293,9 @@ TEST_F(EngineTest, DropRecommender) {
 TEST_F(EngineTest, InsertFeedsRecommenderPendingUpdates) {
   auto rec = db_->GetRecommender("GeneralRec");
   ASSERT_TRUE(rec.ok());
-  size_t before = rec.value()->pending_updates();
+  size_t before = rec.value()->live().delta_size();
   Exec("INSERT INTO Ratings VALUES (1, 40, 5.0)");
-  EXPECT_EQ(rec.value()->pending_updates(), before + 1);
+  EXPECT_EQ(rec.value()->live().delta_size(), before + 1);
 }
 
 TEST_F(EngineTest, ErrorsSurfaceCleanly) {

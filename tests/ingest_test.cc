@@ -398,29 +398,30 @@ TEST(IngestGoldenTest, SvdFoldInIsDeterministicAndKeepsTrainedRowsFixed) {
 
 TEST(IngestPolicyTest, NeedsRefreshHonorsThresholds) {
   RecommenderConfig cfg = MakeConfig(RecAlgorithm::kItemCosCF);
-  cfg.min_refresh_ops = 4;
-  cfg.refresh_threshold = 0.5;  // 0.5 * 48 base ratings = 24 > min, so 24
+  cfg.rebuild_threshold = 0.5;  // 0.5 * 48 base ratings: trips at 24 ops
   Recommender rec(cfg);
   ApplyToRecommender(&rec, BaseOps());
   ASSERT_TRUE(rec.Build().ok());
-  const double trigger =
-      std::max(4.0, 0.5 * static_cast<double>(rec.base_size()));
+  ASSERT_EQ(rec.base_size(), 48u);
+  const size_t trigger = 24;
   EXPECT_FALSE(rec.NeedsRefresh());
   size_t ops = 0;
-  for (int64_t u = 1; u <= 10 && ops < static_cast<size_t>(trigger); ++u) {
-    for (int64_t i = 1; i <= 8 && ops < static_cast<size_t>(trigger); ++i) {
+  for (int64_t u = 1; u <= 10 && ops < trigger; ++u) {
+    for (int64_t i = 1; i <= 8 && ops < trigger; ++i) {
       if ((u * 7 + i * 3) % 5 >= 3) {  // unrated pairs only
+        EXPECT_FALSE(rec.NeedsRefresh()) << "tripped early at " << ops;
         rec.AddRating(u, i, 3.0);
         ++ops;
       }
     }
   }
+  ASSERT_EQ(ops, trigger);
   EXPECT_TRUE(rec.NeedsRefresh());
   auto refreshed = rec.Refresh();
   ASSERT_TRUE(refreshed.ok());
   EXPECT_TRUE(refreshed.value());
   EXPECT_FALSE(rec.NeedsRefresh());
-  EXPECT_EQ(rec.pending_updates(), 0u);
+  EXPECT_EQ(rec.live().delta_size(), 0u);
 }
 
 TEST(IngestPolicyTest, MaintainIfNeededRefreshesInsteadOfRetraining) {
@@ -434,7 +435,7 @@ TEST(IngestPolicyTest, MaintainIfNeededRefreshesInsteadOfRetraining) {
   ASSERT_EQ(snap0.counters[static_cast<size_t>(Counter::kModelBuilds)], 1u);
 
   rec.AddRating(1, 2, 4.0);
-  ASSERT_TRUE(rec.NeedsRebuild());
+  ASSERT_TRUE(rec.NeedsRefresh());
   auto maintained = rec.MaintainIfNeeded();
   ASSERT_TRUE(maintained.ok());
   EXPECT_TRUE(maintained.value());
@@ -444,6 +445,58 @@ TEST(IngestPolicyTest, MaintainIfNeededRefreshesInsteadOfRetraining) {
   // went through the refresh path.
   EXPECT_EQ(snap.counters[static_cast<size_t>(Counter::kModelBuilds)], 1u);
   EXPECT_EQ(snap.counters[static_cast<size_t>(Counter::kIngestRefreshes)], 1u);
+}
+
+TEST(IngestPolicyTest, SetMaintenanceRoundTripsAndRejectsRetiredNames) {
+  RecDB db;
+  EXPECT_EQ(db.options().maintenance, MaintenanceMode::kManual);
+  const std::pair<const char*, MaintenanceMode> modes[] = {
+      {"inline", MaintenanceMode::kInline},
+      {"background", MaintenanceMode::kBackground},
+      {"manual", MaintenanceMode::kManual}};
+  for (const auto& [name, mode] : modes) {
+    auto rs = db.Execute(std::string("SET maintenance = ") + name);
+    ASSERT_TRUE(rs.ok()) << rs.status();
+    EXPECT_EQ(db.options().maintenance, mode) << name;
+  }
+  auto bogus = db.Execute("SET maintenance = sometimes");
+  ASSERT_FALSE(bogus.ok());
+  EXPECT_EQ(bogus.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(db.options().maintenance, MaintenanceMode::kManual);
+
+  auto retired = db.Execute("SET background_refresh = on");
+  ASSERT_FALSE(retired.ok());
+  EXPECT_EQ(retired.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(retired.status().message().find("maintenance"), std::string::npos)
+      << retired.status();
+}
+
+TEST(IngestPolicyTest, InlineMaintenanceRefreshesInTheWritingStatement) {
+  RecDBOptions options;
+  options.rebuild_threshold = 0.2;  // 0.2 * 20 base ratings: trips at 4 ops
+  RecDB db(options);
+  ASSERT_TRUE(db.Execute("CREATE TABLE R (u INT, i INT, v DOUBLE)").ok());
+  for (int64_t u = 1; u <= 4; ++u) {
+    for (int64_t i = 1; i <= 5; ++i) {
+      ASSERT_TRUE(db.Execute("INSERT INTO R VALUES (" + std::to_string(u) +
+                             ", " + std::to_string(i) + ", 3.0)")
+                      .ok());
+    }
+  }
+  ASSERT_TRUE(db.Execute("CREATE RECOMMENDER InRec ON R USERS FROM u ITEMS "
+                         "FROM i RATINGS FROM v USING ItemCosCF; "
+                         "SET maintenance = inline")
+                  .ok());
+  auto* rec = db.registry()->Get("InRec").value();
+  ASSERT_EQ(rec->base_size(), 20u);
+  for (int64_t k = 1; k <= 4; ++k) {
+    ASSERT_TRUE(db.Execute("INSERT INTO R VALUES (" + std::to_string(10 + k) +
+                           ", 1, 4.0)")
+                    .ok());
+    // Below the trigger the delta waits; the 4th write merges it inline.
+    EXPECT_EQ(rec->live().delta_size(), k < 4 ? static_cast<size_t>(k) : 0u);
+  }
+  EXPECT_EQ(rec->base_size(), 24u);
 }
 
 TEST(IngestMetricsTest, DeltaCountersAndPendingGaugeTrackOps) {
@@ -579,9 +632,8 @@ TEST(BackgroundLaneTest, BackgroundJobMayIssueParallelFor) {
 
 TEST(BackgroundLaneTest, RecDbBackgroundRefreshMergesDelta) {
   RecDBOptions options;
-  options.auto_maintain = false;
-  options.background_refresh = true;
-  options.min_refresh_ops = 4;
+  options.maintenance = MaintenanceMode::kBackground;
+  options.rebuild_threshold = 0.2;  // 0.2 * 20 base ratings: trips at 4 ops
   RecDB db(options);
   ASSERT_TRUE(db.Execute("CREATE TABLE R (u INT, i INT, v DOUBLE)").ok());
   for (int64_t u = 1; u <= 6; ++u) {
@@ -606,8 +658,8 @@ TEST(BackgroundLaneTest, RecDbBackgroundRefreshMergesDelta) {
   auto* rec = db.registry()->Get("BgRec").value();
   EXPECT_FALSE(rec->snapshot()->has_delta());
 
-  // SET background_refresh = off stops scheduling; delta accumulates.
-  ASSERT_TRUE(db.Execute("SET background_refresh = off").ok());
+  // SET maintenance = manual stops scheduling; delta accumulates.
+  ASSERT_TRUE(db.Execute("SET maintenance = manual").ok());
   for (int64_t k = 0; k < 6; ++k) {
     ASSERT_TRUE(db.Execute("INSERT INTO R VALUES (" + std::to_string(1 + k) +
                            ", " + std::to_string(((k * 3) % 5) + 1) + ", 2.0)")

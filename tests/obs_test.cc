@@ -543,7 +543,6 @@ TEST(ExecStatsTest, JoinRecommendRerunAfterMidWindowErrorMatchesCleanRun) {
   EXPECT_EQ(rows, clean_rows);
   EXPECT_EQ(ctx.stats.join_probes, clean_ctx.stats.join_probes);
   EXPECT_EQ(ctx.stats.predictions, clean_ctx.stats.predictions);
-  EXPECT_EQ(ctx.stats.predict_calls, clean_ctx.stats.predict_calls);
   EXPECT_EQ(ctx.stats.predict_batches, clean_ctx.stats.predict_batches);
 }
 

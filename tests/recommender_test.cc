@@ -520,30 +520,33 @@ TEST(RecommenderTest, BuildSelectsConfiguredAlgorithm) {
 TEST(RecommenderTest, MaintenanceThresholdPolicy) {
   RecommenderConfig cfg;
   cfg.name = "r";
-  cfg.rebuild_threshold = 0.10;  // rebuild at 10% new ratings
+  cfg.rebuild_threshold = 0.10;  // refresh at 10% new ratings
   Recommender rec(cfg);
-  EXPECT_TRUE(rec.NeedsRebuild());  // no model yet
   for (int u = 0; u < 4; ++u) {
     for (int i = 0; i < 5; ++i) rec.AddRating(u, i, 3.0);
   }
-  ASSERT_TRUE(rec.Build().ok());
+  EXPECT_FALSE(rec.NeedsRefresh());  // no model yet: nothing to refresh
+  auto built = rec.MaintainIfNeeded();  // ...but maintenance builds one
+  ASSERT_TRUE(built.ok());
+  EXPECT_TRUE(built.value());
   EXPECT_EQ(rec.base_size(), 20u);
-  EXPECT_EQ(rec.pending_updates(), 0u);
-  EXPECT_FALSE(rec.NeedsRebuild());
+  EXPECT_EQ(rec.live().delta_size(), 0u);
+  EXPECT_FALSE(rec.NeedsRefresh());
 
   rec.AddRating(9, 9, 2.0);  // 1 new < 10% of 20
-  EXPECT_FALSE(rec.NeedsRebuild());
+  EXPECT_FALSE(rec.NeedsRefresh());
   auto r1 = rec.MaintainIfNeeded();
   ASSERT_TRUE(r1.ok());
   EXPECT_FALSE(r1.value());
 
-  rec.AddRating(9, 8, 2.0);  // 2 new == 10% of 20 -> rebuild
-  EXPECT_TRUE(rec.NeedsRebuild());
+  rec.AddRating(9, 8, 2.0);  // 2 new == 10% of 20 -> refresh
+  EXPECT_TRUE(rec.NeedsRefresh());
   auto r2 = rec.MaintainIfNeeded();
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(r2.value());
   EXPECT_EQ(rec.base_size(), 22u);
-  EXPECT_EQ(rec.pending_updates(), 0u);
+  EXPECT_EQ(rec.live().delta_size(), 0u);
+  EXPECT_FALSE(rec.NeedsRefresh());
 }
 
 TEST(RecommenderTest, SnapshotServesNewRatingsThroughOverlay) {
@@ -563,7 +566,7 @@ TEST(RecommenderTest, SnapshotServesNewRatingsThroughOverlay) {
   EXPECT_TRUE(rec.snapshot()->frozen());
   EXPECT_TRUE(rec.snapshot()->has_delta());
   EXPECT_EQ(rec.live().NumRatings(), snap_n + 1);
-  EXPECT_EQ(rec.pending_updates(), 1u);
+  EXPECT_EQ(rec.live().delta_size(), 1u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -317,7 +318,11 @@ TEST(ServingReopen, ShardFilesRecoverAndReseed) {
   ShardedRecDBOptions opts;
   opts.num_shards = 2;
   {
-    auto db = ShardedRecDB::Open(path, opts);
+    // A non-default N% trigger: it is persisted with the recommender, so
+    // the reopened shards must keep it under the default options below.
+    ShardedRecDBOptions create_opts = opts;
+    create_opts.shard_options.rebuild_threshold = 0.05;
+    auto db = ShardedRecDB::Open(path, create_opts);
     ASSERT_TRUE(db.ok()) << db.status().message();
     ASSERT_TRUE(db.value()
                     ->Execute(
@@ -356,6 +361,31 @@ TEST(ServingReopen, ShardFilesRecoverAndReseed) {
   ASSERT_TRUE(got.ok()) << got.status().message();
   ASSERT_TRUE(want.ok());
   ExpectRowsBitIdentical(got.value(), want.value(), "reopen");
+
+  // Every shard's replicated model trips NeedsRefresh at 5% of the base.
+  const size_t base = BaseRatings().size();
+  const size_t trigger = static_cast<size_t>(std::ceil(0.05 * base));
+  for (size_t k = 1; k <= trigger; ++k) {
+    for (size_t s = 0; s < opts.num_shards; ++s) {
+      Recommender* rec =
+          db.value()->shard(s)->GetRecommender("sh_ItemCosCF").value();
+      EXPECT_EQ(rec->config().rebuild_threshold, 0.05);
+      EXPECT_EQ(rec->base_size(), base);
+      EXPECT_FALSE(rec->NeedsRefresh()) << "shard " << s << " at " << k - 1;
+    }
+    ASSERT_TRUE(db.value()
+                    ->Execute("INSERT INTO ratings VALUES (" +
+                              std::to_string(1000 + k) + ", 1, 3.0)")
+                    .ok());
+  }
+  for (size_t s = 0; s < opts.num_shards; ++s) {
+    EXPECT_TRUE(db.value()
+                    ->shard(s)
+                    ->GetRecommender("sh_ItemCosCF")
+                    .value()
+                    ->NeedsRefresh())
+        << "shard " << s;
+  }
   ASSERT_TRUE(db.value()->Close().ok());
 }
 

@@ -4,7 +4,9 @@
 //  - buffer-pool consistency when eviction write-back or victim reads fail
 //  - RecDB statements failing cleanly (non-OK Status, zero leaked pins,
 //    catalog/registry consistent) and a file-backed database answering
-//    RECOMMEND queries identically after close + reopen.
+//    RECOMMEND queries identically after close + reopen, with every value
+//    type, recommender hyperparameter and the maintenance trigger restored
+//    from a checkpoint or from WAL replay.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -36,6 +38,7 @@ RetryPolicy FastRetry(int max_attempts) {
 std::string TempDbPath(const std::string& name) {
   std::string path = ::testing::TempDir() + name;
   ::unlink(path.c_str());
+  ::unlink((path + ".wal").c_str());
   return path;
 }
 
@@ -596,6 +599,174 @@ TEST(RecDBFileTest, FailedOpenDoesNotRewriteTheFile) {
   auto second = RecDB::Open(path);
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), StatusCode::kDataLoss) << second.status();
+  ::unlink(path.c_str());
+}
+
+
+TEST(RecDBFileTest, ValuesOfEveryTypeRoundTripThroughReopen) {
+  std::string path = TempDbPath("recdb_types.db");
+  const std::string query = "SELECT * FROM t ORDER BY c";
+  std::vector<Tuple> before;
+  {
+    auto db = std::move(RecDB::Open(path)).value();
+    ASSERT_TRUE(db->Execute("CREATE TABLE t (a INT, b DOUBLE, c TEXT, "
+                            "g GEOMETRY)")
+                    .ok());
+    ASSERT_TRUE(db->Execute("INSERT INTO t VALUES "
+                            "(1, 1.5, 'hello', 'POINT(1 2)'), "
+                            "(2, NULL, '', 'POLYGON((0 0, 1 0, 0 1))'), "
+                            "(NULL, -2.25, 'quote''d', 'POINT(-3 4)')")
+                    .ok());
+    ASSERT_TRUE(db->Execute("CREATE TABLE empty_table (x INT)").ok());
+    auto rs = db->Execute(query);
+    ASSERT_TRUE(rs.ok()) << rs.status();
+    before = rs.value().rows;
+    ASSERT_EQ(before.size(), 3u);
+    ASSERT_TRUE(db->Close().ok());
+  }
+  auto db = std::move(RecDB::Open(path)).value();
+  auto after = db->Execute(query);
+  ASSERT_TRUE(after.ok()) << after.status();
+  ASSERT_EQ(after.value().NumRows(), before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after.value().rows[i], before[i]) << "row " << i;
+  }
+  auto empty = db->Execute("SELECT x FROM empty_table");
+  ASSERT_TRUE(empty.ok()) << empty.status();
+  EXPECT_EQ(empty.value().NumRows(), 0u);
+  ASSERT_TRUE(db->Close().ok());
+  ::unlink(path.c_str());
+}
+
+RecommenderConfig TunedConfig() {
+  RecommenderConfig cfg;
+  cfg.name = "tuned";
+  cfg.ratings_table = "Ratings";
+  cfg.user_col = "uid";
+  cfg.item_col = "iid";
+  cfg.rating_col = "ratingval";
+  cfg.algorithm = RecAlgorithm::kSVD;
+  cfg.rebuild_threshold = 0.42;
+  cfg.sim_opts.top_k = 17;
+  cfg.svd_opts.num_factors = 9;
+  cfg.svd_opts.num_epochs = 4;
+  cfg.svd_opts.seed = 123;
+  cfg.svd_opts.use_biases = true;
+  return cfg;
+}
+
+TEST(RecDBFileTest, HyperparametersSurviveCheckpointAndWalReplay) {
+  // Checkpointed: the config is read back from the catalog meta pages.
+  // Killed before any checkpoint: the kCreateRecommender WAL record is the
+  // only copy, and REDO must rebuild the recommender from it. Either way
+  // the retrained SVD model answers identically.
+  const std::string query =
+      "SELECT R.iid, R.ratingval FROM Ratings AS R RECOMMEND R.iid TO R.uid "
+      "ON R.ratingval USING SVD WHERE R.uid = 1 ORDER BY R.ratingval DESC";
+  for (bool checkpointed : {true, false}) {
+    SCOPED_TRACE(checkpointed ? "checkpointed" : "wal replay");
+    std::string path = TempDbPath("recdb_tuned.db");
+    std::vector<Tuple> before;
+    {
+      auto data_file = FileDiskManager::Open(path);
+      auto wal_file = FileDiskManager::Open(path + ".wal");
+      ASSERT_TRUE(data_file.ok() && wal_file.ok());
+      auto data = std::make_unique<FaultInjectingDiskManager>(
+          std::move(data_file).value());
+      auto wal = std::make_unique<FaultInjectingDiskManager>(
+          std::move(wal_file).value());
+      FaultInjectingDiskManager* data_raw = data.get();
+      FaultInjectingDiskManager* wal_raw = wal.get();
+      auto db = std::move(RecDB::OpenWithDisks(std::move(data), std::move(wal)))
+                    .value();
+      ASSERT_TRUE(db->Execute("CREATE TABLE Ratings (uid INT, iid INT, "
+                              "ratingval DOUBLE);"
+                              "INSERT INTO Ratings VALUES (1,1,4.0), "
+                              "(1,2,3.0), (2,1,5.0), (2,3,2.0)")
+                      .ok());
+      ASSERT_TRUE(db->CreateRecommender(TunedConfig()).ok());
+      auto rs = db->Execute(query);
+      ASSERT_TRUE(rs.ok()) << rs.status();
+      before = rs.value().rows;
+      ASSERT_FALSE(before.empty());
+      if (checkpointed) {
+        ASSERT_TRUE(db->Close().ok());
+      } else {
+        // Power cut: the destructor's best-effort checkpoint cannot write.
+        data_raw->set_retry_policy(FastRetry(1));
+        wal_raw->set_retry_policy(FastRetry(1));
+        data_raw->SetRandomFaults(1.0, 1.0, /*seed=*/7, FaultKind::kPermanent);
+        wal_raw->SetRandomFaults(1.0, 1.0, /*seed=*/7, FaultKind::kPermanent);
+      }
+    }
+    auto db_or = RecDB::Open(path);
+    ASSERT_TRUE(db_or.ok()) << db_or.status();
+    auto db = std::move(db_or).value();
+    auto rec = db->GetRecommender("tuned");
+    ASSERT_TRUE(rec.ok()) << rec.status();
+    const RecommenderConfig& got = rec.value()->config();
+    EXPECT_EQ(got.algorithm, RecAlgorithm::kSVD);
+    EXPECT_EQ(got.rebuild_threshold, 0.42);
+    EXPECT_EQ(got.sim_opts.top_k, 17);
+    EXPECT_EQ(got.svd_opts.num_factors, 9);
+    EXPECT_EQ(got.svd_opts.num_epochs, 4);
+    EXPECT_EQ(got.svd_opts.seed, 123u);
+    EXPECT_TRUE(got.svd_opts.use_biases);
+    auto after = db->Execute(query);
+    ASSERT_TRUE(after.ok()) << after.status();
+    EXPECT_EQ(after.value().rows, before);
+    ASSERT_TRUE(db->Close().ok());
+    ::unlink(path.c_str());
+    ::unlink((path + ".wal").c_str());
+  }
+}
+
+// Single-row INSERTs of fresh (uid, iid) pairs until `rec` trips
+// NeedsRefresh; returns how many it took (0 if `limit` never trips it).
+size_t InsertsUntilRefreshDue(RecDB* db, const Recommender& rec,
+                              size_t limit) {
+  for (size_t k = 1; k <= limit; ++k) {
+    auto r = db->Execute("INSERT INTO Ratings VALUES (" +
+                         std::to_string(1000 + k) + ", 1, 3.0)");
+    EXPECT_TRUE(r.ok()) << r.status();
+    if (rec.NeedsRefresh()) return k;
+  }
+  return 0;
+}
+
+TEST(RecDBFileTest, MaintenanceTriggerSurvivesReopen) {
+  // Regression: only rebuild_threshold is persisted, and the trigger used
+  // to live in two unpersisted knobs, so a reopened recommender fell back
+  // to the default trigger. With one persisted N% it must trip at the same
+  // delta size after Close/Open, whatever the reopening engine's options.
+  std::string path = TempDbPath("recdb_trigger.db");
+  RecDBOptions options;
+  options.rebuild_threshold = 0.02;  // 300 base ratings: trips at 6 ops
+  {
+    auto db = std::move(RecDB::Open(path, options)).value();
+    ASSERT_TRUE(db->Execute("CREATE TABLE Ratings (uid INT, iid INT, "
+                            "ratingval DOUBLE)")
+                    .ok());
+    std::vector<std::vector<Value>> ratings;
+    for (int u = 1; u <= 30; ++u) {
+      for (int i = 1; i <= 10; ++i) {
+        ratings.push_back({Value::Int(u), Value::Int(i),
+                           Value::Double(1.0 + (u * 7 + i * 3) % 5)});
+      }
+    }
+    ASSERT_TRUE(db->BulkInsert("Ratings", ratings).ok());
+    ASSERT_TRUE(db->Execute("CREATE RECOMMENDER Rec ON Ratings USERS FROM "
+                            "uid ITEMS FROM iid RATINGS FROM ratingval "
+                            "USING ItemCosCF")
+                    .ok());
+    ASSERT_TRUE(db->Close().ok());
+  }
+  auto db = std::move(RecDB::Open(path)).value();  // default options
+  Recommender* rec = db->GetRecommender("Rec").value();
+  ASSERT_EQ(rec->base_size(), 300u);
+  EXPECT_EQ(rec->config().rebuild_threshold, 0.02);
+  EXPECT_EQ(InsertsUntilRefreshDue(db.get(), *rec, 64), 6u);
+  ASSERT_TRUE(db->Close().ok());
   ::unlink(path.c_str());
 }
 

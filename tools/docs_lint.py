@@ -15,6 +15,10 @@ Checks, over every tracked *.md file in the repo:
      way: the operator guide documents every serving metric, and every
      backticked serving.* token in it is a declared metric — the skew/
      fan-out diagnosis recipes there must never drift from the registry.
+  4. Every `SET <name> =` in README.md, DESIGN.md, docs/*.md and the shell
+     help (examples/recdb_shell.cpp) names an option RecDB::ExecuteSet
+     accepts — read from its `stmt.option == "..."` comparisons in
+     src/api/recdb.cc — so a retired option cannot linger in the docs.
 
 Exit status 0 = clean, 1 = findings (printed one per line).
 """
@@ -27,6 +31,8 @@ REPO = Path(__file__).resolve().parent.parent
 METRIC_HEADER = REPO / "src" / "obs" / "metric_names.h"
 OPERATIONS = REPO / "docs" / "OPERATIONS.md"
 SCALING = REPO / "docs" / "SCALING.md"
+RECDB_CC = REPO / "src" / "api" / "recdb.cc"
+SHELL = REPO / "examples" / "recdb_shell.cpp"
 
 # Directories that hold generated or third-party content.
 SKIP_DIRS = {"build", "build-native", ".git"}
@@ -37,6 +43,9 @@ SKIP_FILES = {"PAPER.md", "PAPERS.md", "SNIPPETS.md", "ISSUE.md"}
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 METRIC_DECL = re.compile(r'X\(k\w+,\s*"([a-z0-9_.]+)"')
 BACKTICKED = re.compile(r"`([a-z0-9_]+\.[a-z0-9_.]+)`")
+SET_ACCEPTED = re.compile(r'stmt\.option == "([a-z_]+)"')
+# `SET <name> =`, but not the SQL `UPDATE <table> SET <column> =`.
+SET_MENTION = re.compile(r"(?<!\w)(UPDATE\s+\w+\s+)?SET\s+(\w+)\s*=")
 
 
 def markdown_files():
@@ -125,11 +134,30 @@ def check_serving_docs(errors):
             )
 
 
+def check_set_options(errors):
+    """Documented `SET <name> =` statements <-> RecDB::ExecuteSet."""
+    accepted = set(SET_ACCEPTED.findall(RECDB_CC.read_text("utf-8")))
+    if not accepted:
+        errors.append("no SET options parsed from src/api/recdb.cc")
+        return
+    docs = [REPO / "README.md", REPO / "DESIGN.md", SHELL]
+    docs += sorted((REPO / "docs").glob("*.md"))
+    for doc in docs:
+        for lineno, line in enumerate(doc.read_text("utf-8").splitlines(), 1):
+            for update, name in SET_MENTION.findall(line):
+                if not update and name not in accepted:
+                    errors.append(
+                        f"{doc.relative_to(REPO)}:{lineno}: `SET {name}` is "
+                        "not an option RecDB::ExecuteSet accepts"
+                    )
+
+
 def main():
     errors = []
     check_links(errors)
     check_metric_names(errors)
     check_serving_docs(errors)
+    check_set_options(errors)
     for e in errors:
         print(e)
     if errors:
