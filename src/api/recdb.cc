@@ -608,6 +608,7 @@ Result<ResultSet> RecDB::Execute(const std::string& sql) {
     std::shared_lock<std::shared_mutex> lock(state_mu_);
     return RunStatements(stmts);
   }();
+  ApplyPendingParallelism();
   if (writer) {
     // Group-commit outside the lock: the fsync never blocks readers, and a
     // concurrent writer's commit piggybacks on the same flush. On a
@@ -635,9 +636,15 @@ Result<ResultSet> RecDB::ExecuteTraced(const std::string& sql) {
   active_tracer_.reset();
   if (result.ok()) result.value().trace = last_trace_;
   lock.unlock();
+  ApplyPendingParallelism();
   Status commit = CommitWal();
   if (!commit.ok() && result.ok()) return commit;
   return result;
+}
+
+void RecDB::ApplyPendingParallelism() {
+  const size_t n = pending_parallelism_.exchange(0);
+  if (n != 0) TaskScheduler::SetGlobalParallelism(n);
 }
 
 std::string RecDB::MetricsJson() {
@@ -806,7 +813,9 @@ Result<ResultSet> RecDB::ExecuteSet(const SetStatement& stmt) {
     }
     constexpr int64_t kMaxParallelism = 256;
     n = std::min(n, kMaxParallelism);
-    TaskScheduler::SetGlobalParallelism(static_cast<size_t>(n));
+    // Applied by Execute once the engine lock is released, so after the
+    // script's other statements.
+    pending_parallelism_.store(static_cast<size_t>(n));
     ResultSet rs;
     rs.message = "parallelism set to " + std::to_string(n);
     return rs;

@@ -270,6 +270,10 @@ class RecDB {
   Result<ResultSet> ExecuteUpdate(const UpdateStatement& stmt);
   Result<ResultSet> ExecuteSet(const SetStatement& stmt);
   Result<ResultSet> ExecuteAnalyze(const AnalyzeStatement& stmt);
+  /// Resize the process-global scheduler to the last `SET parallelism` a
+  /// script recorded. Runs with state_mu_ released (see
+  /// pending_parallelism_).
+  void ApplyPendingParallelism();
 
   /// Rows of a table matching an optional WHERE (shared by DELETE/UPDATE).
   Result<std::vector<std::pair<Rid, Tuple>>> CollectMatching(
@@ -370,12 +374,18 @@ class RecDB {
   /// Reader-writer discipline over all engine state: SELECT/EXPLAIN scripts
   /// hold it shared, anything mutating holds it exclusive. WAL commit
   /// (fsync) happens outside it. Lock order: state_mu_ -> pool mutex ->
-  /// log mutex; never the reverse.
+  /// log mutex, and state_mu_ -> TaskScheduler submit lock (a parallel
+  /// operator); never the reverse.
   mutable std::shared_mutex state_mu_;
   /// Serializes cache-manager demand recording among concurrent readers.
   std::mutex demand_mu_;
   std::atomic<uint64_t> next_session_id_{1};
 
+  /// `SET parallelism = N` recorded under state_mu_ and applied once the
+  /// script releases it (0 = nothing pending). The scheduler's Resize takes
+  /// its submit lock, which a scatter leg holds while it takes a shard's
+  /// state_mu_: resizing under state_mu_ would invert that order.
+  std::atomic<size_t> pending_parallelism_{0};
   /// `SET trace = on` state; seeded from RecDBOptions::trace.
   std::atomic<bool> trace_enabled_{false};
   /// Live tracer for the Execute() call in flight (null when tracing off;

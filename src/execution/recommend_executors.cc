@@ -94,6 +94,14 @@ void ScoreUserRange(const RecModel* model, const RatingMatrix& snapshot,
   out->batches = 1;
 }
 
+/// Raise a shared threshold to at least `t` (monotone CAS-max).
+void RaiseThreshold(std::atomic<double>* shared, double t) {
+  double cur = shared->load(std::memory_order_relaxed);
+  while (cur < t && !shared->compare_exchange_weak(
+                        cur, t, std::memory_order_relaxed)) {
+  }
+}
+
 }  // namespace
 
 // ------------------------------------------------------------ PruneEngine
@@ -107,6 +115,7 @@ PruneEngine::PruneEngine(const RecModel* model, const RatingMatrix& snapshot,
       num_items_(snapshot.NumItems()) {
   walk_stamp_.assign(num_items_, 0);
   consume_stamp_.assign(num_items_, 0);
+  rated_stamp_.assign(num_items_, 0);
   user_stamp_.assign(index.num_users(), 0);
   block_items_.resize(index.blocks().size());
   if (rank_by_id_) {
@@ -120,8 +129,12 @@ PruneEngine::PruneEngine(const RecModel* model, const RatingMatrix& snapshot,
   }
 }
 
-bool PruneEngine::Rated(int32_t u, int32_t item_idx) const {
-  return snapshot_.GetByIndex(u, item_idx).has_value();
+void PruneEngine::StampRated(int32_t u) {
+  // UserVector is the merged view, so ratings that only live in the delta
+  // overlay count as rated too.
+  for (const RatingEntry& e : snapshot_.UserVector(u)) {
+    if (static_cast<size_t>(e.idx) < num_items_) rated_stamp_[e.idx] = epoch_;
+  }
 }
 
 double PruneEngine::PaddedBound(double scale_u, double offset_u,
@@ -184,25 +197,20 @@ void PruneEngine::GenerateCandidates(int32_t u) {
   stats.candidates_generated += candidates_.size();
 }
 
-void PruneEngine::ScoreBatch(int64_t user_id,
-                             const std::vector<int32_t>& items,
+void PruneEngine::ScoreBatch(int32_t u, const std::vector<int32_t>& items,
                              TopKPruner* pruner) {
   if (items.empty()) return;
-  batch_ids_.clear();
-  for (int32_t c : items) batch_ids_.push_back(snapshot_.ItemIdAt(c));
-  batch_pred_.assign(batch_ids_.size(), 0.0);
-  model_->PredictBatch(user_id, batch_ids_, batch_pred_);
+  batch_pred_.resize(items.size());
+  model_->PredictBatchByIndex(u, items, batch_pred_);
   for (size_t k = 0; k < items.size(); ++k) {
-    const int64_t rank = rank_by_id_ ? batch_ids_[k] : items[k];
-    pruner->Offer(batch_pred_[k], rank, batch_ids_[k]);
+    const int64_t id = snapshot_.ItemIdAt(items[k]);
+    pruner->Offer(batch_pred_[k], rank_by_id_ ? id : items[k], id);
   }
   stats.predictions += items.size();
   ++stats.predict_batches;
 }
 
-void PruneEngine::ZeroMerge(int64_t user_id, int32_t u, MergeMode mode,
-                            TopKPruner* pruner) {
-  (void)user_id;
+void PruneEngine::ZeroMerge(MergeMode mode, TopKPruner* pruner) {
   const size_t bts = index_.bound_table_size();
   // Offer 0.0 for every still-unconsumed unrated item in rank order; all
   // offers carry the same score with ascending rank, so the first
@@ -215,7 +223,7 @@ void PruneEngine::ZeroMerge(int64_t user_id, int32_t u, MergeMode mode,
     if (mode == MergeMode::kSkipInBounds && static_cast<size_t>(c) < bts) {
       return true;
     }
-    if (Rated(u, c)) return true;
+    if (Rated(c)) return true;
     pruner->Offer(0.0, rank, id);
     return true;
   };
@@ -255,6 +263,7 @@ std::vector<TopKPruner::Entry> PruneEngine::UserTopK(int64_t user_id,
   const PruneBoundTable& bt = index_.bounds();
   const bool has_offset = !bt.item_offset.empty();
   ++epoch_;
+  StampRated(u);
 
   // All-zero users (empty row / empty neighborhood / unknown to the
   // model): every prediction is exactly 0.0, so the whole catalog goes
@@ -267,7 +276,7 @@ std::vector<TopKPruner::Entry> PruneEngine::UserTopK(int64_t user_id,
     if (scale_u == 0.0 && offset_u == 0.0 && !has_offset) pure_zero = true;
   }
   if (pure_zero) {
-    ZeroMerge(user_id, u, MergeMode::kAllUnrated, &pruner);
+    ZeroMerge(MergeMode::kAllUnrated, &pruner);
     return pruner.DrainBestFirst();
   }
 
@@ -284,7 +293,7 @@ std::vector<TopKPruner::Entry> PruneEngine::UserTopK(int64_t user_id,
     // rating-dependent bounds must be scored; the rest bucket per block.
     const std::vector<int32_t>& block_of = index_.block_of();
     for (int32_t c : candidates_) {
-      if (Rated(u, c)) {
+      if (Rated(c)) {
         consume_stamp_[c] = epoch_;
         continue;
       }
@@ -305,7 +314,7 @@ std::vector<TopKPruner::Entry> PruneEngine::UserTopK(int64_t user_id,
       block_items_[blk].push_back(c);
       consume_stamp_[c] = epoch_;  // scored, or provably below threshold
     }
-    ScoreBatch(user_id, must_score_, &pruner);
+    ScoreBatch(u, must_score_, &pruner);
     std::sort(touched_blocks_.begin(), touched_blocks_.end());
     for (size_t t = 0; t < touched_blocks_.size(); ++t) {
       const int32_t blk = touched_blocks_[t];
@@ -326,10 +335,10 @@ std::vector<TopKPruner::Entry> PruneEngine::UserTopK(int64_t user_id,
         ++stats.blocks_skipped;
         continue;
       }
-      ScoreBatch(user_id, block_items_[blk], &pruner);
+      ScoreBatch(u, block_items_[blk], &pruner);
     }
     for (int32_t blk : touched_blocks_) block_items_[blk].clear();
-    ZeroMerge(user_id, u, MergeMode::kSkipConsumed, &pruner);
+    ZeroMerge(MergeMode::kSkipConsumed, &pruner);
     return pruner.DrainBestFirst();
   }
 
@@ -358,11 +367,11 @@ std::vector<TopKPruner::Entry> PruneEngine::UserTopK(int64_t user_id,
     for (uint32_t p = B.begin; p < B.end; ++p) {
       const int32_t c = order[p];
       if (static_cast<size_t>(c) >= num_items_) continue;
-      if (!Rated(u, c)) blk_cand.push_back(c);
+      if (!Rated(c)) blk_cand.push_back(c);
     }
-    ScoreBatch(user_id, blk_cand, &pruner);
+    ScoreBatch(u, blk_cand, &pruner);
   }
-  ZeroMerge(user_id, u, MergeMode::kSkipInBounds, &pruner);
+  ZeroMerge(MergeMode::kSkipInBounds, &pruner);
   return pruner.DrainBestFirst();
 }
 
@@ -432,32 +441,37 @@ Status RecommendExecutor::ScorePruned() {
   const size_t k = plan_.prune_limit;
   obs::Count(obs::Counter::kPruneTopkQueries);
   Stopwatch watch;
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  std::vector<std::vector<Tuple>> per_user(users_.size());
+  // One global Top-k over the exact path's order: score desc, then arrival
+  // — user position, then item position. Both positions fold into one rank
+  // (user position * catalog size + item index), so the bounded heap, its
+  // tie-break and its threshold are TopKPruner's own.
+  const int64_t stride = static_cast<int64_t>(snapshot.NumItems());
+  // The highest k-th score any morsel's full heap has reached. At least k
+  // real tuples score >= it, so a tuple scoring below it can never make the
+  // global top-k; one scoring exactly it still may (on the arrival
+  // tie-break), so it is a floor that keeps ties. Relaxed ordering: it is
+  // a pruning hint and publishes no other data.
+  std::atomic<double> shared_floor{-std::numeric_limits<double>::infinity()};
   std::mutex fold_mu;
   ExecStats folded;
+  TopKPruner global(k);
   auto score_range = [&](size_t begin, size_t end) {
     PruneEngine engine(model, snapshot, index, /*rank_by_id=*/false);
+    TopKPruner local(k);
     for (size_t ui = begin; ui < end; ++ui) {
-      auto entries = engine.UserTopK(users_[ui], k, kNegInf);
-      // Within a user, emit survivors in item-position order — the exact
-      // path's emission order restricted to the surviving subset, so the
-      // parent TopN's arrival tie-break sees an order-preserving
-      // subsequence.
-      std::sort(entries.begin(), entries.end(),
-                [](const TopKPruner::Entry& a, const TopKPruner::Entry& b) {
-                  return a.rank < b.rank;
-                });
-      std::vector<Tuple>& out = per_user[ui];
-      out.reserve(entries.size());
-      for (const TopKPruner::Entry& e : entries) {
-        out.push_back(MakeRecTuple(plan_.schema, plan_.user_col_idx,
-                                   plan_.item_col_idx, plan_.rating_col_idx,
-                                   users_[ui], e.item_id, e.score));
+      const double floor = std::max(
+          local.Threshold(), shared_floor.load(std::memory_order_relaxed));
+      const int64_t base = static_cast<int64_t>(ui) * stride;
+      for (const TopKPruner::Entry& e : engine.UserTopK(users_[ui], k, floor)) {
+        local.Offer(e.score, base + e.rank, e.item_id);
       }
+      if (local.full()) RaiseThreshold(&shared_floor, local.Threshold());
     }
     std::lock_guard<std::mutex> lock(fold_mu);
     engine.FlushStats(&folded);
+    for (const TopKPruner::Entry& e : local.DrainBestFirst()) {
+      global.Offer(e.score, e.rank, e.item_id);
+    }
   };
   TaskScheduler& sched = TaskScheduler::Global();
   if (sched.num_threads() > 1 && users_.size() > 1) {
@@ -469,11 +483,20 @@ Status RecommendExecutor::ScorePruned() {
   } else {
     score_range(0, users_.size());
   }
-  size_t total = 0;
-  for (const auto& s : per_user) total += s.size();
-  buffer_.reserve(total);
-  for (auto& s : per_user) {
-    for (auto& t : s) buffer_.push_back(std::move(t));
+  // Emit the <= k survivors in arrival order (user position, then item
+  // position): an order-preserving subsequence of the exact stream, so the
+  // parent TopN's arrival tie-break picks the same rows in the same order.
+  std::vector<TopKPruner::Entry> survivors = global.DrainBestFirst();
+  std::sort(survivors.begin(), survivors.end(),
+            [](const TopKPruner::Entry& a, const TopKPruner::Entry& b) {
+              return a.rank < b.rank;
+            });
+  buffer_.reserve(survivors.size());
+  for (const TopKPruner::Entry& e : survivors) {
+    buffer_.push_back(MakeRecTuple(plan_.schema, plan_.user_col_idx,
+                                   plan_.item_col_idx, plan_.rating_col_idx,
+                                   users_[e.rank / stride], e.item_id,
+                                   e.score));
   }
   ctx_->stats += folded;
   obs::ObserveUs(obs::Histogram::kPruneGenUs,
@@ -494,13 +517,12 @@ Status RecommendExecutor::ScoreAllParallel() {
       num_pairs / (sched.num_threads() * 8), 64, 8192);
   const size_t num_slots = (num_pairs + morsel - 1) / morsel;
   std::vector<std::vector<Tuple>> slots(num_slots);
-  std::atomic<uint64_t> predictions{0};
-  std::atomic<uint64_t> batches{0};
+  std::mutex fold_mu;
+  ExecStats folded;
   TaskRunStats run = sched.ParallelFor(
       num_pairs, morsel, [&](size_t begin, size_t end) {
         std::vector<Tuple>& out = slots[begin / morsel];
-        uint64_t local_predictions = 0;
-        uint64_t local_batches = 0;
+        ExecStats local;
         UserRowScores row;
         // A morsel spans one or more per-user runs of contiguous items;
         // each run is scored with one PredictBatch.
@@ -511,8 +533,8 @@ Status RecommendExecutor::ScoreAllParallel() {
           const int64_t user_id = users_[u];
           ScoreUserRange(model, snapshot, user_id, items_, p % num_items,
                          p % num_items + (run_end - p), &row);
-          local_predictions += row.predicted;
-          local_batches += row.batches;
+          local.predictions += row.predicted;
+          local.predict_batches += row.batches;
           for (size_t k = 0; k < run_end - p; ++k) {
             if (row.rated[k] && !plan_.include_rated) continue;
             out.push_back(MakeRecTuple(
@@ -522,8 +544,8 @@ Status RecommendExecutor::ScoreAllParallel() {
           }
           p = run_end;
         }
-        predictions.fetch_add(local_predictions, std::memory_order_relaxed);
-        batches.fetch_add(local_batches, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(fold_mu);
+        folded += local;
       });
   size_t total = 0;
   for (const auto& s : slots) total += s.size();
@@ -532,9 +554,7 @@ Status RecommendExecutor::ScoreAllParallel() {
   for (auto& s : slots) {
     for (auto& t : s) buffer_.push_back(std::move(t));
   }
-  const uint64_t predicted = predictions.load(std::memory_order_relaxed);
-  ctx_->stats.predictions += predicted;
-  ctx_->stats.predict_batches += batches.load(std::memory_order_relaxed);
+  ctx_->stats += folded;
   ctx_->stats.tasks_spawned += run.tasks_spawned;
   ctx_->stats.worker_time_ms += run.worker_time_ms;
   return Status::OK();

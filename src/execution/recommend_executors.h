@@ -5,10 +5,11 @@
 //   IndexRecommendExecutor  — INDEXRECOMMEND (Algorithm 3 over RecScoreIndex,
 //                             with model fallback on cache miss)
 //
-// All scoring goes through RecModel::PredictBatch: each executor resolves a
-// user's candidate set first, scores the unrated candidates in one batch
-// call, and only then emits tuples — per-candidate model->Predict() calls
-// do not appear on any hot path.
+// All scoring goes through RecModel::PredictBatch (PredictBatchByIndex on
+// the pruned sweep, which already holds item indices): each executor
+// resolves a user's candidate set first, scores the unrated candidates in
+// one batch call, and only then emits tuples — per-candidate
+// model->Predict() calls do not appear on any hot path.
 #pragma once
 
 #include <memory>
@@ -71,20 +72,27 @@ class PruneEngine {
   /// raters from the base postings, candidate items = base ∪ side rows of
   /// each rater. Fills candidates_ (deduplicated via walk_stamp_).
   void GenerateCandidates(int32_t u);
-  void ScoreBatch(int64_t user_id, const std::vector<int32_t>& items,
+  /// One index-space PredictBatchByIndex over `items`, each result offered
+  /// to the pruner.
+  void ScoreBatch(int32_t u, const std::vector<int32_t>& items,
                   TopKPruner* pruner);
   /// Zero-merge modes: kAllUnrated offers every unrated item (all-zero
   /// users), kSkipConsumed skips consume-stamped items (candidate
   /// families), kSkipInBounds skips the bound table's domain (catalog-
   /// sweep families, where every in-bounds item was scored or pruned).
   enum class MergeMode { kAllUnrated, kSkipConsumed, kSkipInBounds };
-  void ZeroMerge(int64_t user_id, int32_t u, MergeMode mode,
-                 TopKPruner* pruner);
+  void ZeroMerge(MergeMode mode, TopKPruner* pruner);
   /// Float-safe upper bound for a block: the model's slack pads the
   /// magnitude of every term, plus an absolute epsilon.
   double PaddedBound(double scale_u, double offset_u, double max_scale,
                      double max_offset) const;
-  bool Rated(int32_t u, int32_t item_idx) const;
+  /// Stamp the user's rated items (merged view) with the current epoch,
+  /// once per user, so Rated() is one array read instead of a per-item
+  /// binary search of the user's row.
+  void StampRated(int32_t u);
+  bool Rated(int32_t item_idx) const {
+    return rated_stamp_[item_idx] == epoch_;
+  }
 
   const RecModel* model_;
   const RatingMatrix& snapshot_;
@@ -94,6 +102,7 @@ class PruneEngine {
 
   std::vector<uint32_t> walk_stamp_;     // per item: candidate-walk dedup
   std::vector<uint32_t> consume_stamp_;  // per item: scored/pruned/rated
+  std::vector<uint32_t> rated_stamp_;    // per item: rated by the user
   std::vector<uint32_t> user_stamp_;     // per base user: rater dedup
   uint32_t epoch_ = 0;
   std::vector<int32_t> start_;
@@ -101,7 +110,6 @@ class PruneEngine {
   std::vector<int32_t> must_score_;
   std::vector<std::vector<int32_t>> block_items_;
   std::vector<int32_t> touched_blocks_;
-  std::vector<int64_t> batch_ids_;
   std::vector<double> batch_pred_;
   /// Items interned after the base the postings were lowered from, sorted
   /// by external id — merged with index.order_by_id() for the id-ordered
@@ -124,10 +132,12 @@ class RecommendExecutor : public Executor {
   /// in range order — bit-identical to the serial emission order under any
   /// thread count.
   Status ScoreAllParallel();
-  /// Pruned Top-K mode: per-user top-prune_limit via PruneEngine (morsel-
-  /// parallel over users), each user's survivors emitted in item-position
-  /// order — the exact emission order restricted to the surviving subset,
-  /// so the parent TopN's result is bit-identical.
+  /// Pruned Top-K mode: one global top-prune_limit over (score desc, user
+  /// position, item position), morsel-parallel over users. Each user runs
+  /// PruneEngine::UserTopK with the running global k-th score as its
+  /// floor (morsels share it through a monotone atomic), and only the <= k
+  /// global survivors are emitted, in arrival order — a subsequence of the
+  /// exact stream, so the parent TopN's result is bit-identical.
   Status ScorePruned();
 
   const RecommendPlan& plan_;

@@ -233,12 +233,11 @@ double PlanNode::EstimateRows(const CostEnv& env) {
         per_user =
             std::min(per_user, static_cast<double>(r.item_ids->size()));
       }
-      if (r.prune && r.prune_limit > 0) {
-        // Pruned Top-K emits at most prune_limit rows per user.
-        per_user =
-            std::min(per_user, static_cast<double>(r.prune_limit));
-      }
       rows = users * per_user;
+      if (r.prune && r.prune_limit > 0) {
+        // Pruned Top-K keeps one global heap: at most prune_limit rows.
+        rows = std::min(rows, static_cast<double>(r.prune_limit));
+      }
       break;
     }
     case PlanNodeType::kJoinRecommend: {

@@ -183,11 +183,10 @@ std::unique_ptr<ItemCFModel> ItemCFModel::Build(
       std::move(ratings), centered, o, std::move(neighborhoods)));
 }
 
-void ItemCFModel::DoPredictBatch(int64_t user_id, std::span<const int64_t> items,
-                               std::span<double> out) const {
+void ItemCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
+                                 std::span<double> out) const {
   RECDB_DCHECK(items.size() == out.size());
-  auto u = ratings_->UserIndex(user_id);
-  if (!u) {
+  if (u < 0 || static_cast<size_t>(u) >= ratings_->NumUsers()) {
     std::fill(out.begin(), out.end(), 0.0);
     return;
   }
@@ -203,20 +202,20 @@ void ItemCFModel::DoPredictBatch(int64_t user_id, std::span<const int64_t> items
   scratch.Reset(ratings_->NumItems());
   size_t num_rated = 0;
   if (ratings_->frozen()) {
-    const CsrRow rated = ratings_->UserCsrRow(*u);
+    const CsrRow rated = ratings_->UserCsrRow(u);
     for (size_t k = 0; k < rated.n; ++k) {
       scratch.Set(rated.idx[k], rated.rating[k]);
     }
     num_rated = rated.n;
   } else {
-    const auto& rated = ratings_->UserVector(*u);
+    const auto& rated = ratings_->UserVector(u);
     for (const auto& e : rated) scratch.Set(e.idx, e.rating);
     num_rated = rated.size();
   }
   for (size_t c = 0; c < items.size(); ++c) {
-    auto i = ratings_->ItemIndex(items[c]);
-    if (!i || num_rated == 0 ||
-        static_cast<size_t>(*i) >= neighborhoods_.size()) {
+    const int32_t i = items[c];
+    if (i < 0 || num_rated == 0 ||
+        static_cast<size_t>(i) >= neighborhoods_.size()) {
       // Unknown candidate, nothing rated, or an item interned after this
       // model was built (no neighborhood yet).
       out[c] = 0;
@@ -224,7 +223,7 @@ void ItemCFModel::DoPredictBatch(int64_t user_id, std::span<const int64_t> items
     }
     // CandItems = ItemNeighbors(i) ∩ UserItems(u)  (Algorithm 1, line 10).
     double num = 0, den = 0;
-    for (const auto& nb : neighborhoods_[*i]) {
+    for (const auto& nb : neighborhoods_[i]) {
       double r;
       if (!scratch.Get(nb.idx, &r)) continue;
       num += static_cast<double>(nb.sim) * r;
@@ -316,24 +315,20 @@ std::unique_ptr<UserCFModel> UserCFModel::Build(
       std::move(ratings), centered, o, std::move(neighborhoods)));
 }
 
-void UserCFModel::DoPredictBatch(int64_t user_id, std::span<const int64_t> items,
-                               std::span<double> out) const {
+void UserCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
+                                 std::span<double> out) const {
   RECDB_DCHECK(items.size() == out.size());
-  auto u = ratings_->UserIndex(user_id);
-  if (!u) {
-    std::fill(out.begin(), out.end(), 0.0);
-    return;
-  }
   // Symmetric to ItemCF: the user's neighbor similarities are scattered
   // once, then each candidate item's contiguous rater row is gathered.
   // Addition order per candidate is the item's rater order (user-idx
   // ascending) — fixed per candidate, so independent of batch composition.
-  if (static_cast<size_t>(*u) >= neighborhoods_.size()) {
-    // A user interned after this model was built has no neighborhood yet.
+  if (u < 0 || static_cast<size_t>(u) >= neighborhoods_.size()) {
+    // Unknown, or a user interned after this model was built: no
+    // neighborhood yet.
     std::fill(out.begin(), out.end(), 0.0);
     return;
   }
-  const auto& neighbors = neighborhoods_[*u];
+  const auto& neighbors = neighborhoods_[u];
   DenseScratch& scratch = TlsScratch();
   scratch.Reset(ratings_->NumUsers());
   for (const auto& nb : neighbors) {
@@ -342,9 +337,10 @@ void UserCFModel::DoPredictBatch(int64_t user_id, std::span<const int64_t> items
   // As in ItemCF, an unfrozen matrix routes through the mutable rows; the
   // per-candidate accumulation order (user-idx ascending) is identical.
   const bool frozen = ratings_->frozen();
+  const size_t num_items = ratings_->NumItems();
   for (size_t c = 0; c < items.size(); ++c) {
-    auto i = ratings_->ItemIndex(items[c]);
-    if (!i) {
+    const int32_t i = items[c];
+    if (i < 0 || static_cast<size_t>(i) >= num_items) {
       out[c] = 0;
       continue;
     }
@@ -356,12 +352,12 @@ void UserCFModel::DoPredictBatch(int64_t user_id, std::span<const int64_t> items
       den += std::fabs(sim);
     };
     if (frozen) {
-      const CsrRow raters = ratings_->ItemCsrRow(*i);
+      const CsrRow raters = ratings_->ItemCsrRow(i);
       for (size_t k = 0; k < raters.n; ++k) {
         accumulate(raters.idx[k], raters.rating[k]);
       }
     } else {
-      for (const auto& e : ratings_->ItemVector(*i)) {
+      for (const auto& e : ratings_->ItemVector(i)) {
         accumulate(e.idx, e.rating);
       }
     }

@@ -27,12 +27,6 @@ class ItemCFModel : public RecModel {
     return centered_ ? RecAlgorithm::kItemPearCF : RecAlgorithm::kItemCosCF;
   }
 
-  /// Eq. (2) for every candidate: the user's rated items are scattered once
-  /// into a dense thread-local accumulator, then each candidate's
-  /// neighborhood is gathered against it (no per-neighbor binary search).
-  void DoPredictBatch(int64_t user_id, std::span<const int64_t> items,
-                      std::span<double> out) const override;
-
   /// Similarity of two items by external id (0 when either is unknown or
   /// the pair is not in the neighborhood list). Binary search over an
   /// idx-sorted view of the row, not a linear scan of the sim-sorted list.
@@ -65,6 +59,13 @@ class ItemCFModel : public RecModel {
   bool ComputePruneBounds(PruneBoundTable* out) const override;
   double PruneUserScale(int32_t user_idx) const override;
 
+ protected:
+  /// Eq. (2) for every candidate: the user's rated items are scattered once
+  /// into a dense thread-local accumulator, then each candidate's
+  /// neighborhood is gathered against it (no per-neighbor binary search).
+  void DoPredictBatch(int32_t user_idx, std::span<const int32_t> items,
+                      std::span<double> out) const override;
+
  private:
   ItemCFModel(std::shared_ptr<const RatingMatrix> ratings, bool centered,
               const SimilarityOptions& opts,
@@ -85,12 +86,6 @@ class UserCFModel : public RecModel {
   RecAlgorithm algorithm() const override {
     return centered_ ? RecAlgorithm::kUserPearCF : RecAlgorithm::kUserCosCF;
   }
-
-  /// Symmetric to ItemCF over the user side: the user's neighbor sims are
-  /// scattered once into a dense accumulator, then each candidate item's
-  /// contiguous rater row (flat CSR) is gathered against it.
-  void DoPredictBatch(int64_t user_id, std::span<const int64_t> items,
-                      std::span<double> out) const override;
 
   double Similarity(int64_t user_a, int64_t user_b) const;
 
@@ -114,6 +109,13 @@ class UserCFModel : public RecModel {
   /// empty/nonempty neighborhood.
   bool ComputePruneBounds(PruneBoundTable* out) const override;
   double PruneUserScale(int32_t user_idx) const override;
+
+ protected:
+  /// Symmetric to ItemCF over the user side: the user's neighbor sims are
+  /// scattered once into a dense accumulator, then each candidate item's
+  /// contiguous rater row (flat CSR) is gathered against it.
+  void DoPredictBatch(int32_t user_idx, std::span<const int32_t> items,
+                      std::span<double> out) const override;
 
  private:
   UserCFModel(std::shared_ptr<const RatingMatrix> ratings, bool centered,

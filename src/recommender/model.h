@@ -90,22 +90,32 @@ class RecModel {
   virtual RecAlgorithm algorithm() const = 0;
 
   /// RecScore(u, i) for a batch of candidate items of one user. The user
-  /// context (id resolution, rated-vector scatter, factor row) is resolved
-  /// once for the whole batch; out[k] is the score of items[k]. Unknown
-  /// user/item or empty candidate overlap yields 0 (paper Algorithm 1).
-  /// Each out[k] depends only on (user_id, items[k]) — never on the other
-  /// batch members — so any batching of the same pairs is bit-identical.
-  /// Thread-safe: const read of the model with thread-local scratch.
+  /// and item ids are resolved to dense indices once, here, and the batch
+  /// goes to the model's index-space kernel; out[k] is the score of
+  /// items[k]. Unknown user/item or empty candidate overlap yields 0 (paper
+  /// Algorithm 1). Each out[k] depends only on (user_id, items[k]) — never
+  /// on the other batch members — so any batching of the same pairs is
+  /// bit-identical. Thread-safe: const read of the model with thread-local
+  /// scratch.
   ///
   /// Non-virtual choke point: every scoring path in the engine (executors,
   /// cache admission, materialization, evaluation, OnTop baseline) funnels
-  /// through here, so this is where model.predict_calls/predict_batches are
-  /// counted. Implementations override DoPredictBatch.
+  /// through here or PredictBatchByIndex, so this is where
+  /// model.predict_calls/predict_batches are counted. Implementations
+  /// override DoPredictBatch.
   void PredictBatch(int64_t user_id, std::span<const int64_t> items,
-                    std::span<double> out) const {
+                    std::span<double> out) const;
+
+  /// PredictBatch for callers that already hold dense indices into
+  /// ratings() (the pruned Top-k sweep): no id resolution at all. A
+  /// negative index, or one at or beyond the matrix's row count, is
+  /// unknown and scores 0 — exactly what PredictBatch returns for an
+  /// unknown id, so PredictBatchByIndex(idx) == PredictBatch(IdAt(idx)).
+  void PredictBatchByIndex(int32_t user_idx, std::span<const int32_t> items,
+                           std::span<double> out) const {
     obs::Count(obs::Counter::kModelPredictCalls, items.size());
     obs::Count(obs::Counter::kModelPredictBatches);
-    DoPredictBatch(user_id, items, out);
+    DoPredictBatch(user_idx, items, out);
   }
 
   /// RecScore(u, i) for external ids: a thin wrapper over a batch of one.
@@ -176,7 +186,10 @@ class RecModel {
   std::shared_ptr<const RatingMatrix> ratings_ptr() const { return ratings_; }
 
  protected:
-  virtual void DoPredictBatch(int64_t user_id, std::span<const int64_t> items,
+  /// The one scoring kernel per model, in index space: user_idx and every
+  /// items[k] are dense indices into ratings(), out of range (negative or
+  /// past the row count) meaning unknown, which must score 0.
+  virtual void DoPredictBatch(int32_t user_idx, std::span<const int32_t> items,
                               std::span<double> out) const = 0;
 
   std::shared_ptr<const RatingMatrix> ratings_;

@@ -151,44 +151,32 @@ double SvdModel::PredictByIndex(int32_t u, int32_t i) const {
   return pred;
 }
 
-void SvdModel::DoPredictBatch(int64_t user_id, std::span<const int64_t> items,
-                            std::span<double> out) const {
+void SvdModel::DoPredictBatch(int32_t user_idx, std::span<const int32_t> items,
+                              std::span<double> out) const {
   RECDB_DCHECK(items.size() == out.size());
-  auto u = ratings_->UserIndex(user_id);
-  if (!u || static_cast<size_t>(*u) >= NumUserRows()) {
+  if (user_idx < 0 || static_cast<size_t>(user_idx) >= NumUserRows()) {
     // Unknown user, or one interned after training whose factor row has
     // not been folded in yet.
     std::fill(out.begin(), out.end(), 0.0);
     return;
   }
-  // One hash lookup for the user, then two passes per chunk: resolve the
-  // candidate ids first (independent hash probes overlap in the memory
-  // pipeline instead of serializing one lookup per candidate as the scalar
-  // path must), then a pure dot-product pass streaming the contiguous
-  // row-major factor rows.
+  // The user's factor row is resolved once; each candidate is then a pure
+  // dot product streaming the contiguous row-major item factor rows.
   const int32_t f = opts_.num_factors;
-  const float* pu = user_factors_.data() + static_cast<size_t>(*u) * f;
+  const float* pu = user_factors_.data() + static_cast<size_t>(user_idx) * f;
   const float* qf = item_factors_.data();
   const bool biases = opts_.use_biases;
-  const double user_base = biases ? global_mean_ + user_bias_[*u] : 0.0;
-  constexpr size_t kChunk = 256;
-  int32_t idx[kChunk];
-  for (size_t base = 0; base < items.size(); base += kChunk) {
-    const size_t n = std::min(kChunk, items.size() - base);
-    for (size_t c = 0; c < n; ++c) {
-      auto i = ratings_->ItemIndex(items[base + c]);
-      // Items interned after training score 0 until folded in.
-      idx[c] = (i && static_cast<size_t>(*i) < NumItemRows()) ? *i : -1;
+  const double user_base = biases ? global_mean_ + user_bias_[user_idx] : 0.0;
+  const size_t num_rows = NumItemRows();
+  for (size_t c = 0; c < items.size(); ++c) {
+    const int32_t i = items[c];
+    if (i < 0 || static_cast<size_t>(i) >= num_rows) {
+      out[c] = 0;  // unknown, or interned after training: no factor row yet
+      continue;
     }
-    for (size_t c = 0; c < n; ++c) {
-      if (idx[c] < 0) {
-        out[base + c] = 0;  // unknown item
-        continue;
-      }
-      const float* qi = qf + static_cast<size_t>(idx[c]) * f;
-      const double pred = biases ? user_base + item_bias_[idx[c]] : 0.0;
-      out[base + c] = pred + DotRows(pu, qi, f);
-    }
+    const float* qi = qf + static_cast<size_t>(i) * f;
+    const double pred = biases ? user_base + item_bias_[i] : 0.0;
+    out[c] = pred + DotRows(pu, qi, f);
   }
 }
 

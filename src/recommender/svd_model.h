@@ -45,12 +45,6 @@ class SvdModel : public RecModel {
 
   RecAlgorithm algorithm() const override { return RecAlgorithm::kSVD; }
 
-  /// The user's factor row is resolved once; each candidate is a dot
-  /// product over contiguous row-major factor storage — a tight,
-  /// auto-vectorizable inner loop (see RECDB_NATIVE in CMakeLists.txt).
-  void DoPredictBatch(int64_t user_id, std::span<const int64_t> items,
-                      std::span<double> out) const override;
-
   /// Training RMSE at the end of each epoch (monotonicity checks).
   const std::vector<double>& epoch_rmse() const { return epoch_rmse_; }
 
@@ -91,6 +85,13 @@ class SvdModel : public RecModel {
   double PruneUserScale(int32_t user_idx) const override;
   double PruneUserOffset(int32_t user_idx) const override;
   bool PruneUserAllZero(int32_t user_idx) const override;
+
+ protected:
+  /// The user's factor row is resolved once; each candidate is a dot
+  /// product over contiguous row-major factor storage — a tight,
+  /// auto-vectorizable inner loop (see RECDB_NATIVE in CMakeLists.txt).
+  void DoPredictBatch(int32_t user_idx, std::span<const int32_t> items,
+                      std::span<double> out) const override;
 
  private:
   SvdModel(std::shared_ptr<const RatingMatrix> ratings, SvdOptions opts)

@@ -7,10 +7,12 @@
 //    be bit-identical under any `SET parallelism` level.
 //  - PredictBatch must be bit-identical to scalar Predict for every
 //    algorithm, under any batch split and any thread count (the batch
-//    kernels' per-candidate independence contract).
+//    kernels' per-candidate independence contract), and to
+//    PredictBatchByIndex over the same dense indices.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <span>
 
@@ -463,6 +465,60 @@ TEST(BatchScalarEqualityTest, SvdBatchBitIdenticalToScalar) {
     ExpectBatchMatchesScalar(*plain, user);
     ExpectBatchMatchesScalar(*biased, user);
   }
+}
+
+/// PredictBatchByIndex over dense indices must equal PredictBatch over the
+/// ids they name, bit for bit, and an out-of-range index must score exactly
+/// like an unknown id. Covers every user and item of the matrix, including
+/// ones interned after the model was built.
+void ExpectByIndexMatchesById(const RecModel& model) {
+  const RatingMatrix& m = model.ratings();
+  const int32_t num_users = static_cast<int32_t>(m.NumUsers());
+  const int32_t num_items = static_cast<int32_t>(m.NumItems());
+  std::vector<int64_t> ids;
+  std::vector<int32_t> idx;
+  for (int32_t i = 0; i < num_items; ++i) {
+    ids.push_back(m.ItemIdAt(i));
+    idx.push_back(i);
+  }
+  // Unknown ids against out-of-range indices on both sides of the range.
+  for (int32_t bad : {-1, num_items, num_items + 7, INT32_MAX}) {
+    ids.push_back(9999);
+    idx.push_back(bad);
+  }
+  std::vector<std::pair<int64_t, int32_t>> users;
+  for (int32_t u = 0; u < num_users; ++u) users.emplace_back(m.UserIdAt(u), u);
+  for (int32_t bad : {-1, num_users, INT32_MAX}) users.emplace_back(424242, bad);
+  for (const auto& [user_id, u] : users) {
+    std::vector<double> by_id(ids.size(), -1), by_index(idx.size(), -2);
+    model.PredictBatch(user_id, ids, by_id);
+    model.PredictBatchByIndex(u, idx, by_index);
+    EXPECT_EQ(by_index, by_id)
+        << RecAlgorithmToString(model.algorithm()) << " user " << user_id
+        << " (index " << u << ")";
+  }
+}
+
+TEST(BatchScalarEqualityTest, ByIndexBitIdenticalToByIdForEveryAlgorithm) {
+  auto m = MakeGoldenMatrix();
+  std::vector<std::unique_ptr<RecModel>> models;
+  for (bool centered : {false, true}) {
+    models.push_back(ItemCFModel::Build(m, centered));
+    models.push_back(UserCFModel::Build(m, centered));
+  }
+  SvdOptions opts;
+  opts.num_epochs = 5;
+  models.push_back(SvdModel::Build(m, opts));
+  for (const auto& model : models) ExpectByIndexMatchesById(*model);
+
+  // A pending delta interns a user and an item the models were not built
+  // with (no neighborhood, no factor row) and touches known rows.
+  m->Add(300, 500, 4.0);
+  m->Add(300, 777, 2.0);
+  m->Add(100, 777, 5.0);
+  m->Add(101, 503, 1.5);
+  ASSERT_TRUE(m->has_delta());
+  for (const auto& model : models) ExpectByIndexMatchesById(*model);
 }
 
 TEST(BatchScalarEqualityTest, BatchBitIdenticalUnderConcurrentCallers) {

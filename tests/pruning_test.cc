@@ -18,6 +18,7 @@
 
 #include "api/recdb.h"
 #include "common/task_scheduler.h"
+#include "datagen/datagen.h"
 #include "execution/topk_pruner.h"
 #include "index/candidate_index.h"
 #include "obs/metrics.h"
@@ -239,6 +240,236 @@ TEST(PrunedEquivalenceTest, PerUserFilterRecommendMatchesExact) {
   EXPECT_LT(pruned.value().stats.predictions, exact.value().stats.predictions);
 }
 
+// ------------------------------------------------ one cross-user threshold
+
+const std::string kRecommendAll =
+    "SELECT R.uid, R.iid, R.ratingval FROM Ratings AS R "
+    "RECOMMEND R.iid TO R.uid ON R.ratingval USING ";
+
+/// Pruned == exact for `query` at parallelism 1, 2 and 8, with the pruned
+/// plan actually chosen. Returns the exact result (at parallelism 1).
+ResultSet ExpectPrunedMatchesExactEverywhere(RecDB* db,
+                                             const std::string& query) {
+  ParallelismGuard guard;
+  db->mutable_planner_options()->enable_pruned_topn = false;
+  EXPECT_TRUE(db->Execute("SET parallelism = 1").ok());
+  auto exact = db->Execute(query);
+  EXPECT_TRUE(exact.ok()) << query;
+  if (!exact.ok()) return ResultSet{};
+  db->mutable_planner_options()->enable_pruned_topn = true;
+  auto explained = db->Explain(query);
+  EXPECT_TRUE(explained.ok());
+  EXPECT_NE(explained.value().find("mode=pruned"), std::string::npos)
+      << explained.value();
+  for (int threads : {1, 2, 8}) {
+    EXPECT_TRUE(
+        db->Execute("SET parallelism = " + std::to_string(threads)).ok());
+    auto pruned = db->Execute(query);
+    EXPECT_TRUE(pruned.ok()) << query;
+    if (!pruned.ok()) continue;
+    EXPECT_EQ(RowsToString(pruned.value()), RowsToString(exact.value()))
+        << query << "\ndiverged at parallelism " << threads;
+  }
+  return std::move(exact).value();
+}
+
+/// Rows of `rs` whose score column (the last one) is nonzero.
+size_t NonzeroScores(const ResultSet& rs) {
+  size_t n = 0;
+  for (const auto& row : rs.rows) {
+    if (row.values().back().AsDouble() != 0.0) ++n;
+  }
+  return n;
+}
+
+TEST(GlobalThresholdTest, CrossUserTiesAtTheKthScoreMatchExact) {
+  // Users come in six groups with identical rating rows (overlapping item
+  // windows, so unseen items score nonzero), and every score a user gets
+  // is shared by the other users of its group: ties across users at the
+  // k-th score, broken by user position and then item position.
+  RecDB db;
+  ASSERT_TRUE(
+      db.Execute("CREATE TABLE Ratings (uid INT, iid INT, ratingval DOUBLE)")
+          .ok());
+  std::vector<std::vector<Value>> rows;
+  for (int u = 1; u <= 60; ++u) {
+    const int g = u % 6;
+    for (int k = 0; k < 8; ++k) {
+      rows.push_back({Value::Int(u), Value::Int((g * 5 + k) % 40 + 1),
+                      Value::Double((g * 3 + k * 7) % 5 + 1)});
+    }
+  }
+  // A sparse background population spreads the catalog to 200 items, so
+  // the grounded cost model picks the pruned plan.
+  for (int u = 61; u <= 120; ++u) {
+    for (int k = 0; k < 4; ++k) {
+      rows.push_back({Value::Int(u), Value::Int((u * 37 + k * 61) % 200 + 1),
+                      Value::Double((u * 3 + k * 7) % 5 + 1)});
+    }
+  }
+  ASSERT_TRUE(db.BulkInsert("Ratings", rows).ok());
+  ASSERT_TRUE(db.Execute("CREATE RECOMMENDER r ON Ratings USERS FROM uid "
+                         "ITEMS FROM iid RATINGS FROM ratingval "
+                         "USING ItemCosCF")
+                  .ok());
+  ASSERT_TRUE(db.Execute("ANALYZE Ratings").ok());
+  const std::string ranked =
+      kRecommendAll + "ItemCosCF ORDER BY R.ratingval DESC LIMIT ";
+  // Cut right after the first row of each score group that spans users:
+  // the k-th score is then tied by later rows of other users.
+  db.mutable_planner_options()->enable_pruned_topn = false;
+  auto full = db.Execute(ranked + "100000");
+  ASSERT_TRUE(full.ok());
+  const ResultSet& all = full.value();
+  std::vector<size_t> cuts;
+  for (size_t start = 0; start < all.NumRows() && cuts.size() < 4;) {
+    size_t end = start;
+    bool other_user = false;
+    while (end < all.NumRows() &&
+           all.At(end, 2).AsDouble() == all.At(start, 2).AsDouble()) {
+      other_user |= all.At(end, 0).AsInt() != all.At(start, 0).AsInt();
+      ++end;
+    }
+    if (other_user) cuts.push_back(start + 1);
+    start = end;
+  }
+  ASSERT_EQ(cuts.size(), 4u);
+  for (size_t k : cuts) {
+    ResultSet exact =
+        ExpectPrunedMatchesExactEverywhere(&db, ranked + std::to_string(k));
+    ASSERT_EQ(exact.NumRows(), k);
+  }
+}
+
+TEST(GlobalThresholdTest, LateTieInAnEarlierMorselKeepsItsPlace) {
+  // Interning order is user position. Of 256 users, positions 0..30 are
+  // low scorers (40 shared items, all rated 1.0), position 31 is T1 and
+  // positions 32..47 are T1's twins (its exact row); the rest are a sparse
+  // background rated <= 2.0. At parallelism 2 (morsels of 32 users) and 8
+  // (morsels of 8) T1 ends a morsel that starts with low scorers, while
+  // the next morsels start with twins, which can raise the shared floor to
+  // the top score before T1 is scored. T1's tied item must still win on
+  // user position: a floor that dropped ties would lose it. The race is
+  // not forced, so the query repeats.
+  RecDB db;
+  ASSERT_TRUE(
+      db.Execute("CREATE TABLE Ratings (uid INT, iid INT, ratingval DOUBLE)")
+          .ok());
+  std::vector<std::vector<Value>> rows;
+  for (int u = 1; u <= 256; ++u) {
+    if (u <= 31) {
+      for (int i = 3001; i <= 3040; ++i) {
+        rows.push_back({Value::Int(u), Value::Int(i), Value::Double(1.0)});
+      }
+    } else if (u <= 48) {
+      for (int i = 1; i <= 8; ++i) {
+        rows.push_back(
+            {Value::Int(u), Value::Int(i), Value::Double(i % 5 + 1)});
+      }
+    } else {
+      for (int k = 0; k < 4; ++k) {
+        rows.push_back({Value::Int(u), Value::Int((u * 37 + k * 61) % 2000 + 1),
+                        Value::Double(k % 2 + 1)});
+      }
+    }
+  }
+  ASSERT_TRUE(db.BulkInsert("Ratings", rows).ok());
+  ASSERT_TRUE(db.Execute("CREATE RECOMMENDER r ON Ratings USERS FROM uid "
+                         "ITEMS FROM iid RATINGS FROM ratingval "
+                         "USING ItemCosCF")
+                  .ok());
+  ASSERT_TRUE(db.Execute("ANALYZE Ratings").ok());
+  for (int rep = 0; rep < 20; ++rep) {
+    ResultSet exact = ExpectPrunedMatchesExactEverywhere(
+        &db, kRecommendAll + "ItemCosCF ORDER BY R.ratingval DESC LIMIT 1");
+    ASSERT_EQ(exact.NumRows(), 1u);
+    EXPECT_EQ(exact.At(0, 0).AsInt(), 32);
+  }
+}
+
+TEST(GlobalThresholdTest, TiesAtZeroAcrossUsersMatchExact) {
+  // Past the nonzero scores every unseen item ties at 0.0: the k-th score
+  // is 0.0 and the cut falls inside the zero tail, across users. (SVD
+  // scores are almost never exactly 0.0, so only the CF families have a
+  // zero tail.)
+  for (const char* algo : {"ItemCosCF", "ItemPearCF", "UserCosCF",
+                           "UserPearCF"}) {
+    RecDB db;
+    LoadSparseRatings(&db);
+    ASSERT_TRUE(db.Execute(std::string("CREATE RECOMMENDER r ON Ratings "
+                                       "USERS FROM uid ITEMS FROM iid "
+                                       "RATINGS FROM ratingval USING ") +
+                           algo)
+                    .ok());
+    ASSERT_TRUE(db.Execute("ANALYZE Ratings").ok());
+    const std::string users = " WHERE R.uid IN (3, 17, 29, 41, 58)";
+    db.mutable_planner_options()->enable_pruned_topn = false;
+    auto all = db.Execute(kRecommendAll + algo + users +
+                          " ORDER BY R.ratingval DESC LIMIT 100000");
+    ASSERT_TRUE(all.ok()) << algo;
+    const size_t nonzero = NonzeroScores(all.value());
+    ASSERT_LT(nonzero + 7, all.value().NumRows()) << algo << ": no zero tail";
+    ResultSet exact = ExpectPrunedMatchesExactEverywhere(
+        &db, kRecommendAll + algo + users +
+                 " ORDER BY R.ratingval DESC LIMIT " +
+                 std::to_string(nonzero + 7));
+    ASSERT_EQ(exact.NumRows(), nonzero + 7) << algo;
+    EXPECT_EQ(exact.At(nonzero + 6, 2).AsDouble(), 0.0) << algo;
+  }
+}
+
+TEST(GlobalThresholdTest, AllUsersQueryEmitsAtMostKAndPredictsLess) {
+  for (const char* algo : kAlgoNames) {
+    // The CF families take the pruned plan on the sparse fixture. SVD's
+    // norm-product bounds only bite on data with real latent structure, so
+    // it runs on a shrunken MovieLens-shaped dataset.
+    const bool svd = std::string(algo) == "SVD";
+    RecDB db;
+    std::string table = "Ratings";
+    if (svd) {
+      auto ds = datagen::LoadDataset(
+          &db, datagen::DatasetSpec::MovieLens100K().Scaled(0.1));
+      ASSERT_TRUE(ds.ok());
+      table = ds.value().ratings_table;
+    } else {
+      LoadSparseRatings(&db);
+    }
+    ASSERT_TRUE(db.Execute("CREATE RECOMMENDER r ON " + table +
+                           " USERS FROM uid ITEMS FROM iid "
+                           "RATINGS FROM ratingval USING " + algo)
+                    .ok());
+    ASSERT_TRUE(db.Execute("ANALYZE " + table).ok());
+    const std::string query =
+        "SELECT R.uid, R.iid, R.ratingval FROM " + table +
+        " AS R RECOMMEND R.iid TO R.uid ON R.ratingval USING " + algo +
+        " ORDER BY R.ratingval DESC LIMIT 10";
+    db.mutable_planner_options()->enable_pruned_topn = false;
+    auto exact = db.Execute(query);
+    ASSERT_TRUE(exact.ok()) << algo;
+    db.mutable_planner_options()->enable_pruned_topn = true;
+    auto pruned = db.Execute(query);
+    ASSERT_TRUE(pruned.ok()) << algo;
+    EXPECT_EQ(RowsToString(pruned.value()), RowsToString(exact.value()));
+    // The global threshold bites: fewer model calls than scoring every
+    // unseen (user, item) pair.
+    EXPECT_LT(pruned.value().stats.predictions,
+              exact.value().stats.predictions)
+        << algo;
+
+    // Only the global survivors leave the Recommend operator.
+    auto analyzed = db.Execute("EXPLAIN ANALYZE " + query);
+    ASSERT_TRUE(analyzed.ok()) << algo;
+    const std::string plan = RowsToString(analyzed.value());
+    const size_t line = plan.find("Recommend r using");
+    ASSERT_NE(line, std::string::npos) << plan;
+    ASSERT_NE(plan.find("mode=pruned(k=10)", line), std::string::npos)
+        << plan;
+    const size_t act = plan.find("act=", line);
+    ASSERT_NE(act, std::string::npos) << plan;
+    EXPECT_LE(std::stoull(plan.substr(act + 4)), 10u) << algo << "\n" << plan;
+  }
+}
+
 // ------------------------------------------------------ planner choose/decline
 
 TEST(PrunedPlanChoiceTest, RequiresAnalyzeAndHonorsToggle) {
@@ -427,9 +658,9 @@ class StubModel : public RecModel {
   size_t ApproxBytes() const override { return 0; }
 
  protected:
-  void DoPredictBatch(int64_t user_id, std::span<const int64_t> items,
+  void DoPredictBatch(int32_t user_idx, std::span<const int32_t> items,
                       std::span<double> out) const override {
-    (void)user_id;
+    (void)user_idx;
     for (size_t k = 0; k < items.size(); ++k) out[k] = 1.0;
   }
 };

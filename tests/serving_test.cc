@@ -11,8 +11,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -21,6 +23,7 @@
 
 #include "api/recdb.h"
 #include "common/shard.h"
+#include "common/task_scheduler.h"
 #include "serving/sharded_recdb.h"
 
 namespace recdb {
@@ -420,6 +423,52 @@ TEST(ServingConcurrent, ConcurrentClients) {
   }
   for (auto& c : clients) c.join();
   EXPECT_EQ(errors.load(), 0);
+  ASSERT_TRUE(db->Execute("SET parallelism = 1").ok());
+}
+
+// Regression: `SET parallelism` used to resize the global scheduler while
+// holding the engine's exclusive state_mu_, and Resize takes the
+// scheduler's submit lock. A scatter leg runs inside ParallelFor — holding
+// that submit lock — and takes a shard's state_mu_: the opposite order.
+// Replays that interleaving on one engine. Before the fix the SET (engine
+// lock held, waiting for the submit lock) and the leg (submit lock held,
+// waiting for the engine lock) deadlocked; the watchdog turns the hang
+// into a failure.
+TEST(ServingConcurrent, SetParallelismRacingAScatterLegDoesNotDeadlock) {
+  auto db = std::make_shared<RecDB>();
+  ASSERT_TRUE(db->Execute("CREATE TABLE t (a INT)").ok());
+  ASSERT_TRUE(db->Execute("INSERT INTO t VALUES (1)").ok());
+  auto done = std::make_shared<std::atomic<bool>>(false);
+  std::thread scenario([db, done] {
+    std::atomic<bool> in_leg{false}, set_started{false}, leg_ok{false};
+    std::thread leg([&] {
+      TaskScheduler::Global().ParallelFor(1, 1, [&](size_t, size_t) {
+        in_leg = true;
+        while (!set_started) std::this_thread::yield();
+        // Let the SET take the engine lock before the leg asks for it.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        leg_ok = db->Execute("SELECT a FROM t").ok();
+      });
+    });
+    while (!in_leg) std::this_thread::yield();
+    set_started = true;
+    const bool set_ok = db->Execute("SET parallelism = 2").ok();
+    leg.join();
+    EXPECT_TRUE(set_ok);
+    EXPECT_TRUE(leg_ok);
+    EXPECT_EQ(TaskScheduler::Global().num_threads(), 2u);
+    *done = true;
+  });
+  for (int i = 0; i < 1000 && !*done; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (!*done) {
+    // The deadlocked threads cannot be joined; fail the whole binary.
+    std::fprintf(stderr, "SET parallelism deadlocked against a scatter leg\n");
+    std::fflush(stderr);
+    std::_Exit(1);
+  }
+  scenario.join();
   ASSERT_TRUE(db->Execute("SET parallelism = 1").ok());
 }
 
