@@ -2,9 +2,12 @@
 //
 // Two workloads at 1 / 2 / 4 / 8 worker threads:
 //   NeighborhoodBuild — the Σ_d nnz(d)² similarity pass of an item-CF model
-//   RecommendTopK     — full-scan RECOMMEND top-k for one user, with the
-//                       IndexRecommend rewrite disabled so every candidate
-//                       item is scored through the model
+//   RecommendTopK     — RECOMMEND top-10 for one user with the
+//                       IndexRecommend rewrite disabled: the bounded
+//                       Top-k driver cuts the one user's catalog into
+//                       item slices across the workers (on MovieLens
+//                       ItemCosCF the candidate walk covers the whole
+//                       catalog, so every item is scored)
 // Every parallel run is checked byte-identical to the serial baseline (the
 // determinism contract); the `speedup` counter reports serial-time /
 // parallel-time measured in this process.

@@ -6,25 +6,24 @@
 // across all five algorithms, a k-sweep, and two data regimes:
 //
 //   MovieLens  — the dense paper dataset (Zipf-synthesized, every user's
-//                two-hop co-rating walk covers ~the whole catalog). Here
-//                the cost model should *decline* the CF candidate walk
-//                (generation costs more than it saves) and choose only
-//                the SVD bound sweep; the CF rows measure that decision.
+//                two-hop co-rating walk covers ~the whole catalog), where
+//                the CF gain comes from the bounded heap and the shared
+//                threshold rather than from a small candidate set.
 //   longtail   — a sparse long-tail catalog (2000 users x 8000 items,
 //                30k ratings, ~0.2% dense — the regime of real product
 //                catalogs) where candidate generation enumerates a small
 //                fraction of the catalog and the pruned walk wins.
 //
 // Both variants run the same SQL; only PlannerOptions::enable_pruned_topn
-// differs, so the speedup measured is exactly what the optimizer's flip
-// buys. Every result set is folded into an FNV-1a checksum over
-// (uid, iid, canonicalized score); any exact-vs-pruned divergence fails
-// the process — pruning must be an execution strategy, never an answer
-// change.
+// differs, so the speedup measured is exactly what the bounded Top-k
+// driver buys over the exact plan. Every result set is folded into an
+// FNV-1a checksum over (uid, iid, canonicalized score); any
+// exact-vs-pruned divergence fails the process — pruning must be an
+// execution strategy, never an answer change.
 //
 // Writes BENCH_pruning.json: per (dataset, algo, k) rows/sec for both
 // variants, the speedup, checksum verdict, whether the plan actually
-// flipped (`mode=pruned` in EXPLAIN), and mean per-query prune counters.
+// ran pruned (`mode=pruned` in EXPLAIN), and mean per-query prune counters.
 #include <cstring>
 #include <fstream>
 #include <set>
@@ -135,20 +134,10 @@ std::string TopNQuery(const DataEnv& env, RecAlgorithm algo, int64_t k) {
          std::to_string(k);
 }
 
-/// ANALYZE once per dataset: the cost model only considers the pruned walk
-/// when table statistics ground its estimates.
-void EnsureAnalyzed(const DataEnv& env) {
-  static std::set<std::string> done;
-  if (done.insert(env.ratings_table).second) {
-    MustExecute(env.db, "ANALYZE " + env.ratings_table);
-  }
-}
-
 void BM_TopN(benchmark::State& state, bool longtail, bool pruned) {
   RecAlgorithm algo = static_cast<RecAlgorithm>(state.range(0));
   int64_t k = state.range(1);
   DataEnv env = GetEnv(longtail, algo);
-  EnsureAnalyzed(env);
   env.db->mutable_planner_options()->enable_pruned_topn = pruned;
 
   const std::string sql = TopNQuery(env, algo, k);

@@ -27,16 +27,25 @@ Tuple MakeRecTuple(const ExecSchema& schema, size_t user_idx, size_t item_idx,
   return Tuple(std::move(vals));
 }
 
-/// Resolve the candidate user list: pushed-down ids filtered to users the
-/// model knows, or every user in the snapshot.
-std::vector<int64_t> ResolveUsers(
-    const RatingMatrix& snapshot,
-    const std::optional<std::vector<int64_t>>& pushed) {
-  if (!pushed.has_value()) return snapshot.user_ids();
+/// The users an executor serves, in plan order: the pushed-down ids
+/// (`pushed`; null = every user in the snapshot) that the model knows and,
+/// on a sharded engine, that this shard owns. Filtering preserves relative
+/// order, so a shard's emission stays a subsequence of the single-node
+/// stream (DESIGN.md §14).
+std::vector<int64_t> ServedUsers(const RatingMatrix& snapshot,
+                                 const std::vector<int64_t>* pushed,
+                                 const ExecContext& ctx) {
   std::vector<int64_t> out;
-  out.reserve(pushed->size());
-  for (int64_t id : *pushed) {
-    if (snapshot.UserIndex(id).has_value()) out.push_back(id);
+  if (pushed == nullptr) {
+    out = snapshot.user_ids();
+  } else {
+    out.reserve(pushed->size());
+    for (int64_t id : *pushed) {
+      if (snapshot.UserIndex(id).has_value()) out.push_back(id);
+    }
+  }
+  if (ctx.ShardFilterActive()) {
+    std::erase_if(out, [&](int64_t u) { return !ctx.OwnsUser(u); });
   }
   return out;
 }
@@ -194,7 +203,6 @@ void PruneEngine::GenerateCandidates(int32_t u) {
       }
     }
   }
-  stats.candidates_generated += candidates_.size();
 }
 
 void PruneEngine::ScoreBatch(int32_t u, const std::vector<int32_t>& items,
@@ -216,6 +224,7 @@ void PruneEngine::ZeroMerge(MergeMode mode, TopKPruner* pruner) {
   // offers carry the same score with ascending rank, so the first
   // rejection ends the merge.
   auto offer = [&](int32_t c, int64_t rank, int64_t id) {
+    if (!InRange(c)) return true;
     if (!pruner->WouldAccept(0.0, rank)) return false;
     if (mode == MergeMode::kSkipConsumed && consume_stamp_[c] == epoch_) {
       return true;
@@ -228,7 +237,7 @@ void PruneEngine::ZeroMerge(MergeMode mode, TopKPruner* pruner) {
     return true;
   };
   if (!rank_by_id_) {
-    for (size_t c = 0; c < num_items_; ++c) {
+    for (size_t c = range_begin_; c < range_end_; ++c) {
       const int32_t idx = static_cast<int32_t>(c);
       if (!offer(idx, idx, snapshot_.ItemIdAt(idx))) return;
     }
@@ -254,9 +263,20 @@ void PruneEngine::ZeroMerge(MergeMode mode, TopKPruner* pruner) {
   }
 }
 
+size_t PruneEngine::InRangeCount(const CandidateIndex::Block& B) const {
+  if (range_begin_ == 0 && range_end_ == num_items_) return B.end - B.begin;
+  size_t n = 0;
+  for (uint32_t p = B.begin; p < B.end; ++p) n += InRange(index_.order()[p]);
+  return n;
+}
+
 std::vector<TopKPruner::Entry> PruneEngine::UserTopK(int64_t user_id,
-                                                     size_t k, double floor) {
+                                                     size_t k, double floor,
+                                                     size_t begin,
+                                                     size_t end) {
   TopKPruner pruner(k, floor);
+  range_begin_ = std::min(begin, num_items_);
+  range_end_ = std::clamp(end, range_begin_, num_items_);
   auto uopt = snapshot_.UserIndex(user_id);
   if (!uopt.has_value()) return {};
   const int32_t u = *uopt;
@@ -293,6 +313,8 @@ std::vector<TopKPruner::Entry> PruneEngine::UserTopK(int64_t user_id,
     // rating-dependent bounds must be scored; the rest bucket per block.
     const std::vector<int32_t>& block_of = index_.block_of();
     for (int32_t c : candidates_) {
+      if (!InRange(c)) continue;
+      ++stats.candidates_generated;
       if (Rated(c)) {
         consume_stamp_[c] = epoch_;
         continue;
@@ -352,22 +374,21 @@ std::vector<TopKPruner::Entry> PruneEngine::UserTopK(int64_t user_id,
     if (pruner.CanSkip(PaddedBound(scale_u, offset_u, B.suffix_scale,
                                    B.suffix_offset))) {
       for (size_t b2 = bi; b2 < blocks.size(); ++b2) {
-        stats.items_pruned += blocks[b2].end - blocks[b2].begin;
+        stats.items_pruned += InRangeCount(blocks[b2]);
         ++stats.blocks_skipped;
       }
       break;
     }
     if (pruner.CanSkip(
             PaddedBound(scale_u, offset_u, B.max_scale, B.max_offset))) {
-      stats.items_pruned += B.end - B.begin;
+      stats.items_pruned += InRangeCount(B);
       ++stats.blocks_skipped;
       continue;
     }
     blk_cand.clear();
     for (uint32_t p = B.begin; p < B.end; ++p) {
       const int32_t c = order[p];
-      if (static_cast<size_t>(c) >= num_items_) continue;
-      if (!Rated(c)) blk_cand.push_back(c);
+      if (InRange(c) && !Rated(c)) blk_cand.push_back(c);
     }
     ScoreBatch(u, blk_cand, &pruner);
   }
@@ -382,6 +403,7 @@ void PruneEngine::CandidateBitmap(int64_t user_id,
   if (!uopt.has_value()) return;
   ++epoch_;
   GenerateCandidates(*uopt);
+  stats.candidates_generated += candidates_.size();
   for (int32_t c : candidates_) (*mark)[c] = 1;
 }
 
@@ -392,19 +414,21 @@ void PruneEngine::FlushStats(ExecStats* out) {
 
 // -------------------------------------------------- Recommend / FilterRec
 
+Tuple RecommendExecutor::RecTuple(int64_t user_id, int64_t item_id,
+                                  double score) const {
+  return MakeRecTuple(plan_.schema, plan_.user_col_idx, plan_.item_col_idx,
+                      plan_.rating_col_idx, user_id, item_id, score);
+}
+
 Status RecommendExecutor::Init() {
   if (plan_.rec->model() == nullptr) {
     return Status::ExecutionError("recommender " + plan_.rec->name() +
                                   " has no built model");
   }
   const RatingMatrix& snapshot = plan_.rec->model()->ratings();
-  users_ = ResolveUsers(snapshot, plan_.user_ids);
-  // Serving filter: a sharded engine only scores the users it owns. The
-  // erase preserves relative order, so the shard's emission stays a
-  // subsequence of the single-node stream (DESIGN.md §14).
-  if (ctx_->ShardFilterActive()) {
-    std::erase_if(users_, [&](int64_t u) { return !ctx_->OwnsUser(u); });
-  }
+  users_ = ServedUsers(
+      snapshot, plan_.user_ids.has_value() ? &*plan_.user_ids : nullptr,
+      *ctx_);
   items_ = ResolveItems(snapshot, plan_.item_ids);
   user_pos_ = 0;
   item_pos_ = 0;
@@ -412,7 +436,7 @@ Status RecommendExecutor::Init() {
   buffered_ = false;
   buffer_.clear();
   buffer_pos_ = 0;
-  // Pruned Top-K mode: only under the optimizer's preconditions (no item
+  // Bounded Top-k mode: only under the optimizer's preconditions (no item
   // pushdown so item position tie-breaks survive, unseen-only emission)
   // and only when the recommender published a prunable CandidateIndex.
   prune_active_ = false;
@@ -421,30 +445,73 @@ Status RecommendExecutor::Init() {
     cindex_ = plan_.rec->candidate_index();
     prune_active_ = cindex_ != nullptr && cindex_->prunable();
   }
+  // Buffered modes: every bounded Top-k, and exact scoring once the query
+  // is large enough to spread over the scheduler. A serial or small exact
+  // query streams row by row from NextImpl instead.
+  const size_t threads = TaskScheduler::Global().num_threads();
+  const bool fan_out =
+      threads > 1 && users_.size() * items_.size() >= kMinPairsForParallel;
+  // When the users alone cannot occupy every worker, each user's items are
+  // cut into slices so that even a single-user query spreads over the pool.
+  splits_ = fan_out && users_.size() < threads
+                ? (threads + users_.size() - 1) / users_.size()
+                : 1;
+  // Morsel size balances claim overhead against tail imbalance; correctness
+  // does not depend on it.
+  morsel_ = std::clamp<size_t>(users_.size() * splits_ / (threads * 4), 1,
+                               1024);
   if (prune_active_) {
-    RECDB_RETURN_NOT_OK(ScorePruned());
+    RECDB_RETURN_NOT_OK(ScoreTopK(fan_out));
     buffered_ = true;
-    return Status::OK();
-  }
-  if (TaskScheduler::Global().num_threads() > 1 &&
-      users_.size() * items_.size() >= kMinPairsForParallel) {
-    RECDB_RETURN_NOT_OK(ScoreAllParallel());
+  } else if (fan_out) {
+    RECDB_RETURN_NOT_OK(ScoreExact());
     buffered_ = true;
   }
   return Status::OK();
 }
 
-Status RecommendExecutor::ScorePruned() {
+RecommendExecutor::Unit RecommendExecutor::UnitAt(size_t unit) const {
+  const size_t n = items_.size();
+  if (splits_ == 1) return {unit, 0, n};  // no divisions on the common path
+  const size_t slice = unit % splits_;
+  return {unit / splits_, slice * n / splits_, (slice + 1) * n / splits_};
+}
+
+void RecommendExecutor::ForEachUnitRange(
+    bool fan_out,
+    const std::function<void(size_t, size_t, ExecStats*)>& body) {
+  const size_t units = users_.size() * splits_;
+  std::mutex fold_mu;
+  ExecStats folded;
+  auto run = [&](size_t begin, size_t end) {
+    ExecStats local;
+    body(begin, end, &local);
+    std::lock_guard<std::mutex> lock(fold_mu);
+    folded += local;
+  };
+  if (fan_out) {
+    TaskRunStats run_stats =
+        TaskScheduler::Global().ParallelFor(units, morsel_, run);
+    ctx_->stats.tasks_spawned += run_stats.tasks_spawned;
+    ctx_->stats.worker_time_ms += run_stats.worker_time_ms;
+  } else {
+    run(0, units);
+  }
+  ctx_->stats += folded;
+}
+
+Status RecommendExecutor::ScoreTopK(bool fan_out) {
   const RecModel* model = plan_.rec->model();
   const RatingMatrix& snapshot = model->ratings();
-  const CandidateIndex& index = *cindex_;
   const size_t k = plan_.prune_limit;
   obs::Count(obs::Counter::kPruneTopkQueries);
   Stopwatch watch;
   // One global Top-k over the exact path's order: score desc, then arrival
   // — user position, then item position. Both positions fold into one rank
   // (user position * catalog size + item index), so the bounded heap, its
-  // tie-break and its threshold are TopKPruner's own.
+  // tie-break and its threshold are TopKPruner's own. With no item
+  // pushdown, items_ is the whole catalog in index order, so a unit's
+  // slice of items_ is also its item-index range.
   const int64_t stride = static_cast<int64_t>(snapshot.NumItems());
   // The highest k-th score any morsel's full heap has reached. At least k
   // real tuples score >= it, so a tuple scoring below it can never make the
@@ -452,37 +519,28 @@ Status RecommendExecutor::ScorePruned() {
   // tie-break), so it is a floor that keeps ties. Relaxed ordering: it is
   // a pruning hint and publishes no other data.
   std::atomic<double> shared_floor{-std::numeric_limits<double>::infinity()};
-  std::mutex fold_mu;
-  ExecStats folded;
+  std::mutex merge_mu;
   TopKPruner global(k);
-  auto score_range = [&](size_t begin, size_t end) {
-    PruneEngine engine(model, snapshot, index, /*rank_by_id=*/false);
+  ForEachUnitRange(fan_out, [&](size_t begin, size_t end, ExecStats* stats) {
+    PruneEngine engine(model, snapshot, *cindex_, /*rank_by_id=*/false);
     TopKPruner local(k);
-    for (size_t ui = begin; ui < end; ++ui) {
+    for (size_t unit = begin; unit < end; ++unit) {
+      const Unit w = UnitAt(unit);
       const double floor = std::max(
           local.Threshold(), shared_floor.load(std::memory_order_relaxed));
-      const int64_t base = static_cast<int64_t>(ui) * stride;
-      for (const TopKPruner::Entry& e : engine.UserTopK(users_[ui], k, floor)) {
+      const int64_t base = static_cast<int64_t>(w.user) * stride;
+      for (const TopKPruner::Entry& e :
+           engine.UserTopK(users_[w.user], k, floor, w.begin, w.end)) {
         local.Offer(e.score, base + e.rank, e.item_id);
       }
       if (local.full()) RaiseThreshold(&shared_floor, local.Threshold());
     }
-    std::lock_guard<std::mutex> lock(fold_mu);
-    engine.FlushStats(&folded);
+    engine.FlushStats(stats);
+    std::lock_guard<std::mutex> lock(merge_mu);
     for (const TopKPruner::Entry& e : local.DrainBestFirst()) {
       global.Offer(e.score, e.rank, e.item_id);
     }
-  };
-  TaskScheduler& sched = TaskScheduler::Global();
-  if (sched.num_threads() > 1 && users_.size() > 1) {
-    const size_t morsel = std::clamp<size_t>(
-        users_.size() / (sched.num_threads() * 4), 1, 1024);
-    TaskRunStats run = sched.ParallelFor(users_.size(), morsel, score_range);
-    ctx_->stats.tasks_spawned += run.tasks_spawned;
-    ctx_->stats.worker_time_ms += run.worker_time_ms;
-  } else {
-    score_range(0, users_.size());
-  }
+  });
   // Emit the <= k survivors in arrival order (user position, then item
   // position): an order-preserving subsequence of the exact stream, so the
   // parent TopN's arrival tie-break picks the same rows in the same order.
@@ -493,70 +551,43 @@ Status RecommendExecutor::ScorePruned() {
             });
   buffer_.reserve(survivors.size());
   for (const TopKPruner::Entry& e : survivors) {
-    buffer_.push_back(MakeRecTuple(plan_.schema, plan_.user_col_idx,
-                                   plan_.item_col_idx, plan_.rating_col_idx,
-                                   users_[e.rank / stride], e.item_id,
-                                   e.score));
+    buffer_.push_back(RecTuple(users_[e.rank / stride], e.item_id, e.score));
   }
-  ctx_->stats += folded;
   obs::ObserveUs(obs::Histogram::kPruneGenUs,
                  static_cast<uint64_t>(watch.ElapsedSeconds() * 1e6));
   return Status::OK();
 }
 
-Status RecommendExecutor::ScoreAllParallel() {
+Status RecommendExecutor::ScoreExact() {
   const RecModel* model = plan_.rec->model();
   const RatingMatrix& snapshot = model->ratings();
-  TaskScheduler& sched = TaskScheduler::Global();
-  const size_t num_items = items_.size();
-  const size_t num_pairs = users_.size() * num_items;
-  // Morsel size balances claim overhead against tail imbalance; correctness
-  // does not depend on it (per-pair output is order-preserving and each
-  // score depends only on its own pair, not on how the batch was cut).
-  const size_t morsel = std::clamp<size_t>(
-      num_pairs / (sched.num_threads() * 8), 64, 8192);
-  const size_t num_slots = (num_pairs + morsel - 1) / morsel;
-  std::vector<std::vector<Tuple>> slots(num_slots);
-  std::mutex fold_mu;
-  ExecStats folded;
-  TaskRunStats run = sched.ParallelFor(
-      num_pairs, morsel, [&](size_t begin, size_t end) {
-        std::vector<Tuple>& out = slots[begin / morsel];
-        ExecStats local;
-        UserRowScores row;
-        // A morsel spans one or more per-user runs of contiguous items;
-        // each run is scored with one PredictBatch.
-        size_t p = begin;
-        while (p < end) {
-          const size_t u = p / num_items;
-          const size_t run_end = std::min(end, (u + 1) * num_items);
-          const int64_t user_id = users_[u];
-          ScoreUserRange(model, snapshot, user_id, items_, p % num_items,
-                         p % num_items + (run_end - p), &row);
-          local.predictions += row.predicted;
-          local.predict_batches += row.batches;
-          for (size_t k = 0; k < run_end - p; ++k) {
-            if (row.rated[k] && !plan_.include_rated) continue;
-            out.push_back(MakeRecTuple(
-                plan_.schema, plan_.user_col_idx, plan_.item_col_idx,
-                plan_.rating_col_idx, user_id, items_[p % num_items + k],
-                row.score[k]));
-          }
-          p = run_end;
-        }
-        std::lock_guard<std::mutex> lock(fold_mu);
-        folded += local;
-      });
+  // One tuple slot per morsel, filled in unit order.
+  std::vector<std::vector<Tuple>> slots(
+      (users_.size() * splits_ + morsel_ - 1) / morsel_);
+  ForEachUnitRange(/*fan_out=*/true, [&](size_t begin, size_t end,
+                                         ExecStats* stats) {
+    std::vector<Tuple>& out = slots[begin / morsel_];
+    UserRowScores row;
+    for (size_t unit = begin; unit < end; ++unit) {
+      const Unit w = UnitAt(unit);
+      ScoreUserRange(model, snapshot, users_[w.user], items_, w.begin, w.end,
+                     &row);
+      stats->predictions += row.predicted;
+      stats->predict_batches += row.batches;
+      for (size_t i = 0; i < w.end - w.begin; ++i) {
+        if (row.rated[i] && !plan_.include_rated) continue;  // unseen only
+        out.push_back(RecTuple(users_[w.user], items_[w.begin + i],
+                               row.score[i]));
+      }
+    }
+  });
   size_t total = 0;
   for (const auto& s : slots) total += s.size();
   buffer_.reserve(total);
-  // Slot order == ascending pair order == the serial emission order.
+  // Slot order == unit order == the serial emission order.
   for (auto& s : slots) {
     for (auto& t : s) buffer_.push_back(std::move(t));
   }
-  ctx_->stats += folded;
-  ctx_->stats.tasks_spawned += run.tasks_spawned;
-  ctx_->stats.worker_time_ms += run.worker_time_ms;
   return Status::OK();
 }
 
@@ -582,9 +613,7 @@ Result<std::optional<Tuple>> RecommendExecutor::NextImpl() {
       const size_t k = item_pos_++;
       if (row_.rated[k] && !plan_.include_rated) continue;  // unseen only
       return std::make_optional(
-          MakeRecTuple(plan_.schema, plan_.user_col_idx, plan_.item_col_idx,
-                       plan_.rating_col_idx, users_[user_pos_], items_[k],
-                       row_.score[k]));
+          RecTuple(users_[user_pos_], items_[k], row_.score[k]));
     }
     ++user_pos_;
     row_ready_ = false;
@@ -601,15 +630,7 @@ Status JoinRecommendExecutor::Init() {
   }
   RECDB_RETURN_NOT_OK(outer_->Init());
   const RatingMatrix& snapshot = plan_.rec->model()->ratings();
-  valid_users_.clear();
-  valid_users_.reserve(plan_.user_ids.size());
-  for (int64_t id : plan_.user_ids) {
-    if (!snapshot.UserIndex(id).has_value()) continue;
-    // Serving filter: on a sharded engine, non-owned users produce no join
-    // output here — their rows come from the owning shard (DESIGN.md §14).
-    if (ctx_->ShardFilterActive() && !ctx_->OwnsUser(id)) continue;
-    valid_users_.push_back(id);
-  }
+  valid_users_ = ServedUsers(snapshot, &plan_.user_ids, *ctx_);
   // Candidate zero-fill (CF families): precompute each user's candidate
   // bitmap once; probe items outside it provably score exactly 0.0.
   prune_active_ = false;
@@ -779,30 +800,24 @@ Status IndexRecommendExecutor::Init() {
                                   " has no built model");
   }
   const RatingMatrix& snapshot = plan_.rec->model()->ratings();
-  if (plan_.user_ids.empty()) {
-    users_ = snapshot.user_ids();
-  } else {
-    users_.clear();
-    for (int64_t id : plan_.user_ids) {
-      if (snapshot.UserIndex(id).has_value()) users_.push_back(id);
-    }
-  }
-  // Serving filter (DESIGN.md §14): index-served users partition exactly
-  // like model-scored ones — only the owner materializes and serves them.
-  if (ctx_->ShardFilterActive()) {
-    std::erase_if(users_, [&](int64_t u) { return !ctx_->OwnsUser(u); });
-  }
+  // Index-served users partition exactly like model-scored ones: only the
+  // owner shard materializes and serves them.
+  users_ = ServedUsers(
+      snapshot, plan_.user_ids.empty() ? nullptr : &plan_.user_ids, *ctx_);
   // Hash the pushed-down item ids once (the per-candidate std::find was
-  // O(|items|^2) across a user's scan) and keep a deduplicated list so a
-  // duplicated IN-list entry cannot emit the same tuple twice on the
-  // cache-miss path.
+  // O(|items|^2) across a user's scan) and keep a deduplicated list of the
+  // ones the model knows, so a duplicated IN-list entry cannot emit the
+  // same tuple twice on the cache-miss path.
   item_filter_.reset();
   item_list_.clear();
   if (plan_.item_ids.has_value()) {
     item_filter_.emplace();
     item_filter_->reserve(plan_.item_ids->size());
     for (int64_t id : *plan_.item_ids) {
-      if (item_filter_->insert(id).second) item_list_.push_back(id);
+      if (item_filter_->insert(id).second &&
+          snapshot.ItemIndex(id).has_value()) {
+        item_list_.push_back(id);
+      }
     }
   }
   user_pos_ = 0;
@@ -871,20 +886,13 @@ Status IndexRecommendExecutor::LoadCurrentUser() {
   }
   const std::vector<int64_t>& items =
       item_filter_.has_value() ? item_list_ : snapshot.item_ids();
-  std::vector<int64_t> cand;
-  cand.reserve(items.size());
-  for (int64_t item : items) {
-    if (!snapshot.ItemIndex(item).has_value()) continue;
-    if (snapshot.Get(user_id, item).has_value()) continue;  // unseen only
-    cand.push_back(item);
-  }
-  if (!cand.empty()) {
-    std::vector<double> pred(cand.size(), 0.0);
-    model->PredictBatch(user_id, cand, pred);
-    ctx_->stats.predictions += cand.size();
-    ++ctx_->stats.predict_batches;
-    for (size_t k = 0; k < cand.size(); ++k) {
-      if (pred[k] >= plan_.min_score) current_.emplace_back(cand[k], pred[k]);
+  UserRowScores row;
+  ScoreUserRange(model, snapshot, user_id, items, 0, items.size(), &row);
+  ctx_->stats.predictions += row.predicted;
+  ctx_->stats.predict_batches += row.batches;
+  for (size_t k = 0; k < items.size(); ++k) {
+    if (!row.rated[k] && row.score[k] >= plan_.min_score) {  // unseen only
+      current_.emplace_back(items[k], row.score[k]);
     }
   }
   std::sort(current_.begin(), current_.end(), [](const auto& a, const auto& b) {

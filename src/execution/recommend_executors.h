@@ -12,6 +12,8 @@
 // model->Predict() calls do not appear on any hot path.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_set>
@@ -47,12 +49,14 @@ class PruneEngine {
   PruneEngine(const RecModel* model, const RatingMatrix& snapshot,
               const CandidateIndex& index, bool rank_by_id);
 
-  /// One user's exact top-k over unseen items, best-first (score desc,
-  /// rank asc). Bit-identical to batch-scoring the full catalog and
-  /// keeping the k best under the same order. `floor` models the plan's
-  /// min_score (use -inf when absent).
+  /// One user's exact top-k over the unseen items whose index lies in
+  /// [begin, end) (default: the whole catalog), best-first (score desc,
+  /// rank asc). Bit-identical to batch-scoring those items and keeping the
+  /// k best under the same order. `floor` models the plan's min_score (use
+  /// -inf when absent).
   std::vector<TopKPruner::Entry> UserTopK(int64_t user_id, size_t k,
-                                          double floor);
+                                          double floor, size_t begin = 0,
+                                          size_t end = SIZE_MAX);
 
   /// JoinRecommend zero-fill support: sets mark[i] = 1 for every item
   /// index in the user's candidate superset; every unmarked item provably
@@ -93,6 +97,13 @@ class PruneEngine {
   bool Rated(int32_t item_idx) const {
     return rated_stamp_[item_idx] == epoch_;
   }
+  /// True when the item index lies in the current UserTopK range.
+  bool InRange(int32_t item_idx) const {
+    return static_cast<size_t>(item_idx) >= range_begin_ &&
+           static_cast<size_t>(item_idx) < range_end_;
+  }
+  /// Items of a bound block inside the current UserTopK range.
+  size_t InRangeCount(const CandidateIndex::Block& block) const;
 
   const RecModel* model_;
   const RatingMatrix& snapshot_;
@@ -105,6 +116,8 @@ class PruneEngine {
   std::vector<uint32_t> rated_stamp_;    // per item: rated by the user
   std::vector<uint32_t> user_stamp_;     // per base user: rater dedup
   uint32_t epoch_ = 0;
+  size_t range_begin_ = 0;  // current UserTopK item-index range
+  size_t range_end_ = 0;
   std::vector<int32_t> start_;
   std::vector<int32_t> candidates_;
   std::vector<int32_t> must_score_;
@@ -126,19 +139,35 @@ class RecommendExecutor : public Executor {
   Result<std::optional<Tuple>> NextImpl() override;
 
  private:
-  /// Morsel-parallel scoring over the flattened (user, item) candidate
-  /// space: workers claim pair ranges, batch-score each user run inside
-  /// the range, emit into per-morsel slots, and the slots are concatenated
-  /// in range order — bit-identical to the serial emission order under any
-  /// thread count.
-  Status ScoreAllParallel();
-  /// Pruned Top-K mode: one global top-prune_limit over (score desc, user
-  /// position, item position), morsel-parallel over users. Each user runs
-  /// PruneEngine::UserTopK with the running global k-th score as its
-  /// floor (morsels share it through a monotone atomic), and only the <= k
-  /// global survivors are emitted, in arrival order — a subsequence of the
-  /// exact stream, so the parent TopN's result is bit-identical.
-  Status ScorePruned();
+  /// One unit of scoring work: a slice [begin, end) of items_ for the user
+  /// at position `user`.
+  struct Unit {
+    size_t user;
+    size_t begin;
+    size_t end;
+  };
+  Unit UnitAt(size_t unit) const;
+  /// The one driver of both buffered modes: runs `body` over contiguous
+  /// ranges of units (users_.size() * splits_ of them, in user-major order)
+  /// — morsel-parallel when `fan_out`, else as one inline range — folding
+  /// each range's ExecStats once and accounting tasks_spawned /
+  /// worker_time_ms once.
+  void ForEachUnitRange(
+      bool fan_out,
+      const std::function<void(size_t, size_t, ExecStats*)>& body);
+  /// Bounded Top-k: each unit runs PruneEngine::UserTopK over its item
+  /// slice into the morsel's heap under the shared floor. One global
+  /// top-prune_limit over (score desc, user position, item position);
+  /// morsels share the running global k-th score through a monotone
+  /// atomic, and only the <= k global survivors are emitted, in arrival
+  /// order — a subsequence of the exact stream, so the parent TopN's
+  /// result is bit-identical.
+  Status ScoreTopK(bool fan_out);
+  /// Exact, parallel: each unit batch-scores its item slice into the
+  /// morsel's tuple slot; slots are concatenated in unit order, which is
+  /// the serial emission order.
+  Status ScoreExact();
+  Tuple RecTuple(int64_t user_id, int64_t item_id, double score) const;
 
   const RecommendPlan& plan_;
   ExecContext* ctx_;
@@ -152,7 +181,12 @@ class RecommendExecutor : public Executor {
   // Serial mode: the current user's batched row of scores.
   UserRowScores row_;
   bool row_ready_ = false;
-  // Parallel mode: results materialized at Init, drained by Next.
+  // Unit layout (ForEachUnitRange): item slices per user and units per
+  // morsel, fixed at Init.
+  size_t splits_ = 1;
+  size_t morsel_ = 1;
+  // Buffered mode (ScoreTopK / ScoreExact): results materialized at Init,
+  // drained by Next.
   bool buffered_ = false;
   std::vector<Tuple> buffer_;
   size_t buffer_pos_ = 0;
@@ -180,7 +214,8 @@ class JoinRecommendExecutor : public Executor {
   const JoinRecommendPlan& plan_;
   ExecutorPtr outer_;
   ExecContext* ctx_;
-  // Pushed-down users known to the model, in plan order (resolved once).
+  // Pushed-down users the model knows and this shard owns, in plan order
+  // (resolved once).
   std::vector<int64_t> valid_users_;
   // CF zero-fill: per valid user, candidate-item bitmap over item indices;
   // window items outside it provably score 0.0 and skip the model.
@@ -215,8 +250,9 @@ class IndexRecommendExecutor : public Executor {
   const IndexRecommendPlan& plan_;
   ExecContext* ctx_;
   // Pushed-down item ids as a hash set (O(1) membership instead of a per-
-  // candidate std::find) plus a deduplicated list for the cache-miss scan,
-  // so duplicated IN-list entries cannot emit duplicate tuples.
+  // candidate std::find) plus a deduplicated list of the known ones for
+  // the cache-miss scan, so duplicated IN-list entries cannot emit
+  // duplicate tuples.
   std::optional<std::unordered_set<int64_t>> item_filter_;
   std::vector<int64_t> item_list_;
   std::vector<int64_t> users_;

@@ -104,8 +104,8 @@ void CandidateIndex::FinalizeBounds(const RecModel& model) {
   if (!prunable_) return;
   const size_t n = bounds_.item_scale.size();
   const bool has_offset = !bounds_.item_offset.empty();
-  // Catalog-sweep families generate no candidate sets: the cost model
-  // prices their pruned loop over the full bound table instead.
+  // Catalog-sweep families generate no candidate sets: every item counts
+  // as a candidate, so the cost model never picks a candidate bitmap.
   if (!bounds_.candidate_generation) {
     stats_.avg_candidates = static_cast<double>(n);
     stats_.avg_gen_ops = 0;

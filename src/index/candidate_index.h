@@ -49,8 +49,8 @@ class CandidateIndex {
     double suffix_offset = 0;
   };
 
-  /// Deterministically sampled candidate-walk statistics, the ANALYZE-side
-  /// grounding the cost model prices pruned plans with.
+  /// Deterministically sampled candidate-walk statistics, the grounding
+  /// the cost model prices JoinRecommend's candidate bitmap with.
   struct Stats {
     double avg_candidates = 0;  ///< mean candidate-set size per user
     double avg_gen_ops = 0;     ///< mean postings entries walked per user

@@ -148,9 +148,9 @@
   X(kPruneItemsPruned, "prune.items_pruned", "items",                         \
     "items never scored thanks to block skips and early termination")         \
   X(kPrunePlanChosen, "prune.plan_chosen", "plans",                           \
-    "cost-pass decisions that selected a pruned Top-N plan")                  \
+    "plans that took the bounded Top-k driver or a JoinRecommend bitmap")     \
   X(kPrunePlanDeclined, "prune.plan_declined", "plans",                       \
-    "cost-pass decisions that kept the exact path despite eligibility")       \
+    "JoinRecommend cost checks that kept exact probe scoring")                \
   X(kPruneIndexBuilds, "prune.index_builds", "builds",                        \
     "CandidateIndex lowerings (initial build and re-freeze rebuilds)")        \
   X(kServingQueries, "serving.queries", "statements",                         \

@@ -61,13 +61,6 @@ RecStats RecStats::From(const Recommender& rec) {
   return s;
 }
 
-double PrunedTopNCost(const CandidateIndex::Stats& stats, double users,
-                      const CostParams& p) {
-  return users * (stats.avg_gen_ops * p.scan_row +
-                  stats.avg_candidates *
-                      (p.bound_check + p.prune_loose * p.predict));
-}
-
 double IndexCoverageFraction(const Recommender& rec,
                              const std::vector<int64_t>& users) {
   const RecScoreIndex& idx = rec.score_index();
@@ -354,17 +347,9 @@ double PlanNode::EstimateCost(const CostEnv& env) {
         // Explicit item list: each (user, item) pair is probed and scored.
         own = users * static_cast<double>(r.item_ids->size()) *
               (p.predict + p.item_probe);
-      } else if (r.prune) {
-        auto index = r.rec->candidate_index();
-        if (index != nullptr && index->prunable()) {
-          own = PrunedTopNCost(index->stats(), users, p);
-        } else {
-          // Prune flag without a usable index: executor falls back to the
-          // exact scan, so price it as such.
-          double per_user = r.include_rated ? rs.num_items : rs.avg_unseen;
-          own = users * per_user * p.predict;
-        }
       } else {
+        // Also the bounded Top-k's price: an upper bound, since its walk
+        // never scores more than the unseen items.
         double per_user = r.include_rated ? rs.num_items : rs.avg_unseen;
         own = users * per_user * p.predict;
       }

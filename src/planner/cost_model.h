@@ -34,10 +34,8 @@ struct CostParams {
   double hash_probe = 1.2;   // hash-table build or probe, per row
   double sort_entry = 0.5;   // full-sort work per row (log factor applied)
   double topn_entry = 0.2;   // bounded-heap work per row
-  // Sublinear Top-N (CandidateIndex + threshold pruning):
-  double bound_check = 0.05;  // per-candidate block/bound bookkeeping
-  double prune_loose = 0.4;   // fraction of candidates the threshold
-                              // fails to prune (still model-scored)
+  // JoinRecommend candidate bitmap (CandidateIndex walk):
+  double bound_check = 0.05;  // per-probe candidate-membership check
 };
 
 /// Rows assumed for a base table that has never been ANALYZEd.
@@ -59,15 +57,6 @@ struct RecStats {
 /// An empty user list counts every known user (full-table recommendation).
 double IndexCoverageFraction(const Recommender& rec,
                              const std::vector<int64_t>& users);
-
-/// Cost of the pruned per-user Top-K loop for `users` querying users,
-/// priced from the CandidateIndex's ANALYZE-style walk statistics: the
-/// generation walk touches avg_gen_ops postings entries per user, every
-/// candidate pays the block-bound bookkeeping, and the threshold leaves
-/// ~prune_loose of them to be model-scored. The exact alternative is
-/// users * avg_unseen * predict.
-double PrunedTopNCost(const CandidateIndex::Stats& stats, double users,
-                      const CostParams& p);
 
 /// Environment threaded through EstimateRows / EstimateCost.
 struct CostEnv {

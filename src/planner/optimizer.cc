@@ -676,6 +676,9 @@ Result<PlanNodePtr> Optimizer::ReconsiderPrunedTopN(PlanNodePtr node) {
     return node;
   }
 
+  // A score-ordered TopN over a RECOMMEND always takes the bounded Top-k
+  // driver when the structure allows it — it returns exactly the exact
+  // plan's rows, so there is nothing to price.
   if (node->type != PlanNodeType::kTopN) return node;
   auto* topn = static_cast<TopNPlan*>(node.get());
   if (topn->n == 0 || topn->keys.size() != 1 || !topn->keys[0].desc) {
@@ -684,30 +687,20 @@ Result<PlanNodePtr> Optimizer::ReconsiderPrunedTopN(PlanNodePtr node) {
   const BoundExpr& key = *topn->keys[0].expr;
   if (key.kind != BoundExprKind::kColumn) return node;
   PlanNode* child = topn->children[0].get();
+  auto prunable = [](const Recommender& rec) {
+    auto index = rec.candidate_index();
+    return index != nullptr && index->prunable();
+  };
 
-  // IndexRecommend: pruning only changes the index-miss fallback, so weigh
-  // it against exact fallback scoring for the uncovered user fraction.
+  // IndexRecommend: pruning changes only the index-miss fallback.
   if (child->type == PlanNodeType::kIndexRecommend) {
     auto* ix = static_cast<IndexRecommendPlan*>(child);
     if (ix->prune || key.column_idx != ix->rating_col_idx) return node;
     if (ix->item_ids.has_value() || ix->per_user_limit == 0) return node;
-    auto index = ix->rec->candidate_index();
-    if (index == nullptr || !index->prunable()) return node;
-    RecStats rs = RecStats::From(*ix->rec);
-    double users =
-        static_cast<double>(std::max<size_t>(1, ix->user_ids.size()));
-    double misses = (1.0 - IndexCoverageFraction(*ix->rec, ix->user_ids)) *
-                    users;
-    if (misses <= 0) return node;  // fully covered: fallback never runs
-    double cost_exact = misses * rs.avg_unseen * p.predict;
-    double cost_prune = PrunedTopNCost(index->stats(), misses, p);
-    if (cost_prune < cost_exact) {
-      ix->prune = true;
-      ix->est_rows = ix->est_cost = -1;
-      obs::Count(obs::Counter::kPrunePlanChosen);
-    } else {
-      obs::Count(obs::Counter::kPrunePlanDeclined);
-    }
+    if (!prunable(*ix->rec)) return node;
+    ix->prune = true;
+    ix->est_rows = ix->est_cost = -1;
+    obs::Count(obs::Counter::kPrunePlanChosen);
     return node;
   }
 
@@ -718,28 +711,12 @@ Result<PlanNodePtr> Optimizer::ReconsiderPrunedTopN(PlanNodePtr node) {
   auto* rec = static_cast<RecommendPlan*>(child);
   if (rec->prune || key.column_idx != rec->rating_col_idx) return node;
   if (rec->include_rated || rec->item_ids.has_value()) return node;
-  // Only commit once ANALYZE has run on the ratings table: without grounded
-  // statistics the plan must match the rule-only optimizer exactly.
-  if (rec->table == nullptr || !rec->table->stats.has_value()) return node;
-  auto index = rec->rec->candidate_index();
-  if (index == nullptr || !index->prunable()) return node;
-
-  RecStats rs = RecStats::From(*rec->rec);
-  double users = rec->user_ids.has_value()
-                     ? static_cast<double>(rec->user_ids->size())
-                     : rs.num_users;
-  users = std::max(1.0, users);
-  double cost_exact = users * rs.avg_unseen * (p.predict + p.topn_entry);
-  double cost_prune = PrunedTopNCost(index->stats(), users, p);
-  if (cost_prune < cost_exact) {
-    rec->prune = true;
-    rec->prune_limit = topn->n;
-    rec->est_rows = rec->est_cost = -1;
-    topn->est_rows = topn->est_cost = -1;
-    obs::Count(obs::Counter::kPrunePlanChosen);
-  } else {
-    obs::Count(obs::Counter::kPrunePlanDeclined);
-  }
+  if (!prunable(*rec->rec)) return node;
+  rec->prune = true;
+  rec->prune_limit = topn->n;
+  rec->est_rows = rec->est_cost = -1;
+  topn->est_rows = topn->est_cost = -1;
+  obs::Count(obs::Counter::kPrunePlanChosen);
   return node;
 }
 

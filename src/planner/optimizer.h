@@ -51,10 +51,13 @@ class Optimizer {
   Result<PlanNodePtr> ReconsiderItemPushdown(PlanNodePtr node);
   Result<PlanNodePtr> ReconsiderJoinRecommend(PlanNodePtr node);
   Result<PlanNodePtr> ReconsiderIndexRecommend(PlanNodePtr node);
-  /// Sublinear Top-N: flip (Filter)Recommend / IndexRecommend under a
-  /// score-ordered TopN into pruned candidate-walk mode — and JoinRecommend
-  /// into candidate-bitmap mode — when ANALYZE-grounded CandidateIndex
-  /// statistics say the walk beats the exhaustive scan. Results unchanged.
+  /// Sublinear Top-N: a (Filter)Recommend or IndexRecommend under a
+  /// score-ordered TopN takes the bounded Top-k driver whenever the plan's
+  /// structure allows it (unseen-only, no item pushdown, prunable
+  /// CandidateIndex) — no cost comparison, no ANALYZE. JoinRecommend's
+  /// candidate bitmap is still priced: it flips only when ANALYZE-grounded
+  /// CandidateIndex statistics say the walk beats scoring every probe.
+  /// Results are unchanged either way.
   Result<PlanNodePtr> ReconsiderPrunedTopN(PlanNodePtr node);
   /// Reorder a Filter's conjuncts by ascending estimated selectivity so the
   /// most selective (cheapest to fail) predicates run first.

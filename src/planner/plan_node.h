@@ -112,11 +112,12 @@ struct RecommendPlan : PlanNode {
   // FilterRecommend pushdowns (empty optional = unconstrained).
   std::optional<std::vector<int64_t>> user_ids;
   std::optional<std::vector<int64_t>> item_ids;
-  /// Sublinear Top-N mode (set by the optimizer's cost pass when a TopN
-  /// parent makes per-user pruning profitable): emit only each user's
-  /// top-`prune_limit` unseen items, enumerated through the CandidateIndex
-  /// postings and bound blocks instead of the full catalog. Result set is
-  /// bit-identical to the exact path under the parent TopN.
+  /// Bounded Top-k mode (set by the optimizer under every score-ordered
+  /// TopN whose structure allows it): emit only the global top-`prune_limit`
+  /// unseen (user, item) pairs, found by per-user walks over the
+  /// CandidateIndex postings and bound blocks under a shared threshold
+  /// instead of the full catalog. Result set is bit-identical to the exact
+  /// path under the parent TopN.
   bool prune = false;
   size_t prune_limit = 0;
   std::string Describe() const override;

@@ -21,25 +21,14 @@ size_t NeighborhoodEntries(const std::vector<std::vector<Neighbor>>& nb) {
   return total;
 }
 
-/// Idx-sorted copy of each row, so Similarity() can binary search instead
-/// of scanning a sim-sorted list end to end.
-std::vector<std::vector<Neighbor>> SortRowsByIdx(
-    const std::vector<std::vector<Neighbor>>& nb) {
-  std::vector<std::vector<Neighbor>> out = nb;
-  for (auto& row : out) {
-    std::sort(row.begin(), row.end(),
-              [](const Neighbor& a, const Neighbor& b) { return a.idx < b.idx; });
-  }
-  return out;
-}
-
-double SimilarityLookup(const std::vector<std::vector<Neighbor>>& by_idx,
+/// sim(a, b) from a's sim-sorted row: a linear scan, since nothing on a
+/// query path asks for one pair's similarity.
+double SimilarityLookup(const std::vector<std::vector<Neighbor>>& nb,
                         int32_t a, int32_t b) {
-  const auto& row = by_idx[a];
-  auto it = std::lower_bound(
-      row.begin(), row.end(), b,
-      [](const Neighbor& n, int32_t i) { return n.idx < i; });
-  if (it != row.end() && it->idx == b) return it->sim;
+  if (static_cast<size_t>(a) >= nb.size()) return 0;
+  for (const Neighbor& n : nb[a]) {
+    if (n.idx == b) return n.sim;
+  }
   return 0;
 }
 
@@ -137,24 +126,14 @@ std::vector<int32_t> TouchedUserRows(const RatingMatrix& m,
   return rows;
 }
 
-/// Install recomputed rows into the sim-sorted table and its idx-sorted
-/// shadow, growing both for entities interned since the model was built.
+/// Install recomputed rows into the sim-sorted table, growing it for
+/// entities interned since the model was built.
 void InstallNeighborRows(std::vector<std::vector<Neighbor>>* nb,
-                         std::vector<std::vector<Neighbor>>* by_idx,
                          ModelUpdate&& update) {
-  if (update.num_rows > nb->size()) {
-    nb->resize(update.num_rows);
-    by_idx->resize(update.num_rows);
-  }
+  if (update.num_rows > nb->size()) nb->resize(update.num_rows);
   size_t installed = 0;
   for (auto& [idx, row] : update.rows) {
     if (idx < 0 || static_cast<size_t>(idx) >= nb->size()) continue;
-    std::vector<Neighbor> sorted = row;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Neighbor& a, const Neighbor& b) {
-                return a.idx < b.idx;
-              });
-    (*by_idx)[idx] = std::move(sorted);
     (*nb)[idx] = std::move(row);
     ++installed;
   }
@@ -169,8 +148,7 @@ ItemCFModel::ItemCFModel(std::shared_ptr<const RatingMatrix> ratings,
     : RecModel(std::move(ratings)),
       centered_(centered),
       opts_(opts),
-      neighborhoods_(std::move(neighborhoods)),
-      by_idx_(SortRowsByIdx(neighborhoods_)) {}
+      neighborhoods_(std::move(neighborhoods)) {}
 
 std::unique_ptr<ItemCFModel> ItemCFModel::Build(
     std::shared_ptr<RatingMatrix> ratings, bool centered,
@@ -237,11 +215,11 @@ double ItemCFModel::Similarity(int64_t item_a, int64_t item_b) const {
   auto a = ratings_->ItemIndex(item_a);
   auto b = ratings_->ItemIndex(item_b);
   if (!a || !b) return 0;
-  return SimilarityLookup(by_idx_, *a, *b);
+  return SimilarityLookup(neighborhoods_, *a, *b);
 }
 
 size_t ItemCFModel::ApproxBytes() const {
-  return NeighborhoodBytes(neighborhoods_) + NeighborhoodBytes(by_idx_) +
+  return NeighborhoodBytes(neighborhoods_) +
          ratings_->CsrApproxBytes();
 }
 
@@ -264,7 +242,7 @@ Result<ModelUpdate> ItemCFModel::PrepareDeltaUpdate(
 }
 
 void ItemCFModel::ApplyDeltaUpdate(ModelUpdate&& update) {
-  InstallNeighborRows(&neighborhoods_, &by_idx_, std::move(update));
+  InstallNeighborRows(&neighborhoods_, std::move(update));
 }
 
 bool ItemCFModel::ComputePruneBounds(PruneBoundTable* out) const {
@@ -301,8 +279,7 @@ UserCFModel::UserCFModel(std::shared_ptr<const RatingMatrix> ratings,
     : RecModel(std::move(ratings)),
       centered_(centered),
       opts_(opts),
-      neighborhoods_(std::move(neighborhoods)),
-      by_idx_(SortRowsByIdx(neighborhoods_)) {}
+      neighborhoods_(std::move(neighborhoods)) {}
 
 std::unique_ptr<UserCFModel> UserCFModel::Build(
     std::shared_ptr<RatingMatrix> ratings, bool centered,
@@ -369,11 +346,11 @@ double UserCFModel::Similarity(int64_t user_a, int64_t user_b) const {
   auto a = ratings_->UserIndex(user_a);
   auto b = ratings_->UserIndex(user_b);
   if (!a || !b) return 0;
-  return SimilarityLookup(by_idx_, *a, *b);
+  return SimilarityLookup(neighborhoods_, *a, *b);
 }
 
 size_t UserCFModel::ApproxBytes() const {
-  return NeighborhoodBytes(neighborhoods_) + NeighborhoodBytes(by_idx_) +
+  return NeighborhoodBytes(neighborhoods_) +
          ratings_->CsrApproxBytes();
 }
 
@@ -396,7 +373,7 @@ Result<ModelUpdate> UserCFModel::PrepareDeltaUpdate(
 }
 
 void UserCFModel::ApplyDeltaUpdate(ModelUpdate&& update) {
-  InstallNeighborRows(&neighborhoods_, &by_idx_, std::move(update));
+  InstallNeighborRows(&neighborhoods_, std::move(update));
 }
 
 bool UserCFModel::ComputePruneBounds(PruneBoundTable* out) const {

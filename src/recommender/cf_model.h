@@ -28,8 +28,8 @@ class ItemCFModel : public RecModel {
   }
 
   /// Similarity of two items by external id (0 when either is unknown or
-  /// the pair is not in the neighborhood list). Binary search over an
-  /// idx-sorted view of the row, not a linear scan of the sim-sorted list.
+  /// the pair is not in the neighborhood list). A linear scan of the
+  /// sim-sorted row: an inspection aid, not on any query path.
   double Similarity(int64_t item_a, int64_t item_b) const;
 
   /// The neighborhood list of an item (dense indices), test/inspection aid.
@@ -74,7 +74,6 @@ class ItemCFModel : public RecModel {
   bool centered_;
   SimilarityOptions opts_;  // as resolved at build time (centered included)
   std::vector<std::vector<Neighbor>> neighborhoods_;  // [item_idx], sim-sorted
-  std::vector<std::vector<Neighbor>> by_idx_;         // [item_idx], idx-sorted
 };
 
 class UserCFModel : public RecModel {
@@ -125,7 +124,6 @@ class UserCFModel : public RecModel {
   bool centered_;
   SimilarityOptions opts_;  // as resolved at build time (centered included)
   std::vector<std::vector<Neighbor>> neighborhoods_;  // [user_idx], sim-sorted
-  std::vector<std::vector<Neighbor>> by_idx_;         // [user_idx], idx-sorted
 };
 
 }  // namespace recdb

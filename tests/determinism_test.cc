@@ -128,6 +128,32 @@ TEST(IndexRecommendTest, DuplicateItemIdsEmitOneTupleOnCacheMiss) {
   EXPECT_EQ(ctx.stats.index_misses, 1u);
 }
 
+TEST(IndexRecommendTest, CacheMissItemListSkipsRatedAndUnknownItems) {
+  // The unpruned model fallback scores an item IN-list: user 1 already
+  // rated items 1 and 2, and item 99 is unknown to the model, so only
+  // items 3 and 4 are unseen candidates — scored in one batch, emitted.
+  auto rec = MakeSmallRec();
+  IndexRecommendPlan plan;
+  InitIndexPlan(&plan, rec.get());
+  plan.user_ids = {1};
+  plan.item_ids = std::vector<int64_t>{1, 3, 99, 2, 4};
+  ExecContext ctx;
+  auto exec = CreateExecutor(plan, &ctx);
+  ASSERT_TRUE(exec.ok());
+  ASSERT_TRUE(exec.value()->Init().ok());
+  std::vector<int64_t> items;
+  while (true) {
+    auto next = exec.value()->Next();
+    ASSERT_TRUE(next.ok());
+    if (!next.value().has_value()) break;
+    items.push_back(next.value()->At(1).AsInt());
+  }
+  std::sort(items.begin(), items.end());
+  EXPECT_EQ(items, (std::vector<int64_t>{3, 4}));
+  EXPECT_EQ(ctx.stats.predictions, 2u);
+  EXPECT_EQ(ctx.stats.predict_batches, 1u);
+}
+
 TEST(IndexRecommendTest, DuplicateItemIdsEmitOneTupleOnCacheHit) {
   auto rec = MakeSmallRec();
   ASSERT_TRUE(rec->MaterializeUser(1).ok());
@@ -182,31 +208,79 @@ std::string RowsToString(const ResultSet& rs) {
   return out;
 }
 
+/// A second table for few-user queries: 6 users, 80 ratings each, over
+/// 300 items, so one user alone is past the 256-pair fan-out threshold.
+void LoadWideRatings(RecDB* db) {
+  ASSERT_TRUE(
+      db->Execute("CREATE TABLE Wide (uid INT, iid INT, ratingval DOUBLE)")
+          .ok());
+  std::vector<std::vector<Value>> rows;
+  for (int u = 1; u <= 6; ++u) {
+    for (int k = 0; k < 80; ++k) {
+      int item = (u * 116 + k * 7) % 300 + 1;
+      rows.push_back({Value::Int(u), Value::Int(item),
+                      Value::Double((u + k) % 5 + 1)});
+    }
+  }
+  ASSERT_TRUE(db->BulkInsert("Wide", rows).ok());
+  ASSERT_TRUE(db->Execute("CREATE RECOMMENDER w ON Wide USERS FROM uid "
+                          "ITEMS FROM iid RATINGS FROM ratingval")
+                  .ok());
+}
+
 TEST(ParallelDeterminismTest, RecommendRowsIdenticalAcrossThreadCounts) {
+  // Un-LIMITed RECOMMEND: at parallelism 2 and 8 every query emits its
+  // serial rows in the serial order. `fans_out` is whether it goes through
+  // the morsel driver there: at 256 (user, item) pairs or more it does —
+  // over users, or over item slices when it has fewer users than workers —
+  // and below that it streams.
   ParallelismGuard guard;
   RecDB db;
   LoadRatings(&db);
-  const std::string q =
-      "SELECT R.uid, R.iid, R.ratingval FROM Ratings AS R "
-      "RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF";
-  ASSERT_TRUE(db.Execute("SET parallelism = 1").ok());
-  auto serial = db.Execute(q);
-  ASSERT_TRUE(serial.ok());
-  ASSERT_GT(serial.value().NumRows(), 0u);
-  EXPECT_EQ(serial.value().stats.tasks_spawned, 0u);
-  const std::string expected = RowsToString(serial.value());
+  LoadWideRatings(&db);
+  const std::string rec =
+      " RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF";
+  struct Case {
+    std::string sql;
+    bool fans_out;
+  };
+  const std::vector<Case> cases = {
+      // 30 users x 20 items: user morsels.
+      {"SELECT R.uid, R.iid, R.ratingval FROM Ratings AS R" + rec, true},
+      // 7 users x 20 items = 140 pairs: streams.
+      {"SELECT R.uid, R.iid, R.ratingval FROM Ratings AS R" + rec +
+           " WHERE R.uid IN (29, 3, 17, 8, 1, 22, 11)",
+       false},
+      // 1 user x 300 items: item slices.
+      {"SELECT R.uid, R.iid, R.ratingval FROM Wide AS R" + rec +
+           " WHERE R.uid = 4",
+       true},
+      // 2 users x 300 items: user morsels at 2, item slices at 8.
+      {"SELECT R.uid, R.iid, R.ratingval FROM Wide AS R" + rec +
+           " WHERE R.uid IN (5, 2)",
+       true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.sql);
+    ASSERT_TRUE(db.Execute("SET parallelism = 1").ok());
+    auto serial = db.Execute(c.sql);
+    ASSERT_TRUE(serial.ok());
+    ASSERT_GT(serial.value().NumRows(), 0u);
+    EXPECT_EQ(serial.value().stats.tasks_spawned, 0u);
+    const std::string expected = RowsToString(serial.value());
 
-  for (int threads : {2, 8}) {
-    ASSERT_TRUE(
-        db.Execute("SET parallelism = " + std::to_string(threads)).ok());
-    auto parallel = db.Execute(q);
-    ASSERT_TRUE(parallel.ok());
-    EXPECT_EQ(RowsToString(parallel.value()), expected)
-        << "RECOMMEND emission order changed at parallelism " << threads;
-    EXPECT_EQ(parallel.value().stats.predictions,
-              serial.value().stats.predictions);
-    EXPECT_GT(parallel.value().stats.tasks_spawned, 0u)
-        << "parallel path not taken at parallelism " << threads;
+    for (int threads : {2, 8}) {
+      ASSERT_TRUE(
+          db.Execute("SET parallelism = " + std::to_string(threads)).ok());
+      auto parallel = db.Execute(c.sql);
+      ASSERT_TRUE(parallel.ok());
+      EXPECT_EQ(RowsToString(parallel.value()), expected)
+          << "RECOMMEND emission order changed at parallelism " << threads;
+      EXPECT_EQ(parallel.value().stats.predictions,
+                serial.value().stats.predictions);
+      EXPECT_EQ(parallel.value().stats.tasks_spawned > 0, c.fans_out)
+          << "at parallelism " << threads;
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // Sublinear Top-N (PR 9): TopKPruner unit contract, golden equivalence of
 // the pruned path against the exact scan, CandidateIndex coherence across
 // the freeze -> ingest -> refresh lifecycle, the batched-ingest DML path,
-// and the cost model's choose/decline behaviour.
+// and the planner's structural choice of the bounded Top-k plan.
 //
 // The load-bearing invariant: a pruned Top-N query returns the *identical*
 // result set — same rows, same scores (EXPECT_EQ on the rendered values,
@@ -94,7 +94,7 @@ TEST(TopKPrunerTest, FloorRejectsBelowMinScoreAndWouldAcceptIsMonotone) {
 
 // Sparse deterministic workload: 60 users x 200 items, 8 ratings per user
 // (4% density). Sparse enough that the candidate walk reaches well under
-// the full catalog, so the grounded cost model picks the pruned plan.
+// the full catalog, so the pruned plan scores fewer items than exact.
 void LoadSparseRatings(RecDB* db) {
   ASSERT_TRUE(
       db->Execute("CREATE TABLE Ratings (uid INT, iid INT, ratingval DOUBLE)")
@@ -151,49 +151,68 @@ TEST(PrunedEquivalenceTest, AllAlgorithmsAllParallelismsWithAndWithoutDelta) {
                            algo)
                     .ok());
     ASSERT_TRUE(db.Execute("ANALYZE Ratings").ok());
-    const std::string query =
+    const std::string rec =
         std::string("SELECT R.uid, R.iid, R.ratingval FROM Ratings AS R "
                     "RECOMMEND R.iid TO R.uid ON R.ratingval USING ") +
-        algo + " ORDER BY R.ratingval DESC LIMIT 25";
+        algo;
+    const std::string query = rec + " ORDER BY R.ratingval DESC LIMIT 25";
+    // Besides all users: three users, fewer than the 8 workers, so each
+    // user's catalog is cut into item-index slices, one bounded walk per
+    // slice. Users 1-3 carry every delta shape (new pair, overwrite,
+    // removal, the out-of-band item 995); LIMIT 200 runs into the 0.0 ties.
+    const std::string few = rec + " WHERE R.uid IN (3, 1, 2) ORDER BY "
+                                  "R.ratingval DESC LIMIT ";
+    const std::pair<std::string, size_t> cases[] = {
+        {query, 25}, {few + "5", 5}, {few + "200", 200}};
 
     for (bool with_delta : {false, true}) {
       if (with_delta) ApplyDeltaStatements(&db);
-      db.mutable_planner_options()->enable_pruned_topn = false;
-      ASSERT_TRUE(db.Execute("SET parallelism = 1").ok());
-      auto exact = db.Execute(query);
-      ASSERT_TRUE(exact.ok()) << algo;
-      ASSERT_EQ(exact.value().NumRows(), 25u) << algo;
-      EXPECT_EQ(exact.value().stats.candidates_generated, 0u) << algo;
-      const std::string expected = RowsToString(exact.value());
+      for (const auto& [sql, limit] : cases) {
+        SCOPED_TRACE(sql);
+        db.mutable_planner_options()->enable_pruned_topn = false;
+        ASSERT_TRUE(db.Execute("SET parallelism = 1").ok());
+        auto exact = db.Execute(sql);
+        ASSERT_TRUE(exact.ok()) << algo;
+        ASSERT_EQ(exact.value().NumRows(), limit) << algo;
+        EXPECT_EQ(exact.value().stats.candidates_generated, 0u) << algo;
+        const std::string expected = RowsToString(exact.value());
 
-      db.mutable_planner_options()->enable_pruned_topn = true;
-      auto explained = db.Explain(query);
-      ASSERT_TRUE(explained.ok()) << algo;
-      EXPECT_NE(explained.value().find("mode=pruned"), std::string::npos)
-          << algo << ": cost model did not choose pruning\n"
-          << explained.value();
-      const bool generates = std::string(algo) != "SVD";
-      for (int threads : {1, 2, 8}) {
-        ASSERT_TRUE(
-            db.Execute("SET parallelism = " + std::to_string(threads)).ok());
-        uint64_t topk_before = CounterValue(obs::Counter::kPruneTopkQueries);
-        auto pruned = db.Execute(query);
-        ASSERT_TRUE(pruned.ok()) << algo;
-        EXPECT_EQ(RowsToString(pruned.value()), expected)
-            << algo << " diverged at parallelism " << threads
-            << (with_delta ? " with delta" : " without delta");
-        // The plan must actually have run pruned, not silently fallen back
-        // to the exact scan: every user goes through a threshold loop, and
-        // the CF families walk generated candidates. (The SVD catalog
-        // sweep may legitimately skip nothing when its norm-product bounds
-        // never drop below the k-th score on tiny data.)
-        EXPECT_GT(CounterValue(obs::Counter::kPruneTopkQueries), topk_before)
-            << algo;
-        if (generates) {
-          EXPECT_GT(pruned.value().stats.candidates_generated, 0u) << algo;
+        db.mutable_planner_options()->enable_pruned_topn = true;
+        auto explained = db.Explain(sql);
+        ASSERT_TRUE(explained.ok()) << algo;
+        EXPECT_NE(explained.value().find("mode=pruned"), std::string::npos)
+            << algo << ": pruned plan not chosen\n"
+            << explained.value();
+        const bool generates = std::string(algo) != "SVD";
+        for (int threads : {1, 2, 8}) {
+          ASSERT_TRUE(
+              db.Execute("SET parallelism = " + std::to_string(threads))
+                  .ok());
+          uint64_t topk_before =
+              CounterValue(obs::Counter::kPruneTopkQueries);
+          auto pruned = db.Execute(sql);
+          ASSERT_TRUE(pruned.ok()) << algo;
+          EXPECT_EQ(RowsToString(pruned.value()), expected)
+              << algo << " diverged at parallelism " << threads
+              << (with_delta ? " with delta" : " without delta");
+          // The plan must actually have run pruned, not silently fallen
+          // back to the exact scan: every user goes through a threshold
+          // loop, and the CF families walk generated candidates. (The SVD
+          // catalog sweep may legitimately skip nothing when its
+          // norm-product bounds never drop below the k-th score on tiny
+          // data.) Every case is past 256 (user, item) pairs, so it fans
+          // out whenever there are workers.
+          EXPECT_GT(CounterValue(obs::Counter::kPruneTopkQueries),
+                    topk_before)
+              << algo;
+          if (generates) {
+            EXPECT_GT(pruned.value().stats.candidates_generated, 0u) << algo;
+          }
+          EXPECT_EQ(pruned.value().stats.tasks_spawned > 0, threads > 1)
+              << algo << " at parallelism " << threads;
         }
+        ASSERT_TRUE(db.Execute("SET parallelism = 1").ok());
       }
-      ASSERT_TRUE(db.Execute("SET parallelism = 1").ok());
     }
 
     // Merge the overlay into a fresh base (rebuilds the CandidateIndex) and
@@ -300,7 +319,7 @@ TEST(GlobalThresholdTest, CrossUserTiesAtTheKthScoreMatchExact) {
     }
   }
   // A sparse background population spreads the catalog to 200 items, so
-  // the grounded cost model picks the pruned plan.
+  // the candidate walk reaches well under the full catalog.
   for (int u = 61; u <= 120; ++u) {
     for (int k = 0; k < 4; ++k) {
       rows.push_back({Value::Int(u), Value::Int((u * 37 + k * 61) % 200 + 1),
@@ -470,9 +489,9 @@ TEST(GlobalThresholdTest, AllUsersQueryEmitsAtMostKAndPredictsLess) {
   }
 }
 
-// ------------------------------------------------------ planner choose/decline
+// ------------------------------------------------------------ plan choice
 
-TEST(PrunedPlanChoiceTest, RequiresAnalyzeAndHonorsToggle) {
+TEST(PrunedPlanChoiceTest, PrunedWithoutAnalyzeAndHonorsToggle) {
   RecDB db;
   LoadSparseRatings(&db);
   ASSERT_TRUE(db.Execute("CREATE RECOMMENDER r ON Ratings USERS FROM uid "
@@ -484,21 +503,24 @@ TEST(PrunedPlanChoiceTest, RequiresAnalyzeAndHonorsToggle) {
       "RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF "
       "ORDER BY R.ratingval DESC LIMIT 10";
 
-  // Ungrounded (no ANALYZE): the plan must match the rule-only optimizer.
-  auto before = db.Execute(explain);
-  ASSERT_TRUE(before.ok());
-  EXPECT_EQ(RowsToString(before.value()).find("mode=pruned"),
-            std::string::npos);
-
-  ASSERT_TRUE(db.Execute("ANALYZE Ratings").ok());
-  uint64_t chosen0 = CounterValue(Counter::kPrunePlanChosen);
-  auto after = db.Execute(explain);
-  ASSERT_TRUE(after.ok());
-  std::string plan = RowsToString(after.value());
-  EXPECT_NE(plan.find("mode=pruned(k=10)"), std::string::npos) << plan;
-  EXPECT_NE(plan.find("candidates=inverted"), std::string::npos) << plan;
-  EXPECT_NE(plan.find("pruned_topn=on"), std::string::npos) << plan;
-  EXPECT_GT(CounterValue(Counter::kPrunePlanChosen), chosen0);
+  // The bounded Top-k is a structural choice: statistics do not gate it,
+  // so the plan is the same before and after ANALYZE.
+  for (bool analyzed : {false, true}) {
+    if (analyzed) {
+      ASSERT_TRUE(db.Execute("ANALYZE Ratings").ok());
+    }
+    uint64_t chosen0 = CounterValue(Counter::kPrunePlanChosen);
+    uint64_t declined0 = CounterValue(Counter::kPrunePlanDeclined);
+    auto rs = db.Execute(explain);
+    ASSERT_TRUE(rs.ok());
+    std::string plan = RowsToString(rs.value());
+    EXPECT_NE(plan.find("mode=pruned(k=10)"), std::string::npos)
+        << (analyzed ? "after" : "before") << " ANALYZE\n" << plan;
+    EXPECT_NE(plan.find("candidates=inverted"), std::string::npos) << plan;
+    EXPECT_NE(plan.find("pruned_topn=on"), std::string::npos) << plan;
+    EXPECT_GT(CounterValue(Counter::kPrunePlanChosen), chosen0);
+    EXPECT_EQ(CounterValue(Counter::kPrunePlanDeclined), declined0);
+  }
 
   db.mutable_planner_options()->enable_pruned_topn = false;
   auto off = db.Execute(explain);
@@ -508,11 +530,11 @@ TEST(PrunedPlanChoiceTest, RequiresAnalyzeAndHonorsToggle) {
   EXPECT_NE(off_plan.find("pruned_topn=off"), std::string::npos) << off_plan;
 }
 
-TEST(PrunedPlanChoiceTest, DenseMatrixDeclinesPruning) {
+TEST(PrunedPlanChoiceTest, DenseMatrixPrunedMatchesExactWithoutAnalyze) {
   // 10 users x 8 items at ~60% density: nearly every item is a candidate of
-  // every user and the walk touches most of the matrix, while the exact
-  // scan only has ~3 unseen items per user to score. The grounded cost
-  // model must keep the exact plan (and say so in the decline counter).
+  // every user and only ~3 unseen items per user remain. The bounded Top-k
+  // still runs (no cost model declines it, no ANALYZE is needed) and must
+  // return exactly the exact plan's rows at every parallelism.
   RecDB db;
   ASSERT_TRUE(
       db.Execute("CREATE TABLE Ratings (uid INT, iid INT, ratingval DOUBLE)")
@@ -531,16 +553,9 @@ TEST(PrunedPlanChoiceTest, DenseMatrixDeclinesPruning) {
                          "ITEMS FROM iid RATINGS FROM ratingval "
                          "USING ItemCosCF")
                   .ok());
-  ASSERT_TRUE(db.Execute("ANALYZE Ratings").ok());
-  uint64_t declined0 = CounterValue(Counter::kPrunePlanDeclined);
-  auto rs = db.Execute(
-      "EXPLAIN SELECT R.uid, R.iid, R.ratingval FROM Ratings AS R "
-      "RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF "
-      "ORDER BY R.ratingval DESC LIMIT 3");
-  ASSERT_TRUE(rs.ok());
-  std::string plan = RowsToString(rs.value());
-  EXPECT_EQ(plan.find("mode=pruned"), std::string::npos) << plan;
-  EXPECT_GT(CounterValue(Counter::kPrunePlanDeclined), declined0);
+  ResultSet exact = ExpectPrunedMatchesExactEverywhere(
+      &db, kRecommendAll + "ItemCosCF ORDER BY R.ratingval DESC LIMIT 3");
+  EXPECT_EQ(exact.NumRows(), 3u);
 }
 
 // -------------------------------------------------- CandidateIndex coherence

@@ -224,11 +224,10 @@ TEST(SimilarityTest, SymmetricSimilarity) {
 }
 
 TEST(SimilarityTest, LookupMatchesLinearScanOracle) {
-  // Similarity() binary-searches an idx-sorted view of each neighborhood
-  // row; the stored rows themselves are sim-sorted (and top-k truncation
-  // makes them visibly non-idx-ordered). Every pair must agree with a
-  // brute-force linear scan of the stored row, including absent pairs
-  // (0.0) and ids unknown to the matrix.
+  // Similarity() reads the one stored neighborhood row, which is
+  // sim-sorted (and top-k truncation makes it visibly non-idx-ordered).
+  // Every pair must agree with a brute-force linear scan of the stored
+  // row, including absent pairs (0.0) and ids unknown to the matrix.
   RatingMatrix m;
   Rng rng(17);
   for (int u = 0; u < 30; ++u) {
