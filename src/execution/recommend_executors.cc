@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <span>
@@ -66,11 +67,6 @@ std::vector<int64_t> ResolveItems(
 /// saves; stay on the streaming serial path.
 constexpr size_t kMinPairsForParallel = 256;
 
-/// Outer tuples batched per JoinRecommend probe window. Bounds both the
-/// emission latency (tuples are held until the window is scored) and the
-/// per-window score matrix (|users| × window doubles).
-constexpr size_t kJoinProbeWindow = 64;
-
 /// Score one user over items[begin, end): rated items keep their stored
 /// rating (and set the rated flag), the rest go through one PredictBatch.
 void ScoreUserRange(const RecModel* model, const RatingMatrix& snapshot,
@@ -109,6 +105,140 @@ void RaiseThreshold(std::atomic<double>* shared, double t) {
   while (cur < t && !shared->compare_exchange_weak(
                         cur, t, std::memory_order_relaxed)) {
   }
+}
+
+// ------------------------------------------------- the one scoring driver
+//
+// Both RECOMMEND drivers below walk a ScoreGrid. `make_row(user, item,
+// score)` builds the emitted tuple from a user position, an item position
+// and the score; in the buffered mode it runs on scheduler workers.
+
+/// Reset the grid's cursors and fix its unit layout: the grid fans out once
+/// it is large enough to spread over the scheduler, and a serial or small
+/// grid streams row by row instead.
+void LayOutUnits(ScoreGrid* g) {
+  g->user_pos = 0;
+  g->item_pos = 0;
+  g->row_ready = false;
+  g->buffered = false;
+  g->buffer.clear();
+  g->buffer_pos = 0;
+  const size_t users = g->users.size();
+  const size_t threads = TaskScheduler::Global().num_threads();
+  g->fan_out =
+      threads > 1 && users * g->items.size() >= kMinPairsForParallel;
+  // When the users alone cannot occupy every worker, each user's items are
+  // cut into slices so that even a single-user query spreads over the pool.
+  g->splits =
+      g->fan_out && users < threads ? (threads + users - 1) / users : 1;
+  // Morsel size balances claim overhead against tail imbalance; correctness
+  // does not depend on it.
+  g->morsel = std::clamp<size_t>(users * g->splits / (threads * 4), 1, 1024);
+}
+
+/// One unit of scoring work: the slice [begin, end) of the grid's items for
+/// the user at position `user`.
+struct Unit {
+  size_t user;
+  size_t begin;
+  size_t end;
+};
+
+Unit UnitAt(const ScoreGrid& g, size_t unit) {
+  const size_t n = g.items.size();
+  if (g.splits == 1) return {unit, 0, n};  // no divisions on the common path
+  const size_t slice = unit % g.splits;
+  return {unit / g.splits, slice * n / g.splits, (slice + 1) * n / g.splits};
+}
+
+/// Runs `body` over contiguous ranges of the grid's units (users x splits of
+/// them, in user-major order) — morsel-parallel when the grid fans out,
+/// else as one inline range — folding each range's ExecStats once and
+/// accounting tasks_spawned / worker_time_ms once.
+void ForEachUnitRange(
+    const ScoreGrid& g, ExecContext* ctx,
+    const std::function<void(size_t, size_t, ExecStats*)>& body) {
+  const size_t units = g.users.size() * g.splits;
+  std::mutex fold_mu;
+  ExecStats folded;
+  auto run = [&](size_t begin, size_t end) {
+    ExecStats local;
+    body(begin, end, &local);
+    std::lock_guard<std::mutex> lock(fold_mu);
+    folded += local;
+  };
+  if (g.fan_out) {
+    TaskRunStats run_stats =
+        TaskScheduler::Global().ParallelFor(units, g.morsel, run);
+    ctx->stats.tasks_spawned += run_stats.tasks_spawned;
+    ctx->stats.worker_time_ms += run_stats.worker_time_ms;
+  } else {
+    run(0, units);
+  }
+  ctx->stats += folded;
+}
+
+/// Exact, parallel: each unit batch-scores its item slice into the morsel's
+/// tuple slot; slots are concatenated in unit order, which is the serial
+/// emission order. Leaves the grid in buffered mode.
+template <typename MakeRow>
+void ScoreExact(ScoreGrid* g, const RecModel* model, bool include_rated,
+                ExecContext* ctx, const MakeRow& make_row) {
+  const RatingMatrix& snapshot = model->ratings();
+  std::vector<std::vector<Tuple>> slots(
+      (g->users.size() * g->splits + g->morsel - 1) / g->morsel);
+  ForEachUnitRange(*g, ctx, [&](size_t begin, size_t end, ExecStats* stats) {
+    std::vector<Tuple>& out = slots[begin / g->morsel];
+    UserRowScores row;
+    for (size_t unit = begin; unit < end; ++unit) {
+      const Unit w = UnitAt(*g, unit);
+      ScoreUserRange(model, snapshot, g->users[w.user], g->items, w.begin,
+                     w.end, &row);
+      stats->predictions += row.predicted;
+      stats->predict_batches += row.batches;
+      for (size_t i = 0; i < w.end - w.begin; ++i) {
+        if (row.rated[i] && !include_rated) continue;  // unseen only
+        out.push_back(make_row(w.user, w.begin + i, row.score[i]));
+      }
+    }
+  });
+  size_t total = 0;
+  for (const auto& s : slots) total += s.size();
+  g->buffer.reserve(total);
+  for (auto& s : slots) {
+    for (auto& t : s) g->buffer.push_back(std::move(t));
+  }
+  g->buffered = true;
+}
+
+/// The grid's next row: drained from the buffer, or — serially — streamed
+/// out of one batch-scored row per user.
+template <typename MakeRow>
+std::optional<Tuple> NextScored(ScoreGrid* g, const RecModel* model,
+                                bool include_rated, ExecContext* ctx,
+                                const MakeRow& make_row) {
+  if (g->buffered) {
+    if (g->buffer_pos >= g->buffer.size()) return std::nullopt;
+    return std::move(g->buffer[g->buffer_pos++]);
+  }
+  while (g->user_pos < g->users.size()) {
+    if (!g->row_ready) {
+      ScoreUserRange(model, model->ratings(), g->users[g->user_pos], g->items,
+                     0, g->items.size(), &g->row);
+      ctx->stats.predictions += g->row.predicted;
+      ctx->stats.predict_batches += g->row.batches;
+      g->row_ready = true;
+      g->item_pos = 0;
+    }
+    while (g->item_pos < g->items.size()) {
+      const size_t k = g->item_pos++;
+      if (g->row.rated[k] && !include_rated) continue;  // unseen only
+      return make_row(g->user_pos, k, g->row.score[k]);
+    }
+    ++g->user_pos;
+    g->row_ready = false;
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -396,17 +526,6 @@ std::vector<TopKPruner::Entry> PruneEngine::UserTopK(int64_t user_id,
   return pruner.DrainBestFirst();
 }
 
-void PruneEngine::CandidateBitmap(int64_t user_id,
-                                  std::vector<uint8_t>* mark) {
-  mark->assign(num_items_, 0);
-  auto uopt = snapshot_.UserIndex(user_id);
-  if (!uopt.has_value()) return;
-  ++epoch_;
-  GenerateCandidates(*uopt);
-  stats.candidates_generated += candidates_.size();
-  for (int32_t c : candidates_) (*mark)[c] = 1;
-}
-
 void PruneEngine::FlushStats(ExecStats* out) {
   *out += stats;
   stats = ExecStats{};
@@ -425,17 +544,13 @@ Status RecommendExecutor::Init() {
     return Status::ExecutionError("recommender " + plan_.rec->name() +
                                   " has no built model");
   }
-  const RatingMatrix& snapshot = plan_.rec->model()->ratings();
-  users_ = ServedUsers(
+  const RecModel* model = plan_.rec->model();
+  const RatingMatrix& snapshot = model->ratings();
+  grid_.users = ServedUsers(
       snapshot, plan_.user_ids.has_value() ? &*plan_.user_ids : nullptr,
       *ctx_);
-  items_ = ResolveItems(snapshot, plan_.item_ids);
-  user_pos_ = 0;
-  item_pos_ = 0;
-  row_ready_ = false;
-  buffered_ = false;
-  buffer_.clear();
-  buffer_pos_ = 0;
+  grid_.items = ResolveItems(snapshot, plan_.item_ids);
+  LayOutUnits(&grid_);
   // Bounded Top-k mode: only under the optimizer's preconditions (no item
   // pushdown so item position tie-breaks survive, unseen-only emission)
   // and only when the recommender published a prunable CandidateIndex.
@@ -445,62 +560,20 @@ Status RecommendExecutor::Init() {
     cindex_ = plan_.rec->candidate_index();
     prune_active_ = cindex_ != nullptr && cindex_->prunable();
   }
-  // Buffered modes: every bounded Top-k, and exact scoring once the query
-  // is large enough to spread over the scheduler. A serial or small exact
-  // query streams row by row from NextImpl instead.
-  const size_t threads = TaskScheduler::Global().num_threads();
-  const bool fan_out =
-      threads > 1 && users_.size() * items_.size() >= kMinPairsForParallel;
-  // When the users alone cannot occupy every worker, each user's items are
-  // cut into slices so that even a single-user query spreads over the pool.
-  splits_ = fan_out && users_.size() < threads
-                ? (threads + users_.size() - 1) / users_.size()
-                : 1;
-  // Morsel size balances claim overhead against tail imbalance; correctness
-  // does not depend on it.
-  morsel_ = std::clamp<size_t>(users_.size() * splits_ / (threads * 4), 1,
-                               1024);
+  // Buffered modes: every bounded Top-k, and exact scoring once the grid
+  // fans out. Anything else streams row by row from NextImpl.
   if (prune_active_) {
-    RECDB_RETURN_NOT_OK(ScoreTopK(fan_out));
-    buffered_ = true;
-  } else if (fan_out) {
-    RECDB_RETURN_NOT_OK(ScoreExact());
-    buffered_ = true;
+    ScoreTopK();
+  } else if (grid_.fan_out) {
+    ScoreExact(&grid_, model, plan_.include_rated, ctx_,
+               [this](size_t u, size_t i, double score) {
+                 return RecTuple(grid_.users[u], grid_.items[i], score);
+               });
   }
   return Status::OK();
 }
 
-RecommendExecutor::Unit RecommendExecutor::UnitAt(size_t unit) const {
-  const size_t n = items_.size();
-  if (splits_ == 1) return {unit, 0, n};  // no divisions on the common path
-  const size_t slice = unit % splits_;
-  return {unit / splits_, slice * n / splits_, (slice + 1) * n / splits_};
-}
-
-void RecommendExecutor::ForEachUnitRange(
-    bool fan_out,
-    const std::function<void(size_t, size_t, ExecStats*)>& body) {
-  const size_t units = users_.size() * splits_;
-  std::mutex fold_mu;
-  ExecStats folded;
-  auto run = [&](size_t begin, size_t end) {
-    ExecStats local;
-    body(begin, end, &local);
-    std::lock_guard<std::mutex> lock(fold_mu);
-    folded += local;
-  };
-  if (fan_out) {
-    TaskRunStats run_stats =
-        TaskScheduler::Global().ParallelFor(units, morsel_, run);
-    ctx_->stats.tasks_spawned += run_stats.tasks_spawned;
-    ctx_->stats.worker_time_ms += run_stats.worker_time_ms;
-  } else {
-    run(0, units);
-  }
-  ctx_->stats += folded;
-}
-
-Status RecommendExecutor::ScoreTopK(bool fan_out) {
+void RecommendExecutor::ScoreTopK() {
   const RecModel* model = plan_.rec->model();
   const RatingMatrix& snapshot = model->ratings();
   const size_t k = plan_.prune_limit;
@@ -510,8 +583,8 @@ Status RecommendExecutor::ScoreTopK(bool fan_out) {
   // — user position, then item position. Both positions fold into one rank
   // (user position * catalog size + item index), so the bounded heap, its
   // tie-break and its threshold are TopKPruner's own. With no item
-  // pushdown, items_ is the whole catalog in index order, so a unit's
-  // slice of items_ is also its item-index range.
+  // pushdown, the grid's items are the whole catalog in index order, so a
+  // unit's slice of them is also its item-index range.
   const int64_t stride = static_cast<int64_t>(snapshot.NumItems());
   // The highest k-th score any morsel's full heap has reached. At least k
   // real tuples score >= it, so a tuple scoring below it can never make the
@@ -521,16 +594,17 @@ Status RecommendExecutor::ScoreTopK(bool fan_out) {
   std::atomic<double> shared_floor{-std::numeric_limits<double>::infinity()};
   std::mutex merge_mu;
   TopKPruner global(k);
-  ForEachUnitRange(fan_out, [&](size_t begin, size_t end, ExecStats* stats) {
+  ForEachUnitRange(grid_, ctx_, [&](size_t begin, size_t end,
+                                    ExecStats* stats) {
     PruneEngine engine(model, snapshot, *cindex_, /*rank_by_id=*/false);
     TopKPruner local(k);
     for (size_t unit = begin; unit < end; ++unit) {
-      const Unit w = UnitAt(unit);
+      const Unit w = UnitAt(grid_, unit);
       const double floor = std::max(
           local.Threshold(), shared_floor.load(std::memory_order_relaxed));
       const int64_t base = static_cast<int64_t>(w.user) * stride;
       for (const TopKPruner::Entry& e :
-           engine.UserTopK(users_[w.user], k, floor, w.begin, w.end)) {
+           engine.UserTopK(grid_.users[w.user], k, floor, w.begin, w.end)) {
         local.Offer(e.score, base + e.rank, e.item_id);
       }
       if (local.full()) RaiseThreshold(&shared_floor, local.Threshold());
@@ -549,76 +623,21 @@ Status RecommendExecutor::ScoreTopK(bool fan_out) {
             [](const TopKPruner::Entry& a, const TopKPruner::Entry& b) {
               return a.rank < b.rank;
             });
-  buffer_.reserve(survivors.size());
+  grid_.buffer.reserve(survivors.size());
   for (const TopKPruner::Entry& e : survivors) {
-    buffer_.push_back(RecTuple(users_[e.rank / stride], e.item_id, e.score));
+    grid_.buffer.push_back(
+        RecTuple(grid_.users[e.rank / stride], e.item_id, e.score));
   }
+  grid_.buffered = true;
   obs::ObserveUs(obs::Histogram::kPruneGenUs,
                  static_cast<uint64_t>(watch.ElapsedSeconds() * 1e6));
-  return Status::OK();
-}
-
-Status RecommendExecutor::ScoreExact() {
-  const RecModel* model = plan_.rec->model();
-  const RatingMatrix& snapshot = model->ratings();
-  // One tuple slot per morsel, filled in unit order.
-  std::vector<std::vector<Tuple>> slots(
-      (users_.size() * splits_ + morsel_ - 1) / morsel_);
-  ForEachUnitRange(/*fan_out=*/true, [&](size_t begin, size_t end,
-                                         ExecStats* stats) {
-    std::vector<Tuple>& out = slots[begin / morsel_];
-    UserRowScores row;
-    for (size_t unit = begin; unit < end; ++unit) {
-      const Unit w = UnitAt(unit);
-      ScoreUserRange(model, snapshot, users_[w.user], items_, w.begin, w.end,
-                     &row);
-      stats->predictions += row.predicted;
-      stats->predict_batches += row.batches;
-      for (size_t i = 0; i < w.end - w.begin; ++i) {
-        if (row.rated[i] && !plan_.include_rated) continue;  // unseen only
-        out.push_back(RecTuple(users_[w.user], items_[w.begin + i],
-                               row.score[i]));
-      }
-    }
-  });
-  size_t total = 0;
-  for (const auto& s : slots) total += s.size();
-  buffer_.reserve(total);
-  // Slot order == unit order == the serial emission order.
-  for (auto& s : slots) {
-    for (auto& t : s) buffer_.push_back(std::move(t));
-  }
-  return Status::OK();
 }
 
 Result<std::optional<Tuple>> RecommendExecutor::NextImpl() {
-  if (buffered_) {
-    if (buffer_pos_ >= buffer_.size()) return std::optional<Tuple>{};
-    return std::make_optional(std::move(buffer_[buffer_pos_++]));
-  }
-  const RecModel* model = plan_.rec->model();
-  const RatingMatrix& snapshot = model->ratings();
-  while (user_pos_ < users_.size()) {
-    if (!row_ready_) {
-      // Batch-score the whole item list for this user up front; Next()
-      // then streams out of the precomputed row.
-      ScoreUserRange(model, snapshot, users_[user_pos_], items_, 0,
-                     items_.size(), &row_);
-      ctx_->stats.predictions += row_.predicted;
-      ctx_->stats.predict_batches += row_.batches;
-      row_ready_ = true;
-      item_pos_ = 0;
-    }
-    while (item_pos_ < items_.size()) {
-      const size_t k = item_pos_++;
-      if (row_.rated[k] && !plan_.include_rated) continue;  // unseen only
-      return std::make_optional(
-          RecTuple(users_[user_pos_], items_[k], row_.score[k]));
-    }
-    ++user_pos_;
-    row_ready_ = false;
-  }
-  return std::optional<Tuple>{};
+  return NextScored(&grid_, plan_.rec->model(), plan_.include_rated, ctx_,
+                    [this](size_t u, size_t i, double score) {
+                      return RecTuple(grid_.users[u], grid_.items[i], score);
+                    });
 }
 
 // -------------------------------------------------------- JoinRecommend
@@ -629,165 +648,65 @@ Status JoinRecommendExecutor::Init() {
                                   " has no built model");
   }
   RECDB_RETURN_NOT_OK(outer_->Init());
-  const RatingMatrix& snapshot = plan_.rec->model()->ratings();
-  valid_users_ = ServedUsers(snapshot, &plan_.user_ids, *ctx_);
-  // Candidate zero-fill (CF families): precompute each user's candidate
-  // bitmap once; probe items outside it provably score exactly 0.0.
-  prune_active_ = false;
-  user_candidates_.clear();
-  if (plan_.prune) {
-    cindex_ = plan_.rec->candidate_index();
-    if (cindex_ != nullptr && cindex_->prunable() &&
-        cindex_->bounds().candidate_generation) {
-      PruneEngine engine(plan_.rec->model(), snapshot, *cindex_,
-                         /*rank_by_id=*/false);
-      user_candidates_.resize(valid_users_.size());
-      for (size_t u = 0; u < valid_users_.size(); ++u) {
-        engine.CandidateBitmap(valid_users_[u], &user_candidates_[u]);
-      }
-      engine.FlushStats(&ctx_->stats);
-      prune_active_ = true;
-    }
-  }
-  outer_done_ = false;
-  window_.clear();
-  window_slot_ = 0;
-  window_user_ = 0;
+  grid_.users =
+      ServedUsers(plan_.rec->model()->ratings(), &plan_.user_ids, *ctx_);
+  grid_.items.clear();
+  outer_rows_.clear();
+  drained_ = false;
   return Status::OK();
 }
 
-Status JoinRecommendExecutor::FillWindow() {
-  const RecModel* model = plan_.rec->model();
-  const RatingMatrix& snapshot = model->ratings();
-  window_.clear();
-  window_items_.clear();
-  window_known_.clear();
-  window_scores_.clear();
-  window_skip_.clear();
-  window_slot_ = 0;
-  window_user_ = 0;
-  // Stats and window state are committed only once the fill completes: an
-  // outer error mid-fill must leave neither a partial window (whose score/
-  // skip arrays still have the previous window's size — a retrying caller
-  // would emit garbage or read out of bounds) nor already-counted probes
-  // (a re-Init re-run sharing this ExecContext would double-count them).
+Status JoinRecommendExecutor::DrainOuter() {
+  const RatingMatrix& snapshot = plan_.rec->model()->ratings();
+  // Probes are committed only once the drain completes, so an outer error
+  // leaves no half-counted drain behind for a re-Init re-run sharing this
+  // ExecContext to double-count.
+  std::vector<Tuple> rows;
+  std::vector<int64_t> items;
   uint64_t probes = 0;
-  while (window_.size() < kJoinProbeWindow) {
+  while (true) {
     auto next = outer_->Next();
-    if (!next.ok()) {
-      window_.clear();
-      window_items_.clear();
-      window_known_.clear();
-      return next.status();
-    }
-    if (!next.value().has_value()) {
-      outer_done_ = true;
-      break;
-    }
+    if (!next.ok()) return next.status();
+    if (!next.value().has_value()) break;
     ++probes;
+    // A NULL, non-INT or unknown item id scores nothing and emits nothing.
     const Value& item_val = next.value()->At(plan_.outer_item_col);
-    int64_t item_id = 0;
-    bool known = false;
-    if (!item_val.is_null() && item_val.type() == TypeId::kInt64) {
-      item_id = item_val.AsInt();
-      known = snapshot.ItemIndex(item_id).has_value();
+    if (item_val.is_null() || item_val.type() != TypeId::kInt64 ||
+        !snapshot.ItemIndex(item_val.AsInt()).has_value()) {
+      continue;
     }
-    window_.push_back(std::move(*next.value()));
-    window_items_.push_back(item_id);
-    window_known_.push_back(known ? 1 : 0);
+    items.push_back(item_val.AsInt());
+    rows.push_back(std::move(*next.value()));
   }
   ctx_->stats.join_probes += probes;
-  const size_t w = window_.size();
-  window_scores_.assign(valid_users_.size() * w, 0.0);
-  window_skip_.assign(valid_users_.size() * w, 0);
-  if (w == 0) return Status::OK();
-  // One PredictBatch per user across the window's unrated known items —
-  // the probe-batch amortization: the user context is resolved once for
-  // up to kJoinProbeWindow probes instead of once per (probe, user) pair.
-  std::vector<int64_t> cand;
-  std::vector<size_t> cand_slot;
-  std::vector<double> pred;
-  uint64_t zero_filled = 0;
-  for (size_t u = 0; u < valid_users_.size(); ++u) {
-    const int64_t user_id = valid_users_[u];
-    cand.clear();
-    cand_slot.clear();
-    for (size_t s = 0; s < w; ++s) {
-      if (!window_known_[s]) {
-        window_skip_[u * w + s] = 1;  // unknown item: no score, no tuple
-        continue;
-      }
-      auto rated = snapshot.Get(user_id, window_items_[s]);
-      if (rated.has_value()) {
-        if (plan_.include_rated) {
-          window_scores_[u * w + s] = *rated;
-        } else {
-          window_skip_[u * w + s] = 1;
-        }
-      } else if (prune_active_ &&
-                 !IsWindowCandidate(u, snapshot, window_items_[s])) {
-        // Outside the candidate set: provably 0.0 — the score array's
-        // fill value — without a model call.
-        ++zero_filled;
-      } else {
-        cand.push_back(window_items_[s]);
-        cand_slot.push_back(s);
-      }
-    }
-    if (cand.empty()) continue;
-    pred.assign(cand.size(), 0.0);
-    model->PredictBatch(user_id, cand, pred);
-    for (size_t k = 0; k < cand.size(); ++k) {
-      window_scores_[u * w + cand_slot[k]] = pred[k];
-    }
-    ctx_->stats.predictions += cand.size();
-    ++ctx_->stats.predict_batches;
-  }
-  ctx_->stats.items_pruned += zero_filled;
+  grid_.items = std::move(items);
+  outer_rows_ = std::move(rows);
   return Status::OK();
-}
-
-bool JoinRecommendExecutor::IsWindowCandidate(size_t user_slot,
-                                              const RatingMatrix& snapshot,
-                                              int64_t item_id) const {
-  auto idx = snapshot.ItemIndex(item_id);
-  if (!idx.has_value()) return true;  // resolved by the model's own guards
-  const std::vector<uint8_t>& mark = user_candidates_[user_slot];
-  if (static_cast<size_t>(*idx) >= mark.size()) return true;
-  return mark[*idx] != 0;
 }
 
 Result<std::optional<Tuple>> JoinRecommendExecutor::NextImpl() {
-  while (true) {
-    if (window_slot_ >= window_.size()) {
-      if (outer_done_) return std::optional<Tuple>{};
-      RECDB_RETURN_NOT_OK(FillWindow());
-      if (window_.empty()) return std::optional<Tuple>{};
-      continue;
+  // 〈recommend columns〉 ++ 〈outer tuple〉 (paper: tup concatenated).
+  auto make_row = [this](size_t u, size_t i, double score) {
+    Tuple out = MakeRecTuple(plan_.schema, plan_.user_col_idx,
+                             plan_.item_col_idx, plan_.rating_col_idx,
+                             grid_.users[u], grid_.items[i], score);
+    const Tuple& outer = outer_rows_[i];
+    const size_t outer_start = plan_.schema.NumColumns() - outer.NumValues();
+    for (size_t c = 0; c < outer.NumValues(); ++c) {
+      out.values()[outer_start + c] = outer.At(c);
     }
-    const size_t w = window_.size();
-    const size_t s = window_slot_;
-    while (window_user_ < valid_users_.size()) {
-      const size_t u = window_user_++;
-      if (window_skip_[u * w + s]) continue;
-      // 〈recommend columns〉 ++ 〈outer tuple〉 (paper: tup concatenated).
-      Tuple rec_part = MakeRecTuple(
-          plan_.schema, plan_.user_col_idx, plan_.item_col_idx,
-          plan_.rating_col_idx, valid_users_[u], window_items_[s],
-          window_scores_[u * w + s]);
-      // rec_part currently has the full output width; overwrite the tail
-      // with the outer tuple's values.
-      const Tuple& outer_tuple = window_[s];
-      size_t outer_start =
-          plan_.schema.NumColumns() - outer_tuple.NumValues();
-      for (size_t i = 0; i < outer_tuple.NumValues(); ++i) {
-        rec_part.values()[outer_start + i] = outer_tuple.At(i);
-      }
-      return std::make_optional(std::move(rec_part));
+    return out;
+  };
+  const RecModel* model = plan_.rec->model();
+  if (!drained_) {
+    RECDB_RETURN_NOT_OK(DrainOuter());
+    drained_ = true;
+    LayOutUnits(&grid_);
+    if (grid_.fan_out) {
+      ScoreExact(&grid_, model, plan_.include_rated, ctx_, make_row);
     }
-    ++window_slot_;
-    window_user_ = 0;
   }
+  return NextScored(&grid_, model, plan_.include_rated, ctx_, make_row);
 }
 
 // ------------------------------------------------------- IndexRecommend

@@ -1,7 +1,8 @@
 // Recommendation-aware executors (paper Section IV):
 //   RecommendExecutor       — RECOMMEND / FILTERRECOMMEND (Algorithms 1 & 2;
 //                             pushed-down user/item predicates prune scoring)
-//   JoinRecommendExecutor   — JOINRECOMMEND (outer relation drives scoring)
+//   JoinRecommendExecutor   — JOINRECOMMEND (a FilterRecommend over the
+//                             outer relation's item list)
 //   IndexRecommendExecutor  — INDEXRECOMMEND (Algorithm 3 over RecScoreIndex,
 //                             with model fallback on cache miss)
 //
@@ -13,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_set>
@@ -31,6 +31,31 @@ struct UserRowScores {
   std::vector<uint8_t> rated;  // per position: 1 = user already rated it
   uint64_t predicted = 0;      // candidates that went through the model
   uint64_t batches = 0;        // PredictBatch calls issued (0 or 1)
+};
+
+/// The users x items grid a RecommendExecutor or JoinRecommendExecutor
+/// scores, and the state of the one driver both run over it (file-local to
+/// recommend_executors.cc): serial streaming one batched user row at a
+/// time, or — once the grid is large enough to spread over the scheduler —
+/// units of (user, item slice) scored morsel-parallel into slots that
+/// concatenate in the serial order (DESIGN.md §8).
+struct ScoreGrid {
+  std::vector<int64_t> users;  // served users, in plan order
+  std::vector<int64_t> items;  // item ids each user scores, emission order
+  // Unit layout, fixed before scoring: item slices per user, units per
+  // morsel, and whether the units fan out over the scheduler.
+  size_t splits = 1;
+  size_t morsel = 1;
+  bool fan_out = false;
+  // Serial mode: cursor and the current user's batched row of scores.
+  size_t user_pos = 0;
+  size_t item_pos = 0;
+  UserRowScores row;
+  bool row_ready = false;
+  // Buffered mode: results materialized up front, drained by Next.
+  bool buffered = false;
+  std::vector<Tuple> buffer;
+  size_t buffer_pos = 0;
 };
 
 /// Per-executor engine for the sublinear Top-N paths (DESIGN.md §13):
@@ -57,11 +82,6 @@ class PruneEngine {
   std::vector<TopKPruner::Entry> UserTopK(int64_t user_id, size_t k,
                                           double floor, size_t begin = 0,
                                           size_t end = SIZE_MAX);
-
-  /// JoinRecommend zero-fill support: sets mark[i] = 1 for every item
-  /// index in the user's candidate superset; every unmarked item provably
-  /// scores exactly 0.0 for this user.
-  void CandidateBitmap(int64_t user_id, std::vector<uint8_t>* mark);
 
   /// Add the accumulated counters into `out`, then zero them.
   void FlushStats(ExecStats* out);
@@ -139,57 +159,22 @@ class RecommendExecutor : public Executor {
   Result<std::optional<Tuple>> NextImpl() override;
 
  private:
-  /// One unit of scoring work: a slice [begin, end) of items_ for the user
-  /// at position `user`.
-  struct Unit {
-    size_t user;
-    size_t begin;
-    size_t end;
-  };
-  Unit UnitAt(size_t unit) const;
-  /// The one driver of both buffered modes: runs `body` over contiguous
-  /// ranges of units (users_.size() * splits_ of them, in user-major order)
-  /// — morsel-parallel when `fan_out`, else as one inline range — folding
-  /// each range's ExecStats once and accounting tasks_spawned /
-  /// worker_time_ms once.
-  void ForEachUnitRange(
-      bool fan_out,
-      const std::function<void(size_t, size_t, ExecStats*)>& body);
-  /// Bounded Top-k: each unit runs PruneEngine::UserTopK over its item
-  /// slice into the morsel's heap under the shared floor. One global
+  /// Bounded Top-k: each grid unit runs PruneEngine::UserTopK over its
+  /// item slice into the morsel's heap under the shared floor. One global
   /// top-prune_limit over (score desc, user position, item position);
   /// morsels share the running global k-th score through a monotone
   /// atomic, and only the <= k global survivors are emitted, in arrival
   /// order — a subsequence of the exact stream, so the parent TopN's
   /// result is bit-identical.
-  Status ScoreTopK(bool fan_out);
-  /// Exact, parallel: each unit batch-scores its item slice into the
-  /// morsel's tuple slot; slots are concatenated in unit order, which is
-  /// the serial emission order.
-  Status ScoreExact();
+  void ScoreTopK();
   Tuple RecTuple(int64_t user_id, int64_t item_id, double score) const;
 
   const RecommendPlan& plan_;
   ExecContext* ctx_;
   bool prune_active_ = false;
   std::shared_ptr<const CandidateIndex> cindex_;
-  // Candidate id lists resolved at Init (filters applied).
-  std::vector<int64_t> users_;
-  std::vector<int64_t> items_;
-  size_t user_pos_ = 0;
-  size_t item_pos_ = 0;
-  // Serial mode: the current user's batched row of scores.
-  UserRowScores row_;
-  bool row_ready_ = false;
-  // Unit layout (ForEachUnitRange): item slices per user and units per
-  // morsel, fixed at Init.
-  size_t splits_ = 1;
-  size_t morsel_ = 1;
-  // Buffered mode (ScoreTopK / ScoreExact): results materialized at Init,
-  // drained by Next.
-  bool buffered_ = false;
-  std::vector<Tuple> buffer_;
-  size_t buffer_pos_ = 0;
+  // Users and items resolved at Init (filters applied).
+  ScoreGrid grid_;
 };
 
 class JoinRecommendExecutor : public Executor {
@@ -202,35 +187,18 @@ class JoinRecommendExecutor : public Executor {
   Result<std::optional<Tuple>> NextImpl() override;
 
  private:
-  /// Pull the next window of outer tuples and batch-score it: one
-  /// PredictBatch per user over the window's valid unrated items, instead
-  /// of one scalar Predict per (outer tuple, user) probe.
-  Status FillWindow();
-  /// True when the item may score nonzero for valid_users_[user_slot]
-  /// (candidate-set membership; conservative for unresolvable items).
-  bool IsWindowCandidate(size_t user_slot, const RatingMatrix& snapshot,
-                         int64_t item_id) const;
+  /// Drain the outer once: keep the tuples whose item id the model knows,
+  /// and their ids as the grid's item list, both in outer order.
+  Status DrainOuter();
 
   const JoinRecommendPlan& plan_;
   ExecutorPtr outer_;
   ExecContext* ctx_;
-  // Pushed-down users the model knows and this shard owns, in plan order
-  // (resolved once).
-  std::vector<int64_t> valid_users_;
-  // CF zero-fill: per valid user, candidate-item bitmap over item indices;
-  // window items outside it provably score 0.0 and skip the model.
-  bool prune_active_ = false;
-  std::shared_ptr<const CandidateIndex> cindex_;
-  std::vector<std::vector<uint8_t>> user_candidates_;
-  bool outer_done_ = false;
-  // Current probe window. Scores/skip flags are flattened [user][slot].
-  std::vector<Tuple> window_;
-  std::vector<int64_t> window_items_;
-  std::vector<uint8_t> window_known_;  // item id valid & known to the model
-  std::vector<double> window_scores_;
-  std::vector<uint8_t> window_skip_;
-  size_t window_slot_ = 0;  // emission cursor: outer tuple within window
-  size_t window_user_ = 0;  // emission cursor: user within slot
+  // The pushed-down users the model knows and this shard owns (resolved at
+  // Init) x the outer's known items (filled by DrainOuter).
+  ScoreGrid grid_;
+  std::vector<Tuple> outer_rows_;  // parallel to grid_.items
+  bool drained_ = false;
 };
 
 class IndexRecommendExecutor : public Executor {

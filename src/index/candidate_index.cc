@@ -48,55 +48,10 @@ std::shared_ptr<CandidateIndex> CandidateIndex::Lower(
   std::sort(index->order_by_id_.begin(), index->order_by_id_.end(),
             [&](int32_t a, int32_t b) { return item_ids[a] < item_ids[b]; });
 
-  index->ComputeStats();
   obs::Count(obs::Counter::kPruneIndexBuilds);
   obs::ObserveUs(obs::Histogram::kPruneIndexBuildUs,
                  static_cast<uint64_t>(watch.ElapsedSeconds() * 1e6));
   return index;
-}
-
-void CandidateIndex::ComputeStats() {
-  // Deterministic sample: every stride-th user, stride chosen so at most
-  // ~64 users are walked. Counts the exact work the CF candidate walk
-  // would do against a delta-free overlay — the estimate the cost model
-  // compares against full-catalog scoring.
-  const size_t nu = num_users();
-  stats_ = Stats{};
-  if (nu == 0) return;
-  const size_t stride = std::max<size_t>(1, nu / 64);
-  std::vector<uint32_t> item_stamp(num_items(), 0);
-  std::vector<uint32_t> user_stamp(nu, 0);
-  uint32_t epoch = 0;
-  double total_candidates = 0, total_ops = 0;
-  size_t sampled = 0;
-  for (size_t u = 0; u < nu; u += stride) {
-    ++epoch;
-    size_t candidates = 0, ops = 0;
-    const Postings rated = RatedItems(static_cast<int32_t>(u));
-    ops += rated.n;
-    for (size_t a = 0; a < rated.n; ++a) {
-      const Postings raters = Raters(rated.idx[a]);
-      ops += raters.n;
-      for (size_t b = 0; b < raters.n; ++b) {
-        const int32_t v = raters.idx[b];
-        if (user_stamp[v] == epoch) continue;
-        user_stamp[v] = epoch;
-        const Postings co = RatedItems(v);
-        ops += co.n;
-        for (size_t c = 0; c < co.n; ++c) {
-          if (item_stamp[co.idx[c]] == epoch) continue;
-          item_stamp[co.idx[c]] = epoch;
-          ++candidates;
-        }
-      }
-    }
-    total_candidates += static_cast<double>(candidates);
-    total_ops += static_cast<double>(ops);
-    ++sampled;
-  }
-  stats_.sampled_users = sampled;
-  stats_.avg_candidates = total_candidates / static_cast<double>(sampled);
-  stats_.avg_gen_ops = total_ops / static_cast<double>(sampled);
 }
 
 void CandidateIndex::FinalizeBounds(const RecModel& model) {
@@ -104,13 +59,6 @@ void CandidateIndex::FinalizeBounds(const RecModel& model) {
   if (!prunable_) return;
   const size_t n = bounds_.item_scale.size();
   const bool has_offset = !bounds_.item_offset.empty();
-  // Catalog-sweep families generate no candidate sets: every item counts
-  // as a candidate, so the cost model never picks a candidate bitmap.
-  if (!bounds_.candidate_generation) {
-    stats_.avg_candidates = static_cast<double>(n);
-    stats_.avg_gen_ops = 0;
-  }
-
   order_.resize(n);
   std::iota(order_.begin(), order_.end(), 0);
   auto key = [&](int32_t i) {

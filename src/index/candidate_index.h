@@ -49,14 +49,6 @@ class CandidateIndex {
     double suffix_offset = 0;
   };
 
-  /// Deterministically sampled candidate-walk statistics, the grounding
-  /// the cost model prices JoinRecommend's candidate bitmap with.
-  struct Stats {
-    double avg_candidates = 0;  ///< mean candidate-set size per user
-    double avg_gen_ops = 0;     ///< mean postings entries walked per user
-    size_t sampled_users = 0;
-  };
-
   /// Index-only view of one postings row.
   struct Postings {
     const int32_t* idx = nullptr;
@@ -70,8 +62,8 @@ class CandidateIndex {
   static std::shared_ptr<CandidateIndex> Build(const RatingMatrix& matrix,
                                                const RecModel& model);
 
-  /// Refresh path, phase 1 (off the writer lock): lower postings and walk
-  /// stats from a merged-CSR re-freeze candidate. Model-independent.
+  /// Refresh path, phase 1 (off the writer lock): lower postings from a
+  /// merged-CSR re-freeze candidate. Model-independent.
   static std::shared_ptr<CandidateIndex> Lower(
       const FlatCsr& user_csr, const FlatCsr& item_csr,
       const std::vector<int64_t>& item_ids, uint64_t version);
@@ -125,13 +117,10 @@ class CandidateIndex {
 
   /// Matrix version the postings were lowered at (the base they mirror).
   uint64_t version() const { return version_; }
-  const Stats& stats() const { return stats_; }
   size_t ApproxBytes() const;
 
  private:
   CandidateIndex() = default;
-
-  void ComputeStats();
 
   // Inverted postings, index-only SoA copies of the base CSR adjacency.
   std::vector<int64_t> user_offsets_;
@@ -147,7 +136,6 @@ class CandidateIndex {
   std::vector<Block> blocks_;
 
   uint64_t version_ = 0;
-  Stats stats_;
 };
 
 }  // namespace recdb

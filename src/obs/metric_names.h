@@ -148,9 +148,7 @@
   X(kPruneItemsPruned, "prune.items_pruned", "items",                         \
     "items never scored thanks to block skips and early termination")         \
   X(kPrunePlanChosen, "prune.plan_chosen", "plans",                           \
-    "plans that took the bounded Top-k driver or a JoinRecommend bitmap")     \
-  X(kPrunePlanDeclined, "prune.plan_declined", "plans",                       \
-    "JoinRecommend cost checks that kept exact probe scoring")                \
+    "plans whose Top-k took the bounded driver or a pruned index fallback")   \
   X(kPruneIndexBuilds, "prune.index_builds", "builds",                        \
     "CandidateIndex lowerings (initial build and re-freeze rebuilds)")        \
   X(kServingQueries, "serving.queries", "statements",                         \

@@ -34,8 +34,6 @@ struct CostParams {
   double hash_probe = 1.2;   // hash-table build or probe, per row
   double sort_entry = 0.5;   // full-sort work per row (log factor applied)
   double topn_entry = 0.2;   // bounded-heap work per row
-  // JoinRecommend candidate bitmap (CandidateIndex walk):
-  double bound_check = 0.05;  // per-probe candidate-membership check
 };
 
 /// Rows assumed for a base table that has never been ANALYZEd.

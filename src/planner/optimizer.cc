@@ -645,36 +645,6 @@ Result<PlanNodePtr> Optimizer::ReconsiderIndexRecommend(PlanNodePtr node) {
 
 Result<PlanNodePtr> Optimizer::ReconsiderPrunedTopN(PlanNodePtr node) {
   if (!options_.enable_pruned_topn) return node;
-  const CostParams& p = cost_env_.params;
-
-  // JoinRecommend: candidate bitmaps let FillWindow skip the model for
-  // provably-zero (outer row, user) pairs. Priced against the walk cost.
-  if (node->type == PlanNodeType::kJoinRecommend) {
-    auto* jr = static_cast<JoinRecommendPlan*>(node.get());
-    if (jr->prune || jr->children.empty()) return node;
-    if (!EstimatesGrounded(*jr->children[0])) return node;
-    auto index = jr->rec->candidate_index();
-    if (index == nullptr || !index->prunable()) return node;
-    RecStats rs = RecStats::From(*jr->rec);
-    if (rs.num_items <= 0) return node;
-    const CandidateIndex::Stats& st = index->stats();
-    double outer_rows = jr->children[0]->EstimateRows(cost_env_);
-    double users =
-        static_cast<double>(std::max<size_t>(1, jr->user_ids.size()));
-    double cand_frac = std::min(1.0, st.avg_candidates / rs.num_items);
-    double cost_exact = outer_rows * users * p.predict;
-    double cost_prune =
-        users * st.avg_gen_ops * p.scan_row +
-        outer_rows * users * (p.bound_check + cand_frac * p.predict);
-    if (cost_prune < cost_exact) {
-      jr->prune = true;
-      jr->est_rows = jr->est_cost = -1;
-      obs::Count(obs::Counter::kPrunePlanChosen);
-    } else {
-      obs::Count(obs::Counter::kPrunePlanDeclined);
-    }
-    return node;
-  }
 
   // A score-ordered TopN over a RECOMMEND always takes the bounded Top-k
   // driver when the structure allows it — it returns exactly the exact

@@ -54,10 +54,8 @@ class Optimizer {
   /// Sublinear Top-N: a (Filter)Recommend or IndexRecommend under a
   /// score-ordered TopN takes the bounded Top-k driver whenever the plan's
   /// structure allows it (unseen-only, no item pushdown, prunable
-  /// CandidateIndex) — no cost comparison, no ANALYZE. JoinRecommend's
-  /// candidate bitmap is still priced: it flips only when ANALYZE-grounded
-  /// CandidateIndex statistics say the walk beats scoring every probe.
-  /// Results are unchanged either way.
+  /// CandidateIndex) — no cost comparison, no ANALYZE. Results are
+  /// unchanged either way.
   Result<PlanNodePtr> ReconsiderPrunedTopN(PlanNodePtr node);
   /// Reorder a Filter's conjuncts by ascending estimated selectivity so the
   /// most selective (cheapest to fail) predicates run first.

@@ -84,12 +84,10 @@ std::string RecommendPlan::Describe() const {
 }
 
 std::string JoinRecommendPlan::Describe() const {
-  std::string out = StringFormat("JoinRecommend %s using %s users=%s",
-                                 rec->name().c_str(),
-                                 RecAlgorithmToString(rec->algorithm()),
-                                 IdList(user_ids).c_str());
-  if (prune) out += " mode=pruned candidates=inverted";
-  return out;
+  return StringFormat("JoinRecommend %s using %s users=%s",
+                      rec->name().c_str(),
+                      RecAlgorithmToString(rec->algorithm()),
+                      IdList(user_ids).c_str());
 }
 
 std::string IndexRecommendPlan::Describe() const {

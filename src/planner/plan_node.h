@@ -123,9 +123,10 @@ struct RecommendPlan : PlanNode {
   std::string Describe() const override;
 };
 
-/// JOINRECOMMEND: children[0] is the outer relation; for each outer tuple
-/// the operator scores (user, outer.item) only. Output schema is
-/// recommend-columns ++ outer-columns.
+/// JOINRECOMMEND: children[0] is the outer relation; each user scores only
+/// the outer tuples' items (a FilterRecommend over the outer's item list).
+/// Rows come user-major: users in plan order, then outer tuples in outer
+/// order. Output schema is recommend-columns ++ outer-columns.
 struct JoinRecommendPlan : PlanNode {
   JoinRecommendPlan() : PlanNode(PlanNodeType::kJoinRecommend) {}
   Recommender* rec = nullptr;
@@ -136,9 +137,6 @@ struct JoinRecommendPlan : PlanNode {
   bool include_rated = false;
   std::vector<int64_t> user_ids;   // querying users (non-empty)
   size_t outer_item_col = 0;       // item-id column in the outer schema
-  /// Candidate-set zero-fill (CF families): probe-window items outside a
-  /// user's candidate set are provably scored 0.0 and skip the model call.
-  bool prune = false;
   std::string Describe() const override;
 };
 

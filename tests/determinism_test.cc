@@ -3,18 +3,24 @@
 //    selection (nth_element pruning) shuffles the buffered rows.
 //  - IndexRecommend's pushed-down item list must be deduplicated and
 //    membership-checked in O(1), so duplicate IN-list ids emit one tuple.
-//  - RECOMMEND / FILTERRECOMMEND output and neighborhood model builds must
-//    be bit-identical under any `SET parallelism` level.
+//  - RECOMMEND / FILTERRECOMMEND / JOINRECOMMEND output and neighborhood
+//    model builds must be bit-identical under any `SET parallelism` level.
+//  - JOINRECOMMEND must return the hash-join plan's rows, bit for bit, for
+//    every algorithm.
 //  - PredictBatch must be bit-identical to scalar Predict for every
 //    algorithm, under any batch split and any thread count (the batch
 //    kernels' per-candidate independence contract), and to
 //    PredictBatchByIndex over the same dense indices.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "api/recdb.h"
 #include "common/task_scheduler.h"
@@ -228,16 +234,46 @@ void LoadWideRatings(RecDB* db) {
                   .ok());
 }
 
+/// Join outer for the JOINRECOMMEND goldens: every item of LoadRatings
+/// (1..20, out of id order), four duplicates, two NULL item ids and two ids
+/// no rating mentions — 28 probes, 24 of them scored per user.
+void LoadShelf(RecDB* db) {
+  ASSERT_TRUE(db->Execute("CREATE TABLE Shelf (iid INT, tag INT)").ok());
+  std::vector<std::vector<Value>> rows;
+  for (int k = 0; k < 20; ++k) {
+    rows.push_back({Value::Int((k * 7) % 20 + 1), Value::Int(k)});
+  }
+  for (int iid : {3, 7, 7, 15}) {
+    rows.push_back({Value::Int(iid), Value::Int(100 + iid)});
+  }
+  rows.push_back({Value::Null(), Value::Int(200)});
+  rows.push_back({Value::Int(99), Value::Int(201)});
+  rows.push_back({Value::Null(), Value::Int(202)});
+  rows.push_back({Value::Int(500), Value::Int(203)});
+  ASSERT_TRUE(db->BulkInsert("Shelf", rows).ok());
+}
+
+/// 12 users x 24 scored probes = 288 (user, item) pairs: past the 256-pair
+/// fan-out threshold.
+std::string ShelfJoinSql(const std::string& algo) {
+  return "SELECT R.uid, R.iid, R.ratingval, S.tag FROM Ratings AS R, "
+         "Shelf AS S RECOMMEND R.iid TO R.uid ON R.ratingval USING " +
+         algo +
+         " WHERE R.uid IN (29, 3, 17, 8, 1, 22, 11, 5, 14, 26, 30, 2) "
+         "AND S.iid = R.iid";
+}
+
 TEST(ParallelDeterminismTest, RecommendRowsIdenticalAcrossThreadCounts) {
-  // Un-LIMITed RECOMMEND: at parallelism 2 and 8 every query emits its
-  // serial rows in the serial order. `fans_out` is whether it goes through
-  // the morsel driver there: at 256 (user, item) pairs or more it does —
-  // over users, or over item slices when it has fewer users than workers —
-  // and below that it streams.
+  // Un-LIMITed RECOMMEND and JOINRECOMMEND: at parallelism 2 and 8 every
+  // query emits its serial rows in the serial order. `fans_out` is whether
+  // it goes through the morsel driver there: at 256 (user, item) pairs or
+  // more it does — over users, or over item slices when it has fewer users
+  // than workers — and below that it streams.
   ParallelismGuard guard;
   RecDB db;
   LoadRatings(&db);
   LoadWideRatings(&db);
+  LoadShelf(&db);
   const std::string rec =
       " RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF";
   struct Case {
@@ -259,6 +295,8 @@ TEST(ParallelDeterminismTest, RecommendRowsIdenticalAcrossThreadCounts) {
       {"SELECT R.uid, R.iid, R.ratingval FROM Wide AS R" + rec +
            " WHERE R.uid IN (5, 2)",
        true},
+      // JoinRecommend, 12 users x 24 outer items: user morsels.
+      {ShelfJoinSql("ItemCosCF"), true},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.sql);
@@ -281,6 +319,71 @@ TEST(ParallelDeterminismTest, RecommendRowsIdenticalAcrossThreadCounts) {
       EXPECT_EQ(parallel.value().stats.tasks_spawned > 0, c.fans_out)
           << "at parallelism " << threads;
     }
+  }
+}
+
+/// Rows as a sorted multiset of strings, doubles written as their bit
+/// patterns, so only bit-equal results compare equal.
+std::vector<std::string> RowMultiset(const ResultSet& rs) {
+  std::vector<std::string> out;
+  for (const auto& row : rs.rows) {
+    std::string line;
+    for (const auto& v : row.values()) {
+      if (!v.is_null() && v.type() == TypeId::kDouble) {
+        const double d = v.AsDouble();
+        uint64_t bits;
+        std::memcpy(&bits, &d, sizeof(bits));
+        line += "d" + std::to_string(bits);
+      } else {
+        line += v.ToString();
+      }
+      line += '|';
+    }
+    out.push_back(std::move(line));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(JoinRecommendGoldenTest, MatchesHashJoinPlanForEveryAlgorithm) {
+  // JoinRecommend scores each user over the outer's item list; the
+  // hash-join plan scores the whole catalog per user and joins. Duplicate
+  // outer items emit once per outer tuple, NULL and unknown ones emit
+  // nothing, and every score is bit-equal.
+  RecDB db;
+  LoadRatings(&db);
+  LoadShelf(&db);
+  const char* algorithms[] = {"ItemCosCF", "ItemPearCF", "UserCosCF",
+                              "UserPearCF", "SVD"};
+  for (const char* algo : algorithms) {
+    ASSERT_TRUE(db.Execute(std::string("CREATE RECOMMENDER j_") + algo +
+                           " ON Ratings USERS FROM uid ITEMS FROM iid "
+                           "RATINGS FROM ratingval USING " + algo)
+                    .ok());
+  }
+  for (const char* algo : algorithms) {
+    SCOPED_TRACE(algo);
+    const std::string sql = ShelfJoinSql(algo);
+    db.mutable_planner_options()->enable_join_recommend = true;
+    auto plan = db.Explain(sql);
+    ASSERT_TRUE(plan.ok());
+    EXPECT_NE(plan.value().find("JoinRecommend"), std::string::npos)
+        << plan.value();
+    auto joined = db.Execute(sql);
+    ASSERT_TRUE(joined.ok()) << joined.status().message();
+    EXPECT_EQ(joined.value().stats.join_probes, 28u);
+
+    db.mutable_planner_options()->enable_join_recommend = false;
+    auto hash_plan = db.Explain(sql);
+    ASSERT_TRUE(hash_plan.ok());
+    EXPECT_EQ(hash_plan.value().find("JoinRecommend"), std::string::npos)
+        << hash_plan.value();
+    auto hashed = db.Execute(sql);
+    db.mutable_planner_options()->enable_join_recommend = true;
+    ASSERT_TRUE(hashed.ok()) << hashed.status().message();
+
+    ASSERT_GT(joined.value().NumRows(), 0u);
+    EXPECT_EQ(RowMultiset(joined.value()), RowMultiset(hashed.value()));
   }
 }
 
@@ -483,7 +586,7 @@ std::vector<int64_t> GoldenCandidates() {
 /// One PredictBatch over the whole candidate list must equal (a) scalar
 /// Predict per candidate and (b) the same list split at arbitrary cut
 /// points, bit for bit — EXPECT_EQ on doubles, no tolerance. (b) is the
-/// invariant the executors rely on: morsel and probe-window boundaries may
+/// invariant the executors rely on: morsel and item-slice boundaries may
 /// split a user's candidates anywhere.
 void ExpectBatchMatchesScalar(const RecModel& model, int64_t user_id) {
   const std::vector<int64_t> items = GoldenCandidates();

@@ -499,8 +499,8 @@ std::vector<std::pair<int64_t, int64_t>> Drain(Executor* exec) {
 
 TEST(ExecStatsTest, JoinRecommendRerunAfterMidWindowErrorMatchesCleanRun) {
   auto rec = MakeJoinRec();
-  // 70 probes: more than one kJoinProbeWindow (64), so the clean run fills
-  // two windows and the second attempt exercises a refill after the error.
+  // 70 probes, 3 users: the outer fails part-way through the drain, and
+  // the second attempt re-drains it from the start after a re-Init.
   std::vector<int64_t> items;
   for (int i = 0; i < 70; ++i) items.push_back(1 + i % 4);
 
@@ -520,7 +520,7 @@ TEST(ExecStatsTest, JoinRecommendRerunAfterMidWindowErrorMatchesCleanRun) {
   ASSERT_EQ(clean_rows.size(), 70u * 3u);  // include_rated: 3 users per probe
 
   // Faulty run: the outer fails on its 4th Next() call, mid-way through the
-  // first window fill. The fill must commit neither probes nor window state.
+  // drain. The drain must commit neither probes nor outer rows.
   JoinRecommendPlan plan;
   InitJoinPlan(&plan, rec.get());
   FilterPlan outer_node;

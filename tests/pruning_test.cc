@@ -510,7 +510,6 @@ TEST(PrunedPlanChoiceTest, PrunedWithoutAnalyzeAndHonorsToggle) {
       ASSERT_TRUE(db.Execute("ANALYZE Ratings").ok());
     }
     uint64_t chosen0 = CounterValue(Counter::kPrunePlanChosen);
-    uint64_t declined0 = CounterValue(Counter::kPrunePlanDeclined);
     auto rs = db.Execute(explain);
     ASSERT_TRUE(rs.ok());
     std::string plan = RowsToString(rs.value());
@@ -519,7 +518,6 @@ TEST(PrunedPlanChoiceTest, PrunedWithoutAnalyzeAndHonorsToggle) {
     EXPECT_NE(plan.find("candidates=inverted"), std::string::npos) << plan;
     EXPECT_NE(plan.find("pruned_topn=on"), std::string::npos) << plan;
     EXPECT_GT(CounterValue(Counter::kPrunePlanChosen), chosen0);
-    EXPECT_EQ(CounterValue(Counter::kPrunePlanDeclined), declined0);
   }
 
   db.mutable_planner_options()->enable_pruned_topn = false;
@@ -577,7 +575,6 @@ TEST(CandidateIndexTest, PostingsMirrorBaseAndSurviveIngestUntilRefresh) {
   EXPECT_EQ(index->version(), rec.live().version());
   EXPECT_EQ(index->num_users(), rec.live().NumUsers());
   EXPECT_EQ(index->num_items(), rec.live().NumItems());
-  EXPECT_GT(index->stats().sampled_users, 0u);
 
   // Every base rating appears in both postings directions.
   const RatingMatrix& m = rec.live();

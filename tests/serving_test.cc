@@ -7,6 +7,8 @@
 // The single-node reference is loaded in (uid, iid)-sorted canonical order,
 // matching the router's gather-create matrix order (the order is
 // shard-count-invariant, which is what makes the comparison meaningful).
+// A small non-partitioned `items` table, replicated to every shard, is the
+// outer relation of the JOINRECOMMEND queries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -62,6 +64,13 @@ std::vector<Rating> DeltaRatings() {
   };
 }
 
+// Replicated join outer: out of id order, with a duplicated item (5) and an
+// item no rating mentions (40).
+const char kItemsSql[] =
+    "INSERT INTO items VALUES (12, 0), (3, 1), (7, 2), (1, 0), (5, 1), "
+    "(10, 2), (40, 0), (2, 1), (5, 2), (9, 0), (11, 1), (4, 2), (8, 0), "
+    "(6, 1)";
+
 std::vector<Rating> SortedCanonical(std::vector<Rating> rows) {
   std::stable_sort(rows.begin(), rows.end(), [](const Rating& a, const Rating& b) {
     if (a.user != b.user) return a.user < b.user;
@@ -92,6 +101,8 @@ std::unique_ptr<RecDB> MakeReference() {
           .ok());
   EXPECT_TRUE(
       db->Execute(InsertSql("ratings", SortedCanonical(BaseRatings()))).ok());
+  EXPECT_TRUE(db->Execute("CREATE TABLE items (iid INT, tag INT)").ok());
+  EXPECT_TRUE(db->Execute(kItemsSql).ok());
   for (const char* algo : kAlgorithms) {
     auto r = db->Execute(std::string("CREATE RECOMMENDER ref_") + algo +
                          " ON ratings USERS FROM uid ITEMS FROM iid "
@@ -114,6 +125,9 @@ std::unique_ptr<ShardedRecDB> MakeSharded(size_t num_shards) {
   EXPECT_TRUE(db.value()->DeclarePartitionedTable("ratings", "uid").ok());
   // Arrival-order load through the router (rank map + ownership routing).
   EXPECT_TRUE(db.value()->Execute(InsertSql("ratings", BaseRatings())).ok());
+  EXPECT_TRUE(
+      db.value()->Execute("CREATE TABLE items (iid INT, tag INT)").ok());
+  EXPECT_TRUE(db.value()->Execute(kItemsSql).ok());
   for (const char* algo : kAlgorithms) {
     auto r = db.value()->Execute(std::string("CREATE RECOMMENDER sh_") + algo +
                                  " ON ratings USERS FROM uid ITEMS FROM iid "
@@ -129,6 +143,17 @@ std::string RecommendSql(const char* algo, const std::string& suffix) {
              "SELECT R.uid, R.iid, R.ratingval FROM ratings AS R "
              "RECOMMEND R.iid TO R.uid ON R.ratingval USING ") +
          algo + (suffix.empty() ? "" : " " + suffix);
+}
+
+// JOINRECOMMEND over the replicated items table, for users that span
+// shards: rows come user-major, so the router's rank merge rebuilds the
+// single-node order.
+std::string JoinSql(const char* algo, const std::string& suffix) {
+  return std::string(
+             "SELECT R.uid, R.iid, R.ratingval, M.tag FROM ratings AS R, "
+             "items AS M RECOMMEND R.iid TO R.uid ON R.ratingval USING ") +
+         algo + " WHERE R.uid IN (1, 2, 3, 4, 5, 6) AND M.iid = R.iid" +
+         (suffix.empty() ? "" : " " + suffix);
 }
 
 // Bitwise row equality: doubles must match to the bit, not the epsilon.
@@ -164,16 +189,25 @@ void CompareAllQueries(ShardedRecDB* sharded, RecDB* reference,
       "WHERE R.uid = 7",                          // owner-targeted
       "WHERE R.uid IN (3, 25) ORDER BY R.ratingval DESC LIMIT 6",
   };
+  const std::string join_suffixes[] = {
+      "",                                    // full join stream
+      "ORDER BY R.ratingval DESC LIMIT 6",  // Top-N over the join
+  };
+  auto compare = [&](const std::string& sql) {
+    auto got = sharded->Execute(sql);
+    auto want = reference->Execute(sql);
+    ASSERT_TRUE(got.ok()) << phase << ": " << sql << ": "
+                          << got.status().message();
+    ASSERT_TRUE(want.ok()) << phase << ": " << sql << ": "
+                           << want.status().message();
+    ExpectRowsBitIdentical(got.value(), want.value(), phase + "/[" + sql + "]");
+  };
   for (const char* algo : kAlgorithms) {
     for (const std::string& suffix : suffixes) {
-      auto got = sharded->Execute(RecommendSql(algo, suffix));
-      auto want = reference->Execute(RecommendSql(algo, suffix));
-      ASSERT_TRUE(got.ok()) << phase << "/" << algo << ": "
-                            << got.status().message();
-      ASSERT_TRUE(want.ok()) << phase << "/" << algo << ": "
-                             << want.status().message();
-      ExpectRowsBitIdentical(got.value(), want.value(),
-                             phase + "/" + algo + "/[" + suffix + "]");
+      compare(RecommendSql(algo, suffix));
+    }
+    for (const std::string& suffix : join_suffixes) {
+      compare(JoinSql(algo, suffix));
     }
   }
 }
