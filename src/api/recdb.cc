@@ -38,6 +38,10 @@ constexpr size_t kMetaPageCapacity = kPageSize - kMetaPageHeader;
 constexpr char kMetaMagic[] = "RECDBMETA1";
 constexpr size_t kMetaMagicLen = sizeof(kMetaMagic) - 1;
 
+constexpr char kShardIdentityReplacement[] =
+    "ShardedRecDBOptions::num_shards (the router fixes each shard's "
+    "identity when it builds its shards)";
+
 // Promote per-query ExecStats into the process-wide registry so `\metrics`
 // and MetricsJson() see executor activity without a ResultSet in hand.
 void PublishExecStats(const ExecStats& stats) {
@@ -380,7 +384,7 @@ void RecDB::AttachWalToHeaps() {
 }
 
 Status RecDB::Checkpoint() {
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
+  std::unique_lock<std::shared_mutex> lock(*state_mu_);
   return CheckpointLocked();
 }
 
@@ -402,7 +406,7 @@ Status RecDB::CheckpointLocked() {
 }
 
 Status RecDB::Close() {
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
+  std::unique_lock<std::shared_mutex> lock(*state_mu_);
   if (closed_) return Status::OK();
   // Leave the database open (and retryable) if the checkpoint failed —
   // marking it closed here would silently drop the un-checkpointed state.
@@ -602,10 +606,10 @@ Result<ResultSet> RecDB::Execute(const std::string& sql) {
   }
   Result<ResultSet> result = [&]() -> Result<ResultSet> {
     if (writer) {
-      std::unique_lock<std::shared_mutex> lock(state_mu_);
+      std::unique_lock<std::shared_mutex> lock(*state_mu_);
       return RunStatements(stmts);
     }
-    std::shared_lock<std::shared_mutex> lock(state_mu_);
+    std::shared_lock<std::shared_mutex> lock(*state_mu_);
     return RunStatements(stmts);
   }();
   ApplyPendingParallelism();
@@ -622,7 +626,7 @@ Result<ResultSet> RecDB::Execute(const std::string& sql) {
 }
 
 Result<ResultSet> RecDB::ExecuteTraced(const std::string& sql) {
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
+  std::unique_lock<std::shared_mutex> lock(*state_mu_);
   active_tracer_ = std::make_unique<obs::Tracer>("query");
   int parse_span = active_tracer_->BeginSpan("parse");
   auto parsed = Parser::Parse(sql);
@@ -672,7 +676,7 @@ Result<ResultSet> RecDB::RunStatements(
 }
 
 Result<std::string> RecDB::Explain(const std::string& sql) {
-  std::shared_lock<std::shared_mutex> lock(state_mu_);
+  std::shared_lock<std::shared_mutex> lock(*state_mu_);
   RECDB_ASSIGN_OR_RETURN(auto stmt, Parser::ParseSingle(sql));
   if (stmt->kind != StatementKind::kSelect) {
     return Status::InvalidArgument("EXPLAIN supports SELECT only");
@@ -762,7 +766,13 @@ Result<ResultSet> RecDB::ExecuteStatement(const Statement& stmt) {
           static_cast<const CreateRecommenderStatement&>(stmt));
     case StatementKind::kDropRecommender: {
       const auto& drop = static_cast<const DropRecommenderStatement&>(stmt);
-      cache_managers_.erase(ToLower(drop.name));
+      auto cm = cache_managers_.find(ToLower(drop.name));
+      if (cm != cache_managers_.end()) {
+        // The recommender may outlive this registry entry (other shards
+        // hold it): no listener may keep pointing at the erased manager.
+        cm->second->recommender()->SetInvalidationListener(nullptr);
+        cache_managers_.erase(cm);
+      }
       RECDB_RETURN_NOT_OK(registry_.Drop(drop.name));
       if (log_ != nullptr) {
         log_->Append(WalRecordType::kDropRecommender,
@@ -863,53 +873,17 @@ Result<ResultSet> RecDB::ExecuteSet(const SetStatement& stmt) {
   }
   // Retired names fail with a pointer to their replacement (kept out of
   // the `stmt.option == "..."` form that tools/docs_lint.py harvests).
+  // Shard identity is fixed when the router builds its shards: changing it
+  // under the shared model plane would break the feed-once rule.
   static constexpr std::pair<const char*, const char*> kRetired[] = {
-      {"background_refresh", "maintenance = manual|inline|background"}};
+      {"background_refresh", "SET maintenance = manual|inline|background"},
+      {"shard_count", kShardIdentityReplacement},
+      {"shard_index", kShardIdentityReplacement}};
   for (const auto& [retired, replacement] : kRetired) {
     if (stmt.option == retired) {
       return Status::InvalidArgument("SET " + stmt.option +
-                                     " was retired; use SET " + replacement);
+                                     " was retired; use " + replacement);
     }
-  }
-  if (stmt.option == "shard_count" || stmt.option == "shard_index") {
-    if (stmt.value.type() != TypeId::kInt64) {
-      return Status::InvalidArgument("SET " + stmt.option +
-                                     " expects an integer value");
-    }
-    const int64_t n = stmt.value.AsInt();
-    RecDBOptions candidate = options_;
-    if (stmt.option == "shard_count") {
-      if (n < 1 || static_cast<uint64_t>(n) > kMaxShardCount) {
-        return Status::InvalidArgument(
-            "SET shard_count requires a value in [1, " +
-            std::to_string(kMaxShardCount) + "], got " + std::to_string(n));
-      }
-      candidate.shard_count = static_cast<size_t>(n);
-      // Shrinking the shard space below the configured index is as invalid
-      // as setting the index out of range directly.
-      if (candidate.shard_index >= candidate.shard_count) {
-        return Status::InvalidArgument(
-            "SET shard_count = " + std::to_string(n) +
-            " would strand shard_index " +
-            std::to_string(candidate.shard_index) +
-            "; lower shard_index first");
-      }
-    } else {
-      if (n < 0 || static_cast<uint64_t>(n) >= candidate.shard_count) {
-        return Status::InvalidArgument(
-            "SET shard_index requires a value in [0, " +
-            std::to_string(candidate.shard_count - 1) +
-            "] (shard_count = " + std::to_string(candidate.shard_count) +
-            "), got " + std::to_string(n));
-      }
-      candidate.shard_index = static_cast<size_t>(n);
-    }
-    RECDB_RETURN_NOT_OK(ValidateShardOptions(candidate));
-    options_.shard_count = candidate.shard_count;
-    options_.shard_index = candidate.shard_index;
-    ResultSet rs;
-    rs.message = stmt.option + " set to " + std::to_string(n);
-    return rs;
   }
   return Status::InvalidArgument("unknown option in SET: " + stmt.option);
 }
@@ -1009,9 +983,8 @@ Result<ResultSet> RecDB::ExecuteInsert(const InsertStatement& stmt) {
   Tuple empty_tuple;
   // Serving-layer partition filter: when this engine is one shard behind the
   // router, a broadcast INSERT lands only its owned rows in the heap (and
-  // therefore this shard's WAL) but feeds EVERY row to the recommenders, so
-  // all shards apply the identical global rating stream in identical order
-  // (replicated model plane, partitioned storage plane).
+  // therefore this shard's WAL); shard 0 feeds EVERY row to the shared
+  // model plane, in statement order (partitioned storage, one model plane).
   const size_t part_user_idx = PartitionUserIndexLocked(*table);
   // Land every row in the heap first, then feed the recommenders once: a
   // multi-row INSERT becomes one versioned delta batch instead of N.
@@ -1053,11 +1026,12 @@ Result<ResultSet> RecDB::ExecuteInsert(const InsertStatement& stmt) {
   }
   // Notify every processed row — including ones the ownership filter kept
   // out of the heap — even on failure: recommender state must match the
-  // global statement's observable contents on every shard.
+  // global statement's observable contents.
   std::vector<RatingRowOp> ops;
   ops.reserve(applied.size());
   for (const Tuple& t : applied) ops.push_back({/*remove=*/false, &t});
-  Status notify = NotifyRatingOps(table->name, schema, ops);
+  Status notify =
+      NotifyRatingOps(table->name, schema, ops, /*seen_by_all_shards=*/true);
   if (st.ok()) st = notify;
   if (!st.ok()) {
     // Partial failure: report how many rows actually reached the table so
@@ -1075,7 +1049,7 @@ Result<ResultSet> RecDB::ExecuteInsert(const InsertStatement& stmt) {
 }
 
 Result<Recommender*> RecDB::CreateRecommender(RecommenderConfig config) {
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
+  std::unique_lock<std::shared_mutex> lock(*state_mu_);
   auto rec = CreateRecommenderLocked(std::move(config), /*write_log=*/true);
   lock.unlock();
   Status commit = CommitWal();
@@ -1083,51 +1057,28 @@ Result<Recommender*> RecDB::CreateRecommender(RecommenderConfig config) {
   return rec;
 }
 
-Result<Recommender*> RecDB::CreateRecommenderWithMatrix(
-    RecommenderConfig config, std::shared_ptr<RatingMatrix> matrix) {
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
-  if (closed_.load()) return Status::InvalidArgument("database is closed");
-  auto rec = CreateRecommenderLocked(std::move(config), /*write_log=*/true,
-                                     std::move(matrix));
-  lock.unlock();
-  Status commit = CommitWal();
-  if (!commit.ok() && rec.ok()) return commit;
-  return rec;
+Status RecDB::AdoptRecommender(std::shared_ptr<Recommender> rec) {
+  {
+    std::unique_lock<std::shared_mutex> lock(*state_mu_);
+    if (closed_.load()) return Status::InvalidArgument("database is closed");
+    RECDB_RETURN_NOT_OK(registry_.Adopt(rec));
+    if (log_ != nullptr) {
+      ByteWriter w;
+      WriteRecommenderConfig(&w, rec->config());
+      log_->Append(WalRecordType::kCreateRecommender, w.bytes());
+    }
+  }
+  return CommitWal();
 }
 
 Status RecDB::DeclarePartitionedTable(const std::string& table,
                                       const std::string& user_col) {
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
+  std::unique_lock<std::shared_mutex> lock(*state_mu_);
   if (closed_.load()) return Status::InvalidArgument("database is closed");
   RECDB_ASSIGN_OR_RETURN(TableInfo * info, catalog_->GetTable(table));
   RECDB_RETURN_NOT_OK(info->schema.IndexOf(user_col).status());
   partitioned_tables_[ToLower(info->name)] = user_col;
   return Status::OK();
-}
-
-Status RecDB::ApplyRatingFeed(const std::string& table,
-                              const std::vector<ResultSet::RatingFeedOp>& ops) {
-  if (ops.empty()) return Status::OK();
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
-  if (closed_.load()) return Status::InvalidArgument("database is closed");
-  RECDB_ASSIGN_OR_RETURN(TableInfo * info, catalog_->GetTable(table));
-  const Schema& schema = info->schema;
-  std::vector<Tuple> tuples;
-  tuples.reserve(ops.size());
-  for (const auto& op : ops) {
-    if (op.values.size() != schema.NumColumns()) {
-      return Status::InvalidArgument("rating feed row width mismatch for " +
-                                     info->name);
-    }
-    tuples.emplace_back(op.values);
-  }
-  std::vector<RatingRowOp> row_ops;
-  row_ops.reserve(ops.size());
-  for (size_t k = 0; k < ops.size(); ++k) {
-    row_ops.push_back({ops[k].remove, &tuples[k]});
-  }
-  obs::Count(obs::Counter::kServingFeedOps, ops.size());
-  return NotifyRatingOps(info->name, schema, row_ops);
 }
 
 Result<Recommender*> RecDB::CreateRecommenderLocked(
@@ -1233,7 +1184,7 @@ void RecDB::BackgroundRefreshJob(const std::string& name) {
   for (int attempt = 0; attempt < 2; ++attempt) {
     Recommender::RefreshPlan plan;
     {
-      std::shared_lock<std::shared_mutex> lock(state_mu_);
+      std::shared_lock<std::shared_mutex> lock(*state_mu_);
       if (closed_.load()) return;
       // Re-resolve by name under every lock acquisition: the recommender
       // may have been DROPped (and destroyed) while this job was queued.
@@ -1248,7 +1199,7 @@ void RecDB::BackgroundRefreshJob(const std::string& name) {
       }
       plan = std::move(prepared).value();
     }
-    std::unique_lock<std::shared_mutex> lock(state_mu_);
+    std::unique_lock<std::shared_mutex> lock(*state_mu_);
     if (closed_.load()) return;
     auto rec = registry_.Get(name);
     if (!rec.ok()) return;
@@ -1259,7 +1210,7 @@ void RecDB::BackgroundRefreshJob(const std::string& name) {
     // Version conflict: writes landed between prepare and commit. Retry
     // once off-lock, then give up racing and merge under the writer lock.
   }
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
+  std::unique_lock<std::shared_mutex> lock(*state_mu_);
   auto rec = registry_.Get(name);
   if (!rec.ok()) return;
   rec.value()->ClearRefreshScheduled();
@@ -1268,7 +1219,7 @@ void RecDB::BackgroundRefreshJob(const std::string& name) {
 }
 
 Result<bool> RecDB::RefreshRecommender(const std::string& name) {
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
+  std::unique_lock<std::shared_mutex> lock(*state_mu_);
   if (closed_.load()) return Status::InvalidArgument("database is closed");
   RECDB_ASSIGN_OR_RETURN(Recommender * rec, registry_.Get(name));
   return rec->Refresh();
@@ -1344,19 +1295,17 @@ Result<ResultSet> RecDB::ExecuteDelete(const DeleteStatement& stmt) {
                          CollectMatching(table, stmt.where.get()));
   std::vector<RatingRowOp> ops;
   ops.reserve(victims.size());
-  // When this table is partitioned across shards, export each removed row so
-  // the router can cross-feed the other shards' (replicated) models — their
-  // heaps never held these rows, but their models did.
-  const bool export_ops = PartitionUserIndexLocked(*table) != SIZE_MAX;
-  ResultSet rs;
   for (const auto& [rid, tuple] : victims) {
     RECDB_RETURN_NOT_OK(table->heap->Delete(rid));
     ops.push_back({/*remove=*/true, &tuple});
-    if (export_ops) {
-      rs.rating_ops.push_back({/*remove=*/true, tuple.values()});
-    }
   }
-  RECDB_RETURN_NOT_OK(NotifyRatingOps(table->name, table->schema, ops));
+  // Victims of a partitioned table live on this shard alone, so it feeds
+  // them to the shared plane itself.
+  RECDB_RETURN_NOT_OK(
+      NotifyRatingOps(table->name, table->schema, ops,
+                      PartitionUserIndexLocked(*table) == SIZE_MAX));
+  ResultSet rs;
+  rs.rows_affected = victims.size();
   rs.message = StringFormat("deleted %zu rows from %s", victims.size(),
                             table->name.c_str());
   return rs;
@@ -1396,27 +1345,25 @@ Result<ResultSet> RecDB::ExecuteUpdate(const UpdateStatement& stmt) {
   // ids; AddRating's overwrite semantics cover the common same-cell case.
   std::vector<RatingRowOp> ops;
   ops.reserve(victims.size() * 2);
-  // Partitioned tables: export the remove+insert pairs so the router can
-  // cross-feed every other shard's model with the same mutations.
-  const bool export_ops = PartitionUserIndexLocked(*table) != SIZE_MAX;
-  ResultSet rs;
   for (size_t k = 0; k < victims.size(); ++k) {
     ops.push_back({/*remove=*/true, &victims[k].second});
     ops.push_back({/*remove=*/false, &replacements[k]});
-    if (export_ops) {
-      rs.rating_ops.push_back({/*remove=*/true, victims[k].second.values()});
-      rs.rating_ops.push_back({/*remove=*/false, replacements[k].values()});
-    }
   }
-  RECDB_RETURN_NOT_OK(NotifyRatingOps(table->name, schema, ops));
+  RECDB_RETURN_NOT_OK(NotifyRatingOps(
+      table->name, schema, ops, PartitionUserIndexLocked(*table) == SIZE_MAX));
+  ResultSet rs;
+  rs.rows_affected = victims.size();
   rs.message = StringFormat("updated %zu rows in %s", victims.size(),
                             table->name.c_str());
   return rs;
 }
 
 Status RecDB::NotifyRatingOps(const std::string& table, const Schema& schema,
-                              const std::vector<RatingRowOp>& ops) {
+                              const std::vector<RatingRowOp>& ops,
+                              bool seen_by_all_shards) {
   if (ops.empty()) return Status::OK();
+  const bool feed = !seen_by_all_shards || options_.shard_index == 0;
+  if (!feed && cache_managers_.empty()) return Status::OK();
   for (Recommender* rec : registry_.FindAllOnTable(table)) {
     const RecommenderConfig& cfg = rec->config();
     auto u_idx = schema.IndexOf(cfg.user_col);
@@ -1444,11 +1391,12 @@ Status RecDB::NotifyRatingOps(const std::string& table, const Schema& schema,
       batch.push_back(b);
     }
     if (batch.empty()) continue;
-    rec->ApplyRatingBatch(batch);
     auto cm = cache_managers_.find(ToLower(rec->name()));
     if (cm != cache_managers_.end()) {
       for (const auto& b : batch) cm->second->RecordUpdate(b.item_id);
     }
+    if (!feed) continue;
+    rec->ApplyRatingBatch(batch);
     switch (options_.maintenance) {
       case MaintenanceMode::kManual:
         break;
@@ -1517,19 +1465,24 @@ void RecDB::NotifyRecommendQueryLocked(const PlanNode& plan) {
 
 Result<CacheManager*> RecDB::GetCacheManager(const std::string& recommender,
                                              double hotness_threshold) {
-  std::unique_lock<std::shared_mutex> lock(state_mu_);
+  std::unique_lock<std::shared_mutex> lock(*state_mu_);
   std::string key = ToLower(recommender);
   auto it = cache_managers_.find(key);
   if (it != cache_managers_.end()) return it->second.get();
   RECDB_ASSIGN_OR_RETURN(Recommender * rec, registry_.Get(recommender));
-  auto mgr =
-      std::make_unique<CacheManager>(rec, clock_, hotness_threshold);
+  auto mgr = std::make_unique<CacheManager>(
+      rec, clock_, hotness_threshold,
+      static_cast<uint32_t>(options_.shard_count),
+      static_cast<uint32_t>(options_.shard_index));
   CacheManager* raw = mgr.get();
   // Ingest invalidations feed the manager's lazy re-materialization queue.
-  // DROP RECOMMENDER erases the manager and the recommender together, so
-  // the captured pointer cannot outlive its target.
+  // A recommender shared by several shards keeps every shard's manager: the
+  // new one chains onto the listener already installed. DROP RECOMMENDER
+  // clears the listener before it erases the manager.
   rec->SetInvalidationListener(
-      [raw](const std::vector<std::pair<int64_t, int64_t>>& pairs) {
+      [raw, prev = rec->invalidation_listener()](
+          const Recommender::InvalidatedPairs& pairs) {
+        if (prev) prev(pairs);
         raw->NotifyInvalidated(pairs);
       });
   cache_managers_[key] = std::move(mgr);
@@ -1539,12 +1492,12 @@ Result<CacheManager*> RecDB::GetCacheManager(const std::string& recommender,
 Status RecDB::BulkInsert(const std::string& table,
                          const std::vector<std::vector<Value>>& rows) {
   Status st = [&]() -> Status {
-    std::unique_lock<std::shared_mutex> lock(state_mu_);
+    std::unique_lock<std::shared_mutex> lock(*state_mu_);
     RECDB_RETURN_NOT_OK(options_status_);
     RECDB_ASSIGN_OR_RETURN(TableInfo * info, catalog_->GetTable(table));
     const Schema& schema = info->schema;
-    // Same ownership filter as ExecuteInsert: owned rows reach the heap,
-    // every row reaches the recommenders (replicated model plane).
+    // Same ownership filter and feed-once rule as ExecuteInsert: owned rows
+    // reach the heap, shard 0 feeds every row to the shared model plane.
     const size_t part_user_idx = PartitionUserIndexLocked(*info);
     std::vector<Tuple> applied;
     applied.reserve(rows.size());
@@ -1572,7 +1525,8 @@ Status RecDB::BulkInsert(const std::string& table,
     std::vector<RatingRowOp> ops;
     ops.reserve(applied.size());
     for (const Tuple& t : applied) ops.push_back({/*remove=*/false, &t});
-    return NotifyRatingOps(info->name, schema, ops);
+    return NotifyRatingOps(info->name, schema, ops,
+                           /*seen_by_all_shards=*/true);
   }();
   // Commit whatever was appended even on partial failure: the applied rows
   // are live in memory and must stay durable-consistent with it.

@@ -73,12 +73,13 @@ struct RecDBOptions {
   /// shard_count > 1 this engine is one shard of a ShardedRecDB: RECOMMEND
   /// executors score only the users `shard_index` owns (ShardOfUser), DML
   /// on tables declared partitioned lands only owned rows in the heap/WAL,
-  /// and cache demand is recorded for owned users only. The model plane
-  /// stays replicated — every shard's RatingMatrix sees the full rating
-  /// stream — so per-shard scores are bit-identical to single-node.
-  /// Runtime-adjustable via `SET shard_count` / `SET shard_index`; both
-  /// reject out-of-range values (shard_count in [1, kMaxShardCount],
-  /// shard_index in [0, shard_count)) instead of clamping.
+  /// and cache demand is recorded for owned users only. The model plane is
+  /// shared: every shard of the router registers the same Recommender, and
+  /// each rating op is fed to it by exactly one shard (shard 0 for ops all
+  /// shards see). Fixed at construction by the router
+  /// (ShardedRecDBOptions::num_shards); out-of-range values (shard_count
+  /// in [1, kMaxShardCount], shard_index in [0, shard_count)) are rejected,
+  /// not clamped.
   size_t shard_count = 1;
   size_t shard_index = 0;
 };
@@ -107,16 +108,9 @@ struct ResultSet {
   std::string trace;
   ExecStats stats;
   double elapsed_seconds = 0;
-  /// One ratings-row mutation observed by a DELETE/UPDATE on a partitioned
-  /// table (sharded engines only; empty otherwise). The ShardedRecDB router
-  /// cross-feeds these to the other shards' replicated models via
-  /// ApplyRatingFeed, since only the owning shard's heap scan could observe
-  /// the rows.
-  struct RatingFeedOp {
-    bool remove = false;
-    std::vector<Value> values;  // full row, in table-schema order
-  };
-  std::vector<RatingFeedOp> rating_ops;
+  /// Rows a DELETE/UPDATE removed or rewrote (the router sums it across
+  /// shards for its confirmation).
+  size_t rows_affected = 0;
 
   size_t NumRows() const { return rows.size(); }
   const Value& At(size_t row, size_t col) const { return rows[row].At(col); }
@@ -232,24 +226,22 @@ class RecDB {
 
   /// Declare `table` user-partitioned on `user_col`: with shard_count > 1,
   /// INSERT/BulkInsert land only rows owned by this shard's index in the
-  /// heap (and thus the WAL), while every row still feeds the replicated
-  /// models. The router broadcasts this to all shards before loading.
+  /// heap (and thus the WAL), while shard 0 feeds every row to the shared
+  /// model plane. The router broadcasts this to all shards before loading.
   Status DeclarePartitionedTable(const std::string& table,
                                  const std::string& user_col);
 
-  /// Apply another shard's DELETE/UPDATE rating mutations to this shard's
-  /// replicated models (matrix delta + cache update pressure + maintenance
-  /// check). The local heap is untouched — the owning shard already holds
-  /// the rows.
-  Status ApplyRatingFeed(const std::string& table,
-                         const std::vector<ResultSet::RatingFeedOp>& ops);
+  /// Register a recommender the router built once for all its shards (the
+  /// shared model plane) and log its kCreateRecommender record, so Open
+  /// plus DeclarePartitionedTable re-seeds it.
+  Status AdoptRecommender(std::shared_ptr<Recommender> rec);
 
-  /// CREATE RECOMMENDER over a pre-built (frozen) ratings matrix instead of
-  /// scanning this shard's heap. The router's gather path uses this so every
-  /// shard trains from the identical canonically-ordered matrix even though
-  /// each heap holds only its own partition.
-  Result<Recommender*> CreateRecommenderWithMatrix(
-      RecommenderConfig config, std::shared_ptr<RatingMatrix> matrix);
+  /// Replace this engine's lock with one shared by every shard of a router,
+  /// so a write or refresh of the shared plane excludes every shard's
+  /// readers. Call before the engine is used concurrently.
+  void ShareEngineLock(std::shared_ptr<std::shared_mutex> mu) {
+    state_mu_ = std::move(mu);
+  }
 
  private:
   friend class Session;
@@ -289,9 +281,14 @@ class RecDB {
   /// Feed one statement's ratings-row mutations to every recommender on
   /// `table` as a single versioned delta batch (one version bump, one
   /// invalidation callback, one maintenance check per recommender), and to
-  /// their cache managers' item histograms.
+  /// their cache managers' item histograms. Feed-once rule for the shared
+  /// plane: ops `seen_by_all_shards` (INSERT rows, DML on replicated
+  /// tables) feed the recommenders on shard 0 only; the rest (DELETE/UPDATE
+  /// victims of a partitioned table) on the shard that holds the rows.
+  /// Cache pressure is recorded on every shard that sees the ops.
   Status NotifyRatingOps(const std::string& table, const Schema& schema,
-                         const std::vector<RatingRowOp>& ops);
+                         const std::vector<RatingRowOp>& ops,
+                         bool seen_by_all_shards);
 
   /// Column index of `table`'s declared partition user column, or SIZE_MAX
   /// when the serving filter is inactive (single shard / undeclared table).
@@ -375,8 +372,10 @@ class RecDB {
   /// hold it shared, anything mutating holds it exclusive. WAL commit
   /// (fsync) happens outside it. Lock order: state_mu_ -> pool mutex ->
   /// log mutex, and state_mu_ -> TaskScheduler submit lock (a parallel
-  /// operator); never the reverse.
-  mutable std::shared_mutex state_mu_;
+  /// operator); never the reverse. Own by default; one per router when the
+  /// engine is a shard (ShareEngineLock).
+  std::shared_ptr<std::shared_mutex> state_mu_ =
+      std::make_shared<std::shared_mutex>();
   /// Serializes cache-manager demand recording among concurrent readers.
   std::mutex demand_mu_;
   std::atomic<uint64_t> next_session_id_{1};

@@ -5,23 +5,31 @@
 namespace recdb {
 
 Result<Recommender*> RecommenderRegistry::Create(RecommenderConfig config) {
-  std::string key = ToLower(config.name);
-  if (recs_.count(key) > 0) {
-    return Status::AlreadyExists("recommender " + config.name +
+  auto rec = std::make_shared<Recommender>(std::move(config));
+  RECDB_RETURN_NOT_OK(Adopt(rec));
+  return rec.get();
+}
+
+Status RecommenderRegistry::Adopt(std::shared_ptr<Recommender> rec) {
+  if (!recs_.emplace(ToLower(rec->name()), rec).second) {
+    return Status::AlreadyExists("recommender " + rec->name() +
                                  " already exists");
   }
-  auto rec = std::make_unique<Recommender>(std::move(config));
-  Recommender* raw = rec.get();
-  recs_[key] = std::move(rec);
-  return raw;
+  return Status::OK();
 }
 
 Result<Recommender*> RecommenderRegistry::Get(const std::string& name) const {
+  RECDB_ASSIGN_OR_RETURN(auto rec, GetShared(name));
+  return rec.get();
+}
+
+Result<std::shared_ptr<Recommender>> RecommenderRegistry::GetShared(
+    const std::string& name) const {
   auto it = recs_.find(ToLower(name));
   if (it == recs_.end()) {
     return Status::NotFound("no recommender named " + name);
   }
-  return it->second.get();
+  return it->second;
 }
 
 Result<Recommender*> RecommenderRegistry::Find(

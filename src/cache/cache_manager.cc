@@ -27,7 +27,9 @@ void CacheManager::RecordUpdate(int64_t item_id) {
 
 void CacheManager::NotifyInvalidated(
     const std::vector<std::pair<int64_t, int64_t>>& pairs) {
-  invalidated_.insert(pairs.begin(), pairs.end());
+  for (const auto& pair : pairs) {
+    if (OwnsUser(pair.first)) invalidated_.insert(pair);
+  }
 }
 
 const UserStats* CacheManager::GetUserStats(int64_t user_id) const {
@@ -163,6 +165,7 @@ Result<CacheDecision> CacheManager::Run() {
   if (!active_users.empty() || !active_items.empty()) {
     std::vector<std::pair<int64_t, int64_t>> stale;
     index->ForEach([&](int64_t uid, int64_t iid, double /*score*/) {
+      if (!OwnsUser(uid)) return;  // another shard's manager decides it
       if (examined.count({uid, iid}) > 0) return;  // decided in STEP 2
       if (Hotness(uid, iid) < threshold_) stale.emplace_back(uid, iid);
     });

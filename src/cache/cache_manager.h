@@ -16,6 +16,10 @@
 // already materialized in the RecScoreIndex, so pairs that have cooled
 // below the threshold are evicted even when neither side was active in the
 // window (skipped on fully idle windows, which carry no evidence).
+//
+// On a shard of a ShardedRecDB the RecScoreIndex belongs to the shared
+// recommender, but its entries stay per-user: a shard's manager queues,
+// admits and evicts only pairs of the users its shard owns.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/shard.h"
 #include "common/status.h"
 #include "common/timer.h"
 #include "recommender/recommender.h"
@@ -51,11 +56,16 @@ struct CacheDecision {
 
 class CacheManager {
  public:
-  /// `clock` must outlive the manager. Does not own the recommender.
+  /// `clock` must outlive the manager. Does not own the recommender. A
+  /// shard's manager passes its shard identity (RecDBOptions).
   CacheManager(Recommender* rec, const Clock* clock,
-               double hotness_threshold = 0.5)
+               double hotness_threshold = 0.5, uint32_t shard_count = 1,
+               uint32_t shard_index = 0)
       : rec_(rec), clock_(clock), threshold_(hotness_threshold),
+        shard_count_(shard_count), shard_index_(shard_index),
         last_run_ts_(clock->Now()) {}
+
+  Recommender* recommender() const { return rec_; }
 
   /// A user issued a recommendation query (updates QC_u, TS_u).
   void RecordQuery(int64_t user_id);
@@ -93,9 +103,15 @@ class CacheManager {
   double Hotness(int64_t user_id, int64_t item_id) const;
 
  private:
+  bool OwnsUser(int64_t user_id) const {
+    return ShardOfUser(user_id, shard_count_) == shard_index_;
+  }
+
   Recommender* rec_;
   const Clock* clock_;
   double threshold_;
+  uint32_t shard_count_;
+  uint32_t shard_index_;
   double last_run_ts_;  // TS_mat: last cache-manager invocation
   std::unordered_map<int64_t, UserStats> users_;
   std::unordered_map<int64_t, ItemStats> items_;

@@ -14,7 +14,7 @@
 namespace recdb {
 
 /// Hard cap on shard_count/shard_index engine options. Far above any
-/// sensible in-process deployment; exists so SET validation can reject
+/// sensible in-process deployment; exists so option validation can reject
 /// nonsense with a clear error instead of clamping silently.
 constexpr uint32_t kMaxShardCount = 1024;
 

@@ -168,9 +168,7 @@
   X(kServingDmlRowsRouted, "serving.dml_rows_routed", "rows",                 \
     "partitioned-table rows landed in their owning shard's heap")             \
   X(kServingDmlRowsFiltered, "serving.dml_rows_filtered", "rows",             \
-    "broadcast rows skipped by a shard's ownership filter (model-feed only)") \
-  X(kServingFeedOps, "serving.feed_ops", "ops",                               \
-    "cross-shard rating ops applied through ApplyRatingFeed")
+    "broadcast rows a shard's ownership filter kept out of its heap")
 
 #define RECDB_GAUGE_METRICS(X)                                                \
   X(kBufferPoolResidentPages, "bufferpool.resident_pages", "pages",           \

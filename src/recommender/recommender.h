@@ -146,10 +146,16 @@ class Recommender {
   }
 
   /// CacheManager hook: invoked with the (user, item) pairs each mutation
-  /// or refresh commit evicted from the score index.
+  /// or refresh commit evicted from the score index. A recommender shared
+  /// by several shards chains one manager per shard onto the listener that
+  /// is already installed (see RecDB::GetCacheManager).
   void SetInvalidationListener(
       std::function<void(const InvalidatedPairs&)> listener) {
     invalidation_listener_ = std::move(listener);
+  }
+  const std::function<void(const InvalidatedPairs&)>& invalidation_listener()
+      const {
+    return invalidation_listener_;
   }
 
   /// Built model; null before the first Build().

@@ -145,6 +145,7 @@ Result<std::unique_ptr<ShardedRecDB>> ShardedRecDB::Create(
     opts.shard_count = options.num_shards;
     opts.shard_index = k;
     db->shards_.push_back(std::make_unique<RecDB>(opts));
+    db->shards_.back()->ShareEngineLock(db->engine_mu_);
   }
   obs::SetGauge(obs::Gauge::kServingShards,
                 static_cast<int64_t>(options.num_shards));
@@ -161,7 +162,13 @@ Result<std::unique_ptr<ShardedRecDB>> ShardedRecDB::Open(
     opts.shard_index = k;
     RECDB_ASSIGN_OR_RETURN(
         auto shard, RecDB::Open(path + ".shard" + std::to_string(k), opts));
+    shard->ShareEngineLock(db->engine_mu_);
     db->shards_.push_back(std::move(shard));
+  }
+  // One plane: every shard serves shard 0's recovered recommenders (the
+  // ones on partitioned tables are re-seeded by DeclarePartitionedTable).
+  for (size_t k = 1; k < db->shards_.size(); ++k) {
+    *db->shards_[k]->registry() = *db->shards_[0]->registry();
   }
   obs::SetGauge(obs::Gauge::kServingShards,
                 static_cast<int64_t>(options.num_shards));
@@ -181,6 +188,18 @@ void ShardedRecDB::RecordRoutedUser(PartitionInfo* info, int64_t user_id) {
   const uint32_t owner =
       ShardOfUser(user_id, static_cast<uint32_t>(shards_.size()));
   if (owner < info->routed_rows.size()) ++info->routed_rows[owner];
+}
+
+void ShardedRecDB::SyncRankFromPlane(const std::string& table,
+                                     PartitionInfo* info) {
+  std::shared_lock<std::shared_mutex> lock(*engine_mu_);
+  auto recs = shards_[0]->registry()->FindAllOnTable(table);
+  if (recs.empty()) return;
+  for (int64_t uid : recs[0]->live().user_ids()) {
+    if (info->user_rank.emplace(uid, info->next_rank).second) {
+      ++info->next_rank;
+    }
+  }
 }
 
 void ShardedRecDB::PublishSkew(const PartitionInfo& info) {
@@ -230,17 +249,6 @@ Result<ResultSet> ShardedRecDB::Execute(const std::string& sql) {
       obs::Count(obs::Counter::kServingSingleShardQueries);
       return finish(shards_[0]->Execute(sql));
     }
-    case StatementKind::kSet: {
-      const auto& set = static_cast<const SetStatement&>(stmt);
-      if (set.option == "shard_count" || set.option == "shard_index") {
-        return Status::InvalidArgument(
-            "SET " + set.option +
-            " is managed by the ShardedRecDB router (fixed at " +
-            std::to_string(shards_.size()) + " shards)");
-      }
-      std::unique_lock<std::shared_mutex> lock(router_mu_);
-      return finish(BroadcastWrite(sql, stmt));
-    }
     case StatementKind::kCreateRecommender: {
       const auto& create = static_cast<const CreateRecommenderStatement&>(stmt);
       std::unique_lock<std::shared_mutex> lock(router_mu_);
@@ -250,9 +258,7 @@ Result<ResultSet> ShardedRecDB::Execute(const std::string& sql) {
         if (!config.ok()) return config.status();
         return finish(GatherCreateRecommender(std::move(config).value(), info));
       }
-      // Non-partitioned ratings tables are fully replicated: every shard
-      // scans an identical heap and trains an identical model.
-      return finish(BroadcastWrite(sql, stmt));
+      return finish(CreateSharedRecommender(sql, create.name));
     }
     default: {
       std::unique_lock<std::shared_mutex> lock(router_mu_);
@@ -375,110 +381,99 @@ Result<ResultSet> ShardedRecDB::ScatterSelect(const std::string& sql,
   return out;
 }
 
+template <typename Fn>
+Status ShardedRecDB::ForEachShard(Fn&& fn) {
+  Status first = Status::OK();
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    Status st = fn(k);
+    if (!st.ok() && first.ok()) first = st;
+  }
+  return first;
+}
+
 Result<ResultSet> ShardedRecDB::BroadcastWrite(const std::string& sql,
                                                const Statement& stmt) {
   obs::Count(obs::Counter::kServingDmlBroadcasts);
 
-  // Rank bookkeeping: INSERTed partitioned rows intern their user ids in
-  // statement order — the same order every shard's replicated matrix interns
-  // them — before the broadcast touches any shard.
-  if (stmt.kind == StatementKind::kInsert) {
-    const auto& ins = static_cast<const InsertStatement&>(stmt);
-    PartitionInfo* info = FindPartition(ins.table_name);
-    if (info != nullptr) {
-      auto table = shards_[0]->catalog()->GetTable(ins.table_name);
-      if (table.ok()) {
-        auto idx = table.value()->schema.IndexOf(info->user_col);
-        if (idx.ok()) {
-          for (const auto& row : ins.rows) {
-            int64_t uid;
-            if (idx.value() < row.size() && row[idx.value()] != nullptr &&
-                LiteralInt(*row[idx.value()], &uid)) {
-              RecordRoutedUser(info, uid);
-            }
-          }
-          PublishSkew(*info);
-        }
-      }
-    }
-  }
-
-  // Broadcast in shard order. Identical SQL + identical replicated model
-  // state means every shard applies the same model mutations; heaps diverge
-  // by design (ownership filter).
+  // Broadcast in shard order, and finish it even after a failure: a bind
+  // error fails at the same row on every shard, so every heap keeps exactly
+  // its owned prefix and shard 0 feeds that prefix to the plane once.
   ResultSet first;
-  std::vector<std::vector<ResultSet::RatingFeedOp>> feeds(shards_.size());
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    auto r = shards_[k]->Execute(sql);
-    RECDB_RETURN_NOT_OK(r.status());
-    feeds[k] = std::move(r.value().rating_ops);
-    if (k == 0) first = std::move(r).value();
-  }
+  size_t rows_affected = 0;
+  Status status = ForEachShard([&](size_t k) -> Status {
+    RECDB_ASSIGN_OR_RETURN(ResultSet r, shards_[k]->Execute(sql));
+    rows_affected += r.rows_affected;
+    if (k == 0) first = std::move(r);
+    return Status::OK();
+  });
 
-  // Cross-feed DELETE/UPDATE mutations: only the owning shard's heap scan
-  // observed the affected rows; its exported ops bring every other shard's
-  // replicated model to the same state.
-  std::string fed_table;
-  if (stmt.kind == StatementKind::kDelete) {
-    fed_table = static_cast<const DeleteStatement&>(stmt).table_name;
+  std::string table_name;
+  if (stmt.kind == StatementKind::kInsert) {
+    table_name = static_cast<const InsertStatement&>(stmt).table_name;
+  } else if (stmt.kind == StatementKind::kDelete) {
+    table_name = static_cast<const DeleteStatement&>(stmt).table_name;
   } else if (stmt.kind == StatementKind::kUpdate) {
-    fed_table = static_cast<const UpdateStatement&>(stmt).table_name;
+    table_name = static_cast<const UpdateStatement&>(stmt).table_name;
   }
-  if (!fed_table.empty()) {
-    PartitionInfo* info = FindPartition(fed_table);
-    size_t user_idx = SIZE_MAX;
-    std::string canonical_table = fed_table;
-    if (info != nullptr) {
-      auto table = shards_[0]->catalog()->GetTable(fed_table);
-      if (table.ok()) {
-        canonical_table = table.value()->name;
-        auto idx = table.value()->schema.IndexOf(info->user_col);
-        if (idx.ok()) user_idx = idx.value();
-      }
-    }
-    if (info != nullptr && shards_.size() > 1) {
-      // Each shard only saw (and reported) its own victims; the router's
-      // confirmation must match what a single node would say for the whole
-      // statement. DELETE exports one remove op per victim, UPDATE a
-      // remove+insert pair.
-      size_t exported = 0;
-      for (const auto& f : feeds) exported += f.size();
-      if (stmt.kind == StatementKind::kDelete) {
-        first.message = StringFormat("deleted %zu rows from %s", exported,
-                                     canonical_table.c_str());
-      } else {
-        first.message = StringFormat("updated %zu rows in %s", exported / 2,
-                                     canonical_table.c_str());
-      }
-    }
-    for (size_t k = 0; k < shards_.size(); ++k) {
-      if (feeds[k].empty()) continue;
-      if (info != nullptr && user_idx != SIZE_MAX) {
-        // UPDATE may introduce user ids the router has never routed; intern
-        // them so the merge can rank their rows. (New ids should arrive via
-        // INSERT — see docs/SCALING.md for the ordering caveat.)
-        for (const auto& op : feeds[k]) {
-          if (op.remove || user_idx >= op.values.size()) continue;
-          const Value& u = op.values[user_idx];
-          if (!u.is_null() && u.type() == TypeId::kInt64 &&
-              info->user_rank.find(u.AsInt()) == info->user_rank.end()) {
-            info->user_rank[u.AsInt()] = info->next_rank++;
-          }
+  PartitionInfo* info = FindPartition(table_name);
+  if (info == nullptr) return status.ok() ? Result<ResultSet>(first) : status;
+  auto table = shards_[0]->catalog()->GetTable(table_name);
+  if (!table.ok()) return status.ok() ? Result<ResultSet>(first) : status;
+
+  if (stmt.kind == StatementKind::kInsert && status.ok()) {
+    // New users intern in statement order — the order shard 0 fed them to
+    // the plane.
+    auto idx = table.value()->schema.IndexOf(info->user_col);
+    if (idx.ok()) {
+      for (const auto& row : static_cast<const InsertStatement&>(stmt).rows) {
+        int64_t uid;
+        if (idx.value() < row.size() && row[idx.value()] != nullptr &&
+            LiteralInt(*row[idx.value()], &uid)) {
+          RecordRoutedUser(info, uid);
         }
       }
-      for (size_t j = 0; j < shards_.size(); ++j) {
-        if (j == k) continue;
-        RECDB_RETURN_NOT_OK(shards_[j]->ApplyRatingFeed(fed_table, feeds[k]));
-      }
+      PublishSkew(*info);
     }
+  } else {
+    // A failed INSERT's prefix, or the user ids an UPDATE introduced: only
+    // the plane knows which ids it interned, and in what order.
+    SyncRankFromPlane(table.value()->name, info);
+  }
+  if (!status.ok()) return status;
+  if (stmt.kind != StatementKind::kInsert && shards_.size() > 1) {
+    // Each shard only saw its own victims; the confirmation must match
+    // what a single node would say for the whole statement.
+    const char* canonical = table.value()->name.c_str();
+    first.message =
+        stmt.kind == StatementKind::kDelete
+            ? StringFormat("deleted %zu rows from %s", rows_affected, canonical)
+            : StringFormat("updated %zu rows in %s", rows_affected, canonical);
   }
   return first;
+}
+
+Result<ResultSet> ShardedRecDB::CreateSharedRecommender(
+    const std::string& sql, const std::string& name) {
+  obs::Count(obs::Counter::kServingDmlBroadcasts);
+  RECDB_ASSIGN_OR_RETURN(ResultSet rs, shards_[0]->Execute(sql));
+  RECDB_ASSIGN_OR_RETURN(auto rec, shards_[0]->registry()->GetShared(name));
+  for (size_t k = 1; k < shards_.size(); ++k) {
+    RECDB_RETURN_NOT_OK(shards_[k]->AdoptRecommender(rec));
+  }
+  return rs;
 }
 
 Result<ResultSet> ShardedRecDB::GatherCreateRecommender(
     RecommenderConfig config, PartitionInfo* info) {
   obs::Count(obs::Counter::kServingDmlBroadcasts);
   Stopwatch watch;
+  if (shards_[0]->registry()->Get(config.name).ok()) {
+    return Status::AlreadyExists("recommender " + config.name +
+                                 " already exists");
+  }
+  RECDB_ASSIGN_OR_RETURN(TableInfo * table,
+                         shards_[0]->catalog()->GetTable(config.ratings_table));
+  config.ratings_table = table->name;  // canonical spelling
 
   // Gather every shard's partition of (user, item, rating) and sort it into
   // the canonical (uid, iid) order. The canonical order is shard-count-
@@ -517,21 +512,18 @@ Result<ResultSet> ShardedRecDB::GatherCreateRecommender(
                      return a.item < b.item;
                    });
 
-  Recommender* last = nullptr;
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    // One frozen matrix per shard (shards must not share mutable delta
-    // state), all built from the identical canonical stream.
-    auto matrix = std::make_shared<RatingMatrix>();
-    for (const GatheredRow& row : rows) {
-      matrix->Add(row.user, row.item, row.rating);
-    }
-    matrix->Freeze();
-    RECDB_ASSIGN_OR_RETURN(
-        last, shards_[k]->CreateRecommenderWithMatrix(config,
-                                                      std::move(matrix)));
+  // Build once; every shard registers the same recommender.
+  auto matrix = std::make_shared<RatingMatrix>();
+  for (const GatheredRow& row : rows) {
+    matrix->Add(row.user, row.item, row.rating);
   }
+  auto rec = std::make_shared<Recommender>(std::move(config));
+  rec->SeedMatrix(std::move(matrix));
+  RECDB_RETURN_NOT_OK(rec->Build().status());
+  RECDB_RETURN_NOT_OK(ForEachShard(
+      [&](size_t k) { return shards_[k]->AdoptRecommender(rec); }));
 
-  // The matrices now intern users in canonical sorted order; reset the rank
+  // The plane interns users in canonical sorted order; reset the rank
   // map to match so the merge keeps mirroring emission order.
   info->user_rank.clear();
   info->next_rank = 0;
@@ -545,8 +537,8 @@ Result<ResultSet> ShardedRecDB::GatherCreateRecommender(
   rs.elapsed_seconds = watch.ElapsedSeconds();
   rs.message = StringFormat(
       "created recommender %s (%s) on %s: %zu ratings, built in %.3fs",
-      last->name().c_str(), RecAlgorithmToString(last->algorithm()),
-      last->config().ratings_table.c_str(), last->base_size(),
+      rec->name().c_str(), RecAlgorithmToString(rec->algorithm()),
+      rec->config().ratings_table.c_str(), rec->base_size(),
       rs.elapsed_seconds);
   return rs;
 }
@@ -636,25 +628,16 @@ Status ShardedRecDB::BulkInsert(const std::string& table,
       }
     }
   }
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    RECDB_RETURN_NOT_OK(shards_[k]->BulkInsert(table, rows));
-  }
-  return Status::OK();
+  return ForEachShard(
+      [&](size_t k) { return shards_[k]->BulkInsert(table, rows); });
 }
 
 Result<bool> ShardedRecDB::RefreshAll(const std::string& name) {
   std::unique_lock<std::shared_mutex> lock(router_mu_);
-  bool any = false;
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    RECDB_ASSIGN_OR_RETURN(bool merged, shards_[k]->RefreshRecommender(name));
-    any = any || merged;
-  }
-  return any;
+  return shards_[0]->RefreshRecommender(name);
 }
 
-void ShardedRecDB::DrainBackgroundWork() {
-  for (auto& shard : shards_) shard->DrainBackgroundWork();
-}
+void ShardedRecDB::DrainBackgroundWork() { shards_[0]->DrainBackgroundWork(); }
 
 Status ShardedRecDB::Checkpoint() {
   std::unique_lock<std::shared_mutex> lock(router_mu_);

@@ -1,29 +1,31 @@
 // ShardedRecDB: hash-partitioned scatter-gather serving over N in-process
 // RecDB engine shards (DESIGN.md §14, docs/SCALING.md).
 //
-// Partitioning model — replicated model plane, partitioned serving plane:
-//   * Every shard's rating matrix and CF/SVD model are fed the FULL rating
-//     stream in identical statement order, so model state (similarities,
-//     factors, global interning) is bit-identical on every shard. Models are
-//     interning-order-sensitive, so replication is what keeps a K-shard
-//     deployment's scores equal to single-node's.
-//   * Heap rows of declared partitioned tables, their WAL records, the
-//     RecScoreIndex contents, and cache demand land only on the shard that
-//     owns the row's user (ShardOfUser hash) — the per-user state that
-//     dominates memory and maintenance cost scales out 1/K per shard.
+// Partitioning model — one shared model plane, partitioned serving plane:
+//   * Every recommender is built once and registered on every shard: all
+//     shards hold the same Recommender (rating matrix, CF/SVD model,
+//     RecScoreIndex), trained from the canonical (uid, iid)-sorted stream,
+//     so a K-shard deployment's scores equal single-node's by construction.
+//   * Feed-once rule: each rating op reaches the plane exactly once. Shard 0
+//     feeds every op all shards see (INSERT/BulkInsert rows in statement
+//     order, DML on replicated tables); the shard holding a partitioned
+//     row feeds its DELETE/UPDATE victims.
+//   * Heap rows of declared partitioned tables, their WAL records, cache
+//     demand and score-index admission land only on the shard that owns
+//     the row's user (ShardOfUser hash).
+//   * The shards share one engine lock, so a write or background refresh of
+//     the plane excludes every shard's readers.
 //
 // Query path: RECOMMEND SELECTs over partitioned tables fan out on the
 // global TaskScheduler to the owning shards (all shards, or the owners of
 // the user ids pinned by the WHERE clause); each shard emits the
 // order-preserving subsequence of the single-node result for its users, and
-// ShardMergeExecutor reassembles the exact single-node output. DML broadcasts
-// to every shard in shard order: each shard persists only its owned rows but
-// feeds its models every row; DELETE/UPDATE mutations observed by the owning
-// shard's heap scan are cross-fed to the other shards' models afterwards.
+// ShardMergeExecutor reassembles the exact single-node output. DML
+// broadcasts to every shard in shard order; each shard persists only its
+// owned rows.
 //
-// The router executes ONE statement per Execute() call (no scripts) and
-// owns the shard_count/shard_index knobs — `SET shard_count` through the
-// router is rejected.
+// The router executes ONE statement per Execute() call (no scripts). Shard
+// identity is fixed by ShardedRecDBOptions::num_shards.
 #pragma once
 
 #include <cstddef>
@@ -58,11 +60,11 @@ class ShardedRecDB {
       ShardedRecDBOptions options = {});
 
   /// File-backed router: shard k lives at `path + ".shard<k>"` with its own
-  /// WAL. Reopening recovers every shard independently; call
-  /// DeclarePartitionedTable again for each partitioned table afterwards —
-  /// it re-seeds the recovered recommenders from a gathered canonical
-  /// matrix (each recovered heap holds only its partition, so the models a
-  /// shard re-trained locally during recovery are discarded).
+  /// WAL. Reopening recovers every shard independently, then every shard
+  /// shares shard 0's recovered recommenders; call DeclarePartitionedTable
+  /// again for each partitioned table afterwards — it re-seeds the
+  /// recommenders on it from a gathered canonical matrix (each recovered
+  /// heap holds only its partition).
   static Result<std::unique_ptr<ShardedRecDB>> Open(
       const std::string& path, ShardedRecDBOptions options = {});
 
@@ -71,8 +73,8 @@ class ShardedRecDB {
   Result<ResultSet> Execute(const std::string& sql);
 
   /// Partition-aware bulk load: owned rows land in their owning shard's
-  /// heap, every row feeds every shard's models, and the router's user-rank
-  /// map records global first-seen order.
+  /// heap, shard 0 feeds every row to the shared plane, and the router's
+  /// user-rank map records global first-seen order.
   Status BulkInsert(const std::string& table,
                     const std::vector<std::vector<Value>>& rows);
 
@@ -82,11 +84,11 @@ class ShardedRecDB {
   Status DeclarePartitionedTable(const std::string& table,
                                  const std::string& user_col);
 
-  /// Refresh one recommender on every shard (merge pending deltas).
-  /// Returns true when any shard merged.
+  /// Refresh one shared recommender (merge pending deltas). Returns true
+  /// when a merge happened.
   Result<bool> RefreshAll(const std::string& name);
 
-  /// Block until every shard's background-refresh lane is idle.
+  /// Block until the background-refresh lane is idle.
   void DrainBackgroundWork();
 
   Status Checkpoint();
@@ -98,7 +100,7 @@ class ShardedRecDB {
  private:
   /// Per partitioned table: the declared user column and the global
   /// first-seen rank of every routed user id — the router-side mirror of
-  /// the replicated matrices' interning order, used by the merge to restore
+  /// the shared plane's interning order, used by the merge to restore
   /// single-node emission order and by the skew gauge.
   struct PartitionInfo {
     std::string user_col;
@@ -120,6 +122,14 @@ class ShardedRecDB {
                                   const std::vector<size_t>& targets);
   Result<ResultSet> BroadcastWrite(const std::string& sql,
                                    const Statement& stmt);
+  /// Run `fn` on every shard in shard order, even after a failure; returns
+  /// the first error.
+  template <typename Fn>
+  Status ForEachShard(Fn&& fn);
+  /// Replicated ratings table: shard 0 trains the recommender from its
+  /// (complete) heap and every other shard adopts it.
+  Result<ResultSet> CreateSharedRecommender(const std::string& sql,
+                                            const std::string& name);
   Result<ResultSet> GatherCreateRecommender(RecommenderConfig config,
                                             PartitionInfo* info);
 
@@ -131,9 +141,16 @@ class ShardedRecDB {
   PartitionInfo* FindPartition(const std::string& table);
   /// Record one routed rating row for rank/skew bookkeeping.
   void RecordRoutedUser(PartitionInfo* info, int64_t user_id);
+  /// Append to `info`'s rank map every user the shared plane on `table`
+  /// interned that the map lacks, in plane index order (users an UPDATE or
+  /// a failed INSERT's prefix introduced).
+  void SyncRankFromPlane(const std::string& table, PartitionInfo* info);
   void PublishSkew(const PartitionInfo& info);
 
   mutable std::shared_mutex router_mu_;
+  /// The engine lock every shard shares (RecDB::ShareEngineLock).
+  std::shared_ptr<std::shared_mutex> engine_mu_ =
+      std::make_shared<std::shared_mutex>();
   std::vector<std::unique_ptr<RecDB>> shards_;
   std::unordered_map<std::string, PartitionInfo> partitions_;  // lower(table)
 };

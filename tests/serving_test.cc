@@ -113,9 +113,11 @@ std::unique_ptr<RecDB> MakeReference() {
   return db;
 }
 
-std::unique_ptr<ShardedRecDB> MakeSharded(size_t num_shards) {
+std::unique_ptr<ShardedRecDB> MakeSharded(size_t num_shards,
+                                          RecDBOptions shard_options = {}) {
   ShardedRecDBOptions opts;
   opts.num_shards = num_shards;
+  opts.shard_options = shard_options;
   auto db = ShardedRecDB::Create(opts);
   EXPECT_TRUE(db.ok()) << db.status().message();
   EXPECT_TRUE(db.value()
@@ -233,22 +235,17 @@ TEST(ServingOptions, ConstructorRejectsOutOfRangeShards) {
 
 TEST(ServingOptions, SetValidatesShardKnobs) {
   RecDB db;
-  // Out of range: rejected with the offending value, not clamped.
-  auto r = db.Execute("SET shard_count = 0");
-  EXPECT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("[1, 1024]"), std::string::npos);
-  EXPECT_FALSE(db.Execute("SET shard_count = 100000").ok());
-  EXPECT_FALSE(db.Execute("SET shard_index = 1").ok());  // count still 1
-
-  ASSERT_TRUE(db.Execute("SET shard_count = 4").ok());
-  ASSERT_TRUE(db.Execute("SET shard_index = 3").ok());
-  EXPECT_FALSE(db.Execute("SET shard_index = 4").ok());
-  // Shrinking the shard space below the live index is rejected too.
-  auto shrink = db.Execute("SET shard_count = 2");
-  EXPECT_FALSE(shrink.ok());
-  EXPECT_NE(shrink.status().message().find("shard_index"), std::string::npos);
+  // Shard identity is fixed when the router builds its shards: both SET
+  // names are retired and point at the construction-time option.
+  for (const char* sql : {"SET shard_count = 4", "SET shard_index = 0"}) {
+    auto r = db.Execute(sql);
+    EXPECT_FALSE(r.ok()) << sql;
+    EXPECT_NE(r.status().message().find("num_shards"), std::string::npos)
+        << r.status().message();
+  }
   // After the rejections the engine still works.
-  EXPECT_TRUE(db.Execute("SET shard_count = 8").ok());
+  EXPECT_TRUE(db.Execute("SET parallelism = 1").ok());
+  EXPECT_EQ(db.options().shard_count, 1u);
 }
 
 TEST(ServingOptions, RouterOwnsShardKnobs) {
@@ -277,7 +274,7 @@ TEST_P(ServingBitIdentity, AllAlgorithmsAllPhases) {
   CompareAllQueries(sharded.get(), reference.get(), "base");
 
   // Live delta overlay: identical statements in identical order feed the
-  // reference and every shard's replicated model.
+  // reference and the router's shared model plane.
   const std::string delta = InsertSql("ratings", DeltaRatings());
   ASSERT_TRUE(reference->Execute(delta).ok());
   ASSERT_TRUE(sharded->Execute(delta).ok());
@@ -310,7 +307,8 @@ TEST(ServingDml, RowsLandOnOwningShardOnly) {
   }
   EXPECT_EQ(total, BaseRatings().size());
 
-  // Every shard's model saw the FULL stream even though its heap is partial.
+  // Every shard's model holds the FULL stream even though its heap is
+  // partial.
   for (size_t k = 0; k < db->num_shards(); ++k) {
     auto rec = db->shard(k)->GetRecommender("sh_ItemCosCF");
     ASSERT_TRUE(rec.ok());
@@ -342,6 +340,196 @@ TEST(ServingDml, DeleteAndUpdateCrossFeedModels) {
     ASSERT_TRUE(db->RefreshAll(std::string("sh_") + algo).ok());
   }
   CompareAllQueries(db.get(), reference.get(), "post-dml refresh");
+}
+
+// Ordered heap contents: the union of the shards' partitions must equal the
+// single node's table.
+void ExpectSameRatingsTable(ShardedRecDB* sharded, RecDB* reference) {
+  const std::string sql =
+      "SELECT uid, iid, ratingval FROM ratings ORDER BY uid, iid";
+  auto got = sharded->Execute(sql);
+  auto want = reference->Execute(sql);
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  ASSERT_TRUE(want.ok()) << want.status().message();
+  ExpectRowsBitIdentical(got.value(), want.value(), sql);
+}
+
+// Regression: the broadcast stopped at the first failing shard, so shard 0's
+// replica held the rows before the bad one while later shards neither stored
+// their owned rows nor fed them. Every shard now runs the statement, fails
+// at the same row, and keeps its owned prefix; the plane is fed it once.
+TEST(ServingDml, FailedMultiRowInsertMatchesSingleNode) {
+  for (size_t shards : {2, 8}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    auto reference = MakeReference();
+    auto db = MakeSharded(shards);
+    const std::string sql =
+        "INSERT INTO ratings VALUES (3, 9, 2.0), (30, 1, 4.0), (5, 7, 1.5), "
+        "(31, 4, 3.5), (2, 2, no_such_column)";
+    auto want = reference->Execute(sql);
+    auto got = db->Execute(sql);
+    ASSERT_FALSE(want.ok());
+    ASSERT_FALSE(got.ok());
+    ExpectSameRatingsTable(db.get(), reference.get());
+    CompareAllQueries(db.get(), reference.get(), "after failed insert");
+  }
+}
+
+// The merge ranks users by the plane's interning order: a user id an UPDATE
+// introduces must rank before a user a later INSERT introduces.
+TEST(ServingDml, UpdateIntroducedUserMergesInPlaneOrder) {
+  for (size_t shards : {2, 8}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    auto reference = MakeReference();
+    auto db = MakeSharded(shards);
+    for (const char* sql :
+         {"UPDATE ratings SET uid = 40 WHERE uid = 7 AND iid = 2",
+          "INSERT INTO ratings VALUES (41, 3, 2.5), (40, 5, 4.0)"}) {
+      auto want = reference->Execute(sql);
+      auto got = db->Execute(sql);
+      ASSERT_TRUE(want.ok()) << want.status().message();
+      ASSERT_TRUE(got.ok()) << got.status().message();
+      EXPECT_EQ(got.value().message, want.value().message) << sql;
+    }
+    ExpectSameRatingsTable(db.get(), reference.get());
+    CompareAllQueries(db.get(), reference.get(), "after update + insert");
+  }
+}
+
+// ------------------------------------------------------ shared model plane
+
+void ExpectOnePlane(ShardedRecDB* db, const std::string& name) {
+  auto first = db->shard(0)->GetRecommender(name);
+  ASSERT_TRUE(first.ok()) << first.status().message();
+  for (size_t k = 1; k < db->num_shards(); ++k) {
+    auto rec = db->shard(k)->GetRecommender(name);
+    ASSERT_TRUE(rec.ok()) << rec.status().message();
+    EXPECT_EQ(rec.value(), first.value()) << name << " on shard " << k;
+  }
+}
+
+const char kLikesTable[] = "CREATE TABLE likes (uid INT, iid INT, v DOUBLE)";
+const char kLikesRec[] =
+    "CREATE RECOMMENDER likes_rec ON likes USERS FROM uid ITEMS FROM iid "
+    "RATINGS FROM v USING ItemCosCF";
+
+TEST(ServingPlane, ShardsShareOneRecommender) {
+  auto db = MakeSharded(4);
+  for (const char* algo : kAlgorithms) {
+    ExpectOnePlane(db.get(), std::string("sh_") + algo);
+  }
+  // A replicated (undeclared) ratings table trains on shard 0 and is shared.
+  ASSERT_TRUE(db->Execute(kLikesTable).ok());
+  ASSERT_TRUE(db->Execute(InsertSql("likes", BaseRatings())).ok());
+  ASSERT_TRUE(db->Execute(kLikesRec).ok());
+  ExpectOnePlane(db.get(), "likes_rec");
+  // Duplicate names fail before anything is built or registered.
+  EXPECT_EQ(db->Execute("CREATE RECOMMENDER sh_SVD ON ratings USERS FROM uid "
+                        "ITEMS FROM iid RATINGS FROM ratingval USING SVD")
+                .status()
+                .code(),
+            StatusCode::kAlreadyExists);
+  // Every broadcast row reaches the plane exactly once.
+  const size_t base = db->shard(0)->GetRecommender("likes_rec").value()->base_size();
+  ASSERT_TRUE(db->Execute("INSERT INTO likes VALUES (50, 1, 2.0)").ok());
+  ASSERT_TRUE(db->Execute("INSERT INTO ratings VALUES (50, 1, 2.0)").ok());
+  EXPECT_EQ(db->shard(0)->GetRecommender("likes_rec").value()->live().NumRatings(),
+            base + 1);
+  EXPECT_EQ(db->shard(0)->GetRecommender("sh_SVD").value()->live().NumRatings(),
+            BaseRatings().size() + 1);
+}
+
+TEST(ServingPlane, ReopenSharesOnePlane) {
+  const std::string path = ::testing::TempDir() + "serving_plane_db";
+  for (size_t k = 0; k < 2; ++k) {
+    std::remove((path + ".shard" + std::to_string(k)).c_str());
+    std::remove((path + ".shard" + std::to_string(k) + ".wal").c_str());
+  }
+  ShardedRecDBOptions opts;
+  opts.num_shards = 2;
+  {
+    auto db = ShardedRecDB::Open(path, opts);
+    ASSERT_TRUE(db.ok()) << db.status().message();
+    ASSERT_TRUE(db.value()
+                    ->Execute("CREATE TABLE ratings (uid INT, iid INT, "
+                              "ratingval DOUBLE)")
+                    .ok());
+    ASSERT_TRUE(db.value()->DeclarePartitionedTable("ratings", "uid").ok());
+    ASSERT_TRUE(db.value()->Execute(InsertSql("ratings", BaseRatings())).ok());
+    ASSERT_TRUE(db.value()
+                    ->Execute("CREATE RECOMMENDER sh_SVD ON ratings USERS "
+                              "FROM uid ITEMS FROM iid RATINGS FROM "
+                              "ratingval USING SVD")
+                    .ok());
+    ASSERT_TRUE(db.value()->Execute(kLikesTable).ok());
+    ASSERT_TRUE(db.value()->Execute(InsertSql("likes", BaseRatings())).ok());
+    ASSERT_TRUE(db.value()->Execute(kLikesRec).ok());
+    ASSERT_TRUE(db.value()->Close().ok());
+  }
+  auto db = ShardedRecDB::Open(path, opts);
+  ASSERT_TRUE(db.ok()) << db.status().message();
+  ExpectOnePlane(db.value().get(), "likes_rec");
+  ASSERT_TRUE(db.value()->DeclarePartitionedTable("ratings", "uid").ok());
+  ExpectOnePlane(db.value().get(), "sh_SVD");
+  ExpectOnePlane(db.value().get(), "likes_rec");
+  EXPECT_EQ(db.value()->shard(1)->GetRecommender("sh_SVD").value()->base_size(),
+            BaseRatings().size());
+  ASSERT_TRUE(db.value()->Close().ok());
+}
+
+// One user id owned by `shard` of `num_shards`, from the base workload.
+int64_t UserOwnedBy(uint32_t shard, uint32_t num_shards) {
+  for (int64_t u = 1; u <= 24; ++u) {
+    if (ShardOfUser(u, num_shards) == shard) return u;
+  }
+  return -1;
+}
+
+// Both shards' cache managers hang off the one shared recommender: each
+// queues the invalidated pairs of the users its shard owns.
+TEST(ServingCache, ManagersOnTwoShardsBothReceiveInvalidations) {
+  auto db = MakeSharded(2);
+  const std::string name = "sh_ItemCosCF";
+  auto cm0 = db->shard(0)->GetCacheManager(name);
+  auto cm1 = db->shard(1)->GetCacheManager(name);
+  ASSERT_TRUE(cm0.ok() && cm1.ok());
+  const int64_t u0 = UserOwnedBy(0, 2);
+  const int64_t u1 = UserOwnedBy(1, 2);
+  Recommender* rec = db->shard(0)->GetRecommender(name).value();
+  rec->score_index()->Put(u0, 11, 0.5);
+  rec->score_index()->Put(u1, 11, 0.5);
+  ASSERT_TRUE(db->Execute("INSERT INTO ratings VALUES (" + std::to_string(u0) +
+                          ", 1, 3.0), (" + std::to_string(u1) + ", 1, 3.0)")
+                  .ok());
+  EXPECT_EQ(cm0.value()->pending_invalidated(), 1u);
+  EXPECT_EQ(cm1.value()->pending_invalidated(), 1u);
+
+  // A manager's stale sweep leaves the other shard's users' entries alone.
+  rec->score_index()->Put(u1, 11, 0.5);
+  ASSERT_TRUE(db->Execute(RecommendSql("ItemCosCF", "WHERE R.uid = " +
+                                                        std::to_string(u0)))
+                  .ok());
+  ASSERT_TRUE(cm0.value()->Run().ok());
+  EXPECT_TRUE(rec->score_index()->GetScore(u1, 11).has_value());
+}
+
+// ASan target: a shard's DROP RECOMMENDER erases its manager while another
+// shard still holds the recommender; no listener may reach the erased one.
+TEST(ServingCache, DropClearsListenerBeforeErasingManager) {
+  auto db = MakeSharded(2);
+  const std::string name = "sh_ItemCosCF";
+  ASSERT_TRUE(db->shard(0)->GetCacheManager(name).ok());
+  ASSERT_TRUE(db->shard(1)->GetCacheManager(name).ok());
+  ASSERT_TRUE(db->shard(0)->Execute("DROP RECOMMENDER " + name).ok());
+  EXPECT_FALSE(db->shard(0)->GetRecommender(name).ok());
+  Recommender* rec = db->shard(1)->GetRecommender(name).value();
+  const int64_t u0 = UserOwnedBy(0, 2);
+  rec->score_index()->Put(u0, 11, 0.5);
+  rec->AddRating(u0, 1, 3.0);  // evicts (u0, 11) and calls the listener
+  EXPECT_FALSE(rec->score_index()->GetScore(u0, 11).has_value());
+  // The router's DROP removes the rest of the plane.
+  ASSERT_TRUE(db->shard(1)->Execute("DROP RECOMMENDER " + name).ok());
+  EXPECT_FALSE(db->shard(1)->GetRecommender(name).ok());
 }
 
 // --------------------------------------------------------------- reopening
@@ -399,7 +587,8 @@ TEST(ServingReopen, ShardFilesRecoverAndReseed) {
   ASSERT_TRUE(want.ok());
   ExpectRowsBitIdentical(got.value(), want.value(), "reopen");
 
-  // Every shard's replicated model trips NeedsRefresh at 5% of the base.
+  // The shared model every shard serves trips NeedsRefresh at 5% of the
+  // base.
   const size_t base = BaseRatings().size();
   const size_t trigger = static_cast<size_t>(std::ceil(0.05 * base));
   for (size_t k = 1; k <= trigger; ++k) {
@@ -458,6 +647,50 @@ TEST(ServingConcurrent, ConcurrentClients) {
   for (auto& c : clients) c.join();
   EXPECT_EQ(errors.load(), 0);
   ASSERT_TRUE(db->Execute("SET parallelism = 1").ok());
+}
+
+// TSan target: with background maintenance and a low N%, refreshes of the
+// shared plane commit while scattered Top-k legs on every shard read it.
+// The commit takes the one engine lock all shards share; with a private
+// lock per shard it would exclude only its own shard's readers.
+TEST(ServingConcurrent, BackgroundRefreshOfSharedPlane) {
+  RecDBOptions shard_options;
+  shard_options.rebuild_threshold = 0.01;
+  auto db = MakeSharded(4, shard_options);
+  ASSERT_TRUE(db->Execute("SET maintenance = background").ok());
+  std::atomic<int> errors{0};
+  std::atomic<int> writers_left{2};
+  std::atomic<int64_t> next_user{2000};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 5; ++t) {
+    clients.emplace_back([&, t] {
+      if (t >= 3) {
+        for (int q = 0; q < 40; ++q) {
+          const int64_t u = next_user.fetch_add(1);
+          std::vector<Rating> rows = {{u, (u % 12) + 1, 3.0},
+                                      {u, ((u + 5) % 12) + 1, 4.5}};
+          if (!db->Execute(InsertSql("ratings", rows)).ok()) ++errors;
+        }
+        --writers_left;
+        return;
+      }
+      // Readers keep scattering until every write (and the refreshes it
+      // scheduled) has had readers racing it.
+      for (int q = 0; writers_left.load() > 0 || q < 10; ++q) {
+        const char* algo = kAlgorithms[(t + q) % 5];
+        auto r =
+            db->Execute(RecommendSql(algo, "ORDER BY R.ratingval DESC LIMIT 5"));
+        if (!r.ok()) ++errors;
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  db->DrainBackgroundWork();
+  EXPECT_EQ(errors.load(), 0);
+  // Refreshes committed: the merged base outgrew the load.
+  EXPECT_GT(db->shard(3)->GetRecommender("sh_ItemCosCF").value()->base_size(),
+            BaseRatings().size());
+  ASSERT_TRUE(db->Execute("SET maintenance = manual").ok());
 }
 
 // Regression: `SET parallelism` used to resize the global scheduler while
