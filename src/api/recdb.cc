@@ -990,6 +990,7 @@ Result<ResultSet> RecDB::ExecuteInsert(const InsertStatement& stmt) {
   // multi-row INSERT becomes one versioned delta batch instead of N.
   std::vector<Tuple> applied;
   applied.reserve(stmt.rows.size());
+  size_t stored = 0;
   Status st = Status::OK();
   for (const auto& row : stmt.rows) {
     if (row.size() != schema.NumColumns()) {
@@ -1016,6 +1017,7 @@ Result<ResultSet> RecDB::ExecuteInsert(const InsertStatement& stmt) {
     if (ShardOwnsRow(options_, build.value(), part_user_idx)) {
       st = table->heap->Insert(build.value()).status();
       if (!st.ok()) break;
+      ++stored;
       if (part_user_idx != SIZE_MAX) {
         obs::Count(obs::Counter::kServingDmlRowsRouted);
       }
@@ -1045,6 +1047,7 @@ Result<ResultSet> RecDB::ExecuteInsert(const InsertStatement& stmt) {
   ResultSet rs;
   rs.message = StringFormat("inserted %zu rows into %s", applied.size(),
                             table->name.c_str());
+  rs.rows_affected = stored;
   return rs;
 }
 

@@ -108,8 +108,9 @@ struct ResultSet {
   std::string trace;
   ExecStats stats;
   double elapsed_seconds = 0;
-  /// Rows a DELETE/UPDATE removed or rewrote (the router sums it across
-  /// shards for its confirmation).
+  /// Rows an INSERT wrote to this engine's heap, or a DELETE/UPDATE removed
+  /// or rewrote. The router counts INSERT rows per shard for its skew gauge
+  /// and sums DELETE/UPDATE rows across shards for its confirmation.
   size_t rows_affected = 0;
 
   size_t NumRows() const { return rows.size(); }

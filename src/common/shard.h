@@ -13,10 +13,10 @@
 
 namespace recdb {
 
-/// Hard cap on shard_count/shard_index engine options. Far above any
-/// sensible in-process deployment; exists so option validation can reject
-/// nonsense with a clear error instead of clamping silently.
-constexpr uint32_t kMaxShardCount = 1024;
+/// Hard cap on the shard count: ShardedRecDBOptions::num_shards and the
+/// engine's shard_count option it sets. Exists so option validation can
+/// reject nonsense with a clear error instead of clamping silently.
+constexpr uint32_t kMaxShardCount = 64;
 
 /// splitmix64 finalizer (Steele et al.) — avalanche-mixes all 64 bits.
 inline uint64_t MixUserId(uint64_t x) {

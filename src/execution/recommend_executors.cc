@@ -28,17 +28,23 @@ Tuple MakeRecTuple(const ExecSchema& schema, size_t user_idx, size_t item_idx,
   return Tuple(std::move(vals));
 }
 
-/// The users an executor serves, in plan order: the pushed-down ids
-/// (`pushed`; null = every user in the snapshot) that the model knows and,
-/// on a sharded engine, that this shard owns. Filtering preserves relative
-/// order, so a shard's emission stays a subsequence of the single-node
-/// stream (DESIGN.md §14).
+/// The users an executor serves, in ascending id — the one user order of
+/// every RECOMMEND stream (DESIGN.md §14): the pushed-down ids (`pushed`,
+/// already sorted by the optimizer; null = every user in the snapshot) that
+/// the model knows and, on a sharded engine, that this shard owns. Filtering
+/// preserves relative order, so a shard's emission stays a subsequence of
+/// the single-node stream.
 std::vector<int64_t> ServedUsers(const RatingMatrix& snapshot,
                                  const std::vector<int64_t>* pushed,
                                  const ExecContext& ctx) {
   std::vector<int64_t> out;
   if (pushed == nullptr) {
+    // The matrix lists users in interning order; a canonical load interns
+    // them sorted, so only users added later need the sort.
     out = snapshot.user_ids();
+    if (!std::is_sorted(out.begin(), out.end())) {
+      std::sort(out.begin(), out.end());
+    }
   } else {
     out.reserve(pushed->size());
     for (int64_t id : *pushed) {

@@ -40,7 +40,7 @@ struct UserRowScores {
 /// units of (user, item slice) scored morsel-parallel into slots that
 /// concatenate in the serial order (DESIGN.md §8).
 struct ScoreGrid {
-  std::vector<int64_t> users;  // served users, in plan order
+  std::vector<int64_t> users;  // served users, in ascending id
   std::vector<int64_t> items;  // item ids each user scores, emission order
   // Unit layout, fixed before scoring: item slices per user, units per
   // morsel, and whether the units fan out over the scheduler.

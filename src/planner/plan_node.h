@@ -125,7 +125,7 @@ struct RecommendPlan : PlanNode {
 
 /// JOINRECOMMEND: children[0] is the outer relation; each user scores only
 /// the outer tuples' items (a FilterRecommend over the outer's item list).
-/// Rows come user-major: users in plan order, then outer tuples in outer
+/// Rows come user-major: users in ascending id, then outer tuples in outer
 /// order. Output schema is recommend-columns ++ outer-columns.
 struct JoinRecommendPlan : PlanNode {
   JoinRecommendPlan() : PlanNode(PlanNodeType::kJoinRecommend) {}

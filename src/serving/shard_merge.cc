@@ -7,14 +7,12 @@
 namespace recdb {
 
 uint64_t ShardMergeExecutor::RankOf(const Tuple& row) const {
-  if (spec_.user_col == SIZE_MAX || user_rank_ == nullptr) return 0;
+  if (spec_.user_col == SIZE_MAX) return 0;
   if (spec_.user_col >= row.NumValues()) return UINT64_MAX;
   const Value& u = row.At(spec_.user_col);
   if (u.is_null() || u.type() != TypeId::kInt64) return UINT64_MAX;
-  auto it = user_rank_->find(u.AsInt());
-  // Users the router never routed a rating for (e.g. rated only through a
-  // pre-load) sort after every ranked user, mirroring matrix interning.
-  return it == user_rank_->end() ? UINT64_MAX : it->second;
+  // Flipping the sign bit maps int64 order onto uint64 order.
+  return static_cast<uint64_t>(u.AsInt()) ^ (uint64_t{1} << 63);
 }
 
 bool ShardMergeExecutor::RowLess(const Tuple& a, uint64_t rank_a, size_t seq_a,
@@ -26,9 +24,9 @@ bool ShardMergeExecutor::RowLess(const Tuple& a, uint64_t rank_a, size_t seq_a,
     if (c != 0) return key.desc ? c > 0 : c < 0;
   }
   // ORDER BY tie (or no ORDER BY): reconstruct the single-node emission
-  // order. Rows of different users order by global first-seen rank; rows of
-  // the same user live on one shard, where the leg sequence is exactly the
-  // single-node slot order.
+  // order. Rows of different users order by user id; rows of the same user
+  // live on one shard, where the leg sequence is exactly the single-node
+  // slot order.
   if (rank_a != rank_b) return rank_a < rank_b;
   if (leg_a == leg_b) return seq_a < seq_b;
   if (seq_a != seq_b) return seq_a < seq_b;

@@ -4,19 +4,16 @@
 // single-node result belonging to the users it owns, already sorted under
 // the query's ORDER BY. ShardMergeExecutor reassembles the exact single-node
 // output with a k-way merge: rows are compared first on the ORDER BY keys
-// (per-key direction), then on the user's global first-seen rank (which
-// mirrors the rating matrix's interning order, i.e. the executors' user-major
-// emission order), then on the row's arrival sequence within its leg. Because
+// (per-key direction), then on the user id (RECOMMEND emits users in
+// ascending id), then on the row's arrival sequence within its leg. Because
 // every leg is sorted under this same comparator, the merge is a linear
 // k-way front scan that can stop as soon as LIMIT rows have been emitted —
 // the per-shard streams act as their own merge thresholds (each shard's
-// top-k is a superset of its contribution to the global top-k, the PR-8
-// bound argument applied across shards).
+// top-k is a superset of its contribution to the global top-k).
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "api/recdb.h"
@@ -30,7 +27,7 @@ struct MergeSpec {
     size_t col = 0;     // index into ResultSet::columns
     bool desc = false;  // ORDER BY direction
   };
-  std::vector<Key> order_by;  // empty = merge purely on (rank, seq)
+  std::vector<Key> order_by;  // empty = merge purely on (user id, seq)
   /// Column carrying the recommendation user id, or SIZE_MAX when the query
   /// has no usable user column (plain partitioned scans): ties then break on
   /// leg arrival order and shard index.
@@ -40,12 +37,7 @@ struct MergeSpec {
 
 class ShardMergeExecutor {
  public:
-  /// `user_rank` maps user id -> global first-seen rank (the router's
-  /// PartitionInfo); unknown users rank after all known ones. Borrowed, may
-  /// be null (all users rank equal).
-  ShardMergeExecutor(MergeSpec spec,
-                     const std::unordered_map<int64_t, uint64_t>* user_rank)
-      : spec_(std::move(spec)), user_rank_(user_rank) {}
+  explicit ShardMergeExecutor(MergeSpec spec) : spec_(std::move(spec)) {}
 
   /// Merge the per-shard result streams (`legs`, in shard order) into `out`
   /// (rows appended; columns/stats untouched). Counts serving.rows_merged /
@@ -57,10 +49,11 @@ class ShardMergeExecutor {
   bool RowLess(const Tuple& a, uint64_t rank_a, size_t seq_a, size_t leg_a,
                const Tuple& b, uint64_t rank_b, size_t seq_b,
                size_t leg_b) const;
+  /// The row's user id mapped order-preservingly onto uint64; NULL and
+  /// non-INT ids rank last, and every row ranks 0 without a user column.
   uint64_t RankOf(const Tuple& row) const;
 
   MergeSpec spec_;
-  const std::unordered_map<int64_t, uint64_t>* user_rank_;
 };
 
 }  // namespace recdb

@@ -18,10 +18,8 @@ namespace recdb {
 
 namespace {
 
-constexpr size_t kMaxRouterShards = 64;
-
 /// Evaluate a constant integer expression (literal or negated literal) —
-/// the shapes INSERT VALUES and WHERE predicates carry.
+/// the shapes WHERE predicates pin user ids with.
 bool LiteralInt(const Expr& e, int64_t* out) {
   if (e.kind == ExprKind::kLiteral && e.literal.type() == TypeId::kInt64) {
     *out = e.literal.AsInt();
@@ -127,10 +125,10 @@ uint64_t ElapsedUs(const Stopwatch& watch) {
 ShardedRecDB::~ShardedRecDB() = default;
 
 Status ShardedRecDB::ValidateOptions(const ShardedRecDBOptions& options) {
-  if (options.num_shards < 1 || options.num_shards > kMaxRouterShards) {
+  if (options.num_shards < 1 || options.num_shards > kMaxShardCount) {
     return Status::InvalidArgument(
         "ShardedRecDBOptions::num_shards must be in [1, " +
-        std::to_string(kMaxRouterShards) + "], got " +
+        std::to_string(kMaxShardCount) + "], got " +
         std::to_string(options.num_shards));
   }
   return Status::OK();
@@ -179,27 +177,6 @@ ShardedRecDB::PartitionInfo* ShardedRecDB::FindPartition(
     const std::string& table) {
   auto it = partitions_.find(ToLower(table));
   return it == partitions_.end() ? nullptr : &it->second;
-}
-
-void ShardedRecDB::RecordRoutedUser(PartitionInfo* info, int64_t user_id) {
-  if (info->user_rank.find(user_id) == info->user_rank.end()) {
-    info->user_rank[user_id] = info->next_rank++;
-  }
-  const uint32_t owner =
-      ShardOfUser(user_id, static_cast<uint32_t>(shards_.size()));
-  if (owner < info->routed_rows.size()) ++info->routed_rows[owner];
-}
-
-void ShardedRecDB::SyncRankFromPlane(const std::string& table,
-                                     PartitionInfo* info) {
-  std::shared_lock<std::shared_mutex> lock(*engine_mu_);
-  auto recs = shards_[0]->registry()->FindAllOnTable(table);
-  if (recs.empty()) return;
-  for (int64_t uid : recs[0]->live().user_ids()) {
-    if (info->user_rank.emplace(uid, info->next_rank).second) {
-      ++info->next_rank;
-    }
-  }
 }
 
 void ShardedRecDB::PublishSkew(const PartitionInfo& info) {
@@ -256,7 +233,7 @@ Result<ResultSet> ShardedRecDB::Execute(const std::string& sql) {
       if (info != nullptr) {
         auto config = RecommenderConfigFor(create, shards_[0]->options());
         if (!config.ok()) return config.status();
-        return finish(GatherCreateRecommender(std::move(config).value(), info));
+        return finish(GatherCreateRecommender(std::move(config).value()));
       }
       return finish(CreateSharedRecommender(sql, create.name));
     }
@@ -375,7 +352,7 @@ Result<ResultSet> ShardedRecDB::ScatterSelect(const std::string& sql,
   }
 
   Stopwatch merge_watch;
-  ShardMergeExecutor merger(std::move(spec), &info->user_rank);
+  ShardMergeExecutor merger(std::move(spec));
   RECDB_RETURN_NOT_OK(merger.Merge(legs, &out));
   obs::ObserveUs(obs::Histogram::kServingMergeUs, ElapsedUs(merge_watch));
   return out;
@@ -399,10 +376,10 @@ Result<ResultSet> ShardedRecDB::BroadcastWrite(const std::string& sql,
   // error fails at the same row on every shard, so every heap keeps exactly
   // its owned prefix and shard 0 feeds that prefix to the plane once.
   ResultSet first;
-  size_t rows_affected = 0;
+  std::vector<size_t> shard_rows(shards_.size(), 0);
   Status status = ForEachShard([&](size_t k) -> Status {
     RECDB_ASSIGN_OR_RETURN(ResultSet r, shards_[k]->Execute(sql));
-    rows_affected += r.rows_affected;
+    shard_rows[k] = r.rows_affected;
     if (k == 0) first = std::move(r);
     return Status::OK();
   });
@@ -415,34 +392,22 @@ Result<ResultSet> ShardedRecDB::BroadcastWrite(const std::string& sql,
   } else if (stmt.kind == StatementKind::kUpdate) {
     table_name = static_cast<const UpdateStatement&>(stmt).table_name;
   }
-  PartitionInfo* info = FindPartition(table_name);
-  if (info == nullptr) return status.ok() ? Result<ResultSet>(first) : status;
-  auto table = shards_[0]->catalog()->GetTable(table_name);
-  if (!table.ok()) return status.ok() ? Result<ResultSet>(first) : status;
-
-  if (stmt.kind == StatementKind::kInsert && status.ok()) {
-    // New users intern in statement order — the order shard 0 fed them to
-    // the plane.
-    auto idx = table.value()->schema.IndexOf(info->user_col);
-    if (idx.ok()) {
-      for (const auto& row : static_cast<const InsertStatement&>(stmt).rows) {
-        int64_t uid;
-        if (idx.value() < row.size() && row[idx.value()] != nullptr &&
-            LiteralInt(*row[idx.value()], &uid)) {
-          RecordRoutedUser(info, uid);
-        }
-      }
-      PublishSkew(*info);
-    }
-  } else {
-    // A failed INSERT's prefix, or the user ids an UPDATE introduced: only
-    // the plane knows which ids it interned, and in what order.
-    SyncRankFromPlane(table.value()->name, info);
-  }
   if (!status.ok()) return status;
-  if (stmt.kind != StatementKind::kInsert && shards_.size() > 1) {
+  PartitionInfo* info = FindPartition(table_name);
+  if (info == nullptr) return first;
+  if (stmt.kind == StatementKind::kInsert) {
+    // Each shard reports the rows it stored: its share of the partition.
+    for (size_t k = 0; k < shards_.size(); ++k) {
+      info->routed_rows[k] += shard_rows[k];
+    }
+    PublishSkew(*info);
+  } else if (shards_.size() > 1) {
     // Each shard only saw its own victims; the confirmation must match
     // what a single node would say for the whole statement.
+    size_t rows_affected = 0;
+    for (size_t n : shard_rows) rows_affected += n;
+    auto table = shards_[0]->catalog()->GetTable(table_name);
+    if (!table.ok()) return first;
     const char* canonical = table.value()->name.c_str();
     first.message =
         stmt.kind == StatementKind::kDelete
@@ -464,7 +429,7 @@ Result<ResultSet> ShardedRecDB::CreateSharedRecommender(
 }
 
 Result<ResultSet> ShardedRecDB::GatherCreateRecommender(
-    RecommenderConfig config, PartitionInfo* info) {
+    RecommenderConfig config) {
   obs::Count(obs::Counter::kServingDmlBroadcasts);
   Stopwatch watch;
   if (shards_[0]->registry()->Get(config.name).ok()) {
@@ -523,16 +488,6 @@ Result<ResultSet> ShardedRecDB::GatherCreateRecommender(
   RECDB_RETURN_NOT_OK(ForEachShard(
       [&](size_t k) { return shards_[k]->AdoptRecommender(rec); }));
 
-  // The plane interns users in canonical sorted order; reset the rank
-  // map to match so the merge keeps mirroring emission order.
-  info->user_rank.clear();
-  info->next_rank = 0;
-  for (const GatheredRow& row : rows) {
-    if (info->user_rank.find(row.user) == info->user_rank.end()) {
-      info->user_rank[row.user] = info->next_rank++;
-    }
-  }
-
   ResultSet rs;
   rs.elapsed_seconds = watch.ElapsedSeconds();
   rs.message = StringFormat(
@@ -543,8 +498,7 @@ Result<ResultSet> ShardedRecDB::GatherCreateRecommender(
   return rs;
 }
 
-Status ShardedRecDB::ReseedTableLocked(const std::string& table,
-                                       PartitionInfo* info) {
+Status ShardedRecDB::ReseedTableLocked(const std::string& table) {
   // Recommenders a reopened shard re-trained during recovery saw only its
   // own partition of the heap — drop and re-create them, with their
   // persisted configs, from the gathered canonical stream.
@@ -559,35 +513,7 @@ Status ShardedRecDB::ReseedTableLocked(const std::string& table,
           shards_[k]->Execute("DROP RECOMMENDER " + config.name));
       (void)dropped;
     }
-    RECDB_RETURN_NOT_OK(GatherCreateRecommender(config, info).status());
-  }
-  if (configs.empty()) {
-    // No recommenders yet (fresh declaration): seed the rank map and skew
-    // counters from whatever rows already landed, in canonical order.
-    info->user_rank.clear();
-    info->next_rank = 0;
-    auto table_info = shards_[0]->catalog()->GetTable(table);
-    if (!table_info.ok()) return Status::OK();
-    std::vector<int64_t> users;
-    for (size_t k = 0; k < shards_.size(); ++k) {
-      RECDB_ASSIGN_OR_RETURN(
-          ResultSet part,
-          shards_[k]->Execute("SELECT " + info->user_col + " FROM " + table));
-      for (const Tuple& t : part.rows) {
-        const Value& u = t.At(0);
-        if (!u.is_null() && u.type() == TypeId::kInt64) {
-          users.push_back(u.AsInt());
-          ++info->routed_rows[k];
-        }
-      }
-    }
-    std::sort(users.begin(), users.end());
-    for (int64_t uid : users) {
-      if (info->user_rank.find(uid) == info->user_rank.end()) {
-        info->user_rank[uid] = info->next_rank++;
-      }
-    }
-    PublishSkew(*info);
+    RECDB_RETURN_NOT_OK(GatherCreateRecommender(config).status());
   }
   return Status::OK();
 }
@@ -600,10 +526,15 @@ Status ShardedRecDB::DeclarePartitionedTable(const std::string& table,
   }
   PartitionInfo& info = partitions_[ToLower(table)];
   info.user_col = user_col;
-  info.user_rank.clear();
-  info.next_rank = 0;
+  // Seed the skew counters from whatever rows already landed.
   info.routed_rows.assign(shards_.size(), 0);
-  return ReseedTableLocked(table, &info);
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    RECDB_ASSIGN_OR_RETURN(
+        ResultSet count, shards_[k]->Execute("SELECT COUNT(*) FROM " + table));
+    info.routed_rows[k] = static_cast<uint64_t>(count.At(0, 0).AsInt());
+  }
+  PublishSkew(info);
+  return ReseedTableLocked(table);
 }
 
 Status ShardedRecDB::BulkInsert(const std::string& table,
@@ -617,11 +548,11 @@ Status ShardedRecDB::BulkInsert(const std::string& table,
       auto idx = table_info.value()->schema.IndexOf(info->user_col);
       if (idx.ok()) {
         for (const auto& row : rows) {
-          if (idx.value() < row.size()) {
-            const Value& u = row[idx.value()];
-            if (!u.is_null() && u.type() == TypeId::kInt64) {
-              RecordRoutedUser(info, u.AsInt());
-            }
+          if (idx.value() >= row.size()) continue;
+          const Value& u = row[idx.value()];
+          if (!u.is_null() && u.type() == TypeId::kInt64) {
+            ++info->routed_rows[ShardOfUser(
+                u.AsInt(), static_cast<uint32_t>(shards_.size()))];
           }
         }
         PublishSkew(*info);

@@ -20,9 +20,10 @@
 // global TaskScheduler to the owning shards (all shards, or the owners of
 // the user ids pinned by the WHERE clause); each shard emits the
 // order-preserving subsequence of the single-node result for its users, and
-// ShardMergeExecutor reassembles the exact single-node output. DML
-// broadcasts to every shard in shard order; each shard persists only its
-// owned rows.
+// ShardMergeExecutor reassembles the exact single-node output by ranking
+// rows on their user id (RECOMMEND emits users in ascending id), so the
+// router keeps no per-user state. DML broadcasts to every shard in shard
+// order; each shard persists only its owned rows.
 //
 // The router executes ONE statement per Execute() call (no scripts). Shard
 // identity is fixed by ShardedRecDBOptions::num_shards.
@@ -41,7 +42,7 @@
 namespace recdb {
 
 struct ShardedRecDBOptions {
-  /// Engine shards behind the router, in [1, 64].
+  /// Engine shards behind the router, in [1, kMaxShardCount].
   size_t num_shards = 2;
   /// Template for every shard's options; shard_count/shard_index are
   /// overwritten per shard by the router.
@@ -73,14 +74,15 @@ class ShardedRecDB {
   Result<ResultSet> Execute(const std::string& sql);
 
   /// Partition-aware bulk load: owned rows land in their owning shard's
-  /// heap, shard 0 feeds every row to the shared plane, and the router's
-  /// user-rank map records global first-seen order.
+  /// heap, shard 0 feeds every row to the shared plane, and the router
+  /// counts each row against its owner for the skew gauge.
   Status BulkInsert(const std::string& table,
                     const std::vector<std::vector<Value>>& rows);
 
-  /// Declare `table` user-partitioned on `user_col` on every shard, and (on
-  /// a reopened router) rebuild the user-rank map and re-seed existing
-  /// recommenders on the table from a gathered canonical matrix.
+  /// Declare `table` user-partitioned on `user_col` on every shard, seed the
+  /// skew counters with each shard's row count, and (on a reopened router)
+  /// re-seed existing recommenders on the table from a gathered canonical
+  /// matrix.
   Status DeclarePartitionedTable(const std::string& table,
                                  const std::string& user_col);
 
@@ -98,15 +100,11 @@ class ShardedRecDB {
   RecDB* shard(size_t k) { return shards_[k].get(); }
 
  private:
-  /// Per partitioned table: the declared user column and the global
-  /// first-seen rank of every routed user id — the router-side mirror of
-  /// the shared plane's interning order, used by the merge to restore
-  /// single-node emission order and by the skew gauge.
+  /// Per partitioned table: the declared user column and the rows each
+  /// shard stores, for serving.shard_skew_pct.
   struct PartitionInfo {
     std::string user_col;
-    std::unordered_map<int64_t, uint64_t> user_rank;
-    uint64_t next_rank = 0;
-    std::vector<uint64_t> routed_rows;  // per shard, for serving.shard_skew_pct
+    std::vector<uint64_t> routed_rows;  // per shard
   };
 
   ShardedRecDB() = default;
@@ -130,21 +128,13 @@ class ShardedRecDB {
   /// (complete) heap and every other shard adopts it.
   Result<ResultSet> CreateSharedRecommender(const std::string& sql,
                                             const std::string& name);
-  Result<ResultSet> GatherCreateRecommender(RecommenderConfig config,
-                                            PartitionInfo* info);
+  Result<ResultSet> GatherCreateRecommender(RecommenderConfig config);
 
-  /// Re-seed every recommender on `table` (and rebuild `info`'s rank map)
-  /// from a gathered, (uid,iid)-sorted canonical matrix. Caller holds the
-  /// exclusive router lock.
-  Status ReseedTableLocked(const std::string& table, PartitionInfo* info);
+  /// Re-seed every recommender on `table` from a gathered, (uid,iid)-sorted
+  /// canonical matrix. Caller holds the exclusive router lock.
+  Status ReseedTableLocked(const std::string& table);
 
   PartitionInfo* FindPartition(const std::string& table);
-  /// Record one routed rating row for rank/skew bookkeeping.
-  void RecordRoutedUser(PartitionInfo* info, int64_t user_id);
-  /// Append to `info`'s rank map every user the shared plane on `table`
-  /// interned that the map lacks, in plane index order (users an UPDATE or
-  /// a failed INSERT's prefix introduced).
-  void SyncRankFromPlane(const std::string& table, PartitionInfo* info);
   void PublishSkew(const PartitionInfo& info);
 
   mutable std::shared_mutex router_mu_;

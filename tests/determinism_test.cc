@@ -5,6 +5,8 @@
 //    membership-checked in O(1), so duplicate IN-list ids emit one tuple.
 //  - RECOMMEND / FILTERRECOMMEND / JOINRECOMMEND output and neighborhood
 //    model builds must be bit-identical under any `SET parallelism` level.
+//  - RECOMMEND emits users in ascending id, on the exact and the pruned
+//    Top-k path, even for a user the model saw after CREATE RECOMMENDER.
 //  - JOINRECOMMEND must return the hash-join plan's rows, bit for bit, for
 //    every algorithm.
 //  - PredictBatch must be bit-identical to scalar Predict for every
@@ -17,7 +19,9 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <numeric>
+#include <utility>
 #include <span>
 #include <string>
 #include <vector>
@@ -318,6 +322,78 @@ TEST(ParallelDeterminismTest, RecommendRowsIdenticalAcrossThreadCounts) {
                 serial.value().stats.predictions);
       EXPECT_EQ(parallel.value().stats.tasks_spawned > 0, c.fans_out)
           << "at parallelism " << threads;
+    }
+  }
+}
+
+TEST(UserOrderTest, RecommendEmitsUsersInAscendingIdOnEveryPath) {
+  // The one user order (DESIGN.md §14): RECOMMEND emits users in ascending
+  // id, not in the order the rating matrix first saw them. User 0 arrives
+  // after CREATE RECOMMENDER, so the matrix interns it last; it copies user
+  // 5's ratings, so each of its items ties user 5's score and the pruned
+  // Top-k, which breaks ties by user position, must put user 0 first too.
+  ParallelismGuard guard;
+  RecDB db;
+  LoadRatings(&db);
+  auto five = db.Execute("SELECT uid, iid, ratingval FROM Ratings WHERE uid = 5");
+  ASSERT_TRUE(five.ok());
+  std::string insert = "INSERT INTO Ratings VALUES ";
+  for (size_t r = 0; r < five.value().NumRows(); ++r) {
+    insert += (r > 0 ? ", (0, " : "(0, ") + five.value().At(r, 1).ToString() +
+              ", " + five.value().At(r, 2).ToString() + ")";
+  }
+  ASSERT_TRUE(db.Execute(insert).ok());
+
+  const std::string exact =
+      "SELECT R.uid, R.iid, R.ratingval FROM Ratings AS R "
+      "RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF";
+  // LIMIT above the 31 x 20 grid keeps every unseen pair.
+  const std::string pruned = exact + " ORDER BY R.ratingval DESC LIMIT 1000";
+  auto explained = db.Explain(pruned);
+  ASSERT_TRUE(explained.ok());
+  ASSERT_NE(explained.value().find("mode=pruned"), std::string::npos)
+      << explained.value();
+
+  std::string serial_exact, serial_pruned;
+  for (int threads : {1, 8}) {
+    SCOPED_TRACE("parallelism " + std::to_string(threads));
+    ASSERT_TRUE(
+        db.Execute("SET parallelism = " + std::to_string(threads)).ok());
+    auto all = db.Execute(exact);
+    ASSERT_TRUE(all.ok());
+    ASSERT_GT(all.value().NumRows(), 0u);
+    EXPECT_EQ(all.value().At(0, 0).AsInt(), 0);
+    for (size_t r = 1; r < all.value().NumRows(); ++r) {
+      ASSERT_LE(all.value().At(r - 1, 0).AsInt(), all.value().At(r, 0).AsInt())
+          << "row " << r;
+    }
+
+    auto topk = db.Execute(pruned);
+    ASSERT_TRUE(topk.ok());
+    // (uid, iid) -> output position, for users 0 and 5.
+    std::map<std::pair<int64_t, int64_t>, size_t> pos;
+    for (size_t r = 0; r < topk.value().NumRows(); ++r) {
+      const int64_t uid = topk.value().At(r, 0).AsInt();
+      if (uid == 0 || uid == 5) pos[{uid, topk.value().At(r, 1).AsInt()}] = r;
+    }
+    size_t ties = 0;
+    for (const auto& [key, r0] : pos) {
+      if (key.first != 0) continue;
+      auto r5 = pos.find({5, key.second});
+      ASSERT_NE(r5, pos.end()) << "item " << key.second;
+      EXPECT_EQ(topk.value().At(r0, 2).AsDouble(),
+                topk.value().At(r5->second, 2).AsDouble());
+      EXPECT_LT(r0, r5->second) << "item " << key.second;
+      ++ties;
+    }
+    EXPECT_GT(ties, 0u);
+
+    if (threads == 1) {
+      serial_exact = RowsToString(all.value());
+      serial_pruned = RowsToString(topk.value());
+    } else {
+      EXPECT_EQ(RowsToString(all.value()), serial_exact);
+      EXPECT_EQ(RowsToString(topk.value()), serial_pruned);
     }
   }
 }

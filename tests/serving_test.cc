@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "api/recdb.h"
 #include "common/shard.h"
 #include "common/task_scheduler.h"
+#include "obs/metrics.h"
 #include "serving/sharded_recdb.h"
 
 namespace recdb {
@@ -56,11 +58,13 @@ std::vector<Rating> BaseRatings() {
 }
 
 // Delta traffic layered on top after the recommenders exist: overwrites,
-// new items for existing users, and two brand-new users (25, 26).
+// new items for existing users, and three brand-new users (25, 26, and 0,
+// whose id sorts below every base user although the plane interns it last).
 std::vector<Rating> DeltaRatings() {
   return {
       {3, 4, 5.0},  {7, 11, 1.5}, {25, 2, 4.0}, {25, 7, 2.5},
       {12, 1, 3.5}, {26, 5, 4.5}, {26, 9, 1.0}, {18, 12, 2.0},
+      {0, 3, 4.0},  {0, 8, 2.0},
   };
 }
 
@@ -125,7 +129,7 @@ std::unique_ptr<ShardedRecDB> MakeSharded(size_t num_shards,
                       "CREATE TABLE ratings (uid INT, iid INT, ratingval DOUBLE)")
                   .ok());
   EXPECT_TRUE(db.value()->DeclarePartitionedTable("ratings", "uid").ok());
-  // Arrival-order load through the router (rank map + ownership routing).
+  // Arrival-order load through the router (ownership routing).
   EXPECT_TRUE(db.value()->Execute(InsertSql("ratings", BaseRatings())).ok());
   EXPECT_TRUE(
       db.value()->Execute("CREATE TABLE items (iid INT, tag INT)").ok());
@@ -148,7 +152,7 @@ std::string RecommendSql(const char* algo, const std::string& suffix) {
 }
 
 // JOINRECOMMEND over the replicated items table, for users that span
-// shards: rows come user-major, so the router's rank merge rebuilds the
+// shards: rows come user-major, so the router's user-id merge rebuilds the
 // single-node order.
 std::string JoinSql(const char* algo, const std::string& suffix) {
   return std::string(
@@ -190,6 +194,7 @@ void CompareAllQueries(ShardedRecDB* sharded, RecDB* reference,
       "ORDER BY R.ratingval DESC LIMIT 10",       // global Top-N
       "WHERE R.uid = 7",                          // owner-targeted
       "WHERE R.uid IN (3, 25) ORDER BY R.ratingval DESC LIMIT 6",
+      "WHERE R.uid IN (0, 7, 26)",                // users in ascending id
   };
   const std::string join_suffixes[] = {
       "",                                    // full join stream
@@ -375,9 +380,10 @@ TEST(ServingDml, FailedMultiRowInsertMatchesSingleNode) {
   }
 }
 
-// The merge ranks users by the plane's interning order: a user id an UPDATE
-// introduces must rank before a user a later INSERT introduces.
-TEST(ServingDml, UpdateIntroducedUserMergesInPlaneOrder) {
+// Users a write introduces merge by id like every other user: the id an
+// UPDATE introduces (40) and the one a later INSERT introduces (41) come
+// back in the order a single node emits them.
+TEST(ServingDml, UpdateIntroducedUserMergesInIdOrder) {
   for (size_t shards : {2, 8}) {
     SCOPED_TRACE(std::to_string(shards) + " shards");
     auto reference = MakeReference();
@@ -394,6 +400,51 @@ TEST(ServingDml, UpdateIntroducedUserMergesInPlaneOrder) {
     ExpectSameRatingsTable(db.get(), reference.get());
     CompareAllQueries(db.get(), reference.get(), "after update + insert");
   }
+}
+
+// ------------------------------------------------------------- skew gauge
+
+int64_t SkewGauge() {
+  return obs::MetricsRegistry::Global()
+      .Snapshot()
+      .gauges[static_cast<size_t>(obs::Gauge::kServingShardSkewPct)];
+}
+
+// serving.shard_skew_pct recomputed from the rows each shard's heap holds:
+// (max - mean) / mean, in percent, rounded.
+int64_t HeapSkewPct(ShardedRecDB* db) {
+  std::vector<double> rows;
+  for (size_t k = 0; k < db->num_shards(); ++k) {
+    auto r = db->shard(k)->Execute("SELECT COUNT(*) FROM ratings");
+    EXPECT_TRUE(r.ok()) << r.status().message();
+    if (!r.ok()) return -1;
+    rows.push_back(static_cast<double>(r.value().At(0, 0).AsInt()));
+  }
+  const double mean =
+      std::accumulate(rows.begin(), rows.end(), 0.0) / rows.size();
+  const double max = *std::max_element(rows.begin(), rows.end());
+  return static_cast<int64_t>((max - mean) / mean * 100.0 + 0.5);
+}
+
+TEST(ServingSkew, GaugeFollowsTheRowsEachShardStores) {
+  // A routed INSERT: each shard reports the rows it stored.
+  obs::SetGauge(obs::Gauge::kServingShardSkewPct, -1);
+  auto db = MakeSharded(4);
+  EXPECT_GT(HeapSkewPct(db.get()), 0);
+  EXPECT_EQ(SkewGauge(), HeapSkewPct(db.get()));
+
+  // A bulk load counts each row against its owner.
+  std::vector<std::vector<Value>> bulk;
+  for (int64_t u = 100; u < 140; ++u) {
+    bulk.push_back({Value::Int(u), Value::Int(1), Value::Double(3.0)});
+  }
+  ASSERT_TRUE(db->BulkInsert("ratings", bulk).ok());
+  EXPECT_EQ(SkewGauge(), HeapSkewPct(db.get()));
+
+  // Re-declaring the table re-seeds the counters from each shard's rows.
+  obs::SetGauge(obs::Gauge::kServingShardSkewPct, -1);
+  ASSERT_TRUE(db->DeclarePartitionedTable("ratings", "uid").ok());
+  EXPECT_EQ(SkewGauge(), HeapSkewPct(db.get()));
 }
 
 // ------------------------------------------------------ shared model plane
