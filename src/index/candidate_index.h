@@ -3,13 +3,14 @@
 // Two cooperating layers, both lowered from the frozen CSR base:
 //
 //  (1) Inverted postings — item → rater indices and user → rated-item
-//      indices, index-only copies of the base CSR adjacency. For the CF
-//      families a score can be nonzero only for items sharing at least one
-//      co-rated item with the query user *as of model build* (a nonzero
-//      similarity requires a nonzero dot, which requires a shared
-//      dimension), so a two-hop walk over these postings — union-merged
-//      with the delta overlay's side rows for rows touched since the
-//      freeze — enumerates an exact candidate superset: every
+//      indices, index-only copies of the base CSR adjacency. Candidate
+//      generation serves UserCF only (ItemCF publishes no bound table and
+//      plans its Top-k exact). A UserCF score can be nonzero only for items
+//      sharing at least one co-rated item with the query user *as of model
+//      build* (a nonzero similarity requires a nonzero dot, which requires
+//      a shared dimension), so a two-hop walk over these postings —
+//      union-merged with the delta overlay's side rows for rows touched
+//      since the freeze — enumerates an exact candidate superset: every
 //      non-candidate provably scores 0.0.
 //
 //  (2) WAND-style block bounds — the model's PruneBoundTable (per-item

@@ -21,15 +21,16 @@ size_t NeighborhoodEntries(const std::vector<std::vector<Neighbor>>& nb) {
   return total;
 }
 
-/// sim(a, b) from a's sim-sorted row: a linear scan, since nothing on a
-/// query path asks for one pair's similarity.
+/// sim(a, b) by binary search of a's index-sorted row; nothing on a query
+/// path asks for one pair's similarity.
 double SimilarityLookup(const std::vector<std::vector<Neighbor>>& nb,
                         int32_t a, int32_t b) {
   if (static_cast<size_t>(a) >= nb.size()) return 0;
-  for (const Neighbor& n : nb[a]) {
-    if (n.idx == b) return n.sim;
-  }
-  return 0;
+  const std::vector<Neighbor>& row = nb[a];
+  auto it = std::lower_bound(
+      row.begin(), row.end(), b,
+      [](const Neighbor& n, int32_t idx) { return n.idx < idx; });
+  return it != row.end() && it->idx == b ? it->sim : 0;
 }
 
 /// Dense scatter target reused across PredictBatch calls on one thread.
@@ -66,13 +67,15 @@ DenseScratch& TlsScratch() {
   return scratch;
 }
 
-/// Item rows a delta op set can reach: for each op (u, i) that is item i
-/// itself, every item sharing a rater with i (i's norm — and for Pearson
-/// its mean — changed, which moves sim(i, j) for every pair with nonzero
-/// dot), and every item rated by u (their dot with i gained or lost the
-/// shared dimension; after a remove u may no longer appear in i's merged
-/// rater list, so u is unioned in explicitly). Computed on the merged
-/// matrix; an over-approximation is always safe, a miss never is.
+/// Item rows a delta op set can reach in a truncated table, where a row's
+/// kept neighbors can change whenever any sim in it moves: for each op
+/// (u, i) that is item i itself, every item sharing a rater with i (i's
+/// norm — and for Pearson its mean — changed, which moves sim(i, j) for
+/// every pair with nonzero dot), and every item rated by u (their dot with
+/// i gained or lost the shared dimension; after a remove u may no longer
+/// appear in i's merged rater list, so u is unioned in explicitly).
+/// Computed on the merged matrix; an over-approximation is always safe, a
+/// miss never is.
 std::vector<int32_t> TouchedItemRows(const RatingMatrix& m,
                                      const std::vector<DeltaOp>& ops) {
   std::vector<char> touched(m.NumItems(), 0);
@@ -126,8 +129,83 @@ std::vector<int32_t> TouchedUserRows(const RatingMatrix& m,
   return rows;
 }
 
-/// Install recomputed rows into the sim-sorted table, growing it for
-/// entities interned since the model was built.
+/// The distinct entities on `side` (item or user) that `ops` wrote,
+/// ascending: the rows an untruncated refresh recomputes.
+std::vector<int32_t> OpRows(const std::vector<DeltaOp>& ops,
+                            int32_t DeltaOp::*side) {
+  std::vector<int32_t> rows;
+  rows.reserve(ops.size());
+  for (const auto& op : ops) rows.push_back(op.*side);
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  return rows;
+}
+
+/// The one refresh both CF families share. An untruncated table is
+/// symmetric (similarity.h), so `rows` are the op entities: they are
+/// recomputed, and each fresh row p is mirrored into the table as patches
+/// that set, insert or erase p's entry in every row its old or fresh row
+/// names — rows recomputed here are already exact and get none. A truncated
+/// table recomputes every row in `rows` and patches nothing. Returns the
+/// rows the update changes, ascending (the caller maps them to the stale
+/// ids whose cached scores the commit evicts).
+template <typename Recompute>
+std::vector<int32_t> PrepareNeighborhoodUpdate(
+    const std::vector<std::vector<Neighbor>>& table, bool symmetric,
+    const std::vector<int32_t>& rows, const Recompute& recompute,
+    ModelUpdate* update) {
+  update->rows = recompute(rows);
+  std::vector<int32_t> changed;
+  changed.reserve(update->rows.size());
+  for (const auto& [p, row] : update->rows) changed.push_back(p);
+  if (!symmetric) return changed;
+
+  auto patch = [&](int32_t q, int32_t p, float sim, bool erase) {
+    if (std::binary_search(changed.begin(), changed.end(), q)) return;
+    update->patches.push_back(NeighborPatch{q, p, sim, erase});
+  };
+  const std::vector<Neighbor> none;
+  for (const auto& [p, fresh] : update->rows) {
+    const std::vector<Neighbor>& old =
+        static_cast<size_t>(p) < table.size() ? table[p] : none;
+    // Both rows are index-sorted: one merge pass classifies every neighbor.
+    size_t a = 0, b = 0;
+    while (a < old.size() || b < fresh.size()) {
+      if (b == fresh.size() ||
+          (a < old.size() && old[a].idx < fresh[b].idx)) {
+        patch(old[a].idx, p, 0, /*erase=*/true);
+        ++a;
+      } else if (a == old.size() || fresh[b].idx < old[a].idx) {
+        patch(fresh[b].idx, p, fresh[b].sim, /*erase=*/false);
+        ++b;
+      } else {
+        if (old[a].sim != fresh[b].sim) {
+          patch(fresh[b].idx, p, fresh[b].sim, /*erase=*/false);
+        }
+        ++a;
+        ++b;
+      }
+    }
+  }
+  std::sort(update->patches.begin(), update->patches.end(),
+            [](const NeighborPatch& x, const NeighborPatch& y) {
+              return x.row != y.row ? x.row < y.row : x.idx < y.idx;
+            });
+  // The patched rows, which no fresh row is, join the changed set.
+  std::vector<int32_t> patched;
+  for (const NeighborPatch& np : update->patches) {
+    if (patched.empty() || patched.back() != np.row) patched.push_back(np.row);
+  }
+  const size_t num_fresh = changed.size();
+  changed.insert(changed.end(), patched.begin(), patched.end());
+  std::inplace_merge(changed.begin(), changed.begin() + num_fresh,
+                     changed.end());
+  return changed;
+}
+
+/// Install recomputed rows into the index-sorted table, growing it for
+/// entities interned since the model was built, then apply the patches in
+/// place (caller holds the writer lock).
 void InstallNeighborRows(std::vector<std::vector<Neighbor>>* nb,
                          ModelUpdate&& update) {
   if (update.num_rows > nb->size()) nb->resize(update.num_rows);
@@ -136,6 +214,21 @@ void InstallNeighborRows(std::vector<std::vector<Neighbor>>* nb,
     if (idx < 0 || static_cast<size_t>(idx) >= nb->size()) continue;
     (*nb)[idx] = std::move(row);
     ++installed;
+  }
+  for (const NeighborPatch& np : update.patches) {
+    if (np.row < 0 || static_cast<size_t>(np.row) >= nb->size()) continue;
+    std::vector<Neighbor>& row = (*nb)[np.row];
+    auto it = std::lower_bound(
+        row.begin(), row.end(), np.idx,
+        [](const Neighbor& n, int32_t idx) { return n.idx < idx; });
+    const bool found = it != row.end() && it->idx == np.idx;
+    if (np.erase) {
+      if (found) row.erase(it);
+    } else if (found) {
+      it->sim = np.sim;
+    } else {
+      row.insert(it, Neighbor{np.idx, np.sim});
+    }
   }
   obs::Count(obs::Counter::kIngestRowUpdates, installed);
 }
@@ -164,50 +257,83 @@ std::unique_ptr<ItemCFModel> ItemCFModel::Build(
 void ItemCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
                                  std::span<double> out) const {
   RECDB_DCHECK(items.size() == out.size());
-  if (u < 0 || static_cast<size_t>(u) >= ratings_->NumUsers()) {
-    std::fill(out.begin(), out.end(), 0.0);
-    return;
-  }
-  // Resolve the user once: scatter their rated items into a dense
-  // accumulator, then gather per candidate. Addition order per candidate is
-  // the candidate's neighborhood order — the same order the per-pair scalar
-  // path always used, so results are bit-identical at any batch size.
-  //
-  // When the matrix has been updated since the model froze it, the CSR
-  // snapshot is stale; fall back to the mutable row — same entries in the
-  // same idx order, so the accumulation (and the result) is unchanged.
-  DenseScratch& scratch = TlsScratch();
-  scratch.Reset(ratings_->NumItems());
-  size_t num_rated = 0;
-  if (ratings_->frozen()) {
-    const CsrRow rated = ratings_->UserCsrRow(u);
+  std::fill(out.begin(), out.end(), 0.0);
+  if (u < 0 || static_cast<size_t>(u) >= ratings_->NumUsers()) return;
+  // The user's rated items, ascending — the canonical summation order
+  // (DESIGN.md §10). Build froze the matrix and it never thaws, so the
+  // merge view includes ratings that landed since.
+  const CsrRow rated = ratings_->UserCsrRow(u);
+  if (rated.n == 0) return;
+  // A candidate past the table (unknown, or interned after this model was
+  // built) has no neighborhood and scores 0 (Algorithm 1, line 14).
+  const int32_t num_rows = static_cast<int32_t>(neighborhoods_.size());
+  auto in_table = [&](int32_t i) { return i >= 0 && i < num_rows; };
+
+  if (opts_.top_k > 0) {
+    // Gather: scatter the user's ratings once, then walk each candidate's
+    // index-sorted row against them (CandItems = ItemNeighbors(i) ∩
+    // UserItems(u), Algorithm 1 line 10) in ascending rated-item order.
+    DenseScratch& scratch = TlsScratch();
+    scratch.Reset(ratings_->NumItems());
     for (size_t k = 0; k < rated.n; ++k) {
       scratch.Set(rated.idx[k], rated.rating[k]);
     }
-    num_rated = rated.n;
-  } else {
-    const auto& rated = ratings_->UserVector(u);
-    for (const auto& e : rated) scratch.Set(e.idx, e.rating);
-    num_rated = rated.size();
+    for (size_t c = 0; c < items.size(); ++c) {
+      if (!in_table(items[c])) continue;
+      double num = 0, den = 0;
+      for (const auto& nb : neighborhoods_[items[c]]) {
+        double r;
+        if (!scratch.Get(nb.idx, &r)) continue;
+        num += static_cast<double>(nb.sim) * r;
+        den += std::fabs(static_cast<double>(nb.sim));
+      }
+      out[c] = den == 0 ? 0 : num / den;
+    }
+    return;
+  }
+
+  // Transposed: the table is symmetric, so sim(i, j) sits in N(j) too.
+  // Walking each rated j's row over the batch's index range adds j's term
+  // to every candidate at once; each candidate's cell sees its terms in
+  // ascending j, the gather order, so the result is the same bits for any
+  // batch composition.
+  int32_t lo = num_rows, hi = -1;
+  for (int32_t i : items) {
+    if (!in_table(i)) continue;
+    lo = std::min(lo, i);
+    hi = std::max(hi, i);
+  }
+  if (hi < 0) return;
+  struct Acc {
+    double num;
+    double den;
+  };
+  thread_local std::vector<Acc> acc;
+  acc.assign(static_cast<size_t>(hi - lo) + 1, Acc{0, 0});
+  Acc* const base = acc.data();
+  for (size_t k = 0; k < rated.n; ++k) {
+    const int32_t j = rated.idx[k];
+    if (j >= num_rows) continue;  // interned after the build: in no row
+    const double r = rated.rating[k];
+    const std::vector<Neighbor>& row = neighborhoods_[j];
+    // The slice of N(j) inside [lo, hi], by binary search on both ends.
+    auto first = std::lower_bound(
+        row.begin(), row.end(), lo,
+        [](const Neighbor& n, int32_t idx) { return n.idx < idx; });
+    auto last = std::upper_bound(
+        first, row.end(), hi,
+        [](int32_t idx, const Neighbor& n) { return idx < n.idx; });
+    for (auto it = first; it != last; ++it) {
+      Acc& a = base[it->idx - lo];
+      const double sim = it->sim;
+      a.num += sim * r;
+      a.den += std::fabs(sim);
+    }
   }
   for (size_t c = 0; c < items.size(); ++c) {
-    const int32_t i = items[c];
-    if (i < 0 || num_rated == 0 ||
-        static_cast<size_t>(i) >= neighborhoods_.size()) {
-      // Unknown candidate, nothing rated, or an item interned after this
-      // model was built (no neighborhood yet).
-      out[c] = 0;
-      continue;
-    }
-    // CandItems = ItemNeighbors(i) ∩ UserItems(u)  (Algorithm 1, line 10).
-    double num = 0, den = 0;
-    for (const auto& nb : neighborhoods_[i]) {
-      double r;
-      if (!scratch.Get(nb.idx, &r)) continue;
-      num += static_cast<double>(nb.sim) * r;
-      den += std::fabs(static_cast<double>(nb.sim));
-    }
-    out[c] = den == 0 ? 0 : num / den;  // empty overlap -> 0 (line 14)
+    if (!in_table(items[c])) continue;
+    const Acc& a = acc[items[c] - lo];
+    out[c] = a.den == 0 ? 0 : a.num / a.den;
   }
 }
 
@@ -232,10 +358,17 @@ Result<ModelUpdate> ItemCFModel::PrepareDeltaUpdate(
   ModelUpdate update;
   update.num_rows = ratings_->NumItems();
   if (ops.empty()) return update;
-  std::vector<int32_t> rows = TouchedItemRows(*ratings_, ops);
-  update.rows = RecomputeItemNeighborhoodRows(*ratings_, opts_, rows);
-  update.stale_items.reserve(update.rows.size());
-  for (const auto& [idx, row] : update.rows) {
+  const bool symmetric = opts_.top_k == 0;
+  const std::vector<int32_t> changed = PrepareNeighborhoodUpdate(
+      neighborhoods_, symmetric,
+      symmetric ? OpRows(ops, &DeltaOp::item_idx)
+                : TouchedItemRows(*ratings_, ops),
+      [&](const std::vector<int32_t>& rows) {
+        return RecomputeItemNeighborhoodRows(*ratings_, opts_, rows);
+      },
+      &update);
+  update.stale_items.reserve(changed.size());
+  for (int32_t idx : changed) {
     update.stale_items.push_back(ratings_->ItemIdAt(idx));
   }
   return update;
@@ -243,34 +376,6 @@ Result<ModelUpdate> ItemCFModel::PrepareDeltaUpdate(
 
 void ItemCFModel::ApplyDeltaUpdate(ModelUpdate&& update) {
   InstallNeighborRows(&neighborhoods_, std::move(update));
-}
-
-bool ItemCFModel::ComputePruneBounds(PruneBoundTable* out) const {
-  out->item_scale.resize(neighborhoods_.size());
-  for (size_t i = 0; i < neighborhoods_.size(); ++i) {
-    out->item_scale[i] = neighborhoods_[i].empty() ? 0.0 : 1.0;
-  }
-  out->item_offset.clear();
-  // The Eq. (2) ratio is exact in the reals; double rounding can nudge it
-  // past max |r| by O(n·eps) relative, far below this padding.
-  out->slack = 1e-9;
-  out->candidate_generation = true;
-  out->rating_dependent = false;
-  // idx >= neighborhoods_ size has no neighborhood row: the kernel returns
-  // exactly 0 for it.
-  out->oob_must_score = false;
-  return true;
-}
-
-double ItemCFModel::PruneUserScale(int32_t user_idx) const {
-  // Live merge view: a delta op that raises the user's max rating raises
-  // the bound with it.
-  const CsrRow row = ratings_->UserCsrRow(user_idx);
-  double max_abs = 0;
-  for (size_t k = 0; k < row.n; ++k) {
-    max_abs = std::max(max_abs, std::fabs(row.rating[k]));
-  }
-  return max_abs;
 }
 
 UserCFModel::UserCFModel(std::shared_ptr<const RatingMatrix> ratings,
@@ -295,10 +400,11 @@ std::unique_ptr<UserCFModel> UserCFModel::Build(
 void UserCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
                                  std::span<double> out) const {
   RECDB_DCHECK(items.size() == out.size());
-  // Symmetric to ItemCF: the user's neighbor similarities are scattered
-  // once, then each candidate item's contiguous rater row is gathered.
-  // Addition order per candidate is the item's rater order (user-idx
-  // ascending) — fixed per candidate, so independent of batch composition.
+  // Symmetric to ItemCF's gather: the user's neighbor similarities are
+  // scattered once, then each candidate item's contiguous rater row is
+  // gathered. Addition order per candidate is the item's rater order
+  // (user-idx ascending) — fixed per candidate, so independent of batch
+  // composition.
   if (u < 0 || static_cast<size_t>(u) >= neighborhoods_.size()) {
     // Unknown, or a user interned after this model was built: no
     // neighborhood yet.
@@ -311,9 +417,8 @@ void UserCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
   for (const auto& nb : neighbors) {
     scratch.Set(nb.idx, static_cast<double>(nb.sim));
   }
-  // As in ItemCF, an unfrozen matrix routes through the mutable rows; the
-  // per-candidate accumulation order (user-idx ascending) is identical.
-  const bool frozen = ratings_->frozen();
+  // As in ItemCF, the model's matrix stays frozen, so rater rows come
+  // from the merge view.
   const size_t num_items = ratings_->NumItems();
   for (size_t c = 0; c < items.size(); ++c) {
     const int32_t i = items[c];
@@ -322,21 +427,12 @@ void UserCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
       continue;
     }
     double num = 0, den = 0;
-    auto accumulate = [&](int32_t rater_idx, double rating) {
+    const CsrRow raters = ratings_->ItemCsrRow(i);
+    for (size_t k = 0; k < raters.n; ++k) {
       double sim;
-      if (!scratch.Get(rater_idx, &sim)) return;
-      num += sim * rating;
+      if (!scratch.Get(raters.idx[k], &sim)) continue;
+      num += sim * raters.rating[k];
       den += std::fabs(sim);
-    };
-    if (frozen) {
-      const CsrRow raters = ratings_->ItemCsrRow(i);
-      for (size_t k = 0; k < raters.n; ++k) {
-        accumulate(raters.idx[k], raters.rating[k]);
-      }
-    } else {
-      for (const auto& e : ratings_->ItemVector(i)) {
-        accumulate(e.idx, e.rating);
-      }
     }
     out[c] = den == 0 ? 0 : num / den;
   }
@@ -363,10 +459,17 @@ Result<ModelUpdate> UserCFModel::PrepareDeltaUpdate(
   ModelUpdate update;
   update.num_rows = ratings_->NumUsers();
   if (ops.empty()) return update;
-  std::vector<int32_t> rows = TouchedUserRows(*ratings_, ops);
-  update.rows = RecomputeUserNeighborhoodRows(*ratings_, opts_, rows);
-  update.stale_users.reserve(update.rows.size());
-  for (const auto& [idx, row] : update.rows) {
+  const bool symmetric = opts_.top_k == 0;
+  const std::vector<int32_t> changed = PrepareNeighborhoodUpdate(
+      neighborhoods_, symmetric,
+      symmetric ? OpRows(ops, &DeltaOp::user_idx)
+                : TouchedUserRows(*ratings_, ops),
+      [&](const std::vector<int32_t>& rows) {
+        return RecomputeUserNeighborhoodRows(*ratings_, opts_, rows);
+      },
+      &update);
+  update.stale_users.reserve(changed.size());
+  for (int32_t idx : changed) {
     update.stale_users.push_back(ratings_->UserIdAt(idx));
   }
   return update;

@@ -4,7 +4,8 @@
 // lists); prediction follows Eq. (2): similarity-weighted average of the
 // user's ratings over the intersection of the item's neighborhood and the
 // user's rated items, normalized by Σ|sim|. UserCFModel is the symmetric
-// user-user variant (paper Section IV-A.2).
+// user-user variant (paper Section IV-A.2). Both keep every neighborhood
+// row sorted by neighbor index.
 #pragma once
 
 #include <memory>
@@ -28,8 +29,8 @@ class ItemCFModel : public RecModel {
   }
 
   /// Similarity of two items by external id (0 when either is unknown or
-  /// the pair is not in the neighborhood list). A linear scan of the
-  /// sim-sorted row: an inspection aid, not on any query path.
+  /// the pair is not in the neighborhood list). A binary search of the
+  /// index-sorted row: an inspection aid, not on any query path.
   double Similarity(int64_t item_a, int64_t item_b) const;
 
   /// The neighborhood list of an item (dense indices), test/inspection aid.
@@ -42,27 +43,26 @@ class ItemCFModel : public RecModel {
   /// Total neighbor entries across all lists (model-size ablations).
   size_t NumNeighborEntries() const;
 
-  /// Incremental maintenance: recompute only the neighborhood rows whose
-  /// similarity terms a delta op can reach — the op's item, every item
-  /// sharing a rater with it (its norm changed, so every nonzero pair did),
-  /// and the op user's rated items (their dot products gained/lost the
-  /// shared dimension). Rows come back bit-identical to a full rebuild.
+  /// Incremental maintenance, bit-identical to a full rebuild. A rating op
+  /// changes only its item's vector. Untruncated (top_k == 0), the refresh
+  /// recomputes the op items' rows and patches each one's entry in its
+  /// neighbors' rows (ModelUpdate::patches). A truncated row can change
+  /// whenever any sim in it moves, so top_k > 0 recomputes every row an op
+  /// can reach: the op's item, every item sharing a rater with it, and the
+  /// op user's rated items.
   bool SupportsIncrementalUpdate() const override { return true; }
   Result<ModelUpdate> PrepareDeltaUpdate(
       const std::vector<DeltaOp>& ops) const override;
   void ApplyDeltaUpdate(ModelUpdate&& update) override;
 
-  /// Eq. (2) is a |sim|-weighted average of the user's own ratings, so
-  /// score(u, i) <= max |r_uj| over u's (merged) row, and an item with an
-  /// empty neighborhood scores exactly 0: item_scale is {0, 1}, the user
-  /// scale is the live row maximum (DESIGN.md §13).
-  bool ComputePruneBounds(PruneBoundTable* out) const override;
-  double PruneUserScale(int32_t user_idx) const override;
-
  protected:
-  /// Eq. (2) for every candidate: the user's rated items are scattered once
-  /// into a dense thread-local accumulator, then each candidate's
-  /// neighborhood is gathered against it (no per-neighbor binary search).
+  /// Eq. (2) for every candidate, each candidate's sum taken over the
+  /// user's rated items in ascending index (DESIGN.md §10). Untruncated,
+  /// the kernel runs transposed: each rated item j's row is walked over the
+  /// batch's index range into dense num/den accumulators, Σ|N(j)| work per
+  /// user instead of candidates × |N|; the table's symmetry makes that the
+  /// same sum. Truncated rows are not symmetric, so top_k > 0 gathers each
+  /// candidate's row against the user's scattered ratings instead.
   void DoPredictBatch(int32_t user_idx, std::span<const int32_t> items,
                       std::span<double> out) const override;
 
@@ -73,7 +73,7 @@ class ItemCFModel : public RecModel {
 
   bool centered_;
   SimilarityOptions opts_;  // as resolved at build time (centered included)
-  std::vector<std::vector<Neighbor>> neighborhoods_;  // [item_idx], sim-sorted
+  std::vector<std::vector<Neighbor>> neighborhoods_;  // [item_idx], idx-sorted
 };
 
 class UserCFModel : public RecModel {
@@ -95,7 +95,9 @@ class UserCFModel : public RecModel {
   size_t ApproxBytes() const override;
   size_t NumNeighborEntries() const;
 
-  /// User-side counterpart of ItemCFModel::PrepareDeltaUpdate.
+  /// User-side counterpart of ItemCFModel::PrepareDeltaUpdate: untruncated,
+  /// the op users' rows are recomputed and patched into their co-rating
+  /// users' rows.
   bool SupportsIncrementalUpdate() const override { return true; }
   Result<ModelUpdate> PrepareDeltaUpdate(
       const std::vector<DeltaOp>& ops) const override;
@@ -123,7 +125,7 @@ class UserCFModel : public RecModel {
 
   bool centered_;
   SimilarityOptions opts_;  // as resolved at build time (centered included)
-  std::vector<std::vector<Neighbor>> neighborhoods_;  // [user_idx], sim-sorted
+  std::vector<std::vector<Neighbor>> neighborhoods_;  // [user_idx], idx-sorted
 };
 
 }  // namespace recdb

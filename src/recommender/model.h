@@ -25,6 +25,10 @@ namespace recdb {
 struct ModelUpdate {
   /// CF: recomputed neighborhood rows as (row index, fresh neighbor list).
   std::vector<std::pair<int32_t, std::vector<Neighbor>>> rows;
+  /// CF, untruncated tables: each recomputed row's entries mirrored into
+  /// its neighbors' rows, sorted by (row, idx), applied in place after
+  /// `rows` are installed.
+  std::vector<NeighborPatch> patches;
   /// CF: total row count after the update (covers newly interned entities).
   size_t num_rows = 0;
   /// SVD: folded-in factor rows for users/items new since the last train.
@@ -44,8 +48,8 @@ struct ModelUpdate {
   bool full_rebuild = false;
 
   bool empty() const {
-    return rows.empty() && user_rows.empty() && item_rows.empty() &&
-           !full_rebuild;
+    return rows.empty() && patches.empty() && user_rows.empty() &&
+           item_rows.empty() && !full_rebuild;
   }
 };
 
@@ -67,9 +71,9 @@ struct PruneBoundTable {
   /// float rounding in the scoring kernels (the bound math is double, the
   /// kernels accumulate in float lanes for SVD).
   double slack = 0.0;
-  /// CF: a score can be nonzero only for items sharing a co-rated item with
-  /// the query user (as of model build) — candidate generation through the
-  /// CandidateIndex postings is exact, every non-candidate scores 0.0.
+  /// UserCF: a score can be nonzero only for items sharing a co-rated item
+  /// with the query user (as of model build) — candidate generation through
+  /// the CandidateIndex postings is exact, every non-candidate scores 0.0.
   bool candidate_generation = false;
   /// item_scale derives from the rating matrix (UserCF: max |r| of the
   /// item's rater row). Delta-touched item rows invalidate their entry and

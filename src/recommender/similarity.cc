@@ -12,10 +12,12 @@ namespace recdb {
 
 namespace {
 
-/// Neighbor selection for one output row: filter, sort by descending
-/// similarity, optional top-k trim by |sim|. Shared between the full
-/// build and per-row recompute so the two paths cannot drift — the delta
-/// path's bit-identity guarantee depends on this being the same code.
+/// Neighbor selection for one output row: filter, then optionally trim to
+/// the top-k by |sim|. Candidates are visited in ascending neighbor index,
+/// so an untruncated row comes out index-ascending with no sort; a trim
+/// re-sorts its survivors by index. Shared between the full build and
+/// per-row recompute so the two paths cannot drift — the delta path's
+/// bit-identity guarantee depends on this being the same code.
 template <typename DotFn, typename OverlapFn>
 std::vector<Neighbor> SelectRow(size_t p, size_t n,
                                 const std::vector<double>& norms,
@@ -34,23 +36,20 @@ std::vector<Neighbor> SelectRow(size_t p, size_t n,
     if (sim == 0.0f) continue;
     row.push_back(Neighbor{static_cast<int32_t>(q), sim});
   }
-  std::sort(row.begin(), row.end(), [](const Neighbor& a, const Neighbor& b) {
-    if (a.sim != b.sim) return a.sim > b.sim;
-    return a.idx < b.idx;
-  });
   if (opts.top_k > 0 && row.size() > static_cast<size_t>(opts.top_k)) {
     // Keep the k strongest by |sim| (negative correlations carry signal
-    // for Pearson), then restore descending-sim order.
-    std::partial_sort(row.begin(), row.begin() + opts.top_k, row.end(),
-                      [](const Neighbor& a, const Neighbor& b) {
-                        return std::fabs(a.sim) > std::fabs(b.sim);
-                      });
+    // for Pearson); equal |sim| keeps the lower index, so the kept set
+    // does not depend on the selection algorithm.
+    std::nth_element(row.begin(), row.begin() + (opts.top_k - 1), row.end(),
+                     [](const Neighbor& a, const Neighbor& b) {
+                       const float fa = std::fabs(a.sim), fb = std::fabs(b.sim);
+                       if (fa != fb) return fa > fb;
+                       return a.idx < b.idx;
+                     });
     row.resize(opts.top_k);
-    std::sort(row.begin(), row.end(),
-              [](const Neighbor& a, const Neighbor& b) {
-                if (a.sim != b.sim) return a.sim > b.sim;
-                return a.idx < b.idx;
-              });
+    std::sort(row.begin(), row.end(), [](const Neighbor& a, const Neighbor& b) {
+      return a.idx < b.idx;
+    });
   }
   return row;
 }

@@ -21,6 +21,16 @@ struct Neighbor {
   float sim = 0;
 };
 
+/// One in-place edit of a neighborhood row: set row `row`'s entry for
+/// neighbor `idx` to `sim` (inserting it at its index position when
+/// absent), or erase that entry.
+struct NeighborPatch {
+  int32_t row = 0;
+  int32_t idx = 0;
+  float sim = 0;
+  bool erase = false;
+};
+
 struct SimilarityOptions {
   /// Center vectors by their own mean first (Pearson / adjusted cosine).
   bool centered = false;
@@ -32,7 +42,14 @@ struct SimilarityOptions {
 };
 
 /// Compute per-item similarity lists (paper Item Neighborhood Table):
-/// result[i] is item i's neighbors, sorted by descending similarity.
+/// result[i] is item i's neighbors, sorted by ascending neighbor index.
+///
+/// An untruncated table (top_k == 0) is symmetric bit for bit: row p holds
+/// (q, s) exactly when row q holds (p, s). Both cells read the one float
+/// dot the build accumulates per pair and divide it by norms[p] * norms[q],
+/// a commutative double product. Eq. (2) accumulation over the table is
+/// therefore order-exact when transposed (see ItemCFModel), and a rating
+/// op on entity i changes only row i and i's entry in other rows.
 std::vector<std::vector<Neighbor>> BuildItemNeighborhoods(
     const RatingMatrix& ratings, const SimilarityOptions& opts);
 
@@ -45,8 +62,9 @@ std::vector<std::vector<Neighbor>> BuildUserNeighborhoods(
 /// fresh neighbor list), bit-identical to the same row of a full
 /// BuildItemNeighborhoods over the same matrix: products are accumulated
 /// in the same ascending-dimension float order and the selection/top-k
-/// logic is shared code. Row indices may exceed the caller's current
-/// neighborhood table size (new items); out-of-range indices are ignored.
+/// logic is shared code. Pairs come back in ascending row index. Row
+/// indices may exceed the caller's current neighborhood table size (new
+/// items); indices outside the matrix are ignored.
 std::vector<std::pair<int32_t, std::vector<Neighbor>>>
 RecomputeItemNeighborhoodRows(const RatingMatrix& ratings,
                               const SimilarityOptions& opts,

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -332,6 +333,10 @@ TEST(UserOrderTest, RecommendEmitsUsersInAscendingIdOnEveryPath) {
   // after CREATE RECOMMENDER, so the matrix interns it last; it copies user
   // 5's ratings, so each of its items ties user 5's score and the pruned
   // Top-k, which breaks ties by user position, must put user 0 first too.
+  // ItemCF Top-k plans exact, so the pruned leg runs UserCosCF, still on
+  // the bounded driver. Its recommender is created after the insert, so it
+  // has a neighborhood for user 0, whose rows come last in the table scan
+  // and who is interned last there as well.
   ParallelismGuard guard;
   RecDB db;
   LoadRatings(&db);
@@ -343,12 +348,18 @@ TEST(UserOrderTest, RecommendEmitsUsersInAscendingIdOnEveryPath) {
               ", " + five.value().At(r, 2).ToString() + ")";
   }
   ASSERT_TRUE(db.Execute(insert).ok());
+  ASSERT_TRUE(db.Execute("CREATE RECOMMENDER ru ON Ratings USERS FROM uid "
+                         "ITEMS FROM iid RATINGS FROM ratingval "
+                         "USING UserCosCF")
+                  .ok());
 
-  const std::string exact =
+  const std::string rec =
       "SELECT R.uid, R.iid, R.ratingval FROM Ratings AS R "
-      "RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF";
+      "RECOMMEND R.iid TO R.uid ON R.ratingval USING ";
+  const std::string exact = rec + "ItemCosCF";
   // LIMIT above the 31 x 20 grid keeps every unseen pair.
-  const std::string pruned = exact + " ORDER BY R.ratingval DESC LIMIT 1000";
+  const std::string pruned =
+      rec + "UserCosCF ORDER BY R.ratingval DESC LIMIT 1000";
   auto explained = db.Explain(pruned);
   ASSERT_TRUE(explained.ok());
   ASSERT_NE(explained.value().find("mode=pruned"), std::string::npos)
@@ -718,6 +729,119 @@ TEST(BatchScalarEqualityTest, SvdBatchBitIdenticalToScalar) {
     ExpectBatchMatchesScalar(*plain, user);
     ExpectBatchMatchesScalar(*biased, user);
   }
+}
+
+/// Eq. (2) computed test-side: Σ sim(i, j)·r_uj / Σ|sim(i, j)| over the
+/// user's rated items j in ascending index — the canonical summation order
+/// (DESIGN.md §10) — with each sim read from the candidate's stored row.
+double Eq2Reference(const ItemCFModel& model, int64_t user_id,
+                    int64_t item_id) {
+  const RatingMatrix& m = model.ratings();
+  const auto u = m.UserIndex(user_id);
+  if (!u.has_value() || !m.ItemIndex(item_id).has_value()) return 0;
+  double num = 0, den = 0;
+  for (const RatingEntry& e : m.UserVector(*u)) {
+    const double sim = model.Similarity(item_id, m.ItemIdAt(e.idx));
+    if (sim == 0) continue;
+    num += sim * e.rating;
+    den += std::fabs(sim);
+  }
+  return den == 0 ? 0 : num / den;
+}
+
+/// Every item of the golden matrix in descending id, then out-of-order
+/// duplicates, unknown ids and item 777 (interned only by the delta below).
+std::vector<int64_t> UnsortedCandidates() {
+  std::vector<int64_t> items;
+  for (int i = 17; i >= 0; --i) items.push_back(500 + i);
+  for (int64_t id : {509, 9999, 500, 777, 517, 509, -1, 503}) {
+    items.push_back(id);
+  }
+  return items;
+}
+
+/// PredictBatch == Eq2Reference for every user (and an unknown one), in one
+/// batch and split at every cut point.
+void ExpectItemCfKernelMatchesReference(const ItemCFModel& model) {
+  const std::vector<int64_t> items = UnsortedCandidates();
+  const size_t n = items.size();
+  std::vector<int64_t> users = model.ratings().user_ids();
+  users.push_back(424242);
+  for (int64_t user : users) {
+    std::vector<double> expected(n);
+    for (size_t k = 0; k < n; ++k) {
+      expected[k] = Eq2Reference(model, user, items[k]);
+    }
+    std::vector<double> batch(n, -1);
+    model.PredictBatch(user, items, batch);
+    EXPECT_EQ(batch, expected) << "user " << user;
+    for (size_t cut = 1; cut < n; ++cut) {
+      std::vector<double> split(n, -1);
+      model.PredictBatch(user, std::span<const int64_t>(items.data(), cut),
+                         std::span<double>(split.data(), cut));
+      model.PredictBatch(
+          user, std::span<const int64_t>(items.data() + cut, n - cut),
+          std::span<double>(split.data() + cut, n - cut));
+      EXPECT_EQ(split, expected) << "user " << user << " cut at " << cut;
+    }
+  }
+}
+
+/// 30 users rating 12 of 18 items each with off-grid ratings (thirds): a
+/// product sim·r is then inexact in double, so a sum over 12 such terms
+/// taken in any order but the reference's differs in its last bits for
+/// many (user, item) pairs. (MakeGoldenMatrix's half-star ratings over 7
+/// items per user sum exactly in any order.)
+std::shared_ptr<RatingMatrix> MakeOffGridMatrix() {
+  auto m = std::make_shared<RatingMatrix>();
+  for (int u = 0; u < 30; ++u) {
+    for (int k = 0; k < 12; ++k) {
+      m->Add(100 + u, 500 + (u * 5 + k * 7) % 18,
+             1 + ((u * 11 + k * 17) % 13) / 3.0);
+    }
+  }
+  return m;
+}
+
+TEST(BatchScalarEqualityTest, ItemCFKernelSumsRatedItemsInAscendingIndex) {
+  // top_k == 0 runs the transposed kernel, top_k == 17 the gather kernel.
+  // The 18-item catalog gives every row at most 17 neighbors, so both
+  // models hold the same rows and must return the same bits as well.
+  auto m = MakeOffGridMatrix();
+  SimilarityOptions gather;
+  gather.top_k = 17;
+  std::vector<std::unique_ptr<ItemCFModel>> models;  // transposed, gather
+  for (bool centered : {false, true}) {
+    models.push_back(ItemCFModel::Build(m, centered));
+    models.push_back(ItemCFModel::Build(m, centered, gather));
+  }
+  auto check = [&] {
+    for (const auto& model : models) {
+      SCOPED_TRACE(RecAlgorithmToString(model->algorithm()));
+      ExpectItemCfKernelMatchesReference(*model);
+    }
+    const std::vector<int64_t> items = UnsortedCandidates();
+    for (size_t k = 0; k < models.size(); k += 2) {
+      for (int64_t user : m->user_ids()) {
+        std::vector<double> transposed(items.size()), gathered(items.size());
+        models[k]->PredictBatch(user, items, transposed);
+        models[k + 1]->PredictBatch(user, items, gathered);
+        EXPECT_EQ(transposed, gathered) << "user " << user;
+      }
+    }
+  };
+  check();
+  // A pending delta: a new user, a new item 777 no row knows, and added,
+  // removed and overwritten ratings of known users, all scored through the
+  // merge view.
+  m->Add(300, 500, 4.0);
+  m->Add(300, 777, 2.0);
+  m->Add(100, 777, 5.0);
+  m->Add(101, 516, 1.5);
+  m->Add(100, 500, 2.5);  // overwrites 1.0
+  ASSERT_TRUE(m->Remove(102, 510));
+  ASSERT_TRUE(m->has_delta());
+  check();
 }
 
 /// PredictBatchByIndex over dense indices must equal PredictBatch over the

@@ -8,6 +8,7 @@
 // rows bit-identical to a full retrain.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <memory>
@@ -22,6 +23,7 @@
 #include "obs/metrics.h"
 #include "recommender/rating_matrix.h"
 #include "recommender/recommender.h"
+#include "recommender/similarity.h"
 
 namespace recdb {
 namespace {
@@ -348,6 +350,122 @@ TEST(IngestGoldenTest, CfRefreshPerScenarioMatchesFullRetrain) {
   }
 }
 
+// ------------------------------------------------------------ row oracle
+
+/// A CF recommender's neighborhood table as (neighbor, sim) pairs, one row
+/// per entity of its side of the matrix.
+std::vector<std::vector<std::pair<int32_t, float>>> TableRows(
+    const Recommender& rec) {
+  const RecModel* model = rec.model();
+  const bool item_based = IsItemBased(rec.algorithm());
+  const size_t n =
+      item_based ? rec.live().NumItems() : rec.live().NumUsers();
+  std::vector<std::vector<std::pair<int32_t, float>>> table(n);
+  for (size_t p = 0; p < n; ++p) {
+    const int32_t idx = static_cast<int32_t>(p);
+    const std::vector<Neighbor>& row =
+        item_based
+            ? static_cast<const ItemCFModel*>(model)->NeighborhoodAt(idx)
+            : static_cast<const UserCFModel*>(model)->NeighborhoodAt(idx);
+    for (const Neighbor& nb : row) table[p].emplace_back(nb.idx, nb.sim);
+  }
+  return table;
+}
+
+/// The same table built from scratch over the recommender's current matrix.
+std::vector<std::vector<std::pair<int32_t, float>>> ScratchRows(
+    const Recommender& rec) {
+  SimilarityOptions opts = rec.config().sim_opts;
+  opts.centered = rec.algorithm() == RecAlgorithm::kItemPearCF ||
+                  rec.algorithm() == RecAlgorithm::kUserPearCF;
+  const auto built = IsItemBased(rec.algorithm())
+                         ? BuildItemNeighborhoods(rec.live(), opts)
+                         : BuildUserNeighborhoods(rec.live(), opts);
+  std::vector<std::vector<std::pair<int32_t, float>>> table(built.size());
+  for (size_t p = 0; p < built.size(); ++p) {
+    for (const Neighbor& nb : built[p]) table[p].emplace_back(nb.idx, nb.sim);
+  }
+  return table;
+}
+
+/// Every row index-ascending and equal, bit for bit, to a from-scratch
+/// build; untruncated, every (p, q, sim) has its mirror (q, p, sim).
+void ExpectTableMatchesScratchBuild(const Recommender& rec) {
+  const auto table = TableRows(rec);
+  const auto scratch = ScratchRows(rec);
+  ASSERT_EQ(table.size(), scratch.size());
+  for (size_t p = 0; p < table.size(); ++p) {
+    const auto& row = table[p];
+    for (size_t k = 1; k < row.size(); ++k) {
+      EXPECT_LT(row[k - 1].first, row[k].first) << "row " << p << " pos " << k;
+    }
+    EXPECT_EQ(row, scratch[p]) << "row " << p;
+    if (rec.config().sim_opts.top_k != 0) continue;
+    for (const auto& [q, sim] : row) {
+      const auto& mirror = table[q];
+      const std::pair<int32_t, float> key{static_cast<int32_t>(p), -INFINITY};
+      auto it = std::lower_bound(mirror.begin(), mirror.end(), key);
+      ASSERT_TRUE(it != mirror.end() && it->first == static_cast<int32_t>(p))
+          << "(" << p << ", " << q << ") has no mirror";
+      EXPECT_EQ(it->second, sim) << "(" << p << ", " << q << ")";
+    }
+  }
+}
+
+TEST(IngestGoldenTest, RefreshedRowsMatchScratchBuildRowByRow) {
+  // The score grid above probes 7 x 7 pairs, so a stale patched entry can
+  // hide outside it; this compares whole neighborhood rows. The base adds
+  // user 3's lone rating of item 88, so user 3 is the only co-rater of
+  // item 88 with each of items 2, 3, 5, 7 and 8, and users 1 and 5 share
+  // only item 5. The last scenario deletes both: every pair they formed
+  // loses its last co-rating and must leave both rows.
+  std::vector<Op> base = BaseOps();
+  base.push_back({Op::Kind::kAdd, 3, 88, 2.0});
+  const std::vector<std::vector<Op>> scenarios = {
+      {{Op::Kind::kAdd, 1, 2, 4.0}},                                // add
+      {{Op::Kind::kAdd, 1, 1, 2.0}},                                // overwrite
+      {{Op::Kind::kRemove, 2, 1, 0}},                               // remove
+      {{Op::Kind::kAdd, 99, 1, 5.0}, {Op::Kind::kAdd, 99, 3, 3.0}}, // new user
+      {{Op::Kind::kAdd, 1, 77, 4.0}, {Op::Kind::kAdd, 2, 77, 2.0}}, // new item
+      {{Op::Kind::kRemove, 3, 88, 0}, {Op::Kind::kRemove, 1, 5, 0}},
+  };
+  for (RecAlgorithm algo : kCfAlgorithms) {
+    for (int32_t top_k : {0, 3}) {
+      for (size_t s = 0; s < scenarios.size(); ++s) {
+        SCOPED_TRACE(std::string(RecAlgorithmToString(algo)) + " top_k " +
+                     std::to_string(top_k) + " scenario " + std::to_string(s));
+        RecommenderConfig cfg = MakeConfig(algo);
+        cfg.sim_opts.top_k = top_k;
+        Recommender rec(cfg);
+        ApplyToRecommender(&rec, base);
+        ASSERT_TRUE(rec.Build().ok());
+        ExpectTableMatchesScratchBuild(rec);
+
+        ApplyToRecommender(&rec, scenarios[s]);
+        MetricsRegistry::Global().ResetForTest();
+        auto refreshed = rec.Refresh();
+        ASSERT_TRUE(refreshed.ok());
+        ASSERT_TRUE(refreshed.value());
+        ExpectTableMatchesScratchBuild(rec);
+        if (top_k != 0) continue;
+        // Untruncated, only the op entities' rows are recomputed; every
+        // other row is patched in place.
+        std::vector<int64_t> op_rows;
+        for (const Op& op : scenarios[s]) {
+          op_rows.push_back(IsItemBased(algo) ? op.item : op.user);
+        }
+        std::sort(op_rows.begin(), op_rows.end());
+        op_rows.erase(std::unique(op_rows.begin(), op_rows.end()),
+                      op_rows.end());
+        auto snap = MetricsRegistry::Global().Snapshot();
+        EXPECT_EQ(
+            snap.counters[static_cast<size_t>(Counter::kIngestRowUpdates)],
+            op_rows.size());
+      }
+    }
+  }
+}
+
 TEST(IngestGoldenTest, SvdFoldInIsDeterministicAndKeepsTrainedRowsFixed) {
   // SVD maintenance is fold-in, not retrain: trained factor rows must not
   // move (predictions over trained pairs stay bit-identical), new entities
@@ -652,6 +770,13 @@ TEST(BackgroundLaneTest, RecDbBackgroundRefreshMergesDelta) {
   for (int64_t k = 0; k < 6; ++k) {
     ASSERT_TRUE(db.Execute("INSERT INTO R VALUES (" + std::to_string(1 + k) +
                            ", " + std::to_string(((k * 2) % 5) + 1) + ", 4.0)")
+                    .ok());
+  }
+  // Readers score through the rows a background commit patches in place (a
+  // race TSan would flag).
+  for (int k = 0; k < 3; ++k) {
+    ASSERT_TRUE(db.Execute("SELECT R.u, R.i, R.v FROM R RECOMMEND R.i TO R.u "
+                           "ON R.v USING ItemCosCF")
                     .ok());
   }
   db.DrainBackgroundWork();

@@ -125,6 +125,11 @@ std::string RowsToString(const ResultSet& rs) {
 constexpr const char* kAlgoNames[] = {"ItemCosCF", "ItemPearCF", "UserCosCF",
                                       "UserPearCF", "SVD"};
 
+/// ItemCF publishes no bound table, so its score-ordered Top-k plans exact:
+/// one PredictBatch per user under the TopN. UserCF and SVD stay on the
+/// bounded driver.
+bool PlansPruned(const std::string& algo) { return algo.rfind("Item", 0) != 0; }
+
 // The delta scenarios the walk must stay coherent with: new pair,
 // overwrite, remove, new user rating known items, new item rated by known
 // users — issued as SQL statements so they travel the batched DML path.
@@ -180,10 +185,12 @@ TEST(PrunedEquivalenceTest, AllAlgorithmsAllParallelismsWithAndWithoutDelta) {
         db.mutable_planner_options()->enable_pruned_topn = true;
         auto explained = db.Explain(sql);
         ASSERT_TRUE(explained.ok()) << algo;
-        EXPECT_NE(explained.value().find("mode=pruned"), std::string::npos)
-            << algo << ": pruned plan not chosen\n"
+        const bool pruned_plan = PlansPruned(algo);
+        EXPECT_EQ(explained.value().find("mode=pruned") != std::string::npos,
+                  pruned_plan)
+            << algo << ": wrong plan\n"
             << explained.value();
-        const bool generates = std::string(algo) != "SVD";
+        const bool generates = pruned_plan && std::string(algo) != "SVD";
         for (int threads : {1, 2, 8}) {
           ASSERT_TRUE(
               db.Execute("SET parallelism = " + std::to_string(threads))
@@ -195,19 +202,20 @@ TEST(PrunedEquivalenceTest, AllAlgorithmsAllParallelismsWithAndWithoutDelta) {
           EXPECT_EQ(RowsToString(pruned.value()), expected)
               << algo << " diverged at parallelism " << threads
               << (with_delta ? " with delta" : " without delta");
-          // The plan must actually have run pruned, not silently fallen
-          // back to the exact scan: every user goes through a threshold
-          // loop, and the CF families walk generated candidates. (The SVD
+          // A pruned plan must actually have run pruned, not silently
+          // fallen back to the exact scan: every user goes through a
+          // threshold loop, and UserCF walks generated candidates. (The SVD
           // catalog sweep may legitimately skip nothing when its
           // norm-product bounds never drop below the k-th score on tiny
-          // data.) Every case is past 256 (user, item) pairs, so it fans
-          // out whenever there are workers.
-          EXPECT_GT(CounterValue(obs::Counter::kPruneTopkQueries),
-                    topk_before)
+          // data.) ItemCF runs the exact scan and generates nothing. Every
+          // case is past 256 (user, item) pairs, so it fans out whenever
+          // there are workers.
+          EXPECT_EQ(CounterValue(obs::Counter::kPruneTopkQueries) >
+                        topk_before,
+                    pruned_plan)
               << algo;
-          if (generates) {
-            EXPECT_GT(pruned.value().stats.candidates_generated, 0u) << algo;
-          }
+          EXPECT_EQ(pruned.value().stats.candidates_generated > 0, generates)
+              << algo;
           EXPECT_EQ(pruned.value().stats.tasks_spawned > 0, threads > 1)
               << algo << " at parallelism " << threads;
         }
@@ -233,30 +241,42 @@ TEST(PrunedEquivalenceTest, AllAlgorithmsAllParallelismsWithAndWithoutDelta) {
 
 TEST(PrunedEquivalenceTest, PerUserFilterRecommendMatchesExact) {
   ParallelismGuard guard;
-  RecDB db;
-  LoadSparseRatings(&db);
-  ASSERT_TRUE(db.Execute("CREATE RECOMMENDER r ON Ratings USERS FROM uid "
-                         "ITEMS FROM iid RATINGS FROM ratingval "
-                         "USING ItemCosCF")
-                  .ok());
-  ASSERT_TRUE(db.Execute("ANALYZE Ratings").ok());
-  const std::string query =
-      "SELECT R.uid, R.iid, R.ratingval FROM Ratings AS R "
-      "RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF "
-      "WHERE R.uid IN (1, 7, 13, 42, 60) "
-      "ORDER BY R.ratingval DESC LIMIT 10";
-  db.mutable_planner_options()->enable_pruned_topn = false;
-  auto exact = db.Execute(query);
-  ASSERT_TRUE(exact.ok());
-  ASSERT_EQ(exact.value().NumRows(), 10u);
-  db.mutable_planner_options()->enable_pruned_topn = true;
-  auto pruned = db.Execute(query);
-  ASSERT_TRUE(pruned.ok());
-  EXPECT_EQ(RowsToString(pruned.value()), RowsToString(exact.value()));
-  EXPECT_GT(pruned.value().stats.candidates_generated, 0u);
-  // Pruning scores at most the candidate set; the exact plan scores every
-  // unseen item. Fewer predictions is the whole point.
-  EXPECT_LT(pruned.value().stats.predictions, exact.value().stats.predictions);
+  for (const std::string algo : {"ItemCosCF", "UserCosCF"}) {
+    SCOPED_TRACE(algo);
+    RecDB db;
+    LoadSparseRatings(&db);
+    ASSERT_TRUE(db.Execute("CREATE RECOMMENDER r ON Ratings USERS FROM uid "
+                           "ITEMS FROM iid RATINGS FROM ratingval USING " +
+                           algo)
+                    .ok());
+    ASSERT_TRUE(db.Execute("ANALYZE Ratings").ok());
+    const std::string query =
+        "SELECT R.uid, R.iid, R.ratingval FROM Ratings AS R "
+        "RECOMMEND R.iid TO R.uid ON R.ratingval USING " +
+        algo +
+        " WHERE R.uid IN (1, 7, 13, 42, 60) "
+        "ORDER BY R.ratingval DESC LIMIT 10";
+    db.mutable_planner_options()->enable_pruned_topn = false;
+    auto exact = db.Execute(query);
+    ASSERT_TRUE(exact.ok());
+    ASSERT_EQ(exact.value().NumRows(), 10u);
+    db.mutable_planner_options()->enable_pruned_topn = true;
+    auto pruned = db.Execute(query);
+    ASSERT_TRUE(pruned.ok());
+    EXPECT_EQ(RowsToString(pruned.value()), RowsToString(exact.value()));
+    if (!PlansPruned(algo)) {
+      // Plans exact: the same scan, no candidate walk.
+      EXPECT_EQ(pruned.value().stats.candidates_generated, 0u);
+      EXPECT_EQ(pruned.value().stats.predictions,
+                exact.value().stats.predictions);
+      continue;
+    }
+    EXPECT_GT(pruned.value().stats.candidates_generated, 0u);
+    // Pruning scores at most the candidate set; the exact plan scores every
+    // unseen item. Fewer predictions is the whole point.
+    EXPECT_LT(pruned.value().stats.predictions,
+              exact.value().stats.predictions);
+  }
 }
 
 // ------------------------------------------------ one cross-user threshold
@@ -266,9 +286,12 @@ const std::string kRecommendAll =
     "RECOMMEND R.iid TO R.uid ON R.ratingval USING ";
 
 /// Pruned == exact for `query` at parallelism 1, 2 and 8, with the pruned
-/// plan actually chosen. Returns the exact result (at parallelism 1).
+/// plan actually chosen — or, when `pruned_plan` is false, with the exact
+/// plan chosen even though pruning is enabled. Returns the exact result (at
+/// parallelism 1).
 ResultSet ExpectPrunedMatchesExactEverywhere(RecDB* db,
-                                             const std::string& query) {
+                                             const std::string& query,
+                                             bool pruned_plan = true) {
   ParallelismGuard guard;
   db->mutable_planner_options()->enable_pruned_topn = false;
   EXPECT_TRUE(db->Execute("SET parallelism = 1").ok());
@@ -278,7 +301,8 @@ ResultSet ExpectPrunedMatchesExactEverywhere(RecDB* db,
   db->mutable_planner_options()->enable_pruned_topn = true;
   auto explained = db->Explain(query);
   EXPECT_TRUE(explained.ok());
-  EXPECT_NE(explained.value().find("mode=pruned"), std::string::npos)
+  EXPECT_EQ(explained.value().find("mode=pruned") != std::string::npos,
+            pruned_plan)
       << explained.value();
   for (int threads : {1, 2, 8}) {
     EXPECT_TRUE(
@@ -329,11 +353,11 @@ TEST(GlobalThresholdTest, CrossUserTiesAtTheKthScoreMatchExact) {
   ASSERT_TRUE(db.BulkInsert("Ratings", rows).ok());
   ASSERT_TRUE(db.Execute("CREATE RECOMMENDER r ON Ratings USERS FROM uid "
                          "ITEMS FROM iid RATINGS FROM ratingval "
-                         "USING ItemCosCF")
+                         "USING UserCosCF")
                   .ok());
   ASSERT_TRUE(db.Execute("ANALYZE Ratings").ok());
   const std::string ranked =
-      kRecommendAll + "ItemCosCF ORDER BY R.ratingval DESC LIMIT ";
+      kRecommendAll + "UserCosCF ORDER BY R.ratingval DESC LIMIT ";
   // Cut right after the first row of each score group that spans users:
   // the k-th score is then tied by later rows of other users.
   db.mutable_planner_options()->enable_pruned_topn = false;
@@ -362,14 +386,17 @@ TEST(GlobalThresholdTest, CrossUserTiesAtTheKthScoreMatchExact) {
 
 TEST(GlobalThresholdTest, LateTieInAnEarlierMorselKeepsItsPlace) {
   // Interning order is user position. Of 256 users, positions 0..30 are
-  // low scorers (40 shared items, all rated 1.0), position 31 is T1 and
-  // positions 32..47 are T1's twins (its exact row); the rest are a sparse
-  // background rated <= 2.0. At parallelism 2 (morsels of 32 users) and 8
-  // (morsels of 8) T1 ends a morsel that starts with low scorers, while
-  // the next morsels start with twins, which can raise the shared floor to
-  // the top score before T1 is scored. T1's tied item must still win on
-  // user position: a floor that dropped ties would lose it. The race is
-  // not forced, so the query repeats.
+  // low scorers (40 shared items, all rated 1.0, so nothing unseen scores),
+  // position 31 is T1 and positions 32..47 are T1's twins (its exact row).
+  // Position 48 is a mentor who rated T1's items plus item 2009 (5.0), so
+  // T1 and every twin score item 2009 with the same bits, the top score;
+  // the rest are a sparse background on other items rated <= 2.0. At
+  // parallelism 2 (morsels of 32 users) and 8 (morsels of 8) T1 ends a
+  // morsel that starts with low scorers, while the next morsels start with
+  // twins, which can raise the shared floor to the top score before T1 is
+  // scored. T1's tied item must still win on user position: a floor that
+  // dropped ties would lose it. The race is not forced, so the query
+  // repeats.
   RecDB db;
   ASSERT_TRUE(
       db.Execute("CREATE TABLE Ratings (uid INT, iid INT, ratingval DOUBLE)")
@@ -380,10 +407,13 @@ TEST(GlobalThresholdTest, LateTieInAnEarlierMorselKeepsItsPlace) {
       for (int i = 3001; i <= 3040; ++i) {
         rows.push_back({Value::Int(u), Value::Int(i), Value::Double(1.0)});
       }
-    } else if (u <= 48) {
+    } else if (u <= 49) {
       for (int i = 1; i <= 8; ++i) {
         rows.push_back(
-            {Value::Int(u), Value::Int(i), Value::Double(i % 5 + 1)});
+            {Value::Int(u), Value::Int(2000 + i), Value::Double(i % 5 + 1)});
+      }
+      if (u == 49) {
+        rows.push_back({Value::Int(u), Value::Int(2009), Value::Double(5.0)});
       }
     } else {
       for (int k = 0; k < 4; ++k) {
@@ -395,14 +425,15 @@ TEST(GlobalThresholdTest, LateTieInAnEarlierMorselKeepsItsPlace) {
   ASSERT_TRUE(db.BulkInsert("Ratings", rows).ok());
   ASSERT_TRUE(db.Execute("CREATE RECOMMENDER r ON Ratings USERS FROM uid "
                          "ITEMS FROM iid RATINGS FROM ratingval "
-                         "USING ItemCosCF")
+                         "USING UserCosCF")
                   .ok());
   ASSERT_TRUE(db.Execute("ANALYZE Ratings").ok());
   for (int rep = 0; rep < 20; ++rep) {
     ResultSet exact = ExpectPrunedMatchesExactEverywhere(
-        &db, kRecommendAll + "ItemCosCF ORDER BY R.ratingval DESC LIMIT 1");
+        &db, kRecommendAll + "UserCosCF ORDER BY R.ratingval DESC LIMIT 1");
     ASSERT_EQ(exact.NumRows(), 1u);
     EXPECT_EQ(exact.At(0, 0).AsInt(), 32);
+    EXPECT_EQ(exact.At(0, 1).AsInt(), 2009);
   }
 }
 
@@ -429,9 +460,10 @@ TEST(GlobalThresholdTest, TiesAtZeroAcrossUsersMatchExact) {
     const size_t nonzero = NonzeroScores(all.value());
     ASSERT_LT(nonzero + 7, all.value().NumRows()) << algo << ": no zero tail";
     ResultSet exact = ExpectPrunedMatchesExactEverywhere(
-        &db, kRecommendAll + algo + users +
-                 " ORDER BY R.ratingval DESC LIMIT " +
-                 std::to_string(nonzero + 7));
+        &db,
+        kRecommendAll + algo + users + " ORDER BY R.ratingval DESC LIMIT " +
+            std::to_string(nonzero + 7),
+        PlansPruned(algo));
     ASSERT_EQ(exact.NumRows(), nonzero + 7) << algo;
     EXPECT_EQ(exact.At(nonzero + 6, 2).AsDouble(), 0.0) << algo;
   }
@@ -439,7 +471,7 @@ TEST(GlobalThresholdTest, TiesAtZeroAcrossUsersMatchExact) {
 
 TEST(GlobalThresholdTest, AllUsersQueryEmitsAtMostKAndPredictsLess) {
   for (const char* algo : kAlgoNames) {
-    // The CF families take the pruned plan on the sparse fixture. SVD's
+    // UserCF takes the pruned plan on the sparse fixture. SVD's
     // norm-product bounds only bite on data with real latent structure, so
     // it runs on a shrunken MovieLens-shaped dataset.
     const bool svd = std::string(algo) == "SVD";
@@ -469,6 +501,19 @@ TEST(GlobalThresholdTest, AllUsersQueryEmitsAtMostKAndPredictsLess) {
     auto pruned = db.Execute(query);
     ASSERT_TRUE(pruned.ok()) << algo;
     EXPECT_EQ(RowsToString(pruned.value()), RowsToString(exact.value()));
+    auto analyzed = db.Execute("EXPLAIN ANALYZE " + query);
+    ASSERT_TRUE(analyzed.ok()) << algo;
+    const std::string plan = RowsToString(analyzed.value());
+    const size_t line = plan.find("Recommend r using");
+    ASSERT_NE(line, std::string::npos) << plan;
+    if (!PlansPruned(algo)) {
+      // Plans exact: every unseen (user, item) pair is scored.
+      EXPECT_EQ(plan.find("mode=pruned", line), std::string::npos) << plan;
+      EXPECT_EQ(pruned.value().stats.predictions,
+                exact.value().stats.predictions)
+          << algo;
+      continue;
+    }
     // The global threshold bites: fewer model calls than scoring every
     // unseen (user, item) pair.
     EXPECT_LT(pruned.value().stats.predictions,
@@ -476,11 +521,6 @@ TEST(GlobalThresholdTest, AllUsersQueryEmitsAtMostKAndPredictsLess) {
         << algo;
 
     // Only the global survivors leave the Recommend operator.
-    auto analyzed = db.Execute("EXPLAIN ANALYZE " + query);
-    ASSERT_TRUE(analyzed.ok()) << algo;
-    const std::string plan = RowsToString(analyzed.value());
-    const size_t line = plan.find("Recommend r using");
-    ASSERT_NE(line, std::string::npos) << plan;
     ASSERT_NE(plan.find("mode=pruned(k=10)", line), std::string::npos)
         << plan;
     const size_t act = plan.find("act=", line);
@@ -496,11 +536,11 @@ TEST(PrunedPlanChoiceTest, PrunedWithoutAnalyzeAndHonorsToggle) {
   LoadSparseRatings(&db);
   ASSERT_TRUE(db.Execute("CREATE RECOMMENDER r ON Ratings USERS FROM uid "
                          "ITEMS FROM iid RATINGS FROM ratingval "
-                         "USING ItemCosCF")
+                         "USING UserCosCF")
                   .ok());
   const std::string explain =
       "EXPLAIN SELECT R.uid, R.iid, R.ratingval FROM Ratings AS R "
-      "RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF "
+      "RECOMMEND R.iid TO R.uid ON R.ratingval USING UserCosCF "
       "ORDER BY R.ratingval DESC LIMIT 10";
 
   // The bounded Top-k is a structural choice: statistics do not gate it,
@@ -549,10 +589,10 @@ TEST(PrunedPlanChoiceTest, DenseMatrixPrunedMatchesExactWithoutAnalyze) {
   ASSERT_TRUE(db.BulkInsert("Ratings", rows).ok());
   ASSERT_TRUE(db.Execute("CREATE RECOMMENDER r ON Ratings USERS FROM uid "
                          "ITEMS FROM iid RATINGS FROM ratingval "
-                         "USING ItemCosCF")
+                         "USING UserCosCF")
                   .ok());
   ResultSet exact = ExpectPrunedMatchesExactEverywhere(
-      &db, kRecommendAll + "ItemCosCF ORDER BY R.ratingval DESC LIMIT 3");
+      &db, kRecommendAll + "UserCosCF ORDER BY R.ratingval DESC LIMIT 3");
   EXPECT_EQ(exact.NumRows(), 3u);
 }
 
@@ -561,7 +601,7 @@ TEST(PrunedPlanChoiceTest, DenseMatrixPrunedMatchesExactWithoutAnalyze) {
 TEST(CandidateIndexTest, PostingsMirrorBaseAndSurviveIngestUntilRefresh) {
   RecommenderConfig cfg;
   cfg.name = "r";
-  cfg.algorithm = RecAlgorithm::kItemCosCF;
+  cfg.algorithm = RecAlgorithm::kUserCosCF;
   Recommender rec(cfg);
   for (int64_t u = 1; u <= 12; ++u) {
     for (int64_t k = 0; k < 5; ++k) {

@@ -209,9 +209,9 @@ TEST(SimilarityTest, ItemNeighborhoodsMatchPairwiseOracle) {
       EXPECT_NEAR(n.sim, oracle, 1e-6);
       EXPECT_NE(n.idx, static_cast<int32_t>(p)) << "self-similarity stored";
     }
-    // Sorted descending.
+    // Sorted by ascending neighbor index.
     for (size_t k = 1; k < nb[p].size(); ++k) {
-      EXPECT_GE(nb[p][k - 1].sim, nb[p][k].sim);
+      EXPECT_LT(nb[p][k - 1].idx, nb[p][k].idx);
     }
   }
 }
@@ -224,10 +224,10 @@ TEST(SimilarityTest, SymmetricSimilarity) {
 }
 
 TEST(SimilarityTest, LookupMatchesLinearScanOracle) {
-  // Similarity() reads the one stored neighborhood row, which is
-  // sim-sorted (and top-k truncation makes it visibly non-idx-ordered).
-  // Every pair must agree with a brute-force linear scan of the stored
-  // row, including absent pairs (0.0) and ids unknown to the matrix.
+  // Similarity() binary-searches the one stored neighborhood row, which is
+  // index-sorted with or without top-k truncation. Every pair must agree
+  // with a brute-force linear scan of the stored row, including absent
+  // pairs (0.0) and ids unknown to the matrix.
   RatingMatrix m;
   Rng rng(17);
   for (int u = 0; u < 30; ++u) {
