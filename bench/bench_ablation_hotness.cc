@@ -49,8 +49,9 @@ void BM_Hotness(benchmark::State& state) {
         env.GetRecommender(RecAlgorithm::kItemCosCF)->live();
     for (size_t u = 0; u < src.NumUsers(); ++u) {
       int64_t uid = src.UserIdAt(static_cast<int32_t>(u));
-      for (const auto& e : src.UserVector(static_cast<int32_t>(u))) {
-        rec.AddRating(uid, src.ItemIdAt(e.idx), e.rating);
+      const CsrRow row = src.UserCsrRow(static_cast<int32_t>(u));
+      for (size_t k = 0; k < row.n; ++k) {
+        rec.AddRating(uid, src.ItemIdAt(row.idx[k]), row.rating[k]);
       }
     }
     RECDB_DCHECK(rec.Build().ok());

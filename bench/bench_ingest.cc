@@ -1,10 +1,12 @@
 // Online ingest benchmark (DESIGN.md §12).
 //
 // Two questions, one binary:
-//   scoring — how much does scoring through the delta overlay cost vs the
-//             same contents merged into a rebuilt CSR? Both variants score
-//             an identical grid and checksum the doubles bit-for-bit; any
-//             divergence fails the run (the merge-view golden contract).
+//   scoring — how much does scoring with a pending op log over
+//             copy-on-write live rows (`delta`) cost vs the same contents
+//             flattened by Freeze() into the base (`rebuilt`)? Both
+//             variants score an identical grid and checksum the doubles
+//             bit-for-bit; any divergence fails the run (the row-view
+//             golden contract).
 //   ingest  — the staleness / ingest-rate trade of the re-freeze trigger:
 //             stream rating writes through a recommender at several
 //             rebuild_threshold (the paper's N%) settings, refreshing
@@ -104,9 +106,9 @@ std::map<double, IngestStat>& IngestStats() {
 }
 
 /// One recommender per variant: base ratings trained, then a 5%-of-base
-/// write stream. `merged` == false scores through the live overlay;
-/// `merged` == true re-freezes first so the same contents come from a
-/// rebuilt CSR.
+/// write stream. `merged` == false scores with the op log pending, the
+/// written rows read from their live copies; `merged` == true calls
+/// Freeze() first so the same contents come from the flattened base.
 Recommender& ScoringRec(bool merged) {
   static Recommender* recs[2] = {nullptr, nullptr};
   Recommender*& rec = recs[merged ? 1 : 0];
@@ -119,9 +121,9 @@ Recommender& ScoringRec(bool merged) {
     }
     if (merged) {
       rec->mutable_matrix()->Freeze();
-      RECDB_DCHECK(!rec->snapshot()->has_delta());
+      RECDB_DCHECK(!rec->live().has_delta());
     } else {
-      RECDB_DCHECK(rec->snapshot()->has_delta());
+      RECDB_DCHECK(rec->live().has_delta());
     }
   }
   return *rec;
@@ -188,7 +190,7 @@ void BM_IngestStream(benchmark::State& state, double threshold) {
     for (const Triple& t : stream) {
       rec.AddRating(t.user, t.item, t.rating);
       if (rec.NeedsRefresh()) {
-        delta_at_refresh += rec.snapshot()->delta_size();
+        delta_at_refresh += rec.live().delta_size();
         ++refreshes;
         Stopwatch refresh_watch;
         RECDB_DCHECK(rec.Refresh().ok());
@@ -250,7 +252,7 @@ bool WriteIngestJson() {
     match = delta.checksum == rebuilt.checksum;
     if (!match) {
       std::fprintf(stderr,
-                   "bench_ingest: CHECKSUM MISMATCH — overlay scoring "
+                   "bench_ingest: CHECKSUM MISMATCH — live-row scoring "
                    "diverged from the rebuilt matrix\n");
     }
     char buf[512];

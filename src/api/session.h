@@ -14,9 +14,9 @@
 //
 // An INSERT/DELETE on a ratings table is the online-ingest path: after the
 // heap write is WAL-logged, the statement lands the rating in each mapped
-// recommender's delta overlay (no model retrain, no CSR invalidation) and,
+// recommender's live rows (no model retrain, no CSR invalidation) and,
 // past the refresh trigger, hands the merge to the background re-freeze
-// lane — concurrent RECOMMENDs keep scoring through the merge view the
+// lane — concurrent RECOMMENDs keep scoring through the row view the
 // whole time (DESIGN.md §12).
 //
 // A Session must not outlive its RecDB. Each session is itself single-

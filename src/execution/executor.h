@@ -28,7 +28,7 @@ struct ExecStats {
   uint64_t index_misses = 0;        // users that fell back to the model
   uint64_t join_probes = 0;
   // Sublinear Top-N (CandidateIndex + TopKPruner) during the statement.
-  uint64_t candidates_generated = 0;  // items reached by the postings walk
+  uint64_t candidates_generated = 0;  // items reached by the two-hop walk
   uint64_t blocks_skipped = 0;        // bound blocks pruned below threshold
   uint64_t items_pruned = 0;          // items never scored thanks to pruning
   // Morsel-parallel execution (TaskScheduler) during the statement.
@@ -89,8 +89,12 @@ struct ExecContext {
 
 class Executor {
  public:
+  /// Resolves this node's EXPLAIN ANALYZE row counter once; unordered_map
+  /// element references survive a rehash, so Next increments through it.
   Executor(const PlanNode& node, ExecContext* ctx)
-      : node_(&node), exec_ctx_(ctx) {}
+      : node_(&node),
+        exec_ctx_(ctx),
+        actual_rows_(ctx != nullptr ? &ctx->actual_rows[&node] : nullptr) {}
   virtual ~Executor() = default;
 
   /// Prepare (or re-prepare) the iterator. Must be callable repeatedly.
@@ -105,8 +109,8 @@ class Executor {
       return TracedNext();
     }
     auto r = NextImpl();
-    if (r.ok() && r.value().has_value() && exec_ctx_ != nullptr) {
-      ++exec_ctx_->actual_rows[node_];
+    if (r.ok() && r.value().has_value() && actual_rows_ != nullptr) {
+      ++*actual_rows_;
     }
     return r;
   }
@@ -124,12 +128,13 @@ class Executor {
             .count());
     const bool produced = r.ok() && r.value().has_value();
     exec_ctx_->tracer->RecordNode(node_, ns, produced);
-    if (produced) ++exec_ctx_->actual_rows[node_];
+    if (produced) ++*actual_rows_;
     return r;
   }
 
   const PlanNode* node_;
   ExecContext* exec_ctx_;
+  uint64_t* actual_rows_;
 };
 
 using ExecutorPtr = std::unique_ptr<Executor>;

@@ -261,12 +261,12 @@ PruneEngine::PruneEngine(const RecModel* model, const RatingMatrix& snapshot,
   walk_stamp_.assign(num_items_, 0);
   consume_stamp_.assign(num_items_, 0);
   rated_stamp_.assign(num_items_, 0);
-  user_stamp_.assign(index.num_users(), 0);
+  user_stamp_.assign(snapshot.base_num_users(), 0);
   block_items_.resize(index.blocks().size());
   if (rank_by_id_) {
     // Items interned after the base: out-of-band for order_by_id(), merged
     // in by external id during the zero-merge.
-    for (size_t i = index.num_items(); i < num_items_; ++i) {
+    for (size_t i = snapshot.base_num_items(); i < num_items_; ++i) {
       oob_by_id_.emplace_back(snapshot.ItemIdAt(static_cast<int32_t>(i)),
                               static_cast<int32_t>(i));
     }
@@ -275,10 +275,12 @@ PruneEngine::PruneEngine(const RecModel* model, const RatingMatrix& snapshot,
 }
 
 void PruneEngine::StampRated(int32_t u) {
-  // UserVector is the merged view, so ratings that only live in the delta
-  // overlay count as rated too.
-  for (const RatingEntry& e : snapshot_.UserVector(u)) {
-    if (static_cast<size_t>(e.idx) < num_items_) rated_stamp_[e.idx] = epoch_;
+  // The row view reads the live row, so ratings written since the last
+  // flatten count as rated too.
+  const CsrRow rated = snapshot_.UserCsrRow(u);
+  for (size_t k = 0; k < rated.n; ++k) {
+    const int32_t i = rated.idx[k];
+    if (static_cast<size_t>(i) < num_items_) rated_stamp_[i] = epoch_;
   }
 }
 
@@ -302,28 +304,27 @@ void PruneEngine::GenerateCandidates(int32_t u) {
     candidates_.push_back(i);
     return true;
   };
-  // Start items: the user's base row plus, when the delta overlay touched
-  // the row, its full merged side row (covers ratings added since the
-  // freeze — their item-based similarities anchor to the base, and the
-  // user-based families need the base row, which the side row contains
-  // unless removed; removed base items cannot seed a nonzero similarity
-  // for item families and are re-covered below for user families via the
-  // base postings).
-  const CandidateIndex::Postings base_row = index_.RatedItems(u);
+  // Start items: the user's base row plus, when the row was written since
+  // the last flatten, its live row (covers ratings added since — their
+  // item-based similarities anchor to the base, and the user-based
+  // families need the base row, which the live row contains unless
+  // removed; removed base items cannot seed a nonzero similarity for item
+  // families and are re-covered below for user families via the base).
+  const CsrRow base_row = snapshot_.BaseUserCsrRow(u);
   for (size_t a = 0; a < base_row.n; ++a) {
     if (mark(base_row.idx[a])) start_.push_back(base_row.idx[a]);
   }
   if (snapshot_.IsUserRowTouched(u)) {
-    const CsrRow side = snapshot_.UserCsrRow(u);
-    for (size_t a = 0; a < side.n; ++a) {
-      if (mark(side.idx[a])) start_.push_back(side.idx[a]);
+    const CsrRow live = snapshot_.UserCsrRow(u);
+    for (size_t a = 0; a < live.n; ++a) {
+      if (mark(live.idx[a])) start_.push_back(live.idx[a]);
     }
   }
-  // Two-hop: raters come from the base postings only — a nonzero
-  // similarity requires a base co-rating, so delta-only raters cannot
-  // contribute a nonzero score.
+  // Two-hop: raters come from the base only — a nonzero similarity
+  // requires a base co-rating, so raters added since cannot contribute a
+  // nonzero score.
   for (int32_t j : start_) {
-    const CandidateIndex::Postings raters = index_.Raters(j);
+    const CsrRow raters = snapshot_.BaseItemCsrRow(j);
     for (size_t b = 0; b < raters.n; ++b) {
       const int32_t v = raters.idx[b];
       if (static_cast<size_t>(v) >= user_stamp_.size() ||
@@ -331,11 +332,11 @@ void PruneEngine::GenerateCandidates(int32_t u) {
         continue;
       }
       user_stamp_[v] = e;
-      const CandidateIndex::Postings co = index_.RatedItems(v);
+      const CsrRow co = snapshot_.BaseUserCsrRow(v);
       for (size_t c = 0; c < co.n; ++c) mark(co.idx[c]);
       if (snapshot_.IsUserRowTouched(v)) {
-        const CsrRow vside = snapshot_.UserCsrRow(v);
-        for (size_t c = 0; c < vside.n; ++c) mark(vside.idx[c]);
+        const CsrRow vlive = snapshot_.UserCsrRow(v);
+        for (size_t c = 0; c < vlive.n; ++c) mark(vlive.idx[c]);
       }
     }
   }

@@ -59,9 +59,9 @@ struct ScoreGrid {
 };
 
 /// Per-executor engine for the sublinear Top-N paths (DESIGN.md §13):
-/// candidate generation over the CandidateIndex postings (union-merged with
-/// the delta overlay's side rows for rows touched since the freeze), the
-/// must-score partition for items whose static bound cannot be trusted,
+/// candidate generation over the matrix's base CSR (union-merged with the
+/// live rows of rows written since the last flatten), the must-score
+/// partition for items whose static bound cannot be trusted,
 /// the WAND-style block sweep against a TopKPruner threshold, and the
 /// zero-score merge that restores the provably-0.0 tail in tie-break
 /// order. Scratch arrays are epoch-stamped and reused across users. Not
@@ -91,10 +91,9 @@ class PruneEngine {
   ExecStats stats;
 
  private:
-  /// Two-hop walk: start items = merged row of u (∪ base row, covering the
-  /// user-based families whose similarities are anchored to the base),
-  /// raters from the base postings, candidate items = base ∪ side rows of
-  /// each rater. Fills candidates_ (deduplicated via walk_stamp_).
+  /// Two-hop walk: start items = base row of u ∪ its live row, raters from
+  /// the base item rows, candidate items = base ∪ live row of each rater.
+  /// Fills candidates_ (deduplicated via walk_stamp_).
   void GenerateCandidates(int32_t u);
   /// One index-space PredictBatchByIndex over `items`, each result offered
   /// to the pruner.
@@ -144,7 +143,7 @@ class PruneEngine {
   std::vector<std::vector<int32_t>> block_items_;
   std::vector<int32_t> touched_blocks_;
   std::vector<double> batch_pred_;
-  /// Items interned after the base the postings were lowered from, sorted
+  /// Items interned after the last flatten (beyond the base), sorted
   /// by external id — merged with index.order_by_id() for the id-ordered
   /// zero-merge.
   std::vector<std::pair<int64_t, int32_t>> oob_by_id_;

@@ -8,53 +8,26 @@
 
 namespace recdb {
 
-namespace {
-
-/// Copy one CSR orientation's adjacency (offsets + column indices, ratings
-/// dropped) into the index's own arrays, so the postings stay valid however
-/// the matrix base moves afterwards.
-void LowerAdjacency(const FlatCsr& csr, std::vector<int64_t>* offsets,
-                    std::vector<int32_t>* ids) {
-  *offsets = csr.offsets;
-  *ids = csr.idx;
-  if (offsets->empty()) offsets->push_back(0);
-}
-
-}  // namespace
-
 std::shared_ptr<CandidateIndex> CandidateIndex::Build(
     const RatingMatrix& matrix, const RecModel& model) {
-  auto index = Lower(matrix.user_csr(), matrix.item_csr(), matrix.item_ids(),
-                     matrix.version());
-  index->FinalizeBounds(model);
-  return index;
-}
-
-std::shared_ptr<CandidateIndex> CandidateIndex::Lower(
-    const FlatCsr& user_csr, const FlatCsr& item_csr,
-    const std::vector<int64_t>& item_ids, uint64_t version) {
   Stopwatch watch;
   auto index = std::shared_ptr<CandidateIndex>(new CandidateIndex());
-  LowerAdjacency(user_csr, &index->user_offsets_, &index->user_items_);
-  LowerAdjacency(item_csr, &index->item_offsets_, &index->item_users_);
-  index->version_ = version;
-
   // Tie-break order of the IndexRecommend fallback: base item indices by
-  // ascending external id. item_ids may already know entities newer than
-  // the CSR rows; those are out-of-band and merged in by the executor.
-  const size_t ni = index->num_items();
-  index->order_by_id_.resize(ni);
+  // ascending external id. The matrix may already know items newer than
+  // the base rows; those are out-of-band and merged in by the executor.
+  const std::vector<int64_t>& item_ids = matrix.item_ids();
+  index->order_by_id_.resize(matrix.base_num_items());
   std::iota(index->order_by_id_.begin(), index->order_by_id_.end(), 0);
   std::sort(index->order_by_id_.begin(), index->order_by_id_.end(),
             [&](int32_t a, int32_t b) { return item_ids[a] < item_ids[b]; });
-
+  index->BuildBounds(model);
   obs::Count(obs::Counter::kPruneIndexBuilds);
   obs::ObserveUs(obs::Histogram::kPruneIndexBuildUs,
                  static_cast<uint64_t>(watch.ElapsedSeconds() * 1e6));
   return index;
 }
 
-void CandidateIndex::FinalizeBounds(const RecModel& model) {
+void CandidateIndex::BuildBounds(const RecModel& model) {
   prunable_ = model.ComputePruneBounds(&bounds_);
   if (!prunable_) return;
   const size_t n = bounds_.item_scale.size();
@@ -96,18 +69,6 @@ void CandidateIndex::FinalizeBounds(const RecModel& model) {
     blocks_[b].suffix_scale = suf_scale;
     blocks_[b].suffix_offset = suf_offset;
   }
-}
-
-size_t CandidateIndex::ApproxBytes() const {
-  return sizeof(CandidateIndex) +
-         (user_offsets_.capacity() + item_offsets_.capacity()) *
-             sizeof(int64_t) +
-         (user_items_.capacity() + item_users_.capacity() +
-          order_.capacity() + order_by_id_.capacity() + block_of_.capacity()) *
-             sizeof(int32_t) +
-         (bounds_.item_scale.capacity() + bounds_.item_offset.capacity()) *
-             sizeof(double) +
-         blocks_.capacity() * sizeof(Block);
 }
 
 }  // namespace recdb

@@ -110,15 +110,11 @@
   X(kSessionStatements, "session.statements", "statements",                   \
     "statements executed through a Session handle")                           \
   X(kIngestDeltaAdds, "ingest.delta_adds", "ops",                             \
-    "new (user,item) pairs landed in a frozen matrix's delta overlay")        \
+    "new (user,item) pairs landed in a frozen matrix's live rows")            \
   X(kIngestDeltaOverwrites, "ingest.delta_overwrites", "ops",                 \
-    "value-changing overwrites landed in the delta overlay")                  \
+    "value-changing overwrites landed in the live rows")                      \
   X(kIngestDeltaRemoves, "ingest.delta_removes", "ops",                       \
-    "removals (tombstones) landed in the delta overlay")                      \
-  X(kIngestDeltaRowHits, "ingest.delta_row_hits", "rows",                     \
-    "CSR row lookups resolved from a delta side row")                         \
-  X(kIngestDeltaRowMisses, "ingest.delta_row_misses", "rows",                 \
-    "CSR row lookups that fell through the overlay to the frozen base")       \
+    "removals landed in the live rows")                                       \
   X(kIngestRowUpdates, "ingest.incremental_row_updates", "rows",              \
     "neighborhood rows recomputed by incremental CF maintenance")             \
   X(kIngestSvdFoldIns, "ingest.svd_fold_ins", "rows",                         \
@@ -142,7 +138,7 @@
   X(kPruneTopkQueries, "prune.topk_queries", "users",                         \
     "per-user Top-N loops answered by the pruned (threshold) path")           \
   X(kPruneCandidatesGenerated, "prune.candidates_generated", "items",         \
-    "candidate items produced by inverted-postings generation")               \
+    "candidate items produced by the two-hop base-CSR walk")                  \
   X(kPruneBlocksSkipped, "prune.blocks_skipped", "blocks",                    \
     "bound-table blocks skipped because their bound could not beat k-th")     \
   X(kPruneItemsPruned, "prune.items_pruned", "items",                         \
@@ -150,7 +146,7 @@
   X(kPrunePlanChosen, "prune.plan_chosen", "plans",                           \
     "plans whose Top-k took the bounded driver or a pruned index fallback")   \
   X(kPruneIndexBuilds, "prune.index_builds", "builds",                        \
-    "CandidateIndex lowerings (initial build and re-freeze rebuilds)")        \
+    "CandidateIndex bound builds (initial build and refresh commits)")        \
   X(kServingQueries, "serving.queries", "statements",                         \
     "statements executed through the ShardedRecDB router")                    \
   X(kServingScatterQueries, "serving.scatter_queries", "queries",             \
@@ -212,7 +208,7 @@
   X(kIngestSwapUs, "ingest.swap_us", "us",                                    \
     "re-freeze commit/swap under the writer lock per cycle")                  \
   X(kPruneIndexBuildUs, "prune.index_build_us", "us",                         \
-    "CandidateIndex postings lowering wall-clock per build")                  \
+    "CandidateIndex bound build wall-clock per build")                        \
   X(kPruneGenUs, "prune.gen_us", "us",                                        \
     "candidate generation wall-clock per pruned Top-N user")                  \
   X(kServingQueryUs, "serving.query_us", "us",                                \

@@ -37,26 +37,10 @@ std::vector<std::pair<int64_t, double>> ExternalRecommender::ScoreAllForUser(
   std::vector<std::pair<int64_t, double>> out;
   auto u = r.UserIndex(user_id);
   if (!u) return out;
-  const auto& rated = r.UserVector(*u);
-  const size_t ni = r.NumItems();
-
-  // Collect the user's unseen items, then score them in one PredictBatch —
-  // the same batch kernels the in-engine operators use, so the RecDB /
-  // OnTopDB comparison stays an architecture comparison.
-  std::vector<int64_t> unseen;
-  unseen.reserve(ni - rated.size());
-  size_t rated_pos = 0;
-  for (size_t i = 0; i < ni; ++i) {
-    while (rated_pos < rated.size() &&
-           rated[rated_pos].idx < static_cast<int32_t>(i)) {
-      ++rated_pos;
-    }
-    if (rated_pos < rated.size() &&
-        rated[rated_pos].idx == static_cast<int32_t>(i)) {
-      continue;  // unseen items only
-    }
-    unseen.push_back(r.ItemIdAt(static_cast<int32_t>(i)));
-  }
+  // Score the user's unseen items in one PredictBatch — the same batch
+  // kernels the in-engine operators use, so the RecDB / OnTopDB comparison
+  // stays an architecture comparison.
+  const std::vector<int64_t> unseen = r.UnseenItemIds(*u);
   std::vector<double> scores(unseen.size(), 0.0);
   model_->PredictBatch(user_id, unseen, scores);
   out.reserve(unseen.size());

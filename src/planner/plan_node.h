@@ -114,8 +114,8 @@ struct RecommendPlan : PlanNode {
   std::optional<std::vector<int64_t>> item_ids;
   /// Bounded Top-k mode (set by the optimizer under every score-ordered
   /// TopN whose structure allows it): emit only the global top-`prune_limit`
-  /// unseen (user, item) pairs, found by per-user walks over the
-  /// CandidateIndex postings and bound blocks under a shared threshold
+  /// unseen (user, item) pairs, found by per-user walks over the base CSR
+  /// and the CandidateIndex bound blocks under a shared threshold
   /// instead of the full catalog. Result set is bit-identical to the exact
   /// path under the parent TopN.
   bool prune = false;

@@ -33,7 +33,7 @@ struct PlannerOptions {
   /// est_rows/est_cost. Off = rule-only planning (pre-cost behaviour).
   bool enable_cost_based = true;
   /// Sublinear Top-N: the cost pass runs every score-ordered TopN over a
-  /// RECOMMEND through the bounded Top-k driver (CandidateIndex postings +
+  /// RECOMMEND through the bounded Top-k driver (a two-hop candidate walk +
   /// WAND-style block bounds) whenever the plan's structure allows it, with
   /// or without ANALYZE. Result sets are bit-identical to the exact plan;
   /// off = always score the full catalog (the exact reference plan). The

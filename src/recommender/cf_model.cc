@@ -85,13 +85,15 @@ std::vector<int32_t> TouchedItemRows(const RatingMatrix& m,
       return;
     }
     user_done[v] = 1;
-    for (const auto& e : m.UserVector(v)) touched[e.idx] = 1;
+    const CsrRow row = m.UserCsrRow(v);
+    for (size_t k = 0; k < row.n; ++k) touched[row.idx[k]] = 1;
   };
   for (const auto& op : ops) {
     if (op.item_idx >= 0 &&
         static_cast<size_t>(op.item_idx) < touched.size()) {
       touched[op.item_idx] = 1;
-      for (const auto& e : m.ItemVector(op.item_idx)) mark_items_of(e.idx);
+      const CsrRow raters = m.ItemCsrRow(op.item_idx);
+      for (size_t k = 0; k < raters.n; ++k) mark_items_of(raters.idx[k]);
     }
     mark_items_of(op.user_idx);
   }
@@ -112,13 +114,15 @@ std::vector<int32_t> TouchedUserRows(const RatingMatrix& m,
       return;
     }
     item_done[j] = 1;
-    for (const auto& e : m.ItemVector(j)) touched[e.idx] = 1;
+    const CsrRow row = m.ItemCsrRow(j);
+    for (size_t k = 0; k < row.n; ++k) touched[row.idx[k]] = 1;
   };
   for (const auto& op : ops) {
     if (op.user_idx >= 0 &&
         static_cast<size_t>(op.user_idx) < touched.size()) {
       touched[op.user_idx] = 1;
-      for (const auto& e : m.UserVector(op.user_idx)) mark_raters_of(e.idx);
+      const CsrRow rated = m.UserCsrRow(op.user_idx);
+      for (size_t k = 0; k < rated.n; ++k) mark_raters_of(rated.idx[k]);
     }
     mark_raters_of(op.item_idx);
   }
@@ -260,8 +264,8 @@ void ItemCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
   std::fill(out.begin(), out.end(), 0.0);
   if (u < 0 || static_cast<size_t>(u) >= ratings_->NumUsers()) return;
   // The user's rated items, ascending — the canonical summation order
-  // (DESIGN.md §10). Build froze the matrix and it never thaws, so the
-  // merge view includes ratings that landed since.
+  // (DESIGN.md §10). The row view includes ratings that landed since the
+  // last flatten.
   const CsrRow rated = ratings_->UserCsrRow(u);
   if (rated.n == 0) return;
   // A candidate past the table (unknown, or interned after this model was
@@ -417,8 +421,7 @@ void UserCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
   for (const auto& nb : neighbors) {
     scratch.Set(nb.idx, static_cast<double>(nb.sim));
   }
-  // As in ItemCF, the model's matrix stays frozen, so rater rows come
-  // from the merge view.
+  // As in ItemCF, rater rows come from the row view.
   const size_t num_items = ratings_->NumItems();
   for (size_t c = 0; c < items.size(); ++c) {
     const int32_t i = items[c];

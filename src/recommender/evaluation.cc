@@ -54,12 +54,13 @@ Result<EvalResult> EvaluateAlgorithm(const RatingMatrix& full,
   std::vector<TestRating> test;
   for (size_t u = 0; u < full.NumUsers(); ++u) {
     int64_t uid = full.UserIdAt(static_cast<int32_t>(u));
-    for (const auto& e : full.UserVector(static_cast<int32_t>(u))) {
-      int64_t iid = full.ItemIdAt(e.idx);
+    const CsrRow row = full.UserCsrRow(static_cast<int32_t>(u));
+    for (size_t k = 0; k < row.n; ++k) {
+      int64_t iid = full.ItemIdAt(row.idx[k]);
       if (SplitHash(uid, iid) % options.holdout_mod == 0) {
-        test.push_back({uid, iid, e.rating});
+        test.push_back({uid, iid, row.rating[k]});
       } else {
-        train->Add(uid, iid, e.rating);
+        train->Add(uid, iid, row.rating[k]);
       }
     }
   }

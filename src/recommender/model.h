@@ -73,7 +73,7 @@ struct PruneBoundTable {
   double slack = 0.0;
   /// UserCF: a score can be nonzero only for items sharing a co-rated item
   /// with the query user (as of model build) — candidate generation through
-  /// the CandidateIndex postings is exact, every non-candidate scores 0.0.
+  /// the base CSR's two-hop walk is exact, every non-candidate scores 0.0.
   bool candidate_generation = false;
   /// item_scale derives from the rating matrix (UserCF: max |r| of the
   /// item's rater row). Delta-touched item rows invalidate their entry and
@@ -166,7 +166,7 @@ class RecModel {
   }
 
   /// Per-user multiplicative / additive bound terms (see PruneBoundTable).
-  /// Evaluated live at query time against the merge view, so user-side
+  /// Evaluated live at query time against the row view, so user-side
   /// delta (e.g. a new highest rating) is always reflected.
   virtual double PruneUserScale(int32_t user_idx) const {
     (void)user_idx;

@@ -3,7 +3,87 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/metrics.h"
+
 namespace recdb {
+
+// ------------------------------------------------------------ RowStore
+
+RowStore::LiveRow& RowStore::Live(int32_t r) {
+  int32_t& s = slot_[r];
+  if (s < 0) {
+    const CsrRow base = BaseRow(r);
+    s = static_cast<int32_t>(live_.size());
+    LiveRow& row = live_.emplace_back();
+    // Room for the insert that usually follows the copy, so a written row
+    // is not reallocated at twice its size on its first write.
+    row.idx.reserve(base.n + 1);
+    row.rating.reserve(base.n + 1);
+    row.idx.assign(base.idx, base.idx + base.n);
+    row.rating.assign(base.rating, base.rating + base.n);
+  }
+  return live_[s];
+}
+
+bool RowStore::Upsert(int32_t r, int32_t idx, double rating) {
+  LiveRow& row = Live(r);
+  auto it = std::lower_bound(row.idx.begin(), row.idx.end(), idx);
+  const size_t pos = static_cast<size_t>(it - row.idx.begin());
+  if (it != row.idx.end() && *it == idx) {
+    row.rating[pos] = rating;
+    return false;
+  }
+  row.idx.insert(it, idx);
+  row.rating.insert(row.rating.begin() + pos, rating);
+  return true;
+}
+
+bool RowStore::Erase(int32_t r, int32_t idx) {
+  LiveRow& row = Live(r);
+  auto it = std::lower_bound(row.idx.begin(), row.idx.end(), idx);
+  if (it == row.idx.end() || *it != idx) return false;
+  row.rating.erase(row.rating.begin() + (it - row.idx.begin()));
+  row.idx.erase(it);
+  return true;
+}
+
+FlatCsr RowStore::Flatten() const {
+  FlatCsr csr;
+  size_t nnz = 0;
+  for (size_t r = 0; r < num_rows(); ++r) {
+    nnz += Row(static_cast<int32_t>(r)).n;
+  }
+  csr.offsets.reserve(num_rows() + 1);
+  csr.idx.reserve(nnz);
+  csr.rating.reserve(nnz);
+  csr.offsets.push_back(0);
+  for (size_t r = 0; r < num_rows(); ++r) {
+    const CsrRow row = Row(static_cast<int32_t>(r));
+    csr.idx.insert(csr.idx.end(), row.idx, row.idx + row.n);
+    csr.rating.insert(csr.rating.end(), row.rating, row.rating + row.n);
+    csr.offsets.push_back(static_cast<int64_t>(csr.idx.size()));
+  }
+  return csr;
+}
+
+void RowStore::Reset(FlatCsr&& base) {
+  base_ = std::move(base);
+  live_.clear();
+  live_.shrink_to_fit();
+  std::fill(slot_.begin(), slot_.end(), -1);
+}
+
+size_t RowStore::ApproxBytes() const {
+  size_t total = base_.ApproxBytes() + slot_.capacity() * sizeof(int32_t) +
+                 live_.capacity() * sizeof(LiveRow);
+  for (const LiveRow& row : live_) {
+    total += row.idx.capacity() * sizeof(int32_t) +
+             row.rating.capacity() * sizeof(double);
+  }
+  return total;
+}
+
+// ------------------------------------------------------------ RatingMatrix
 
 int32_t RatingMatrix::InternUser(int64_t user_id) {
   auto it = user_index_.find(user_id);
@@ -11,7 +91,7 @@ int32_t RatingMatrix::InternUser(int64_t user_id) {
   int32_t idx = static_cast<int32_t>(user_ids_.size());
   user_ids_.push_back(user_id);
   user_index_[user_id] = idx;
-  by_user_.emplace_back();
+  users_.AddRow();
   return idx;
 }
 
@@ -21,64 +101,21 @@ int32_t RatingMatrix::InternItem(int64_t item_id) {
   int32_t idx = static_cast<int32_t>(item_ids_.size());
   item_ids_.push_back(item_id);
   item_index_[item_id] = idx;
-  by_item_.emplace_back();
+  items_.AddRow();
   return idx;
 }
 
-void RatingMatrix::Upsert(std::vector<RatingEntry>* vec, int32_t idx,
-                          double rating, bool* was_new) {
-  auto it = std::lower_bound(
-      vec->begin(), vec->end(), idx,
-      [](const RatingEntry& e, int32_t i) { return e.idx < i; });
-  if (it != vec->end() && it->idx == idx) {
-    it->rating = rating;
-    *was_new = false;
-    return;
-  }
-  vec->insert(it, RatingEntry{idx, rating});
-  *was_new = true;
-}
-
-namespace {
-
-FlatCsr BuildCsr(const std::vector<std::vector<RatingEntry>>& rows) {
-  FlatCsr csr;
-  size_t nnz = 0;
-  for (const auto& row : rows) nnz += row.size();
-  csr.offsets.reserve(rows.size() + 1);
-  csr.idx.reserve(nnz);
-  csr.rating.reserve(nnz);
-  csr.offsets.push_back(0);
-  for (const auto& row : rows) {
-    for (const auto& e : row) {
-      csr.idx.push_back(e.idx);
-      csr.rating.push_back(e.rating);
-    }
-    csr.offsets.push_back(static_cast<int64_t>(csr.idx.size()));
-  }
-  return csr;
-}
-
-}  // namespace
-
 void RatingMatrix::Freeze() {
-  if (frozen_) {
-    // An already-frozen matrix with a pending overlay merges it; without
-    // one there is nothing to do (full rebuilds call Freeze first so they
-    // always train over flat merged state).
-    if (has_delta()) Refreeze();
-    return;
-  }
-  user_csr_ = BuildCsr(by_user_);
-  item_csr_ = BuildCsr(by_item_);
-  frozen_ = true;
-  obs::Count(obs::Counter::kIngestCsrBuilds);
+  // Full rebuilds call Freeze first so they always train over flat merged
+  // state; a frozen matrix with no pending delta has nothing to flatten.
+  if (frozen_ && !has_delta()) return;
+  CommitRefreeze(BuildMergedCsr());
 }
 
 RatingMatrix::MergedCsr RatingMatrix::BuildMergedCsr() const {
   MergedCsr merged;
-  merged.user = BuildCsr(by_user_);
-  merged.item = BuildCsr(by_item_);
+  merged.user = users_.Flatten();
+  merged.item = items_.Flatten();
   merged.version = version_;
   obs::Count(obs::Counter::kIngestCsrBuilds);
   return merged;
@@ -86,66 +123,17 @@ RatingMatrix::MergedCsr RatingMatrix::BuildMergedCsr() const {
 
 bool RatingMatrix::CommitRefreeze(MergedCsr&& merged) {
   if (merged.version != version_) return false;
-  user_csr_ = std::move(merged.user);
-  item_csr_ = std::move(merged.item);
+  users_.Reset(std::move(merged.user));
+  items_.Reset(std::move(merged.item));
   frozen_ = true;
-  ClearOverlay();
+  delta_ops_.clear();
   return true;
 }
 
-void RatingMatrix::Refreeze() {
-  if (frozen_ && !has_delta()) return;
-  user_csr_ = BuildCsr(by_user_);
-  item_csr_ = BuildCsr(by_item_);
-  frozen_ = true;
-  ClearOverlay();
-  obs::Count(obs::Counter::kIngestCsrBuilds);
-}
-
-void RatingMatrix::ClearOverlay() {
-  overlay_active_ = false;
-  user_side_.clear();
-  item_side_.clear();
-  tombstones_.clear();
-  delta_ops_.clear();
-}
-
-void RatingMatrix::RefreshUserSideRow(int32_t user_idx) {
-  overlay_active_ = true;
-  SideRow& ur = user_side_[user_idx];
-  const auto& uvec = by_user_[user_idx];
-  ur.idx.resize(uvec.size());
-  ur.rating.resize(uvec.size());
-  for (size_t k = 0; k < uvec.size(); ++k) {
-    ur.idx[k] = uvec[k].idx;
-    ur.rating[k] = uvec[k].rating;
-  }
-}
-
-void RatingMatrix::RefreshItemSideRow(int32_t item_idx) {
-  overlay_active_ = true;
-  SideRow& ir = item_side_[item_idx];
-  const auto& ivec = by_item_[item_idx];
-  ir.idx.resize(ivec.size());
-  ir.rating.resize(ivec.size());
-  for (size_t k = 0; k < ivec.size(); ++k) {
-    ir.idx[k] = ivec[k].idx;
-    ir.rating[k] = ivec[k].rating;
-  }
-}
-
-void RatingMatrix::RefreshSideRows(int32_t user_idx, int32_t item_idx) {
-  RefreshUserSideRow(user_idx);
-  RefreshItemSideRow(item_idx);
-}
-
 RatingChange RatingMatrix::DoAdd(int64_t user_id, int64_t item_id,
-                                 double rating, int32_t* out_u,
-                                 int32_t* out_i) {
+                                 double rating) {
   int32_t u = InternUser(user_id);
   int32_t i = InternItem(item_id);
-  *out_u = u;
-  *out_i = i;
   auto existing = GetByIndex(u, i);
   if (existing && *existing == rating) {
     // Same-value overwrite: a complete no-op. Critically this must not
@@ -154,10 +142,10 @@ RatingChange RatingMatrix::DoAdd(int64_t user_id, int64_t item_id,
     // so "adjusting by zero" would silently drift GlobalMean().
     return RatingChange::kUnchanged;
   }
-  bool new_in_user = false, new_in_item = false;
-  Upsert(&by_user_[u], i, rating, &new_in_user);
-  Upsert(&by_item_[i], u, rating, &new_in_item);
+  const bool new_in_user = users_.Upsert(u, i, rating);
+  const bool new_in_item = items_.Upsert(i, u, rating);
   RECDB_DCHECK(new_in_user == new_in_item);
+  (void)new_in_item;
   if (new_in_user) {
     ++num_ratings_;
     rating_sum_ += rating;
@@ -169,57 +157,39 @@ RatingChange RatingMatrix::DoAdd(int64_t user_id, int64_t item_id,
     delta_ops_.push_back(DeltaOp{new_in_user ? DeltaOp::Kind::kAdd
                                              : DeltaOp::Kind::kOverwrite,
                                  u, i});
-    tombstones_.erase(PairKey(u, i));  // a re-add revives a removed pair
   }
   return new_in_user ? RatingChange::kInserted : RatingChange::kOverwritten;
 }
 
 RatingChange RatingMatrix::Add(int64_t user_id, int64_t item_id,
                                double rating) {
-  int32_t u = -1, i = -1;
-  RatingChange change = DoAdd(user_id, item_id, rating, &u, &i);
-  if (change == RatingChange::kUnchanged) return change;
-  ++version_;
-  if (frozen_) RefreshSideRows(u, i);
+  RatingChange change = DoAdd(user_id, item_id, rating);
+  if (change != RatingChange::kUnchanged) ++version_;
   return change;
 }
 
-bool RatingMatrix::DoRemove(int64_t user_id, int64_t item_id, int32_t* out_u,
-                            int32_t* out_i) {
+bool RatingMatrix::DoRemove(int64_t user_id, int64_t item_id) {
   // A Remove of an absent pair mutates nothing: the frozen state stays
   // valid and no delta op is logged.
   auto u = UserIndex(user_id);
   auto i = ItemIndex(item_id);
   if (!u || !i) return false;
-  *out_u = *u;
-  *out_i = *i;
-  auto erase_from = [](std::vector<RatingEntry>* vec, int32_t idx) {
-    auto it = std::lower_bound(
-        vec->begin(), vec->end(), idx,
-        [](const RatingEntry& e, int32_t v) { return e.idx < v; });
-    if (it == vec->end() || it->idx != idx) return false;
-    vec->erase(it);
-    return true;
-  };
   auto existing = GetByIndex(*u, *i);
   if (!existing) return false;
-  bool a = erase_from(&by_user_[*u], *i);
-  bool b = erase_from(&by_item_[*i], *u);
+  const bool a = users_.Erase(*u, *i);
+  const bool b = items_.Erase(*i, *u);
   RECDB_DCHECK(a && b);
+  (void)a;
+  (void)b;
   --num_ratings_;
   rating_sum_ -= *existing;
-  if (frozen_) {
-    delta_ops_.push_back(DeltaOp{DeltaOp::Kind::kRemove, *u, *i});
-    tombstones_.insert(PairKey(*u, *i));
-  }
+  if (frozen_) delta_ops_.push_back(DeltaOp{DeltaOp::Kind::kRemove, *u, *i});
   return true;
 }
 
 bool RatingMatrix::Remove(int64_t user_id, int64_t item_id) {
-  int32_t u = -1, i = -1;
-  if (!DoRemove(user_id, item_id, &u, &i)) return false;
+  if (!DoRemove(user_id, item_id)) return false;
   ++version_;
-  if (frozen_) RefreshSideRows(u, i);
   return true;
 }
 
@@ -227,16 +197,14 @@ RatingMatrix::BatchResult RatingMatrix::ApplyBatch(
     const std::vector<BatchRatingOp>& ops) {
   BatchResult res;
   res.effective.assign(ops.size(), 0);
-  std::vector<int32_t> users, items;
   for (size_t k = 0; k < ops.size(); ++k) {
     const BatchRatingOp& op = ops[k];
-    int32_t u = -1, i = -1;
     bool effective = false;
     if (op.remove) {
-      effective = DoRemove(op.user_id, op.item_id, &u, &i);
+      effective = DoRemove(op.user_id, op.item_id);
       if (effective) ++res.removed;
     } else {
-      switch (DoAdd(op.user_id, op.item_id, op.rating, &u, &i)) {
+      switch (DoAdd(op.user_id, op.item_id, op.rating)) {
         case RatingChange::kInserted:
           ++res.inserted;
           effective = true;
@@ -249,28 +217,14 @@ RatingMatrix::BatchResult RatingMatrix::ApplyBatch(
           break;
       }
     }
-    if (!effective) {
+    if (effective) {
+      res.effective[k] = 1;
+    } else {
       ++res.noops;
-      continue;
     }
-    res.effective[k] = 1;
-    users.push_back(u);
-    items.push_back(i);
   }
-  if (res.effective_ops() == 0) return res;
-  // One version bump and one side-row copy per touched row for the whole
-  // statement — the point of the batched path. Side rows are full merged
-  // copies, so refreshing them once against the final state is identical
-  // to refreshing after every op.
-  ++version_;
-  if (frozen_) {
-    std::sort(users.begin(), users.end());
-    users.erase(std::unique(users.begin(), users.end()), users.end());
-    std::sort(items.begin(), items.end());
-    items.erase(std::unique(items.begin(), items.end()), items.end());
-    for (int32_t u : users) RefreshUserSideRow(u);
-    for (int32_t i : items) RefreshItemSideRow(i);
-  }
+  // One version bump for the whole statement.
+  if (res.effective_ops() > 0) ++version_;
   return res;
 }
 
@@ -288,12 +242,27 @@ std::optional<int32_t> RatingMatrix::ItemIndex(int64_t item_id) const {
 
 std::optional<double> RatingMatrix::GetByIndex(int32_t user_idx,
                                                int32_t item_idx) const {
-  const auto& vec = by_user_[user_idx];
-  auto it = std::lower_bound(
-      vec.begin(), vec.end(), item_idx,
-      [](const RatingEntry& e, int32_t i) { return e.idx < i; });
-  if (it != vec.end() && it->idx == item_idx) return it->rating;
+  const CsrRow row = users_.Row(user_idx);
+  const int32_t* it = std::lower_bound(row.idx, row.idx + row.n, item_idx);
+  if (it != row.idx + row.n && *it == item_idx) {
+    return row.rating[it - row.idx];
+  }
   return std::nullopt;
+}
+
+std::vector<int64_t> RatingMatrix::UnseenItemIds(int32_t user_idx) const {
+  const CsrRow rated = users_.Row(user_idx);
+  std::vector<int64_t> unseen;
+  unseen.reserve(NumItems() - rated.n);
+  size_t k = 0;  // both sequences are index-ascending
+  for (size_t i = 0; i < NumItems(); ++i) {
+    if (k < rated.n && rated.idx[k] == static_cast<int32_t>(i)) {
+      ++k;
+      continue;
+    }
+    unseen.push_back(item_ids_[i]);
+  }
+  return unseen;
 }
 
 std::optional<double> RatingMatrix::Get(int64_t user_id,
@@ -309,36 +278,28 @@ double RatingMatrix::GlobalMean() const {
   return rating_sum_ / static_cast<double>(num_ratings_);
 }
 
-double RatingMatrix::UserMean(int32_t user_idx) const {
-  const auto& vec = by_user_[user_idx];
-  if (vec.empty()) return 0;
+namespace {
+
+double RowMean(const CsrRow& row) {
+  if (row.n == 0) return 0;
   double s = 0;
-  for (const auto& e : vec) s += e.rating;
-  return s / static_cast<double>(vec.size());
+  for (size_t k = 0; k < row.n; ++k) s += row.rating[k];
+  return s / static_cast<double>(row.n);
+}
+
+}  // namespace
+
+double RatingMatrix::UserMean(int32_t user_idx) const {
+  return RowMean(users_.Row(user_idx));
 }
 
 double RatingMatrix::ItemMean(int32_t item_idx) const {
-  const auto& vec = by_item_[item_idx];
-  if (vec.empty()) return 0;
-  double s = 0;
-  for (const auto& e : vec) s += e.rating;
-  return s / static_cast<double>(vec.size());
+  return RowMean(items_.Row(item_idx));
 }
 
 size_t RatingMatrix::CsrApproxBytes() const {
-  if (!frozen_) return 0;
-  size_t total = user_csr_.ApproxBytes() + item_csr_.ApproxBytes();
-  for (const auto& [idx, row] : user_side_) {
-    total += sizeof(int32_t) + row.idx.capacity() * sizeof(int32_t) +
-             row.rating.capacity() * sizeof(double);
-  }
-  for (const auto& [idx, row] : item_side_) {
-    total += sizeof(int32_t) + row.idx.capacity() * sizeof(int32_t) +
-             row.rating.capacity() * sizeof(double);
-  }
-  total += delta_ops_.capacity() * sizeof(DeltaOp) +
-           tombstones_.size() * sizeof(uint64_t);
-  return total;
+  return users_.ApproxBytes() + items_.ApproxBytes() +
+         delta_ops_.capacity() * sizeof(DeltaOp);
 }
 
 }  // namespace recdb

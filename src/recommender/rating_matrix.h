@@ -2,37 +2,31 @@
 // from (paper input: users U, items I, ratings R).
 //
 // External ids are arbitrary int64 (as stored in the ratings table); they are
-// mapped to dense indices. Both user-major and item-major views are kept so
-// item-item and user-user algorithms each get their natural access pattern.
+// mapped to dense indices. Both user-major and item-major orientations are
+// kept so item-item and user-user algorithms each get their natural access
+// pattern.
 //
-// Freeze contract (PR 7): Freeze() builds a flat-CSR base for both
-// orientations. After that, Add/Remove no longer invalidate the frozen state;
-// instead they maintain a *delta overlay* — per-orientation side rows (full
-// merged copies of every touched row, in SoA form), a tombstone set for
-// removals, and an append-only op log. CsrRow access becomes a merge view:
-// rows with delta entries resolve to their side row, untouched rows to the
-// base CSR, so batch kernels see exactly what a rebuilt CSR would contain,
-// byte for byte. A background re-freeze (BuildMergedCsr + CommitRefreeze)
-// folds the overlay back into a fresh base and clears it.
+// Storage contract: each orientation is one RowStore — an immutable
+// flat-CSR base plus copy-on-write live rows. Before the first Freeze()
+// every row is live. Freeze() flattens both orientations into the base and
+// drops the live rows; after that a write copies the row it touches out of
+// the base on its first write since the last flatten and upserts it in
+// place, so each write edits one row per orientation and logs one DeltaOp.
+// The row view (UserCsrRow/ItemCsrRow) reads a live row when there is one
+// and the base row otherwise, so kernels see exactly what a rebuilt CSR
+// would hold, byte for byte. A background re-freeze (BuildMergedCsr +
+// CommitRefreeze) flattens base plus live rows into a fresh base and drops
+// the live rows; the Base*CsrRow views read the base alone.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
-#include "obs/metrics.h"
 
 namespace recdb {
-
-/// One (item, rating) pair inside a user vector, or (user, rating) inside an
-/// item vector. `idx` is a dense index, not an external id.
-struct RatingEntry {
-  int32_t idx = 0;
-  double rating = 0;
-};
 
 /// Frozen flat-CSR form of one orientation: row r's entries live at
 /// [offsets[r], offsets[r+1]) in the parallel `idx`/`rating` arrays, sorted
@@ -55,6 +49,62 @@ struct CsrRow {
   const int32_t* idx = nullptr;
   const double* rating = nullptr;
   size_t n = 0;
+};
+
+/// One orientation of the matrix: the flat-CSR base plus the live rows
+/// written since the last flatten, each a sorted SoA copy reached through a
+/// per-row slot (-1 = the row reads the base).
+class RowStore {
+ public:
+  size_t num_rows() const { return slot_.size(); }
+  size_t base_rows() const {
+    return base_.offsets.empty() ? 0 : base_.offsets.size() - 1;
+  }
+
+  /// The merged row: its live copy if written since the last flatten, else
+  /// its base row. Negative and unknown rows read as empty.
+  CsrRow Row(int32_t r) const {
+    if (r < 0 || static_cast<size_t>(r) >= slot_.size()) return {};
+    const int32_t s = slot_[r];
+    if (s < 0) return BaseRow(r);
+    const LiveRow& row = live_[s];
+    return {row.idx.data(), row.rating.data(), row.idx.size()};
+  }
+  /// The row as of the last flatten (empty for rows the base does not hold).
+  CsrRow BaseRow(int32_t r) const {
+    if (r < 0 || static_cast<size_t>(r) >= base_rows()) return {};
+    const int64_t b = base_.offsets[r];
+    return {base_.idx.data() + b, base_.rating.data() + b,
+            static_cast<size_t>(base_.offsets[r + 1] - b)};
+  }
+  bool IsLive(int32_t r) const {
+    return r >= 0 && static_cast<size_t>(r) < slot_.size() && slot_[r] >= 0;
+  }
+
+  void AddRow() { slot_.push_back(-1); }
+  /// Set row r's entry for `idx`; returns true when the entry is new.
+  bool Upsert(int32_t r, int32_t idx, double rating);
+  /// Erase row r's entry for `idx`; returns false when it was absent.
+  bool Erase(int32_t r, int32_t idx);
+
+  /// Base plus live rows, flattened into a fresh base.
+  FlatCsr Flatten() const;
+  /// Install a flattened base and drop every live row.
+  void Reset(FlatCsr&& base);
+
+  size_t ApproxBytes() const;
+
+ private:
+  struct LiveRow {
+    std::vector<int32_t> idx;
+    std::vector<double> rating;
+  };
+  /// Row r's live copy, copied out of the base on first use.
+  LiveRow& Live(int32_t r);
+
+  FlatCsr base_;
+  std::vector<int32_t> slot_;
+  std::vector<LiveRow> live_;
 };
 
 /// What Add() actually did — callers use this to keep maintenance pressure
@@ -82,12 +132,11 @@ class RatingMatrix {
   /// Add one rating. A repeated (user, item) pair overwrites the old rating;
   /// overwriting with the *same* value is a complete no-op (no version bump,
   /// no delta op, no sum adjustment — see RatingChange). While frozen, the
-  /// mutation lands in the delta overlay instead of invalidating the CSR.
+  /// mutation lands in a live row instead of invalidating the base.
   RatingChange Add(int64_t user_id, int64_t item_id, double rating);
 
   /// Remove a rating; returns false if it was not present. Interned ids
-  /// remain (a user/item with no ratings keeps an empty vector). While
-  /// frozen, the removal lands in the overlay (side rows + tombstone).
+  /// remain (a user/item with no ratings keeps an empty row).
   bool Remove(int64_t user_id, int64_t item_id);
 
   /// One op of a multi-row statement fed to ApplyBatch.
@@ -112,10 +161,9 @@ class RatingMatrix {
 
   /// Apply one statement's rating mutations as a single versioned delta
   /// batch: ops land in order (each still logs its own DeltaOp, so model
-  /// maintenance sees every mutation), but the version counter bumps once
-  /// and each touched overlay side row is re-copied once per batch instead
-  /// of once per row — the batched path a multi-row INSERT/UPDATE/DELETE
-  /// takes. Equivalent to the per-op loop in everything but work done.
+  /// maintenance sees every mutation) and the version counter bumps once —
+  /// the batched path a multi-row INSERT/UPDATE/DELETE takes. Equivalent
+  /// to the per-op loop in everything but the version count.
   BatchResult ApplyBatch(const std::vector<BatchRatingOp>& ops);
 
   size_t NumUsers() const { return user_ids_.size(); }
@@ -129,15 +177,8 @@ class RatingMatrix {
   int64_t UserIdAt(int32_t idx) const { return user_ids_[idx]; }
   int64_t ItemIdAt(int32_t idx) const { return item_ids_[idx]; }
 
-  /// A user's ratings, sorted by item index (the paper's UserVector row).
-  /// Always authoritative — includes delta entries while frozen.
-  const std::vector<RatingEntry>& UserVector(int32_t user_idx) const {
-    return by_user_[user_idx];
-  }
-  /// An item's ratings, sorted by user index (the paper's ItemVector row).
-  const std::vector<RatingEntry>& ItemVector(int32_t item_idx) const {
-    return by_item_[item_idx];
-  }
+  /// External ids of the items a user has not rated, in index order.
+  std::vector<int64_t> UnseenItemIds(int32_t user_idx) const;
 
   /// Rating of (user, item) by dense index, if present.
   std::optional<double> GetByIndex(int32_t user_idx, int32_t item_idx) const;
@@ -156,56 +197,46 @@ class RatingMatrix {
   const std::vector<int64_t>& item_ids() const { return item_ids_; }
   const std::vector<int64_t>& user_ids() const { return user_ids_; }
 
-  /// Build the flat-CSR form of both orientations. First call freezes the
+  /// Flatten both orientations into the base. First call freezes the
   /// matrix; on an already-frozen matrix with a pending delta this merges
-  /// the overlay into a fresh base (Refreeze), and with no delta it is a
-  /// no-op. Model factories call this at build time so batch kernels can
-  /// assume flat storage.
+  /// the live rows into a fresh base, and with no delta it is a no-op.
+  /// Model factories call this at build time so the base holds every row.
   void Freeze();
   bool frozen() const { return frozen_; }
 
-  // --- delta overlay -------------------------------------------------------
+  // --- delta since the last flatten ---------------------------------------
 
-  /// True when mutations have landed in the overlay since the last freeze.
+  /// True when mutations have landed since the last freeze.
   bool has_delta() const { return !delta_ops_.empty(); }
   /// Number of ops in the delta log since the last (re)freeze.
   size_t delta_size() const { return delta_ops_.size(); }
   /// The op log itself (model maintenance scopes touched rows from it).
   const std::vector<DeltaOp>& delta_ops() const { return delta_ops_; }
-  /// True if (user_idx, item_idx) was removed since the last freeze and not
-  /// re-added — the overlay's tombstone set.
-  bool IsTombstoned(int32_t user_idx, int32_t item_idx) const {
-    return tombstones_.count(PairKey(user_idx, item_idx)) > 0;
-  }
-  size_t NumTombstones() const { return tombstones_.size(); }
 
   /// Monotonic mutation counter: bumps on every effective Add/Remove (once
   /// per ApplyBatch). A re-freeze prepared against version V commits only
   /// if the matrix is still at V (optimistic two-phase refresh).
   uint64_t version() const { return version_; }
 
-  /// True when the row has an overlay side row (was touched by delta ops
-  /// since the last freeze) — candidate generation and bound pruning use
-  /// this to route delta-touched rows through the merge view.
+  /// True when the row was written since the last freeze (it reads from a
+  /// live row) — candidate generation and bound pruning route such rows
+  /// through the merged view. Every such write logged a delta op, so with
+  /// no pending delta the answer is false without a slot lookup.
   bool IsUserRowTouched(int32_t user_idx) const {
-    return overlay_active_ && user_side_.count(user_idx) > 0;
+    return has_delta() && users_.IsLive(user_idx);
   }
   bool IsItemRowTouched(int32_t item_idx) const {
-    return overlay_active_ && item_side_.count(item_idx) > 0;
+    return has_delta() && items_.IsLive(item_idx);
   }
 
-  /// Row counts of the frozen base (what the CSR arrays cover); the overlay
-  /// may know more users/items than the base.
-  size_t base_num_users() const {
-    return user_csr_.offsets.empty() ? 0 : user_csr_.offsets.size() - 1;
-  }
-  size_t base_num_items() const {
-    return item_csr_.offsets.empty() ? 0 : item_csr_.offsets.size() - 1;
-  }
+  /// Row counts of the base (what the CSR arrays cover); the matrix may
+  /// know more users/items than the base.
+  size_t base_num_users() const { return users_.base_rows(); }
+  size_t base_num_items() const { return items_.base_rows(); }
 
-  /// A re-freeze candidate: both orientations rebuilt from the merged rows,
-  /// stamped with the matrix version it was built from. Const — safe to run
-  /// under a shared lock while readers score through the overlay.
+  /// A re-freeze candidate: both orientations flattened from base plus live
+  /// rows, stamped with the matrix version it was built from. Const — safe
+  /// to run under a shared lock while readers score through the row view.
   struct MergedCsr {
     FlatCsr user;
     FlatCsr item;
@@ -213,136 +244,49 @@ class RatingMatrix {
   };
   MergedCsr BuildMergedCsr() const;
 
-  /// Swap a prepared MergedCsr in as the new base and clear the overlay.
-  /// Returns false (and changes nothing) if the matrix version moved since
-  /// the candidate was built — the caller retries or falls back to an
-  /// exclusive Refreeze().
+  /// Swap a prepared MergedCsr in as the new base and drop the live rows
+  /// and the delta log. Returns false (and changes nothing) if the matrix
+  /// version moved since the candidate was built — the caller retries or
+  /// falls back to an exclusive Freeze().
   bool CommitRefreeze(MergedCsr&& merged);
 
-  /// Merge the overlay into a fresh base in one step (caller holds the
-  /// writer lock). No-op when there is no delta.
-  void Refreeze();
+  /// Row views — the one way to read a row. A row written since the last
+  /// flatten reads its live copy, any other row its base row; negative
+  /// and unknown indices read as empty.
+  CsrRow UserCsrRow(int32_t user_idx) const { return users_.Row(user_idx); }
+  CsrRow ItemCsrRow(int32_t item_idx) const { return items_.Row(item_idx); }
 
-  /// CSR row views — the merge view. Rows touched by the delta overlay
-  /// resolve to their side row (a full merged copy, byte-identical to what
-  /// a rebuilt CSR would hold); untouched rows resolve to the frozen base.
-  /// The guard is a real check: when the matrix is not frozen (or the row is
-  /// unknown to base and overlay) the row reads as empty instead of as
-  /// out-of-bounds garbage.
-  CsrRow UserCsrRow(int32_t user_idx) const {
-    if (!frozen_ || user_idx < 0) return {};
-    if (overlay_active_) {
-      auto it = user_side_.find(user_idx);
-      if (it != user_side_.end()) {
-        obs::Count(obs::Counter::kIngestDeltaRowHits);
-        return {it->second.idx.data(), it->second.rating.data(),
-                it->second.idx.size()};
-      }
-      obs::Count(obs::Counter::kIngestDeltaRowMisses);
-    }
-    if (static_cast<size_t>(user_idx) + 1 >= user_csr_.offsets.size()) {
-      return {};
-    }
-    int64_t b = user_csr_.offsets[user_idx];
-    return {user_csr_.idx.data() + b, user_csr_.rating.data() + b,
-            static_cast<size_t>(user_csr_.offsets[user_idx + 1] - b)};
-  }
-  CsrRow ItemCsrRow(int32_t item_idx) const {
-    if (!frozen_ || item_idx < 0) return {};
-    if (overlay_active_) {
-      auto it = item_side_.find(item_idx);
-      if (it != item_side_.end()) {
-        obs::Count(obs::Counter::kIngestDeltaRowHits);
-        return {it->second.idx.data(), it->second.rating.data(),
-                it->second.idx.size()};
-      }
-      obs::Count(obs::Counter::kIngestDeltaRowMisses);
-    }
-    if (static_cast<size_t>(item_idx) + 1 >= item_csr_.offsets.size()) {
-      return {};
-    }
-    int64_t b = item_csr_.offsets[item_idx];
-    return {item_csr_.idx.data() + b, item_csr_.rating.data() + b,
-            static_cast<size_t>(item_csr_.offsets[item_idx + 1] - b)};
-  }
-
-  /// Base-only row views (no overlay resolution) — incremental maintenance
-  /// and tests compare base vs merged state through these.
+  /// Base-only row views: the rows as of the last flatten.
   CsrRow BaseUserCsrRow(int32_t user_idx) const {
-    if (!frozen_ || user_idx < 0 ||
-        static_cast<size_t>(user_idx) + 1 >= user_csr_.offsets.size()) {
-      return {};
-    }
-    int64_t b = user_csr_.offsets[user_idx];
-    return {user_csr_.idx.data() + b, user_csr_.rating.data() + b,
-            static_cast<size_t>(user_csr_.offsets[user_idx + 1] - b)};
+    return users_.BaseRow(user_idx);
   }
   CsrRow BaseItemCsrRow(int32_t item_idx) const {
-    if (!frozen_ || item_idx < 0 ||
-        static_cast<size_t>(item_idx) + 1 >= item_csr_.offsets.size()) {
-      return {};
-    }
-    int64_t b = item_csr_.offsets[item_idx];
-    return {item_csr_.idx.data() + b, item_csr_.rating.data() + b,
-            static_cast<size_t>(item_csr_.offsets[item_idx + 1] - b)};
+    return items_.BaseRow(item_idx);
   }
 
-  const FlatCsr& user_csr() const { return user_csr_; }
-  const FlatCsr& item_csr() const { return item_csr_; }
-
-  /// Footprint of the frozen CSR arrays plus the delta overlay (0 when not
-  /// frozen) — model ApproxBytes implementations add this so memory
-  /// accounting sees the flat storage.
+  /// Footprint of both orientations (base, live rows) plus the delta log —
+  /// model ApproxBytes implementations add this so memory accounting sees
+  /// the ratings.
   size_t CsrApproxBytes() const;
 
  private:
-  /// One overlay side row: a full merged copy of a touched row, SoA like
-  /// the CSR arrays so the CsrRow view is layout-identical.
-  struct SideRow {
-    std::vector<int32_t> idx;
-    std::vector<double> rating;
-  };
-
-  static uint64_t PairKey(int32_t user_idx, int32_t item_idx) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(user_idx)) << 32) |
-           static_cast<uint32_t>(item_idx);
-  }
-
   int32_t InternUser(int64_t user_id);
   int32_t InternItem(int64_t item_id);
-  static void Upsert(std::vector<RatingEntry>* vec, int32_t idx,
-                     double rating, bool* was_new);
   /// Mutation cores shared by the per-row and batched paths: everything an
-  /// Add/Remove does except the version bump and the side-row refresh,
-  /// which the caller performs once (per op, or per batch).
-  RatingChange DoAdd(int64_t user_id, int64_t item_id, double rating,
-                     int32_t* out_u, int32_t* out_i);
-  bool DoRemove(int64_t user_id, int64_t item_id, int32_t* out_u,
-                int32_t* out_i);
-  /// Copy the merged rows of (user_idx, item_idx) into the overlay side
-  /// rows (both orientations) after a frozen-state mutation.
-  void RefreshSideRows(int32_t user_idx, int32_t item_idx);
-  void RefreshUserSideRow(int32_t user_idx);
-  void RefreshItemSideRow(int32_t item_idx);
-  void ClearOverlay();
+  /// Add/Remove does except the version bump, which the caller performs
+  /// once (per op, or per batch).
+  RatingChange DoAdd(int64_t user_id, int64_t item_id, double rating);
+  bool DoRemove(int64_t user_id, int64_t item_id);
 
   std::vector<int64_t> user_ids_;
   std::vector<int64_t> item_ids_;
   std::unordered_map<int64_t, int32_t> user_index_;
   std::unordered_map<int64_t, int32_t> item_index_;
-  std::vector<std::vector<RatingEntry>> by_user_;
-  std::vector<std::vector<RatingEntry>> by_item_;
+  RowStore users_;  // row u: (item idx, rating), item-ascending
+  RowStore items_;  // row i: (user idx, rating), user-ascending
   size_t num_ratings_ = 0;
   double rating_sum_ = 0;
   bool frozen_ = false;
-  FlatCsr user_csr_;
-  FlatCsr item_csr_;
-
-  // Delta overlay state (meaningful only while frozen_).
-  bool overlay_active_ = false;
-  std::unordered_map<int32_t, SideRow> user_side_;
-  std::unordered_map<int32_t, SideRow> item_side_;
-  std::unordered_set<uint64_t> tombstones_;
   std::vector<DeltaOp> delta_ops_;
   uint64_t version_ = 0;
 };

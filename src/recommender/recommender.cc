@@ -131,8 +131,8 @@ void Recommender::NotifyInvalidated(InvalidatedPairs&& pairs) {
 Result<double> Recommender::Build() {
   Stopwatch watch;
   // Merge any pending delta first so the model trains over flat state,
-  // then train in place: the overlay keeps later mutations from disturbing
-  // the frozen base, so the old defensive matrix copy is gone.
+  // then train in place: later mutations land in live rows and never
+  // disturb the base, so no defensive matrix copy is needed.
   const size_t delta_cleared = matrix_->delta_size();
   matrix_->Freeze();
   std::unique_ptr<RecModel> model =
@@ -162,10 +162,6 @@ Result<Recommender::RefreshPlan> Recommender::PrepareRefresh() const {
   auto update = model_->PrepareDeltaUpdate(matrix_->delta_ops());
   RECDB_RETURN_NOT_OK(update.status());
   plan.update = std::move(update).value();
-  // Lower the candidate postings from the future base off-lock; bounds are
-  // model-dependent and get finalized at commit, after ApplyDeltaUpdate.
-  plan.candidate_index = CandidateIndex::Lower(
-      plan.csr.user, plan.csr.item, matrix_->item_ids(), plan.csr.version);
   plan.valid = true;
   obs::ObserveUs(obs::Histogram::kIngestRefreshUs,
                  static_cast<uint64_t>(watch.ElapsedSeconds() * 1e6));
@@ -199,7 +195,6 @@ bool Recommender::CommitRefresh(RefreshPlan&& plan) {
     if (rebuilt != nullptr) model_ = std::move(rebuilt);
     obs::Count(obs::Counter::kIngestFullRebuilds);
     obs::Count(obs::Counter::kModelBuilds);
-    candidate_index_ = CandidateIndex::Build(*matrix_, *model_);
   } else {
     for (int64_t user : plan.update.stale_users) {
       auto erased = score_index_.EraseUserCollect(user);
@@ -210,11 +205,10 @@ bool Recommender::CommitRefresh(RefreshPlan&& plan) {
       pairs.insert(pairs.end(), erased.begin(), erased.end());
     }
     model_->ApplyDeltaUpdate(std::move(plan.update));
-    // Publish the pre-lowered postings with bounds computed against the
-    // just-patched model — the new (base, model, index) triple is coherent.
-    plan.candidate_index->FinalizeBounds(*model_);
-    candidate_index_ = std::move(plan.candidate_index);
   }
+  // Bounds from the just-patched (or rebuilt) model over the new base — the
+  // published (base, model, index) triple is coherent.
+  candidate_index_ = CandidateIndex::Build(*matrix_, *model_);
   base_size_ = matrix_->NumRatings();
   obs::AddGauge(obs::Gauge::kIngestDeltaPending,
                 -static_cast<int64_t>(plan.ops));
@@ -243,25 +237,10 @@ Status Recommender::MaterializeUser(int64_t user_id) {
   const RatingMatrix& r = *matrix_;
   auto uopt = r.UserIndex(user_id);
   if (!uopt) return Status::NotFound("unknown user");
-  const auto& rated = r.UserVector(*uopt);
   // Collect the user's unseen items, predict their scores in parallel
   // (Predict is a const read of the model), then insert serially — the
   // score index is not thread-safe and insertion order is kept stable.
-  std::vector<int64_t> unseen;
-  unseen.reserve(r.NumItems() - rated.size());
-  size_t rated_pos = 0;
-  for (size_t i = 0; i < r.NumItems(); ++i) {
-    // Skip items the user already rated (both lists are idx-sorted).
-    while (rated_pos < rated.size() &&
-           rated[rated_pos].idx < static_cast<int32_t>(i)) {
-      ++rated_pos;
-    }
-    if (rated_pos < rated.size() &&
-        rated[rated_pos].idx == static_cast<int32_t>(i)) {
-      continue;
-    }
-    unseen.push_back(r.ItemIdAt(static_cast<int32_t>(i)));
-  }
+  const std::vector<int64_t> unseen = r.UnseenItemIds(*uopt);
   std::vector<double> scores(unseen.size(), 0.0);
   TaskScheduler& sched = TaskScheduler::Global();
   const size_t morsel =

@@ -1,14 +1,14 @@
 // Recommender: a named, registered recommender (paper CREATE RECOMMENDER).
 //
-// Owns one RatingMatrix (frozen base + delta overlay), the built RecModel,
-// the pre-computation index (RecScoreIndex) and the maintenance policy.
-// PR-7 lifecycle: ingest lands in the matrix's delta overlay without
-// invalidating the frozen CSR, scoring reads the merge view, and
+// Owns one RatingMatrix (flat base + copy-on-write live rows), the built
+// RecModel, the bound index (CandidateIndex), the pre-computation index
+// (RecScoreIndex) and the maintenance policy. Ingest lands in the matrix's
+// live rows without invalidating the base, scoring reads the row view, and
 // maintenance is *incremental* — a two-phase refresh (PrepareRefresh off
-// the writer lock, CommitRefresh under it) merges the overlay into a fresh
-// base and patches only the model rows the delta touched. A full retrain
-// happens only at Build() time (CREATE RECOMMENDER / recovery), never in
-// response to a statement.
+// the writer lock, CommitRefresh under it) flattens the live rows into a
+// fresh base and patches only the model rows the delta touched. A full
+// retrain happens only at Build() time (CREATE RECOMMENDER / recovery),
+// never in response to a statement.
 #pragma once
 
 #include <atomic>
@@ -56,7 +56,7 @@ class Recommender {
   RecAlgorithm algorithm() const { return config_.algorithm; }
 
   /// Ingest one rating (does NOT rebuild the model). On a frozen matrix the
-  /// mutation lands in the delta overlay and stale score-index entries for
+  /// mutation lands in a live row and stale score-index entries for
   /// the affected predictions are evicted (scoped per algorithm family).
   void AddRating(int64_t user_id, int64_t item_id, double rating);
 
@@ -106,13 +106,10 @@ class Recommender {
   /// Everything a re-freeze needs, prepared against one matrix version:
   /// the merged CSR candidate and the model row updates. Building it only
   /// reads, so it can run off the writer lock while readers score through
-  /// the overlay.
+  /// the row view.
   struct RefreshPlan {
     RatingMatrix::MergedCsr csr;
     ModelUpdate update;
-    /// Postings lowered off-lock from `csr` (the future base); bounds are
-    /// finalized at commit time, after the model rows are patched.
-    std::shared_ptr<CandidateIndex> candidate_index;
     size_t ops = 0;
     bool valid = false;
   };
@@ -172,17 +169,13 @@ class Recommender {
     candidate_index_ = CandidateIndex::Build(*matrix_, *model_);
   }
 
-  /// Sublinear Top-N support (postings + bound blocks), rebuilt with the
-  /// base at Build()/CommitRefresh; null before the first Build(). Shared
-  /// so in-flight executors keep a coherent snapshot across a re-freeze.
+  /// Sublinear Top-N bound index, rebuilt with the base at
+  /// Build()/CommitRefresh; null before the first Build().
   std::shared_ptr<const CandidateIndex> candidate_index() const {
     return candidate_index_;
   }
 
-  /// The matrix scoring reads (frozen base + overlay merge view). The
-  /// historical live/snapshot split collapsed into one matrix in PR 7;
-  /// both accessors remain for call sites.
-  std::shared_ptr<const RatingMatrix> snapshot() const { return matrix_; }
+  /// The one matrix: writes land in it and scoring reads its row view.
   const RatingMatrix& live() const { return *matrix_; }
   RatingMatrix* mutable_matrix() { return matrix_.get(); }
 

@@ -54,28 +54,94 @@ std::vector<Neighbor> SelectRow(size_t p, size_t n,
   return row;
 }
 
+/// Where one output row occurs: dimension `dim`, entry `pos` of its row.
+struct Occurrence {
+  uint32_t dim;
+  uint32_t pos;
+};
+
+/// The serial prologue both builds share. Vectors are items (dimensions =
+/// users, read through UserCsrRow) for item-based CF and users (dimensions
+/// = items) for user-based. `val` holds every dimension row's (possibly
+/// centered) values, flat and parallel to the row views' idx arrays;
+/// norms accumulate per entry in ascending dimension order; occ[r] lists
+/// where row r occurs, in that same order — for `wanted` rows only when a
+/// mask is given.
+struct Dimensions {
+  std::vector<CsrRow> rows;
+  std::vector<size_t> off;
+  std::vector<double> val;
+  std::vector<double> norms;
+  std::vector<std::vector<Occurrence>> occ;
+
+  size_t num_vectors() const { return norms.size(); }
+  const double* values(size_t d) const { return val.data() + off[d]; }
+};
+
+Dimensions CenterDimensions(const RatingMatrix& m, bool item_based,
+                            const SimilarityOptions& opts,
+                            const std::vector<char>* wanted) {
+  const size_t n = item_based ? m.NumItems() : m.NumUsers();
+  const size_t num_dims = item_based ? m.NumUsers() : m.NumItems();
+  std::vector<double> means(n, 0.0);
+  if (opts.centered) {
+    for (size_t v = 0; v < n; ++v) {
+      const int32_t vi = static_cast<int32_t>(v);
+      means[v] = item_based ? m.ItemMean(vi) : m.UserMean(vi);
+    }
+  }
+  Dimensions dims;
+  dims.rows.reserve(num_dims);
+  dims.off.reserve(num_dims);
+  size_t total = 0;
+  for (size_t d = 0; d < num_dims; ++d) {
+    const int32_t di = static_cast<int32_t>(d);
+    dims.rows.push_back(item_based ? m.UserCsrRow(di) : m.ItemCsrRow(di));
+    dims.off.push_back(total);
+    total += dims.rows.back().n;
+  }
+  dims.val.resize(total);
+  dims.norms.assign(n, 0.0);
+  dims.occ.resize(n);
+  for (size_t d = 0; d < num_dims; ++d) {
+    const CsrRow& row = dims.rows[d];
+    double* val = dims.val.data() + dims.off[d];
+    for (size_t k = 0; k < row.n; ++k) {
+      const int32_t e = row.idx[k];
+      const double v = row.rating[k] - (opts.centered ? means[e] : 0.0);
+      if (wanted == nullptr || (*wanted)[e]) {
+        dims.occ[e].push_back(
+            Occurrence{static_cast<uint32_t>(d), static_cast<uint32_t>(k)});
+      }
+      val[k] = v;
+      dims.norms[e] += v * v;
+    }
+  }
+  for (auto& v : dims.norms) v = std::sqrt(v);
+  return dims;
+}
+
 /// Sparse co-occurrence accumulation.
 ///
-/// `vectors[v]` is the sparse vector of entity v (items for item-based CF,
-/// users for user-based), `dims[d]` lists which vectors contain dimension d
-/// together with the (possibly centered) value. For every dimension we
+/// Each vector (item for item-based CF, user for user-based) is compared
+/// with every other over the dimensions they share. For every dimension we
 /// accumulate all pairwise products into a dense dot-product matrix, then
 /// normalize by vector norms — one pass over Σ_d nnz(d)² products, the
-/// standard way to build full similarity lists.
+/// standard way to build full similarity lists. Dimension rows are read
+/// through the matrix's row views; only their centered values are copied.
 ///
 /// The Σ_d nnz(d)² pass is morsel-parallel over *output rows*: entries
 /// within a dimension are idx-sorted, so every product of dimension d lands
 /// in row min(ea.idx, eb.idx) and each worker owns a disjoint row range —
-/// no write conflicts. A serial prologue builds the per-row occurrence
+/// no write conflicts. The serial prologue builds the per-row occurrence
 /// lists in ascending dimension order, so each cell accumulates its float
 /// products in exactly the serial order and the result is bit-identical
 /// under any thread count.
 std::vector<std::vector<Neighbor>> BuildNeighborhoods(
-    size_t num_vectors, const std::vector<std::vector<RatingEntry>>& dims,
-    const std::vector<double>& means, const SimilarityOptions& opts) {
+    const RatingMatrix& m, bool item_based, const SimilarityOptions& opts) {
   Stopwatch watch;
-  const size_t n = num_vectors;
-  std::vector<double> norms(n, 0.0);
+  const Dimensions dims = CenterDimensions(m, item_based, opts, nullptr);
+  const size_t n = dims.num_vectors();
   // Dense accumulators. n is at most a few thousand for the paper's
   // datasets; n^2 floats stay well under typical memory budgets.
   std::vector<float> dot(n * n, 0.0f);
@@ -83,41 +149,19 @@ std::vector<std::vector<Neighbor>> BuildNeighborhoods(
   const bool need_overlap = opts.min_overlap > 1;
   if (need_overlap) overlap.assign(n * n, 0);
 
-  // Serial prologue: center each dimension, accumulate norms, and record
-  // where each row occurs — occ[r] lists (dim, position) pairs in ascending
-  // dimension order, the order the serial accumulation visits them.
-  struct Occurrence {
-    uint32_t dim;
-    uint32_t pos;
-  };
-  std::vector<std::vector<RatingEntry>> centered_dims(dims.size());
-  std::vector<std::vector<Occurrence>> occ(n);
-  for (size_t d = 0; d < dims.size(); ++d) {
-    auto& centered = centered_dims[d];
-    centered.reserve(dims[d].size());
-    for (const auto& e : dims[d]) {
-      double v = e.rating - (opts.centered ? means[e.idx] : 0.0);
-      occ[e.idx].push_back(Occurrence{static_cast<uint32_t>(d),
-                                      static_cast<uint32_t>(centered.size())});
-      centered.push_back(RatingEntry{e.idx, v});
-      norms[e.idx] += v * v;
-    }
-  }
-  for (auto& v : norms) v = std::sqrt(v);
-
   TaskScheduler& sched = TaskScheduler::Global();
   const size_t row_morsel =
       std::clamp<size_t>(n / (sched.num_threads() * 8), 8, 1024);
   sched.ParallelFor(n, row_morsel, [&](size_t begin, size_t end) {
     for (size_t r = begin; r < end; ++r) {
       float* row = dot.data() + r * n;
-      for (const Occurrence& o : occ[r]) {
-        const auto& centered = centered_dims[o.dim];
-        const double va = centered[o.pos].rating;
-        for (size_t b = o.pos + 1; b < centered.size(); ++b) {
-          const auto& eb = centered[b];
-          row[eb.idx] += static_cast<float>(va * eb.rating);
-          if (need_overlap) overlap[r * n + eb.idx]++;
+      for (const Occurrence& o : dims.occ[r]) {
+        const CsrRow& dim = dims.rows[o.dim];
+        const double* val = dims.values(o.dim);
+        const double va = val[o.pos];
+        for (size_t b = o.pos + 1; b < dim.n; ++b) {
+          row[dim.idx[b]] += static_cast<float>(va * val[b]);
+          if (need_overlap) overlap[r * n + dim.idx[b]]++;
         }
       }
     }
@@ -129,7 +173,7 @@ std::vector<std::vector<Neighbor>> BuildNeighborhoods(
   sched.ParallelFor(n, row_morsel, [&](size_t begin, size_t end) {
     for (size_t p = begin; p < end; ++p) {
       result[p] = SelectRow(
-          p, n, norms, opts,
+          p, n, dims.norms, opts,
           [&](size_t q) { return dot[p < q ? p * n + q : q * n + p]; },
           [&](size_t q) {
             return overlap[p < q ? p * n + q : q * n + p];
@@ -141,8 +185,8 @@ std::vector<std::vector<Neighbor>> BuildNeighborhoods(
   return result;
 }
 
-/// Recompute a subset of output rows over the same (dims, means) input a
-/// full BuildNeighborhoods would see. For a pair (p, q) the full build
+/// Recompute a subset of output rows over the same matrix a full
+/// BuildNeighborhoods would see. For a pair (p, q) the full build
 /// accumulates float(v_min * v_max) into the min-row cell once per shared
 /// dimension, visiting dimensions in ascending order; here we accumulate
 /// float(v_p * v_q) into a dense per-row buffer while walking p's
@@ -150,10 +194,9 @@ std::vector<std::vector<Neighbor>> BuildNeighborhoods(
 /// is commutative, so each cell sees the identical float sequence and the
 /// recomputed row is bit-identical to the full build's.
 std::vector<std::pair<int32_t, std::vector<Neighbor>>> RecomputeRows(
-    size_t num_vectors, const std::vector<std::vector<RatingEntry>>& dims,
-    const std::vector<double>& means, const SimilarityOptions& opts,
+    const RatingMatrix& m, bool item_based, const SimilarityOptions& opts,
     const std::vector<int32_t>& rows) {
-  const size_t n = num_vectors;
+  const size_t n = item_based ? m.NumItems() : m.NumUsers();
   const bool need_overlap = opts.min_overlap > 1;
   std::vector<char> wanted(n, 0);
   std::vector<int32_t> targets;
@@ -165,31 +208,9 @@ std::vector<std::pair<int32_t, std::vector<Neighbor>>> RecomputeRows(
     targets.push_back(r);
   }
   std::sort(targets.begin(), targets.end());
-
-  // Same serial prologue as the full build: centered dimensions in
-  // ascending order, norms accumulated per entry in that order (norms are
-  // needed for every vector, not just targets — sim(p, q) divides by both).
-  struct Occurrence {
-    uint32_t dim;
-    uint32_t pos;
-  };
-  std::vector<double> norms(n, 0.0);
-  std::vector<std::vector<RatingEntry>> centered_dims(dims.size());
-  std::vector<std::vector<Occurrence>> occ(n);
-  for (size_t d = 0; d < dims.size(); ++d) {
-    auto& centered = centered_dims[d];
-    centered.reserve(dims[d].size());
-    for (const auto& e : dims[d]) {
-      double v = e.rating - (opts.centered ? means[e.idx] : 0.0);
-      if (wanted[e.idx]) {
-        occ[e.idx].push_back(Occurrence{
-            static_cast<uint32_t>(d), static_cast<uint32_t>(centered.size())});
-      }
-      centered.push_back(RatingEntry{e.idx, v});
-      norms[e.idx] += v * v;
-    }
-  }
-  for (auto& v : norms) v = std::sqrt(v);
+  // Norms are needed for every vector, not just targets — sim(p, q)
+  // divides by both.
+  const Dimensions dims = CenterDimensions(m, item_based, opts, &wanted);
 
   std::vector<std::pair<int32_t, std::vector<Neighbor>>> result(
       targets.size());
@@ -203,26 +224,27 @@ std::vector<std::pair<int32_t, std::vector<Neighbor>>> RecomputeRows(
     if (need_overlap) ov.assign(n, 0);
     for (size_t t = begin; t < end; ++t) {
       const size_t p = static_cast<size_t>(targets[t]);
-      for (const Occurrence& o : occ[p]) {
-        const auto& centered = centered_dims[o.dim];
-        const double vp = centered[o.pos].rating;
-        for (size_t b = 0; b < centered.size(); ++b) {
+      for (const Occurrence& o : dims.occ[p]) {
+        const CsrRow& dim = dims.rows[o.dim];
+        const double* val = dims.values(o.dim);
+        const double vp = val[o.pos];
+        for (size_t b = 0; b < dim.n; ++b) {
           if (b == o.pos) continue;
-          const auto& eb = centered[b];
-          acc[eb.idx] += static_cast<float>(vp * eb.rating);
-          if (need_overlap) ov[eb.idx]++;
+          acc[dim.idx[b]] += static_cast<float>(vp * val[b]);
+          if (need_overlap) ov[dim.idx[b]]++;
         }
       }
       result[t] = {targets[t],
                    SelectRow(
-                       p, n, norms, opts, [&](size_t q) { return acc[q]; },
+                       p, n, dims.norms, opts,
+                       [&](size_t q) { return acc[q]; },
                        [&](size_t q) { return ov[q]; })};
       // Reset only what this row touched before the buffer is reused.
-      for (const Occurrence& o : occ[p]) {
-        const auto& centered = centered_dims[o.dim];
-        for (size_t b = 0; b < centered.size(); ++b) {
-          acc[centered[b].idx] = 0.0f;
-          if (need_overlap) ov[centered[b].idx] = 0;
+      for (const Occurrence& o : dims.occ[p]) {
+        const CsrRow& dim = dims.rows[o.dim];
+        for (size_t b = 0; b < dim.n; ++b) {
+          acc[dim.idx[b]] = 0.0f;
+          if (need_overlap) ov[dim.idx[b]] = 0;
         }
       }
     }
@@ -234,86 +256,40 @@ std::vector<std::pair<int32_t, std::vector<Neighbor>>> RecomputeRows(
 
 std::vector<std::vector<Neighbor>> BuildItemNeighborhoods(
     const RatingMatrix& ratings, const SimilarityOptions& opts) {
-  // Item vectors live in user-rating space: dimensions are users.
-  std::vector<std::vector<RatingEntry>> dims;
-  dims.reserve(ratings.NumUsers());
-  for (size_t u = 0; u < ratings.NumUsers(); ++u) {
-    dims.push_back(ratings.UserVector(static_cast<int32_t>(u)));
-  }
-  std::vector<double> means(ratings.NumItems(), 0.0);
-  if (opts.centered) {
-    for (size_t i = 0; i < ratings.NumItems(); ++i) {
-      means[i] = ratings.ItemMean(static_cast<int32_t>(i));
-    }
-  }
-  return BuildNeighborhoods(ratings.NumItems(), dims, means, opts);
+  return BuildNeighborhoods(ratings, /*item_based=*/true, opts);
 }
 
 std::vector<std::vector<Neighbor>> BuildUserNeighborhoods(
     const RatingMatrix& ratings, const SimilarityOptions& opts) {
-  std::vector<std::vector<RatingEntry>> dims;
-  dims.reserve(ratings.NumItems());
-  for (size_t i = 0; i < ratings.NumItems(); ++i) {
-    dims.push_back(ratings.ItemVector(static_cast<int32_t>(i)));
-  }
-  std::vector<double> means(ratings.NumUsers(), 0.0);
-  if (opts.centered) {
-    for (size_t u = 0; u < ratings.NumUsers(); ++u) {
-      means[u] = ratings.UserMean(static_cast<int32_t>(u));
-    }
-  }
-  return BuildNeighborhoods(ratings.NumUsers(), dims, means, opts);
+  return BuildNeighborhoods(ratings, /*item_based=*/false, opts);
 }
 
 std::vector<std::pair<int32_t, std::vector<Neighbor>>>
 RecomputeItemNeighborhoodRows(const RatingMatrix& ratings,
                               const SimilarityOptions& opts,
                               const std::vector<int32_t>& rows) {
-  std::vector<std::vector<RatingEntry>> dims;
-  dims.reserve(ratings.NumUsers());
-  for (size_t u = 0; u < ratings.NumUsers(); ++u) {
-    dims.push_back(ratings.UserVector(static_cast<int32_t>(u)));
-  }
-  std::vector<double> means(ratings.NumItems(), 0.0);
-  if (opts.centered) {
-    for (size_t i = 0; i < ratings.NumItems(); ++i) {
-      means[i] = ratings.ItemMean(static_cast<int32_t>(i));
-    }
-  }
-  return RecomputeRows(ratings.NumItems(), dims, means, opts, rows);
+  return RecomputeRows(ratings, /*item_based=*/true, opts, rows);
 }
 
 std::vector<std::pair<int32_t, std::vector<Neighbor>>>
 RecomputeUserNeighborhoodRows(const RatingMatrix& ratings,
                               const SimilarityOptions& opts,
                               const std::vector<int32_t>& rows) {
-  std::vector<std::vector<RatingEntry>> dims;
-  dims.reserve(ratings.NumItems());
-  for (size_t i = 0; i < ratings.NumItems(); ++i) {
-    dims.push_back(ratings.ItemVector(static_cast<int32_t>(i)));
-  }
-  std::vector<double> means(ratings.NumUsers(), 0.0);
-  if (opts.centered) {
-    for (size_t u = 0; u < ratings.NumUsers(); ++u) {
-      means[u] = ratings.UserMean(static_cast<int32_t>(u));
-    }
-  }
-  return RecomputeRows(ratings.NumUsers(), dims, means, opts, rows);
+  return RecomputeRows(ratings, /*item_based=*/false, opts, rows);
 }
 
-double PairwiseCosine(const std::vector<RatingEntry>& a,
-                      const std::vector<RatingEntry>& b) {
+double PairwiseCosine(const CsrRow& a, const CsrRow& b) {
   double dot = 0, na = 0, nb = 0;
-  for (const auto& e : a) na += e.rating * e.rating;
-  for (const auto& e : b) nb += e.rating * e.rating;
+  for (size_t k = 0; k < a.n; ++k) na += a.rating[k] * a.rating[k];
+  for (size_t k = 0; k < b.n; ++k) nb += b.rating[k] * b.rating[k];
   size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i].idx < b[j].idx) {
+  while (i < a.n && j < b.n) {
+    if (a.idx[i] < b.idx[j]) {
       ++i;
-    } else if (a[i].idx > b[j].idx) {
+    } else if (a.idx[i] > b.idx[j]) {
       ++j;
     } else {
-      dot += a[i].rating * b[j].rating;
+      dot += a.rating[i] * b.rating[j];
       ++i;
       ++j;
     }

@@ -76,9 +76,8 @@ RecomputeUserNeighborhoodRows(const RatingMatrix& ratings,
                               const SimilarityOptions& opts,
                               const std::vector<int32_t>& rows);
 
-/// Pairwise similarity of two sparse vectors (sorted by idx), per Eq. (1).
+/// Pairwise similarity of two sparse rows (sorted by idx), per Eq. (1).
 /// Exposed for direct testing against hand-computed fixtures.
-double PairwiseCosine(const std::vector<RatingEntry>& a,
-                      const std::vector<RatingEntry>& b);
+double PairwiseCosine(const CsrRow& a, const CsrRow& b);
 
 }  // namespace recdb

@@ -81,9 +81,10 @@ void SvdModel::Train(int32_t holdout_mod) {
   std::vector<Triple> train, held;
   train.reserve(r.NumRatings());
   for (size_t u = 0; u < nu; ++u) {
-    for (const auto& e : r.UserVector(static_cast<int32_t>(u))) {
-      Triple t{static_cast<int32_t>(u), e.idx,
-               static_cast<float>(e.rating)};
+    const CsrRow row = r.UserCsrRow(static_cast<int32_t>(u));
+    for (size_t k = 0; k < row.n; ++k) {
+      Triple t{static_cast<int32_t>(u), row.idx[k],
+               static_cast<float>(row.rating[k])};
       bool hold =
           holdout_mod > 1 &&
           PairHash(r.UserIdAt(t.u), r.ItemIdAt(t.i)) % holdout_mod == 0;
@@ -213,14 +214,16 @@ Result<ModelUpdate> SvdModel::PrepareDeltaUpdate(
   // skipped (no trained factor row to regress against).
   for (size_t u = trained_users; u < update.num_users; ++u) {
     std::vector<float> pu(static_cast<size_t>(f), 0.0f);
+    const CsrRow rated = r.UserCsrRow(static_cast<int32_t>(u));
     for (int32_t epoch = 0; epoch < opts_.fold_in_epochs; ++epoch) {
-      for (const auto& e : r.UserVector(static_cast<int32_t>(u))) {
-        if (static_cast<size_t>(e.idx) >= trained_items) continue;
-        const float* qi = item_factors_.data() + static_cast<size_t>(e.idx) * f;
+      for (size_t e = 0; e < rated.n; ++e) {
+        const int32_t i = rated.idx[e];
+        if (static_cast<size_t>(i) >= trained_items) continue;
+        const float* qi = item_factors_.data() + static_cast<size_t>(i) * f;
         float pred = mean;
-        if (biases) pred += item_bias_[e.idx];  // new user's bias stays 0
+        if (biases) pred += item_bias_[i];  // new user's bias stays 0
         for (int32_t k = 0; k < f; ++k) pred += pu[k] * qi[k];
-        float err = static_cast<float>(e.rating) - pred;
+        float err = static_cast<float>(rated.rating[e]) - pred;
         for (int32_t k = 0; k < f; ++k) {
           pu[k] += lr * (err * qi[k] - lambda * pu[k]);
         }
@@ -241,16 +244,18 @@ Result<ModelUpdate> SvdModel::PrepareDeltaUpdate(
   };
   for (size_t i = trained_items; i < update.num_items; ++i) {
     std::vector<float> qi(static_cast<size_t>(f), 0.0f);
+    const CsrRow raters = r.ItemCsrRow(static_cast<int32_t>(i));
     for (int32_t epoch = 0; epoch < opts_.fold_in_epochs; ++epoch) {
-      for (const auto& e : r.ItemVector(static_cast<int32_t>(i))) {
-        const float* pu = user_row(e.idx);
+      for (size_t e = 0; e < raters.n; ++e) {
+        const int32_t u = raters.idx[e];
+        const float* pu = user_row(u);
         if (!pu) continue;
         float pred = mean;
-        if (biases && static_cast<size_t>(e.idx) < trained_users) {
-          pred += user_bias_[e.idx];  // new item's bias stays 0
+        if (biases && static_cast<size_t>(u) < trained_users) {
+          pred += user_bias_[u];  // new item's bias stays 0
         }
         for (int32_t k = 0; k < f; ++k) pred += pu[k] * qi[k];
-        float err = static_cast<float>(e.rating) - pred;
+        float err = static_cast<float>(raters.rating[e]) - pred;
         for (int32_t k = 0; k < f; ++k) {
           qi[k] += lr * (err * pu[k] - lambda * qi[k]);
         }

@@ -80,8 +80,8 @@ TEST(ConcurrentSessionTest, ReadersScanWhileWriterInserts) {
 
   std::thread writer([&] {
     for (int k = 0; k < kWriterInserts; ++k) {
-      // New items stream into the delta overlay mid-flight, so readers
-      // score through the merge view while it grows under them.
+      // New items stream into live rows mid-flight, so readers score
+      // through the row view while it grows under them.
       auto r = writer_session->Execute(
           "INSERT INTO Ratings VALUES (" + std::to_string(1 + k % 10) + ", " +
           std::to_string(100 + k) + ", " + std::to_string(1 + k % 5) + ".0)");
@@ -149,8 +149,8 @@ TEST(ConcurrentSessionTest, ReadersScanWhileWriterInserts) {
 
 TEST(ConcurrentSessionTest, ReadersScanAcrossBackgroundRefreshSwaps) {
   // The PR-7 race under test (TSan target): RECOMMEND readers score
-  // through the delta overlay while the background re-freeze job swaps a
-  // merged CSR in under the writer lock. A small rebuild_threshold (4 ops
+  // through the live rows while the background re-freeze job swaps a
+  // flattened CSR in under the writer lock. A small rebuild_threshold (4 ops
   // against the initial base) forces many swap cycles within one writer
   // stream.
   std::string path = TempDbPath("recdb_bg_refresh.db");
@@ -226,7 +226,7 @@ TEST(ConcurrentSessionTest, ReadersScanAcrossBackgroundRefreshSwaps) {
   ASSERT_TRUE(refreshed.ok()) << refreshed.status();
   auto rec = db->registry()->Get("Rec");
   ASSERT_TRUE(rec.ok());
-  EXPECT_FALSE(rec.value()->snapshot()->has_delta());
+  EXPECT_FALSE(rec.value()->live().has_delta());
   EXPECT_TRUE(NoPinsLeaked(db->buffer_pool()));
 
   reader_sessions.clear();

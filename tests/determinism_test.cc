@@ -740,10 +740,11 @@ double Eq2Reference(const ItemCFModel& model, int64_t user_id,
   const auto u = m.UserIndex(user_id);
   if (!u.has_value() || !m.ItemIndex(item_id).has_value()) return 0;
   double num = 0, den = 0;
-  for (const RatingEntry& e : m.UserVector(*u)) {
-    const double sim = model.Similarity(item_id, m.ItemIdAt(e.idx));
+  const CsrRow rated = m.UserCsrRow(*u);
+  for (size_t k = 0; k < rated.n; ++k) {
+    const double sim = model.Similarity(item_id, m.ItemIdAt(rated.idx[k]));
     if (sim == 0) continue;
-    num += sim * e.rating;
+    num += sim * rated.rating[k];
     den += std::fabs(sim);
   }
   return den == 0 ? 0 : num / den;

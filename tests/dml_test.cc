@@ -165,7 +165,7 @@ TEST(RatingMatrixRemoveTest, RemoveBookkeeping) {
   EXPECT_EQ(m.NumRatings(), 1u);
   EXPECT_NEAR(m.GlobalMean(), 2.0, 1e-12);
   auto u = m.UserIndex(1).value();
-  EXPECT_EQ(m.UserVector(u).size(), 1u);
+  EXPECT_EQ(m.UserCsrRow(u).n, 1u);
 }
 
 }  // namespace

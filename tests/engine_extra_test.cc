@@ -81,7 +81,7 @@ TEST(IncludeRatedTest, Algorithm1LiteralModeEmitsActualRatings) {
   }
   auto uidx = m.UserIndex(3);
   ASSERT_TRUE(uidx.has_value());
-  EXPECT_EQ(rated_seen, m.UserVector(*uidx).size());
+  EXPECT_EQ(rated_seen, m.UserCsrRow(*uidx).n);
 }
 
 TEST(TinyBufferPoolTest, QueriesSurviveHeavyEviction) {

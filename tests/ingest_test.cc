@@ -1,8 +1,8 @@
-// Online ratings ingest (PR 7): delta-overlay golden equality, incremental
+// Online ratings ingest (PR 7): live-row golden equality, incremental
 // model maintenance, background re-freeze, and the ingest metrics contract.
 //
-// The load-bearing invariant throughout: scoring through the delta overlay
-// (frozen base + side rows + tombstones) is *bit-identical* — EXPECT_EQ on
+// The load-bearing invariant throughout: scoring through the row view
+// (flat base + copy-on-write live rows) is *bit-identical* — EXPECT_EQ on
 // doubles, no tolerance — to scoring over a matrix rebuilt from scratch with
 // the same contents, and an incremental CF refresh produces neighborhood
 // rows bit-identical to a full retrain.
@@ -13,6 +13,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/recdb.h"
@@ -122,61 +123,147 @@ constexpr RecAlgorithm kAllAlgorithms[] = {
     RecAlgorithm::kItemCosCF, RecAlgorithm::kItemPearCF,
     RecAlgorithm::kUserCosCF, RecAlgorithm::kUserPearCF, RecAlgorithm::kSVD};
 
-// ------------------------------------------------------------ matrix overlay
+// ------------------------------------------------------------ matrix live rows
 
-TEST(DeltaOverlayTest, MergeViewRowsMatchRebuiltMatrixBitwise) {
-  // Matrix A: freeze first, then mutate (ops land in the overlay).
-  // Matrix B: same op sequence applied unfrozen, then frozen.
-  // Every merge-view row of A must equal the rebuilt row of B byte for
-  // byte — this is what lets batch kernels consume base+delta as if the
-  // CSR had been rebuilt after every statement.
-  RatingMatrix a, b;
-  ApplyToMatrix(&a, BaseOps());
-  a.Freeze();
-  ApplyToMatrix(&a, MutationOps());
-  ASSERT_TRUE(a.frozen());
-  ASSERT_TRUE(a.has_delta());
+using RowCopy = std::vector<std::pair<int32_t, double>>;
 
-  ApplyToMatrix(&b, BaseOps());
-  ApplyToMatrix(&b, MutationOps());
-  b.Freeze();
+RowCopy CopyRow(CsrRow row) {
+  RowCopy out;
+  for (size_t k = 0; k < row.n; ++k) out.emplace_back(row.idx[k], row.rating[k]);
+  return out;
+}
 
+// A fresh matrix fed `history` unfrozen, then frozen: every row it holds
+// comes straight from one flatten.
+std::unique_ptr<RatingMatrix> FreshMatrix(const std::vector<Op>& history) {
+  auto m = std::make_unique<RatingMatrix>();
+  ApplyToMatrix(m.get(), history);
+  m->Freeze();
+  return m;
+}
+
+// Every merged row of `a` equals the same row of `b`, byte for byte.
+void ExpectRowsEqual(const RatingMatrix& a, const RatingMatrix& b) {
   ASSERT_EQ(a.NumUsers(), b.NumUsers());
   ASSERT_EQ(a.NumItems(), b.NumItems());
-  ASSERT_EQ(a.NumRatings(), b.NumRatings());
-  // Identical op sequences touch rating_sum_ with identical float ops.
-  EXPECT_EQ(a.GlobalMean(), b.GlobalMean());
-
+  EXPECT_EQ(a.NumRatings(), b.NumRatings());
   for (size_t u = 0; u < a.NumUsers(); ++u) {
-    CsrRow ra = a.UserCsrRow(static_cast<int32_t>(u));
-    CsrRow rb = b.UserCsrRow(static_cast<int32_t>(u));
-    ASSERT_EQ(ra.n, rb.n) << "user row " << u;
-    for (size_t k = 0; k < ra.n; ++k) {
-      EXPECT_EQ(ra.idx[k], rb.idx[k]) << "user row " << u;
-      EXPECT_EQ(ra.rating[k], rb.rating[k]) << "user row " << u;
-    }
+    const int32_t r = static_cast<int32_t>(u);
+    EXPECT_EQ(CopyRow(a.UserCsrRow(r)), CopyRow(b.UserCsrRow(r)))
+        << "user row " << u;
   }
   for (size_t i = 0; i < a.NumItems(); ++i) {
-    CsrRow ra = a.ItemCsrRow(static_cast<int32_t>(i));
-    CsrRow rb = b.ItemCsrRow(static_cast<int32_t>(i));
-    ASSERT_EQ(ra.n, rb.n) << "item row " << i;
-    for (size_t k = 0; k < ra.n; ++k) {
-      EXPECT_EQ(ra.idx[k], rb.idx[k]) << "item row " << i;
-      EXPECT_EQ(ra.rating[k], rb.rating[k]) << "item row " << i;
-    }
+    const int32_t r = static_cast<int32_t>(i);
+    EXPECT_EQ(CopyRow(a.ItemCsrRow(r)), CopyRow(b.ItemCsrRow(r)))
+        << "item row " << i;
   }
+}
 
-  // Re-freezing A merges the overlay; rows must still match.
+struct BaseCopy {
+  std::vector<RowCopy> users, items;
+};
+
+BaseCopy CopyBase(const RatingMatrix& m) {
+  BaseCopy out;
+  for (size_t u = 0; u < m.NumUsers(); ++u) {
+    out.users.push_back(CopyRow(m.BaseUserCsrRow(static_cast<int32_t>(u))));
+  }
+  for (size_t i = 0; i < m.NumItems(); ++i) {
+    out.items.push_back(CopyRow(m.BaseItemCsrRow(static_cast<int32_t>(i))));
+  }
+  return out;
+}
+
+// Every base row of `m` still reads as captured in `pre`; rows interned
+// since the capture have no base row.
+void ExpectBaseUnchanged(const RatingMatrix& m, const BaseCopy& pre) {
+  for (size_t u = 0; u < m.NumUsers(); ++u) {
+    const RowCopy want = u < pre.users.size() ? pre.users[u] : RowCopy{};
+    EXPECT_EQ(CopyRow(m.BaseUserCsrRow(static_cast<int32_t>(u))), want)
+        << "base user row " << u;
+  }
+  for (size_t i = 0; i < m.NumItems(); ++i) {
+    const RowCopy want = i < pre.items.size() ? pre.items[i] : RowCopy{};
+    EXPECT_EQ(CopyRow(m.BaseItemCsrRow(static_cast<int32_t>(i))), want)
+        << "base item row " << i;
+  }
+}
+
+void ApplyBatchToMatrix(RatingMatrix* m, const std::vector<Op>& ops) {
+  std::vector<RatingMatrix::BatchRatingOp> batch;
+  for (const auto& op : ops) {
+    batch.push_back({op.kind == Op::Kind::kRemove, op.user, op.item,
+                     op.rating});
+  }
+  m->ApplyBatch(batch);
+}
+
+TEST(DeltaOverlayTest, MergeViewRowsMatchRebuiltMatrixBitwise) {
+  // Matrix A: freeze first, then mutate (ops land in copy-on-write live
+  // rows). The reference: a fresh matrix fed the same history unfrozen,
+  // then frozen. Every row-view row of A must equal the fresh row byte for
+  // byte — this is what lets batch kernels consume base + live rows as if
+  // the CSR had been rebuilt after every statement — while A's base rows
+  // keep reading the pre-write base.
+  RatingMatrix a;
+  std::vector<Op> history = BaseOps();
+  ApplyToMatrix(&a, history);
+  a.Freeze();
+  const BaseCopy pre = CopyBase(a);
+
+  // Add, overwrite, remove, and a user and an item interned after the
+  // freeze.
+  const std::vector<Op> mutations = MutationOps();
+  ApplyToMatrix(&a, mutations);
+  history.insert(history.end(), mutations.begin(), mutations.end());
+  // A removed pair that is re-added.
+  const std::vector<Op> readd = {{Op::Kind::kRemove, 3, 2, 0},
+                                 {Op::Kind::kAdd, 3, 2, 1.5}};
+  ApplyToMatrix(&a, readd);
+  history.insert(history.end(), readd.begin(), readd.end());
+  // One batch that touches user row 4 and item row 6 twice each.
+  const std::vector<Op> batch = {{Op::Kind::kAdd, 4, 6, 1.0},
+                                 {Op::Kind::kAdd, 4, 6, 2.0},
+                                 {Op::Kind::kAdd, 5, 6, 4.5},
+                                 {Op::Kind::kRemove, 4, 1, 0},
+                                 {Op::Kind::kAdd, 4, 77, 3.0}};
+  ApplyBatchToMatrix(&a, batch);
+  history.insert(history.end(), batch.begin(), batch.end());
+  ASSERT_TRUE(a.frozen());
+  ASSERT_TRUE(a.has_delta());
+  ASSERT_TRUE(a.Get(3, 2).has_value());
+  EXPECT_EQ(*a.Get(3, 2), 1.5);
+
+  auto fresh = FreshMatrix(history);
+  ExpectRowsEqual(a, *fresh);
+  ExpectBaseUnchanged(a, pre);
+  // Identical op sequences touch rating_sum_ with identical float ops.
+  EXPECT_EQ(a.GlobalMean(), fresh->GlobalMean());
+
+  // Refresh: the flattened base holds exactly the merged rows.
+  ASSERT_TRUE(a.CommitRefreeze(a.BuildMergedCsr()));
+  EXPECT_FALSE(a.has_delta());
+  ExpectRowsEqual(a, *fresh);
+  ExpectBaseUnchanged(a, CopyBase(*fresh));
+  const BaseCopy refreshed = CopyBase(a);
+
+  // Write again to rows written before the refresh.
+  const std::vector<Op> again = {{Op::Kind::kAdd, 4, 6, 5.0},
+                                 {Op::Kind::kRemove, 99, 1, 0},
+                                 {Op::Kind::kAdd, 1, 2, 1.0},
+                                 {Op::Kind::kAdd, 3, 77, 2.5}};
+  ApplyToMatrix(&a, again);
+  history.insert(history.end(), again.begin(), again.end());
+  fresh = FreshMatrix(history);
+  ExpectRowsEqual(a, *fresh);
+  ExpectBaseUnchanged(a, refreshed);
+  EXPECT_EQ(a.GlobalMean(), fresh->GlobalMean());
+
+  // Re-freezing A merges the live rows; rows must still match.
   a.Freeze();
   EXPECT_FALSE(a.has_delta());
-  for (size_t u = 0; u < a.NumUsers(); ++u) {
-    CsrRow ra = a.UserCsrRow(static_cast<int32_t>(u));
-    CsrRow rb = b.UserCsrRow(static_cast<int32_t>(u));
-    ASSERT_EQ(ra.n, rb.n);
-    for (size_t k = 0; k < ra.n; ++k) {
-      EXPECT_EQ(ra.rating[k], rb.rating[k]);
-    }
-  }
+  ExpectRowsEqual(a, *fresh);
+  ExpectBaseUnchanged(a, CopyBase(*fresh));
 }
 
 TEST(DeltaOverlayTest, SameValueOverwriteIsCompleteNoOp) {
@@ -215,16 +302,13 @@ TEST(DeltaOverlayTest, TombstoneRemovesAndReAddRevives) {
 
   ASSERT_TRUE(m.Remove(1, 1));
   EXPECT_TRUE(m.frozen());
-  EXPECT_TRUE(m.IsTombstoned(u, i));
-  EXPECT_EQ(m.NumTombstones(), 1u);
   EXPECT_FALSE(m.Get(1, 1).has_value());
-  // The merge view must not serve the removed entry.
+  // The row view must not serve the removed entry.
   CsrRow row = m.UserCsrRow(u);
   for (size_t k = 0; k < row.n; ++k) EXPECT_NE(row.idx[k], i);
 
   // Re-adding the pair revives it in place.
   m.Add(1, 1, 3.5);
-  EXPECT_FALSE(m.IsTombstoned(u, i));
   EXPECT_EQ(*m.Get(1, 1), 3.5);
   row = m.UserCsrRow(u);
   bool found = false;
@@ -261,8 +345,8 @@ TEST(DeltaOverlayTest, CommitRefreezeDetectsVersionConflict) {
 // ------------------------------------------------------------ golden scoring
 
 TEST(IngestGoldenTest, DeltaScoringMatchesRebuiltMatrixAllAlgorithms) {
-  // Fixed model, mutated matrix: scores read through the overlay must be
-  // bit-identical to scores after the overlay is merged into a fresh base.
+  // Fixed model, mutated matrix: scores read through the live rows must be
+  // bit-identical to scores after they are flattened into a fresh base.
   // This is the RECOMMEND-visible form of the merge-view contract, for all
   // three algorithm families.
   for (RecAlgorithm algo : kAllAlgorithms) {
@@ -271,11 +355,11 @@ TEST(IngestGoldenTest, DeltaScoringMatchesRebuiltMatrixAllAlgorithms) {
     ApplyToRecommender(&rec, BaseOps());
     ASSERT_TRUE(rec.Build().ok());
     ApplyToRecommender(&rec, MutationOps());
-    ASSERT_TRUE(rec.snapshot()->has_delta());
+    ASSERT_TRUE(rec.live().has_delta());
 
     std::vector<double> with_delta = ScoreGrid(rec);
-    rec.mutable_matrix()->Freeze();  // merge the overlay, model untouched
-    ASSERT_FALSE(rec.snapshot()->has_delta());
+    rec.mutable_matrix()->Freeze();  // flatten the live rows, model untouched
+    ASSERT_FALSE(rec.live().has_delta());
     std::vector<double> rebuilt = ScoreGrid(rec);
 
     ASSERT_EQ(with_delta.size(), rebuilt.size());
@@ -298,7 +382,7 @@ TEST(IngestGoldenTest, IncrementalCfRefreshMatchesFullRetrainBitwise) {
     auto refreshed = incremental.Refresh();
     ASSERT_TRUE(refreshed.ok());
     ASSERT_TRUE(refreshed.value());
-    ASSERT_FALSE(incremental.snapshot()->has_delta());
+    ASSERT_FALSE(incremental.live().has_delta());
 
     Recommender scratch(MakeConfig(algo));
     ApplyToRecommender(&scratch, BaseOps());
@@ -781,7 +865,7 @@ TEST(BackgroundLaneTest, RecDbBackgroundRefreshMergesDelta) {
   }
   db.DrainBackgroundWork();
   auto* rec = db.registry()->Get("BgRec").value();
-  EXPECT_FALSE(rec->snapshot()->has_delta());
+  EXPECT_FALSE(rec->live().has_delta());
 
   // SET maintenance = manual stops scheduling; delta accumulates.
   ASSERT_TRUE(db.Execute("SET maintenance = manual").ok());
@@ -791,12 +875,12 @@ TEST(BackgroundLaneTest, RecDbBackgroundRefreshMergesDelta) {
                     .ok());
   }
   db.DrainBackgroundWork();
-  EXPECT_TRUE(rec->snapshot()->has_delta());
+  EXPECT_TRUE(rec->live().has_delta());
   // Manual refresh still works.
   auto refreshed = db.RefreshRecommender("BgRec");
   ASSERT_TRUE(refreshed.ok());
   EXPECT_TRUE(refreshed.value());
-  EXPECT_FALSE(rec->snapshot()->has_delta());
+  EXPECT_FALSE(rec->live().has_delta());
 }
 
 }  // namespace

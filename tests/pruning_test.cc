@@ -7,7 +7,7 @@
 // result set — same rows, same scores (EXPECT_EQ on the rendered values,
 // no tolerance), same tie-break order — as the exhaustive exact plan, for
 // every algorithm family, any parallelism level, and with or without a
-// pending delta overlay.
+// pending delta.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -223,7 +223,7 @@ TEST(PrunedEquivalenceTest, AllAlgorithmsAllParallelismsWithAndWithoutDelta) {
       }
     }
 
-    // Merge the overlay into a fresh base (rebuilds the CandidateIndex) and
+    // Flatten the live rows into a fresh base (rebuilds the CandidateIndex) and
     // re-check: post-refresh pruned results must equal post-refresh exact.
     auto refreshed = db.RefreshRecommender("r");
     ASSERT_TRUE(refreshed.ok()) << algo;
@@ -598,7 +598,7 @@ TEST(PrunedPlanChoiceTest, DenseMatrixPrunedMatchesExactWithoutAnalyze) {
 
 // -------------------------------------------------- CandidateIndex coherence
 
-TEST(CandidateIndexTest, PostingsMirrorBaseAndSurviveIngestUntilRefresh) {
+TEST(CandidateIndexTest, WalkBaseAndBoundIndexSurviveIngestUntilRefresh) {
   RecommenderConfig cfg;
   cfg.name = "r";
   cfg.algorithm = RecAlgorithm::kUserCosCF;
@@ -612,48 +612,52 @@ TEST(CandidateIndexTest, PostingsMirrorBaseAndSurviveIngestUntilRefresh) {
   auto index = rec.candidate_index();
   ASSERT_NE(index, nullptr);
   EXPECT_TRUE(index->prunable());
-  EXPECT_EQ(index->version(), rec.live().version());
-  EXPECT_EQ(index->num_users(), rec.live().NumUsers());
-  EXPECT_EQ(index->num_items(), rec.live().NumItems());
-
-  // Every base rating appears in both postings directions.
   const RatingMatrix& m = rec.live();
+  EXPECT_EQ(m.base_num_users(), m.NumUsers());
+  EXPECT_EQ(m.base_num_items(), m.NumItems());
+  EXPECT_EQ(index->order_by_id().size(), m.NumItems());
+
+  // The two-hop walk reads the base: every base rating appears in both
+  // orientations.
   for (size_t u = 0; u < m.NumUsers(); ++u) {
-    CsrRow row = m.UserCsrRow(static_cast<int32_t>(u));
-    CandidateIndex::Postings p = index->RatedItems(static_cast<int32_t>(u));
-    ASSERT_EQ(p.n, row.n) << "user " << u;
+    CsrRow row = m.BaseUserCsrRow(static_cast<int32_t>(u));
+    ASSERT_EQ(row.n, m.UserCsrRow(static_cast<int32_t>(u)).n) << "user " << u;
     for (size_t k = 0; k < row.n; ++k) {
       bool found = false;
-      CandidateIndex::Postings raters = index->Raters(row.idx[k]);
+      CsrRow raters = m.BaseItemCsrRow(row.idx[k]);
       for (size_t j = 0; j < raters.n; ++j) {
         if (raters.idx[j] == static_cast<int32_t>(u)) found = true;
       }
       EXPECT_TRUE(found) << "rating (" << u << ", " << row.idx[k]
-                         << ") missing from item postings";
+                         << ") missing from the item orientation";
     }
   }
 
-  // Ingest lands in the overlay; the published index still mirrors the
-  // frozen base (executors merge the side rows at walk time).
-  const uint64_t base_version = index->version();
+  // Ingest lands in live rows; the base and the published index stay put
+  // (executors merge the live rows at walk time).
+  const size_t base_items = m.base_num_items();
   rec.AddRating(1, 999, 5.0);
   rec.AddRating(2, 999, 3.0);
-  EXPECT_EQ(rec.candidate_index()->version(), base_version);
+  EXPECT_EQ(rec.candidate_index(), index);
+  EXPECT_EQ(m.base_num_items(), base_items);
+  auto item_idx = m.ItemIndex(999);
+  ASSERT_TRUE(item_idx.has_value());
+  EXPECT_EQ(m.BaseItemCsrRow(*item_idx).n, 0u);
+  EXPECT_EQ(m.ItemCsrRow(*item_idx).n, 2u);
 
-  // Refresh merges the overlay; the rebuilt index covers the new item.
+  // Refresh flattens the live rows; the base and the rebuilt index cover
+  // the new item.
   auto refreshed = rec.Refresh();
   ASSERT_TRUE(refreshed.ok());
   ASSERT_TRUE(refreshed.value());
   auto fresh = rec.candidate_index();
   ASSERT_NE(fresh, nullptr);
   EXPECT_NE(fresh.get(), index.get());
-  EXPECT_EQ(fresh->version(), rec.live().version());
-  EXPECT_EQ(fresh->num_items(), rec.live().NumItems());
-  auto item_idx = rec.live().ItemIndex(999);
-  ASSERT_TRUE(item_idx.has_value());
-  EXPECT_EQ(fresh->Raters(*item_idx).n, 2u);
-  // The old shared_ptr stays valid for in-flight executors.
-  EXPECT_EQ(index->version(), base_version);
+  EXPECT_EQ(m.base_num_items(), m.NumItems());
+  EXPECT_EQ(fresh->order_by_id().size(), m.NumItems());
+  EXPECT_EQ(m.BaseItemCsrRow(*item_idx).n, 2u);
+  // The old shared_ptr stays valid for its holders.
+  EXPECT_EQ(index->order_by_id().size(), base_items);
 }
 
 // ---------------------------------------------------------- batched ingest
@@ -739,10 +743,12 @@ TEST(NonIncrementalModelTest, FirstWriteTriggersRefreshAndFullRebuild) {
   cfg.name = "r";
   cfg.algorithm = RecAlgorithm::kItemCosCF;
   Recommender rec(cfg);
+  auto matrix = std::make_shared<RatingMatrix>();
   for (int64_t u = 1; u <= 6; ++u) {
-    for (int64_t i = 1; i <= 4; ++i) rec.AddRating(u, i, (u + i) % 5 + 1);
+    for (int64_t i = 1; i <= 4; ++i) matrix->Add(u, i, (u + i) % 5 + 1);
   }
-  rec.AdoptModelForTest(std::make_unique<StubModel>(rec.snapshot()));
+  rec.SeedMatrix(matrix);
+  rec.AdoptModelForTest(std::make_unique<StubModel>(matrix));
   ASSERT_FALSE(rec.NeedsRefresh());
 
   // One write: refresh pressure must be immediate, not threshold-gated.

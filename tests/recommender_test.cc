@@ -54,41 +54,45 @@ TEST(RatingMatrixTest, VectorsAreSortedByDenseIndex) {
   m.Add(5, 10, 2);
   m.Add(5, 20, 3);
   auto u = m.UserIndex(5).value();
-  const auto& vec = m.UserVector(u);
-  ASSERT_EQ(vec.size(), 3u);
-  EXPECT_LT(vec[0].idx, vec[1].idx);
-  EXPECT_LT(vec[1].idx, vec[2].idx);
+  const CsrRow row = m.UserCsrRow(u);
+  ASSERT_EQ(row.n, 3u);
+  EXPECT_LT(row.idx[0], row.idx[1]);
+  EXPECT_LT(row.idx[1], row.idx[2]);
 }
 
 TEST(RatingMatrixTest, FreezeBuildsCsrAndMutationInvalidates) {
   auto m = Figure1Ratings();
   EXPECT_FALSE(m->frozen());
-  EXPECT_EQ(m->CsrApproxBytes(), 0u);
+  EXPECT_GT(m->CsrApproxBytes(), 0u);  // every row is live before a freeze
+  // Copy every row as the live rows hold it before the freeze.
+  using Row = std::vector<std::pair<int32_t, double>>;
+  auto copy = [](CsrRow row) {
+    Row out;
+    for (size_t k = 0; k < row.n; ++k) out.emplace_back(row.idx[k], row.rating[k]);
+    return out;
+  };
+  std::vector<Row> user_rows, item_rows;
+  for (size_t u = 0; u < m->NumUsers(); ++u) {
+    user_rows.push_back(copy(m->UserCsrRow(static_cast<int32_t>(u))));
+  }
+  for (size_t i = 0; i < m->NumItems(); ++i) {
+    item_rows.push_back(copy(m->ItemCsrRow(static_cast<int32_t>(i))));
+  }
   m->Freeze();
   ASSERT_TRUE(m->frozen());
   EXPECT_GT(m->CsrApproxBytes(), 0u);
-  // Every CSR row must mirror the mutable vector-of-vectors exactly.
+  // Every flattened base row must mirror the live row it came from exactly.
   for (size_t u = 0; u < m->NumUsers(); ++u) {
-    const auto& vec = m->UserVector(static_cast<int32_t>(u));
-    CsrRow row = m->UserCsrRow(static_cast<int32_t>(u));
-    ASSERT_EQ(row.n, vec.size()) << "user row " << u;
-    for (size_t k = 0; k < row.n; ++k) {
-      EXPECT_EQ(row.idx[k], vec[k].idx);
-      EXPECT_EQ(row.rating[k], vec[k].rating);
-    }
+    EXPECT_EQ(copy(m->BaseUserCsrRow(static_cast<int32_t>(u))), user_rows[u])
+        << "user row " << u;
   }
   for (size_t i = 0; i < m->NumItems(); ++i) {
-    const auto& vec = m->ItemVector(static_cast<int32_t>(i));
-    CsrRow row = m->ItemCsrRow(static_cast<int32_t>(i));
-    ASSERT_EQ(row.n, vec.size()) << "item row " << i;
-    for (size_t k = 0; k < row.n; ++k) {
-      EXPECT_EQ(row.idx[k], vec[k].idx);
-      EXPECT_EQ(row.rating[k], vec[k].rating);
-    }
+    EXPECT_EQ(copy(m->BaseItemCsrRow(static_cast<int32_t>(i))), item_rows[i])
+        << "item row " << i;
   }
-  // Freeze is idempotent; mutations while frozen land in the delta overlay
-  // instead of invalidating the frozen form (PR 7), and re-freezing merges
-  // the overlay back into a clean CSR.
+  // Freeze is idempotent; mutations while frozen land in live rows instead
+  // of invalidating the base (PR 7), and re-freezing flattens them back
+  // into a clean CSR.
   m->Freeze();
   EXPECT_TRUE(m->frozen());
   m->Add(9, 9, 2.0);
@@ -105,8 +109,8 @@ TEST(RatingMatrixTest, FreezeBuildsCsrAndMutationInvalidates) {
 TEST(RatingMatrixTest, FailedRemoveKeepsMatrixFrozen) {
   // Regression: Remove used to un-freeze before checking existence, so a
   // Remove of an absent pair (which mutates nothing) invalidated the CSR
-  // snapshot that models were still reading. Under the delta overlay the
-  // equivalent bug would be logging a delta op for a no-op remove.
+  // snapshot that models were still reading. With copy-on-write live rows
+  // the equivalent bug would be logging a delta op for a no-op remove.
   auto m = Figure1Ratings();
   m->Freeze();
   ASSERT_TRUE(m->frozen());
@@ -128,27 +132,35 @@ TEST(RatingMatrixTest, FailedRemoveKeepsMatrixFrozen) {
 }
 
 TEST(RatingMatrixTest, UnfrozenCsrAccessorsReturnEmptyRows) {
-  // The frozen guard is a real runtime check (not a debug-only assertion):
-  // reading a CSR row of an unfrozen matrix yields an empty row, never
-  // stale offsets or out-of-bounds pointers — also in release builds.
+  // Before the first freeze every row is live, so the row view reads its
+  // contents; the bounds guard is a real runtime check (not a debug-only
+  // assertion): negative and unknown indices read as empty, never as
+  // out-of-bounds pointers — also in release builds.
   RatingMatrix m;
   m.Add(1, 10, 3.0);
   CsrRow row = m.UserCsrRow(0);
-  EXPECT_EQ(row.n, 0u);
-  EXPECT_EQ(row.idx, nullptr);
+  ASSERT_EQ(row.n, 1u);
+  EXPECT_EQ(row.idx[0], 0);
+  EXPECT_EQ(row.rating[0], 3.0);
   row = m.ItemCsrRow(0);
-  EXPECT_EQ(row.n, 0u);
+  ASSERT_EQ(row.n, 1u);
+  EXPECT_EQ(row.rating[0], 3.0);
+  EXPECT_EQ(m.UserCsrRow(5).n, 0u);
+  EXPECT_EQ(m.UserCsrRow(5).idx, nullptr);
+  EXPECT_EQ(m.UserCsrRow(-1).n, 0u);
+  EXPECT_EQ(m.ItemCsrRow(-1).n, 0u);
+  EXPECT_EQ(m.BaseUserCsrRow(0).n, 0u);  // no base before the first freeze
 
   m.Freeze();
   EXPECT_EQ(m.UserCsrRow(0).n, 1u);
-  // Rows interned after the snapshot (and negative indices) read as empty.
+  // Unknown rows (and negative indices) still read as empty.
   EXPECT_EQ(m.UserCsrRow(5).n, 0u);
   EXPECT_EQ(m.UserCsrRow(-1).n, 0u);
 
-  m.Add(2, 20, 4.0);  // frozen: lands in the overlay, row 0 keeps serving
+  m.Add(2, 20, 4.0);  // frozen: lands in a live row, row 0 keeps serving
   EXPECT_TRUE(m.frozen());
   EXPECT_EQ(m.UserCsrRow(0).n, 1u);
-  EXPECT_EQ(m.UserCsrRow(1).n, 1u);  // new user's row comes from the overlay
+  EXPECT_EQ(m.UserCsrRow(1).n, 1u);  // new user's row is a live row
 }
 
 TEST(CFModelTest, PredictionsIdenticalFrozenAndUnfrozen) {
@@ -169,7 +181,7 @@ TEST(CFModelTest, PredictionsIdenticalFrozenAndUnfrozen) {
   }
 
   // Mutate without changing contents: add then remove a fresh rating. The
-  // matrix stays frozen and the delta overlay cancels out.
+  // matrix stays frozen and the live rows read as before.
   frozen->Add(9, 9, 2.0);
   ASSERT_TRUE(frozen->Remove(9, 9));
   ASSERT_TRUE(frozen->frozen());
@@ -186,16 +198,16 @@ TEST(CFModelTest, PredictionsIdenticalFrozenAndUnfrozen) {
 TEST(SimilarityTest, PairwiseCosineMatchesHandComputation) {
   // a = (1, 2, 0), b = (2, 0, 3) over dims {0,1,2}: dot = 2,
   // |a| = sqrt(5), |b| = sqrt(13).
-  std::vector<RatingEntry> a{{0, 1}, {1, 2}};
-  std::vector<RatingEntry> b{{0, 2}, {2, 3}};
-  EXPECT_NEAR(PairwiseCosine(a, b), 2.0 / (std::sqrt(5.0) * std::sqrt(13.0)),
+  const int32_t a_idx[] = {0, 1}, b_idx[] = {0, 2};
+  const double a_val[] = {1, 2}, b_val[] = {2, 3};
+  EXPECT_NEAR(PairwiseCosine({a_idx, a_val, 2}, {b_idx, b_val, 2}), 2.0 / (std::sqrt(5.0) * std::sqrt(13.0)),
               1e-12);
 }
 
 TEST(SimilarityTest, DisjointVectorsHaveZeroSimilarity) {
-  std::vector<RatingEntry> a{{0, 1}, {1, 2}};
-  std::vector<RatingEntry> b{{2, 2}, {3, 3}};
-  EXPECT_DOUBLE_EQ(PairwiseCosine(a, b), 0.0);
+  const int32_t a_idx[] = {0, 1}, b_idx[] = {2, 3};
+  const double a_val[] = {1, 2}, b_val[] = {2, 3};
+  EXPECT_DOUBLE_EQ(PairwiseCosine({a_idx, a_val, 2}, {b_idx, b_val, 2}), 0.0);
 }
 
 TEST(SimilarityTest, ItemNeighborhoodsMatchPairwiseOracle) {
@@ -204,8 +216,8 @@ TEST(SimilarityTest, ItemNeighborhoodsMatchPairwiseOracle) {
   ASSERT_EQ(nb.size(), m->NumItems());
   for (size_t p = 0; p < m->NumItems(); ++p) {
     for (const auto& n : nb[p]) {
-      double oracle = PairwiseCosine(m->ItemVector(static_cast<int32_t>(p)),
-                                     m->ItemVector(n.idx));
+      double oracle = PairwiseCosine(m->ItemCsrRow(static_cast<int32_t>(p)),
+                                     m->ItemCsrRow(n.idx));
       EXPECT_NEAR(n.sim, oracle, 1e-6);
       EXPECT_NE(n.idx, static_cast<int32_t>(p)) << "self-similarity stored";
     }
@@ -377,9 +389,10 @@ TEST(ItemCFTest, PredictionsBoundedByUserRatingRange) {
     auto uidx = mp->UserIndex(u);
     if (!uidx) continue;
     double lo = 1e9, hi = -1e9;
-    for (const auto& e : mp->UserVector(*uidx)) {
-      lo = std::min(lo, e.rating);
-      hi = std::max(hi, e.rating);
+    const CsrRow rated = mp->UserCsrRow(*uidx);
+    for (size_t k = 0; k < rated.n; ++k) {
+      lo = std::min(lo, rated.rating[k]);
+      hi = std::max(hi, rated.rating[k]);
     }
     for (int i = 0; i < 40; ++i) {
       if (mp->Get(u, i).has_value()) continue;
@@ -476,8 +489,9 @@ TEST(SvdTest, FitsStructuredDataBetterThanGlobalMean) {
   // Recompute holdout via the same hash the model used is internal, so use
   // total RMSE on all ratings as a conservative baseline comparison.
   for (size_t u = 0; u < mp->NumUsers(); ++u) {
-    for (const auto& e : mp->UserVector(static_cast<int32_t>(u))) {
-      se += (e.rating - mean) * (e.rating - mean);
+    const CsrRow row = mp->UserCsrRow(static_cast<int32_t>(u));
+    for (size_t k = 0; k < row.n; ++k) {
+      se += (row.rating[k] - mean) * (row.rating[k] - mean);
       ++n;
     }
   }
@@ -550,8 +564,8 @@ TEST(RecommenderTest, MaintenanceThresholdPolicy) {
 
 TEST(RecommenderTest, SnapshotServesNewRatingsThroughOverlay) {
   // PR 7: the historical live/snapshot split collapsed into one matrix.
-  // New ratings land in the delta overlay, so the scoring snapshot sees
-  // them immediately while the frozen CSR stays intact underneath.
+  // New ratings land in live rows, so scoring sees them immediately while
+  // the base CSR stays intact underneath.
   RecommenderConfig cfg;
   cfg.name = "r";
   Recommender rec(cfg);
@@ -559,11 +573,11 @@ TEST(RecommenderTest, SnapshotServesNewRatingsThroughOverlay) {
   rec.AddRating(2, 1, 4);
   rec.AddRating(2, 2, 3);
   ASSERT_TRUE(rec.Build().ok());
-  size_t snap_n = rec.snapshot()->NumRatings();
+  size_t snap_n = rec.live().NumRatings();
   rec.AddRating(3, 2, 1);
-  EXPECT_EQ(rec.snapshot()->NumRatings(), snap_n + 1);
-  EXPECT_TRUE(rec.snapshot()->frozen());
-  EXPECT_TRUE(rec.snapshot()->has_delta());
+  EXPECT_EQ(rec.live().NumRatings(), snap_n + 1);
+  EXPECT_TRUE(rec.live().frozen());
+  EXPECT_TRUE(rec.live().has_delta());
   EXPECT_EQ(rec.live().NumRatings(), snap_n + 1);
   EXPECT_EQ(rec.live().delta_size(), 1u);
 }

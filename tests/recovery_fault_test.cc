@@ -371,8 +371,8 @@ TEST(RecoveryFaultTest, RecoveryLoadsSharedRatingsTableOnce) {
   ASSERT_TRUE(rec_b.ok());
   EXPECT_NE(rec_a.value()->model(), nullptr);
   EXPECT_NE(rec_b.value()->model(), nullptr);
-  EXPECT_EQ(rec_a.value()->snapshot()->NumRatings(),
-            rec_b.value()->snapshot()->NumRatings());
+  EXPECT_EQ(rec_a.value()->live().NumRatings(),
+            rec_b.value()->live().NumRatings());
   EXPECT_FALSE(RecommendationsFor(db.get(), 1).empty());
   ASSERT_TRUE(db->Close().ok());
 }

@@ -2,7 +2,8 @@
 // is BIT-IDENTITY — a K-shard ShardedRecDB answers every RECOMMEND query
 // with exactly the rows, in exactly the order, with exactly the double bits,
 // of a single-node RecDB holding the same data — across all five algorithms,
-// shard counts {1, 2, 8}, live delta overlays, and post-refresh state.
+// shard counts {1, 2, 8}, a pending delta in live rows, and post-refresh
+// state.
 //
 // The single-node reference is loaded in (uid, iid)-sorted canonical order,
 // matching the router's gather-create matrix order (the order is
@@ -278,8 +279,8 @@ TEST_P(ServingBitIdentity, AllAlgorithmsAllPhases) {
 
   CompareAllQueries(sharded.get(), reference.get(), "base");
 
-  // Live delta overlay: identical statements in identical order feed the
-  // reference and the router's shared model plane.
+  // Pending delta in live rows: identical statements in identical order
+  // feed the reference and the router's shared model plane.
   const std::string delta = InsertSql("ratings", DeltaRatings());
   ASSERT_TRUE(reference->Execute(delta).ok());
   ASSERT_TRUE(sharded->Execute(delta).ok());

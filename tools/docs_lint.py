@@ -19,6 +19,10 @@ Checks, over every tracked *.md file in the repo:
      help (examples/recdb_shell.cpp) names an option RecDB::ExecuteSet
      accepts — read from its `stmt.option == "..."` comparisons in
      src/api/recdb.cc — so a retired option cannot linger in the docs.
+  5. Every metric declared in src/obs/metric_names.h is recorded
+     (`Counter::kX`, `Gauge::kX` or `Histogram::kX`) by some source file
+     under src/ other than the header, so a metric whose last recording
+     site is deleted cannot linger as a documented, always-zero name.
 
 Exit status 0 = clean, 1 = findings (printed one per line).
 """
@@ -42,6 +46,8 @@ SKIP_FILES = {"PAPER.md", "PAPERS.md", "SNIPPETS.md", "ISSUE.md"}
 
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 METRIC_DECL = re.compile(r'X\(k\w+,\s*"([a-z0-9_.]+)"')
+METRIC_ENUM = re.compile(r"X\((k\w+),")
+METRIC_RECORD = re.compile(r"\b(?:Counter|Gauge|Histogram)::(k\w+)\b")
 BACKTICKED = re.compile(r"`([a-z0-9_]+\.[a-z0-9_.]+)`")
 SET_ACCEPTED = re.compile(r'stmt\.option == "([a-z_]+)"')
 # `SET <name> =`, but not the SQL `UPDATE <table> SET <column> =`.
@@ -152,12 +158,31 @@ def check_set_options(errors):
                     )
 
 
+def check_metrics_recorded(errors):
+    """Every declared metric is recorded somewhere under src/."""
+    if not METRIC_HEADER.exists():
+        return  # already reported by check_metric_names
+    declared = METRIC_ENUM.findall(METRIC_HEADER.read_text("utf-8"))
+    recorded = set()
+    for path in sorted((REPO / "src").rglob("*")):
+        if path.suffix not in {".h", ".cc"} or path == METRIC_HEADER:
+            continue
+        recorded.update(METRIC_RECORD.findall(path.read_text("utf-8")))
+    for enum_id in declared:
+        if enum_id not in recorded:
+            errors.append(
+                f"src/obs/metric_names.h: metric {enum_id} is declared but "
+                "no file under src/ records it"
+            )
+
+
 def main():
     errors = []
     check_links(errors)
     check_metric_names(errors)
     check_serving_docs(errors)
     check_set_options(errors)
+    check_metrics_recorded(errors)
     for e in errors:
         print(e)
     if errors:
