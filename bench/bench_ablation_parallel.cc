@@ -5,9 +5,8 @@
 //   RecommendTopK     — RECOMMEND top-10 for one user with the
 //                       IndexRecommend rewrite disabled: the bounded
 //                       Top-k driver cuts the one user's catalog into
-//                       item slices across the workers (on MovieLens
-//                       ItemCosCF the candidate walk covers the whole
-//                       catalog, so every item is scored)
+//                       item slices across the workers (ItemCosCF
+//                       selects densely: every unrated item is scored)
 // Every parallel run is checked byte-identical to the serial baseline (the
 // determinism contract); the `speedup` counter reports serial-time /
 // parallel-time measured in this process.

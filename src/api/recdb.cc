@@ -48,8 +48,6 @@ void PublishExecStats(const ExecStats& stats) {
   obs::Count(obs::Counter::kExecTuplesScanned, stats.tuples_scanned);
   obs::Count(obs::Counter::kExecPredictions, stats.predictions);
   obs::Count(obs::Counter::kExecJoinProbes, stats.join_probes);
-  obs::Count(obs::Counter::kPruneCandidatesGenerated,
-             stats.candidates_generated);
   obs::Count(obs::Counter::kPruneBlocksSkipped, stats.blocks_skipped);
   obs::Count(obs::Counter::kPruneItemsPruned, stats.items_pruned);
 }
@@ -750,12 +748,9 @@ Result<ResultSet> RecDB::ExecuteStatement(const Statement& stmt) {
         if (!line.empty()) rs.rows.push_back(Tuple({Value::String(line)}));
       }
       if (explain.analyze &&
-          (rs.stats.candidates_generated > 0 || rs.stats.blocks_skipped > 0 ||
-           rs.stats.items_pruned > 0)) {
+          (rs.stats.blocks_skipped > 0 || rs.stats.items_pruned > 0)) {
         rs.rows.push_back(Tuple({Value::String(StringFormat(
-            "pruning: %llu candidates generated, %llu blocks skipped, "
-            "%llu items pruned",
-            static_cast<unsigned long long>(rs.stats.candidates_generated),
+            "pruning: %llu blocks skipped, %llu items pruned",
             static_cast<unsigned long long>(rs.stats.blocks_skipped),
             static_cast<unsigned long long>(rs.stats.items_pruned)))}));
       }
@@ -1567,10 +1562,9 @@ std::string ResultSet::ToString(size_t max_rows) const {
         static_cast<unsigned long long>(stats.predictions),
         static_cast<unsigned long long>(stats.predict_batches));
   }
-  if (stats.candidates_generated > 0 || stats.items_pruned > 0) {
+  if (stats.items_pruned > 0) {
     out += StringFormat(
-        "pruning: %llu candidates, %llu blocks skipped, %llu items pruned\n",
-        static_cast<unsigned long long>(stats.candidates_generated),
+        "pruning: %llu blocks skipped, %llu items pruned\n",
         static_cast<unsigned long long>(stats.blocks_skipped),
         static_cast<unsigned long long>(stats.items_pruned));
   }

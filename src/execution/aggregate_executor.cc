@@ -86,7 +86,7 @@ Tuple HashAggregateExecutor::Finalize(const Group& group) const {
   return Tuple(std::move(out));
 }
 
-Status HashAggregateExecutor::Init() {
+Status HashAggregateExecutor::InitImpl() {
   RECDB_RETURN_NOT_OK(child_->Init());
   groups_.clear();
   pos_ = 0;

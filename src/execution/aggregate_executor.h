@@ -15,7 +15,7 @@ class HashAggregateExecutor : public Executor {
       : Executor(plan, ctx),
         plan_(plan), child_(std::move(child)), ctx_(ctx) {}
 
-  Status Init() override;
+  Status InitImpl() override;
   Result<std::optional<Tuple>> NextImpl() override;
 
  private:

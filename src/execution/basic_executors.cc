@@ -6,7 +6,7 @@ namespace recdb {
 
 // ---------------------------------------------------------------- SeqScan
 
-Status SeqScanExecutor::Init() {
+Status SeqScanExecutor::InitImpl() {
   iter_.emplace(plan_.table->heap->Begin(plan_.table->schema.NumColumns()));
   return Status::OK();
 }
@@ -64,7 +64,7 @@ Result<std::optional<Tuple>> ProjectExecutor::NextImpl() {
 
 // ---------------------------------------------------------- NestedLoopJoin
 
-Status NestedLoopJoinExecutor::Init() {
+Status NestedLoopJoinExecutor::InitImpl() {
   RECDB_RETURN_NOT_OK(left_->Init());
   RECDB_RETURN_NOT_OK(right_->Init());
   inner_.clear();
@@ -104,7 +104,7 @@ Result<std::optional<Tuple>> NestedLoopJoinExecutor::NextImpl() {
 
 // ---------------------------------------------------------------- HashJoin
 
-Status HashJoinExecutor::Init() {
+Status HashJoinExecutor::InitImpl() {
   RECDB_RETURN_NOT_OK(left_->Init());
   RECDB_RETURN_NOT_OK(right_->Init());
   table_.clear();
@@ -216,7 +216,7 @@ Result<std::vector<Tuple>> DrainSorted(Executor* child,
 
 }  // namespace
 
-Status SortExecutor::Init() {
+Status SortExecutor::InitImpl() {
   RECDB_RETURN_NOT_OK(child_->Init());
   RECDB_ASSIGN_OR_RETURN(rows_, DrainSorted(child_.get(), plan_.keys, 0));
   pos_ = 0;
@@ -228,7 +228,7 @@ Result<std::optional<Tuple>> SortExecutor::NextImpl() {
   return std::make_optional(std::move(rows_[pos_++]));
 }
 
-Status TopNExecutor::Init() {
+Status TopNExecutor::InitImpl() {
   RECDB_RETURN_NOT_OK(child_->Init());
   rows_.clear();
   pos_ = 0;

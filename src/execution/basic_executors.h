@@ -13,7 +13,7 @@ class SeqScanExecutor : public Executor {
   SeqScanExecutor(const SeqScanPlan& plan, ExecContext* ctx)
       : Executor(plan, ctx),
         plan_(plan), ctx_(ctx) {}
-  Status Init() override;
+  Status InitImpl() override;
   Result<std::optional<Tuple>> NextImpl() override;
 
  private:
@@ -27,7 +27,7 @@ class FilterExecutor : public Executor {
   FilterExecutor(const FilterPlan& plan, ExecutorPtr child, ExecContext* ctx)
       : Executor(plan, ctx),
         plan_(plan), child_(std::move(child)), ctx_(ctx) {}
-  Status Init() override { return child_->Init(); }
+  Status InitImpl() override { return child_->Init(); }
   Result<std::optional<Tuple>> NextImpl() override;
 
  private:
@@ -41,7 +41,7 @@ class ProjectExecutor : public Executor {
   ProjectExecutor(const ProjectPlan& plan, ExecutorPtr child, ExecContext* ctx)
       : Executor(plan, ctx),
         plan_(plan), child_(std::move(child)), ctx_(ctx) {}
-  Status Init() override {
+  Status InitImpl() override {
     seen_.clear();
     return child_->Init();
   }
@@ -65,7 +65,7 @@ class NestedLoopJoinExecutor : public Executor {
         left_(std::move(left)),
         right_(std::move(right)),
         ctx_(ctx) {}
-  Status Init() override;
+  Status InitImpl() override;
   Result<std::optional<Tuple>> NextImpl() override;
 
  private:
@@ -88,7 +88,7 @@ class HashJoinExecutor : public Executor {
         left_(std::move(left)),
         right_(std::move(right)),
         ctx_(ctx) {}
-  Status Init() override;
+  Status InitImpl() override;
   Result<std::optional<Tuple>> NextImpl() override;
 
  private:
@@ -108,7 +108,7 @@ class SortExecutor : public Executor {
   SortExecutor(const SortPlan& plan, ExecutorPtr child, ExecContext* ctx)
       : Executor(plan, ctx),
         plan_(plan), child_(std::move(child)), ctx_(ctx) {}
-  Status Init() override;
+  Status InitImpl() override;
   Result<std::optional<Tuple>> NextImpl() override;
 
  private:
@@ -125,7 +125,7 @@ class TopNExecutor : public Executor {
   TopNExecutor(const TopNPlan& plan, ExecutorPtr child, ExecContext* ctx)
       : Executor(plan, ctx),
         plan_(plan), child_(std::move(child)), ctx_(ctx) {}
-  Status Init() override;
+  Status InitImpl() override;
   Result<std::optional<Tuple>> NextImpl() override;
 
  private:
@@ -141,7 +141,7 @@ class LimitExecutor : public Executor {
   LimitExecutor(const LimitPlan& plan, ExecutorPtr child, ExecContext* ctx)
       : Executor(plan, ctx),
         plan_(plan), child_(std::move(child)), ctx_(ctx) {}
-  Status Init() override {
+  Status InitImpl() override {
     emitted_ = 0;
     return child_->Init();
   }

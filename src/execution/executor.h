@@ -27,8 +27,11 @@ struct ExecStats {
   uint64_t index_hits = 0;          // users served from RecScoreIndex
   uint64_t index_misses = 0;        // users that fell back to the model
   uint64_t join_probes = 0;
-  // Sublinear Top-N (CandidateIndex + TopKPruner) during the statement.
-  uint64_t candidates_generated = 0;  // items reached by the two-hop walk
+  // Bounded Top-k (TopKPruner, plus the CandidateIndex blocks for SVD)
+  // during the statement. candidates_generated stays for readers of the
+  // field (perfbench's index.candidates_per_query) and always reads 0:
+  // no path generates candidates (CF Top-k selects densely).
+  uint64_t candidates_generated = 0;
   uint64_t blocks_skipped = 0;        // bound blocks pruned below threshold
   uint64_t items_pruned = 0;          // items never scored thanks to pruning
   // Morsel-parallel execution (TaskScheduler) during the statement.
@@ -67,8 +70,9 @@ struct ExecContext {
   /// Actual rows emitted per plan node (EXPLAIN ANALYZE), keyed by node
   /// address; filled by the Executor::Next wrapper as tuples flow.
   ActualRowMap actual_rows;
-  /// Non-null when `SET trace = on`: the Next wrapper times each NextImpl
-  /// call and accumulates per-node inclusive durations into the tracer.
+  /// Non-null when `SET trace = on`: the Init and Next wrappers time each
+  /// InitImpl / NextImpl call and accumulate per-node inclusive durations
+  /// into the tracer.
   /// Null (the default) keeps the hot path untimed and allocation-free.
   obs::Tracer* tracer = nullptr;
   /// Serving-layer user partition (DESIGN.md §14), seeded from
@@ -98,7 +102,15 @@ class Executor {
   virtual ~Executor() = default;
 
   /// Prepare (or re-prepare) the iterator. Must be callable repeatedly.
-  virtual Status Init() = 0;
+  /// When a tracer is attached, InitImpl's time (which includes the
+  /// children's Init and any work drained there, e.g. TopN's or bounded
+  /// scoring's) is added to this node's inclusive time.
+  Status Init() {
+    if (exec_ctx_ != nullptr && exec_ctx_->tracer != nullptr) {
+      return TracedInit();
+    }
+    return InitImpl();
+  }
 
   /// Produce the next tuple, or nullopt when exhausted. Counts emitted
   /// tuples into ExecContext::actual_rows for EXPLAIN ANALYZE, and — when a
@@ -116,16 +128,28 @@ class Executor {
   }
 
  protected:
+  virtual Status InitImpl() = 0;
   virtual Result<std::optional<Tuple>> NextImpl() = 0;
 
  private:
-  Result<std::optional<Tuple>> TracedNext() {
-    const auto start = std::chrono::steady_clock::now();
-    auto r = NextImpl();
-    const uint64_t ns = static_cast<uint64_t>(
+  static uint64_t NsSince(std::chrono::steady_clock::time_point start) {
+    return static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start)
             .count());
+  }
+
+  Status TracedInit() {
+    const auto start = std::chrono::steady_clock::now();
+    Status s = InitImpl();
+    exec_ctx_->tracer->RecordNodeInit(node_, NsSince(start));
+    return s;
+  }
+
+  Result<std::optional<Tuple>> TracedNext() {
+    const auto start = std::chrono::steady_clock::now();
+    auto r = NextImpl();
+    const uint64_t ns = NsSince(start);
     const bool produced = r.ok() && r.value().has_value();
     exec_ctx_->tracer->RecordNode(node_, ns, produced);
     if (produced) ++*actual_rows_;

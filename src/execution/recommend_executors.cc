@@ -6,6 +6,7 @@
 #include <functional>
 #include <limits>
 #include <mutex>
+#include <numeric>
 #include <span>
 
 #include "common/task_scheduler.h"
@@ -57,49 +58,65 @@ std::vector<int64_t> ServedUsers(const RatingMatrix& snapshot,
   return out;
 }
 
-std::vector<int64_t> ResolveItems(
-    const RatingMatrix& snapshot,
-    const std::optional<std::vector<int64_t>>& pushed) {
-  if (!pushed.has_value()) return snapshot.item_ids();
-  std::vector<int64_t> out;
-  out.reserve(pushed->size());
-  for (int64_t id : *pushed) {
-    if (snapshot.ItemIndex(id).has_value()) out.push_back(id);
+/// The grid's items, as indices: the whole catalog in index order when
+/// nothing is pushed down, else the pushed-down ids the model knows, in
+/// pushdown order.
+void ResolveItems(const RatingMatrix& snapshot,
+                  const std::optional<std::vector<int64_t>>& pushed,
+                  ScoreGrid* g) {
+  g->items.clear();
+  if (!pushed.has_value()) {
+    g->items.resize(snapshot.NumItems());
+    std::iota(g->items.begin(), g->items.end(), 0);
+    return;
   }
-  return out;
+  g->items.reserve(pushed->size());
+  for (int64_t id : *pushed) {
+    if (auto idx = snapshot.ItemIndex(id)) g->items.push_back(*idx);
+  }
+}
+
+/// Dense index of a served user (ServedUsers keeps only known ones; an
+/// unknown id reads as -1, which every row view and kernel treats as empty).
+int32_t UserIdx(const RatingMatrix& snapshot, int64_t user_id) {
+  return snapshot.UserIndex(user_id).value_or(-1);
 }
 
 /// Below this many candidate pairs a parallel fan-out costs more than it
 /// saves; stay on the streaming serial path.
 constexpr size_t kMinPairsForParallel = 256;
 
-/// Score one user over items[begin, end): rated items keep their stored
-/// rating (and set the rated flag), the rest go through one PredictBatch.
-void ScoreUserRange(const RecModel* model, const RatingMatrix& snapshot,
-                    int64_t user_id, const std::vector<int64_t>& items,
-                    size_t begin, size_t end, UserRowScores* out) {
-  const size_t n = end - begin;
+/// Score user `u` over `items` (item indices): rated items keep their
+/// stored rating (and set the rated flag), the rest go through one
+/// PredictBatchByIndex.
+void ScoreUserRange(const RecModel* model, int32_t u,
+                    std::span<const int32_t> items, UserRowScores* out) {
+  const RatingMatrix& snapshot = model->ratings();
+  const size_t n = items.size();
   out->score.assign(n, 0.0);
   out->rated.assign(n, 0);
   out->predicted = 0;
   out->batches = 0;
-  std::vector<int64_t> cand;
+  if (n == 0) return;
+  // Algorithm 1 line 8: a rated item carries its stored rating.
+  for (size_t k = 0; k < n; ++k) {
+    if (auto rated = snapshot.GetByIndex(u, items[k])) {
+      out->score[k] = *rated;
+      out->rated[k] = 1;
+    }
+  }
+  std::vector<int32_t> cand;
   std::vector<size_t> cand_pos;
   cand.reserve(n);
   cand_pos.reserve(n);
   for (size_t k = 0; k < n; ++k) {
-    auto rated = snapshot.Get(user_id, items[begin + k]);
-    if (rated.has_value()) {
-      out->score[k] = *rated;  // Algorithm 1 line 8
-      out->rated[k] = 1;
-    } else {
-      cand.push_back(items[begin + k]);
-      cand_pos.push_back(k);
-    }
+    if (out->rated[k]) continue;
+    cand.push_back(items[k]);
+    cand_pos.push_back(k);
   }
   if (cand.empty()) return;
   std::vector<double> pred(cand.size(), 0.0);
-  model->PredictBatch(user_id, cand, pred);
+  model->PredictBatchByIndex(u, cand, pred);
   for (size_t k = 0; k < cand.size(); ++k) out->score[cand_pos[k]] = pred[k];
   out->predicted = cand.size();
   out->batches = 1;
@@ -198,8 +215,10 @@ void ScoreExact(ScoreGrid* g, const RecModel* model, bool include_rated,
     UserRowScores row;
     for (size_t unit = begin; unit < end; ++unit) {
       const Unit w = UnitAt(*g, unit);
-      ScoreUserRange(model, snapshot, g->users[w.user], g->items, w.begin,
-                     w.end, &row);
+      ScoreUserRange(model, UserIdx(snapshot, g->users[w.user]),
+                     std::span<const int32_t>(g->items).subspan(
+                         w.begin, w.end - w.begin),
+                     &row);
       stats->predictions += row.predicted;
       stats->predict_batches += row.batches;
       for (size_t i = 0; i < w.end - w.begin; ++i) {
@@ -229,8 +248,8 @@ std::optional<Tuple> NextScored(ScoreGrid* g, const RecModel* model,
   }
   while (g->user_pos < g->users.size()) {
     if (!g->row_ready) {
-      ScoreUserRange(model, model->ratings(), g->users[g->user_pos], g->items,
-                     0, g->items.size(), &g->row);
+      ScoreUserRange(model, UserIdx(model->ratings(), g->users[g->user_pos]),
+                     g->items, &g->row);
       ctx->stats.predictions += g->row.predicted;
       ctx->stats.predict_batches += g->row.batches;
       g->row_ready = true;
@@ -252,21 +271,18 @@ std::optional<Tuple> NextScored(ScoreGrid* g, const RecModel* model,
 // ------------------------------------------------------------ PruneEngine
 
 PruneEngine::PruneEngine(const RecModel* model, const RatingMatrix& snapshot,
-                         const CandidateIndex& index, bool rank_by_id)
+                         const CandidateIndex* bounds, bool rank_by_id)
     : model_(model),
       snapshot_(snapshot),
-      index_(index),
+      bounds_(bounds),
       rank_by_id_(rank_by_id),
       num_items_(snapshot.NumItems()) {
-  walk_stamp_.assign(num_items_, 0);
-  consume_stamp_.assign(num_items_, 0);
+  if (bounds_ == nullptr) return;  // dense selection needs no scratch
   rated_stamp_.assign(num_items_, 0);
-  user_stamp_.assign(snapshot.base_num_users(), 0);
-  block_items_.resize(index.blocks().size());
   if (rank_by_id_) {
-    // Items interned after the base: out-of-band for order_by_id(), merged
-    // in by external id during the zero-merge.
-    for (size_t i = snapshot.base_num_items(); i < num_items_; ++i) {
+    // Items interned after the bound build: out-of-band for order_by_id(),
+    // merged in by external id during the zero-merge.
+    for (size_t i = bounds_->order_by_id().size(); i < num_items_; ++i) {
       oob_by_id_.emplace_back(snapshot.ItemIdAt(static_cast<int32_t>(i)),
                               static_cast<int32_t>(i));
     }
@@ -288,58 +304,9 @@ double PruneEngine::PaddedBound(double scale_u, double offset_u,
                                 double max_scale, double max_offset) const {
   const double core = scale_u * max_scale + offset_u + max_offset;
   const double pad =
-      index_.bounds().slack * (std::fabs(scale_u * max_scale) +
-                               std::fabs(offset_u) + std::fabs(max_offset));
+      bounds_->bounds().slack * (std::fabs(scale_u * max_scale) +
+                                 std::fabs(offset_u) + std::fabs(max_offset));
   return core + pad + 1e-12;
-}
-
-void PruneEngine::GenerateCandidates(int32_t u) {
-  candidates_.clear();
-  start_.clear();
-  const uint32_t e = epoch_;
-  auto mark = [&](int32_t i) {
-    if (i < 0 || static_cast<size_t>(i) >= num_items_) return false;
-    if (walk_stamp_[i] == e) return false;
-    walk_stamp_[i] = e;
-    candidates_.push_back(i);
-    return true;
-  };
-  // Start items: the user's base row plus, when the row was written since
-  // the last flatten, its live row (covers ratings added since — their
-  // item-based similarities anchor to the base, and the user-based
-  // families need the base row, which the live row contains unless
-  // removed; removed base items cannot seed a nonzero similarity for item
-  // families and are re-covered below for user families via the base).
-  const CsrRow base_row = snapshot_.BaseUserCsrRow(u);
-  for (size_t a = 0; a < base_row.n; ++a) {
-    if (mark(base_row.idx[a])) start_.push_back(base_row.idx[a]);
-  }
-  if (snapshot_.IsUserRowTouched(u)) {
-    const CsrRow live = snapshot_.UserCsrRow(u);
-    for (size_t a = 0; a < live.n; ++a) {
-      if (mark(live.idx[a])) start_.push_back(live.idx[a]);
-    }
-  }
-  // Two-hop: raters come from the base only — a nonzero similarity
-  // requires a base co-rating, so raters added since cannot contribute a
-  // nonzero score.
-  for (int32_t j : start_) {
-    const CsrRow raters = snapshot_.BaseItemCsrRow(j);
-    for (size_t b = 0; b < raters.n; ++b) {
-      const int32_t v = raters.idx[b];
-      if (static_cast<size_t>(v) >= user_stamp_.size() ||
-          user_stamp_[v] == e) {
-        continue;
-      }
-      user_stamp_[v] = e;
-      const CsrRow co = snapshot_.BaseUserCsrRow(v);
-      for (size_t c = 0; c < co.n; ++c) mark(co.idx[c]);
-      if (snapshot_.IsUserRowTouched(v)) {
-        const CsrRow vlive = snapshot_.UserCsrRow(v);
-        for (size_t c = 0; c < vlive.n; ++c) mark(vlive.idx[c]);
-      }
-    }
-  }
 }
 
 void PruneEngine::ScoreBatch(int32_t u, const std::vector<int32_t>& items,
@@ -356,16 +323,13 @@ void PruneEngine::ScoreBatch(int32_t u, const std::vector<int32_t>& items,
 }
 
 void PruneEngine::ZeroMerge(MergeMode mode, TopKPruner* pruner) {
-  const size_t bts = index_.bound_table_size();
-  // Offer 0.0 for every still-unconsumed unrated item in rank order; all
-  // offers carry the same score with ascending rank, so the first
-  // rejection ends the merge.
+  const size_t bts = bounds_->bound_table_size();
+  // Offer 0.0 for every unrated item the sweep did not cover, in rank
+  // order; all offers carry the same score with ascending rank, so the
+  // first rejection ends the merge.
   auto offer = [&](int32_t c, int64_t rank, int64_t id) {
     if (!InRange(c)) return true;
     if (!pruner->WouldAccept(0.0, rank)) return false;
-    if (mode == MergeMode::kSkipConsumed && consume_stamp_[c] == epoch_) {
-      return true;
-    }
     if (mode == MergeMode::kSkipInBounds && static_cast<size_t>(c) < bts) {
       return true;
     }
@@ -380,9 +344,9 @@ void PruneEngine::ZeroMerge(MergeMode mode, TopKPruner* pruner) {
     }
     return;
   }
-  // External-id order: merge the base items (order_by_id) with the items
-  // interned after the base (oob_by_id_), both id-ascending.
-  const std::vector<int32_t>& by_id = index_.order_by_id();
+  // External-id order: merge the items the bound build knew (order_by_id)
+  // with the items interned since (oob_by_id_), both id-ascending.
+  const std::vector<int32_t>& by_id = bounds_->order_by_id();
   const std::vector<int64_t>& ids = snapshot_.item_ids();
   size_t a = 0, b = 0;
   while (a < by_id.size() || b < oob_by_id_.size()) {
@@ -403,7 +367,9 @@ void PruneEngine::ZeroMerge(MergeMode mode, TopKPruner* pruner) {
 size_t PruneEngine::InRangeCount(const CandidateIndex::Block& B) const {
   if (range_begin_ == 0 && range_end_ == num_items_) return B.end - B.begin;
   size_t n = 0;
-  for (uint32_t p = B.begin; p < B.end; ++p) n += InRange(index_.order()[p]);
+  for (uint32_t p = B.begin; p < B.end; ++p) {
+    n += InRange(bounds_->order()[p]);
+  }
   return n;
 }
 
@@ -417,14 +383,25 @@ std::vector<TopKPruner::Entry> PruneEngine::UserTopK(int64_t user_id,
   auto uopt = snapshot_.UserIndex(user_id);
   if (!uopt.has_value()) return {};
   const int32_t u = *uopt;
-  const PruneBoundTable& bt = index_.bounds();
+  if (bounds_ != nullptr) {
+    SweepBounds(u, &pruner);
+    return pruner.DrainBestFirst();
+  }
+  // Dense selection: every unrated item in range, in one batch.
+  batch_items_.clear();
+  snapshot_.UnseenItems(u, range_begin_, range_end_, &batch_items_);
+  ScoreBatch(u, batch_items_, &pruner);
+  return pruner.DrainBestFirst();
+}
+
+void PruneEngine::SweepBounds(int32_t u, TopKPruner* pruner) {
+  const PruneBoundTable& bt = bounds_->bounds();
   const bool has_offset = !bt.item_offset.empty();
   ++epoch_;
   StampRated(u);
 
-  // All-zero users (empty row / empty neighborhood / unknown to the
-  // model): every prediction is exactly 0.0, so the whole catalog goes
-  // through the zero-merge.
+  // All-zero users (no factor row): every prediction is exactly 0.0, so
+  // the whole catalog goes through the zero-merge.
   bool pure_zero = model_->PruneUserAllZero(u);
   double scale_u = 0, offset_u = 0;
   if (!pure_zero) {
@@ -433,104 +410,39 @@ std::vector<TopKPruner::Entry> PruneEngine::UserTopK(int64_t user_id,
     if (scale_u == 0.0 && offset_u == 0.0 && !has_offset) pure_zero = true;
   }
   if (pure_zero) {
-    ZeroMerge(MergeMode::kAllUnrated, &pruner);
-    return pruner.DrainBestFirst();
+    ZeroMerge(MergeMode::kAllUnrated, pruner);
+    return;
   }
 
-  const size_t bts = index_.bound_table_size();
-  const std::vector<CandidateIndex::Block>& blocks = index_.blocks();
-  must_score_.clear();
-  touched_blocks_.clear();
-
-  if (bt.candidate_generation) {
-    GenerateCandidates(u);
-    // Partition: rated items are consumed (never emitted); out-of-bound
-    // items either must be scored (no trustable bound) or are provably
-    // 0.0 and stay for the zero-merge; delta-touched item rows with
-    // rating-dependent bounds must be scored; the rest bucket per block.
-    const std::vector<int32_t>& block_of = index_.block_of();
-    for (int32_t c : candidates_) {
-      if (!InRange(c)) continue;
-      ++stats.candidates_generated;
-      if (Rated(c)) {
-        consume_stamp_[c] = epoch_;
-        continue;
-      }
-      if (static_cast<size_t>(c) >= bts) {
-        if (bt.oob_must_score) {
-          must_score_.push_back(c);
-          consume_stamp_[c] = epoch_;
-        }
-        continue;
-      }
-      if (bt.rating_dependent && snapshot_.IsItemRowTouched(c)) {
-        must_score_.push_back(c);
-        consume_stamp_[c] = epoch_;
-        continue;
-      }
-      const int32_t blk = block_of[c];
-      if (block_items_[blk].empty()) touched_blocks_.push_back(blk);
-      block_items_[blk].push_back(c);
-      consume_stamp_[c] = epoch_;  // scored, or provably below threshold
-    }
-    ScoreBatch(u, must_score_, &pruner);
-    std::sort(touched_blocks_.begin(), touched_blocks_.end());
-    for (size_t t = 0; t < touched_blocks_.size(); ++t) {
-      const int32_t blk = touched_blocks_[t];
-      const CandidateIndex::Block& B = blocks[blk];
-      if (pruner.CanSkip(
-              PaddedBound(scale_u, offset_u, B.suffix_scale,
-                          B.suffix_offset))) {
-        // No later block can beat the threshold either.
-        for (size_t t2 = t; t2 < touched_blocks_.size(); ++t2) {
-          stats.items_pruned += block_items_[touched_blocks_[t2]].size();
-          ++stats.blocks_skipped;
-        }
-        break;
-      }
-      if (pruner.CanSkip(
-              PaddedBound(scale_u, offset_u, B.max_scale, B.max_offset))) {
-        stats.items_pruned += block_items_[blk].size();
-        ++stats.blocks_skipped;
-        continue;
-      }
-      ScoreBatch(u, block_items_[blk], &pruner);
-    }
-    for (int32_t blk : touched_blocks_) block_items_[blk].clear();
-    ZeroMerge(MergeMode::kSkipConsumed, &pruner);
-    return pruner.DrainBestFirst();
-  }
-
-  // Catalog-sweep families (e.g. SVD): no candidate sets — sweep the bound
-  // blocks in descending static-bound order, batch-scoring the unrated
-  // items of each surviving block.
-  std::vector<int32_t>& blk_cand = must_score_;  // reuse scratch
-  const std::vector<int32_t>& order = index_.order();
+  // Sweep the bound blocks in descending static-bound order, batch-scoring
+  // the unrated items of each surviving block.
+  const std::vector<CandidateIndex::Block>& blocks = bounds_->blocks();
+  const std::vector<int32_t>& order = bounds_->order();
   for (size_t bi = 0; bi < blocks.size(); ++bi) {
     const CandidateIndex::Block& B = blocks[bi];
-    if (pruner.CanSkip(PaddedBound(scale_u, offset_u, B.suffix_scale,
-                                   B.suffix_offset))) {
+    if (pruner->CanSkip(PaddedBound(scale_u, offset_u, B.suffix_scale,
+                                    B.suffix_offset))) {
+      // No later block can beat the threshold either.
       for (size_t b2 = bi; b2 < blocks.size(); ++b2) {
         stats.items_pruned += InRangeCount(blocks[b2]);
         ++stats.blocks_skipped;
       }
       break;
     }
-    if (pruner.CanSkip(
+    if (pruner->CanSkip(
             PaddedBound(scale_u, offset_u, B.max_scale, B.max_offset))) {
       stats.items_pruned += InRangeCount(B);
       ++stats.blocks_skipped;
       continue;
     }
-    blk_cand.clear();
+    batch_items_.clear();
     for (uint32_t p = B.begin; p < B.end; ++p) {
       const int32_t c = order[p];
-      if (InRange(c) && !Rated(c)) blk_cand.push_back(c);
+      if (InRange(c) && !Rated(c)) batch_items_.push_back(c);
     }
-    ScoreBatch(u, blk_cand, &pruner);
+    ScoreBatch(u, batch_items_, pruner);
   }
-  ZeroMerge(MergeMode::kSkipInBounds, &pruner);
-  return pruner.DrainBestFirst();
+  ZeroMerge(MergeMode::kSkipInBounds, pruner);
 }
 
 void PruneEngine::FlushStats(ExecStats* out) {
@@ -546,7 +458,7 @@ Tuple RecommendExecutor::RecTuple(int64_t user_id, int64_t item_id,
                       plan_.rating_col_idx, user_id, item_id, score);
 }
 
-Status RecommendExecutor::Init() {
+Status RecommendExecutor::InitImpl() {
   if (plan_.rec->model() == nullptr) {
     return Status::ExecutionError("recommender " + plan_.rec->name() +
                                   " has no built model");
@@ -556,25 +468,21 @@ Status RecommendExecutor::Init() {
   grid_.users = ServedUsers(
       snapshot, plan_.user_ids.has_value() ? &*plan_.user_ids : nullptr,
       *ctx_);
-  grid_.items = ResolveItems(snapshot, plan_.item_ids);
+  ResolveItems(snapshot, plan_.item_ids, &grid_);
   LayOutUnits(&grid_);
-  // Bounded Top-k mode: only under the optimizer's preconditions (no item
-  // pushdown so item position tie-breaks survive, unseen-only emission)
-  // and only when the recommender published a prunable CandidateIndex.
-  prune_active_ = false;
+  // Buffered modes: the bounded Top-k under the optimizer's preconditions
+  // (no item pushdown, so the grid is the catalog in index order and item
+  // index is the tie-break; unseen-only emission), for every model, and
+  // exact scoring once the grid fans out. Anything else streams row by row
+  // from NextImpl.
   if (plan_.prune && plan_.prune_limit > 0 && !plan_.include_rated &&
       !plan_.item_ids.has_value()) {
-    cindex_ = plan_.rec->candidate_index();
-    prune_active_ = cindex_ != nullptr && cindex_->prunable();
-  }
-  // Buffered modes: every bounded Top-k, and exact scoring once the grid
-  // fans out. Anything else streams row by row from NextImpl.
-  if (prune_active_) {
     ScoreTopK();
   } else if (grid_.fan_out) {
     ScoreExact(&grid_, model, plan_.include_rated, ctx_,
-               [this](size_t u, size_t i, double score) {
-                 return RecTuple(grid_.users[u], grid_.items[i], score);
+               [&](size_t u, size_t i, double score) {
+                 return RecTuple(grid_.users[u],
+                                 snapshot.ItemIdAt(grid_.items[i]), score);
                });
   }
   return Status::OK();
@@ -583,6 +491,9 @@ Status RecommendExecutor::Init() {
 void RecommendExecutor::ScoreTopK() {
   const RecModel* model = plan_.rec->model();
   const RatingMatrix& snapshot = model->ratings();
+  // The model's bound index, or null (CF): each unit then selects densely.
+  const std::shared_ptr<const CandidateIndex> bounds =
+      plan_.rec->candidate_index();
   const size_t k = plan_.prune_limit;
   obs::Count(obs::Counter::kPruneTopkQueries);
   Stopwatch watch;
@@ -603,7 +514,7 @@ void RecommendExecutor::ScoreTopK() {
   TopKPruner global(k);
   ForEachUnitRange(grid_, ctx_, [&](size_t begin, size_t end,
                                     ExecStats* stats) {
-    PruneEngine engine(model, snapshot, *cindex_, /*rank_by_id=*/false);
+    PruneEngine engine(model, snapshot, bounds.get(), /*rank_by_id=*/false);
     TopKPruner local(k);
     for (size_t unit = begin; unit < end; ++unit) {
       const Unit w = UnitAt(grid_, unit);
@@ -641,15 +552,18 @@ void RecommendExecutor::ScoreTopK() {
 }
 
 Result<std::optional<Tuple>> RecommendExecutor::NextImpl() {
-  return NextScored(&grid_, plan_.rec->model(), plan_.include_rated, ctx_,
-                    [this](size_t u, size_t i, double score) {
-                      return RecTuple(grid_.users[u], grid_.items[i], score);
+  const RecModel* model = plan_.rec->model();
+  return NextScored(&grid_, model, plan_.include_rated, ctx_,
+                    [&](size_t u, size_t i, double score) {
+                      return RecTuple(grid_.users[u],
+                                      model->ratings().ItemIdAt(grid_.items[i]),
+                                      score);
                     });
 }
 
 // -------------------------------------------------------- JoinRecommend
 
-Status JoinRecommendExecutor::Init() {
+Status JoinRecommendExecutor::InitImpl() {
   if (plan_.rec->model() == nullptr) {
     return Status::ExecutionError("recommender " + plan_.rec->name() +
                                   " has no built model");
@@ -669,7 +583,7 @@ Status JoinRecommendExecutor::DrainOuter() {
   // leaves no half-counted drain behind for a re-Init re-run sharing this
   // ExecContext to double-count.
   std::vector<Tuple> rows;
-  std::vector<int64_t> items;
+  std::vector<int32_t> items;
   uint64_t probes = 0;
   while (true) {
     auto next = outer_->Next();
@@ -678,11 +592,10 @@ Status JoinRecommendExecutor::DrainOuter() {
     ++probes;
     // A NULL, non-INT or unknown item id scores nothing and emits nothing.
     const Value& item_val = next.value()->At(plan_.outer_item_col);
-    if (item_val.is_null() || item_val.type() != TypeId::kInt64 ||
-        !snapshot.ItemIndex(item_val.AsInt()).has_value()) {
-      continue;
-    }
-    items.push_back(item_val.AsInt());
+    if (item_val.is_null() || item_val.type() != TypeId::kInt64) continue;
+    const std::optional<int32_t> item = snapshot.ItemIndex(item_val.AsInt());
+    if (!item.has_value()) continue;
+    items.push_back(*item);
     rows.push_back(std::move(*next.value()));
   }
   ctx_->stats.join_probes += probes;
@@ -693,10 +606,12 @@ Status JoinRecommendExecutor::DrainOuter() {
 
 Result<std::optional<Tuple>> JoinRecommendExecutor::NextImpl() {
   // 〈recommend columns〉 ++ 〈outer tuple〉 (paper: tup concatenated).
-  auto make_row = [this](size_t u, size_t i, double score) {
-    Tuple out = MakeRecTuple(plan_.schema, plan_.user_col_idx,
-                             plan_.item_col_idx, plan_.rating_col_idx,
-                             grid_.users[u], grid_.items[i], score);
+  const RecModel* model = plan_.rec->model();
+  auto make_row = [&](size_t u, size_t i, double score) {
+    Tuple out = MakeRecTuple(
+        plan_.schema, plan_.user_col_idx, plan_.item_col_idx,
+        plan_.rating_col_idx, grid_.users[u],
+        model->ratings().ItemIdAt(grid_.items[i]), score);
     const Tuple& outer = outer_rows_[i];
     const size_t outer_start = plan_.schema.NumColumns() - outer.NumValues();
     for (size_t c = 0; c < outer.NumValues(); ++c) {
@@ -704,7 +619,6 @@ Result<std::optional<Tuple>> JoinRecommendExecutor::NextImpl() {
     }
     return out;
   };
-  const RecModel* model = plan_.rec->model();
   if (!drained_) {
     RECDB_RETURN_NOT_OK(DrainOuter());
     drained_ = true;
@@ -720,7 +634,7 @@ Result<std::optional<Tuple>> JoinRecommendExecutor::NextImpl() {
 
 IndexRecommendExecutor::~IndexRecommendExecutor() = default;
 
-Status IndexRecommendExecutor::Init() {
+Status IndexRecommendExecutor::InitImpl() {
   if (plan_.rec->model() == nullptr) {
     return Status::ExecutionError("recommender " + plan_.rec->name() +
                                   " has no built model");
@@ -730,34 +644,32 @@ Status IndexRecommendExecutor::Init() {
   // owner shard materializes and serves them.
   users_ = ServedUsers(
       snapshot, plan_.user_ids.empty() ? nullptr : &plan_.user_ids, *ctx_);
+  user_pos_ = 0;
+  current_.clear();
+  current_pos_ = 0;
+  loaded_ = false;
+  // Bounded fallback: needs a per-user cap (the threshold's k) and the
+  // full catalog (an item pushdown already bounds the miss scan).
+  prune_active_ = plan_.prune && plan_.per_user_limit > 0 &&
+                  !plan_.item_ids.has_value();
+  engine_.reset();
+  if (prune_active_) cindex_ = plan_.rec->candidate_index();
   // Hash the pushed-down item ids once (the per-candidate std::find was
   // O(|items|^2) across a user's scan) and keep a deduplicated list of the
-  // ones the model knows, so a duplicated IN-list entry cannot emit the
-  // same tuple twice on the cache-miss path.
+  // indices of the ones the model knows, so a duplicated IN-list entry
+  // cannot emit the same tuple twice on the cache-miss path.
   item_filter_.reset();
   item_list_.clear();
   if (plan_.item_ids.has_value()) {
     item_filter_.emplace();
     item_filter_->reserve(plan_.item_ids->size());
     for (int64_t id : *plan_.item_ids) {
-      if (item_filter_->insert(id).second &&
-          snapshot.ItemIndex(id).has_value()) {
-        item_list_.push_back(id);
-      }
+      if (!item_filter_->insert(id).second) continue;
+      if (auto idx = snapshot.ItemIndex(id)) item_list_.push_back(*idx);
     }
-  }
-  user_pos_ = 0;
-  current_.clear();
-  current_pos_ = 0;
-  loaded_ = false;
-  // Threshold-pruned fallback: needs a per-user cap (the threshold's k)
-  // and the full catalog (an item pushdown already bounds the miss scan).
-  prune_active_ = false;
-  engine_.reset();
-  if (plan_.prune && plan_.per_user_limit > 0 &&
-      !plan_.item_ids.has_value()) {
-    cindex_ = plan_.rec->candidate_index();
-    prune_active_ = cindex_ != nullptr && cindex_->prunable();
+  } else if (!prune_active_) {
+    item_list_.resize(snapshot.NumItems());
+    std::iota(item_list_.begin(), item_list_.end(), 0);
   }
   return Status::OK();
 }
@@ -793,12 +705,12 @@ Status IndexRecommendExecutor::LoadCurrentUser() {
   const RecModel* model = plan_.rec->model();
   const RatingMatrix& snapshot = model->ratings();
   if (prune_active_) {
-    // Threshold-pruned miss: exact top-per_user_limit under the fallback's
-    // (score desc, id asc) order with min_score as the pruner floor —
-    // identical to scoring the full catalog, filtering and capping.
+    // Bounded miss: exact top-per_user_limit under the fallback's (score
+    // desc, id asc) order with min_score as the pruner floor — identical to
+    // scoring the full catalog, filtering and capping.
     if (engine_ == nullptr) {
       obs::Count(obs::Counter::kPruneTopkQueries);
-      engine_ = std::make_unique<PruneEngine>(model, snapshot, *cindex_,
+      engine_ = std::make_unique<PruneEngine>(model, snapshot, cindex_.get(),
                                               /*rank_by_id=*/true);
     }
     auto entries =
@@ -810,15 +722,13 @@ Status IndexRecommendExecutor::LoadCurrentUser() {
     engine_->FlushStats(&ctx_->stats);
     return Status::OK();
   }
-  const std::vector<int64_t>& items =
-      item_filter_.has_value() ? item_list_ : snapshot.item_ids();
   UserRowScores row;
-  ScoreUserRange(model, snapshot, user_id, items, 0, items.size(), &row);
+  ScoreUserRange(model, UserIdx(snapshot, user_id), item_list_, &row);
   ctx_->stats.predictions += row.predicted;
   ctx_->stats.predict_batches += row.batches;
-  for (size_t k = 0; k < items.size(); ++k) {
+  for (size_t k = 0; k < item_list_.size(); ++k) {
     if (!row.rated[k] && row.score[k] >= plan_.min_score) {  // unseen only
-      current_.emplace_back(items[k], row.score[k]);
+      current_.emplace_back(snapshot.ItemIdAt(item_list_[k]), row.score[k]);
     }
   }
   std::sort(current_.begin(), current_.end(), [](const auto& a, const auto& b) {

@@ -6,11 +6,11 @@
 //   IndexRecommendExecutor  — INDEXRECOMMEND (Algorithm 3 over RecScoreIndex,
 //                             with model fallback on cache miss)
 //
-// All scoring goes through RecModel::PredictBatch (PredictBatchByIndex on
-// the pruned sweep, which already holds item indices): each executor
-// resolves a user's candidate set first, scores the unrated candidates in
-// one batch call, and only then emits tuples — per-candidate
-// model->Predict() calls do not appear on any hot path.
+// All scoring goes through RecModel::PredictBatchByIndex: each executor
+// resolves its items to dense indices once, finds a user's rated items by
+// index, scores the unrated ones in one batch call, and only then emits
+// tuples — per-candidate model->Predict() calls and per-item id hashing do
+// not appear on any hot path.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +41,7 @@ struct UserRowScores {
 /// concatenate in the serial order (DESIGN.md §8).
 struct ScoreGrid {
   std::vector<int64_t> users;  // served users, in ascending id
-  std::vector<int64_t> items;  // item ids each user scores, emission order
+  std::vector<int32_t> items;  // item indices each user scores, emission order
   // Unit layout, fixed before scoring: item slices per user, units per
   // morsel, and whether the units fan out over the scheduler.
   size_t splits = 1;
@@ -58,21 +58,23 @@ struct ScoreGrid {
   size_t buffer_pos = 0;
 };
 
-/// Per-executor engine for the sublinear Top-N paths (DESIGN.md §13):
-/// candidate generation over the matrix's base CSR (union-merged with the
-/// live rows of rows written since the last flatten), the must-score
-/// partition for items whose static bound cannot be trusted,
-/// the WAND-style block sweep against a TopKPruner threshold, and the
-/// zero-score merge that restores the provably-0.0 tail in tie-break
-/// order. Scratch arrays are epoch-stamped and reused across users. Not
+/// Per-executor engine for the bounded Top-k (DESIGN.md §13): one user's
+/// exact top-k over an item-index range, selected over doubles, with tuple
+/// building left to the caller. A model without a bound table (CF) takes
+/// dense selection: every unrated item in the range, found by merging the
+/// user's index-sorted row, is scored in one PredictBatchByIndex call and
+/// offered to the heap. A model with one (SVD) sweeps the CandidateIndex
+/// blocks in descending-bound order against the running k-th score, then a
+/// zero-score merge restores the provably-0.0 tail in tie-break order. Not
 /// thread-safe — parallel paths construct one engine per morsel.
 class PruneEngine {
  public:
-  /// rank_by_id chooses the tie-break domain: false = item position
+  /// `bounds` is the model's bound index, or null when it publishes none.
+  /// rank_by_id chooses the tie-break domain: false = item index
   /// (RecommendExecutor under a TopN), true = external item id (the
   /// IndexRecommend fallback's sort order).
   PruneEngine(const RecModel* model, const RatingMatrix& snapshot,
-              const CandidateIndex& index, bool rank_by_id);
+              const CandidateIndex* bounds, bool rank_by_id);
 
   /// One user's exact top-k over the unseen items whose index lies in
   /// [begin, end) (default: the whole catalog), best-first (score desc,
@@ -86,24 +88,21 @@ class PruneEngine {
   /// Add the accumulated counters into `out`, then zero them.
   void FlushStats(ExecStats* out);
 
-  /// Accumulated across calls until FlushStats (candidates_generated,
-  /// blocks_skipped, items_pruned, predictions, predict_batches).
+  /// Accumulated across calls until FlushStats (blocks_skipped,
+  /// items_pruned, predictions, predict_batches).
   ExecStats stats;
 
  private:
-  /// Two-hop walk: start items = base row of u ∪ its live row, raters from
-  /// the base item rows, candidate items = base ∪ live row of each rater.
-  /// Fills candidates_ (deduplicated via walk_stamp_).
-  void GenerateCandidates(int32_t u);
+  /// The bounded sweep of a user with a bound table into `pruner`.
+  void SweepBounds(int32_t u, TopKPruner* pruner);
   /// One index-space PredictBatchByIndex over `items`, each result offered
   /// to the pruner.
   void ScoreBatch(int32_t u, const std::vector<int32_t>& items,
                   TopKPruner* pruner);
   /// Zero-merge modes: kAllUnrated offers every unrated item (all-zero
-  /// users), kSkipConsumed skips consume-stamped items (candidate
-  /// families), kSkipInBounds skips the bound table's domain (catalog-
-  /// sweep families, where every in-bounds item was scored or pruned).
-  enum class MergeMode { kAllUnrated, kSkipConsumed, kSkipInBounds };
+  /// users), kSkipInBounds skips the bound table's domain (every in-bounds
+  /// item was scored or pruned by the sweep).
+  enum class MergeMode { kAllUnrated, kSkipInBounds };
   void ZeroMerge(MergeMode mode, TopKPruner* pruner);
   /// Float-safe upper bound for a block: the model's slack pads the
   /// magnitude of every term, plus an absolute epsilon.
@@ -126,26 +125,18 @@ class PruneEngine {
 
   const RecModel* model_;
   const RatingMatrix& snapshot_;
-  const CandidateIndex& index_;
+  const CandidateIndex* bounds_;  // null: dense selection
   const bool rank_by_id_;
   const size_t num_items_;  // catalog size captured at construction
 
-  std::vector<uint32_t> walk_stamp_;     // per item: candidate-walk dedup
-  std::vector<uint32_t> consume_stamp_;  // per item: scored/pruned/rated
-  std::vector<uint32_t> rated_stamp_;    // per item: rated by the user
-  std::vector<uint32_t> user_stamp_;     // per base user: rater dedup
+  std::vector<uint32_t> rated_stamp_;  // per item: rated by the user
   uint32_t epoch_ = 0;
   size_t range_begin_ = 0;  // current UserTopK item-index range
   size_t range_end_ = 0;
-  std::vector<int32_t> start_;
-  std::vector<int32_t> candidates_;
-  std::vector<int32_t> must_score_;
-  std::vector<std::vector<int32_t>> block_items_;
-  std::vector<int32_t> touched_blocks_;
+  std::vector<int32_t> batch_items_;
   std::vector<double> batch_pred_;
-  /// Items interned after the last flatten (beyond the base), sorted
-  /// by external id — merged with index.order_by_id() for the id-ordered
-  /// zero-merge.
+  /// Items interned after the bound build (beyond order_by_id()), sorted
+  /// by external id — merged with it for the id-ordered zero-merge.
   std::vector<std::pair<int64_t, int32_t>> oob_by_id_;
 };
 
@@ -154,13 +145,14 @@ class RecommendExecutor : public Executor {
   RecommendExecutor(const RecommendPlan& plan, ExecContext* ctx)
       : Executor(plan, ctx),
         plan_(plan), ctx_(ctx) {}
-  Status Init() override;
+  Status InitImpl() override;
   Result<std::optional<Tuple>> NextImpl() override;
 
  private:
-  /// Bounded Top-k: each grid unit runs PruneEngine::UserTopK over its
-  /// item slice into the morsel's heap under the shared floor. One global
-  /// top-prune_limit over (score desc, user position, item position);
+  /// Bounded Top-k, for every model: each grid unit runs
+  /// PruneEngine::UserTopK over its item slice into the morsel's heap
+  /// under the shared floor. One global top-prune_limit over (score desc,
+  /// user position, item position);
   /// morsels share the running global k-th score through a monotone
   /// atomic, and only the <= k global survivors are emitted, in arrival
   /// order — a subsequence of the exact stream, so the parent TopN's
@@ -170,8 +162,6 @@ class RecommendExecutor : public Executor {
 
   const RecommendPlan& plan_;
   ExecContext* ctx_;
-  bool prune_active_ = false;
-  std::shared_ptr<const CandidateIndex> cindex_;
   // Users and items resolved at Init (filters applied).
   ScoreGrid grid_;
 };
@@ -182,7 +172,7 @@ class JoinRecommendExecutor : public Executor {
                         ExecContext* ctx)
       : Executor(plan, ctx),
         plan_(plan), outer_(std::move(outer)), ctx_(ctx) {}
-  Status Init() override;
+  Status InitImpl() override;
   Result<std::optional<Tuple>> NextImpl() override;
 
  private:
@@ -206,7 +196,7 @@ class IndexRecommendExecutor : public Executor {
       : Executor(plan, ctx),
         plan_(plan), ctx_(ctx) {}
   ~IndexRecommendExecutor() override;
-  Status Init() override;
+  Status InitImpl() override;
   Result<std::optional<Tuple>> NextImpl() override;
 
  private:
@@ -217,17 +207,18 @@ class IndexRecommendExecutor : public Executor {
   const IndexRecommendPlan& plan_;
   ExecContext* ctx_;
   // Pushed-down item ids as a hash set (O(1) membership instead of a per-
-  // candidate std::find) plus a deduplicated list of the known ones for
-  // the cache-miss scan, so duplicated IN-list entries cannot emit
-  // duplicate tuples.
+  // candidate std::find) plus the indices of the known ones, deduplicated,
+  // for the cache-miss scan, so duplicated IN-list entries cannot emit
+  // duplicate tuples. Without a pushdown the exact cache-miss scan lists
+  // the whole catalog in index order.
   std::optional<std::unordered_set<int64_t>> item_filter_;
-  std::vector<int64_t> item_list_;
+  std::vector<int32_t> item_list_;
   std::vector<int64_t> users_;
   size_t user_pos_ = 0;
   std::vector<std::pair<int64_t, double>> current_;  // best-first
   size_t current_pos_ = 0;
   bool loaded_ = false;
-  // Threshold-pruned cache-miss fallback (external-id tie-break, floor =
+  // Bounded cache-miss fallback (external-id tie-break, floor =
   // min_score); lazily constructed at the first miss.
   bool prune_active_ = false;
   std::shared_ptr<const CandidateIndex> cindex_;

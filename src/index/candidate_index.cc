@@ -12,24 +12,23 @@ std::shared_ptr<CandidateIndex> CandidateIndex::Build(
     const RatingMatrix& matrix, const RecModel& model) {
   Stopwatch watch;
   auto index = std::shared_ptr<CandidateIndex>(new CandidateIndex());
-  // Tie-break order of the IndexRecommend fallback: base item indices by
-  // ascending external id. The matrix may already know items newer than
-  // the base rows; those are out-of-band and merged in by the executor.
+  if (!model.ComputePruneBounds(&index->bounds_)) return nullptr;
+  // Tie-break order of the IndexRecommend fallback: item indices by
+  // ascending external id. Items interned after this build are
+  // out-of-band and merged in by the executor.
   const std::vector<int64_t>& item_ids = matrix.item_ids();
-  index->order_by_id_.resize(matrix.base_num_items());
+  index->order_by_id_.resize(matrix.NumItems());
   std::iota(index->order_by_id_.begin(), index->order_by_id_.end(), 0);
   std::sort(index->order_by_id_.begin(), index->order_by_id_.end(),
             [&](int32_t a, int32_t b) { return item_ids[a] < item_ids[b]; });
-  index->BuildBounds(model);
+  index->BuildBlocks();
   obs::Count(obs::Counter::kPruneIndexBuilds);
   obs::ObserveUs(obs::Histogram::kPruneIndexBuildUs,
                  static_cast<uint64_t>(watch.ElapsedSeconds() * 1e6));
   return index;
 }
 
-void CandidateIndex::BuildBounds(const RecModel& model) {
-  prunable_ = model.ComputePruneBounds(&bounds_);
-  if (!prunable_) return;
+void CandidateIndex::BuildBlocks() {
   const size_t n = bounds_.item_scale.size();
   const bool has_offset = !bounds_.item_offset.empty();
   order_.resize(n);
@@ -43,7 +42,6 @@ void CandidateIndex::BuildBounds(const RecModel& model) {
     return a < b;
   });
 
-  block_of_.assign(n, 0);
   blocks_.clear();
   for (size_t begin = 0; begin < n; begin += kBlockSize) {
     Block blk;
@@ -55,7 +53,6 @@ void CandidateIndex::BuildBounds(const RecModel& model) {
       if (has_offset) {
         blk.max_offset = std::max(blk.max_offset, bounds_.item_offset[i]);
       }
-      block_of_[i] = static_cast<int32_t>(blocks_.size());
     }
     blocks_.push_back(blk);
   }

@@ -1,18 +1,19 @@
-// CandidateIndex: the bound index of sublinear Top-N (DESIGN.md §13).
+// CandidateIndex: the bound index of the bounded Top-k (DESIGN.md §13),
+// built only for a model that publishes a PruneBoundTable (SVD).
 //
-// WAND-style block bounds — the model's PruneBoundTable (per-item static
-// upper-bound terms) ordered descending and cut into blocks of kBlockSize,
-// each carrying its max scale/offset plus suffix maxima, so a Top-N loop
-// can skip whole blocks (and stop entirely) once no remaining bound can
-// beat the running k-th score — plus the base items in external-id order,
-// the tie-break order of the IndexRecommend fallback's zero-score merge.
+// WAND-style block bounds — the model's per-item static upper-bound terms
+// ordered descending and cut into blocks of kBlockSize, each carrying its
+// max scale/offset plus suffix maxima, so a Top-k loop can skip whole
+// blocks (and stop entirely) once no remaining bound can beat the running
+// k-th score — plus the items in external-id order, the tie-break order of
+// the IndexRecommend fallback's zero-score merge.
 //
-// Candidate generation (UserCF only) holds no copy of its own: the
-// two-hop walk reads the matrix's base CSR (BaseUserCsrRow /
-// BaseItemCsrRow), which is flattened at the same moments this index is
-// built — at Recommender::Build() right after the freeze, and under the
-// writer lock at CommitRefresh after the model rows are patched — so the
-// published index always matches the (base, model) pair queries see.
+// CF models publish no bound table and get no index: their Top-k is dense
+// selection over every unrated item (PruneEngine::UserTopK), which needs
+// no candidate set. The index is built at Recommender::Build() right after
+// the freeze, and under the writer lock at CommitRefresh after the model
+// rows are patched, so the published index always matches the model
+// queries see.
 #pragma once
 
 #include <cstdint>
@@ -40,40 +41,32 @@ class CandidateIndex {
   };
 
   /// Build against a frozen matrix and the model trained (or patched) on
-  /// its base. Returns the index even when the model cannot bound its
-  /// scores (prunable() is then false and the planner never chooses
-  /// pruning).
+  /// its base. Returns null when the model publishes no bound table.
   static std::shared_ptr<CandidateIndex> Build(const RatingMatrix& matrix,
                                                const RecModel& model);
 
-  /// False when the model family cannot bound its scores — no pruned plan
-  /// may be chosen.
-  bool prunable() const { return prunable_; }
   const PruneBoundTable& bounds() const { return bounds_; }
-  /// Number of items covered by the bound table; item indices at or above
-  /// this are out-of-band (interned after the build) and are handled by
-  /// the bounds().oob_must_score policy.
+  /// Number of items covered by the bound table; an item index at or above
+  /// this scores exactly 0.0 (PruneBoundTable) and is left to the
+  /// zero-score merge.
   size_t bound_table_size() const { return bounds_.item_scale.size(); }
 
   const std::vector<Block>& blocks() const { return blocks_; }
   /// Item indices sorted by descending static bound (blocks index this).
   const std::vector<int32_t>& order() const { return order_; }
-  /// Item indices sorted by ascending external id — the tie-break order of
-  /// the IndexRecommend fallback's zero-score merge.
+  /// The matrix's item indices at build time, sorted by ascending external
+  /// id — the tie-break order of the IndexRecommend fallback's zero-score
+  /// merge.
   const std::vector<int32_t>& order_by_id() const { return order_by_id_; }
-  /// Block id of each item index (bound_table_size() entries).
-  const std::vector<int32_t>& block_of() const { return block_of_; }
 
  private:
   CandidateIndex() = default;
-  /// The bound table from the model, ordered and cut into blocks.
-  void BuildBounds(const RecModel& model);
+  /// Order the bound table and cut it into blocks.
+  void BuildBlocks();
 
-  bool prunable_ = false;
   PruneBoundTable bounds_;
   std::vector<int32_t> order_;
   std::vector<int32_t> order_by_id_;
-  std::vector<int32_t> block_of_;
   std::vector<Block> blocks_;
 };
 

@@ -137,8 +137,6 @@
     "refresh commits that retrained a model with no incremental form")        \
   X(kPruneTopkQueries, "prune.topk_queries", "users",                         \
     "per-user Top-N loops answered by the pruned (threshold) path")           \
-  X(kPruneCandidatesGenerated, "prune.candidates_generated", "items",         \
-    "candidate items produced by the two-hop base-CSR walk")                  \
   X(kPruneBlocksSkipped, "prune.blocks_skipped", "blocks",                    \
     "bound-table blocks skipped because their bound could not beat k-th")     \
   X(kPruneItemsPruned, "prune.items_pruned", "items",                         \

@@ -55,6 +55,10 @@ void Tracer::RecordNode(const recdb::PlanNode* node, uint64_t dur_ns,
   if (produced_row) ++stat.rows;
 }
 
+void Tracer::RecordNodeInit(const recdb::PlanNode* node, uint64_t dur_ns) {
+  node_stats_[node].ns += dur_ns;
+}
+
 void Tracer::AttachPlanNode(const recdb::PlanNode& node, int parent) {
   const int id = static_cast<int>(spans_.size());
   SpanRec rec;

@@ -4,17 +4,18 @@
 // Spans are explicit begin/end pairs over a monotonic clock and nest via a
 // stack, so the tree mirrors call structure. Executor spans are not opened
 // per Next() call — that would allocate on the hot path; instead the
-// Executor::Next wrapper accumulates per-node inclusive time into the tracer
-// (RecordNode), and AttachPlan() materializes one span per plan node under
-// the currently open span after the query drains. Durations on executor
+// Executor::Init and Executor::Next wrappers accumulate per-node inclusive
+// time into the tracer (RecordNodeInit / RecordNode), and AttachPlan()
+// materializes one span per plan node under the currently open span after
+// the query drains. Durations on executor
 // spans are therefore *inclusive*: a parent operator's time contains its
 // children's, exactly like the call stack it mirrors.
 //
 // A Tracer is owned by one query execution on one thread (morsel workers run
 // inside an operator's Next, so only the coordinating thread touches the
 // tracer); it is not thread-safe and needs no atomics. When tracing is off
-// no Tracer exists and ExecContext::tracer is null — the Next wrapper takes
-// the untimed branch and allocates nothing.
+// no Tracer exists and ExecContext::tracer is null — the Init and Next
+// wrappers take the untimed branch and allocate nothing.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +56,9 @@ class Tracer {
   /// Accumulate one Next() call's inclusive time for a plan node.
   void RecordNode(const recdb::PlanNode* node, uint64_t dur_ns,
                   bool produced_row);
+  /// Accumulate one Init() call's inclusive time for a plan node (no Next
+  /// call or row is counted).
+  void RecordNodeInit(const recdb::PlanNode* node, uint64_t dur_ns);
 
   /// Append one span per plan node (pre-order, children nested) under the
   /// innermost open span, carrying the durations/row counts accumulated via

@@ -647,8 +647,8 @@ Result<PlanNodePtr> Optimizer::ReconsiderPrunedTopN(PlanNodePtr node) {
   if (!options_.enable_pruned_topn) return node;
 
   // A score-ordered TopN over a RECOMMEND always takes the bounded Top-k
-  // driver when the structure allows it — it returns exactly the exact
-  // plan's rows, so there is nothing to price.
+  // driver when the structure allows it, for every model — it returns
+  // exactly the exact plan's rows, so there is nothing to price.
   if (node->type != PlanNodeType::kTopN) return node;
   auto* topn = static_cast<TopNPlan*>(node.get());
   if (topn->n == 0 || topn->keys.size() != 1 || !topn->keys[0].desc) {
@@ -657,17 +657,12 @@ Result<PlanNodePtr> Optimizer::ReconsiderPrunedTopN(PlanNodePtr node) {
   const BoundExpr& key = *topn->keys[0].expr;
   if (key.kind != BoundExprKind::kColumn) return node;
   PlanNode* child = topn->children[0].get();
-  auto prunable = [](const Recommender& rec) {
-    auto index = rec.candidate_index();
-    return index != nullptr && index->prunable();
-  };
 
   // IndexRecommend: pruning changes only the index-miss fallback.
   if (child->type == PlanNodeType::kIndexRecommend) {
     auto* ix = static_cast<IndexRecommendPlan*>(child);
     if (ix->prune || key.column_idx != ix->rating_col_idx) return node;
     if (ix->item_ids.has_value() || ix->per_user_limit == 0) return node;
-    if (!prunable(*ix->rec)) return node;
     ix->prune = true;
     ix->est_rows = ix->est_cost = -1;
     obs::Count(obs::Counter::kPrunePlanChosen);
@@ -681,7 +676,6 @@ Result<PlanNodePtr> Optimizer::ReconsiderPrunedTopN(PlanNodePtr node) {
   auto* rec = static_cast<RecommendPlan*>(child);
   if (rec->prune || key.column_idx != rec->rating_col_idx) return node;
   if (rec->include_rated || rec->item_ids.has_value()) return node;
-  if (!prunable(*rec->rec)) return node;
   rec->prune = true;
   rec->prune_limit = topn->n;
   rec->est_rows = rec->est_cost = -1;

@@ -51,11 +51,10 @@ class Optimizer {
   Result<PlanNodePtr> ReconsiderItemPushdown(PlanNodePtr node);
   Result<PlanNodePtr> ReconsiderJoinRecommend(PlanNodePtr node);
   Result<PlanNodePtr> ReconsiderIndexRecommend(PlanNodePtr node);
-  /// Sublinear Top-N: a (Filter)Recommend or IndexRecommend under a
+  /// Bounded Top-k: a (Filter)Recommend or IndexRecommend under a
   /// score-ordered TopN takes the bounded Top-k driver whenever the plan's
-  /// structure allows it (unseen-only, no item pushdown, prunable
-  /// CandidateIndex) — no cost comparison, no ANALYZE. Results are
-  /// unchanged either way.
+  /// structure allows it (unseen-only, no item pushdown), for every model —
+  /// no cost comparison, no ANALYZE. Results are unchanged either way.
   Result<PlanNodePtr> ReconsiderPrunedTopN(PlanNodePtr node);
   /// Reorder a Filter's conjuncts by ascending estimated selectivity so the
   /// most selective (cheapest to fail) predicates run first.

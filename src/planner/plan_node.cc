@@ -77,8 +77,7 @@ std::string RecommendPlan::Describe() const {
     out += " users=" + IdList(user_ids) + " items=" + IdList(item_ids);
   }
   if (prune) {
-    out += StringFormat(" mode=pruned(k=%zu) candidates=inverted",
-                        prune_limit);
+    out += StringFormat(" mode=pruned(k=%zu)", prune_limit);
   }
   return out;
 }

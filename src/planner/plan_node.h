@@ -114,10 +114,10 @@ struct RecommendPlan : PlanNode {
   std::optional<std::vector<int64_t>> item_ids;
   /// Bounded Top-k mode (set by the optimizer under every score-ordered
   /// TopN whose structure allows it): emit only the global top-`prune_limit`
-  /// unseen (user, item) pairs, found by per-user walks over the base CSR
-  /// and the CandidateIndex bound blocks under a shared threshold
-  /// instead of the full catalog. Result set is bit-identical to the exact
-  /// path under the parent TopN.
+  /// unseen (user, item) pairs, selected per user over doubles — densely
+  /// for CF, over the CandidateIndex bound blocks for SVD — under a shared
+  /// threshold, with tuples built only for the survivors. Result set is
+  /// bit-identical to the exact path under the parent TopN.
   bool prune = false;
   size_t prune_limit = 0;
   std::string Describe() const override;
@@ -156,8 +156,8 @@ struct IndexRecommendPlan : PlanNode {
   /// Per-user emission cap (the ORDER BY score DESC LIMIT k rewrite);
   /// 0 = unlimited.
   size_t per_user_limit = 0;
-  /// Threshold-prune the model fallback on cache misses (requires
-  /// per_user_limit > 0 and no item pushdown).
+  /// Run the model fallback on cache misses through the bounded Top-k
+  /// (requires per_user_limit > 0 and no item pushdown).
   bool prune = false;
   std::string Describe() const override;
 };

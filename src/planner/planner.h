@@ -32,13 +32,14 @@ struct PlannerOptions {
   /// order filter conjuncts by selectivity, and annotate EXPLAIN with
   /// est_rows/est_cost. Off = rule-only planning (pre-cost behaviour).
   bool enable_cost_based = true;
-  /// Sublinear Top-N: the cost pass runs every score-ordered TopN over a
-  /// RECOMMEND through the bounded Top-k driver (a two-hop candidate walk +
-  /// WAND-style block bounds) whenever the plan's structure allows it, with
-  /// or without ANALYZE. Result sets are bit-identical to the exact plan;
-  /// off = always score the full catalog (the exact reference plan). The
-  /// rule lives in the cost pass, so rule-only planning
-  /// (enable_cost_based = false) also keeps the exact plan.
+  /// Bounded Top-k: the cost pass runs every score-ordered TopN over a
+  /// RECOMMEND through the bounded Top-k driver (dense selection for CF,
+  /// WAND-style block bounds for SVD) whenever the plan's structure allows
+  /// it, with or without ANALYZE. Result sets are bit-identical to the
+  /// exact plan; off = always score the full catalog and order it in a
+  /// TopN (the exact reference plan). The rule lives in the cost pass, so
+  /// rule-only planning (enable_cost_based = false) also keeps the exact
+  /// plan.
   bool enable_pruned_topn = true;
 };
 

@@ -231,6 +231,13 @@ void InstallNeighborRows(std::vector<std::vector<Neighbor>>* nb,
     } else if (found) {
       it->sim = np.sim;
     } else {
+      // Grow a full row by a sixteenth, not by doubling: a refresh inserts
+      // a few entries into rows of up to a catalog's length.
+      if (row.size() == row.capacity()) {
+        const size_t pos = it - row.begin();
+        row.reserve(row.size() + row.size() / 16 + 1);
+        it = row.begin() + pos;
+      }
       row.insert(it, Neighbor{np.idx, np.sim});
     }
   }
@@ -404,33 +411,67 @@ std::unique_ptr<UserCFModel> UserCFModel::Build(
 void UserCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
                                  std::span<double> out) const {
   RECDB_DCHECK(items.size() == out.size());
-  // Symmetric to ItemCF's gather: the user's neighbor similarities are
-  // scattered once, then each candidate item's contiguous rater row is
-  // gathered. Addition order per candidate is the item's rater order
-  // (user-idx ascending) — fixed per candidate, so independent of batch
-  // composition.
-  if (u < 0 || static_cast<size_t>(u) >= neighborhoods_.size()) {
-    // Unknown, or a user interned after this model was built: no
-    // neighborhood yet.
-    std::fill(out.begin(), out.end(), 0.0);
+  std::fill(out.begin(), out.end(), 0.0);
+  // Unknown, or a user interned after this model was built: no
+  // neighborhood yet.
+  if (u < 0 || static_cast<size_t>(u) >= neighborhoods_.size()) return;
+  const std::vector<Neighbor>& neighbors = neighborhoods_[u];
+  const size_t num_items = ratings_->NumItems();
+  if (num_items == 0) return;
+  auto known = [&](int32_t i) {
+    return i >= 0 && static_cast<size_t>(i) < num_items;
+  };
+  // Each candidate's sum runs over its raters in N(u) in ascending user
+  // index; both kernels below add exactly those terms in that order (rows
+  // come from the row view, so ratings since the last flatten count). Pick
+  // the cheaper by average row length: the gather walks every candidate's
+  // rater row, the scatter every neighbor's rated items plus the catalog.
+  const double per_row =
+      static_cast<double>(ratings_->NumRatings()) / num_items;
+  const double per_user =
+      static_cast<double>(ratings_->NumRatings()) / ratings_->NumUsers();
+  const double gather_cost = static_cast<double>(items.size()) * (1 + per_row);
+  const double scatter_cost =
+      static_cast<double>(neighbors.size()) * per_user + num_items;
+
+  if (scatter_cost < gather_cost) {
+    // Scatter: N(u) is sorted by user index, so walking each neighbor's
+    // rated items into catalog-wide num/den accumulators hands every cell
+    // its terms in ascending rater index.
+    struct Acc {
+      double num;
+      double den;
+    };
+    thread_local std::vector<Acc> acc;
+    acc.assign(num_items, Acc{0, 0});
+    for (const Neighbor& nb : neighbors) {
+      const double sim = nb.sim;
+      const CsrRow row = ratings_->UserCsrRow(nb.idx);
+      for (size_t k = 0; k < row.n; ++k) {
+        Acc& a = acc[row.idx[k]];
+        a.num += sim * row.rating[k];
+        a.den += std::fabs(sim);
+      }
+    }
+    for (size_t c = 0; c < items.size(); ++c) {
+      if (!known(items[c])) continue;
+      const Acc& a = acc[items[c]];
+      out[c] = a.den == 0 ? 0 : a.num / a.den;
+    }
     return;
   }
-  const auto& neighbors = neighborhoods_[u];
+
+  // Gather: scatter the neighbor sims once, then walk each candidate's
+  // contiguous rater row (ascending user index) against them.
   DenseScratch& scratch = TlsScratch();
   scratch.Reset(ratings_->NumUsers());
-  for (const auto& nb : neighbors) {
+  for (const Neighbor& nb : neighbors) {
     scratch.Set(nb.idx, static_cast<double>(nb.sim));
   }
-  // As in ItemCF, rater rows come from the row view.
-  const size_t num_items = ratings_->NumItems();
   for (size_t c = 0; c < items.size(); ++c) {
-    const int32_t i = items[c];
-    if (i < 0 || static_cast<size_t>(i) >= num_items) {
-      out[c] = 0;
-      continue;
-    }
+    if (!known(items[c])) continue;
     double num = 0, den = 0;
-    const CsrRow raters = ratings_->ItemCsrRow(i);
+    const CsrRow raters = ratings_->ItemCsrRow(items[c]);
     for (size_t k = 0; k < raters.n; ++k) {
       double sim;
       if (!scratch.Get(raters.idx[k], &sim)) continue;
@@ -480,36 +521,6 @@ Result<ModelUpdate> UserCFModel::PrepareDeltaUpdate(
 
 void UserCFModel::ApplyDeltaUpdate(ModelUpdate&& update) {
   InstallNeighborRows(&neighborhoods_, std::move(update));
-}
-
-bool UserCFModel::ComputePruneBounds(PruneBoundTable* out) const {
-  // Computed at (re)build time, when base == merged (no delta yet); the
-  // rating_dependent flag makes later delta-touched item rows re-score.
-  const size_t n = ratings_->NumItems();
-  out->item_scale.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const CsrRow row = ratings_->ItemCsrRow(static_cast<int32_t>(i));
-    double max_abs = 0;
-    for (size_t k = 0; k < row.n; ++k) {
-      max_abs = std::max(max_abs, std::fabs(row.rating[k]));
-    }
-    out->item_scale[i] = max_abs;
-  }
-  out->item_offset.clear();
-  out->slack = 1e-9;
-  out->candidate_generation = true;
-  out->rating_dependent = true;
-  // An item interned after the table was built still scores through its
-  // (delta-only) rater row: no bound exists, score it unconditionally.
-  out->oob_must_score = true;
-  return true;
-}
-
-double UserCFModel::PruneUserScale(int32_t user_idx) const {
-  if (user_idx < 0 || static_cast<size_t>(user_idx) >= neighborhoods_.size()) {
-    return 0.0;  // kernel zero-fills users interned after the build
-  }
-  return neighborhoods_[user_idx].empty() ? 0.0 : 1.0;
 }
 
 }  // namespace recdb

@@ -103,18 +103,14 @@ class UserCFModel : public RecModel {
       const std::vector<DeltaOp>& ops) const override;
   void ApplyDeltaUpdate(ModelUpdate&& update) override;
 
-  /// Mirror of the ItemCF bound with the sides swapped: the score is a
-  /// |sim|-weighted average of the *item's rater* ratings, so item_scale is
-  /// max |r_vi| over the item's rater row (rating-dependent: delta-touched
-  /// item rows must be re-scored) and the user scale is {0, 1} for an
-  /// empty/nonempty neighborhood.
-  bool ComputePruneBounds(PruneBoundTable* out) const override;
-  double PruneUserScale(int32_t user_idx) const override;
-
  protected:
-  /// Symmetric to ItemCF over the user side: the user's neighbor sims are
-  /// scattered once into a dense accumulator, then each candidate item's
-  /// contiguous rater row (flat CSR) is gathered against it.
+  /// Eq. (2) over the user side, each candidate's sum taken over its
+  /// raters in N(u) in ascending user index. Two kernels give those bits,
+  /// picked per call by average row length: a gather walks each
+  /// candidate's rater row against the scattered neighbor sims (small
+  /// batches, dense data); a scatter walks each neighbor's rated items
+  /// into catalog-wide num/den accumulators (large batches on sparse
+  /// data, where most candidates have no rater in N(u)).
   void DoPredictBatch(int32_t user_idx, std::span<const int32_t> items,
                       std::span<double> out) const override;
 

@@ -53,16 +53,17 @@ struct ModelUpdate {
   }
 };
 
-/// Static per-item upper-bound tables for WAND-style Top-N pruning
+/// Static per-item upper-bound tables for WAND-style Top-k pruning
 /// (DESIGN.md §13). For every item index i < item_scale.size() the model
 /// guarantees
 ///
 ///   score(u, i) <= PruneUserScale(u) * item_scale[i]
 ///                  + PruneUserOffset(u) + item_offset[i]
 ///
-/// against the matrix state the table was computed from (delta-touched rows
-/// are handled by the flags below). Families that cannot bound their scores
-/// simply do not produce a table and are never pruned.
+/// against the model state the table was computed from, and every item
+/// index at or above the table size (interned since) scores exactly 0.0.
+/// Only SVD publishes one; a family that cannot bound its scores publishes
+/// none, and its Top-k is dense selection over every unrated item.
 struct PruneBoundTable {
   std::vector<double> item_scale;
   /// Additive per-item term (e.g. SVD item bias); empty means all zero.
@@ -71,18 +72,6 @@ struct PruneBoundTable {
   /// float rounding in the scoring kernels (the bound math is double, the
   /// kernels accumulate in float lanes for SVD).
   double slack = 0.0;
-  /// UserCF: a score can be nonzero only for items sharing a co-rated item
-  /// with the query user (as of model build) — candidate generation through
-  /// the base CSR's two-hop walk is exact, every non-candidate scores 0.0.
-  bool candidate_generation = false;
-  /// item_scale derives from the rating matrix (UserCF: max |r| of the
-  /// item's rater row). Delta-touched item rows invalidate their entry and
-  /// must be scored unconditionally until the next re-freeze.
-  bool rating_dependent = false;
-  /// Item index >= table size (interned after the table was built): true
-  /// means the kernel may emit a nonzero score (score unconditionally);
-  /// false means the kernel provably returns exactly 0.0 for it.
-  bool oob_must_score = false;
 };
 
 class RecModel {
@@ -111,7 +100,7 @@ class RecModel {
                     std::span<double> out) const;
 
   /// PredictBatch for callers that already hold dense indices into
-  /// ratings() (the pruned Top-k sweep): no id resolution at all. A
+  /// ratings() (every executor): no id resolution at all. A
   /// negative index, or one at or beyond the matrix's row count, is
   /// unknown and scores 0 — exactly what PredictBatch returns for an
   /// unknown id, so PredictBatchByIndex(idx) == PredictBatch(IdAt(idx)).
@@ -157,9 +146,9 @@ class RecModel {
   /// lock (mutates model state readers consult).
   virtual void ApplyDeltaUpdate(ModelUpdate&& update) { (void)update; }
 
-  /// Top-N pruning support (DESIGN.md §13): fill `out` with the per-item
+  /// Bounded Top-k support (DESIGN.md §13): fill `out` with the per-item
   /// upper-bound table and return true, or return false when this family
-  /// cannot bound its scores (pruning is then never planned).
+  /// cannot bound its scores (its Top-k then selects densely).
   virtual bool ComputePruneBounds(PruneBoundTable* out) const {
     (void)out;
     return false;
@@ -178,8 +167,8 @@ class RecModel {
   }
 
   /// True when every score this model can emit for the user is exactly 0.0
-  /// (e.g. an SVD user with no factor row): the pruned path then skips all
-  /// scoring and fills the Top-N from unrated items in tie-break order.
+  /// (e.g. an SVD user with no factor row): the bounded sweep then skips
+  /// all scoring and fills the Top-k from unrated items in tie-break order.
   virtual bool PruneUserAllZero(int32_t user_idx) const {
     (void)user_idx;
     return false;

@@ -250,18 +250,30 @@ std::optional<double> RatingMatrix::GetByIndex(int32_t user_idx,
   return std::nullopt;
 }
 
-std::vector<int64_t> RatingMatrix::UnseenItemIds(int32_t user_idx) const {
+void RatingMatrix::UnseenItems(int32_t user_idx, size_t begin, size_t end,
+                               std::vector<int32_t>* out) const {
   const CsrRow rated = users_.Row(user_idx);
-  std::vector<int64_t> unseen;
-  unseen.reserve(NumItems() - rated.n);
-  size_t k = 0;  // both sequences are index-ascending
-  for (size_t i = 0; i < NumItems(); ++i) {
+  end = std::min(end, NumItems());
+  // Both sequences are index-ascending: merge from the first rated index
+  // at or past `begin`.
+  size_t k = std::lower_bound(rated.idx, rated.idx + rated.n,
+                              static_cast<int32_t>(begin)) -
+             rated.idx;
+  for (size_t i = begin; i < end; ++i) {
     if (k < rated.n && rated.idx[k] == static_cast<int32_t>(i)) {
       ++k;
       continue;
     }
-    unseen.push_back(item_ids_[i]);
+    out->push_back(static_cast<int32_t>(i));
   }
+}
+
+std::vector<int64_t> RatingMatrix::UnseenItemIds(int32_t user_idx) const {
+  std::vector<int32_t> idx;
+  UnseenItems(user_idx, 0, NumItems(), &idx);
+  std::vector<int64_t> unseen;
+  unseen.reserve(idx.size());
+  for (int32_t i : idx) unseen.push_back(item_ids_[i]);
   return unseen;
 }
 

@@ -77,9 +77,6 @@ class RowStore {
     return {base_.idx.data() + b, base_.rating.data() + b,
             static_cast<size_t>(base_.offsets[r + 1] - b)};
   }
-  bool IsLive(int32_t r) const {
-    return r >= 0 && static_cast<size_t>(r) < slot_.size() && slot_[r] >= 0;
-  }
 
   void AddRow() { slot_.push_back(-1); }
   /// Set row r's entry for `idx`; returns true when the entry is new.
@@ -177,6 +174,10 @@ class RatingMatrix {
   int64_t UserIdAt(int32_t idx) const { return user_ids_[idx]; }
   int64_t ItemIdAt(int32_t idx) const { return item_ids_[idx]; }
 
+  /// Append the indices in [begin, end) of the items a user has not rated,
+  /// ascending — one merge against the user's index-sorted row.
+  void UnseenItems(int32_t user_idx, size_t begin, size_t end,
+                   std::vector<int32_t>* out) const;
   /// External ids of the items a user has not rated, in index order.
   std::vector<int64_t> UnseenItemIds(int32_t user_idx) const;
 
@@ -218,22 +219,6 @@ class RatingMatrix {
   /// if the matrix is still at V (optimistic two-phase refresh).
   uint64_t version() const { return version_; }
 
-  /// True when the row was written since the last freeze (it reads from a
-  /// live row) — candidate generation and bound pruning route such rows
-  /// through the merged view. Every such write logged a delta op, so with
-  /// no pending delta the answer is false without a slot lookup.
-  bool IsUserRowTouched(int32_t user_idx) const {
-    return has_delta() && users_.IsLive(user_idx);
-  }
-  bool IsItemRowTouched(int32_t item_idx) const {
-    return has_delta() && items_.IsLive(item_idx);
-  }
-
-  /// Row counts of the base (what the CSR arrays cover); the matrix may
-  /// know more users/items than the base.
-  size_t base_num_users() const { return users_.base_rows(); }
-  size_t base_num_items() const { return items_.base_rows(); }
-
   /// A re-freeze candidate: both orientations flattened from base plus live
   /// rows, stamped with the matrix version it was built from. Const — safe
   /// to run under a shared lock while readers score through the row view.
@@ -256,7 +241,9 @@ class RatingMatrix {
   CsrRow UserCsrRow(int32_t user_idx) const { return users_.Row(user_idx); }
   CsrRow ItemCsrRow(int32_t item_idx) const { return items_.Row(item_idx); }
 
-  /// Base-only row views: the rows as of the last flatten.
+  /// Base-only row views: the rows as of the last flatten. No scoring path
+  /// reads them; they expose the copy-on-write contract (a write never
+  /// edits the base) to inspection.
   CsrRow BaseUserCsrRow(int32_t user_idx) const {
     return users_.BaseRow(user_idx);
   }

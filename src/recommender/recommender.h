@@ -161,7 +161,7 @@ class Recommender {
 
   /// Test seam: install a model that did not come from Build() (e.g. a
   /// stub without incremental support). Resets maintenance pressure as a
-  /// real build would and rebuilds the candidate index against it.
+  /// real build would and rebuilds the bound index against it.
   void AdoptModelForTest(std::unique_ptr<RecModel> model) {
     matrix_->Freeze();
     model_ = std::move(model);
@@ -169,8 +169,9 @@ class Recommender {
     candidate_index_ = CandidateIndex::Build(*matrix_, *model_);
   }
 
-  /// Sublinear Top-N bound index, rebuilt with the base at
-  /// Build()/CommitRefresh; null before the first Build().
+  /// Bounded Top-k bound index, rebuilt with the model at
+  /// Build()/CommitRefresh; null before the first Build() and for models
+  /// that publish no bound table (CF).
   std::shared_ptr<const CandidateIndex> candidate_index() const {
     return candidate_index_;
   }

@@ -51,6 +51,9 @@ std::vector<Neighbor> SelectRow(size_t p, size_t n,
       return a.idx < b.idx;
     });
   }
+  // Rows live as long as the model: drop push_back's growth slack (up to
+  // half of each row's capacity).
+  row.shrink_to_fit();
   return row;
 }
 

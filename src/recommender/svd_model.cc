@@ -312,10 +312,8 @@ bool SvdModel::ComputePruneBounds(PruneBoundTable* out) const {
   // DotRows accumulates in float lanes; its result can exceed the
   // real-valued ‖p‖‖q‖ bound by O(f·eps_float) relative.
   out->slack = 1e-5;
-  out->candidate_generation = false;
-  out->rating_dependent = false;
-  // Items without a factor row score exactly 0 until folded in.
-  out->oob_must_score = false;
+  // Items without a factor row (interned since) score exactly 0 until
+  // folded in, as the table's contract requires.
   return true;
 }
 

@@ -845,6 +845,79 @@ TEST(BatchScalarEqualityTest, ItemCFKernelSumsRatedItemsInAscendingIndex) {
   check();
 }
 
+/// UserCF's Eq. (2) computed test-side: Σ sim(u, v)·r_vi / Σ|sim(u, v)|
+/// over the item's raters v in ascending index, each sim read from the
+/// user's stored row.
+double UserEq2Reference(const UserCFModel& model, int64_t user_id,
+                        int64_t item_id) {
+  const RatingMatrix& m = model.ratings();
+  const auto i = m.ItemIndex(item_id);
+  if (!m.UserIndex(user_id).has_value() || !i.has_value()) return 0;
+  double num = 0, den = 0;
+  const CsrRow raters = m.ItemCsrRow(*i);
+  for (size_t k = 0; k < raters.n; ++k) {
+    const double sim = model.Similarity(user_id, m.UserIdAt(raters.idx[k]));
+    if (sim == 0) continue;
+    num += sim * raters.rating[k];
+    den += std::fabs(sim);
+  }
+  return den == 0 ? 0 : num / den;
+}
+
+TEST(BatchScalarEqualityTest, UserCFKernelsSumRatersInAscendingIndex) {
+  // 60 users rating 5 of 40 items each in thirds, so a sum over an item's
+  // ~7 raters taken in any order but the reference's differs in its last
+  // bits for many pairs. A whole-catalog batch runs the scatter kernel
+  // (every user has fewer than all other users as neighbors), a one-item
+  // batch the gather; both must return the reference's bits.
+  auto m = std::make_shared<RatingMatrix>();
+  for (int u = 0; u < 60; ++u) {
+    for (int k = 0; k < 5; ++k) {
+      m->Add(100 + u, 500 + (u * 7 + k * 11) % 40,
+             1 + ((u * 11 + k * 17) % 13) / 3.0);
+    }
+  }
+  std::vector<std::unique_ptr<UserCFModel>> models;
+  for (bool centered : {false, true}) {
+    models.push_back(UserCFModel::Build(m, centered));
+  }
+  auto check = [&] {
+    for (const auto& model : models) {
+      SCOPED_TRACE(RecAlgorithmToString(model->algorithm()));
+      std::vector<int32_t> all(m->NumItems());
+      std::iota(all.begin(), all.end(), 0);
+      for (int32_t u = 0; u < static_cast<int32_t>(m->NumUsers()); ++u) {
+        const int64_t user = m->UserIdAt(u);
+        std::vector<double> expected(all.size());
+        for (size_t k = 0; k < all.size(); ++k) {
+          expected[k] = UserEq2Reference(*model, user, m->ItemIdAt(all[k]));
+        }
+        std::vector<double> batch(all.size(), -1);
+        model->PredictBatchByIndex(u, all, batch);
+        EXPECT_EQ(batch, expected) << "user " << user;
+        for (size_t k = 0; k < all.size(); ++k) {
+          double one = -1;
+          model->PredictBatchByIndex(u, std::span<const int32_t>(&all[k], 1),
+                                     std::span<double>(&one, 1));
+          EXPECT_EQ(one, expected[k]) << "user " << user << " item " << k;
+        }
+      }
+    }
+  };
+  check();
+  // A pending delta: a new user, a new item 777 no row knows, and added,
+  // removed and overwritten ratings of known users, all scored through the
+  // row view.
+  m->Add(300, 500, 4.0);
+  m->Add(300, 777, 2.0);
+  m->Add(100, 777, 5.0);
+  m->Add(101, 516, 1.5);
+  m->Add(100, 500, 2.5);  // overwrites the build's rating
+  ASSERT_TRUE(m->Remove(102, 514));
+  ASSERT_TRUE(m->has_delta());
+  check();
+}
+
 /// PredictBatchByIndex over dense indices must equal PredictBatch over the
 /// ids they name, bit for bit, and an out-of-range index must score exactly
 /// like an unknown id. Covers every user and item of the matrix, including

@@ -12,15 +12,21 @@
 //  - ExecStats commit-on-success: a JoinRecommend outer error mid-window
 //    must not leave partially-counted probes behind (re-Init + re-run ends
 //    with the same stats as a clean run).
+//  - Traced spans add up: every parent span is at least the sum of its
+//    children, and Init-phase work (the bounded Top-k) is attributed to
+//    its operator.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "api/recdb.h"
+#include "common/string_util.h"
+#include "datagen/datagen.h"
 #include "execution/recommend_executors.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
@@ -393,7 +399,7 @@ TEST(TracerTest, AttachPlanMaterializesExecutorSpans) {
 class EmptySourceExecutor : public Executor {
  public:
   using Executor::Executor;
-  Status Init() override { return Status::OK(); }
+  Status InitImpl() override { return Status::OK(); }
 
  protected:
   Result<std::optional<Tuple>> NextImpl() override {
@@ -432,7 +438,7 @@ class FlakyOuterExecutor : public Executor {
         items_(std::move(items)),
         fail_at_call_(fail_at_call) {}
 
-  Status Init() override {
+  Status InitImpl() override {
     pos_ = 0;
     calls_ = 0;
     return Status::OK();
@@ -600,6 +606,87 @@ TEST(ObservabilityEndToEndTest, MetricsAndTraceFlowThroughSql) {
   auto quiet = db.Execute("SELECT uid FROM Ratings WHERE uid = 1");
   ASSERT_TRUE(quiet.ok());
   EXPECT_TRUE(quiet.value().trace.empty());
+}
+
+struct RenderedSpan {
+  size_t depth = 0;
+  std::string name;
+  double ms = 0;
+};
+
+/// Parse Tracer::Render() output: one span per line, indented two spaces
+/// per depth level, with its wall-clock as "<ms> ms" rounded to 1 us.
+std::vector<RenderedSpan> ParseSpans(const std::string& trace) {
+  std::vector<RenderedSpan> spans;
+  for (const auto& line : Split(trace, '\n')) {
+    if (line.rfind("  ", 0) != 0) continue;  // header line
+    std::string body = line.substr(0, line.find("  rows="));
+    const size_t ms_at = body.rfind(" ms");
+    if (ms_at == std::string::npos) continue;
+    body.resize(ms_at);
+    const size_t value_at = body.find_last_of(' ') + 1;
+    RenderedSpan span;
+    span.ms = std::stod(body.substr(value_at));
+    const size_t indent = body.find_first_not_of(' ');
+    span.depth = (indent - 2) / 2;
+    span.name = body.substr(indent, body.find_last_not_of(' ', value_at - 1) -
+                                        indent + 1);
+    spans.push_back(std::move(span));
+  }
+  return spans;
+}
+
+TEST(ObservabilityEndToEndTest, TracedTopKSpansAddUpAndTimeInit) {
+  // The all-users ItemCosCF Top-10 does all its scoring inside the
+  // Recommend operator's Init (TopN's Init drains it), so untimed Init
+  // would leave the Recommend span near zero.
+  RecDB db;
+  auto ds = datagen::LoadDataset(
+      &db, datagen::DatasetSpec::MovieLens100K().Scaled(0.2));
+  ASSERT_TRUE(ds.ok());
+  const std::string table = ds.value().ratings_table;
+  ASSERT_TRUE(db.Execute("CREATE RECOMMENDER r ON " + table +
+                         " USERS FROM uid ITEMS FROM iid RATINGS FROM "
+                         "ratingval USING ItemCosCF")
+                  .ok());
+  ASSERT_TRUE(db.Execute("SET trace = on").ok());
+  auto rs = db.Execute("SELECT R.uid, R.iid, R.ratingval FROM " + table +
+                       " AS R RECOMMEND R.iid TO R.uid ON R.ratingval USING "
+                       "ItemCosCF ORDER BY R.ratingval DESC LIMIT 10");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ASSERT_EQ(rs.value().NumRows(), 10u);
+  const std::string& trace = rs.value().trace;
+  const std::vector<RenderedSpan> spans = ParseSpans(trace);
+  ASSERT_GE(spans.size(), 6u) << trace;
+
+  double execute_ms = -1, recommend_ms = -1;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].name == "execute") execute_ms = spans[i].ms;
+    if (spans[i].name.rfind("Recommend r using", 0) == 0) {
+      recommend_ms = spans[i].ms;
+    }
+    // Children are the following spans one level deeper, up to the next
+    // span at this span's depth or shallower. Each rendered value is off by
+    // at most 0.5 us.
+    double children_ms = 0;
+    size_t children = 0;
+    for (size_t j = i + 1;
+         j < spans.size() && spans[j].depth > spans[i].depth; ++j) {
+      if (spans[j].depth != spans[i].depth + 1) continue;
+      children_ms += spans[j].ms;
+      ++children;
+    }
+    EXPECT_GE(spans[i].ms + 0.0005 * static_cast<double>(children + 1),
+              children_ms)
+        << spans[i].name << " is shorter than its children\n"
+        << trace;
+  }
+  ASSERT_GT(execute_ms, 0) << trace;
+  ASSERT_GE(recommend_ms, 0) << trace;
+  EXPECT_GT(recommend_ms, 0.5 * execute_ms)
+      << "the Recommend operator's Init-phase scoring must be attributed "
+         "to it\n"
+      << trace;
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// Sublinear Top-N (PR 9): TopKPruner unit contract, golden equivalence of
-// the pruned path against the exact scan, CandidateIndex coherence across
-// the freeze -> ingest -> refresh lifecycle, the batched-ingest DML path,
-// and the planner's structural choice of the bounded Top-k plan.
+// Bounded Top-k: TopKPruner unit contract, golden equivalence of the
+// pruned path (dense selection for CF, the bound sweep for SVD) against the
+// exact scan, CandidateIndex coherence across the freeze -> ingest ->
+// refresh lifecycle, the batched-ingest DML path, and the planner's
+// structural choice of the bounded Top-k plan.
 //
 // The load-bearing invariant: a pruned Top-N query returns the *identical*
 // result set — same rows, same scores (EXPECT_EQ on the rendered values,
@@ -10,7 +11,9 @@
 // pending delta.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -19,6 +22,7 @@
 #include "api/recdb.h"
 #include "common/task_scheduler.h"
 #include "datagen/datagen.h"
+#include "execution/executor.h"
 #include "execution/topk_pruner.h"
 #include "index/candidate_index.h"
 #include "obs/metrics.h"
@@ -93,8 +97,7 @@ TEST(TopKPrunerTest, FloorRejectsBelowMinScoreAndWouldAcceptIsMonotone) {
 // --------------------------------------------------------- golden equivalence
 
 // Sparse deterministic workload: 60 users x 200 items, 8 ratings per user
-// (4% density). Sparse enough that the candidate walk reaches well under
-// the full catalog, so the pruned plan scores fewer items than exact.
+// (4% density), with a long zero-score tail for the CF families.
 void LoadSparseRatings(RecDB* db) {
   ASSERT_TRUE(
       db->Execute("CREATE TABLE Ratings (uid INT, iid INT, ratingval DOUBLE)")
@@ -125,12 +128,11 @@ std::string RowsToString(const ResultSet& rs) {
 constexpr const char* kAlgoNames[] = {"ItemCosCF", "ItemPearCF", "UserCosCF",
                                       "UserPearCF", "SVD"};
 
-/// ItemCF publishes no bound table, so its score-ordered Top-k plans exact:
-/// one PredictBatch per user under the TopN. UserCF and SVD stay on the
-/// bounded driver.
-bool PlansPruned(const std::string& algo) { return algo.rfind("Item", 0) != 0; }
+/// CF models publish no bound table: their bounded Top-k selects densely,
+/// scoring every unseen item once.
+bool IsCF(const std::string& algo) { return algo != "SVD"; }
 
-// The delta scenarios the walk must stay coherent with: new pair,
+// The delta scenarios the bounded Top-k must stay coherent with: new pair,
 // overwrite, remove, new user rating known items, new item rated by known
 // users — issued as SQL statements so they travel the batched DML path.
 void ApplyDeltaStatements(RecDB* db) {
@@ -185,12 +187,9 @@ TEST(PrunedEquivalenceTest, AllAlgorithmsAllParallelismsWithAndWithoutDelta) {
         db.mutable_planner_options()->enable_pruned_topn = true;
         auto explained = db.Explain(sql);
         ASSERT_TRUE(explained.ok()) << algo;
-        const bool pruned_plan = PlansPruned(algo);
-        EXPECT_EQ(explained.value().find("mode=pruned") != std::string::npos,
-                  pruned_plan)
+        EXPECT_NE(explained.value().find("mode=pruned"), std::string::npos)
             << algo << ": wrong plan\n"
             << explained.value();
-        const bool generates = pruned_plan && std::string(algo) != "SVD";
         for (int threads : {1, 2, 8}) {
           ASSERT_TRUE(
               db.Execute("SET parallelism = " + std::to_string(threads))
@@ -204,18 +203,21 @@ TEST(PrunedEquivalenceTest, AllAlgorithmsAllParallelismsWithAndWithoutDelta) {
               << (with_delta ? " with delta" : " without delta");
           // A pruned plan must actually have run pruned, not silently
           // fallen back to the exact scan: every user goes through a
-          // threshold loop, and UserCF walks generated candidates. (The SVD
-          // catalog sweep may legitimately skip nothing when its
-          // norm-product bounds never drop below the k-th score on tiny
-          // data.) ItemCF runs the exact scan and generates nothing. Every
-          // case is past 256 (user, item) pairs, so it fans out whenever
-          // there are workers.
-          EXPECT_EQ(CounterValue(obs::Counter::kPruneTopkQueries) >
-                        topk_before,
-                    pruned_plan)
+          // threshold loop. CF selects densely, scoring each unseen item
+          // exactly once, as the exact plan does. (The SVD catalog sweep
+          // may legitimately skip nothing when its norm-product bounds
+          // never drop below the k-th score on tiny data.) No path
+          // generates candidates. Every case is past 256 (user, item)
+          // pairs, so it fans out whenever there are workers.
+          EXPECT_GT(CounterValue(obs::Counter::kPruneTopkQueries),
+                    topk_before)
               << algo;
-          EXPECT_EQ(pruned.value().stats.candidates_generated > 0, generates)
-              << algo;
+          if (IsCF(algo)) {
+            EXPECT_EQ(pruned.value().stats.predictions,
+                      exact.value().stats.predictions)
+                << algo << " at parallelism " << threads;
+          }
+          EXPECT_EQ(pruned.value().stats.candidates_generated, 0u) << algo;
           EXPECT_EQ(pruned.value().stats.tasks_spawned > 0, threads > 1)
               << algo << " at parallelism " << threads;
         }
@@ -264,34 +266,234 @@ TEST(PrunedEquivalenceTest, PerUserFilterRecommendMatchesExact) {
     auto pruned = db.Execute(query);
     ASSERT_TRUE(pruned.ok());
     EXPECT_EQ(RowsToString(pruned.value()), RowsToString(exact.value()));
-    if (!PlansPruned(algo)) {
-      // Plans exact: the same scan, no candidate walk.
-      EXPECT_EQ(pruned.value().stats.candidates_generated, 0u);
-      EXPECT_EQ(pruned.value().stats.predictions,
-                exact.value().stats.predictions);
-      continue;
-    }
-    EXPECT_GT(pruned.value().stats.candidates_generated, 0u);
-    // Pruning scores at most the candidate set; the exact plan scores every
-    // unseen item. Fewer predictions is the whole point.
-    EXPECT_LT(pruned.value().stats.predictions,
+    // Dense selection scores each unseen item of the five users once, as
+    // the exact plan does, and generates no candidates.
+    EXPECT_EQ(pruned.value().stats.candidates_generated, 0u);
+    EXPECT_EQ(pruned.value().stats.predictions,
               exact.value().stats.predictions);
   }
 }
 
-// ------------------------------------------------ one cross-user threshold
+// ----------------------------------------------------------- dense selection
 
 const std::string kRecommendAll =
     "SELECT R.uid, R.iid, R.ratingval FROM Ratings AS R "
     "RECOMMEND R.iid TO R.uid ON R.ratingval USING ";
 
+
+// 200 items in twin pairs (t, t + 100): every rater rates both twins alike,
+// so each user's score for t equals its score for t + 100, bit for bit,
+// under both CF families. Twins sit 100 item indices apart, in different
+// item slices whenever a user's catalog is cut. Ratings are in thirds, off
+// the half-star grid, so a change of summation order would show. A seed
+// user interns the items in descending id order, so item index order and
+// id order disagree. Users 2 and 3 rate items 74 and 111, which
+// ApplyDeltaStatements deletes and overwrites.
+void LoadTwinRatings(RecDB* db) {
+  ASSERT_TRUE(
+      db->Execute("CREATE TABLE Ratings (uid INT, iid INT, ratingval DOUBLE)")
+          .ok());
+  std::vector<std::vector<Value>> rows;
+  for (int i = 200; i >= 1; --i) {
+    rows.push_back({Value::Int(1000), Value::Int(i),
+                    Value::Double(((i - 1) % 100 % 7 + 1) / 3.0)});
+  }
+  for (int u = 1; u <= 60; ++u) {
+    std::map<int, double> twins;  // base item t in [1, 100] -> rating
+    for (int k = 0; k < 6; ++k) {
+      twins[(u * 37 + k * 61) % 100 + 1] = ((u * 3 + k * 7) % 11 + 1) / 3.0;
+    }
+    if (u == 2) twins[74] = 5.0 / 3.0;
+    if (u == 3) twins[11] = 4.0 / 3.0;
+    for (const auto& [t, r] : twins) {
+      rows.push_back({Value::Int(u), Value::Int(t), Value::Double(r)});
+      rows.push_back({Value::Int(u), Value::Int(t + 100), Value::Double(r)});
+    }
+  }
+  ASSERT_TRUE(db->BulkInsert("Ratings", rows).ok());
+}
+
+/// Unseen (user, item) pairs of `users` (every user when empty) in the
+/// recommender's matrix: what dense selection scores, once each.
+uint64_t UnseenPairs(RecDB* db, const std::vector<int64_t>& users) {
+  const RatingMatrix& m = db->GetRecommender("r").value()->live();
+  uint64_t n = 0;
+  auto add = [&](int32_t u) { n += m.NumItems() - m.UserCsrRow(u).n; };
+  if (users.empty()) {
+    for (size_t u = 0; u < m.NumUsers(); ++u) add(static_cast<int32_t>(u));
+  }
+  for (int64_t id : users) add(*m.UserIndex(id));
+  return n;
+}
+
+/// A LIMIT that cuts a score-desc result inside a tie group of nonzero
+/// score, right after the group's first row (the middle such group), so
+/// the k-th score is tied by the next row; 0 when there is none.
+size_t TieCut(const ResultSet& rs) {
+  std::vector<size_t> cuts;
+  for (size_t r = 1; r < rs.NumRows(); ++r) {
+    const double score = rs.At(r, 2).AsDouble();
+    const bool starts_group =
+        r < 2 || rs.At(r - 2, 2).AsDouble() != rs.At(r - 1, 2).AsDouble();
+    if (score != 0.0 && score == rs.At(r - 1, 2).AsDouble() && starts_group) {
+      cuts.push_back(r);
+    }
+  }
+  return cuts.empty() ? 0 : cuts[cuts.size() / 2];
+}
+
+TEST(DenseTopKTest, ScoresEachUnseenItemOnceAndMatchesExact) {
+  ParallelismGuard guard;
+  for (const std::string algo : {"ItemCosCF", "UserPearCF"}) {
+    SCOPED_TRACE(algo);
+    RecDB db;
+    LoadTwinRatings(&db);
+    ASSERT_TRUE(db.Execute("CREATE RECOMMENDER r ON Ratings USERS FROM uid "
+                           "ITEMS FROM iid RATINGS FROM ratingval USING " +
+                           algo)
+                    .ok());
+    const std::string rec = kRecommendAll + algo;
+    // One user (its catalog cut into 8 item slices at parallelism 8), three
+    // users (3 slices each) and every user. Users 1-3 carry every delta
+    // shape: a new pair, an overwrite, a removed rating and item 995,
+    // interned after the build.
+    const std::pair<std::string, std::vector<int64_t>> shapes[] = {
+        {" WHERE R.uid = 3", {3}},
+        {" WHERE R.uid IN (1, 2, 3)", {1, 2, 3}},
+        {"", {}}};
+    for (bool with_delta : {false, true}) {
+      SCOPED_TRACE(with_delta ? "with delta" : "without delta");
+      if (with_delta) ApplyDeltaStatements(&db);
+      size_t one_user_cut = 0;
+      for (const auto& [where, users] : shapes) {
+        db.mutable_planner_options()->enable_pruned_topn = false;
+        ASSERT_TRUE(db.Execute("SET parallelism = 1").ok());
+        auto full =
+            db.Execute(rec + where + " ORDER BY R.ratingval DESC LIMIT 100000");
+        ASSERT_TRUE(full.ok());
+        const size_t k = TieCut(full.value());
+        ASSERT_GT(k, 0u) << where << ": no tie at a nonzero score";
+        if (users.size() == 1) one_user_cut = k;
+        const std::string sql = rec + where +
+                                " ORDER BY R.ratingval DESC LIMIT " +
+                                std::to_string(k);
+        auto exact = db.Execute(sql);
+        ASSERT_TRUE(exact.ok());
+        ASSERT_EQ(exact.value().NumRows(), k);
+        db.mutable_planner_options()->enable_pruned_topn = true;
+        const uint64_t unseen = UnseenPairs(&db, users);
+        for (int threads : {1, 2, 8}) {
+          SCOPED_TRACE("parallelism " + std::to_string(threads));
+          ASSERT_TRUE(
+              db.Execute("SET parallelism = " + std::to_string(threads)).ok());
+          auto pruned = db.Execute(sql);
+          ASSERT_TRUE(pruned.ok());
+          EXPECT_EQ(RowsToString(pruned.value()), RowsToString(exact.value()))
+              << sql;
+          EXPECT_EQ(pruned.value().stats.predictions, unseen) << sql;
+          // Only the <= k survivors leave the Recommend operator.
+          auto analyzed = db.Execute("EXPLAIN ANALYZE " + sql);
+          ASSERT_TRUE(analyzed.ok());
+          const std::string plan = RowsToString(analyzed.value());
+          const size_t line = plan.find("Recommend r using");
+          ASSERT_NE(line, std::string::npos) << plan;
+          EXPECT_NE(plan.find("mode=pruned(k=" + std::to_string(k) + ")", line),
+                    std::string::npos)
+              << plan;
+          const size_t act = plan.find("act=", line);
+          ASSERT_NE(act, std::string::npos) << plan;
+          EXPECT_LE(std::stoull(plan.substr(act + 4)), k) << plan;
+        }
+        ASSERT_TRUE(db.Execute("SET parallelism = 1").ok());
+      }
+
+      // IndexRecommend cache miss for user 3. The bounded fallback must
+      // return the exact ranking in its own (score desc, id asc) order,
+      // which here differs from item index order.
+      db.mutable_planner_options()->enable_pruned_topn = false;
+      auto all = db.Execute(rec + " WHERE R.uid = 3 ORDER BY R.ratingval "
+                                  "DESC LIMIT 100000");
+      ASSERT_TRUE(all.ok());
+      std::vector<std::pair<double, int64_t>> by_id;
+      for (size_t r = 0; r < all.value().NumRows(); ++r) {
+        by_id.emplace_back(all.value().At(r, 2).AsDouble(),
+                           all.value().At(r, 1).AsInt());
+      }
+      std::sort(by_id.begin(), by_id.end(), [](const auto& a, const auto& b) {
+        if (a.first != b.first) return a.first > b.first;
+        return a.second < b.second;
+      });
+      // The operator itself, at the cut inside a tie group.
+      Recommender* r = db.GetRecommender("r").value();
+      IndexRecommendPlan ix;
+      ix.rec = r;
+      ix.alias = "R";
+      ix.schema = ExecSchema({{"R", "uid", TypeId::kInt64},
+                              {"R", "iid", TypeId::kInt64},
+                              {"R", "ratingval", TypeId::kDouble}});
+      ix.user_col_idx = 0;
+      ix.item_col_idx = 1;
+      ix.rating_col_idx = 2;
+      ix.user_ids = {3};
+      ix.per_user_limit = one_user_cut;
+      ix.prune = true;
+      ExecContext ctx;
+      auto exec = CreateExecutor(ix, &ctx);
+      ASSERT_TRUE(exec.ok());
+      ASSERT_TRUE(exec.value()->Init().ok());
+      for (size_t row = 0;; ++row) {
+        auto next = exec.value()->Next();
+        ASSERT_TRUE(next.ok());
+        if (!next.value().has_value()) {
+          EXPECT_EQ(row, one_user_cut);
+          break;
+        }
+        ASSERT_LT(row, one_user_cut);
+        EXPECT_EQ(next.value()->At(1).AsInt(), by_id[row].second) << row;
+        EXPECT_EQ(next.value()->At(2).AsDouble(), by_id[row].first) << row;
+      }
+      EXPECT_EQ(ctx.stats.index_misses, 1u);
+      EXPECT_EQ(ctx.stats.predictions, UnseenPairs(&db, {3}));
+
+      // Through SQL: with user 60 materialized the index covers half of
+      // users (3, 60), so the cost pass keeps IndexRecommend, and the
+      // planner bounds its fallback. It must match the exact fallback, and
+      // user 3's rows must be a prefix of the id-ordered ranking.
+      ASSERT_TRUE(r->MaterializeUser(60).ok());
+      const std::string sql =
+          rec + " WHERE R.uid IN (3, 60) ORDER BY R.ratingval DESC LIMIT " +
+          std::to_string(2 * one_user_cut);
+      auto exact = db.Execute(sql);
+      ASSERT_TRUE(exact.ok());
+      db.mutable_planner_options()->enable_pruned_topn = true;
+      auto explained = db.Explain(sql);
+      ASSERT_TRUE(explained.ok());
+      EXPECT_NE(explained.value().find("IndexRecommend"), std::string::npos)
+          << explained.value();
+      EXPECT_NE(explained.value().find("fallback=pruned"), std::string::npos)
+          << explained.value();
+      auto miss = db.Execute(sql);
+      ASSERT_TRUE(miss.ok());
+      EXPECT_EQ(miss.value().stats.index_misses, 1u);
+      EXPECT_EQ(RowsToString(miss.value()), RowsToString(exact.value()));
+      size_t seen = 0;
+      for (size_t row = 0; row < miss.value().NumRows(); ++row) {
+        if (miss.value().At(row, 0).AsInt() != 3) continue;
+        EXPECT_EQ(miss.value().At(row, 1).AsInt(), by_id[seen].second);
+        EXPECT_EQ(miss.value().At(row, 2).AsDouble(), by_id[seen].first);
+        ++seen;
+      }
+      EXPECT_GT(seen, 0u);
+    }
+  }
+}
+
+// ------------------------------------------------ one cross-user threshold
+
 /// Pruned == exact for `query` at parallelism 1, 2 and 8, with the pruned
-/// plan actually chosen — or, when `pruned_plan` is false, with the exact
-/// plan chosen even though pruning is enabled. Returns the exact result (at
-/// parallelism 1).
+/// plan actually chosen. Returns the exact result (at parallelism 1).
 ResultSet ExpectPrunedMatchesExactEverywhere(RecDB* db,
-                                             const std::string& query,
-                                             bool pruned_plan = true) {
+                                             const std::string& query) {
   ParallelismGuard guard;
   db->mutable_planner_options()->enable_pruned_topn = false;
   EXPECT_TRUE(db->Execute("SET parallelism = 1").ok());
@@ -301,8 +503,7 @@ ResultSet ExpectPrunedMatchesExactEverywhere(RecDB* db,
   db->mutable_planner_options()->enable_pruned_topn = true;
   auto explained = db->Explain(query);
   EXPECT_TRUE(explained.ok());
-  EXPECT_EQ(explained.value().find("mode=pruned") != std::string::npos,
-            pruned_plan)
+  EXPECT_NE(explained.value().find("mode=pruned"), std::string::npos)
       << explained.value();
   for (int threads : {1, 2, 8}) {
     EXPECT_TRUE(
@@ -342,8 +543,7 @@ TEST(GlobalThresholdTest, CrossUserTiesAtTheKthScoreMatchExact) {
                       Value::Double((g * 3 + k * 7) % 5 + 1)});
     }
   }
-  // A sparse background population spreads the catalog to 200 items, so
-  // the candidate walk reaches well under the full catalog.
+  // A sparse background population spreads the catalog to 200 items.
   for (int u = 61; u <= 120; ++u) {
     for (int k = 0; k < 4; ++k) {
       rows.push_back({Value::Int(u), Value::Int((u * 37 + k * 61) % 200 + 1),
@@ -462,18 +662,17 @@ TEST(GlobalThresholdTest, TiesAtZeroAcrossUsersMatchExact) {
     ResultSet exact = ExpectPrunedMatchesExactEverywhere(
         &db,
         kRecommendAll + algo + users + " ORDER BY R.ratingval DESC LIMIT " +
-            std::to_string(nonzero + 7),
-        PlansPruned(algo));
+            std::to_string(nonzero + 7));
     ASSERT_EQ(exact.NumRows(), nonzero + 7) << algo;
     EXPECT_EQ(exact.At(nonzero + 6, 2).AsDouble(), 0.0) << algo;
   }
 }
 
-TEST(GlobalThresholdTest, AllUsersQueryEmitsAtMostKAndPredictsLess) {
+TEST(GlobalThresholdTest, AllUsersQueryEmitsAtMostK) {
   for (const char* algo : kAlgoNames) {
-    // UserCF takes the pruned plan on the sparse fixture. SVD's
-    // norm-product bounds only bite on data with real latent structure, so
-    // it runs on a shrunken MovieLens-shaped dataset.
+    // CF runs on the sparse fixture. SVD's norm-product bounds only bite on
+    // data with real latent structure, so it runs on a shrunken
+    // MovieLens-shaped dataset.
     const bool svd = std::string(algo) == "SVD";
     RecDB db;
     std::string table = "Ratings";
@@ -506,19 +705,18 @@ TEST(GlobalThresholdTest, AllUsersQueryEmitsAtMostKAndPredictsLess) {
     const std::string plan = RowsToString(analyzed.value());
     const size_t line = plan.find("Recommend r using");
     ASSERT_NE(line, std::string::npos) << plan;
-    if (!PlansPruned(algo)) {
-      // Plans exact: every unseen (user, item) pair is scored.
-      EXPECT_EQ(plan.find("mode=pruned", line), std::string::npos) << plan;
+    if (IsCF(algo)) {
+      // Dense selection: every unseen (user, item) pair is scored once.
       EXPECT_EQ(pruned.value().stats.predictions,
                 exact.value().stats.predictions)
           << algo;
-      continue;
+    } else {
+      // The global threshold bites: fewer model calls than scoring every
+      // unseen (user, item) pair.
+      EXPECT_LT(pruned.value().stats.predictions,
+                exact.value().stats.predictions)
+          << algo;
     }
-    // The global threshold bites: fewer model calls than scoring every
-    // unseen (user, item) pair.
-    EXPECT_LT(pruned.value().stats.predictions,
-              exact.value().stats.predictions)
-        << algo;
 
     // Only the global survivors leave the Recommend operator.
     ASSERT_NE(plan.find("mode=pruned(k=10)", line), std::string::npos)
@@ -555,7 +753,6 @@ TEST(PrunedPlanChoiceTest, PrunedWithoutAnalyzeAndHonorsToggle) {
     std::string plan = RowsToString(rs.value());
     EXPECT_NE(plan.find("mode=pruned(k=10)"), std::string::npos)
         << (analyzed ? "after" : "before") << " ANALYZE\n" << plan;
-    EXPECT_NE(plan.find("candidates=inverted"), std::string::npos) << plan;
     EXPECT_NE(plan.find("pruned_topn=on"), std::string::npos) << plan;
     EXPECT_GT(CounterValue(Counter::kPrunePlanChosen), chosen0);
   }
@@ -569,8 +766,8 @@ TEST(PrunedPlanChoiceTest, PrunedWithoutAnalyzeAndHonorsToggle) {
 }
 
 TEST(PrunedPlanChoiceTest, DenseMatrixPrunedMatchesExactWithoutAnalyze) {
-  // 10 users x 8 items at ~60% density: nearly every item is a candidate of
-  // every user and only ~3 unseen items per user remain. The bounded Top-k
+  // 10 users x 8 items at ~60% density: only ~3 unseen items per user
+  // remain. The bounded Top-k
   // still runs (no cost model declines it, no ANALYZE is needed) and must
   // return exactly the exact plan's rows at every parallelism.
   RecDB db;
@@ -598,66 +795,50 @@ TEST(PrunedPlanChoiceTest, DenseMatrixPrunedMatchesExactWithoutAnalyze) {
 
 // -------------------------------------------------- CandidateIndex coherence
 
-TEST(CandidateIndexTest, WalkBaseAndBoundIndexSurviveIngestUntilRefresh) {
-  RecommenderConfig cfg;
-  cfg.name = "r";
-  cfg.algorithm = RecAlgorithm::kUserCosCF;
-  Recommender rec(cfg);
-  for (int64_t u = 1; u <= 12; ++u) {
-    for (int64_t k = 0; k < 5; ++k) {
-      rec.AddRating(u, (u * 3 + k * 7) % 15 + 1, (u + k) % 5 + 1);
-    }
-  }
-  ASSERT_TRUE(rec.Build().ok());
-  auto index = rec.candidate_index();
-  ASSERT_NE(index, nullptr);
-  EXPECT_TRUE(index->prunable());
-  const RatingMatrix& m = rec.live();
-  EXPECT_EQ(m.base_num_users(), m.NumUsers());
-  EXPECT_EQ(m.base_num_items(), m.NumItems());
-  EXPECT_EQ(index->order_by_id().size(), m.NumItems());
-
-  // The two-hop walk reads the base: every base rating appears in both
-  // orientations.
-  for (size_t u = 0; u < m.NumUsers(); ++u) {
-    CsrRow row = m.BaseUserCsrRow(static_cast<int32_t>(u));
-    ASSERT_EQ(row.n, m.UserCsrRow(static_cast<int32_t>(u)).n) << "user " << u;
-    for (size_t k = 0; k < row.n; ++k) {
-      bool found = false;
-      CsrRow raters = m.BaseItemCsrRow(row.idx[k]);
-      for (size_t j = 0; j < raters.n; ++j) {
-        if (raters.idx[j] == static_cast<int32_t>(u)) found = true;
+TEST(CandidateIndexTest, BoundIndexSurvivesIngestUntilRefresh) {
+  // CF models publish no bound table and get no index.
+  for (RecAlgorithm algo : {RecAlgorithm::kItemCosCF, RecAlgorithm::kUserCosCF,
+                            RecAlgorithm::kSVD}) {
+    RecommenderConfig cfg;
+    cfg.name = "r";
+    cfg.algorithm = algo;
+    Recommender rec(cfg);
+    for (int64_t u = 1; u <= 12; ++u) {
+      for (int64_t k = 0; k < 5; ++k) {
+        rec.AddRating(u, (u * 3 + k * 7) % 15 + 1, (u + k) % 5 + 1);
       }
-      EXPECT_TRUE(found) << "rating (" << u << ", " << row.idx[k]
-                         << ") missing from the item orientation";
     }
+    ASSERT_TRUE(rec.Build().ok());
+    auto index = rec.candidate_index();
+    if (algo != RecAlgorithm::kSVD) {
+      EXPECT_EQ(index, nullptr) << RecAlgorithmToString(algo);
+      continue;
+    }
+    ASSERT_NE(index, nullptr);
+    const RatingMatrix& m = rec.live();
+    EXPECT_EQ(index->order_by_id().size(), m.NumItems());
+
+    // Ingest lands in live rows; the published index stays put (the
+    // executor merges items interned since by external id).
+    const size_t built_items = m.NumItems();
+    rec.AddRating(1, 999, 5.0);
+    rec.AddRating(2, 999, 3.0);
+    EXPECT_EQ(rec.candidate_index(), index);
+    EXPECT_EQ(index->order_by_id().size(), built_items);
+    ASSERT_TRUE(m.ItemIndex(999).has_value());
+    EXPECT_EQ(m.NumItems(), built_items + 1);
+
+    // Refresh rebuilds the index over the new item.
+    auto refreshed = rec.Refresh();
+    ASSERT_TRUE(refreshed.ok());
+    ASSERT_TRUE(refreshed.value());
+    auto fresh = rec.candidate_index();
+    ASSERT_NE(fresh, nullptr);
+    EXPECT_NE(fresh.get(), index.get());
+    EXPECT_EQ(fresh->order_by_id().size(), m.NumItems());
+    // The old shared_ptr stays valid for its holders.
+    EXPECT_EQ(index->order_by_id().size(), built_items);
   }
-
-  // Ingest lands in live rows; the base and the published index stay put
-  // (executors merge the live rows at walk time).
-  const size_t base_items = m.base_num_items();
-  rec.AddRating(1, 999, 5.0);
-  rec.AddRating(2, 999, 3.0);
-  EXPECT_EQ(rec.candidate_index(), index);
-  EXPECT_EQ(m.base_num_items(), base_items);
-  auto item_idx = m.ItemIndex(999);
-  ASSERT_TRUE(item_idx.has_value());
-  EXPECT_EQ(m.BaseItemCsrRow(*item_idx).n, 0u);
-  EXPECT_EQ(m.ItemCsrRow(*item_idx).n, 2u);
-
-  // Refresh flattens the live rows; the base and the rebuilt index cover
-  // the new item.
-  auto refreshed = rec.Refresh();
-  ASSERT_TRUE(refreshed.ok());
-  ASSERT_TRUE(refreshed.value());
-  auto fresh = rec.candidate_index();
-  ASSERT_NE(fresh, nullptr);
-  EXPECT_NE(fresh.get(), index.get());
-  EXPECT_EQ(m.base_num_items(), m.NumItems());
-  EXPECT_EQ(fresh->order_by_id().size(), m.NumItems());
-  EXPECT_EQ(m.BaseItemCsrRow(*item_idx).n, 2u);
-  // The old shared_ptr stays valid for its holders.
-  EXPECT_EQ(index->order_by_id().size(), base_items);
 }
 
 // ---------------------------------------------------------- batched ingest
