@@ -302,15 +302,17 @@ class RecDB {
 
   /// CreateRecommender body; caller holds the exclusive lock. With
   /// `write_log`, appends a kCreateRecommender WAL record on success
-  /// (recovery passes false — replayed records must not re-log). Recovery
-  /// may pass a `preloaded` ratings matrix (already frozen) so recommenders
-  /// sharing one ratings table share one CSR build instead of re-scanning
-  /// and re-freezing per model.
+  /// (recovery passes false — replayed records must not re-log). The
+  /// ratings come from LoadRatingsMatrix, unless recovery passes a
+  /// `preloaded` (already frozen) matrix so recommenders sharing one
+  /// ratings table share one scan and CSR build.
   Result<Recommender*> CreateRecommenderLocked(
       RecommenderConfig config, bool write_log,
       std::shared_ptr<RatingMatrix> preloaded = nullptr);
 
-  /// Load a ratings table into a fresh matrix (recovery fast path).
+  /// Load a ratings table's (user, item, rating) columns into a fresh,
+  /// frozen matrix: the one heap-to-matrix loop, for CREATE RECOMMENDER
+  /// and recovery alike.
   Result<std::shared_ptr<RatingMatrix>> LoadRatingsMatrix(
       const RecommenderConfig& config);
 

@@ -1,6 +1,7 @@
 // Concurrent sessions over one RecDB: a writer session streams single-row
 // INSERTs (each one WAL-committed) while reader sessions run RECOMMEND
-// scans and EXPLAIN. The reader/writer discipline under test:
+// scans, COUNT(*) heap scans and EXPLAIN. The reader/writer discipline
+// under test:
 //  - read-only scripts share the state lock, so readers never block each
 //    other and always see a consistent pre- or post-statement snapshot;
 //  - the writer's group-commit fsync happens after the exclusive lock is
@@ -73,6 +74,7 @@ TEST(ConcurrentSessionTest, ReadersScanWhileWriterInserts) {
   std::atomic<int> writer_errors{0};
   std::atomic<int> reader_errors{0};
   std::atomic<int> reader_queries{0};
+  std::atomic<int> bad_counts{0};  // outside [base, base + inserts] or falling
 
   auto writer_session = db->CreateSession();
   std::vector<std::unique_ptr<Session>> reader_sessions;
@@ -96,8 +98,24 @@ TEST(ConcurrentSessionTest, ReadersScanWhileWriterInserts) {
       Session* session = reader_sessions[r].get();
       // Bounded loop: keep scanning until the writer finishes (plus one
       // final pass over the complete state), but never spin forever.
+      int64_t last_count = 0;
       for (int it = 0; it < 2000; ++it) {
         bool was_done = done.load();
+        // A heap scan overlapping the writer's inserts: each count is a
+        // statement-consistent snapshot, so it lies between the seed and
+        // the final row count and never falls for one reader.
+        auto count = session->Execute("SELECT COUNT(*) FROM Ratings");
+        if (!count.ok()) {
+          reader_errors.fetch_add(1);
+        } else {
+          const int64_t n = count.value().rows[0].At(0).AsInt();
+          if (n < static_cast<int64_t>(base_rows) ||
+              n > static_cast<int64_t>(base_rows) + kWriterInserts ||
+              n < last_count) {
+            bad_counts.fetch_add(1);
+          }
+          last_count = n;
+        }
         int uid = 1 + (r * 7 + it) % 10;
         auto rec = session->Execute(RecommendSql(uid));
         if (!rec.ok()) {
@@ -120,6 +138,7 @@ TEST(ConcurrentSessionTest, ReadersScanWhileWriterInserts) {
 
   EXPECT_EQ(writer_errors.load(), 0);
   EXPECT_EQ(reader_errors.load(), 0);
+  EXPECT_EQ(bad_counts.load(), 0);
   EXPECT_GT(reader_queries.load(), 0);
   EXPECT_EQ(writer_session->statements(), static_cast<uint64_t>(kWriterInserts));
 

@@ -2,6 +2,8 @@
 //  - retry-with-backoff over transient faults, permanent faults escape
 //  - FileDiskManager durability, CRC32 checksums, torn-write detection
 //  - buffer-pool consistency when eviction write-back or victim reads fail
+//  - a heap scan whose middle page fails to read: the device's error comes
+//    out of Next(), never a truncated result, and no pin is left behind
 //  - RecDB statements failing cleanly (non-OK Status, zero leaked pins,
 //    catalog/registry consistent) and a file-backed database answering
 //    RECOMMEND queries identically after close + reopen, with every value
@@ -13,6 +15,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -23,6 +26,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
+#include "storage/table_heap.h"
 #include "test_util.h"
 
 namespace recdb {
@@ -304,6 +308,58 @@ TEST(BufferPoolFaultTest, FailedFetchLeavesPoolReusable) {
   EXPECT_EQ(good.value().data()[5], 0x66);
 }
 
+// --- heap scans over a faulty device -----------------------------------------
+
+TEST(HeapScanFaultTest, MiddlePageReadFaultSurfacesFromNextAndRetries) {
+  auto fault = std::make_unique<FaultInjectingDiskManager>(
+      std::make_unique<InMemoryDiskManager>());
+  fault->set_retry_policy(FastRetry(1));
+  FaultInjectingDiskManager* disk = fault.get();
+  BufferPool pool(2, disk);
+  auto heap_res = TableHeap::Create(&pool);
+  ASSERT_TRUE(heap_res.ok());
+  TableHeap& heap = *heap_res.value();
+  std::map<page_id_t, size_t> per_page;  // page -> live tuples
+  for (int k = 0; per_page.size() < 6; ++k) {
+    auto rid = heap.Insert(Tuple({Value::Int(k), Value::String(std::string(
+                                                     300, 'a' + k % 26))}));
+    ASSERT_TRUE(rid.ok());
+    ++per_page[rid.value().page_id];
+  }
+  // Two frames, six pages: the scan reads pages 0, 1, 2, ... from the
+  // device in order, so read attempt 3 is page 2, in the middle.
+  const size_t before_fault =
+      per_page.begin()->second + std::next(per_page.begin())->second;
+  disk->ClearFaults();
+  disk->FailNthRead(3, FaultKind::kPermanent);
+  auto it = heap.Begin(2);
+  size_t served = 0;
+  Status error;
+  while (true) {
+    auto next = it.Next();
+    if (!next.ok()) {
+      error = next.status();
+      break;
+    }
+    ASSERT_TRUE(next.value().has_value()) << "scan ended without the fault";
+    ++served;
+  }
+  EXPECT_EQ(error.code(), StatusCode::kIOError) << error;
+  EXPECT_EQ(served, before_fault);  // pages 0 and 1 whole, nothing of page 2
+  EXPECT_TRUE(NoPinsLeaked(&pool));
+
+  // Once the device recovers, the same iterator resumes at the failed page.
+  disk->ClearFaults();
+  while (true) {
+    auto next = it.Next();
+    ASSERT_TRUE(next.ok()) << next.status();
+    if (!next.value().has_value()) break;
+    ++served;
+  }
+  EXPECT_EQ(served, heap.num_tuples());
+  EXPECT_TRUE(NoPinsLeaked(&pool));
+}
+
 // --- RecDB statements under injected faults ----------------------------------
 
 class EngineFaultTest : public ::testing::Test {
@@ -386,6 +442,40 @@ TEST_F(EngineFaultTest, FailingStatementsReturnStatusAndLeakNoPins) {
   disk_->ClearFaults();
   auto rs = Exec("SELECT uid FROM Ratings WHERE uid = 7");
   EXPECT_FALSE(rs.rows.empty());
+  EXPECT_TRUE(NoPinsLeaked(db_->buffer_pool()));
+}
+
+TEST_F(EngineFaultTest, ScanFaultOnMiddlePageFailsTheStatementNotTheNext) {
+  TableInfo* users = db_->catalog()->GetTable("Users").value();
+  ASSERT_GE(users->heap->last_page_id() - users->heap->first_page_id(), 3);
+  // Scan Ratings to push every Users page out of the 4-frame pool, so the
+  // scan below reads Users page by page and its third read is a middle page.
+  Exec("SELECT COUNT(*) FROM Ratings");
+  disk_->ClearFaults();
+  disk_->FailNthRead(3, FaultKind::kPermanent);
+  auto r = db_->Execute("SELECT COUNT(*) FROM Users");
+  ASSERT_FALSE(r.ok()) << "a truncated count came back: "
+                       << r.value().rows[0].At(0).ToString();
+  EXPECT_EQ(r.status().code(), StatusCode::kIOError) << r.status();
+  EXPECT_TRUE(NoPinsLeaked(db_->buffer_pool()));
+
+  disk_->ClearFaults();
+  auto rs = Exec("SELECT COUNT(*) FROM Users");
+  ASSERT_EQ(rs.rows.size(), 1u);
+  EXPECT_EQ(rs.rows[0].At(0).AsInt(), 400);
+  EXPECT_TRUE(NoPinsLeaked(db_->buffer_pool()));
+}
+
+TEST_F(EngineFaultTest, ScansLeakNoPinsWhenDrainedOrCutShort) {
+  // A full scan, and a LIMIT 1 whose executors are destroyed mid-scan.
+  Exec("SELECT COUNT(*) FROM Users");
+  EXPECT_TRUE(NoPinsLeaked(db_->buffer_pool()));
+  auto rs = Exec("SELECT uid, name FROM Users LIMIT 1");
+  EXPECT_EQ(rs.rows.size(), 1u);
+  EXPECT_TRUE(NoPinsLeaked(db_->buffer_pool()));
+  rs = Exec("SELECT U.name, R.iid FROM Users AS U, Ratings AS R "
+            "WHERE U.uid = R.uid LIMIT 1");
+  EXPECT_EQ(rs.rows.size(), 1u);
   EXPECT_TRUE(NoPinsLeaked(db_->buffer_pool()));
 }
 
