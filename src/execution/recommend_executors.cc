@@ -6,7 +6,6 @@
 #include <functional>
 #include <limits>
 #include <mutex>
-#include <numeric>
 #include <span>
 
 #include "common/task_scheduler.h"
@@ -31,21 +30,17 @@ Tuple MakeRecTuple(const ExecSchema& schema, size_t user_idx, size_t item_idx,
 
 /// The users an executor serves, in ascending id — the one user order of
 /// every RECOMMEND stream (DESIGN.md §14): the pushed-down ids (`pushed`,
-/// already sorted by the optimizer; null = every user in the snapshot) that
-/// the model knows and, on a sharded engine, that this shard owns. Filtering
-/// preserves relative order, so a shard's emission stays a subsequence of
-/// the single-node stream.
+/// already sorted by the optimizer; null = every user in the snapshot, in
+/// the matrix's id order) that the model knows and, on a sharded engine,
+/// that this shard owns. Filtering preserves relative order, so a shard's
+/// emission stays a subsequence of the single-node stream.
 std::vector<int64_t> ServedUsers(const RatingMatrix& snapshot,
                                  const std::vector<int64_t>* pushed,
                                  const ExecContext& ctx) {
   std::vector<int64_t> out;
   if (pushed == nullptr) {
-    // The matrix lists users in interning order; a canonical load interns
-    // them sorted, so only users added later need the sort.
-    out = snapshot.user_ids();
-    if (!std::is_sorted(out.begin(), out.end())) {
-      std::sort(out.begin(), out.end());
-    }
+    out.reserve(snapshot.NumUsers());
+    for (int32_t u : snapshot.UsersById()) out.push_back(snapshot.UserIdAt(u));
   } else {
     out.reserve(pushed->size());
     for (int64_t id : *pushed) {
@@ -58,16 +53,16 @@ std::vector<int64_t> ServedUsers(const RatingMatrix& snapshot,
   return out;
 }
 
-/// The grid's items, as indices: the whole catalog in index order when
-/// nothing is pushed down, else the pushed-down ids the model knows, in
-/// pushdown order.
+/// The grid's items, as indices, in ascending id — the one item order of
+/// every RECOMMEND stream (DESIGN.md §14): the whole catalog in the
+/// matrix's id order when nothing is pushed down, else the pushed-down ids
+/// (already sorted by the optimizer) that the model knows.
 void ResolveItems(const RatingMatrix& snapshot,
                   const std::optional<std::vector<int64_t>>& pushed,
                   ScoreGrid* g) {
   g->items.clear();
   if (!pushed.has_value()) {
-    g->items.resize(snapshot.NumItems());
-    std::iota(g->items.begin(), g->items.end(), 0);
+    g->items = snapshot.ItemsById();
     return;
   }
   g->items.reserve(pushed->size());
@@ -271,23 +266,13 @@ std::optional<Tuple> NextScored(ScoreGrid* g, const RecModel* model,
 // ------------------------------------------------------------ PruneEngine
 
 PruneEngine::PruneEngine(const RecModel* model, const RatingMatrix& snapshot,
-                         const CandidateIndex* bounds, bool rank_by_id)
+                         const CandidateIndex* bounds)
     : model_(model),
       snapshot_(snapshot),
       bounds_(bounds),
-      rank_by_id_(rank_by_id),
       num_items_(snapshot.NumItems()) {
-  if (bounds_ == nullptr) return;  // dense selection needs no scratch
-  rated_stamp_.assign(num_items_, 0);
-  if (rank_by_id_) {
-    // Items interned after the bound build: out-of-band for order_by_id(),
-    // merged in by external id during the zero-merge.
-    for (size_t i = bounds_->order_by_id().size(); i < num_items_; ++i) {
-      oob_by_id_.emplace_back(snapshot.ItemIdAt(static_cast<int32_t>(i)),
-                              static_cast<int32_t>(i));
-    }
-    std::sort(oob_by_id_.begin(), oob_by_id_.end());
-  }
+  // Dense selection needs no scratch.
+  if (bounds_ != nullptr) rated_stamp_.assign(num_items_, 0);
 }
 
 void PruneEngine::StampRated(int32_t u) {
@@ -315,52 +300,25 @@ void PruneEngine::ScoreBatch(int32_t u, const std::vector<int32_t>& items,
   batch_pred_.resize(items.size());
   model_->PredictBatchByIndex(u, items, batch_pred_);
   for (size_t k = 0; k < items.size(); ++k) {
-    const int64_t id = snapshot_.ItemIdAt(items[k]);
-    pruner->Offer(batch_pred_[k], rank_by_id_ ? id : items[k], id);
+    pruner->Offer(batch_pred_[k], snapshot_.ItemIdPos(items[k]),
+                  snapshot_.ItemIdAt(items[k]));
   }
   stats.predictions += items.size();
   ++stats.predict_batches;
 }
 
-void PruneEngine::ZeroMerge(MergeMode mode, TopKPruner* pruner) {
-  const size_t bts = bounds_->bound_table_size();
-  // Offer 0.0 for every unrated item the sweep did not cover, in rank
-  // order; all offers carry the same score with ascending rank, so the
-  // first rejection ends the merge.
-  auto offer = [&](int32_t c, int64_t rank, int64_t id) {
-    if (!InRange(c)) return true;
-    if (!pruner->WouldAccept(0.0, rank)) return false;
-    if (mode == MergeMode::kSkipInBounds && static_cast<size_t>(c) < bts) {
-      return true;
+void PruneEngine::ZeroMerge(size_t swept, TopKPruner* pruner) {
+  // Every offer carries the same score and a rising rank (the id
+  // position), so the first rejection ends the merge.
+  const std::vector<int32_t>& by_id = snapshot_.ItemsById();
+  for (size_t p = 0; p < by_id.size(); ++p) {
+    const int32_t c = by_id[p];
+    if (!InRange(c)) continue;
+    const int64_t rank = static_cast<int64_t>(p);
+    if (!pruner->WouldAccept(0.0, rank)) return;
+    if (static_cast<size_t>(c) >= swept && !Rated(c)) {
+      pruner->Offer(0.0, rank, snapshot_.ItemIdAt(c));
     }
-    if (Rated(c)) return true;
-    pruner->Offer(0.0, rank, id);
-    return true;
-  };
-  if (!rank_by_id_) {
-    for (size_t c = range_begin_; c < range_end_; ++c) {
-      const int32_t idx = static_cast<int32_t>(c);
-      if (!offer(idx, idx, snapshot_.ItemIdAt(idx))) return;
-    }
-    return;
-  }
-  // External-id order: merge the items the bound build knew (order_by_id)
-  // with the items interned since (oob_by_id_), both id-ascending.
-  const std::vector<int32_t>& by_id = bounds_->order_by_id();
-  const std::vector<int64_t>& ids = snapshot_.item_ids();
-  size_t a = 0, b = 0;
-  while (a < by_id.size() || b < oob_by_id_.size()) {
-    bool take_base;
-    if (a >= by_id.size()) {
-      take_base = false;
-    } else if (b >= oob_by_id_.size()) {
-      take_base = true;
-    } else {
-      take_base = ids[by_id[a]] < oob_by_id_[b].first;
-    }
-    const int32_t c = take_base ? by_id[a++] : oob_by_id_[b++].second;
-    const int64_t id = ids[c];
-    if (!offer(c, id, id)) return;
   }
 }
 
@@ -410,7 +368,7 @@ void PruneEngine::SweepBounds(int32_t u, TopKPruner* pruner) {
     if (scale_u == 0.0 && offset_u == 0.0 && !has_offset) pure_zero = true;
   }
   if (pure_zero) {
-    ZeroMerge(MergeMode::kAllUnrated, pruner);
+    ZeroMerge(0, pruner);
     return;
   }
 
@@ -442,7 +400,7 @@ void PruneEngine::SweepBounds(int32_t u, TopKPruner* pruner) {
     }
     ScoreBatch(u, batch_items_, pruner);
   }
-  ZeroMerge(MergeMode::kSkipInBounds, pruner);
+  ZeroMerge(bounds_->bound_table_size(), pruner);
 }
 
 void PruneEngine::FlushStats(ExecStats* out) {
@@ -471,10 +429,9 @@ Status RecommendExecutor::InitImpl() {
   ResolveItems(snapshot, plan_.item_ids, &grid_);
   LayOutUnits(&grid_);
   // Buffered modes: the bounded Top-k under the optimizer's preconditions
-  // (no item pushdown, so the grid is the catalog in index order and item
-  // index is the tie-break; unseen-only emission), for every model, and
-  // exact scoring once the grid fans out. Anything else streams row by row
-  // from NextImpl.
+  // (no item pushdown, so the grid is the whole catalog; unseen-only
+  // emission), for every model, and exact scoring once the grid fans out.
+  // Anything else streams row by row from NextImpl.
   if (plan_.prune && plan_.prune_limit > 0 && !plan_.include_rated &&
       !plan_.item_ids.has_value()) {
     ScoreTopK();
@@ -498,11 +455,13 @@ void RecommendExecutor::ScoreTopK() {
   obs::Count(obs::Counter::kPruneTopkQueries);
   Stopwatch watch;
   // One global Top-k over the exact path's order: score desc, then arrival
-  // — user position, then item position. Both positions fold into one rank
-  // (user position * catalog size + item index), so the bounded heap, its
-  // tie-break and its threshold are TopKPruner's own. With no item
-  // pushdown, the grid's items are the whole catalog in index order, so a
-  // unit's slice of them is also its item-index range.
+  // — user position, then item position, which is the item's id position
+  // since the grid lists the whole catalog in id order. Both positions
+  // fold into one rank (user position * catalog size + id position), so
+  // the bounded heap, its tie-break and its threshold are TopKPruner's
+  // own. A unit's slice [begin, end) is walked as an item-index range: the
+  // slices still partition the catalog, and the kernels stay in index
+  // space.
   const int64_t stride = static_cast<int64_t>(snapshot.NumItems());
   // The highest k-th score any morsel's full heap has reached. At least k
   // real tuples score >= it, so a tuple scoring below it can never make the
@@ -514,7 +473,7 @@ void RecommendExecutor::ScoreTopK() {
   TopKPruner global(k);
   ForEachUnitRange(grid_, ctx_, [&](size_t begin, size_t end,
                                     ExecStats* stats) {
-    PruneEngine engine(model, snapshot, bounds.get(), /*rank_by_id=*/false);
+    PruneEngine engine(model, snapshot, bounds.get());
     TopKPruner local(k);
     for (size_t unit = begin; unit < end; ++unit) {
       const Unit w = UnitAt(grid_, unit);
@@ -668,8 +627,7 @@ Status IndexRecommendExecutor::InitImpl() {
       if (auto idx = snapshot.ItemIndex(id)) item_list_.push_back(*idx);
     }
   } else if (!prune_active_) {
-    item_list_.resize(snapshot.NumItems());
-    std::iota(item_list_.begin(), item_list_.end(), 0);
+    item_list_ = snapshot.ItemsById();
   }
   return Status::OK();
 }
@@ -710,8 +668,7 @@ Status IndexRecommendExecutor::LoadCurrentUser() {
     // scoring the full catalog, filtering and capping.
     if (engine_ == nullptr) {
       obs::Count(obs::Counter::kPruneTopkQueries);
-      engine_ = std::make_unique<PruneEngine>(model, snapshot, cindex_.get(),
-                                              /*rank_by_id=*/true);
+      engine_ = std::make_unique<PruneEngine>(model, snapshot, cindex_.get());
     }
     auto entries =
         engine_->UserTopK(user_id, plan_.per_user_limit, plan_.min_score);

@@ -60,27 +60,26 @@ struct ScoreGrid {
 
 /// Per-executor engine for the bounded Top-k (DESIGN.md §13): one user's
 /// exact top-k over an item-index range, selected over doubles, with tuple
-/// building left to the caller. A model without a bound table (CF) takes
-/// dense selection: every unrated item in the range, found by merging the
-/// user's index-sorted row, is scored in one PredictBatchByIndex call and
-/// offered to the heap. A model with one (SVD) sweeps the CandidateIndex
-/// blocks in descending-bound order against the running k-th score, then a
-/// zero-score merge restores the provably-0.0 tail in tie-break order. Not
-/// thread-safe — parallel paths construct one engine per morsel.
+/// building left to the caller. Every item ranks by its id position
+/// (RatingMatrix::ItemIdPos), the one item order of every RECOMMEND. A
+/// model without a bound table (CF) takes dense selection: every unrated
+/// item in the range, found by merging the user's index-sorted row, is
+/// scored in one PredictBatchByIndex call and offered to the heap. A model
+/// with one (SVD) sweeps the CandidateIndex blocks in descending-bound
+/// order against the running k-th score, then a zero-score merge walks the
+/// id order to restore the provably-0.0 tail. Not thread-safe — parallel
+/// paths construct one engine per morsel.
 class PruneEngine {
  public:
   /// `bounds` is the model's bound index, or null when it publishes none.
-  /// rank_by_id chooses the tie-break domain: false = item index
-  /// (RecommendExecutor under a TopN), true = external item id (the
-  /// IndexRecommend fallback's sort order).
   PruneEngine(const RecModel* model, const RatingMatrix& snapshot,
-              const CandidateIndex* bounds, bool rank_by_id);
+              const CandidateIndex* bounds);
 
   /// One user's exact top-k over the unseen items whose index lies in
   /// [begin, end) (default: the whole catalog), best-first (score desc,
-  /// rank asc). Bit-identical to batch-scoring those items and keeping the
-  /// k best under the same order. `floor` models the plan's min_score (use
-  /// -inf when absent).
+  /// id position asc). Bit-identical to batch-scoring those items and
+  /// keeping the k best under the same order. `floor` models the plan's
+  /// min_score (use -inf when absent).
   std::vector<TopKPruner::Entry> UserTopK(int64_t user_id, size_t k,
                                           double floor, size_t begin = 0,
                                           size_t end = SIZE_MAX);
@@ -99,11 +98,9 @@ class PruneEngine {
   /// to the pruner.
   void ScoreBatch(int32_t u, const std::vector<int32_t>& items,
                   TopKPruner* pruner);
-  /// Zero-merge modes: kAllUnrated offers every unrated item (all-zero
-  /// users), kSkipInBounds skips the bound table's domain (every in-bounds
-  /// item was scored or pruned by the sweep).
-  enum class MergeMode { kAllUnrated, kSkipInBounds };
-  void ZeroMerge(MergeMode mode, TopKPruner* pruner);
+  /// Offer 0.0, in id order, for every unrated item in range whose index
+  /// is at or past `swept` (the sweep scored or pruned the ones below it).
+  void ZeroMerge(size_t swept, TopKPruner* pruner);
   /// Float-safe upper bound for a block: the model's slack pads the
   /// magnitude of every term, plus an absolute epsilon.
   double PaddedBound(double scale_u, double offset_u, double max_scale,
@@ -126,7 +123,6 @@ class PruneEngine {
   const RecModel* model_;
   const RatingMatrix& snapshot_;
   const CandidateIndex* bounds_;  // null: dense selection
-  const bool rank_by_id_;
   const size_t num_items_;  // catalog size captured at construction
 
   std::vector<uint32_t> rated_stamp_;  // per item: rated by the user
@@ -135,9 +131,6 @@ class PruneEngine {
   size_t range_end_ = 0;
   std::vector<int32_t> batch_items_;
   std::vector<double> batch_pred_;
-  /// Items interned after the bound build (beyond order_by_id()), sorted
-  /// by external id — merged with it for the id-ordered zero-merge.
-  std::vector<std::pair<int64_t, int32_t>> oob_by_id_;
 };
 
 class RecommendExecutor : public Executor {
@@ -152,7 +145,7 @@ class RecommendExecutor : public Executor {
   /// Bounded Top-k, for every model: each grid unit runs
   /// PruneEngine::UserTopK over its item slice into the morsel's heap
   /// under the shared floor. One global top-prune_limit over (score desc,
-  /// user position, item position);
+  /// user position, item id position);
   /// morsels share the running global k-th score through a monotone
   /// atomic, and only the <= k global survivors are emitted, in arrival
   /// order — a subsequence of the exact stream, so the parent TopN's
@@ -210,7 +203,7 @@ class IndexRecommendExecutor : public Executor {
   // candidate std::find) plus the indices of the known ones, deduplicated,
   // for the cache-miss scan, so duplicated IN-list entries cannot emit
   // duplicate tuples. Without a pushdown the exact cache-miss scan lists
-  // the whole catalog in index order.
+  // the whole catalog in id order.
   std::optional<std::unordered_set<int64_t>> item_filter_;
   std::vector<int32_t> item_list_;
   std::vector<int64_t> users_;
@@ -218,8 +211,8 @@ class IndexRecommendExecutor : public Executor {
   std::vector<std::pair<int64_t, double>> current_;  // best-first
   size_t current_pos_ = 0;
   bool loaded_ = false;
-  // Bounded cache-miss fallback (external-id tie-break, floor =
-  // min_score); lazily constructed at the first miss.
+  // Bounded cache-miss fallback (floor = min_score); lazily constructed at
+  // the first miss.
   bool prune_active_ = false;
   std::shared_ptr<const CandidateIndex> cindex_;
   std::unique_ptr<PruneEngine> engine_;

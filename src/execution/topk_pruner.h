@@ -1,8 +1,8 @@
 // TopKPruner: the threshold side of WAND-style Top-N pruning (DESIGN.md
 // §13). A bounded top-k accumulator over (score desc, rank asc) — `rank`
-// is the caller's tie-break domain (item position for Recommend, external
-// item id for the IndexRecommend fallback) — that exposes the running
-// k-th score as a skip threshold.
+// is the caller's tie-break key (an item's id position, folded with the
+// user's position for a cross-user Top-k) — that exposes the running k-th
+// score as a skip threshold.
 //
 // Exactness contract: CanSkip(bound) is true only when no item whose true
 // score is <= bound can change the final top-k set. The comparison is

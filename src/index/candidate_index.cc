@@ -8,19 +8,10 @@
 
 namespace recdb {
 
-std::shared_ptr<CandidateIndex> CandidateIndex::Build(
-    const RatingMatrix& matrix, const RecModel& model) {
+std::shared_ptr<CandidateIndex> CandidateIndex::Build(const RecModel& model) {
   Stopwatch watch;
   auto index = std::shared_ptr<CandidateIndex>(new CandidateIndex());
   if (!model.ComputePruneBounds(&index->bounds_)) return nullptr;
-  // Tie-break order of the IndexRecommend fallback: item indices by
-  // ascending external id. Items interned after this build are
-  // out-of-band and merged in by the executor.
-  const std::vector<int64_t>& item_ids = matrix.item_ids();
-  index->order_by_id_.resize(matrix.NumItems());
-  std::iota(index->order_by_id_.begin(), index->order_by_id_.end(), 0);
-  std::sort(index->order_by_id_.begin(), index->order_by_id_.end(),
-            [&](int32_t a, int32_t b) { return item_ids[a] < item_ids[b]; });
   index->BuildBlocks();
   obs::Count(obs::Counter::kPruneIndexBuilds);
   obs::ObserveUs(obs::Histogram::kPruneIndexBuildUs,

@@ -5,8 +5,8 @@
 // ordered descending and cut into blocks of kBlockSize, each carrying its
 // max scale/offset plus suffix maxima, so a Top-k loop can skip whole
 // blocks (and stop entirely) once no remaining bound can beat the running
-// k-th score — plus the items in external-id order, the tie-break order of
-// the IndexRecommend fallback's zero-score merge.
+// k-th score. Ties rank by the matrix's id order (RatingMatrix::ItemsById),
+// which the index does not copy.
 //
 // CF models publish no bound table and get no index: their Top-k is dense
 // selection over every unrated item (PruneEngine::UserTopK), which needs
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "recommender/model.h"
-#include "recommender/rating_matrix.h"
 
 namespace recdb {
 
@@ -40,10 +39,9 @@ class CandidateIndex {
     double suffix_offset = 0;
   };
 
-  /// Build against a frozen matrix and the model trained (or patched) on
-  /// its base. Returns null when the model publishes no bound table.
-  static std::shared_ptr<CandidateIndex> Build(const RatingMatrix& matrix,
-                                               const RecModel& model);
+  /// Build from the model as trained (or patched) on its matrix's base.
+  /// Returns null when the model publishes no bound table.
+  static std::shared_ptr<CandidateIndex> Build(const RecModel& model);
 
   const PruneBoundTable& bounds() const { return bounds_; }
   /// Number of items covered by the bound table; an item index at or above
@@ -54,10 +52,6 @@ class CandidateIndex {
   const std::vector<Block>& blocks() const { return blocks_; }
   /// Item indices sorted by descending static bound (blocks index this).
   const std::vector<int32_t>& order() const { return order_; }
-  /// The matrix's item indices at build time, sorted by ascending external
-  /// id — the tie-break order of the IndexRecommend fallback's zero-score
-  /// merge.
-  const std::vector<int32_t>& order_by_id() const { return order_by_id_; }
 
  private:
   CandidateIndex() = default;
@@ -66,7 +60,6 @@ class CandidateIndex {
 
   PruneBoundTable bounds_;
   std::vector<int32_t> order_;
-  std::vector<int32_t> order_by_id_;
   std::vector<Block> blocks_;
 };
 

@@ -94,7 +94,8 @@ struct SeqScanPlan : PlanNode {
 
 /// RECOMMEND operator family (kRecommend / kFilterRecommend). Emits tuples
 /// shaped like the ratings table: user id, item id and predicted score at
-/// their column positions, NULL elsewhere.
+/// their column positions, NULL elsewhere; users in ascending id, then
+/// each user's items in ascending id (DESIGN.md §14).
 struct RecommendPlan : PlanNode {
   explicit RecommendPlan(PlanNodeType t = PlanNodeType::kRecommend)
       : PlanNode(t) {}

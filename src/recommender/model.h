@@ -168,7 +168,7 @@ class RecModel {
 
   /// True when every score this model can emit for the user is exactly 0.0
   /// (e.g. an SVD user with no factor row): the bounded sweep then skips
-  /// all scoring and fills the Top-k from unrated items in tie-break order.
+  /// all scoring and fills the Top-k from unrated items in id order.
   virtual bool PruneUserAllZero(int32_t user_idx) const {
     (void)user_idx;
     return false;

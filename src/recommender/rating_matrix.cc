@@ -1,6 +1,7 @@
 #include "recommender/rating_matrix.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -83,6 +84,32 @@ size_t RowStore::ApproxBytes() const {
   return total;
 }
 
+// ------------------------------------------------------------ IdOrder
+
+void IdOrder::Build(const std::vector<int64_t>& ids) {
+  order_.resize(ids.size());
+  std::iota(order_.begin(), order_.end(), 0);
+  std::sort(order_.begin(), order_.end(),
+            [&](int32_t a, int32_t b) { return ids[a] < ids[b]; });
+  pos_.resize(ids.size());
+  for (size_t p = 0; p < order_.size(); ++p) {
+    pos_[order_[p]] = static_cast<int32_t>(p);
+  }
+}
+
+void IdOrder::Insert(const std::vector<int64_t>& ids) {
+  const int32_t idx = static_cast<int32_t>(ids.size() - 1);
+  const auto at = std::lower_bound(
+      order_.begin(), order_.end(), ids[idx],
+      [&](int32_t i, int64_t id) { return ids[i] < id; });
+  const size_t p = static_cast<size_t>(at - order_.begin());
+  order_.insert(at, idx);
+  pos_.push_back(0);
+  for (size_t q = p; q < order_.size(); ++q) {
+    pos_[order_[q]] = static_cast<int32_t>(q);
+  }
+}
+
 // ------------------------------------------------------------ RatingMatrix
 
 int32_t RatingMatrix::InternUser(int64_t user_id) {
@@ -92,6 +119,7 @@ int32_t RatingMatrix::InternUser(int64_t user_id) {
   user_ids_.push_back(user_id);
   user_index_[user_id] = idx;
   users_.AddRow();
+  if (frozen_) user_order_.Insert(user_ids_);
   return idx;
 }
 
@@ -102,6 +130,7 @@ int32_t RatingMatrix::InternItem(int64_t item_id) {
   item_ids_.push_back(item_id);
   item_index_[item_id] = idx;
   items_.AddRow();
+  if (frozen_) item_order_.Insert(item_ids_);
   return idx;
 }
 
@@ -125,6 +154,11 @@ bool RatingMatrix::CommitRefreeze(MergedCsr&& merged) {
   if (merged.version != version_) return false;
   users_.Reset(std::move(merged.user));
   items_.Reset(std::move(merged.item));
+  if (!frozen_) {
+    // One sort per bulk load; every intern from here on keeps the orders.
+    user_order_.Build(user_ids_);
+    item_order_.Build(item_ids_);
+  }
   frozen_ = true;
   delta_ops_.clear();
   return true;

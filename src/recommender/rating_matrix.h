@@ -104,6 +104,23 @@ class RowStore {
   std::vector<LiveRow> live_;
 };
 
+/// Dense indices in ascending external-id order, and each index's place in
+/// that order. Built once over every interned id; a later id is inserted at
+/// its place (O(1) when it sorts last), so readers never sort.
+class IdOrder {
+ public:
+  void Build(const std::vector<int64_t>& ids);
+  /// Place the newest index, ids.size() - 1.
+  void Insert(const std::vector<int64_t>& ids);
+
+  const std::vector<int32_t>& order() const { return order_; }
+  int32_t pos(int32_t idx) const { return pos_[idx]; }
+
+ private:
+  std::vector<int32_t> order_;  // position -> index
+  std::vector<int32_t> pos_;    // index -> position
+};
+
 /// What Add() actually did — callers use this to keep maintenance pressure
 /// and the paper's GlobalMean bookkeeping honest.
 enum class RatingChange {
@@ -198,6 +215,15 @@ class RatingMatrix {
   const std::vector<int64_t>& item_ids() const { return item_ids_; }
   const std::vector<int64_t>& user_ids() const { return user_ids_; }
 
+  /// Users and items by ascending id, whatever order they were interned in
+  /// — the one order of every RECOMMEND (DESIGN.md §13-14) — and an item's
+  /// place in it. Valid once frozen.
+  const std::vector<int32_t>& UsersById() const { return user_order_.order(); }
+  const std::vector<int32_t>& ItemsById() const { return item_order_.order(); }
+  int32_t ItemIdPos(int32_t item_idx) const {
+    return item_order_.pos(item_idx);
+  }
+
   /// Flatten both orientations into the base. First call freezes the
   /// matrix; on an already-frozen matrix with a pending delta this merges
   /// the live rows into a fresh base, and with no delta it is a no-op.
@@ -269,6 +295,8 @@ class RatingMatrix {
   std::vector<int64_t> item_ids_;
   std::unordered_map<int64_t, int32_t> user_index_;
   std::unordered_map<int64_t, int32_t> item_index_;
+  IdOrder user_order_;  // maintained once frozen_
+  IdOrder item_order_;
   RowStore users_;  // row u: (item idx, rating), item-ascending
   RowStore items_;  // row i: (user idx, rating), user-ascending
   size_t num_ratings_ = 0;

@@ -141,7 +141,7 @@ Result<double> Recommender::Build() {
     return Status::Internal("model construction failed for " + config_.name);
   }
   model_ = std::move(model);
-  candidate_index_ = CandidateIndex::Build(*matrix_, *model_);
+  candidate_index_ = CandidateIndex::Build(*model_);
   base_size_ = matrix_->NumRatings();
   if (delta_cleared > 0) {
     obs::AddGauge(obs::Gauge::kIngestDeltaPending,
@@ -208,7 +208,7 @@ bool Recommender::CommitRefresh(RefreshPlan&& plan) {
   }
   // Bounds from the just-patched (or rebuilt) model over the new base — the
   // published (base, model, index) triple is coherent.
-  candidate_index_ = CandidateIndex::Build(*matrix_, *model_);
+  candidate_index_ = CandidateIndex::Build(*model_);
   base_size_ = matrix_->NumRatings();
   obs::AddGauge(obs::Gauge::kIngestDeltaPending,
                 -static_cast<int64_t>(plan.ops));

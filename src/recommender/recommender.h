@@ -166,7 +166,7 @@ class Recommender {
     matrix_->Freeze();
     model_ = std::move(model);
     base_size_ = matrix_->NumRatings();
-    candidate_index_ = CandidateIndex::Build(*matrix_, *model_);
+    candidate_index_ = CandidateIndex::Build(*model_);
   }
 
   /// Bounded Top-k bound index, rebuilt with the model at

@@ -850,8 +850,13 @@ TEST(BackgroundLaneTest, RecDbBackgroundRefreshMergesDelta) {
   ASSERT_TRUE(db.Execute("CREATE RECOMMENDER BgRec ON R USERS FROM u ITEMS "
                          "FROM i RATINGS FROM v USING ItemCosCF")
                   .ok());
-  // Pile up delta past the trigger; the scheduler should pick it up.
-  for (int64_t k = 0; k < 6; ++k) {
+  // Bring the delta exactly to the trigger: the last write schedules the
+  // refresh, so every write lands before the job takes its snapshot. (A
+  // write after the snapshot would stay below the next trigger, and
+  // legitimately stay pending, however the threads interleave.)
+  auto* rec = db.registry()->Get("BgRec").value();
+  for (int64_t k = 0; k < 4; ++k) {
+    EXPECT_FALSE(rec->NeedsRefresh()) << k;
     ASSERT_TRUE(db.Execute("INSERT INTO R VALUES (" + std::to_string(1 + k) +
                            ", " + std::to_string(((k * 2) % 5) + 1) + ", 4.0)")
                     .ok());
@@ -864,7 +869,6 @@ TEST(BackgroundLaneTest, RecDbBackgroundRefreshMergesDelta) {
                     .ok());
   }
   db.DrainBackgroundWork();
-  auto* rec = db.registry()->Get("BgRec").value();
   EXPECT_FALSE(rec->live().has_delta());
 
   // SET maintenance = manual stops scheduling; delta accumulates.

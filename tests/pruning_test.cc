@@ -133,12 +133,15 @@ constexpr const char* kAlgoNames[] = {"ItemCosCF", "ItemPearCF", "UserCosCF",
 bool IsCF(const std::string& algo) { return algo != "SVD"; }
 
 // The delta scenarios the bounded Top-k must stay coherent with: new pair,
-// overwrite, remove, new user rating known items, new item rated by known
-// users — issued as SQL statements so they travel the batched DML path.
+// overwrite, remove, new user rating known items, new items rated by known
+// users — one (995) whose id sorts last, as its index does, and one (0)
+// whose id sorts below every base item although it is interned last —
+// issued as SQL statements so they travel the batched DML path.
 void ApplyDeltaStatements(RecDB* db) {
   ASSERT_TRUE(db->Execute("INSERT INTO Ratings VALUES (1, 199, 5.0), "
                           "(1, 2, 4.0), (77, 1, 5.0), (77, 38, 3.0), "
-                          "(2, 995, 4.0), (3, 995, 2.0)")
+                          "(2, 995, 4.0), (3, 995, 2.0), (2, 0, 3.0), "
+                          "(77, 0, 1.0)")
                   .ok());
   ASSERT_TRUE(db->Execute("DELETE FROM Ratings WHERE uid = 2 AND iid = 74")
                   .ok());
@@ -158,6 +161,10 @@ TEST(PrunedEquivalenceTest, AllAlgorithmsAllParallelismsWithAndWithoutDelta) {
                            algo)
                     .ok());
     ASSERT_TRUE(db.Execute("ANALYZE Ratings").ok());
+    Recommender* r = db.GetRecommender("r").value();
+    // The Recommend cases keep the Recommend plan; the IndexRecommend cases
+    // below turn the rewrite on themselves.
+    db.mutable_planner_options()->enable_index_recommend = false;
     const std::string rec =
         std::string("SELECT R.uid, R.iid, R.ratingval FROM Ratings AS R "
                     "RECOMMEND R.iid TO R.uid ON R.ratingval USING ") +
@@ -166,7 +173,7 @@ TEST(PrunedEquivalenceTest, AllAlgorithmsAllParallelismsWithAndWithoutDelta) {
     // Besides all users: three users, fewer than the 8 workers, so each
     // user's catalog is cut into item-index slices, one bounded walk per
     // slice. Users 1-3 carry every delta shape (new pair, overwrite,
-    // removal, the out-of-band item 995); LIMIT 200 runs into the 0.0 ties.
+    // removal, the new items 995 and 0); LIMIT 200 runs into the 0.0 ties.
     const std::string few = rec + " WHERE R.uid IN (3, 1, 2) ORDER BY "
                                   "R.ratingval DESC LIMIT ";
     const std::pair<std::string, size_t> cases[] = {
@@ -221,6 +228,44 @@ TEST(PrunedEquivalenceTest, AllAlgorithmsAllParallelismsWithAndWithoutDelta) {
           EXPECT_EQ(pruned.value().stats.tasks_spawned > 0, threads > 1)
               << algo << " at parallelism " << threads;
         }
+        ASSERT_TRUE(db.Execute("SET parallelism = 1").ok());
+        if (sql == query) continue;
+
+        // The same users through IndexRecommend: users 1 and 2, scored
+        // into the index just now, are hits (and give the cost pass the
+        // coverage to keep the rewrite); user 3, who carries every delta
+        // shape, is the cache miss. The index and both fallbacks, exact and
+        // bounded, rank each user's items by score, then id, as Recommend
+        // does, so every mode returns the exact Recommend rows.
+        ASSERT_TRUE(r->MaterializeUser(1).ok());
+        ASSERT_TRUE(r->MaterializeUser(2).ok());
+        db.mutable_planner_options()->enable_index_recommend = true;
+        for (bool prune : {false, true}) {
+          db.mutable_planner_options()->enable_pruned_topn = prune;
+          auto explained = db.Explain(sql);
+          ASSERT_TRUE(explained.ok()) << algo;
+          EXPECT_NE(explained.value().find("IndexRecommend"), std::string::npos)
+              << algo << "\n" << explained.value();
+          EXPECT_EQ(explained.value().find("fallback=pruned") !=
+                        std::string::npos,
+                    prune)
+              << algo << "\n" << explained.value();
+          for (int threads : {1, 2, 8}) {
+            ASSERT_TRUE(
+                db.Execute("SET parallelism = " + std::to_string(threads))
+                    .ok());
+            auto miss = db.Execute(sql);
+            ASSERT_TRUE(miss.ok()) << algo;
+            EXPECT_EQ(miss.value().stats.index_hits, 2u) << algo;
+            EXPECT_EQ(miss.value().stats.index_misses, 1u) << algo;
+            EXPECT_EQ(RowsToString(miss.value()), expected)
+                << algo << " IndexRecommend with the "
+                << (prune ? "bounded" : "exact")
+                << " fallback diverged at parallelism " << threads
+                << (with_delta ? " with delta" : " without delta");
+          }
+        }
+        db.mutable_planner_options()->enable_index_recommend = false;
         ASSERT_TRUE(db.Execute("SET parallelism = 1").ok());
       }
     }
@@ -816,28 +861,34 @@ TEST(CandidateIndexTest, BoundIndexSurvivesIngestUntilRefresh) {
     }
     ASSERT_NE(index, nullptr);
     const RatingMatrix& m = rec.live();
-    EXPECT_EQ(index->order_by_id().size(), m.NumItems());
-
-    // Ingest lands in live rows; the published index stays put (the
-    // executor merges items interned since by external id).
     const size_t built_items = m.NumItems();
-    rec.AddRating(1, 999, 5.0);
-    rec.AddRating(2, 999, 3.0);
-    EXPECT_EQ(rec.candidate_index(), index);
-    EXPECT_EQ(index->order_by_id().size(), built_items);
-    ASSERT_TRUE(m.ItemIndex(999).has_value());
-    EXPECT_EQ(m.NumItems(), built_items + 1);
+    EXPECT_EQ(index->bound_table_size(), built_items);
+    const std::vector<int32_t> built_order = index->order();
+    const size_t built_blocks = index->blocks().size();
 
-    // Refresh rebuilds the index over the new item.
+    // Ingest lands in live rows and interns two items, one sorting below
+    // every built item; the published index is kept as built (items past
+    // its bound table score exactly 0.0 until the next refresh).
+    rec.AddRating(1, 999, 5.0);
+    rec.AddRating(2, 0, 3.0);
+    EXPECT_EQ(rec.candidate_index(), index);
+    EXPECT_EQ(index->bound_table_size(), built_items);
+    EXPECT_EQ(index->order(), built_order);
+    EXPECT_EQ(index->blocks().size(), built_blocks);
+    EXPECT_EQ(m.NumItems(), built_items + 2);
+
+    // Refresh rebuilds it over the new items; the old shared_ptr stays
+    // valid, unchanged, for its holders.
     auto refreshed = rec.Refresh();
     ASSERT_TRUE(refreshed.ok());
     ASSERT_TRUE(refreshed.value());
     auto fresh = rec.candidate_index();
     ASSERT_NE(fresh, nullptr);
     EXPECT_NE(fresh.get(), index.get());
-    EXPECT_EQ(fresh->order_by_id().size(), m.NumItems());
-    // The old shared_ptr stays valid for its holders.
-    EXPECT_EQ(index->order_by_id().size(), built_items);
+    EXPECT_EQ(fresh->bound_table_size(), m.NumItems());
+    EXPECT_EQ(fresh->order().size(), m.NumItems());
+    EXPECT_EQ(index->bound_table_size(), built_items);
+    EXPECT_EQ(index->order(), built_order);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
 #include "recommender/cf_model.h"
@@ -129,6 +130,32 @@ TEST(RatingMatrixTest, FailedRemoveKeepsMatrixFrozen) {
   EXPECT_TRUE(m->frozen());
   EXPECT_TRUE(m->has_delta());
   EXPECT_EQ(m->NumRatings(), 6u);
+}
+
+TEST(RatingMatrixTest, IdsInternedAfterTheFreezeTakeTheirPlaceInIdOrder) {
+  RatingMatrix m;
+  for (int64_t id : {50, 10, 40, 20, 30}) m.Add(1, id, 3.0);
+  m.Freeze();
+  // A new lowest, middle and highest id, then a re-flatten that must keep
+  // the order it maintained.
+  m.Add(2, 5, 1.0);
+  m.Add(2, 35, 1.0);
+  m.Add(3, 60, 1.0);
+  const std::vector<int64_t> want_items = {5, 10, 20, 30, 35, 40, 50, 60};
+  for (bool refrozen : {false, true}) {
+    SCOPED_TRACE(refrozen ? "after re-freeze" : "live");
+    if (refrozen) m.Freeze();
+    ASSERT_EQ(m.ItemsById().size(), want_items.size());
+    for (size_t p = 0; p < want_items.size(); ++p) {
+      const int32_t idx = m.ItemsById()[p];
+      EXPECT_EQ(m.ItemIdAt(idx), want_items[p]) << p;
+      EXPECT_EQ(m.ItemIdPos(idx), static_cast<int32_t>(p)) << p;
+    }
+  }
+  m.Add(0, 10, 2.0);  // a user id below every interned user
+  std::vector<int64_t> users;
+  for (int32_t u : m.UsersById()) users.push_back(m.UserIdAt(u));
+  EXPECT_EQ(users, (std::vector<int64_t>{0, 1, 2, 3}));
 }
 
 TEST(RatingMatrixTest, UnfrozenCsrAccessorsReturnEmptyRows) {

@@ -381,17 +381,20 @@ TEST(ServingDml, FailedMultiRowInsertMatchesSingleNode) {
   }
 }
 
-// Users a write introduces merge by id like every other user: the id an
-// UPDATE introduces (40) and the one a later INSERT introduces (41) come
-// back in the order a single node emits them.
-TEST(ServingDml, UpdateIntroducedUserMergesInIdOrder) {
+// Users and items a write introduces merge by id like every other one: the
+// user an UPDATE introduces (40) and the one a later INSERT introduces (41)
+// come back in the order a single node emits them, and so do the items one
+// UPDATE introduces on several shards at once (60 - uid, a new id per victim
+// row, interned in a different order at every shard count).
+TEST(ServingDml, UpdateIntroducedUsersAndItemsMergeInIdOrder) {
   for (size_t shards : {2, 8}) {
     SCOPED_TRACE(std::to_string(shards) + " shards");
     auto reference = MakeReference();
     auto db = MakeSharded(shards);
     for (const char* sql :
          {"UPDATE ratings SET uid = 40 WHERE uid = 7 AND iid = 2",
-          "INSERT INTO ratings VALUES (41, 3, 2.5), (40, 5, 4.0)"}) {
+          "INSERT INTO ratings VALUES (41, 3, 2.5), (40, 5, 4.0)",
+          "UPDATE ratings SET iid = 60 - uid WHERE iid = 2"}) {
       auto want = reference->Execute(sql);
       auto got = db->Execute(sql);
       ASSERT_TRUE(want.ok()) << want.status().message();
