@@ -145,10 +145,11 @@ int main(int argc, char** argv) {
                               .ToTable(only_nonzero)
                               .c_str());
       } else if (trimmed == "\\trace") {
-        if (db.last_trace().empty()) {
+        const std::string trace = db.last_trace();
+        if (trace.empty()) {
           std::printf("no trace recorded — run SET trace = on; then a query\n");
         } else {
-          std::printf("%s", db.last_trace().c_str());
+          std::printf("%s", trace.c_str());
         }
       } else if (trimmed == "\\timing") {
         timing = !timing;

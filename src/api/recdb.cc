@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -137,8 +138,7 @@ RecDB::RecDB(RecDBOptions options, std::unique_ptr<DiskManager> disk)
     : options_(options),
       disk_(disk != nullptr ? std::move(disk)
                             : std::make_unique<InMemoryDiskManager>()),
-      clock_(&default_clock_),
-      trace_enabled_(options.trace) {
+      clock_(&default_clock_) {
   // The constructor cannot return a Status; an out-of-range shard config is
   // remembered and surfaced by Execute/BulkInsert (never silently clamped).
   options_status_ = ValidateShardOptions(options_);
@@ -596,20 +596,32 @@ Status RecDB::LoadMeta(std::vector<RecommenderConfig>* configs) {
 Result<ResultSet> RecDB::Execute(const std::string& sql) {
   if (closed_.load()) return Status::InvalidArgument("database is closed");
   RECDB_RETURN_NOT_OK(options_status_);
-  if (trace_enabled_.load()) return ExecuteTraced(sql);
-  RECDB_ASSIGN_OR_RETURN(auto stmts, Parser::Parse(sql));
+  std::optional<obs::Tracer> tracer;
+  if (trace_enabled_.load()) tracer.emplace("query");
+  obs::Tracer* t = tracer.has_value() ? &*tracer : nullptr;
   bool writer = false;
-  for (const auto& stmt : stmts) {
-    if (IsWriteStatement(*stmt)) writer = true;
-  }
   Result<ResultSet> result = [&]() -> Result<ResultSet> {
+    const int parse_span = t != nullptr ? t->BeginSpan("parse") : -1;
+    RECDB_ASSIGN_OR_RETURN(auto stmts, Parser::Parse(sql));
+    if (parse_span >= 0) t->EndSpan(parse_span);
+    for (const auto& stmt : stmts) {
+      if (IsWriteStatement(*stmt)) writer = true;
+    }
     if (writer) {
       std::unique_lock<std::shared_mutex> lock(*state_mu_);
-      return RunStatements(stmts);
+      return RunStatements(stmts, t);
     }
     std::shared_lock<std::shared_mutex> lock(*state_mu_);
-    return RunStatements(stmts);
+    return RunStatements(stmts, t);
   }();
+  if (t != nullptr) {
+    // Rendered even on error so a failing query's partial trace is visible.
+    t->Finish();
+    std::string rendered = t->Render();
+    if (result.ok()) result.value().trace = rendered;
+    std::lock_guard<std::mutex> lock(trace_mu_);
+    last_trace_ = std::move(rendered);
+  }
   ApplyPendingParallelism();
   if (writer) {
     // Group-commit outside the lock: the fsync never blocks readers, and a
@@ -623,27 +635,6 @@ Result<ResultSet> RecDB::Execute(const std::string& sql) {
   return result;
 }
 
-Result<ResultSet> RecDB::ExecuteTraced(const std::string& sql) {
-  std::unique_lock<std::shared_mutex> lock(*state_mu_);
-  active_tracer_ = std::make_unique<obs::Tracer>("query");
-  int parse_span = active_tracer_->BeginSpan("parse");
-  auto parsed = Parser::Parse(sql);
-  active_tracer_->EndSpan(parse_span);
-  Result<ResultSet> result = parsed.ok()
-                                 ? RunStatements(parsed.value())
-                                 : Result<ResultSet>(parsed.status());
-  // Render even on error so a failing query's partial trace is visible.
-  active_tracer_->Finish();
-  last_trace_ = active_tracer_->Render();
-  active_tracer_.reset();
-  if (result.ok()) result.value().trace = last_trace_;
-  lock.unlock();
-  ApplyPendingParallelism();
-  Status commit = CommitWal();
-  if (!commit.ok() && result.ok()) return commit;
-  return result;
-}
-
 void RecDB::ApplyPendingParallelism() {
   const size_t n = pending_parallelism_.exchange(0);
   if (n != 0) TaskScheduler::SetGlobalParallelism(n);
@@ -654,7 +645,7 @@ std::string RecDB::MetricsJson() {
 }
 
 Result<ResultSet> RecDB::RunStatements(
-    const std::vector<std::unique_ptr<Statement>>& stmts) {
+    const std::vector<std::unique_ptr<Statement>>& stmts, obs::Tracer* tracer) {
   if (closed_.load()) return Status::InvalidArgument("database is closed");
   uint64_t read_failures = disk_->num_read_failures();
   uint64_t write_failures = disk_->num_write_failures();
@@ -663,7 +654,7 @@ Result<ResultSet> RecDB::RunStatements(
   ResultSet last;
   for (const auto& stmt : stmts) {
     obs::Count(obs::Counter::kQueryStatements);
-    RECDB_ASSIGN_OR_RETURN(last, ExecuteStatement(*stmt));
+    RECDB_ASSIGN_OR_RETURN(last, ExecuteStatement(*stmt, tracer));
   }
   last.stats.io_read_failures += disk_->num_read_failures() - read_failures;
   last.stats.io_write_failures += disk_->num_write_failures() - write_failures;
@@ -674,23 +665,57 @@ Result<ResultSet> RecDB::RunStatements(
 }
 
 Result<std::string> RecDB::Explain(const std::string& sql) {
-  std::shared_lock<std::shared_mutex> lock(*state_mu_);
+  if (closed_.load()) return Status::InvalidArgument("database is closed");
+  RECDB_RETURN_NOT_OK(options_status_);
   RECDB_ASSIGN_OR_RETURN(auto stmt, Parser::ParseSingle(sql));
   if (stmt->kind != StatementKind::kSelect) {
     return Status::InvalidArgument("EXPLAIN supports SELECT only");
   }
-  Planner planner(catalog_.get(), &registry_, options_.planner);
+  std::shared_lock<std::shared_mutex> lock(*state_mu_);
   RECDB_ASSIGN_OR_RETURN(
-      auto planned, planner.PlanSelect(static_cast<SelectStatement&>(*stmt)));
-  Optimizer optimizer(options_.planner);
-  RECDB_ASSIGN_OR_RETURN(auto plan, optimizer.Optimize(std::move(planned.plan)));
-  return PlannerOptionsSummary(options_.planner) + "\n" + plan->ToString();
+      auto planned, PlanSelect(static_cast<SelectStatement&>(*stmt), nullptr));
+  return PlannerOptionsSummary(options_.planner) + "\n" +
+         planned.plan->ToString();
 }
 
-Result<ResultSet> RecDB::ExecuteStatement(const Statement& stmt) {
+Result<PlannedQuery> RecDB::PlanSelect(const SelectStatement& stmt,
+                                       obs::Tracer* tracer) {
+  const int span = tracer != nullptr ? tracer->BeginSpan("plan") : -1;
+  Planner planner(catalog_.get(), &registry_, options_.planner);
+  RECDB_ASSIGN_OR_RETURN(auto planned, planner.PlanSelect(stmt));
+  RECDB_ASSIGN_OR_RETURN(planned.plan, Optimizer(options_.planner)
+                                           .Optimize(std::move(planned.plan)));
+  if (span >= 0) tracer->EndSpan(span);
+  return planned;
+}
+
+Status RecDB::RunPlan(const PlanNode& plan, obs::Tracer* tracer,
+                      ExecContext* ctx, std::vector<Tuple>* rows) {
+  NotifyRecommendQuery(plan);
+  const int span = tracer != nullptr ? tracer->BeginSpan("execute") : -1;
+  ctx->tracer = tracer;
+  ctx->shard_count = static_cast<uint32_t>(options_.shard_count);
+  ctx->shard_index = static_cast<uint32_t>(options_.shard_index);
+  RECDB_ASSIGN_OR_RETURN(auto exec, CreateExecutor(plan, ctx));
+  RECDB_RETURN_NOT_OK(exec->Init());
+  while (true) {
+    RECDB_ASSIGN_OR_RETURN(auto next, exec->Next());
+    if (!next.has_value()) break;
+    if (rows != nullptr) rows->push_back(std::move(*next));
+  }
+  if (span >= 0) {
+    tracer->AttachPlan(plan, ctx->nodes);
+    tracer->EndSpan(span);
+  }
+  PublishExecStats(ctx->stats);
+  return Status::OK();
+}
+
+Result<ResultSet> RecDB::ExecuteStatement(const Statement& stmt,
+                                          obs::Tracer* tracer) {
   switch (stmt.kind) {
     case StatementKind::kSelect:
-      return ExecuteSelect(static_cast<const SelectStatement&>(stmt));
+      return ExecuteSelect(static_cast<const SelectStatement&>(stmt), tracer);
     case StatementKind::kCreateTable:
       return ExecuteCreateTable(static_cast<const CreateTableStatement&>(stmt));
     case StatementKind::kDropTable: {
@@ -712,35 +737,22 @@ Result<ResultSet> RecDB::ExecuteStatement(const Statement& stmt) {
       return ExecuteUpdate(static_cast<const UpdateStatement&>(stmt));
     case StatementKind::kExplain: {
       const auto& explain = static_cast<const ExplainStatement&>(stmt);
-      Planner planner(catalog_.get(), &registry_, options_.planner);
       RECDB_ASSIGN_OR_RETURN(
           auto planned,
-          planner.PlanSelect(
-              static_cast<const SelectStatement&>(*explain.inner)));
-      Optimizer optimizer(options_.planner);
-      RECDB_ASSIGN_OR_RETURN(auto plan,
-                             optimizer.Optimize(std::move(planned.plan)));
+          PlanSelect(static_cast<const SelectStatement&>(*explain.inner),
+                     tracer));
       ResultSet rs;
       rs.columns = {"plan"};
       std::string rendered;
       if (explain.analyze) {
         // EXPLAIN ANALYZE: run the query (discarding its rows) so each plan
         // node's actual emitted-row count appears next to its estimate.
-        NotifyRecommendQuery(*plan);
         ExecContext ctx;
-        ctx.shard_count = static_cast<uint32_t>(options_.shard_count);
-        ctx.shard_index = static_cast<uint32_t>(options_.shard_index);
-        RECDB_ASSIGN_OR_RETURN(auto exec, CreateExecutor(*plan, &ctx));
-        RECDB_RETURN_NOT_OK(exec->Init());
-        while (true) {
-          RECDB_ASSIGN_OR_RETURN(auto next, exec->Next());
-          if (!next.has_value()) break;
-        }
+        RECDB_RETURN_NOT_OK(RunPlan(*planned.plan, tracer, &ctx, nullptr));
         rs.stats = ctx.stats;
-        PublishExecStats(ctx.stats);
-        rendered = plan->ToString(0, &ctx.actual_rows);
+        rendered = planned.plan->ToString(0, &ctx.nodes);
       } else {
-        rendered = plan->ToString();
+        rendered = planned.plan->ToString();
       }
       rs.rows.push_back(
           Tuple({Value::String(PlannerOptionsSummary(options_.planner))}));
@@ -883,45 +895,17 @@ Result<ResultSet> RecDB::ExecuteSet(const SetStatement& stmt) {
   return Status::InvalidArgument("unknown option in SET: " + stmt.option);
 }
 
-Result<ResultSet> RecDB::ExecuteSelect(const SelectStatement& stmt) {
+Result<ResultSet> RecDB::ExecuteSelect(const SelectStatement& stmt,
+                                       obs::Tracer* tracer) {
   obs::Count(obs::Counter::kQuerySelects);
   Stopwatch watch;
-  obs::Tracer* tracer = active_tracer_.get();
-  int plan_span = tracer != nullptr ? tracer->BeginSpan("plan") : -1;
-  Planner planner(catalog_.get(), &registry_, options_.planner);
-  RECDB_ASSIGN_OR_RETURN(auto planned, planner.PlanSelect(stmt));
-  Optimizer optimizer(options_.planner);
-  RECDB_ASSIGN_OR_RETURN(auto plan, optimizer.Optimize(std::move(planned.plan)));
-  if (plan_span >= 0) tracer->EndSpan(plan_span);
-
-  NotifyRecommendQuery(*plan);
-
-  int exec_span = tracer != nullptr ? tracer->BeginSpan("execute") : -1;
-  ExecContext ctx;
-  ctx.tracer = tracer;
-  ctx.shard_count = static_cast<uint32_t>(options_.shard_count);
-  ctx.shard_index = static_cast<uint32_t>(options_.shard_index);
-  RECDB_ASSIGN_OR_RETURN(auto exec, CreateExecutor(*plan, &ctx));
-  RECDB_RETURN_NOT_OK(exec->Init());
-
+  RECDB_ASSIGN_OR_RETURN(auto planned, PlanSelect(stmt, tracer));
   ResultSet rs;
   rs.columns = std::move(planned.output_names);
-  while (true) {
-    RECDB_ASSIGN_OR_RETURN(auto next, exec->Next());
-    if (!next.has_value()) break;
-    rs.rows.push_back(std::move(*next));
-  }
-  if (exec_span >= 0) {
-    // Materialize the per-executor spans (accumulated via RecordNode during
-    // the drain) under the execute span, then close it.
-    tracer->AttachPlan(*plan);
-    tracer->EndSpan(exec_span);
-  }
-  // Rendered after the drain so est/act annotations are both available.
-  rs.plan = plan->ToString(0, &ctx.actual_rows);
+  ExecContext ctx;
+  RECDB_RETURN_NOT_OK(RunPlan(*planned.plan, tracer, &ctx, &rs.rows));
   rs.stats = ctx.stats;
   rs.elapsed_seconds = watch.ElapsedSeconds();
-  PublishExecStats(ctx.stats);
   obs::Count(obs::Counter::kQueryRowsEmitted, rs.rows.size());
   obs::ObserveUs(obs::Histogram::kQueryLatencyUs, rs.elapsed_seconds * 1e6);
   return rs;

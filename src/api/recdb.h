@@ -64,11 +64,6 @@ struct RecDBOptions {
   /// the process-wide scheduler unchanged (it defaults to 1 = serial).
   /// Runtime-adjustable via `SET parallelism = N`.
   size_t parallelism = 0;
-  /// Record a per-query span tree (parse -> plan -> execute with one span
-  /// per executor node) into ResultSet::trace / last_trace(). Runtime-
-  /// adjustable via `SET trace = on|off`. Off by default: the executor hot
-  /// path then skips all timing and allocates nothing for tracing.
-  bool trace = false;
   /// Serving-layer user partition (DESIGN.md §14, docs/SCALING.md). With
   /// shard_count > 1 this engine is one shard of a ShardedRecDB: RECOMMEND
   /// executors score only the users `shard_index` owns (ShardOfUser), DML
@@ -102,9 +97,8 @@ struct ResultSet {
   std::vector<Tuple> rows;
   /// For DDL/DML statements: a human-readable confirmation.
   std::string message;
-  /// Optimized physical plan (SELECT only).
-  std::string plan;
-  /// Rendered span tree of the script (non-empty only under SET trace = on).
+  /// Rendered span tree of the script (non-empty only under `SET trace =
+  /// on`): parse -> plan -> execute, with one span per executor node.
   std::string trace;
   ExecStats stats;
   double elapsed_seconds = 0;
@@ -162,6 +156,8 @@ class RecDB {
   /// take the exclusive lock. WAL group commit happens after the lock is
   /// released, so an INSERT's fsync never blocks concurrent RECOMMEND
   /// scans — they read the consistent pre- or post-statement snapshot.
+  /// Under `SET trace = on` the script records its own span tree into
+  /// ResultSet::trace and last_trace(), under the same locks.
   Result<ResultSet> Execute(const std::string& sql);
 
   /// A per-caller handle for concurrent use; see api/session.h. Sessions
@@ -176,9 +172,13 @@ class RecDB {
   /// scrapes; see docs/OPERATIONS.md for the field reference.
   static std::string MetricsJson();
 
-  /// Rendered span tree of the most recent traced Execute() call (empty
-  /// until a statement runs under `SET trace = on`).
-  const std::string& last_trace() const { return last_trace_; }
+  /// Rendered span tree of the most recent traced Execute() call, including
+  /// a failed one's partial tree (empty until a statement runs under `SET
+  /// trace = on`). A copy: traced readers run concurrently.
+  std::string last_trace() const {
+    std::lock_guard<std::mutex> lock(trace_mu_);
+    return last_trace_;
+  }
 
   // --- direct access for tools, tests and benchmarks ---
   Catalog* catalog() { return catalog_.get(); }
@@ -247,14 +247,25 @@ class RecDB {
  private:
   friend class Session;
 
-  /// Tracing path of Execute(): always exclusive (the tracer is shared
-  /// state), parses inside the lock so the parse span lands in the trace.
-  Result<ResultSet> ExecuteTraced(const std::string& sql);
   /// Statement loop + per-script I/O fault deltas. Caller holds state_mu_.
+  /// `tracer` (null when tracing is off) is the script's own.
   Result<ResultSet> RunStatements(
-      const std::vector<std::unique_ptr<Statement>>& stmts);
-  Result<ResultSet> ExecuteStatement(const Statement& stmt);
-  Result<ResultSet> ExecuteSelect(const SelectStatement& stmt);
+      const std::vector<std::unique_ptr<Statement>>& stmts,
+      obs::Tracer* tracer);
+  Result<ResultSet> ExecuteStatement(const Statement& stmt,
+                                     obs::Tracer* tracer);
+  Result<ResultSet> ExecuteSelect(const SelectStatement& stmt,
+                                  obs::Tracer* tracer);
+  /// The one plan step (Planner + Optimizer) for SELECT, EXPLAIN and
+  /// Explain(), under a `plan` span when traced.
+  Result<PlannedQuery> PlanSelect(const SelectStatement& stmt,
+                                  obs::Tracer* tracer);
+  /// The one drain: records RECOMMEND demand, builds the executor tree
+  /// over `ctx`, runs Init and Next to exhaustion (keeping the rows when
+  /// `rows` is non-null) and publishes the statement's stats, under an
+  /// `execute` span with one span per plan node when traced.
+  Status RunPlan(const PlanNode& plan, obs::Tracer* tracer, ExecContext* ctx,
+                 std::vector<Tuple>* rows);
   Result<ResultSet> ExecuteCreateTable(const CreateTableStatement& stmt);
   Result<ResultSet> ExecuteInsert(const InsertStatement& stmt);
   Result<ResultSet> ExecuteCreateRecommender(
@@ -388,11 +399,10 @@ class RecDB {
   /// its submit lock, which a scatter leg holds while it takes a shard's
   /// state_mu_: resizing under state_mu_ would invert that order.
   std::atomic<size_t> pending_parallelism_{0};
-  /// `SET trace = on` state; seeded from RecDBOptions::trace.
+  /// `SET trace = on|off` state, read once per Execute().
   std::atomic<bool> trace_enabled_{false};
-  /// Live tracer for the Execute() call in flight (null when tracing off;
-  /// guarded by the exclusive lock — tracing scripts never run shared).
-  std::unique_ptr<obs::Tracer> active_tracer_;
+  /// Guards last_trace_: traced readers finish concurrently.
+  mutable std::mutex trace_mu_;
   std::string last_trace_;
 };
 

@@ -9,7 +9,6 @@
 #include <chrono>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 
 #include "common/shard.h"
 #include "common/status.h"
@@ -67,12 +66,13 @@ struct ExecStats {
 
 struct ExecContext {
   ExecStats stats;
-  /// Actual rows emitted per plan node (EXPLAIN ANALYZE), keyed by node
-  /// address; filled by the Executor::Next wrapper as tuples flow.
-  ActualRowMap actual_rows;
-  /// Non-null when `SET trace = on`: the Init and Next wrappers time each
-  /// InitImpl / NextImpl call and accumulate per-node inclusive durations
-  /// into the tracer.
+  /// One record per plan node, for EXPLAIN ANALYZE and the trace alike.
+  /// Each executor resolves its slot at construction; the Next wrapper
+  /// counts emitted rows into it as tuples flow.
+  NodeStatsMap nodes;
+  /// Non-null when `SET trace = on`: the Init and Next wrappers also time
+  /// each InitImpl / NextImpl call and count Next calls into the node's
+  /// record, which the tracer renders once the plan has drained.
   /// Null (the default) keeps the hot path untimed and allocation-free.
   obs::Tracer* tracer = nullptr;
   /// Serving-layer user partition (DESIGN.md §14), seeded from
@@ -93,12 +93,10 @@ struct ExecContext {
 
 class Executor {
  public:
-  /// Resolves this node's EXPLAIN ANALYZE row counter once; unordered_map
-  /// element references survive a rehash, so Next increments through it.
+  /// Resolves this node's record once; unordered_map element references
+  /// survive a rehash, so Init and Next add to it through the pointer.
   Executor(const PlanNode& node, ExecContext* ctx)
-      : node_(&node),
-        exec_ctx_(ctx),
-        actual_rows_(ctx != nullptr ? &ctx->actual_rows[&node] : nullptr) {}
+      : exec_ctx_(ctx), stats_(ctx != nullptr ? &ctx->nodes[&node] : nullptr) {}
   virtual ~Executor() = default;
 
   /// Prepare (or re-prepare) the iterator. Must be callable repeatedly.
@@ -106,24 +104,25 @@ class Executor {
   /// children's Init and any work drained there, e.g. TopN's or bounded
   /// scoring's) is added to this node's inclusive time.
   Status Init() {
-    if (exec_ctx_ != nullptr && exec_ctx_->tracer != nullptr) {
-      return TracedInit();
+    if (exec_ctx_ == nullptr || exec_ctx_->tracer == nullptr) {
+      return InitImpl();
     }
-    return InitImpl();
+    const auto start = std::chrono::steady_clock::now();
+    Status s = InitImpl();
+    stats_->ns += NsSince(start);
+    return s;
   }
 
   /// Produce the next tuple, or nullopt when exhausted. Counts emitted
-  /// tuples into ExecContext::actual_rows for EXPLAIN ANALYZE, and — when a
-  /// tracer is attached — accumulates this node's inclusive NextImpl time
-  /// for the per-executor trace spans.
+  /// tuples into this node's record for EXPLAIN ANALYZE, and — when a
+  /// tracer is attached — its Next calls and inclusive NextImpl time for
+  /// the per-executor trace spans.
   Result<std::optional<Tuple>> Next() {
     if (exec_ctx_ != nullptr && exec_ctx_->tracer != nullptr) {
       return TracedNext();
     }
     auto r = NextImpl();
-    if (r.ok() && r.value().has_value() && actual_rows_ != nullptr) {
-      ++*actual_rows_;
-    }
+    if (r.ok() && r.value().has_value() && stats_ != nullptr) ++stats_->rows;
     return r;
   }
 
@@ -139,26 +138,17 @@ class Executor {
             .count());
   }
 
-  Status TracedInit() {
-    const auto start = std::chrono::steady_clock::now();
-    Status s = InitImpl();
-    exec_ctx_->tracer->RecordNodeInit(node_, NsSince(start));
-    return s;
-  }
-
   Result<std::optional<Tuple>> TracedNext() {
     const auto start = std::chrono::steady_clock::now();
     auto r = NextImpl();
-    const uint64_t ns = NsSince(start);
-    const bool produced = r.ok() && r.value().has_value();
-    exec_ctx_->tracer->RecordNode(node_, ns, produced);
-    if (produced) ++*actual_rows_;
+    stats_->ns += NsSince(start);
+    ++stats_->next_calls;
+    if (r.ok() && r.value().has_value()) ++stats_->rows;
     return r;
   }
 
-  const PlanNode* node_;
   ExecContext* exec_ctx_;
-  uint64_t* actual_rows_;
+  NodeStats* stats_;
 };
 
 using ExecutorPtr = std::unique_ptr<Executor>;

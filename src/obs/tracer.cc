@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "common/string_util.h"
-#include "planner/plan_node.h"
 
 namespace recdb::obs {
 
@@ -47,26 +46,15 @@ void Tracer::EndSpan(int id) {
   }
 }
 
-void Tracer::RecordNode(const recdb::PlanNode* node, uint64_t dur_ns,
-                        bool produced_row) {
-  NodeStat& stat = node_stats_[node];
-  stat.ns += dur_ns;
-  ++stat.next_calls;
-  if (produced_row) ++stat.rows;
-}
-
-void Tracer::RecordNodeInit(const recdb::PlanNode* node, uint64_t dur_ns) {
-  node_stats_[node].ns += dur_ns;
-}
-
-void Tracer::AttachPlanNode(const recdb::PlanNode& node, int parent) {
+void Tracer::AttachPlanNode(const recdb::PlanNode& node,
+                            const recdb::NodeStatsMap& nodes, int parent) {
   const int id = static_cast<int>(spans_.size());
   SpanRec rec;
   rec.name = node.Describe();
   rec.parent = parent;
   rec.exec_node = true;
-  auto it = node_stats_.find(&node);
-  if (it != node_stats_.end()) {
+  auto it = nodes.find(&node);
+  if (it != nodes.end()) {
     rec.dur_ns = it->second.ns;
     rec.rows = it->second.rows;
     rec.next_calls = it->second.next_calls;
@@ -76,12 +64,13 @@ void Tracer::AttachPlanNode(const recdb::PlanNode& node, int parent) {
   rec.start_ns = spans_[parent].start_ns;
   rec.open = false;
   spans_.push_back(std::move(rec));
-  for (const auto& child : node.children) AttachPlanNode(*child, id);
+  for (const auto& child : node.children) AttachPlanNode(*child, nodes, id);
 }
 
-void Tracer::AttachPlan(const recdb::PlanNode& plan) {
+void Tracer::AttachPlan(const recdb::PlanNode& plan,
+                        const recdb::NodeStatsMap& nodes) {
   const int parent = stack_.empty() ? 0 : stack_.back();
-  AttachPlanNode(plan, parent);
+  AttachPlanNode(plan, nodes, parent);
 }
 
 void Tracer::Finish() {

@@ -38,20 +38,20 @@ const char* PlanNodeTypeToString(PlanNodeType t) {
 
 std::string PlanNode::Describe() const { return PlanNodeTypeToString(type); }
 
-std::string PlanNode::ToString(int indent, const ActualRowMap* actual) const {
+std::string PlanNode::ToString(int indent, const NodeStatsMap* nodes) const {
   std::string out(indent * 2, ' ');
   out += Describe();
   if (est_rows >= 0) {
     out += StringFormat(" (est=%.0f", est_rows);
-    if (actual != nullptr) {
-      auto it = actual->find(this);
-      uint64_t act = it == actual->end() ? 0 : it->second;
+    if (nodes != nullptr) {
+      auto it = nodes->find(this);
+      uint64_t act = it == nodes->end() ? 0 : it->second.rows;
       out += StringFormat(" act=%llu", static_cast<unsigned long long>(act));
     }
     out += ")";
   }
   out += "\n";
-  for (const auto& c : children) out += c->ToString(indent + 1, actual);
+  for (const auto& c : children) out += c->ToString(indent + 1, nodes);
   return out;
 }
 

@@ -53,9 +53,17 @@ struct SortKey {
 /// parameters plus live recommender statistics.
 struct CostEnv;
 
-/// EXPLAIN ANALYZE: per-plan-node actual emitted-row counters, keyed by the
-/// node's address (nodes are heap-allocated and stable for a query's life).
-using ActualRowMap = std::unordered_map<const PlanNode*, uint64_t>;
+/// One plan node's execution record, filled by its executor's Init/Next
+/// wrappers: rows it emitted (EXPLAIN ANALYZE's act=, the trace's rows=),
+/// and under tracing its Next calls and inclusive Init + Next time.
+struct NodeStats {
+  uint64_t rows = 0;
+  uint64_t next_calls = 0;
+  uint64_t ns = 0;
+};
+/// Per-node records of one execution, keyed by the node's address (nodes are
+/// heap-allocated and stable for a query's life).
+using NodeStatsMap = std::unordered_map<const PlanNode*, NodeStats>;
 
 struct PlanNode {
   explicit PlanNode(PlanNodeType t) : type(t) {}
@@ -77,11 +85,11 @@ struct PlanNode {
   /// One-line operator description (EXPLAIN output).
   virtual std::string Describe() const;
 
-  /// Multi-line indented plan rendering. With `actual`, each node line gains
+  /// Multi-line indented plan rendering. With `nodes`, each node line gains
   /// `(est=N act=M)` (EXPLAIN ANALYZE); otherwise annotated nodes show
   /// `(est=N)` only.
   std::string ToString(int indent = 0,
-                       const ActualRowMap* actual = nullptr) const;
+                       const NodeStatsMap* nodes = nullptr) const;
 };
 
 /// Sequential heap scan of a base table.

@@ -322,7 +322,13 @@ Result<ResultSet> ShardedRecDB::ScatterSelect(const std::string& sql,
 
   ResultSet out;
   out.columns = legs[0].columns;
-  for (const ResultSet& leg : legs) out.stats += leg.stats;
+  for (size_t i = 0; i < legs.size(); ++i) {
+    out.stats += legs[i].stats;
+    // Under `SET trace = on` every leg traced its own statement.
+    if (!legs[i].trace.empty()) {
+      out.trace += StringFormat("shard %zu\n", targets[i]) + legs[i].trace;
+    }
+  }
 
   MergeSpec spec;
   spec.limit = stmt.limit;

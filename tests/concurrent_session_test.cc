@@ -11,7 +11,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
+#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -278,6 +281,37 @@ TEST(ConcurrentSessionTest, ReadOnlySessionsRunInParallel) {
 
   EXPECT_EQ(errors.load(), 0);
   EXPECT_TRUE(NoPinsLeaked(db->buffer_pool()));
+  ASSERT_TRUE(db->Close().ok());
+  ::unlink(path.c_str());
+  ::unlink((path + ".wal").c_str());
+}
+
+TEST(ConcurrentSessionTest, TracedReaderSharesTheEngineLock) {
+  // A traced SELECT takes the engine lock shared, like an untraced one, so
+  // it completes while another reader holds the lock.
+  std::string path = TempDbPath("recdb_traced_reader.db");
+  auto db = SeededDb(path);
+  ASSERT_NE(db, nullptr);
+  auto mu = std::make_shared<std::shared_mutex>();
+  db->ShareEngineLock(mu);
+  ASSERT_TRUE(db->Execute("SET trace = on").ok());
+
+  std::promise<Result<ResultSet>> promise;
+  auto traced = promise.get_future();
+  std::shared_lock<std::shared_mutex> held(*mu);
+  std::thread reader([&] { promise.set_value(db->Execute(RecommendSql(1))); });
+  const bool completed = traced.wait_for(std::chrono::seconds(5)) ==
+                         std::future_status::ready;
+  held.unlock();
+  reader.join();
+  EXPECT_TRUE(completed)
+      << "a traced SELECT waited for another reader to release the lock";
+
+  auto rs = traced.get();
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_GT(rs.value().NumRows(), 0u);
+  EXPECT_NE(rs.value().trace.find("execute"), std::string::npos);
+  EXPECT_EQ(rs.value().trace, db->last_trace());
   ASSERT_TRUE(db->Close().ok());
   ::unlink(path.c_str());
   ::unlink((path + ".wal").c_str());

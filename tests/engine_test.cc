@@ -314,6 +314,25 @@ TEST_F(EngineTest, ErrorsSurfaceCleanly) {
           .ok());
 }
 
+TEST_F(EngineTest, ExplainMakesTheChecksExecuteMakes) {
+  // Explain() refuses what Execute() refuses: a closed database, and an
+  // engine whose options failed validation.
+  const std::string sql = "SELECT name FROM Users WHERE uid = 1";
+  ASSERT_TRUE(db_->Explain(sql).ok());
+  ASSERT_TRUE(db_->Close().ok());
+  auto closed = db_->Explain(sql);
+  ASSERT_FALSE(closed.ok());
+  EXPECT_EQ(closed.status().ToString(), db_->Execute(sql).status().ToString());
+
+  RecDBOptions bad;
+  bad.shard_count = 2;
+  bad.shard_index = 5;
+  RecDB invalid(bad);
+  auto plan = invalid.Explain(sql);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().ToString(), invalid.Execute(sql).status().ToString());
+}
+
 TEST_F(EngineTest, LimitZeroAndLargeLimit) {
   auto zero = Exec("SELECT name FROM Users ORDER BY uid LIMIT 0");
   EXPECT_EQ(zero.NumRows(), 0u);

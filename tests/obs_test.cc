@@ -371,13 +371,16 @@ TEST(TracerTest, AttachPlanMaterializesExecutorSpans) {
   FilterPlan* child = child_owned.get();
   parent.children.push_back(std::move(child_owned));
 
+  // The per-node record the Init/Next wrappers fill: the parent made two
+  // Next calls and emitted one row, and its inclusive time covers the
+  // child's.
+  NodeStatsMap nodes;
+  nodes[&parent] = NodeStats{/*rows=*/1, /*next_calls=*/2, /*ns=*/5000};
+  nodes[child] = NodeStats{/*rows=*/1, /*next_calls=*/1, /*ns=*/1500};
+
   obs::Tracer tracer("query");
   int exec = tracer.BeginSpan("execute");
-  // Simulate the Next wrapper: parent inclusive time covers the child's.
-  tracer.RecordNode(&parent, 3000, true);
-  tracer.RecordNode(&parent, 2000, false);
-  tracer.RecordNode(child, 1500, true);
-  tracer.AttachPlan(parent);
+  tracer.AttachPlan(parent, nodes);
   tracer.EndSpan(exec);
   tracer.Finish();
 
@@ -687,6 +690,60 @@ TEST(ObservabilityEndToEndTest, TracedTopKSpansAddUpAndTimeInit) {
       << "the Recommend operator's Init-phase scoring must be attributed "
          "to it\n"
       << trace;
+}
+
+TEST(ObservabilityEndToEndTest, ExplainAnalyzeAgreesWithTracedRows) {
+  // EXPLAIN ANALYZE's act= (the untraced Next wrapper) and a traced run's
+  // rows= (the traced wrapper) come from the same per-node record, so the
+  // same Top-10 reports the same count for every plan node.
+  RecDB db;
+  auto ds = datagen::LoadDataset(
+      &db, datagen::DatasetSpec::MovieLens100K().Scaled(0.2));
+  ASSERT_TRUE(ds.ok());
+  const std::string table = ds.value().ratings_table;
+  ASSERT_TRUE(db.Execute("CREATE RECOMMENDER r ON " + table +
+                         " USERS FROM uid ITEMS FROM iid RATINGS FROM "
+                         "ratingval USING ItemCosCF")
+                  .ok());
+  const std::string sql =
+      "SELECT R.uid, R.iid, R.ratingval FROM " + table +
+      " AS R RECOMMEND R.iid TO R.uid ON R.ratingval USING ItemCosCF WHERE "
+      "R.uid IN (1, 2, 3, 4, 5) ORDER BY R.ratingval DESC LIMIT 10";
+  // (operator, count) per plan node, in pre-order.
+  using NodeCounts = std::vector<std::pair<std::string, uint64_t>>;
+  auto node_count = [](const std::string& line, const std::string& key) {
+    const size_t name_at = line.find_first_not_of(' ');
+    const std::string op =
+        line.substr(name_at, line.find(' ', name_at) - name_at);
+    return std::make_pair(
+        op, std::stoull(line.substr(line.find(key) + key.size())));
+  };
+
+  auto analyzed = db.Execute("EXPLAIN ANALYZE " + sql);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  NodeCounts act;
+  for (const Tuple& row : analyzed.value().rows) {
+    const std::string line = row.At(0).AsString();
+    if (line.find(" act=") != std::string::npos) {
+      act.push_back(node_count(line, " act="));
+    }
+  }
+
+  ASSERT_TRUE(db.Execute("SET trace = on").ok());
+  auto traced = db.Execute(sql);
+  ASSERT_TRUE(traced.ok()) << traced.status().ToString();
+  ASSERT_EQ(traced.value().NumRows(), 10u);
+  NodeCounts rows;
+  for (const auto& line : Split(traced.value().trace, '\n')) {
+    if (line.find("  rows=") != std::string::npos) {
+      rows.push_back(node_count(line, "  rows="));
+    }
+  }
+
+  ASSERT_GE(act.size(), 3u) << analyzed.value().ToString(50);
+  EXPECT_EQ(act, rows) << analyzed.value().ToString(50) << "\n"
+                       << traced.value().trace;
+  EXPECT_EQ(rows.front().second, 10u) << traced.value().trace;
 }
 
 }  // namespace

@@ -220,6 +220,36 @@ void CompareAllQueries(ShardedRecDB* sharded, RecDB* reference,
   }
 }
 
+// ------------------------------------------------------------------ tracing
+
+TEST(ServingTrace, ScatteredSelectCarriesEachLegsTrace) {
+  auto db = MakeSharded(2);
+  ASSERT_TRUE(db->Execute("SET trace = on").ok());
+  auto rs = db->Execute(
+      RecommendSql("ItemCosCF", "ORDER BY R.ratingval DESC LIMIT 10"));
+  ASSERT_TRUE(rs.ok()) << rs.status().message();
+  const std::string& trace = rs.value().trace;
+  for (size_t k = 0; k < db->num_shards(); ++k) {
+    const size_t at = trace.find("shard " + std::to_string(k) + "\n");
+    ASSERT_NE(at, std::string::npos) << trace;
+    EXPECT_NE(trace.find("execute", at), std::string::npos) << trace;
+  }
+
+  // An owner-targeted SELECT runs one leg and carries its trace.
+  auto pinned = db->Execute(RecommendSql("ItemCosCF", "WHERE R.uid = 7"));
+  ASSERT_TRUE(pinned.ok()) << pinned.status().message();
+  EXPECT_EQ(pinned.value().trace.rfind(
+                "shard " + std::to_string(ShardOfUser(7, 2)) + "\n", 0),
+            0u)
+      << pinned.value().trace;
+
+  ASSERT_TRUE(db->Execute("SET trace = off").ok());
+  auto quiet = db->Execute(
+      RecommendSql("ItemCosCF", "ORDER BY R.ratingval DESC LIMIT 10"));
+  ASSERT_TRUE(quiet.ok());
+  EXPECT_TRUE(quiet.value().trace.empty());
+}
+
 // ------------------------------------------------------- options validation
 
 TEST(ServingOptions, ConstructorRejectsOutOfRangeShards) {

@@ -23,6 +23,11 @@ Checks, over every tracked *.md file in the repo:
      (`Counter::kX`, `Gauge::kX` or `Histogram::kX`) by some source file
      under src/ other than the header, so a metric whose last recording
      site is deleted cannot linger as a documented, always-zero name.
+  6. Every backticked `RecDB::X`, `ResultSet::X`, `RecDBOptions::X`,
+     `Session::X` or `ShardedRecDB::X` names a member declared in that
+     class's body in its header (src/api/recdb.h, src/api/session.h,
+     src/serving/sharded_recdb.h), so a deleted API member cannot stay
+     documented. CHANGES.md is exempt: it records each change as it landed.
 
 Exit status 0 = clean, 1 = findings (printed one per line).
 """
@@ -37,6 +42,15 @@ OPERATIONS = REPO / "docs" / "OPERATIONS.md"
 SCALING = REPO / "docs" / "SCALING.md"
 RECDB_CC = REPO / "src" / "api" / "recdb.cc"
 SHELL = REPO / "examples" / "recdb_shell.cpp"
+API_HEADERS = {
+    "RecDB": REPO / "src" / "api" / "recdb.h",
+    "ResultSet": REPO / "src" / "api" / "recdb.h",
+    "RecDBOptions": REPO / "src" / "api" / "recdb.h",
+    "Session": REPO / "src" / "api" / "session.h",
+    "ShardedRecDB": REPO / "src" / "serving" / "sharded_recdb.h",
+}
+# The change log names members as they were when each change landed.
+HISTORY_FILES = {"CHANGES.md"}
 
 # Directories that hold generated or third-party content.
 SKIP_DIRS = {"build", "build-native", ".git"}
@@ -52,6 +66,11 @@ BACKTICKED = re.compile(r"`([a-z0-9_]+\.[a-z0-9_.]+)`")
 SET_ACCEPTED = re.compile(r'stmt\.option == "([a-z_]+)"')
 # `SET <name> =`, but not the SQL `UPDATE <table> SET <column> =`.
 SET_MENTION = re.compile(r"(?<!\w)(UPDATE\s+\w+\s+)?SET\s+(\w+)\s*=")
+BACKTICK_SPAN = re.compile(r"`([^`\n]+)`")
+API_MEMBER = re.compile(r"\b(" + "|".join(API_HEADERS) + r")::(\w+)")
+# A declared name: an identifier followed by what opens or ends a member
+# declaration (function, data member, initializer, nested type, array).
+DECLARED_NAME = re.compile(r"\b(\w+)\s*[(;={\[]")
 
 
 def markdown_files():
@@ -176,6 +195,47 @@ def check_metrics_recorded(errors):
             )
 
 
+def class_members(cls, header):
+    """Names declared in the body of `class cls {...}` / `struct cls {...}`
+    in `header`, comments stripped; None when no body is found."""
+    text = re.sub(r"//[^\n]*", "", header.read_text("utf-8"))
+    match = re.search(r"\b(?:class|struct)\s+" + cls + r"\b[^;{]*\{", text)
+    if not match:
+        return None
+    depth = 0
+    for i in range(match.end() - 1, len(text)):
+        if text[i] == "{":
+            depth += 1
+        elif text[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return set(DECLARED_NAME.findall(text[match.end():i]))
+    return None
+
+
+def check_api_members(errors):
+    """Backticked `Class::member` mentions <-> the class's header."""
+    members = {}
+    for cls, header in API_HEADERS.items():
+        members[cls] = class_members(cls, header)
+        if members[cls] is None:
+            errors.append(
+                f"{header.relative_to(REPO)}: no declaration of {cls} parsed")
+            return
+    for md in markdown_files():
+        if md.name in HISTORY_FILES:
+            continue
+        text = md.read_text(encoding="utf-8")
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for span in BACKTICK_SPAN.findall(line):
+                for cls, member in API_MEMBER.findall(span):
+                    if member not in members[cls]:
+                        errors.append(
+                            f"{md.relative_to(REPO)}:{lineno}: `{cls}::"
+                            f"{member}` is not declared in "
+                            f"{API_HEADERS[cls].relative_to(REPO)}")
+
+
 def main():
     errors = []
     check_links(errors)
@@ -183,6 +243,7 @@ def main():
     check_serving_docs(errors)
     check_set_options(errors)
     check_metrics_recorded(errors)
+    check_api_members(errors)
     for e in errors:
         print(e)
     if errors:
