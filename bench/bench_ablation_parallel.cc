@@ -20,15 +20,15 @@
 namespace recdb::bench {
 namespace {
 
-uint64_t NeighborhoodChecksum(const std::vector<std::vector<Neighbor>>& nh) {
+uint64_t NeighborhoodChecksum(const std::vector<NeighborRow>& nh) {
   uint64_t h = 1469598103934665603ull;
   auto mix = [&](uint64_t v) {
     h ^= v;
     h *= 1099511628211ull;
   };
   for (const auto& row : nh) {
-    mix(row.size());
-    for (const auto& nb : row) {
+    mix(row.NumEntries());
+    for (const Neighbor nb : row) {
       uint32_t bits;
       static_assert(sizeof(bits) == sizeof(nb.sim));
       std::memcpy(&bits, &nb.sim, sizeof(bits));

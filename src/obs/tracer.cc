@@ -1,5 +1,6 @@
 #include "obs/tracer.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/string_util.h"
@@ -94,11 +95,14 @@ uint64_t Tracer::RootDurationNs() const {
 std::string Tracer::RenderSpan(int id, int depth) const {
   const SpanRec& s = spans_[id];
   std::string name = s.name;
-  // Executor Describe() strings can be long; keep the table readable.
-  if (name.size() > 48) name = name.substr(0, 45) + "...";
+  // Executor Describe() strings can be long: cut each name to its indented
+  // field, so the ms column lines up at every depth.
+  const int width = std::max(48 - depth * 2, 3);
+  if (name.size() > static_cast<size_t>(width)) {
+    name = name.substr(0, width - 3) + "...";
+  }
   std::string out =
-      StringFormat("  %*s%-*s %10.3f ms", depth * 2, "",
-                   48 - depth * 2 > 0 ? 48 - depth * 2 : 0, name.c_str(),
+      StringFormat("  %*s%-*s %10.3f ms", depth * 2, "", width, name.c_str(),
                    static_cast<double>(s.dur_ns) / 1e6);
   if (s.exec_node) {
     out += StringFormat("  rows=%llu next=%llu",

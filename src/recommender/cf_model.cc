@@ -7,30 +7,48 @@ namespace recdb {
 
 namespace {
 
-size_t NeighborhoodBytes(const std::vector<std::vector<Neighbor>>& nb) {
+size_t NeighborhoodBytes(const std::vector<NeighborRow>& nb) {
   size_t total = 0;
-  for (const auto& row : nb) {
-    total += sizeof(std::vector<Neighbor>) + row.capacity() * sizeof(Neighbor);
-  }
+  for (const NeighborRow& row : nb) total += row.ApproxBytes();
   return total;
 }
 
-size_t NeighborhoodEntries(const std::vector<std::vector<Neighbor>>& nb) {
+size_t NeighborhoodEntries(const std::vector<NeighborRow>& nb) {
   size_t total = 0;
-  for (const auto& row : nb) total += row.size();
+  for (const NeighborRow& row : nb) total += row.NumEntries();
   return total;
 }
 
-/// sim(a, b) by binary search of a's index-sorted row; nothing on a query
-/// path asks for one pair's similarity.
-double SimilarityLookup(const std::vector<std::vector<Neighbor>>& nb,
-                        int32_t a, int32_t b) {
+/// sim(a, b) by a walk of a's runs; nothing on a query path asks for one
+/// pair's similarity.
+double SimilarityLookup(const std::vector<NeighborRow>& nb, int32_t a,
+                        int32_t b) {
   if (static_cast<size_t>(a) >= nb.size()) return 0;
-  const std::vector<Neighbor>& row = nb[a];
-  auto it = std::lower_bound(
-      row.begin(), row.end(), b,
-      [](const Neighbor& n, int32_t idx) { return n.idx < idx; });
-  return it != row.end() && it->idx == b ? it->sim : 0;
+  return nb[a].Find(b);
+}
+
+/// Eq. (2)'s two sums over one run of `n` cells for a rated item with
+/// rating r. Long runs take the vector loop: blocks of 8 cells with a fixed
+/// trip count, which GCC vectorizes at the x86-64 baseline (float cells
+/// widened to double, two lanes per SSE2 register); the tail and short
+/// runs take the scalar loop. Both add the same terms in the same
+/// per-cell order, so the split changes no bits.
+void AccumulateRun(const float* __restrict sim, int32_t n, double r,
+                   double* __restrict num, double* __restrict den) {
+  constexpr int32_t kBlock = 8;
+  int32_t c = 0;
+  for (; c + kBlock <= n; c += kBlock) {
+    for (int32_t l = 0; l < kBlock; ++l) {
+      const double s = sim[c + l];
+      num[c + l] += s * r;
+      den[c + l] += std::fabs(s);
+    }
+  }
+  for (; c < n; ++c) {
+    const double s = sim[c];
+    num[c] += s * r;
+    den[c] += std::fabs(s);
+  }
 }
 
 /// Dense scatter target reused across PredictBatch calls on one thread.
@@ -155,7 +173,7 @@ std::vector<int32_t> OpRows(const std::vector<DeltaOp>& ops,
 /// ids whose cached scores the commit evicts).
 template <typename Recompute>
 std::vector<int32_t> PrepareNeighborhoodUpdate(
-    const std::vector<std::vector<Neighbor>>& table, bool symmetric,
+    const std::vector<NeighborRow>& table, bool symmetric,
     const std::vector<int32_t>& rows, const Recompute& recompute,
     ModelUpdate* update) {
   update->rows = recompute(rows);
@@ -168,24 +186,23 @@ std::vector<int32_t> PrepareNeighborhoodUpdate(
     if (std::binary_search(changed.begin(), changed.end(), q)) return;
     update->patches.push_back(NeighborPatch{q, p, sim, erase});
   };
-  const std::vector<Neighbor> none;
+  const NeighborRow none;
   for (const auto& [p, fresh] : update->rows) {
-    const std::vector<Neighbor>& old =
+    const NeighborRow& old =
         static_cast<size_t>(p) < table.size() ? table[p] : none;
-    // Both rows are index-sorted: one merge pass classifies every neighbor.
-    size_t a = 0, b = 0;
-    while (a < old.size() || b < fresh.size()) {
-      if (b == fresh.size() ||
-          (a < old.size() && old[a].idx < fresh[b].idx)) {
-        patch(old[a].idx, p, 0, /*erase=*/true);
+    // Both rows iterate in ascending index: one merge pass classifies
+    // every neighbor.
+    auto a = old.begin(), b = fresh.begin();
+    const auto a_end = old.end(), b_end = fresh.end();
+    while (a != a_end || b != b_end) {
+      if (b == b_end || (a != a_end && (*a).idx < (*b).idx)) {
+        patch((*a).idx, p, 0, /*erase=*/true);
         ++a;
-      } else if (a == old.size() || fresh[b].idx < old[a].idx) {
-        patch(fresh[b].idx, p, fresh[b].sim, /*erase=*/false);
+      } else if (a == a_end || (*b).idx < (*a).idx) {
+        patch((*b).idx, p, (*b).sim, /*erase=*/false);
         ++b;
       } else {
-        if (old[a].sim != fresh[b].sim) {
-          patch(fresh[b].idx, p, fresh[b].sim, /*erase=*/false);
-        }
+        if ((*a).sim != (*b).sim) patch((*b).idx, p, (*b).sim, false);
         ++a;
         ++b;
       }
@@ -207,11 +224,10 @@ std::vector<int32_t> PrepareNeighborhoodUpdate(
   return changed;
 }
 
-/// Install recomputed rows into the index-sorted table, growing it for
-/// entities interned since the model was built, then apply the patches in
-/// place (caller holds the writer lock).
-void InstallNeighborRows(std::vector<std::vector<Neighbor>>* nb,
-                         ModelUpdate&& update) {
+/// Install recomputed rows into the table, growing it for entities
+/// interned since the model was built, then apply each patched row's
+/// patches (caller holds the writer lock).
+void InstallNeighborRows(std::vector<NeighborRow>* nb, ModelUpdate&& update) {
   if (update.num_rows > nb->size()) nb->resize(update.num_rows);
   size_t installed = 0;
   for (auto& [idx, row] : update.rows) {
@@ -219,27 +235,15 @@ void InstallNeighborRows(std::vector<std::vector<Neighbor>>* nb,
     (*nb)[idx] = std::move(row);
     ++installed;
   }
-  for (const NeighborPatch& np : update.patches) {
-    if (np.row < 0 || static_cast<size_t>(np.row) >= nb->size()) continue;
-    std::vector<Neighbor>& row = (*nb)[np.row];
-    auto it = std::lower_bound(
-        row.begin(), row.end(), np.idx,
-        [](const Neighbor& n, int32_t idx) { return n.idx < idx; });
-    const bool found = it != row.end() && it->idx == np.idx;
-    if (np.erase) {
-      if (found) row.erase(it);
-    } else if (found) {
-      it->sim = np.sim;
-    } else {
-      // Grow a full row by a sixteenth, not by doubling: a refresh inserts
-      // a few entries into rows of up to a catalog's length.
-      if (row.size() == row.capacity()) {
-        const size_t pos = it - row.begin();
-        row.reserve(row.size() + row.size() / 16 + 1);
-        it = row.begin() + pos;
-      }
-      row.insert(it, Neighbor{np.idx, np.sim});
+  const std::vector<NeighborPatch>& patches = update.patches;
+  for (size_t k = 0; k < patches.size();) {
+    size_t end = k + 1;
+    while (end < patches.size() && patches[end].row == patches[k].row) ++end;
+    const int32_t r = patches[k].row;
+    if (r >= 0 && static_cast<size_t>(r) < nb->size()) {
+      (*nb)[r].Apply(std::span<const NeighborPatch>(&patches[k], end - k));
     }
+    k = end;
   }
   obs::Count(obs::Counter::kIngestRowUpdates, installed);
 }
@@ -248,7 +252,7 @@ void InstallNeighborRows(std::vector<std::vector<Neighbor>>* nb,
 
 ItemCFModel::ItemCFModel(std::shared_ptr<const RatingMatrix> ratings,
                          bool centered, const SimilarityOptions& opts,
-                         std::vector<std::vector<Neighbor>> neighborhoods)
+                         std::vector<NeighborRow> neighborhoods)
     : RecModel(std::move(ratings)),
       centered_(centered),
       opts_(opts),
@@ -282,7 +286,7 @@ void ItemCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
 
   if (opts_.top_k > 0) {
     // Gather: scatter the user's ratings once, then walk each candidate's
-    // index-sorted row against them (CandItems = ItemNeighbors(i) ∩
+    // row entries against them (CandItems = ItemNeighbors(i) ∩
     // UserItems(u), Algorithm 1 line 10) in ascending rated-item order.
     DenseScratch& scratch = TlsScratch();
     scratch.Reset(ratings_->NumItems());
@@ -292,7 +296,7 @@ void ItemCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
     for (size_t c = 0; c < items.size(); ++c) {
       if (!in_table(items[c])) continue;
       double num = 0, den = 0;
-      for (const auto& nb : neighborhoods_[items[c]]) {
+      for (const Neighbor nb : neighborhoods_[items[c]]) {
         double r;
         if (!scratch.Get(nb.idx, &r)) continue;
         num += static_cast<double>(nb.sim) * r;
@@ -304,10 +308,11 @@ void ItemCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
   }
 
   // Transposed: the table is symmetric, so sim(i, j) sits in N(j) too.
-  // Walking each rated j's row over the batch's index range adds j's term
+  // Walking each rated j's runs over the batch's index range adds j's term
   // to every candidate at once; each candidate's cell sees its terms in
   // ascending j, the gather order, so the result is the same bits for any
-  // batch composition.
+  // batch composition. A bridged zero cell adds +0 to num and den, which
+  // start at +0.0 and so never hold -0.0: no sum changes (DESIGN.md §10).
   int32_t lo = num_rows, hi = -1;
   for (int32_t i : items) {
     if (!in_table(i)) continue;
@@ -315,36 +320,26 @@ void ItemCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
     hi = std::max(hi, i);
   }
   if (hi < 0) return;
-  struct Acc {
-    double num;
-    double den;
-  };
-  thread_local std::vector<Acc> acc;
-  acc.assign(static_cast<size_t>(hi - lo) + 1, Acc{0, 0});
-  Acc* const base = acc.data();
+  thread_local std::vector<double> num_buf, den_buf;
+  const size_t width = static_cast<size_t>(hi - lo) + 1;
+  num_buf.assign(width, 0.0);
+  den_buf.assign(width, 0.0);
+  double* const num = num_buf.data();
+  double* const den = den_buf.data();
   for (size_t k = 0; k < rated.n; ++k) {
     const int32_t j = rated.idx[k];
     if (j >= num_rows) continue;  // interned after the build: in no row
     const double r = rated.rating[k];
-    const std::vector<Neighbor>& row = neighborhoods_[j];
-    // The slice of N(j) inside [lo, hi], by binary search on both ends.
-    auto first = std::lower_bound(
-        row.begin(), row.end(), lo,
-        [](const Neighbor& n, int32_t idx) { return n.idx < idx; });
-    auto last = std::upper_bound(
-        first, row.end(), hi,
-        [](int32_t idx, const Neighbor& n) { return idx < n.idx; });
-    for (auto it = first; it != last; ++it) {
-      Acc& a = base[it->idx - lo];
-      const double sim = it->sim;
-      a.num += sim * r;
-      a.den += std::fabs(sim);
-    }
+    neighborhoods_[j].ForEachRunIn(
+        lo, hi, [&](int32_t first, const float* cells, int32_t count) {
+          AccumulateRun(cells, count, r, num + (first - lo),
+                        den + (first - lo));
+        });
   }
   for (size_t c = 0; c < items.size(); ++c) {
     if (!in_table(items[c])) continue;
-    const Acc& a = acc[items[c] - lo];
-    out[c] = a.den == 0 ? 0 : a.num / a.den;
+    const size_t at = static_cast<size_t>(items[c] - lo);
+    out[c] = den[at] == 0 ? 0 : num[at] / den[at];
   }
 }
 
@@ -391,7 +386,7 @@ void ItemCFModel::ApplyDeltaUpdate(ModelUpdate&& update) {
 
 UserCFModel::UserCFModel(std::shared_ptr<const RatingMatrix> ratings,
                          bool centered, const SimilarityOptions& opts,
-                         std::vector<std::vector<Neighbor>> neighborhoods)
+                         std::vector<NeighborRow> neighborhoods)
     : RecModel(std::move(ratings)),
       centered_(centered),
       opts_(opts),
@@ -415,7 +410,7 @@ void UserCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
   // Unknown, or a user interned after this model was built: no
   // neighborhood yet.
   if (u < 0 || static_cast<size_t>(u) >= neighborhoods_.size()) return;
-  const std::vector<Neighbor>& neighbors = neighborhoods_[u];
+  const NeighborRow& neighbors = neighborhoods_[u];
   const size_t num_items = ratings_->NumItems();
   if (num_items == 0) return;
   auto known = [&](int32_t i) {
@@ -432,10 +427,10 @@ void UserCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
       static_cast<double>(ratings_->NumRatings()) / ratings_->NumUsers();
   const double gather_cost = static_cast<double>(items.size()) * (1 + per_row);
   const double scatter_cost =
-      static_cast<double>(neighbors.size()) * per_user + num_items;
+      static_cast<double>(neighbors.num_cells()) * per_user + num_items;
 
   if (scatter_cost < gather_cost) {
-    // Scatter: N(u) is sorted by user index, so walking each neighbor's
+    // Scatter: N(u) iterates in user index, so walking each neighbor's
     // rated items into catalog-wide num/den accumulators hands every cell
     // its terms in ascending rater index.
     struct Acc {
@@ -444,7 +439,7 @@ void UserCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
     };
     thread_local std::vector<Acc> acc;
     acc.assign(num_items, Acc{0, 0});
-    for (const Neighbor& nb : neighbors) {
+    for (const Neighbor nb : neighbors) {
       const double sim = nb.sim;
       const CsrRow row = ratings_->UserCsrRow(nb.idx);
       for (size_t k = 0; k < row.n; ++k) {
@@ -465,7 +460,7 @@ void UserCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
   // contiguous rater row (ascending user index) against them.
   DenseScratch& scratch = TlsScratch();
   scratch.Reset(ratings_->NumUsers());
-  for (const Neighbor& nb : neighbors) {
+  for (const Neighbor nb : neighbors) {
     scratch.Set(nb.idx, static_cast<double>(nb.sim));
   }
   for (size_t c = 0; c < items.size(); ++c) {

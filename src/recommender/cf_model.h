@@ -4,8 +4,8 @@
 // lists); prediction follows Eq. (2): similarity-weighted average of the
 // user's ratings over the intersection of the item's neighborhood and the
 // user's rated items, normalized by Σ|sim|. UserCFModel is the symmetric
-// user-user variant (paper Section IV-A.2). Both keep every neighborhood
-// row sorted by neighbor index.
+// user-user variant (paper Section IV-A.2). Both store their table as one
+// NeighborRow per entity (neighbor_row.h).
 #pragma once
 
 #include <memory>
@@ -33,8 +33,8 @@ class ItemCFModel : public RecModel {
   /// index-sorted row: an inspection aid, not on any query path.
   double Similarity(int64_t item_a, int64_t item_b) const;
 
-  /// The neighborhood list of an item (dense indices), test/inspection aid.
-  const std::vector<Neighbor>& NeighborhoodAt(int32_t item_idx) const {
+  /// The neighborhood row of an item (dense indices), test/inspection aid.
+  const NeighborRow& NeighborhoodAt(int32_t item_idx) const {
     return neighborhoods_[item_idx];
   }
 
@@ -58,10 +58,10 @@ class ItemCFModel : public RecModel {
  protected:
   /// Eq. (2) for every candidate, each candidate's sum taken over the
   /// user's rated items in ascending index (DESIGN.md §10). Untruncated,
-  /// the kernel runs transposed: each rated item j's row is walked over the
-  /// batch's index range into dense num/den accumulators, Σ|N(j)| work per
+  /// the kernel runs transposed: each rated item j's runs are walked over
+  /// the batch's index range into dense num/den arrays, Σ|N(j)| work per
   /// user instead of candidates × |N|; the table's symmetry makes that the
-  /// same sum. Truncated rows are not symmetric, so top_k > 0 gathers each
+  /// same sum, and a run's zero cells add +0 terms that change no bits. Truncated rows are not symmetric, so top_k > 0 gathers each
   /// candidate's row against the user's scattered ratings instead.
   void DoPredictBatch(int32_t user_idx, std::span<const int32_t> items,
                       std::span<double> out) const override;
@@ -69,11 +69,11 @@ class ItemCFModel : public RecModel {
  private:
   ItemCFModel(std::shared_ptr<const RatingMatrix> ratings, bool centered,
               const SimilarityOptions& opts,
-              std::vector<std::vector<Neighbor>> neighborhoods);
+              std::vector<NeighborRow> neighborhoods);
 
   bool centered_;
   SimilarityOptions opts_;  // as resolved at build time (centered included)
-  std::vector<std::vector<Neighbor>> neighborhoods_;  // [item_idx], idx-sorted
+  std::vector<NeighborRow> neighborhoods_;  // [item_idx]
 };
 
 class UserCFModel : public RecModel {
@@ -88,7 +88,7 @@ class UserCFModel : public RecModel {
 
   double Similarity(int64_t user_a, int64_t user_b) const;
 
-  const std::vector<Neighbor>& NeighborhoodAt(int32_t user_idx) const {
+  const NeighborRow& NeighborhoodAt(int32_t user_idx) const {
     return neighborhoods_[user_idx];
   }
 
@@ -117,11 +117,11 @@ class UserCFModel : public RecModel {
  private:
   UserCFModel(std::shared_ptr<const RatingMatrix> ratings, bool centered,
               const SimilarityOptions& opts,
-              std::vector<std::vector<Neighbor>> neighborhoods);
+              std::vector<NeighborRow> neighborhoods);
 
   bool centered_;
   SimilarityOptions opts_;  // as resolved at build time (centered included)
-  std::vector<std::vector<Neighbor>> neighborhoods_;  // [user_idx], idx-sorted
+  std::vector<NeighborRow> neighborhoods_;  // [user_idx]
 };
 
 }  // namespace recdb

@@ -23,8 +23,8 @@ namespace recdb {
 /// Produced by PrepareDeltaUpdate (read-only, runs off the writer lock) and
 /// installed by ApplyDeltaUpdate (cheap, runs under the writer lock).
 struct ModelUpdate {
-  /// CF: recomputed neighborhood rows as (row index, fresh neighbor list).
-  std::vector<std::pair<int32_t, std::vector<Neighbor>>> rows;
+  /// CF: recomputed neighborhood rows as (row index, fresh row).
+  std::vector<std::pair<int32_t, NeighborRow>> rows;
   /// CF, untruncated tables: each recomputed row's entries mirrored into
   /// its neighbors' rows, sorted by (row, idx), applied in place after
   /// `rows` are installed.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/status.h"
 #include "common/task_scheduler.h"
@@ -13,47 +14,69 @@ namespace recdb {
 namespace {
 
 /// Neighbor selection for one output row: filter, then optionally trim to
-/// the top-k by |sim|. Candidates are visited in ascending neighbor index,
-/// so an untruncated row comes out index-ascending with no sort; a trim
-/// re-sorts its survivors by index. Shared between the full build and
-/// per-row recompute so the two paths cannot drift — the delta path's
-/// bit-identity guarantee depends on this being the same code.
+/// the top-k by |sim|. Candidates are visited in ascending neighbor index
+/// and appended in that order, so the row needs no sort. Shared between
+/// the full build and per-row recompute so the two paths cannot drift —
+/// the delta path's bit-identity guarantee depends on this being the same
+/// code.
 template <typename DotFn, typename OverlapFn>
-std::vector<Neighbor> SelectRow(size_t p, size_t n,
-                                const std::vector<double>& norms,
-                                const SimilarityOptions& opts, DotFn dot_at,
-                                OverlapFn overlap_at) {
+NeighborRow SelectRow(size_t p, size_t n, const std::vector<double>& norms,
+                      const SimilarityOptions& opts, DotFn dot_at,
+                      OverlapFn overlap_at) {
   const bool need_overlap = opts.min_overlap > 1;
-  std::vector<Neighbor> row;
+  // sim(p, q), or 0 when the pair is filtered out.
+  auto sim_at = [&](size_t q) -> float {
+    if (p == q) return 0.0f;
+    const float d = dot_at(q);
+    if (d == 0.0f) return 0.0f;
+    if (need_overlap && overlap_at(q) < opts.min_overlap) return 0.0f;
+    const double denom = norms[p] * norms[q];
+    if (denom <= 0) return 0.0f;
+    return static_cast<float>(d / denom);
+  };
+  NeighborRow row;
+  if (opts.top_k <= 0) {
+    for (size_t q = 0; q < n; ++q) {
+      const float sim = sim_at(q);
+      if (sim != 0.0f) row.Append(static_cast<int32_t>(q), sim);
+    }
+    row.ShrinkToFit();
+    return row;
+  }
+  std::vector<int32_t> idx;
+  std::vector<float> sims;
   for (size_t q = 0; q < n; ++q) {
-    if (p == q) continue;
-    float d = dot_at(q);
-    if (d == 0.0f) continue;
-    if (need_overlap && overlap_at(q) < opts.min_overlap) continue;
-    double denom = norms[p] * norms[q];
-    if (denom <= 0) continue;
-    float sim = static_cast<float>(d / denom);
+    const float sim = sim_at(q);
     if (sim == 0.0f) continue;
-    row.push_back(Neighbor{static_cast<int32_t>(q), sim});
+    idx.push_back(static_cast<int32_t>(q));
+    sims.push_back(sim);
   }
-  if (opts.top_k > 0 && row.size() > static_cast<size_t>(opts.top_k)) {
-    // Keep the k strongest by |sim| (negative correlations carry signal
-    // for Pearson); equal |sim| keeps the lower index, so the kept set
-    // does not depend on the selection algorithm.
-    std::nth_element(row.begin(), row.begin() + (opts.top_k - 1), row.end(),
-                     [](const Neighbor& a, const Neighbor& b) {
-                       const float fa = std::fabs(a.sim), fb = std::fabs(b.sim);
-                       if (fa != fb) return fa > fb;
-                       return a.idx < b.idx;
-                     });
-    row.resize(opts.top_k);
-    std::sort(row.begin(), row.end(), [](const Neighbor& a, const Neighbor& b) {
-      return a.idx < b.idx;
-    });
+  // Keep the k strongest by |sim| (negative correlations carry signal for
+  // Pearson); equal |sim| keeps the lower index, so the kept set does not
+  // depend on the selection algorithm: every |sim| above the k-th largest,
+  // then the lowest-index ties at it.
+  const size_t k = static_cast<size_t>(opts.top_k);
+  float cut = 0.0f;
+  size_t ties = 0;
+  if (sims.size() > k) {
+    std::vector<float> mags(sims.size());
+    for (size_t c = 0; c < sims.size(); ++c) mags[c] = std::fabs(sims[c]);
+    std::nth_element(mags.begin(), mags.begin() + (k - 1), mags.end(),
+                     std::greater<float>());
+    cut = mags[k - 1];
+    ties = k;
+    for (float m : mags) ties -= m > cut;
   }
-  // Rows live as long as the model: drop push_back's growth slack (up to
-  // half of each row's capacity).
-  row.shrink_to_fit();
+  for (size_t c = 0; c < sims.size(); ++c) {
+    const float mag = std::fabs(sims[c]);
+    if (mag > cut) {
+      row.Append(idx[c], sims[c]);
+    } else if (mag == cut && ties > 0) {
+      row.Append(idx[c], sims[c]);
+      --ties;
+    }
+  }
+  row.ShrinkToFit();
   return row;
 }
 
@@ -140,7 +163,7 @@ Dimensions CenterDimensions(const RatingMatrix& m, bool item_based,
 /// lists in ascending dimension order, so each cell accumulates its float
 /// products in exactly the serial order and the result is bit-identical
 /// under any thread count.
-std::vector<std::vector<Neighbor>> BuildNeighborhoods(
+std::vector<NeighborRow> BuildNeighborhoods(
     const RatingMatrix& m, bool item_based, const SimilarityOptions& opts) {
   Stopwatch watch;
   const Dimensions dims = CenterDimensions(m, item_based, opts, nullptr);
@@ -172,7 +195,7 @@ std::vector<std::vector<Neighbor>> BuildNeighborhoods(
 
   // Per-row neighbor lists are independent: parallel over rows, each row's
   // sort and top-k trim identical to the serial computation.
-  std::vector<std::vector<Neighbor>> result(n);
+  std::vector<NeighborRow> result(n);
   sched.ParallelFor(n, row_morsel, [&](size_t begin, size_t end) {
     for (size_t p = begin; p < end; ++p) {
       result[p] = SelectRow(
@@ -196,7 +219,7 @@ std::vector<std::vector<Neighbor>> BuildNeighborhoods(
 /// occurrences in the same ascending-dimension order. The double multiply
 /// is commutative, so each cell sees the identical float sequence and the
 /// recomputed row is bit-identical to the full build's.
-std::vector<std::pair<int32_t, std::vector<Neighbor>>> RecomputeRows(
+std::vector<std::pair<int32_t, NeighborRow>> RecomputeRows(
     const RatingMatrix& m, bool item_based, const SimilarityOptions& opts,
     const std::vector<int32_t>& rows) {
   const size_t n = item_based ? m.NumItems() : m.NumUsers();
@@ -215,8 +238,7 @@ std::vector<std::pair<int32_t, std::vector<Neighbor>>> RecomputeRows(
   // divides by both.
   const Dimensions dims = CenterDimensions(m, item_based, opts, &wanted);
 
-  std::vector<std::pair<int32_t, std::vector<Neighbor>>> result(
-      targets.size());
+  std::vector<std::pair<int32_t, NeighborRow>> result(targets.size());
   TaskScheduler& sched = TaskScheduler::Global();
   const size_t row_morsel =
       std::clamp<size_t>(targets.size() / (sched.num_threads() * 4), 1, 256);
@@ -257,24 +279,24 @@ std::vector<std::pair<int32_t, std::vector<Neighbor>>> RecomputeRows(
 
 }  // namespace
 
-std::vector<std::vector<Neighbor>> BuildItemNeighborhoods(
+std::vector<NeighborRow> BuildItemNeighborhoods(
     const RatingMatrix& ratings, const SimilarityOptions& opts) {
   return BuildNeighborhoods(ratings, /*item_based=*/true, opts);
 }
 
-std::vector<std::vector<Neighbor>> BuildUserNeighborhoods(
+std::vector<NeighborRow> BuildUserNeighborhoods(
     const RatingMatrix& ratings, const SimilarityOptions& opts) {
   return BuildNeighborhoods(ratings, /*item_based=*/false, opts);
 }
 
-std::vector<std::pair<int32_t, std::vector<Neighbor>>>
+std::vector<std::pair<int32_t, NeighborRow>>
 RecomputeItemNeighborhoodRows(const RatingMatrix& ratings,
                               const SimilarityOptions& opts,
                               const std::vector<int32_t>& rows) {
   return RecomputeRows(ratings, /*item_based=*/true, opts, rows);
 }
 
-std::vector<std::pair<int32_t, std::vector<Neighbor>>>
+std::vector<std::pair<int32_t, NeighborRow>>
 RecomputeUserNeighborhoodRows(const RatingMatrix& ratings,
                               const SimilarityOptions& opts,
                               const std::vector<int32_t>& rows) {

@@ -11,25 +11,10 @@
 #include <utility>
 #include <vector>
 
+#include "recommender/neighbor_row.h"
 #include "recommender/rating_matrix.h"
 
 namespace recdb {
-
-/// One neighbor in a similarity list: (neighbor dense index, SimScore).
-struct Neighbor {
-  int32_t idx = 0;
-  float sim = 0;
-};
-
-/// One in-place edit of a neighborhood row: set row `row`'s entry for
-/// neighbor `idx` to `sim` (inserting it at its index position when
-/// absent), or erase that entry.
-struct NeighborPatch {
-  int32_t row = 0;
-  int32_t idx = 0;
-  float sim = 0;
-  bool erase = false;
-};
 
 struct SimilarityOptions {
   /// Center vectors by their own mean first (Pearson / adjusted cosine).
@@ -42,7 +27,7 @@ struct SimilarityOptions {
 };
 
 /// Compute per-item similarity lists (paper Item Neighborhood Table):
-/// result[i] is item i's neighbors, sorted by ascending neighbor index.
+/// result[i] is item i's neighbors, in ascending neighbor index.
 ///
 /// An untruncated table (top_k == 0) is symmetric bit for bit: row p holds
 /// (q, s) exactly when row q holds (p, s). Both cells read the one float
@@ -50,28 +35,28 @@ struct SimilarityOptions {
 /// a commutative double product. Eq. (2) accumulation over the table is
 /// therefore order-exact when transposed (see ItemCFModel), and a rating
 /// op on entity i changes only row i and i's entry in other rows.
-std::vector<std::vector<Neighbor>> BuildItemNeighborhoods(
+std::vector<NeighborRow> BuildItemNeighborhoods(
     const RatingMatrix& ratings, const SimilarityOptions& opts);
 
 /// Compute per-user similarity lists (paper User Neighborhood Table).
-std::vector<std::vector<Neighbor>> BuildUserNeighborhoods(
+std::vector<NeighborRow> BuildUserNeighborhoods(
     const RatingMatrix& ratings, const SimilarityOptions& opts);
 
 /// Recompute a subset of item-neighborhood rows against the matrix's
 /// current (merged) contents. Each returned pair is (item row index,
-/// fresh neighbor list), bit-identical to the same row of a full
+/// fresh neighbor row), byte-identical to the same row of a full
 /// BuildItemNeighborhoods over the same matrix: products are accumulated
 /// in the same ascending-dimension float order and the selection/top-k
 /// logic is shared code. Pairs come back in ascending row index. Row
 /// indices may exceed the caller's current neighborhood table size (new
 /// items); indices outside the matrix are ignored.
-std::vector<std::pair<int32_t, std::vector<Neighbor>>>
+std::vector<std::pair<int32_t, NeighborRow>>
 RecomputeItemNeighborhoodRows(const RatingMatrix& ratings,
                               const SimilarityOptions& opts,
                               const std::vector<int32_t>& rows);
 
 /// User-based counterpart of RecomputeItemNeighborhoodRows.
-std::vector<std::pair<int32_t, std::vector<Neighbor>>>
+std::vector<std::pair<int32_t, NeighborRow>>
 RecomputeUserNeighborhoodRows(const RatingMatrix& ratings,
                               const SimilarityOptions& opts,
                               const std::vector<int32_t>& rows);

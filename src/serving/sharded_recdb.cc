@@ -220,9 +220,14 @@ Result<ResultSet> ShardedRecDB::Execute(const std::string& sql) {
           ExecuteSelect(sql, static_cast<const SelectStatement&>(stmt)));
     }
     case StatementKind::kExplain: {
+      const auto& explain = static_cast<const ExplainStatement&>(stmt);
+      std::shared_lock<std::shared_mutex> lock(router_mu_);
+      if (explain.analyze) {
+        return finish(ExplainAnalyze(
+            sql, static_cast<const SelectStatement&>(*explain.inner)));
+      }
       // Plans are identical on every shard (same catalog, same statistics
       // pipeline); shard 0 speaks for the fleet.
-      std::shared_lock<std::shared_mutex> lock(router_mu_);
       obs::Count(obs::Counter::kServingSingleShardQueries);
       return finish(shards_[0]->Execute(sql));
     }
@@ -244,28 +249,20 @@ Result<ResultSet> ShardedRecDB::Execute(const std::string& sql) {
   }
 }
 
-Result<ResultSet> ShardedRecDB::ExecuteSelect(const std::string& sql,
-                                              const SelectStatement& stmt) {
-  PartitionInfo* info = nullptr;
+std::vector<size_t> ShardedRecDB::Route(const SelectStatement& stmt,
+                                        PartitionInfo** info) {
+  *info = nullptr;
   for (const TableRef& ref : stmt.from) {
-    info = FindPartition(ref.table_name);
-    if (info != nullptr) break;
+    *info = FindPartition(ref.table_name);
+    if (*info != nullptr) break;
   }
-  if (info == nullptr || shards_.size() == 1) {
-    // Non-partitioned data is fully replicated (and with one shard there is
-    // nothing to merge): any shard answers alone; use shard 0.
-    obs::Count(obs::Counter::kServingSingleShardQueries);
-    return shards_[0]->Execute(sql);
-  }
-  if (!stmt.group_by.empty() || stmt.having != nullptr || stmt.distinct) {
-    return Status::InvalidArgument(
-        "ShardedRecDB does not support GROUP BY / HAVING / DISTINCT over "
-        "partitioned tables; run the aggregate per shard via shard(k)");
-  }
+  // Non-partitioned data is fully replicated (and with one shard there is
+  // nothing to merge): shard 0 answers alone.
+  if (*info == nullptr || shards_.size() == 1) return {};
 
   // Owner-targeted routing: a WHERE clause that pins the recommendation
   // users to literals only needs those users' owners.
-  std::string user_col = info->user_col;
+  std::string user_col = (*info)->user_col;
   if (stmt.recommend.has_value() && stmt.recommend->user_col != nullptr &&
       stmt.recommend->user_col->kind == ExprKind::kColumnRef) {
     user_col = stmt.recommend->user_col->column;
@@ -287,13 +284,50 @@ Result<ResultSet> ShardedRecDB::ExecuteSelect(const std::string& sql,
     targets.resize(shards_.size());
     for (size_t k = 0; k < shards_.size(); ++k) targets[k] = k;
   }
+  return targets;
+}
+
+Result<ResultSet> ShardedRecDB::ExecuteSelect(const std::string& sql,
+                                              const SelectStatement& stmt) {
+  PartitionInfo* info = nullptr;
+  const std::vector<size_t> targets = Route(stmt, &info);
+  if (targets.empty()) {
+    obs::Count(obs::Counter::kServingSingleShardQueries);
+    return shards_[0]->Execute(sql);
+  }
+  if (!stmt.group_by.empty() || stmt.having != nullptr || stmt.distinct) {
+    return Status::InvalidArgument(
+        "ShardedRecDB does not support GROUP BY / HAVING / DISTINCT over "
+        "partitioned tables; run the aggregate per shard via shard(k)");
+  }
   return ScatterSelect(sql, stmt, info, targets);
 }
 
-Result<ResultSet> ShardedRecDB::ScatterSelect(const std::string& sql,
-                                              const SelectStatement& stmt,
-                                              PartitionInfo* info,
-                                              const std::vector<size_t>& targets) {
+Result<ResultSet> ShardedRecDB::ExplainAnalyze(const std::string& sql,
+                                               const SelectStatement& select) {
+  PartitionInfo* info = nullptr;
+  const std::vector<size_t> targets = Route(select, &info);
+  if (targets.empty()) {
+    obs::Count(obs::Counter::kServingSingleShardQueries);
+    return shards_[0]->Execute(sql);
+  }
+  RECDB_ASSIGN_OR_RETURN(std::vector<ResultSet> legs, RunLegs(sql, targets));
+  ResultSet out;
+  out.columns = legs[0].columns;
+  for (size_t i = 0; i < legs.size(); ++i) {
+    out.stats += legs[i].stats;
+    out.rows.push_back(
+        Tuple({Value::String(StringFormat("shard %zu", targets[i]))}));
+    for (Tuple& row : legs[i].rows) out.rows.push_back(std::move(row));
+    if (!legs[i].trace.empty()) {
+      out.trace += StringFormat("shard %zu\n", targets[i]) + legs[i].trace;
+    }
+  }
+  return out;
+}
+
+Result<std::vector<ResultSet>> ShardedRecDB::RunLegs(
+    const std::string& sql, const std::vector<size_t>& targets) {
   obs::Count(targets.size() > 1 ? obs::Counter::kServingScatterQueries
                                 : obs::Counter::kServingSingleShardQueries);
   obs::Count(obs::Counter::kServingFanoutLegs, targets.size());
@@ -319,7 +353,14 @@ Result<ResultSet> ShardedRecDB::ScatterSelect(const std::string& sql,
       });
   obs::ObserveUs(obs::Histogram::kServingScatterUs, ElapsedUs(scatter_watch));
   for (const Status& st : leg_status) RECDB_RETURN_NOT_OK(st);
+  return legs;
+}
 
+Result<ResultSet> ShardedRecDB::ScatterSelect(const std::string& sql,
+                                              const SelectStatement& stmt,
+                                              PartitionInfo* info,
+                                              const std::vector<size_t>& targets) {
+  RECDB_ASSIGN_OR_RETURN(std::vector<ResultSet> legs, RunLegs(sql, targets));
   ResultSet out;
   out.columns = legs[0].columns;
   for (size_t i = 0; i < legs.size(); ++i) {

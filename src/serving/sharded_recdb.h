@@ -118,6 +118,18 @@ class ShardedRecDB {
                                   const SelectStatement& stmt,
                                   PartitionInfo* info,
                                   const std::vector<size_t>& targets);
+  /// EXPLAIN ANALYZE runs on the shards the SELECT would visit and prints
+  /// each leg's annotated plan under a `shard k` line.
+  Result<ResultSet> ExplainAnalyze(const std::string& sql,
+                                   const SelectStatement& select);
+  /// The shards a SELECT must visit: every shard, or the owners of the
+  /// users its WHERE pins. Empty when shard 0 answers alone (no partitioned
+  /// table in FROM, or one shard); `info` is the partitioned table's.
+  std::vector<size_t> Route(const SelectStatement& stmt, PartitionInfo** info);
+  /// Run `sql` on each target shard through the shared scheduler; the
+  /// legs come back in target order, or the first leg's error.
+  Result<std::vector<ResultSet>> RunLegs(const std::string& sql,
+                                         const std::vector<size_t>& targets);
   Result<ResultSet> BroadcastWrite(const std::string& sql,
                                    const Statement& stmt);
   /// Run `fn` on every shard in shard order, even after a failure; returns

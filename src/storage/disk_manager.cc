@@ -152,9 +152,7 @@ void DiskManager::ChargeLatency() const {
 // --- InMemoryDiskManager -----------------------------------------------------
 
 page_id_t InMemoryDiskManager::AllocatePage() {
-  auto buf = std::make_unique<char[]>(kPageSize);
-  std::memset(buf.get(), 0, kPageSize);
-  pages_.push_back(std::move(buf));
+  pages_.emplace_back();  // all zeros: nothing stored
   return static_cast<page_id_t>(pages_.size() - 1);
 }
 
@@ -163,7 +161,9 @@ Status InMemoryDiskManager::DoReadPage(page_id_t pid, char* out) {
     return Status::IOError("read of unallocated page " + std::to_string(pid));
   }
   ChargeLatency();
-  std::memcpy(out, pages_[pid].get(), kPageSize);
+  const StoredPage& page = pages_[pid];
+  if (page.len > 0) std::memcpy(out, page.bytes.get(), page.len);
+  std::memset(out + page.len, 0, kPageSize - page.len);
   return Status::OK();
 }
 
@@ -172,7 +172,22 @@ Status InMemoryDiskManager::DoWritePage(page_id_t pid, const char* src) {
     return Status::IOError("write of unallocated page " + std::to_string(pid));
   }
   ChargeLatency();
-  std::memcpy(pages_[pid].get(), src, kPageSize);
+  // The stored prefix ends at the last nonzero byte; skip zero words first.
+  size_t len = kPageSize;
+  static_assert(kPageSize % sizeof(uint64_t) == 0);
+  for (uint64_t word = 0; len > 0; len -= sizeof(word)) {
+    std::memcpy(&word, src + len - sizeof(word), sizeof(word));
+    if (word != 0) break;
+  }
+  while (len > 0 && src[len - 1] == 0) --len;
+  StoredPage& page = pages_[pid];
+  if (len != page.len) {
+    page.bytes.reset(len > 0 ? new char[len] : nullptr);
+    resident_bytes_.fetch_add(len, std::memory_order_relaxed);
+    resident_bytes_.fetch_sub(page.len, std::memory_order_relaxed);
+    page.len = len;
+  }
+  if (len > 0) std::memcpy(page.bytes.get(), src, len);
   return Status::OK();
 }
 

@@ -134,18 +134,31 @@ class DiskManager {
 };
 
 /// The seed's purely in-memory page store: never fails (beyond bounds
-/// checks), zero-latency unless configured otherwise.
+/// checks), zero-latency unless configured otherwise. Each page keeps only
+/// the bytes up to its last nonzero one and reads the rest back as zeros,
+/// so a WAL page holding one small commit costs its ~100 used bytes, not a
+/// full page.
 class InMemoryDiskManager : public DiskManager {
  public:
   page_id_t AllocatePage() override;
   size_t NumPages() const override { return pages_.size(); }
+
+  /// Page bytes held in memory: the sum of every page's stored prefix.
+  size_t ResidentBytes() const {
+    return resident_bytes_.load(std::memory_order_relaxed);
+  }
 
  protected:
   Status DoReadPage(page_id_t pid, char* out) override;
   Status DoWritePage(page_id_t pid, const char* src) override;
 
  private:
-  std::vector<std::unique_ptr<char[]>> pages_;
+  struct StoredPage {
+    std::unique_ptr<char[]> bytes;
+    size_t len = 0;  // bytes past len are zero
+  };
+  std::vector<StoredPage> pages_;
+  std::atomic<size_t> resident_bytes_{0};
 };
 
 /// Single-file page store with per-page CRC32 checksums.

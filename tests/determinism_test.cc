@@ -25,9 +25,11 @@
 #include <utility>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "api/recdb.h"
+#include "common/rng.h"
 #include "common/task_scheduler.h"
 #include "execution/executor.h"
 #include "recommender/cf_model.h"
@@ -518,18 +520,19 @@ RatingMatrix MakeMatrix() {
   return m;
 }
 
-void ExpectNeighborhoodsEqual(const std::vector<std::vector<Neighbor>>& a,
-                              const std::vector<std::vector<Neighbor>>& b,
+void ExpectNeighborhoodsEqual(const std::vector<NeighborRow>& a,
+                              const std::vector<NeighborRow>& b,
                               const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].size(), b[i].size()) << what << " row " << i;
-    for (size_t j = 0; j < a[i].size(); ++j) {
-      EXPECT_EQ(a[i][j].idx, b[i][j].idx) << what << " row " << i;
+    ASSERT_EQ(a[i].NumEntries(), b[i].NumEntries()) << what << " row " << i;
+    for (auto x = a[i].begin(), y = b[i].begin(); x != a[i].end(); ++x, ++y) {
+      EXPECT_EQ((*x).idx, (*y).idx) << what << " row " << i;
       // Bit-identical, not approximately equal: the parallel accumulation
       // must add float products in exactly the serial order.
-      EXPECT_EQ(a[i][j].sim, b[i][j].sim) << what << " row " << i;
+      EXPECT_EQ((*x).sim, (*y).sim) << what << " row " << i;
     }
+    EXPECT_TRUE(a[i] == b[i]) << what << " row " << i;
   }
 }
 
@@ -843,6 +846,127 @@ TEST(BatchScalarEqualityTest, ItemCFKernelSumsRatedItemsInAscendingIndex) {
   ASSERT_TRUE(m->Remove(102, 510));
   ASSERT_TRUE(m->has_delta());
   check();
+}
+
+/// Ratings whose item rows mix every run shape: three heavy users rate
+/// items 0..79, so those items' rows hold runs of 8 cells and more; 80
+/// light users rate 14 of 300 items each, so the other rows are sparse,
+/// with short runs, bridged gaps of one and two cells and gaps of three or
+/// more. Ratings are in thirds, so a sum taken out of order shows.
+std::vector<std::tuple<int64_t, int64_t, double>> RunShapeRatings() {
+  std::vector<std::tuple<int64_t, int64_t, double>> out;
+  for (int64_t u = 0; u < 3; ++u) {
+    for (int64_t i = 0; i < 80; ++i) {
+      out.emplace_back(u, i, 1 + ((u * 5 + i * 7) % 13) / 3.0);
+    }
+  }
+  Rng rng(31);
+  for (int64_t u = 3; u < 83; ++u) {
+    for (int k = 0; k < 14; ++k) {
+      out.emplace_back(u, rng.UniformInt(0, 299),
+                       1 + rng.UniformInt(0, 12) / 3.0);
+    }
+  }
+  return out;
+}
+
+TEST(BatchScalarEqualityTest, ItemCFRunsScoreLikeTheGatherReference) {
+  auto m = std::make_shared<RatingMatrix>();
+  for (const auto& [u, i, r] : RunShapeRatings()) m->Add(u, i, r);
+  for (bool centered : {false, true}) {
+    auto model = ItemCFModel::Build(m, centered);
+    SCOPED_TRACE(RecAlgorithmToString(model->algorithm()));
+    const int32_t n = static_cast<int32_t>(m->NumItems());
+    // The table holds every run shape the kernel distinguishes.
+    bool long_run = false, short_run = false, bridged = false;
+    for (int32_t i = 0; i < n; ++i) {
+      const NeighborRow& row = model->NeighborhoodAt(i);
+      for (const NeighborRow::Run& run : row.runs()) {
+        (run.count >= 8 ? long_run : short_run) = true;
+      }
+      bridged = bridged || row.NumEntries() < row.num_cells();
+    }
+    ASSERT_TRUE(long_run && short_run && bridged);
+
+    // Every user over index slices of many widths: each slice boundary
+    // cuts through runs, and each slice must give the reference's bits.
+    for (int32_t u = 0; u < static_cast<int32_t>(m->NumUsers()); ++u) {
+      const int64_t user = m->UserIdAt(u);
+      std::vector<double> expected(n);
+      for (int32_t i = 0; i < n; ++i) {
+        expected[i] = Eq2Reference(*model, user, m->ItemIdAt(i));
+      }
+      for (int32_t width : {1, 3, 7, 8, 9, 17, 64, n}) {
+        std::vector<double> got(n, -1);
+        for (int32_t lo = 0; lo < n; lo += width) {
+          const int32_t len = std::min(width, n - lo);
+          std::vector<int32_t> slice(len);
+          std::iota(slice.begin(), slice.end(), lo);
+          model->PredictBatchByIndex(
+              u, slice, std::span<double>(got.data() + lo, len));
+        }
+        ASSERT_EQ(got, expected) << "user " << user << " width " << width;
+      }
+    }
+  }
+}
+
+TEST(ParallelDeterminismTest, ItemCFRunsScoreLikeTheGatherReference) {
+  // One user over the 300-item catalog is past the fan-out threshold, so
+  // parallelism 2 and 8 score it in item slices whose bounds cut runs.
+  ParallelismGuard guard;
+  RecDB db;
+  ASSERT_TRUE(
+      db.Execute("CREATE TABLE Runs (uid INT, iid INT, ratingval DOUBLE)")
+          .ok());
+  std::vector<std::vector<Value>> rows;
+  for (const auto& [u, i, r] : RunShapeRatings()) {
+    rows.push_back({Value::Int(u), Value::Int(i), Value::Double(r)});
+  }
+  ASSERT_TRUE(db.BulkInsert("Runs", rows).ok());
+  for (const char* algo : {"ItemCosCF", "ItemPearCF"}) {
+    SCOPED_TRACE(algo);
+    ASSERT_TRUE(db.Execute(std::string("CREATE RECOMMENDER ") + algo +
+                           "_runs ON Runs USERS FROM uid ITEMS FROM iid "
+                           "RATINGS FROM ratingval USING " + algo)
+                    .ok());
+    auto rec = db.GetRecommender(std::string(algo) + "_runs");
+    ASSERT_TRUE(rec.ok());
+    const auto& model =
+        static_cast<const ItemCFModel&>(*rec.value()->model());
+    for (int threads : {1, 2, 8}) {
+      ASSERT_TRUE(
+          db.Execute("SET parallelism = " + std::to_string(threads)).ok());
+      for (int64_t user : {0, 5, 40}) {
+        auto rs = db.Execute(
+            "SELECT R.uid, R.iid, R.ratingval FROM Runs AS R RECOMMEND R.iid "
+            "TO R.uid ON R.ratingval USING " +
+            std::string(algo) + " WHERE R.uid = " + std::to_string(user));
+        ASSERT_TRUE(rs.ok()) << rs.status().message();
+        ASSERT_GT(rs.value().NumRows(), 200u);
+        EXPECT_EQ(rs.value().stats.tasks_spawned > 0, threads > 1);
+        for (const Tuple& row : rs.value().rows) {
+          const int64_t item = row.values()[1].AsInt();
+          EXPECT_EQ(row.values()[2].AsDouble(),
+                    Eq2Reference(model, user, item))
+              << "user " << user << " item " << item << " at parallelism "
+              << threads;
+        }
+      }
+    }
+  }
+}
+
+// The kernels' multiply-adds must round the product before the add, as the
+// x86-64 baseline does: with x = 1 + 2^-27 and y = 1 - 2^-27, x*y is
+// 1 - 2^-54, which rounds to 1.0, so x*y - 1 is 0. A fused multiply-add
+// keeps the product exact and gives -2^-54. The build passes
+// -ffp-contract=off so that -march=native (RECDB_NATIVE) cannot fuse.
+TEST(BatchScalarEqualityTest, MultiplyAddIsNotContracted) {
+  volatile double x = 1.0 + std::ldexp(1.0, -27);
+  volatile double y = 1.0 - std::ldexp(1.0, -27);
+  const double a = x, b = y;
+  EXPECT_EQ(a * b - 1.0, 0.0);
 }
 
 /// UserCF's Eq. (2) computed test-side: Σ sim(u, v)·r_vi / Σ|sim(u, v)|

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -436,48 +437,65 @@ TEST(IngestGoldenTest, CfRefreshPerScenarioMatchesFullRetrain) {
 
 // ------------------------------------------------------------ row oracle
 
-/// A CF recommender's neighborhood table as (neighbor, sim) pairs, one row
-/// per entity of its side of the matrix.
-std::vector<std::vector<std::pair<int32_t, float>>> TableRows(
-    const Recommender& rec) {
+/// A CF recommender's neighborhood row for entity p of its side.
+const NeighborRow& ModelRow(const Recommender& rec, int32_t p) {
   const RecModel* model = rec.model();
-  const bool item_based = IsItemBased(rec.algorithm());
-  const size_t n =
-      item_based ? rec.live().NumItems() : rec.live().NumUsers();
-  std::vector<std::vector<std::pair<int32_t, float>>> table(n);
-  for (size_t p = 0; p < n; ++p) {
-    const int32_t idx = static_cast<int32_t>(p);
-    const std::vector<Neighbor>& row =
-        item_based
-            ? static_cast<const ItemCFModel*>(model)->NeighborhoodAt(idx)
-            : static_cast<const UserCFModel*>(model)->NeighborhoodAt(idx);
-    for (const Neighbor& nb : row) table[p].emplace_back(nb.idx, nb.sim);
-  }
-  return table;
+  return IsItemBased(rec.algorithm())
+             ? static_cast<const ItemCFModel*>(model)->NeighborhoodAt(p)
+             : static_cast<const UserCFModel*>(model)->NeighborhoodAt(p);
 }
 
 /// The same table built from scratch over the recommender's current matrix.
-std::vector<std::vector<std::pair<int32_t, float>>> ScratchRows(
-    const Recommender& rec) {
+std::vector<NeighborRow> ScratchTable(const Recommender& rec) {
   SimilarityOptions opts = rec.config().sim_opts;
   opts.centered = rec.algorithm() == RecAlgorithm::kItemPearCF ||
                   rec.algorithm() == RecAlgorithm::kUserPearCF;
-  const auto built = IsItemBased(rec.algorithm())
-                         ? BuildItemNeighborhoods(rec.live(), opts)
-                         : BuildUserNeighborhoods(rec.live(), opts);
-  std::vector<std::vector<std::pair<int32_t, float>>> table(built.size());
-  for (size_t p = 0; p < built.size(); ++p) {
-    for (const Neighbor& nb : built[p]) table[p].emplace_back(nb.idx, nb.sim);
+  return IsItemBased(rec.algorithm())
+             ? BuildItemNeighborhoods(rec.live(), opts)
+             : BuildUserNeighborhoods(rec.live(), opts);
+}
+
+/// A neighborhood table as (neighbor, sim) pairs, one row per entity.
+std::vector<std::vector<std::pair<int32_t, float>>> Pairs(
+    size_t n, const std::function<const NeighborRow&(int32_t)>& row_at) {
+  std::vector<std::vector<std::pair<int32_t, float>>> table(n);
+  for (size_t p = 0; p < n; ++p) {
+    for (const Neighbor nb : row_at(static_cast<int32_t>(p))) {
+      table[p].emplace_back(nb.idx, nb.sim);
+    }
   }
   return table;
 }
 
+std::vector<std::vector<std::pair<int32_t, float>>> TableRows(
+    const Recommender& rec) {
+  const size_t n = IsItemBased(rec.algorithm()) ? rec.live().NumItems()
+                                                : rec.live().NumUsers();
+  return Pairs(n, [&](int32_t p) -> const NeighborRow& {
+    return ModelRow(rec, p);
+  });
+}
+
+std::vector<std::vector<std::pair<int32_t, float>>> ScratchRows(
+    const Recommender& rec) {
+  const std::vector<NeighborRow> built = ScratchTable(rec);
+  return Pairs(built.size(),
+               [&](int32_t p) -> const NeighborRow& { return built[p]; });
+}
+
 /// Every row index-ascending and equal, bit for bit, to a from-scratch
-/// build; untruncated, every (p, q, sim) has its mirror (q, p, sim).
+/// build, and byte-identical to it as a NeighborRow (patched rows keep the
+/// canonical run form); untruncated, every (p, q, sim) has its mirror
+/// (q, p, sim).
 void ExpectTableMatchesScratchBuild(const Recommender& rec) {
   const auto table = TableRows(rec);
   const auto scratch = ScratchRows(rec);
   ASSERT_EQ(table.size(), scratch.size());
+  const std::vector<NeighborRow> built = ScratchTable(rec);
+  for (size_t p = 0; p < built.size(); ++p) {
+    EXPECT_TRUE(ModelRow(rec, static_cast<int32_t>(p)) == built[p])
+        << "row " << p << " is not in canonical run form";
+  }
   for (size_t p = 0; p < table.size(); ++p) {
     const auto& row = table[p];
     for (size_t k = 1; k < row.size(); ++k) {

@@ -365,6 +365,39 @@ TEST(TracerTest, FinishClosesUnbalancedSpans) {
   EXPECT_NE(rendered.find("inner"), std::string::npos);
 }
 
+TEST(TracerTest, LongNamesKeepTheMsColumnAligned) {
+  // A long executor name at depth 3 is cut to its indented field, so its
+  // ms column sits where its siblings' and ancestors' do.
+  obs::Tracer tracer("query");
+  int outer = tracer.BeginSpan("execute");
+  int mid = tracer.BeginSpan("TopN k=10");
+  int longer = tracer.BeginSpan(
+      "FilterRecommend r using ItemCosCF users=5 ids=[1, 2, 3, 4, 5] "
+      "unseen-only");
+  tracer.EndSpan(longer);
+  int shorter = tracer.BeginSpan("SeqScan ratings");
+  tracer.EndSpan(shorter);
+  tracer.EndSpan(mid);
+  tracer.EndSpan(outer);
+  tracer.Finish();
+
+  const std::string rendered = tracer.Render();
+  std::vector<size_t> ms_at;
+  size_t start = rendered.find('\n') + 1;  // skip the header line
+  while (start < rendered.size()) {
+    const size_t end = rendered.find('\n', start);
+    const std::string line = rendered.substr(start, end - start);
+    ms_at.push_back(line.find(" ms"));
+    start = end + 1;
+  }
+  ASSERT_EQ(ms_at.size(), 5u) << rendered;
+  for (size_t at : ms_at) {
+    EXPECT_EQ(at, ms_at[0]) << rendered;
+  }
+  EXPECT_NE(rendered.find("FilterRecommend r using"), std::string::npos);
+  EXPECT_NE(rendered.find("...  "), std::string::npos) << rendered;
+}
+
 TEST(TracerTest, AttachPlanMaterializesExecutorSpans) {
   FilterPlan parent;
   auto child_owned = std::make_unique<FilterPlan>();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <vector>
 
 #include "common/rng.h"
@@ -237,20 +238,147 @@ TEST(SimilarityTest, DisjointVectorsHaveZeroSimilarity) {
   EXPECT_DOUBLE_EQ(PairwiseCosine({a_idx, a_val, 2}, {b_idx, b_val, 2}), 0.0);
 }
 
+// ------------------------------------------------------------ NeighborRow
+
+/// The canonical row of a reference entry map, built by appending.
+NeighborRow RowOf(const std::map<int32_t, float>& entries) {
+  NeighborRow row;
+  for (const auto& [idx, sim] : entries) row.Append(idx, sim);
+  row.ShrinkToFit();
+  return row;
+}
+
+/// Iteration, lookup, entry count and the run invariants against the map:
+/// every run starts and ends on an entry, no zero stretch inside a run is
+/// longer than kMaxBridge, and consecutive runs are more than kMaxBridge
+/// indices apart.
+void ExpectRowMatchesMap(const NeighborRow& row,
+                         const std::map<int32_t, float>& entries,
+                         int32_t max_idx) {
+  std::vector<std::pair<int32_t, float>> got;
+  for (const Neighbor nb : row) got.emplace_back(nb.idx, nb.sim);
+  const std::vector<std::pair<int32_t, float>> want(entries.begin(),
+                                                    entries.end());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(row.NumEntries(), entries.size());
+  EXPECT_EQ(row.empty(), entries.empty());
+  for (int32_t idx = -2; idx <= max_idx + 2; ++idx) {
+    auto it = entries.find(idx);
+    EXPECT_EQ(row.Find(idx), it == entries.end() ? 0.0f : it->second)
+        << "idx " << idx;
+  }
+  const std::span<const float> cells = row.cells();
+  size_t at = 0;
+  int32_t prev_last = -1 - NeighborRow::kMaxBridge - 1;
+  for (const NeighborRow::Run& run : row.runs()) {
+    ASSERT_GT(run.count, 0);
+    EXPECT_GT(run.first - prev_last - 1, NeighborRow::kMaxBridge);
+    EXPECT_NE(cells[at], 0.0f);
+    EXPECT_NE(cells[at + run.count - 1], 0.0f);
+    int32_t zeros = 0;
+    for (int32_t c = 0; c < run.count; ++c) {
+      zeros = cells[at + c] == 0.0f ? zeros + 1 : 0;
+      EXPECT_LE(zeros, NeighborRow::kMaxBridge);
+    }
+    at += run.count;
+    prev_last = run.first + run.count - 1;
+  }
+  EXPECT_EQ(at, cells.size());
+}
+
+TEST(NeighborRowTest, PatchedRowsAreByteIdenticalToFreshRows) {
+  // Random entry sets of varying density, then random batches of set,
+  // insert and erase patches (sorted, one per index) that land on entries,
+  // on bridged zero cells, between runs, before the first run and past the
+  // last. After every batch the row must equal, byte for byte, the row
+  // freshly built from the reference map's entries.
+  Rng rng(2024);
+  constexpr int32_t kSpan = 120;
+  for (int trial = 0; trial < 200; ++trial) {
+    const double density = rng.UniformDouble(0.02, 1.0);
+    std::map<int32_t, float> entries;
+    for (int32_t idx = 0; idx < kSpan; ++idx) {
+      if (rng.UniformDouble(0, 1) < density) {
+        entries[idx] = static_cast<float>(rng.UniformDouble(-1, 1)) + 2.0f;
+      }
+    }
+    NeighborRow row = RowOf(entries);
+    ExpectRowMatchesMap(row, entries, kSpan);
+    for (int batch = 0; batch < 12; ++batch) {
+      std::map<int32_t, NeighborPatch> picked;
+      const int n = static_cast<int>(rng.UniformInt(1, 12));
+      for (int k = 0; k < n; ++k) {
+        NeighborPatch p;
+        p.row = 7;
+        p.idx = static_cast<int32_t>(rng.UniformInt(0, kSpan + 10));
+        p.erase = rng.UniformInt(0, 2) == 0;
+        p.sim = static_cast<float>(rng.UniformDouble(0.1, 1.0)) *
+                (rng.UniformInt(0, 1) == 0 ? -1.0f : 1.0f);
+        picked[p.idx] = p;
+      }
+      std::vector<NeighborPatch> patches;
+      for (const auto& [idx, p] : picked) {
+        patches.push_back(p);
+        if (p.erase) {
+          entries.erase(idx);
+        } else {
+          entries[idx] = p.sim;
+        }
+      }
+      row.Apply(patches);
+      EXPECT_TRUE(row == RowOf(entries)) << "trial " << trial << " batch "
+                                         << batch;
+      ExpectRowMatchesMap(row, entries, kSpan + 10);
+    }
+  }
+}
+
+TEST(NeighborRowTest, BridgesGapsOfAtMostTwoCells) {
+  NeighborRow row;
+  row.Append(3, 0.5f);
+  row.Append(4, 0.25f);   // adjacent: same run
+  row.Append(7, -1.0f);   // two missing (5, 6): bridged
+  row.Append(11, 2.0f);   // three missing (8..10): new run
+  ASSERT_EQ(row.runs().size(), 2u);
+  EXPECT_EQ(row.runs()[0], (NeighborRow::Run{3, 5}));
+  EXPECT_EQ(row.runs()[1], (NeighborRow::Run{11, 1}));
+  const std::vector<float> cells(row.cells().begin(), row.cells().end());
+  EXPECT_EQ(cells, (std::vector<float>{0.5f, 0.25f, 0, 0, -1.0f, 2.0f}));
+  EXPECT_EQ(row.NumEntries(), 4u);
+  EXPECT_EQ(row.Find(5), 0.0f);
+
+  // Erasing 7 leaves a trailing zero stretch: the run shrinks to [3, 4].
+  const NeighborPatch erase7{0, 7, 0, true};
+  row.Apply(std::span<const NeighborPatch>(&erase7, 1));
+  ASSERT_EQ(row.runs().size(), 2u);
+  EXPECT_EQ(row.runs()[0], (NeighborRow::Run{3, 2}));
+  // Setting 8: three cells (5..7) lie between it and the first run, two
+  // (9, 10) between it and the run at 11, so it joins only the latter.
+  const NeighborPatch set8{0, 8, 0.75f, false};
+  row.Apply(std::span<const NeighborPatch>(&set8, 1));
+  ASSERT_EQ(row.runs().size(), 2u);
+  EXPECT_EQ(row.runs()[1], (NeighborRow::Run{8, 4}));
+  // Setting 6 now bridges 5 and 7 on both sides: one run [3, 11].
+  const NeighborPatch set6{0, 6, 0.125f, false};
+  row.Apply(std::span<const NeighborPatch>(&set6, 1));
+  ASSERT_EQ(row.runs().size(), 1u);
+  EXPECT_EQ(row.runs()[0], (NeighborRow::Run{3, 9}));
+}
+
 TEST(SimilarityTest, ItemNeighborhoodsMatchPairwiseOracle) {
   auto m = Figure1Ratings();
   auto nb = BuildItemNeighborhoods(*m, SimilarityOptions{});
   ASSERT_EQ(nb.size(), m->NumItems());
   for (size_t p = 0; p < m->NumItems(); ++p) {
+    int32_t prev = -1;
     for (const auto& n : nb[p]) {
       double oracle = PairwiseCosine(m->ItemCsrRow(static_cast<int32_t>(p)),
                                      m->ItemCsrRow(n.idx));
       EXPECT_NEAR(n.sim, oracle, 1e-6);
       EXPECT_NE(n.idx, static_cast<int32_t>(p)) << "self-similarity stored";
-    }
-    // Sorted by ascending neighbor index.
-    for (size_t k = 1; k < nb[p].size(); ++k) {
-      EXPECT_LT(nb[p][k - 1].idx, nb[p][k].idx);
+      // Ascending neighbor index.
+      EXPECT_LT(prev, n.idx);
+      prev = n.idx;
     }
   }
 }
@@ -263,8 +391,8 @@ TEST(SimilarityTest, SymmetricSimilarity) {
 }
 
 TEST(SimilarityTest, LookupMatchesLinearScanOracle) {
-  // Similarity() binary-searches the one stored neighborhood row, which is
-  // index-sorted with or without top-k truncation. Every pair must agree
+  // Similarity() looks up the one stored neighborhood row, which iterates
+  // in ascending index with or without top-k truncation. Every pair must agree
   // with a brute-force linear scan of the stored row, including absent
   // pairs (0.0) and ids unknown to the matrix.
   RatingMatrix m;
@@ -330,8 +458,8 @@ TEST(SimilarityTest, TopKTruncationKeepsStrongest) {
   auto nb_full = BuildItemNeighborhoods(m, full);
   auto nb_k = BuildItemNeighborhoods(m, truncated);
   for (size_t i = 0; i < nb_k.size(); ++i) {
-    EXPECT_LE(nb_k[i].size(), 3u);
-    if (nb_full[i].size() >= 3) {
+    EXPECT_LE(nb_k[i].NumEntries(), 3u);
+    if (nb_full[i].NumEntries() >= 3) {
       // The strongest |sim| in the full list must appear in the truncated.
       float best = 0;
       for (const auto& n : nb_full[i]) best = std::max(best, std::fabs(n.sim));

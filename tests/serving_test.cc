@@ -250,6 +250,59 @@ TEST(ServingTrace, ScatteredSelectCarriesEachLegsTrace) {
   EXPECT_TRUE(quiet.value().trace.empty());
 }
 
+/// Sum of the act= counts on the plan lines whose node is a Recommend.
+uint64_t RecommendActs(const ResultSet& rs) {
+  uint64_t total = 0;
+  for (const Tuple& row : rs.rows) {
+    const std::string line = row.values()[0].ToString();
+    const size_t at = line.find_first_not_of(' ');
+    if (at == std::string::npos || line.compare(at, 10, "Recommend ") != 0) {
+      continue;
+    }
+    const size_t act = line.find(" act=");
+    if (act != std::string::npos) total += std::stoull(line.substr(act + 5));
+  }
+  return total;
+}
+
+TEST(ServingExplain, ExplainAnalyzeCountsEveryShard) {
+  // EXPLAIN ANALYZE of an all-users RECOMMEND runs where the SELECT would:
+  // on every shard, each leg's annotated plan under a `shard k` line, so
+  // the Recommend counts add up to the single-node count.
+  auto reference = MakeReference();
+  auto sharded = MakeSharded(2);
+  const std::string sql = "EXPLAIN ANALYZE " + RecommendSql("ItemCosCF", "");
+  auto single = reference->Execute(sql);
+  ASSERT_TRUE(single.ok()) << single.status().message();
+  auto rows = reference->Execute(RecommendSql("ItemCosCF", ""));
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(RecommendActs(single.value()), rows.value().NumRows());
+
+  auto scattered = sharded->Execute(sql);
+  ASSERT_TRUE(scattered.ok()) << scattered.status().message();
+  EXPECT_EQ(RecommendActs(scattered.value()), rows.value().NumRows());
+  std::vector<std::string> sections;
+  for (const Tuple& row : scattered.value().rows) {
+    const std::string line = row.values()[0].ToString();
+    if (line.rfind("shard ", 0) == 0) sections.push_back(line);
+  }
+  EXPECT_EQ(sections, (std::vector<std::string>{"shard 0", "shard 1"}));
+  EXPECT_EQ(scattered.value().stats.predictions,
+            single.value().stats.predictions);
+
+  // A pinned user runs on its owner alone; plain EXPLAIN stays on shard 0.
+  auto pinned = sharded->Execute(
+      "EXPLAIN ANALYZE " + RecommendSql("ItemCosCF", "WHERE R.uid = 7"));
+  ASSERT_TRUE(pinned.ok());
+  EXPECT_EQ(pinned.value().rows[0].values()[0].ToString(),
+            "shard " + std::to_string(ShardOfUser(7, 2)));
+  auto plain = sharded->Execute("EXPLAIN " + RecommendSql("ItemCosCF", ""));
+  ASSERT_TRUE(plain.ok());
+  for (const Tuple& row : plain.value().rows) {
+    EXPECT_NE(row.values()[0].ToString().rfind("shard ", 0), 0u);
+  }
+}
+
 // ------------------------------------------------------- options validation
 
 TEST(ServingOptions, ConstructorRejectsOutOfRangeShards) {

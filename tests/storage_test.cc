@@ -2,7 +2,10 @@
 // pinning, dirty write-back), slotted pages, table heap round trips.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
+#include <random>
+#include <vector>
 
 #include "storage/buffer_pool.h"
 #include "storage/catalog.h"
@@ -36,6 +39,41 @@ TEST(DiskManagerTest, ReadUnallocatedFails) {
   char out[kPageSize];
   EXPECT_EQ(disk.ReadPage(7, out).code(), StatusCode::kIOError);
   EXPECT_EQ(disk.WritePage(-1, out).code(), StatusCode::kIOError);
+}
+
+TEST(DiskManagerTest, PagesWithZeroTailsRoundTripByteIdentical) {
+  // Pages are stored up to their last nonzero byte; what reads back must
+  // still be the whole page as written, across rewrites that grow and
+  // shrink the stored prefix, all-zero pages and never-written ones.
+  InMemoryDiskManager disk;
+  std::mt19937 gen(11);
+  std::vector<std::vector<char>> written;
+  for (int p = 0; p < 16; ++p) {
+    disk.AllocatePage();
+    written.emplace_back(kPageSize, 0);
+  }
+  std::vector<char> out(kPageSize);
+  for (int round = 0; round < 400; ++round) {
+    const page_id_t pid = static_cast<page_id_t>(gen() % written.size());
+    std::vector<char>& page = written[pid];
+    const size_t used = gen() % (kPageSize + 1);
+    std::fill(page.begin(), page.end(), 0);
+    for (size_t b = 0; b < used; ++b) {
+      // Interior zero bytes and zero words stay part of the page.
+      page[b] = gen() % 4 == 0 ? 0 : static_cast<char>(gen());
+    }
+    ASSERT_TRUE(disk.WritePage(pid, page.data()).ok());
+    size_t resident = 0;
+    for (size_t q = 0; q < written.size(); ++q) {
+      ASSERT_TRUE(disk.ReadPage(static_cast<page_id_t>(q), out.data()).ok());
+      ASSERT_EQ(std::memcmp(out.data(), written[q].data(), kPageSize), 0)
+          << "page " << q << " round " << round;
+      size_t len = kPageSize;
+      while (len > 0 && written[q][len - 1] == 0) --len;
+      resident += len;
+    }
+    EXPECT_EQ(disk.ResidentBytes(), resident);
+  }
 }
 
 TEST(BufferPoolTest, NewFetchUnpin) {

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/recdb.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/log_manager.h"
@@ -254,6 +255,33 @@ TEST(LogManagerTest, BufferPoolEnforcesWalRuleOnFlush) {
 
   ASSERT_TRUE(pool.FlushAll().ok());
   EXPECT_GE(log->durable_lsn(), lsn);  // flush forced the commit first
+}
+
+TEST(LogManagerTest, InMemoryWalKeepsOnlyEachCommitsUsedBytes) {
+  // Every group commit starts a fresh log page. On an in-memory device a
+  // single-row INSERT's page must cost about its used bytes, not 4 KB.
+  auto data = std::make_unique<InMemoryDiskManager>();
+  auto wal = std::make_unique<InMemoryDiskManager>();
+  InMemoryDiskManager* wal_dev = wal.get();
+  auto db = RecDB::OpenWithDisks(std::move(data), std::move(wal));
+  ASSERT_TRUE(db.ok()) << db.status().message();
+  ASSERT_TRUE(db.value()
+                  ->Execute("CREATE TABLE r (uid INT, iid INT, v DOUBLE)")
+                  .ok());
+  const size_t pages_before = wal_dev->NumPages();
+  const size_t bytes_before = wal_dev->ResidentBytes();
+  constexpr int kCommits = 200;
+  for (int k = 0; k < kCommits; ++k) {
+    ASSERT_TRUE(db.value()
+                    ->Execute("INSERT INTO r VALUES (" + std::to_string(k) +
+                              ", 7, 3.5)")
+                    .ok());
+  }
+  // One page per commit, as before; each holds far less than a page.
+  EXPECT_GE(wal_dev->NumPages() - pages_before, size_t{kCommits});
+  const size_t per_commit =
+      (wal_dev->ResidentBytes() - bytes_before) / kCommits;
+  EXPECT_LT(per_commit, kPageSize / 8) << per_commit << " bytes per commit";
 }
 
 TEST(WalTupleRecordTest, EncodeDecodeRoundTrip) {
