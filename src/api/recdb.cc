@@ -1235,14 +1235,11 @@ Result<std::vector<std::pair<Rid, Tuple>>> RecDB::CollectMatching(
     RECDB_ASSIGN_OR_RETURN(pred, BindExpr(*where, schema));
   }
   std::vector<std::pair<Rid, Tuple>> out;
-  auto it = table->heap->Begin(table->schema.NumColumns());
+  auto it = table->heap->Begin(table->schema.NumColumns(),
+                               ScanSpec{pred.get()});
   while (true) {
     RECDB_ASSIGN_OR_RETURN(auto next, it.Next());
     if (!next.has_value()) break;
-    if (pred != nullptr) {
-      RECDB_ASSIGN_OR_RETURN(bool pass, pred->EvalPredicate(next->second));
-      if (!pass) continue;
-    }
     out.push_back(std::move(*next));
   }
   return out;

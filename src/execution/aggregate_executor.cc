@@ -90,12 +90,22 @@ Status HashAggregateExecutor::InitImpl() {
   RECDB_RETURN_NOT_OK(child_->Init());
   groups_.clear();
   pos_ = 0;
+  // Global aggregation (no GROUP BY) has exactly one group, even over zero
+  // rows, and needs no index.
+  const bool global = plan_.group_keys.empty();
+  if (global) {
+    groups_.push_back(Group{{}, std::vector<AggState>(plan_.aggs.size())});
+  }
   // Group index: hash of key vector -> indices into groups_.
   std::unordered_multimap<size_t, size_t> index;
 
   while (true) {
     RECDB_ASSIGN_OR_RETURN(auto next, child_->Next());
     if (!next.has_value()) break;
+    if (global) {
+      RECDB_RETURN_NOT_OK(Accumulate(*next, &groups_[0].states));
+      continue;
+    }
     std::vector<Value> keys;
     keys.reserve(plan_.group_keys.size());
     for (const auto& k : plan_.group_keys) {
@@ -118,11 +128,6 @@ Status HashAggregateExecutor::InitImpl() {
       group = &groups_.back();
     }
     RECDB_RETURN_NOT_OK(Accumulate(*next, &group->states));
-  }
-
-  // Global aggregation over zero rows still yields one row.
-  if (groups_.empty() && plan_.group_keys.empty()) {
-    groups_.push_back(Group{{}, std::vector<AggState>(plan_.aggs.size())});
   }
   return Status::OK();
 }

@@ -7,15 +7,19 @@ namespace recdb {
 // ---------------------------------------------------------------- SeqScan
 
 Status SeqScanExecutor::InitImpl() {
-  iter_.emplace(plan_.table->heap->Begin(plan_.table->schema.NumColumns()));
+  iter_.emplace(plan_.table->heap.get(), plan_.table->schema.NumColumns(),
+                ScanSpec{plan_.predicate.get(), plan_.emit_columns});
   return Status::OK();
 }
 
 Result<std::optional<Tuple>> SeqScanExecutor::NextImpl() {
-  RECDB_ASSIGN_OR_RETURN(auto next, iter_->Next());
-  if (!next.has_value()) return std::optional<Tuple>{};
-  ++ctx_->stats.tuples_scanned;
-  return std::make_optional(std::move(next->second));
+  // tuples_scanned counts every live slot examined, passing or not.
+  const uint64_t examined = iter_->rows_examined();
+  auto next = iter_->Next();
+  ctx_->stats.tuples_scanned += iter_->rows_examined() - examined;
+  if (!next.ok()) return next.status();
+  if (!next->has_value()) return std::optional<Tuple>{};
+  return std::make_optional(std::move((*next)->second));
 }
 
 // ----------------------------------------------------------------- Filter

@@ -86,7 +86,7 @@
   X(kQueryRowsEmitted, "query.rows_emitted", "rows",                          \
     "result rows returned to clients")                                        \
   X(kExecTuplesScanned, "exec.tuples_scanned", "tuples",                      \
-    "tuples produced by table scans (promoted from ExecStats)")               \
+    "live heap slots examined by table scans (promoted from ExecStats)")      \
   X(kExecPredictions, "exec.predictions", "predictions",                      \
     "candidate scores computed on the query path (promoted from ExecStats)")  \
   X(kExecJoinProbes, "exec.join_probes", "tuples",                            \

@@ -61,6 +61,11 @@ bool IsComparison(BinaryOp op) {
 
 /// Whether `a op b` holds for two non-NULL values.
 bool CompareHolds(BinaryOp op, const Value& a, const Value& b) {
+  if ((op == BinaryOp::kEq || op == BinaryOp::kNe) &&
+      a.type() == TypeId::kString && b.type() == TypeId::kString) {
+    // Equal strings compare 0; unequal lengths settle it without a memcmp.
+    return (a.AsString() == b.AsString()) == (op == BinaryOp::kEq);
+  }
   const int c = a.Compare(b);
   switch (op) {
     case BinaryOp::kEq:
@@ -95,6 +100,25 @@ const Value* InPlace(const BoundExpr& e, const Tuple& tuple) {
     return &tuple.At(e.column_idx);
   }
   return nullptr;
+}
+
+struct FuncDef {
+  const char* name;
+  ScalarFunction fn;
+  size_t arity;
+};
+constexpr FuncDef kFuncs[] = {
+    {"st_contains", ScalarFunction::kStContains, 2},
+    {"st_dwithin", ScalarFunction::kStDWithin, 3},
+    {"st_distance", ScalarFunction::kStDistance, 2},
+    {"st_point", ScalarFunction::kStPoint, 2},
+    {"cscore", ScalarFunction::kCScore, 2},
+    {"abs", ScalarFunction::kAbs, 1},
+};
+
+std::string LiteralText(const Value& v) {
+  return v.type() == TypeId::kString ? "'" + v.ToString() + "'"
+                                     : v.ToString();
 }
 
 /// Coerce a value to geometry: pass geometry through, parse WKT strings.
@@ -257,6 +281,47 @@ BoundExprPtr BoundExpr::Clone() const {
   return e;
 }
 
+std::string BoundExpr::ToString(const ExecSchema& schema) const {
+  switch (kind) {
+    case BoundExprKind::kConstant:
+      return LiteralText(constant);
+    case BoundExprKind::kColumn: {
+      if (column_idx >= schema.NumColumns()) return "?";
+      const ExecColumn& c = schema.ColumnAt(column_idx);
+      return c.table_alias.empty() ? c.name : c.table_alias + "." + c.name;
+    }
+    case BoundExprKind::kBinary:
+      return "(" + left->ToString(schema) + " " + BinaryOpToString(op) + " " +
+             right->ToString(schema) + ")";
+    case BoundExprKind::kNot:
+      return "NOT " + left->ToString(schema);
+    case BoundExprKind::kNegate:
+      return "-" + left->ToString(schema);
+    case BoundExprKind::kFunction: {
+      std::string out = "?";
+      for (const auto& f : kFuncs) {
+        if (f.fn == func) out = f.name;
+      }
+      out += "(";
+      for (size_t i = 0; i < args.size(); ++i) {
+        if (i > 0) out += ", ";
+        out += args[i]->ToString(schema);
+      }
+      return out + ")";
+    }
+    case BoundExprKind::kInList: {
+      std::string out =
+          left->ToString(schema) + (negated ? " NOT IN (" : " IN (");
+      for (size_t i = 0; i < in_values.size(); ++i) {
+        if (i > 0) out += ", ";
+        out += LiteralText(in_values[i]);
+      }
+      return out + ")";
+    }
+  }
+  return "?";
+}
+
 void BoundExpr::CollectColumns(std::vector<size_t>* out) const {
   if (kind == BoundExprKind::kColumn) out->push_back(column_idx);
   if (left) left->CollectColumns(out);
@@ -334,19 +399,6 @@ Result<BoundExprPtr> BindExpr(const Expr& expr, const ExecSchema& schema) {
     }
     case ExprKind::kFunctionCall: {
       out->kind = BoundExprKind::kFunction;
-      struct FuncDef {
-        const char* name;
-        ScalarFunction fn;
-        size_t arity;
-      };
-      static const FuncDef kFuncs[] = {
-          {"st_contains", ScalarFunction::kStContains, 2},
-          {"st_dwithin", ScalarFunction::kStDWithin, 3},
-          {"st_distance", ScalarFunction::kStDistance, 2},
-          {"st_point", ScalarFunction::kStPoint, 2},
-          {"cscore", ScalarFunction::kCScore, 2},
-          {"abs", ScalarFunction::kAbs, 1},
-      };
       const FuncDef* def = nullptr;
       for (const auto& f : kFuncs) {
         if (expr.func_name == f.name) {

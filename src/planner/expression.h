@@ -68,6 +68,9 @@ class BoundExpr {
 
   BoundExprPtr Clone() const;
 
+  /// SQL-like text with column names read from `schema` (EXPLAIN).
+  std::string ToString(const ExecSchema& schema) const;
+
   /// All column indices referenced (for pushdown analysis).
   void CollectColumns(std::vector<size_t>* out) const;
 

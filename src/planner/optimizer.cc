@@ -152,7 +152,34 @@ Result<PlanNodePtr> Optimizer::Optimize(PlanNodePtr plan) {
     RECDB_ASSIGN_OR_RETURN(plan, CostPass(std::move(plan)));
     AnnotatePlan(plan.get(), cost_env_);
   }
-  return plan;
+  return FuseScans(std::move(plan));
+}
+
+PlanNodePtr Optimizer::FuseScans(PlanNodePtr node) {
+  for (auto& child : node->children) child = FuseScans(std::move(child));
+  if (node->type == PlanNodeType::kFilter &&
+      node->children[0]->type == PlanNodeType::kSeqScan &&
+      static_cast<SeqScanPlan&>(*node->children[0]).predicate == nullptr) {
+    auto* filter = static_cast<FilterPlan*>(node.get());
+    PlanNodePtr scan_node = std::move(filter->children[0]);
+    auto* scan = static_cast<SeqScanPlan*>(scan_node.get());
+    scan->predicate = std::move(filter->predicate);
+    scan->est_rows = filter->est_rows;
+    scan->est_cost = filter->est_cost;
+    return scan_node;
+  }
+  if (node->type == PlanNodeType::kAggregate &&
+      node->children[0]->type == PlanNodeType::kSeqScan) {
+    const auto& agg = static_cast<const AggregatePlan&>(*node);
+    bool reads_none = agg.group_keys.empty();
+    for (const auto& a : agg.aggs) {
+      reads_none = reads_none && a.kind == AggKind::kCountStar;
+    }
+    if (reads_none) {
+      static_cast<SeqScanPlan*>(node->children[0].get())->emit_columns = false;
+    }
+  }
+  return node;
 }
 
 Result<PlanNodePtr> Optimizer::RewritePass(PlanNodePtr node, bool* changed) {

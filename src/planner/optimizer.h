@@ -19,6 +19,10 @@
 //     is too low to beat recomputing from the model
 // It also orders conjunctive filter predicates by estimated selectivity and
 // annotates every node with est_rows / est_cost for EXPLAIN.
+//
+// Last, always: a Filter directly over a SeqScan moves into the scan, which
+// then builds tuples only for the rows the predicate passes; a scan under a
+// COUNT(*)-only aggregate emits zero-width rows.
 #pragma once
 
 #include "planner/cost_model.h"
@@ -31,7 +35,8 @@ class Optimizer {
  public:
   explicit Optimizer(const PlannerOptions& options) : options_(options) {}
 
-  /// Phase 1 to fixpoint (bounded passes), then phase 2 when enabled.
+  /// Phase 1 to fixpoint (bounded passes), then phase 2 when enabled, then
+  /// scan fusion.
   Result<PlanNodePtr> Optimize(PlanNodePtr plan);
 
  private:
@@ -56,6 +61,10 @@ class Optimizer {
   /// structure allows it (unseen-only, no item pushdown), for every model —
   /// no cost comparison, no ANALYZE. Results are unchanged either way.
   Result<PlanNodePtr> ReconsiderPrunedTopN(PlanNodePtr node);
+  /// Fuse each Filter directly over a SeqScan into the scan, carrying the
+  /// Filter's estimates, and mark a scan whose parent is a COUNT(*)-only
+  /// aggregate as emitting no columns (post-order).
+  static PlanNodePtr FuseScans(PlanNodePtr node);
   /// Reorder a Filter's conjuncts by ascending estimated selectivity so the
   /// most selective (cheapest to fail) predicates run first.
   void OrderFilterConjuncts(PlanNode* node);

@@ -56,7 +56,11 @@ std::string PlanNode::ToString(int indent, const NodeStatsMap* nodes) const {
 }
 
 std::string SeqScanPlan::Describe() const {
-  return StringFormat("SeqScan %s as %s", table->name.c_str(), alias.c_str());
+  std::string out =
+      StringFormat("SeqScan %s as %s", table->name.c_str(), alias.c_str());
+  if (predicate != nullptr) out += " where " + predicate->ToString(schema);
+  if (!emit_columns) out += " columns=none";
+  return out;
 }
 
 namespace {

@@ -92,11 +92,18 @@ struct PlanNode {
                        const NodeStatsMap* nodes = nullptr) const;
 };
 
-/// Sequential heap scan of a base table.
+/// Sequential heap scan of a base table. The optimizer's last rewrite moves
+/// a Filter that sits directly on the scan into `predicate`, with the
+/// Filter's est_rows / est_cost: the scan then emits only the rows it
+/// passes, building a tuple for those alone (TableHeap::Iterator).
 struct SeqScanPlan : PlanNode {
   SeqScanPlan() : PlanNode(PlanNodeType::kSeqScan) {}
   TableInfo* table = nullptr;
   std::string alias;
+  BoundExprPtr predicate;  // over `schema`; null = every row
+  /// False when the parent reads no column (COUNT(*) with no GROUP BY):
+  /// rows are emitted zero-width.
+  bool emit_columns = true;
   std::string Describe() const override;
 };
 

@@ -1,6 +1,9 @@
 #include "storage/table_heap.h"
 
+#include <cstring>
+
 #include "common/bytes.h"
+#include "planner/expression.h"
 #include "storage/log_manager.h"
 
 namespace recdb {
@@ -240,39 +243,84 @@ Status TableHeap::RepairTail(bool* repaired) {
   return Status::OK();
 }
 
+TableHeap::Iterator::Iterator(const TableHeap* heap, size_t num_values,
+                              ScanSpec spec)
+    : heap_(heap),
+      spec_(spec),
+      pred_columns_(num_values, false),
+      page_id_(heap->first_page_id_),
+      scratch_(std::vector<Value>(num_values)) {
+  if (spec_.predicate != nullptr) {
+    std::vector<size_t> cols;
+    spec_.predicate->CollectColumns(&cols);
+    for (size_t c : cols) {
+      // An out-of-range column stays out of the mask; EvalPredicate
+      // reports it on the first row, as it would on a decoded row.
+      if (c < num_values) pred_columns_[c] = true;
+    }
+  }
+}
+
 Status TableHeap::Iterator::LoadPage() {
-  batch_.clear();
+  slots_.clear();
   pos_ = 0;
   RECDB_ASSIGN_OR_RETURN(PageGuard guard, heap_->pool_->FetchGuard(page_id_));
+  const auto* frame = reinterpret_cast<const uint8_t*>(guard.page()->data());
   TablePage tp(guard.page());
   const uint16_t n = tp.num_slots();
   for (uint16_t s = 0; s < n; ++s) {
     auto bytes = tp.Get(s);
     if (!bytes.ok()) continue;  // deleted slot
-    RECDB_ASSIGN_OR_RETURN(
-        Tuple tuple, Tuple::DeserializeFrom(bytes.value().first,
-                                            bytes.value().second, num_values_));
-    batch_.emplace_back(Rid{page_id_, s}, std::move(tuple));
+    const auto [data, len] = bytes.value();
+    // Every live slot must decode before any row of the page is served,
+    // whether or not the predicate would pass it.
+    RECDB_RETURN_NOT_OK(Tuple::CheckRow(data, len, scratch_.NumValues()));
+    slots_.push_back(Slot{s, static_cast<uint16_t>(data - frame),
+                          static_cast<uint16_t>(len)});
+  }
+  // Zero-width rows with no predicate never read the page again.
+  if (spec_.predicate != nullptr || spec_.emit_columns) {
+    std::memcpy(page_.data(), frame, kPageSize);
   }
   const page_id_t next = tp.next_page_id();
   RECDB_RETURN_NOT_OK(guard.Drop());
+  loaded_page_ = page_id_;
   page_id_ = next;
   return Status::OK();
 }
 
 Result<std::optional<std::pair<Rid, Tuple>>> TableHeap::Iterator::Next() {
-  while (pos_ == batch_.size()) {
-    if (page_id_ == kInvalidPageId) {
-      return std::optional<std::pair<Rid, Tuple>>{};
+  while (true) {
+    while (pos_ == slots_.size()) {
+      if (page_id_ == kInvalidPageId) {
+        return std::optional<std::pair<Rid, Tuple>>{};
+      }
+      Status loaded = LoadPage();
+      if (!loaded.ok()) {
+        // Nothing of a failed page is served; a retry reloads it whole.
+        slots_.clear();
+        pos_ = 0;
+        return loaded;
+      }
     }
-    Status loaded = LoadPage();
-    if (!loaded.ok()) {
-      // Nothing of a failed page is served; a retry reloads it whole.
-      batch_.clear();
-      return loaded;
+    const Slot& slot = slots_[pos_++];
+    ++rows_examined_;
+    const uint8_t* data = page_.data() + slot.offset;
+    if (spec_.predicate != nullptr) {
+      RECDB_RETURN_NOT_OK(Tuple::DecodeColumns(data, slot.len, pred_columns_,
+                                               &scratch_.values()));
+      RECDB_ASSIGN_OR_RETURN(bool pass,
+                             spec_.predicate->EvalPredicate(scratch_));
+      if (!pass) continue;
     }
+    Tuple row;
+    if (spec_.emit_columns) {
+      RECDB_ASSIGN_OR_RETURN(
+          row, Tuple::DeserializeFrom(data, slot.len, scratch_.NumValues()));
+    }
+    return std::make_optional(
+        std::make_pair(Rid{loaded_page_, slot.slot}, std::move(row)));
   }
-  return std::make_optional(std::move(batch_[pos_++]));
 }
 
 }  // namespace recdb

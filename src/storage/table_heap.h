@@ -12,6 +12,7 @@
 // image in LSN order.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <string>
 
@@ -22,6 +23,7 @@
 
 namespace recdb {
 
+class BoundExpr;
 class LogManager;
 
 /// Decoded payload of a tuple-level WAL record (kInsert/kDelete/kUpdate).
@@ -37,6 +39,14 @@ std::vector<uint8_t> EncodeWalTupleRecord(const std::string& table,
                                           const std::vector<uint8_t>* bytes);
 Result<WalTupleRecord> DecodeWalTupleRecord(
     const std::vector<uint8_t>& payload);
+
+/// What a heap scan returns: the rows that satisfy `predicate` (every row
+/// when null), carrying their columns, or zero-width when `emit_columns` is
+/// false (a parent that reads no column, such as COUNT(*)).
+struct ScanSpec {
+  const BoundExpr* predicate = nullptr;
+  bool emit_columns = true;
+};
 
 class TableHeap {
  public:
@@ -90,41 +100,62 @@ class TableHeap {
   page_id_t last_page_id() const { return last_page_id_; }
   size_t num_tuples() const { return num_tuples_; }
 
-  /// Forward iterator over live tuples in (page, slot) order. Usage:
-  ///   auto it = heap.Begin(ncols);
+  /// Forward iterator over the live tuples a ScanSpec selects, in (page,
+  /// slot) order. Usage:
+  ///   auto it = heap.Begin(ncols, spec);
   ///   while (true) {
   ///     auto next = it.Next();           // Result<optional<pair<Rid,Tuple>>>
   ///     if (!next.ok()) ...error...
   ///     if (!next.value()) break;        // exhausted
   ///   }
   /// Block at a time: when the scan first reaches a page, Next() pins it
-  /// once, decodes all of its live slots into a reusable batch, unpins it,
-  /// and serves the page's tuples from the batch. A scan therefore holds at
-  /// most one pinned frame, and only inside Next(). A read or decode error
-  /// is returned from Next(); calling Next() again retries the same page.
+  /// once, checks that every live slot decodes, copies the page, and
+  /// unpins it. A scan therefore holds at most one pinned frame, and only
+  /// inside Next(); a page with a read or decode error is served not at
+  /// all, and calling Next() again retries it.
+  ///
+  /// Next() then walks the copied slots. With a predicate it decodes only
+  /// the columns the predicate reads into a reused scratch row and calls
+  /// BoundExpr::EvalPredicate on it, one row per step, so a predicate error
+  /// surfaces at the row that raised it; only a row that passes becomes a
+  /// Tuple. The rows, rids, order and Statuses are those of evaluating the
+  /// predicate on every fully decoded row.
   class Iterator {
    public:
-    Iterator(const TableHeap* heap, size_t num_values)
-        : heap_(heap),
-          num_values_(num_values),
-          page_id_(heap->first_page_id_) {}
+    Iterator(const TableHeap* heap, size_t num_values, ScanSpec spec);
 
-    /// Next live tuple, or nullopt at end.
+    /// Next live tuple that passes, or nullopt at end.
     Result<std::optional<std::pair<Rid, Tuple>>> Next();
 
+    /// Live slots examined so far, passing or not.
+    uint64_t rows_examined() const { return rows_examined_; }
+
    private:
-    /// Decode the live slots of page `page_id_` into `batch_` and advance
-    /// `page_id_` to its successor.
+    /// Check every live slot of page `page_id_`, copy the page, and
+    /// advance `page_id_` to its successor.
     Status LoadPage();
 
+    struct Slot {
+      uint16_t slot;
+      uint16_t offset;  // into page_
+      uint16_t len;
+    };
+
     const TableHeap* heap_;
-    size_t num_values_;
-    page_id_t page_id_;  // next page to load
-    std::vector<std::pair<Rid, Tuple>> batch_;
-    size_t pos_ = 0;  // next batch entry to serve
+    ScanSpec spec_;
+    std::vector<bool> pred_columns_;  // columns the predicate reads
+    page_id_t page_id_;               // next page to load
+    page_id_t loaded_page_ = kInvalidPageId;
+    std::array<uint8_t, kPageSize> page_;  // copy of the loaded page
+    std::vector<Slot> slots_;              // its live slots
+    size_t pos_ = 0;  // next slot to examine
+    Tuple scratch_;   // num_values wide; holds the predicate's columns
+    uint64_t rows_examined_ = 0;
   };
 
-  Iterator Begin(size_t num_values) const { return Iterator(this, num_values); }
+  Iterator Begin(size_t num_values, ScanSpec spec = {}) const {
+    return Iterator(this, num_values, spec);
+  }
 
  private:
   explicit TableHeap(BufferPool* pool) : pool_(pool) {}

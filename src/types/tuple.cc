@@ -77,38 +77,44 @@ size_t Tuple::SerializedSize() const {
   return sz;
 }
 
-Result<Tuple> Tuple::DeserializeFrom(const uint8_t* data, size_t len,
-                                     size_t num_values) {
-  std::vector<Value> values;
-  values.reserve(num_values);
+namespace {
+
+/// The one row decoder. Walks `num_values` serialized columns, checking
+/// each one's type byte, length and bounds, and writes column i into
+/// `*slot(i)`; a column whose slot is null is checked, not built.
+template <typename Slot>
+Status DecodeRow(const uint8_t* data, size_t len, size_t num_values,
+                 Slot&& slot) {
   size_t pos = 0;
   for (size_t i = 0; i < num_values; ++i) {
+    Value* dst = slot(i);
     if (pos >= len) return Status::Internal("tuple deserialization underflow");
     TypeId t = static_cast<TypeId>(data[pos++]);
     switch (t) {
       case TypeId::kNull:
-        values.push_back(Value::Null());
+        if (dst != nullptr) *dst = Value::Null();
         break;
       case TypeId::kInt64: {
         int64_t v;
         if (!GetRaw(data, len, &pos, &v))
           return Status::Internal("tuple int underflow");
-        values.push_back(Value::Int(v));
+        if (dst != nullptr) *dst = Value::Int(v);
         break;
       }
       case TypeId::kDouble: {
         double v;
         if (!GetRaw(data, len, &pos, &v))
           return Status::Internal("tuple double underflow");
-        values.push_back(Value::Double(v));
+        if (dst != nullptr) *dst = Value::Double(v);
         break;
       }
       case TypeId::kString: {
         uint32_t n;
         if (!GetRaw(data, len, &pos, &n) || pos + n > len)
           return Status::Internal("tuple string underflow");
-        values.push_back(Value::String(
-            std::string(reinterpret_cast<const char*>(data + pos), n)));
+        if (dst != nullptr) {
+          dst->AssignString(reinterpret_cast<const char*>(data + pos), n);
+        }
         pos += n;
         break;
       }
@@ -118,27 +124,54 @@ Result<Tuple> Tuple::DeserializeFrom(const uint8_t* data, size_t len,
         uint32_t n;
         if (!GetRaw(data, len, &pos, &n))
           return Status::Internal("tuple geom count underflow");
+        // Bounds first: a corrupt count must not size an allocation.
+        if ((len - pos) / 16 < n)
+          return Status::Internal("tuple geom point underflow");
+        if (gt == spatial::GeometryType::kPoint && n != 1)
+          return Status::Internal("point with !=1 coords");
+        if (dst == nullptr) {
+          pos += size_t{16} * n;
+          break;
+        }
         std::vector<spatial::Point> pts(n);
         for (uint32_t k = 0; k < n; ++k) {
-          if (!GetRaw(data, len, &pos, &pts[k].x) ||
-              !GetRaw(data, len, &pos, &pts[k].y))
-            return Status::Internal("tuple geom point underflow");
+          GetRaw(data, len, &pos, &pts[k].x);
+          GetRaw(data, len, &pos, &pts[k].y);
         }
-        if (gt == spatial::GeometryType::kPoint) {
-          if (n != 1) return Status::Internal("point with !=1 coords");
-          values.push_back(
-              Value::Geometry(spatial::Geometry::MakePoint(pts[0].x, pts[0].y)));
-        } else {
-          values.push_back(
-              Value::Geometry(spatial::Geometry::MakePolygon(std::move(pts))));
-        }
+        *dst = Value::Geometry(
+            gt == spatial::GeometryType::kPoint
+                ? spatial::Geometry::MakePoint(pts[0].x, pts[0].y)
+                : spatial::Geometry::MakePolygon(std::move(pts)));
         break;
       }
       default:
         return Status::Internal("bad type byte in tuple");
     }
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<Tuple> Tuple::DeserializeFrom(const uint8_t* data, size_t len,
+                                     size_t num_values) {
+  std::vector<Value> values(num_values);
+  RECDB_RETURN_NOT_OK(DecodeRow(data, len, num_values,
+                                [&](size_t i) { return &values[i]; }));
   return Tuple(std::move(values));
+}
+
+Status Tuple::DecodeColumns(const uint8_t* data, size_t len,
+                            const std::vector<bool>& mask,
+                            std::vector<Value>* out) {
+  return DecodeRow(data, len, out->size(), [&](size_t i) {
+    return mask[i] ? &(*out)[i] : nullptr;
+  });
+}
+
+Status Tuple::CheckRow(const uint8_t* data, size_t len, size_t num_values) {
+  return DecodeRow(data, len, num_values,
+                   [](size_t) -> Value* { return nullptr; });
 }
 
 std::string Tuple::ToString() const {

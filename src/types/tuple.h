@@ -39,9 +39,21 @@ class Tuple {
   /// Serialize to bytes; appended to `out`.
   void SerializeTo(std::vector<uint8_t>* out) const;
 
-  /// Deserialize `num_values` values from a byte span.
+  /// Deserialize `num_values` values from a byte span: the row decoder's
+  /// all-columns case.
   static Result<Tuple> DeserializeFrom(const uint8_t* data, size_t len,
                                        size_t num_values);
+
+  /// Decode the columns `mask` selects of a serialized row of `out->size()`
+  /// columns into `*out`, leaving the other entries as they were. Every
+  /// column, decoded or skipped, gets the same type, length and bounds
+  /// checks, so a corrupt row fails whatever the mask.
+  static Status DecodeColumns(const uint8_t* data, size_t len,
+                              const std::vector<bool>& mask,
+                              std::vector<Value>* out);
+
+  /// DecodeColumns with no column selected: every check, no Value built.
+  static Status CheckRow(const uint8_t* data, size_t len, size_t num_values);
 
   /// Serialized size in bytes.
   size_t SerializedSize() const;

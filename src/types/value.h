@@ -101,6 +101,18 @@ class Value {
   /// Display form; strings unquoted, NULL as "NULL".
   std::string ToString() const;
 
+  /// Become the string `data[0, n)`, reusing this value's string storage
+  /// when it already holds one (a scan decodes each row into one scratch
+  /// row).
+  void AssignString(const char* data, size_t n) {
+    if (type_ == TypeId::kString) {
+      std::get<std::string>(var_).assign(data, n);
+    } else {
+      type_ = TypeId::kString;
+      var_.emplace<std::string>(data, n);
+    }
+  }
+
   /// Cast to a column type on insert. Int<->double casts allowed; string to
   /// geometry parses WKT; anything else mismatching errors.
   Result<Value> CastTo(TypeId target) const;

@@ -101,23 +101,30 @@ TEST(ConcurrentSessionTest, ReadersScanWhileWriterInserts) {
       Session* session = reader_sessions[r].get();
       // Bounded loop: keep scanning until the writer finishes (plus one
       // final pass over the complete state), but never spin forever.
-      int64_t last_count = 0;
+      // A heap scan overlapping the writer's inserts: each count is a
+      // statement-consistent snapshot, so it lies between the seed and the
+      // final row count and never falls for one reader. The predicated
+      // count runs the scan with the predicate fused into it (every rating
+      // passes), so it must obey the same bounds.
+      const char* kCounts[] = {
+          "SELECT COUNT(*) FROM Ratings",
+          "SELECT COUNT(*) FROM Ratings WHERE ratingval >= 0"};
+      int64_t last_count[] = {0, 0};
       for (int it = 0; it < 2000; ++it) {
         bool was_done = done.load();
-        // A heap scan overlapping the writer's inserts: each count is a
-        // statement-consistent snapshot, so it lies between the seed and
-        // the final row count and never falls for one reader.
-        auto count = session->Execute("SELECT COUNT(*) FROM Ratings");
-        if (!count.ok()) {
-          reader_errors.fetch_add(1);
-        } else {
+        for (int q = 0; q < 2; ++q) {
+          auto count = session->Execute(kCounts[q]);
+          if (!count.ok()) {
+            reader_errors.fetch_add(1);
+            continue;
+          }
           const int64_t n = count.value().rows[0].At(0).AsInt();
           if (n < static_cast<int64_t>(base_rows) ||
               n > static_cast<int64_t>(base_rows) + kWriterInserts ||
-              n < last_count) {
+              n < last_count[q]) {
             bad_counts.fetch_add(1);
           }
-          last_count = n;
+          last_count[q] = n;
         }
         int uid = 1 + (r * 7 + it) % 10;
         auto rec = session->Execute(RecommendSql(uid));
