@@ -165,12 +165,13 @@ std::vector<int32_t> OpRows(const std::vector<DeltaOp>& ops,
 
 /// The one refresh both CF families share. An untruncated table is
 /// symmetric (similarity.h), so `rows` are the op entities: they are
-/// recomputed, and each fresh row p is mirrored into the table as patches
-/// that set, insert or erase p's entry in every row its old or fresh row
-/// names — rows recomputed here are already exact and get none. A truncated
-/// table recomputes every row in `rows` and patches nothing. Returns the
-/// rows the update changes, ascending (the caller maps them to the stale
-/// ids whose cached scores the commit evicts).
+/// recomputed, and each fresh row p is mirrored into every row its old or
+/// fresh row names with a changed entry — rows recomputed here are already
+/// exact and are not mirrored into. The mirrored rows each get a stripe of
+/// their new entries for the fresh rows (ModelUpdate::mirror_cells). A
+/// truncated table recomputes every row in `rows` and mirrors nothing.
+/// Returns the rows the update changes, ascending (the caller maps them to
+/// the stale ids whose cached scores the commit evicts).
 template <typename Recompute>
 std::vector<int32_t> PrepareNeighborhoodUpdate(
     const std::vector<NeighborRow>& table, bool symmetric,
@@ -178,74 +179,74 @@ std::vector<int32_t> PrepareNeighborhoodUpdate(
     ModelUpdate* update) {
   update->rows = recompute(rows);
   std::vector<int32_t> changed;
-  changed.reserve(update->rows.size());
-  for (const auto& [p, row] : update->rows) changed.push_back(p);
-  if (!symmetric) return changed;
+  if (!symmetric) {
+    for (const auto& [p, row] : update->rows) changed.push_back(p);
+    return changed;
+  }
 
-  auto patch = [&](int32_t q, int32_t p, float sim, bool erase) {
-    if (std::binary_search(changed.begin(), changed.end(), q)) return;
-    update->patches.push_back(NeighborPatch{q, p, sim, erase});
-  };
+  // slot[q]: q's stripe once the mirrored rows are numbered.
+  constexpr int32_t kNone = -1, kFresh = -2, kMirrored = -3;
+  std::vector<int32_t> slot(update->num_rows, kNone);
+  for (const auto& [p, row] : update->rows) slot[p] = kFresh;
   const NeighborRow none;
   for (const auto& [p, fresh] : update->rows) {
     const NeighborRow& old =
         static_cast<size_t>(p) < table.size() ? table[p] : none;
-    // Both rows iterate in ascending index: one merge pass classifies
-    // every neighbor.
+    // Both rows iterate in ascending index: one merge pass finds every
+    // neighbor whose entry for p is set, inserted or erased.
     auto a = old.begin(), b = fresh.begin();
     const auto a_end = old.end(), b_end = fresh.end();
     while (a != a_end || b != b_end) {
+      int32_t q;
       if (b == b_end || (a != a_end && (*a).idx < (*b).idx)) {
-        patch((*a).idx, p, 0, /*erase=*/true);
-        ++a;
+        q = (*a++).idx;
       } else if (a == a_end || (*b).idx < (*a).idx) {
-        patch((*b).idx, p, (*b).sim, /*erase=*/false);
-        ++b;
+        q = (*b++).idx;
       } else {
-        if ((*a).sim != (*b).sim) patch((*b).idx, p, (*b).sim, false);
-        ++a;
-        ++b;
+        q = (*b).idx;
+        if ((*a++).sim == (*b++).sim) continue;
       }
+      if (slot[q] == kNone) slot[q] = kMirrored;
     }
   }
-  std::sort(update->patches.begin(), update->patches.end(),
-            [](const NeighborPatch& x, const NeighborPatch& y) {
-              return x.row != y.row ? x.row < y.row : x.idx < y.idx;
-            });
-  // The patched rows, which no fresh row is, join the changed set.
-  std::vector<int32_t> patched;
-  for (const NeighborPatch& np : update->patches) {
-    if (patched.empty() || patched.back() != np.row) patched.push_back(np.row);
+  for (size_t q = 0; q < slot.size(); ++q) {
+    if (slot[q] == kNone) continue;
+    changed.push_back(static_cast<int32_t>(q));
+    if (slot[q] == kFresh) continue;
+    slot[q] = static_cast<int32_t>(update->mirror_rows.size());
+    update->mirror_rows.push_back(static_cast<int32_t>(q));
   }
-  const size_t num_fresh = changed.size();
-  changed.insert(changed.end(), patched.begin(), patched.end());
-  std::inplace_merge(changed.begin(), changed.begin() + num_fresh,
-                     changed.end());
+  // Transpose the fresh rows into the stripes: by symmetry, q's entry for
+  // p is p's entry for q.
+  const size_t width = update->rows.size();
+  update->mirror_cells.assign(update->mirror_rows.size() * width, 0.0f);
+  for (size_t k = 0; k < width; ++k) {
+    for (const Neighbor nb : update->rows[k].second) {
+      const int32_t s = slot[nb.idx];
+      if (s >= 0) update->mirror_cells[s * width + k] = nb.sim;
+    }
+  }
   return changed;
 }
 
 /// Install recomputed rows into the table, growing it for entities
-/// interned since the model was built, then apply each patched row's
-/// patches (caller holds the writer lock).
+/// interned since the model was built, then write each mirrored row's
+/// stripe into it in one forward walk (caller holds the writer lock).
 void InstallNeighborRows(std::vector<NeighborRow>* nb, ModelUpdate&& update) {
   if (update.num_rows > nb->size()) nb->resize(update.num_rows);
-  size_t installed = 0;
+  std::vector<int32_t> fresh;
+  fresh.reserve(update.rows.size());
   for (auto& [idx, row] : update.rows) {
-    if (idx < 0 || static_cast<size_t>(idx) >= nb->size()) continue;
+    RECDB_DCHECK(idx >= 0 && static_cast<size_t>(idx) < nb->size());
     (*nb)[idx] = std::move(row);
-    ++installed;
+    fresh.push_back(idx);
   }
-  const std::vector<NeighborPatch>& patches = update.patches;
-  for (size_t k = 0; k < patches.size();) {
-    size_t end = k + 1;
-    while (end < patches.size() && patches[end].row == patches[k].row) ++end;
-    const int32_t r = patches[k].row;
-    if (r >= 0 && static_cast<size_t>(r) < nb->size()) {
-      (*nb)[r].Apply(std::span<const NeighborPatch>(&patches[k], end - k));
-    }
-    k = end;
+  const std::span<const float> cells = update.mirror_cells;
+  for (size_t s = 0; s < update.mirror_rows.size(); ++s) {
+    (*nb)[update.mirror_rows[s]].SetEntries(
+        fresh, cells.subspan(s * fresh.size(), fresh.size()));
   }
-  obs::Count(obs::Counter::kIngestRowUpdates, installed);
+  obs::Count(obs::Counter::kIngestRowUpdates, fresh.size());
 }
 
 }  // namespace

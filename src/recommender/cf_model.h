@@ -45,8 +45,8 @@ class ItemCFModel : public RecModel {
 
   /// Incremental maintenance, bit-identical to a full rebuild. A rating op
   /// changes only its item's vector. Untruncated (top_k == 0), the refresh
-  /// recomputes the op items' rows and patches each one's entry in its
-  /// neighbors' rows (ModelUpdate::patches). A truncated row can change
+  /// recomputes the op items' rows and mirrors each one's entries into its
+  /// neighbors' rows (ModelUpdate::mirror_rows). A truncated row can change
   /// whenever any sim in it moves, so top_k > 0 recomputes every row an op
   /// can reach: the op's item, every item sharing a rater with it, and the
   /// op user's rated items.
@@ -96,7 +96,7 @@ class UserCFModel : public RecModel {
   size_t NumNeighborEntries() const;
 
   /// User-side counterpart of ItemCFModel::PrepareDeltaUpdate: untruncated,
-  /// the op users' rows are recomputed and patched into their co-rating
+  /// the op users' rows are recomputed and mirrored into their co-rating
   /// users' rows.
   bool SupportsIncrementalUpdate() const override { return true; }
   Result<ModelUpdate> PrepareDeltaUpdate(

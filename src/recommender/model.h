@@ -20,15 +20,17 @@ namespace recdb {
 
 /// Incremental model maintenance payload: the rows a model must replace to
 /// become equivalent to a full rebuild over the matrix's merged contents.
-/// Produced by PrepareDeltaUpdate (read-only, runs off the writer lock) and
-/// installed by ApplyDeltaUpdate (cheap, runs under the writer lock).
+/// Produced by PrepareDeltaUpdate (read-only, so it can run off the writer
+/// lock) and installed by ApplyDeltaUpdate (under the writer lock).
 struct ModelUpdate {
-  /// CF: recomputed neighborhood rows as (row index, fresh row).
+  /// CF: recomputed neighborhood rows as (row index, fresh row), ascending.
   std::vector<std::pair<int32_t, NeighborRow>> rows;
-  /// CF, untruncated tables: each recomputed row's entries mirrored into
-  /// its neighbors' rows, sorted by (row, idx), applied in place after
-  /// `rows` are installed.
-  std::vector<NeighborPatch> patches;
+  /// CF, untruncated tables: the rows whose entries for the recomputed rows
+  /// change, ascending, and for each a stripe of rows.size() cells, its new
+  /// entry for each recomputed row (0 for none). The commit writes each
+  /// stripe into its row after `rows` are installed.
+  std::vector<int32_t> mirror_rows;
+  std::vector<float> mirror_cells;
   /// CF: total row count after the update (covers newly interned entities).
   size_t num_rows = 0;
   /// SVD: folded-in factor rows for users/items new since the last train.
@@ -48,8 +50,8 @@ struct ModelUpdate {
   bool full_rebuild = false;
 
   bool empty() const {
-    return rows.empty() && patches.empty() && user_rows.empty() &&
-           item_rows.empty() && !full_rebuild;
+    return rows.empty() && user_rows.empty() && item_rows.empty() &&
+           !full_rebuild;
   }
 };
 

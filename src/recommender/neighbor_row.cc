@@ -21,41 +21,42 @@ void NeighborRow::Append(int32_t idx, float sim) {
   cells_.push_back(sim);
 }
 
-void NeighborRow::Apply(std::span<const NeighborPatch> patches) {
-  // One forward walk writes every set that lands inside a run. Sets are
+void NeighborRow::SetEntries(std::span<const int32_t> idx,
+                             std::span<const float> sims) {
+  RECDB_DCHECK(idx.size() == sims.size());
+  // One forward walk writes every cell that lies inside a run. Writes are
   // idempotent, so a rebuild after a partial walk is still exact.
-  bool in_place = true;
-  size_t r = 0;
+  size_t r = 0, k = 0;
   float* cell = cells_.data();
-  for (const NeighborPatch& p : patches) {
-    while (r < runs_.size() && runs_[r].first + runs_[r].count <= p.idx) {
+  for (; k < idx.size(); ++k) {
+    while (r < runs_.size() && runs_[r].first + runs_[r].count <= idx[k]) {
       cell += runs_[r].count;
       ++r;
     }
-    if (p.erase || r == runs_.size() || p.idx < runs_[r].first) {
-      in_place = false;
-      break;
+    if (r == runs_.size() || idx[k] < runs_[r].first) {
+      if (sims[k] != 0.0f) break;  // an insert outside every run
+      continue;
     }
-    RECDB_DCHECK(p.sim != 0.0f);
-    cell[p.idx - runs_[r].first] = p.sim;
+    float& c = cell[idx[k] - runs_[r].first];
+    if (sims[k] == 0.0f && c != 0.0f) break;  // an erase
+    c = sims[k];
   }
-  if (in_place) return;
+  if (k == idx.size()) return;
 
-  // Merge the entries with the patches into a fresh canonical row.
+  // Merge the entries with the new ones into a fresh canonical row.
   NeighborRow out;
   Iterator it = begin();
   const Iterator stop = end();
-  size_t k = 0;
-  while (it != stop || k < patches.size()) {
-    if (k == patches.size() ||
-        (it != stop && (*it).idx < patches[k].idx)) {
+  k = 0;
+  while (it != stop || k < idx.size()) {
+    if (k == idx.size() || (it != stop && (*it).idx < idx[k])) {
       const Neighbor nb = *it++;
       out.Append(nb.idx, nb.sim);
       continue;
     }
-    const NeighborPatch& p = patches[k++];
-    if (it != stop && (*it).idx == p.idx) ++it;
-    if (!p.erase) out.Append(p.idx, p.sim);
+    if (it != stop && (*it).idx == idx[k]) ++it;
+    if (sims[k] != 0.0f) out.Append(idx[k], sims[k]);
+    ++k;
   }
   out.ShrinkToFit();
   *this = std::move(out);

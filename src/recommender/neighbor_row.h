@@ -12,7 +12,7 @@
 // The form is canonical: runs are the maximal groups of entries whose
 // consecutive indices differ by at most kMaxBridge + 1, each spanning its
 // first to its last entry. So two rows holding the same entries are equal
-// byte for byte, however they were built or patched (DESIGN.md §12).
+// byte for byte, however they were built or edited (DESIGN.md §12).
 #pragma once
 
 #include <algorithm>
@@ -27,16 +27,6 @@ namespace recdb {
 struct Neighbor {
   int32_t idx = 0;
   float sim = 0;
-};
-
-/// One in-place edit of a neighborhood row: set row `row`'s entry for
-/// neighbor `idx` to `sim` (inserting it at its index position when
-/// absent), or erase that entry.
-struct NeighborPatch {
-  int32_t row = 0;
-  int32_t idx = 0;
-  float sim = 0;
-  bool erase = false;
 };
 
 class NeighborRow {
@@ -63,11 +53,11 @@ class NeighborRow {
     cells_.shrink_to_fit();
   }
 
-  /// Apply this row's patches, sorted by ascending idx with at most one per
-  /// idx; a set carries a nonzero sim. A set of an index inside a run
-  /// writes its cell in place; any other edit rebuilds the row, so the
-  /// result is always the canonical row of the patched entries.
-  void Apply(std::span<const NeighborPatch> patches);
+  /// Set this row's entry for each idx[k], ascending, to sims[k], 0 meaning
+  /// no entry. A cell inside a run is written in place; an insert outside
+  /// every run, or an erase, rebuilds the row, so the result is always the
+  /// canonical row of the new entries.
+  void SetEntries(std::span<const int32_t> idx, std::span<const float> sims);
 
   /// The similarity stored for `idx`, 0 when it is not an entry.
   float Find(int32_t idx) const;

@@ -568,6 +568,75 @@ TEST(IngestGoldenTest, RefreshedRowsMatchScratchBuildRowByRow) {
   }
 }
 
+bool InSomeRun(const NeighborRow& row, int32_t idx) {
+  for (const NeighborRow::Run& run : row.runs()) {
+    if (idx >= run.first && idx < run.first + run.count) return true;
+  }
+  return false;
+}
+
+TEST(IngestGoldenTest, MirroredRowsRebuildOnInsertOutsideRunsAndErase) {
+  // A sparse chain: user u rates items u and u + 1, so each row's only
+  // neighbors are the entities either side of it. One refresh then hands
+  // mirrored rows the edits an in-place write cannot take: an entry whose
+  // index lies outside every run of the row (a brand-new co-rated pair,
+  // one of them through an item interned in the same delta) and an erase
+  // (the only shared rater of a pair is deleted). Each such row must be
+  // rebuilt into the canonical row of a scratch build.
+  std::vector<Op> base;
+  for (int64_t u = 1; u <= 10; ++u) {
+    for (int64_t i : {u, u + 1}) {
+      base.push_back({Op::Kind::kAdd, u, i,
+                      static_cast<double>(1 + (u * 3 + i * 5) % 5)});
+    }
+  }
+  const std::vector<Op> delta = {
+      {Op::Kind::kAdd, 1, 9, 4.0},   // items 1, 2 meet 9; users 8, 9 meet 1
+      {Op::Kind::kRemove, 5, 6, 0},  // items 5, 6 and users 5, 6 part
+      {Op::Kind::kAdd, 3, 50, 2.0},  // new item 50 meets items 3, 4
+  };
+  struct Edit {
+    int64_t row;
+    int64_t neighbor;
+    bool erase;
+  };
+  const std::vector<std::pair<RecAlgorithm, std::vector<Edit>>> cases = {
+      {RecAlgorithm::kItemCosCF,
+       {{2, 9, false}, {3, 50, false}, {5, 6, true}}},
+      {RecAlgorithm::kUserCosCF, {{8, 1, false}, {6, 5, true}}},
+  };
+  for (const auto& [algo, edits] : cases) {
+    SCOPED_TRACE(RecAlgorithmToString(algo));
+    Recommender rec(MakeConfig(algo));
+    ApplyToRecommender(&rec, base);
+    ASSERT_TRUE(rec.Build().ok());
+    ApplyToRecommender(&rec, delta);
+    auto index_of = [&](int64_t id) {
+      return *(IsItemBased(algo) ? rec.live().ItemIndex(id)
+                                 : rec.live().UserIndex(id));
+    };
+    for (const Edit& e : edits) {
+      const NeighborRow& row = ModelRow(rec, index_of(e.row));
+      const int32_t q = index_of(e.neighbor);
+      if (e.erase) {
+        ASSERT_NE(row.Find(q), 0.0f) << e.row << " lacks " << e.neighbor;
+      } else {
+        ASSERT_FALSE(InSomeRun(row, q)) << e.row << " covers " << e.neighbor;
+      }
+    }
+
+    auto refreshed = rec.Refresh();
+    ASSERT_TRUE(refreshed.ok());
+    ASSERT_TRUE(refreshed.value());
+    ExpectTableMatchesScratchBuild(rec);
+    for (const Edit& e : edits) {
+      const float sim =
+          ModelRow(rec, index_of(e.row)).Find(index_of(e.neighbor));
+      EXPECT_EQ(sim == 0.0f, e.erase) << e.row << ", " << e.neighbor;
+    }
+  }
+}
+
 TEST(IngestGoldenTest, SvdFoldInIsDeterministicAndKeepsTrainedRowsFixed) {
   // SVD maintenance is fold-in, not retrain: trained factor rows must not
   // move (predictions over trained pairs stay bit-identical), new entities

@@ -288,10 +288,11 @@ void ExpectRowMatchesMap(const NeighborRow& row,
 
 TEST(NeighborRowTest, PatchedRowsAreByteIdenticalToFreshRows) {
   // Random entry sets of varying density, then random batches of set,
-  // insert and erase patches (sorted, one per index) that land on entries,
-  // on bridged zero cells, between runs, before the first run and past the
-  // last. After every batch the row must equal, byte for byte, the row
-  // freshly built from the reference map's entries.
+  // insert and erase edits (ascending, one per index, an erase written as
+  // 0) through SetEntries that land on entries, on bridged zero cells,
+  // between runs, before the first run and past the last. After every
+  // batch the row must equal, byte for byte, the row freshly built from the
+  // reference map's entries.
   Rng rng(2024);
   constexpr int32_t kSpan = 120;
   for (int trial = 0; trial < 200; ++trial) {
@@ -305,27 +306,27 @@ TEST(NeighborRowTest, PatchedRowsAreByteIdenticalToFreshRows) {
     NeighborRow row = RowOf(entries);
     ExpectRowMatchesMap(row, entries, kSpan);
     for (int batch = 0; batch < 12; ++batch) {
-      std::map<int32_t, NeighborPatch> picked;
+      std::map<int32_t, float> picked;
       const int n = static_cast<int>(rng.UniformInt(1, 12));
       for (int k = 0; k < n; ++k) {
-        NeighborPatch p;
-        p.row = 7;
-        p.idx = static_cast<int32_t>(rng.UniformInt(0, kSpan + 10));
-        p.erase = rng.UniformInt(0, 2) == 0;
-        p.sim = static_cast<float>(rng.UniformDouble(0.1, 1.0)) *
-                (rng.UniformInt(0, 1) == 0 ? -1.0f : 1.0f);
-        picked[p.idx] = p;
+        const auto idx = static_cast<int32_t>(rng.UniformInt(0, kSpan + 10));
+        const bool erase = rng.UniformInt(0, 2) == 0;
+        const float sim = static_cast<float>(rng.UniformDouble(0.1, 1.0)) *
+                          (rng.UniformInt(0, 1) == 0 ? -1.0f : 1.0f);
+        picked[idx] = erase ? 0.0f : sim;
       }
-      std::vector<NeighborPatch> patches;
-      for (const auto& [idx, p] : picked) {
-        patches.push_back(p);
-        if (p.erase) {
-          entries.erase(idx);
+      std::vector<int32_t> idx;
+      std::vector<float> sims;
+      for (const auto& [i, sim] : picked) {
+        idx.push_back(i);
+        sims.push_back(sim);
+        if (sim == 0.0f) {
+          entries.erase(i);
         } else {
-          entries[idx] = p.sim;
+          entries[i] = sim;
         }
       }
-      row.Apply(patches);
+      row.SetEntries(idx, sims);
       EXPECT_TRUE(row == RowOf(entries)) << "trial " << trial << " batch "
                                          << batch;
       ExpectRowMatchesMap(row, entries, kSpan + 10);
@@ -348,19 +349,20 @@ TEST(NeighborRowTest, BridgesGapsOfAtMostTwoCells) {
   EXPECT_EQ(row.Find(5), 0.0f);
 
   // Erasing 7 leaves a trailing zero stretch: the run shrinks to [3, 4].
-  const NeighborPatch erase7{0, 7, 0, true};
-  row.Apply(std::span<const NeighborPatch>(&erase7, 1));
+  auto set = [&](int32_t idx, float sim) {
+    row.SetEntries(std::span<const int32_t>(&idx, 1),
+                   std::span<const float>(&sim, 1));
+  };
+  set(7, 0.0f);
   ASSERT_EQ(row.runs().size(), 2u);
   EXPECT_EQ(row.runs()[0], (NeighborRow::Run{3, 2}));
   // Setting 8: three cells (5..7) lie between it and the first run, two
   // (9, 10) between it and the run at 11, so it joins only the latter.
-  const NeighborPatch set8{0, 8, 0.75f, false};
-  row.Apply(std::span<const NeighborPatch>(&set8, 1));
+  set(8, 0.75f);
   ASSERT_EQ(row.runs().size(), 2u);
   EXPECT_EQ(row.runs()[1], (NeighborRow::Run{8, 4}));
   // Setting 6 now bridges 5 and 7 on both sides: one run [3, 11].
-  const NeighborPatch set6{0, 6, 0.125f, false};
-  row.Apply(std::span<const NeighborPatch>(&set6, 1));
+  set(6, 0.125f);
   ASSERT_EQ(row.runs().size(), 1u);
   EXPECT_EQ(row.runs()[0], (NeighborRow::Run{3, 9}));
 }
