@@ -4,15 +4,21 @@
 //   scalar — one model->Predict(user, item) call per candidate (the batch-of-
 //            one wrapper, i.e. the pre-batching hot-path shape)
 //   batch  — one model->PredictBatch(user, all items) call per user
-// Both variants checksum the produced doubles bit-for-bit; any divergence
+// ItemCosCF also gets one row per ItemCF kernel variant this host runs
+// (cf_kernel.h): the batch row's work, called through that variant.
+// Every row checksums the produced doubles bit-for-bit; any divergence
 // fails the run (the kernels' golden-equality contract). Besides the usual
 // benchmark output the binary writes BENCH_kernels.json with the measured
-// rows/sec and the batch/scalar speedup per algorithm.
+// rows/sec and the batch/scalar speedup per algorithm, and rows/sec per
+// ItemCF variant.
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 
 #include "bench_common.h"
 #include "common/timer.h"
+#include "recommender/cf_kernel.h"
+#include "recommender/cf_model.h"
 
 namespace recdb::bench {
 namespace {
@@ -26,8 +32,8 @@ struct KernelStat {
   bool set = false;
 };
 
-/// Results keyed "<algo>/<scalar|batch>", filled by the benchmarks and
-/// drained by WriteKernelsJson() after the run.
+/// Results keyed "<algo>/<scalar|batch|ItemCF variant>", filled by the
+/// benchmarks and drained by WriteKernelsJson() after the run.
 std::map<std::string, KernelStat>& Stats() {
   static std::map<std::string, KernelStat> s;
   return s;
@@ -42,48 +48,107 @@ uint64_t MixDouble(uint64_t h, double v) {
   return h;
 }
 
-void BM_Kernel(benchmark::State& state, RecAlgorithm algo, bool batch) {
-  BenchEnv& env = Env(kWhich);
-  const RecModel* model = env.GetRecommender(algo)->model();
-  const std::vector<int64_t> users = env.SampleUsers(kNumUsers, 11);
-  const std::vector<int64_t>& items = model->ratings().item_ids();
-  const size_t rows_per_iter = users.size() * items.size();
+constexpr uint64_t kFnvBasis = 1469598103934665603ull;
 
+/// Times `pass` (one scoring pass over the user sample, returning its
+/// checksum) once per benchmark iteration and records the result under
+/// `key`, "<algo>/<row>".
+template <typename Pass>
+void TimePasses(benchmark::State& state, const std::string& key,
+                size_t rows_per_iter, Pass&& pass) {
   uint64_t checksum = 0;
-  std::vector<double> out(items.size(), 0.0);
   double total_seconds = 0;
   size_t rows = 0;
   for (auto _ : state) {
-    checksum = 1469598103934665603ull;
     Stopwatch watch;
-    if (batch) {
-      for (int64_t user : users) {
-        model->PredictBatch(user, items, out);
-        for (double v : out) checksum = MixDouble(checksum, v);
-      }
-    } else {
-      for (int64_t user : users) {
-        for (size_t i = 0; i < items.size(); ++i) {
-          checksum = MixDouble(checksum, model->Predict(user, items[i]));
-        }
-      }
-    }
+    checksum = pass();
     total_seconds += watch.ElapsedSeconds();
     rows += rows_per_iter;
     benchmark::DoNotOptimize(checksum);
   }
 
-  KernelStat& stat =
-      Stats()[std::string(RecAlgorithmToString(algo)) +
-              (batch ? "/batch" : "/scalar")];
+  KernelStat& stat = Stats()[key];
   stat.rows_per_sec = total_seconds > 0 ? rows / total_seconds : 0;
   stat.checksum = checksum;
   stat.set = true;
 
   state.SetItemsProcessed(static_cast<int64_t>(rows));
   state.counters["rows_per_sec"] = stat.rows_per_sec;
-  state.SetLabel(std::string(WhichName(kWhich)) + "/" +
-                 RecAlgorithmToString(algo) + (batch ? "/batch" : "/scalar"));
+  state.SetLabel(std::string(WhichName(kWhich)) + "/" + key);
+}
+
+void BM_Kernel(benchmark::State& state, RecAlgorithm algo, bool batch) {
+  BenchEnv& env = Env(kWhich);
+  const RecModel* model = env.GetRecommender(algo)->model();
+  const std::vector<int64_t> users = env.SampleUsers(kNumUsers, 11);
+  const std::vector<int64_t>& items = model->ratings().item_ids();
+  std::vector<double> out(items.size(), 0.0);
+  TimePasses(state,
+             std::string(RecAlgorithmToString(algo)) +
+                 (batch ? "/batch" : "/scalar"),
+             users.size() * items.size(), [&] {
+               uint64_t checksum = kFnvBasis;
+               for (int64_t user : users) {
+                 if (batch) {
+                   model->PredictBatch(user, items, out);
+                   for (double v : out) checksum = MixDouble(checksum, v);
+                 } else {
+                   for (int64_t item : items) {
+                     checksum =
+                         MixDouble(checksum, model->Predict(user, item));
+                   }
+                 }
+               }
+               return checksum;
+             });
+}
+
+/// ItemCosCF through one kernel variant: the accumulation and Eq. (2)
+/// division ItemCFModel's batch kernel does for the same users and items,
+/// so the checksum must equal the batch row's.
+void BM_ItemCFVariant(benchmark::State& state, CfKernel kernel) {
+  BenchEnv& env = Env(kWhich);
+  const auto* model = dynamic_cast<const ItemCFModel*>(
+      env.GetRecommender(RecAlgorithm::kItemCosCF)->model());
+  RECDB_DCHECK(model != nullptr);
+  const RatingMatrix& ratings = model->ratings();
+  const std::vector<int64_t> users = env.SampleUsers(kNumUsers, 11);
+  const std::vector<int64_t>& items = ratings.item_ids();
+  const std::span<const NeighborRow> table = model->neighborhoods();
+  const auto num_rows = static_cast<int32_t>(table.size());
+  // Each item's index, -1 past the table; [lo, hi] spans the rest, as in
+  // the batch kernel.
+  std::vector<int32_t> at(items.size(), -1);
+  int32_t lo = num_rows, hi = -1;
+  for (size_t c = 0; c < items.size(); ++c) {
+    const auto idx = ratings.ItemIndex(items[c]);
+    if (!idx || *idx >= num_rows) continue;
+    at[c] = *idx;
+    lo = std::min(lo, *idx);
+    hi = std::max(hi, *idx);
+  }
+  const size_t width = hi < lo ? 0 : static_cast<size_t>(hi - lo) + 1;
+  std::vector<double> num(width), den(width);
+  TimePasses(
+      state, std::string("ItemCosCF/") + CfKernelName(kernel),
+      users.size() * items.size(), [&] {
+        uint64_t checksum = kFnvBasis;
+        for (int64_t user : users) {
+          std::fill(num.begin(), num.end(), 0.0);
+          std::fill(den.begin(), den.end(), 0.0);
+          const auto u = ratings.UserIndex(user);
+          if (u && width > 0) {
+            AccumulateRatedRows(kernel, table, ratings.UserCsrRow(*u), lo,
+                                hi, num.data(), den.data());
+          }
+          for (int32_t idx : at) {
+            const size_t k = static_cast<size_t>(idx - lo);
+            checksum = MixDouble(
+                checksum, idx < 0 || den[k] == 0 ? 0.0 : num[k] / den[k]);
+          }
+        }
+        return checksum;
+      });
 }
 
 void RegisterAll() {
@@ -103,15 +168,48 @@ void RegisterAll() {
           ->MinTime(min_time);
     }
   }
+  for (CfKernel kernel : SupportedCfKernels()) {
+    const std::string name =
+        std::string("Kernels/ItemCosCF/") + CfKernelName(kernel);
+    benchmark::RegisterBenchmark(
+        name.c_str(),
+        [kernel](benchmark::State& state) { BM_ItemCFVariant(state, kernel); })
+        ->Unit(benchmark::kMillisecond)
+        ->MinTime(min_time);
+  }
 }
 
 int dummy = (RegisterAll(), 0);
 
-/// Emit BENCH_kernels.json and verify the scalar/batch checksums agree.
-/// Returns false (process failure, so the smoke test trips) on divergence.
+/// Emit BENCH_kernels.json and verify the scalar/batch checksums agree, and
+/// every ItemCF variant's with ItemCosCF batch. Returns false (process
+/// failure, so the smoke test trips) on divergence.
 bool WriteKernelsJson() {
   std::string results;
   bool all_match = true;
+  std::string variants;
+  const KernelStat& item_batch = Stats()["ItemCosCF/batch"];
+  for (CfKernel kernel : SupportedCfKernels()) {
+    const KernelStat& stat =
+        Stats()[std::string("ItemCosCF/") + CfKernelName(kernel)];
+    if (!stat.set || !item_batch.set) continue;  // filtered out
+    const bool match = stat.checksum == item_batch.checksum;
+    if (!match) {
+      std::fprintf(stderr,
+                   "bench_kernels: CHECKSUM MISMATCH for the ItemCF %s "
+                   "kernel — diverged from the ItemCosCF batch kernel\n",
+                   CfKernelName(kernel));
+      all_match = false;
+    }
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"kernel\": \"%s\", \"rows_per_sec\": %.1f, "
+                  "\"checksum_match\": %s}",
+                  CfKernelName(kernel), stat.rows_per_sec,
+                  match ? "true" : "false");
+    if (!variants.empty()) variants += ",\n";
+    variants += buf;
+  }
   for (RecAlgorithm algo : {RecAlgorithm::kItemCosCF, RecAlgorithm::kUserCosCF,
                             RecAlgorithm::kSVD}) {
     const KernelStat& scalar =
@@ -145,7 +243,8 @@ bool WriteKernelsJson() {
   f << "{\n  \"config\": {\"dataset\": \"" << WhichName(kWhich)
     << "\", \"users\": " << kNumUsers << ", \"threads\": 1, \"smoke\": "
     << (SmokeMode() ? "true" : "false") << "},\n  \"results\": [\n"
-    << results << "\n  ],\n  " << MetricsJsonSection() << "\n}\n";
+    << results << "\n  ],\n  \"itemcf_variants\": [\n"
+    << variants << "\n  ],\n  " << MetricsJsonSection() << "\n}\n";
   return all_match;
 }
 

@@ -1140,48 +1140,53 @@ void RecDB::ScheduleBackgroundRefresh(const std::string& name) {
 }
 
 void RecDB::BackgroundRefreshJob(const std::string& name) {
+  (void)RefreshInTwoPhases(name, /*scheduled=*/true);
+}
+
+Result<bool> RecDB::RefreshInTwoPhases(const std::string& name,
+                                       bool scheduled) {
+  // A scheduled job frees the recommender's slot wherever it ends, under
+  // the lock it holds there, so the next trigger can queue another.
+  auto finish = [scheduled](Recommender* rec) {
+    if (scheduled) rec->ClearRefreshScheduled();
+  };
+  auto closed = [] { return Status::InvalidArgument("database is closed"); };
   for (int attempt = 0; attempt < 2; ++attempt) {
     Recommender::RefreshPlan plan;
     {
       std::shared_lock<std::shared_mutex> lock(*state_mu_);
-      if (closed_.load()) return;
+      if (closed_.load()) return closed();
       // Re-resolve by name under every lock acquisition: the recommender
-      // may have been DROPped (and destroyed) while this job was queued.
-      auto rec = registry_.Get(name);
-      if (!rec.ok()) return;
-      auto prepared = rec.value()->PrepareRefresh();
+      // may have been DROPped (and destroyed) in between.
+      RECDB_ASSIGN_OR_RETURN(Recommender * rec, registry_.Get(name));
+      auto prepared = rec->PrepareRefresh();
       if (!prepared.ok() || !prepared.value().valid) {
-        // Nothing to merge (a foreground refresh beat us) or the prepare
-        // failed; either way the slot frees up for the next trigger.
-        rec.value()->ClearRefreshScheduled();
-        return;
+        // Nothing to merge (another refresh beat us) or the prepare failed.
+        finish(rec);
+        if (!prepared.ok()) return prepared.status();
+        return false;
       }
       plan = std::move(prepared).value();
     }
     std::unique_lock<std::shared_mutex> lock(*state_mu_);
-    if (closed_.load()) return;
-    auto rec = registry_.Get(name);
-    if (!rec.ok()) return;
-    if (rec.value()->CommitRefresh(std::move(plan))) {
-      rec.value()->ClearRefreshScheduled();
-      return;
+    if (closed_.load()) return closed();
+    RECDB_ASSIGN_OR_RETURN(Recommender * rec, registry_.Get(name));
+    if (rec->CommitRefresh(std::move(plan))) {
+      finish(rec);
+      return true;
     }
     // Version conflict: writes landed between prepare and commit. Retry
     // once off-lock, then give up racing and merge under the writer lock.
   }
   std::unique_lock<std::shared_mutex> lock(*state_mu_);
-  auto rec = registry_.Get(name);
-  if (!rec.ok()) return;
-  rec.value()->ClearRefreshScheduled();
-  if (closed_.load()) return;
-  (void)rec.value()->Refresh();
+  RECDB_ASSIGN_OR_RETURN(Recommender * rec, registry_.Get(name));
+  finish(rec);
+  if (closed_.load()) return closed();
+  return rec->Refresh();
 }
 
 Result<bool> RecDB::RefreshRecommender(const std::string& name) {
-  std::unique_lock<std::shared_mutex> lock(*state_mu_);
-  if (closed_.load()) return Status::InvalidArgument("database is closed");
-  RECDB_ASSIGN_OR_RETURN(Recommender * rec, registry_.Get(name));
-  return rec->Refresh();
+  return RefreshInTwoPhases(name, /*scheduled=*/false);
 }
 
 void RecDB::DrainBackgroundWork() { TaskScheduler::Global().DrainBackground(); }

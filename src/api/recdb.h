@@ -329,8 +329,13 @@ class RecDB {
 
   /// Queue a background re-freeze for `name` if none is in flight.
   void ScheduleBackgroundRefresh(const std::string& name);
-  /// Background lane body: two-phase refresh with optimistic retry.
+  /// Background lane body: RefreshInTwoPhases for a scheduled job.
   void BackgroundRefreshJob(const std::string& name);
+  /// The one refresh sequence, foreground and background: prepare under
+  /// the shared lock, commit under the writer lock, retry once on a version
+  /// conflict, then Refresh() under the writer lock. `scheduled` frees the
+  /// recommender's background slot when the refresh ends.
+  Result<bool> RefreshInTwoPhases(const std::string& name, bool scheduled);
 
   /// Serialize the catalog + recommender configs into the meta-page chain
   /// rooted at page 0 (file-backed databases only). `checkpoint_lsn` names

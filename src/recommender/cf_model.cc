@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "recommender/cf_kernel.h"
+
 namespace recdb {
 
 namespace {
@@ -25,30 +27,6 @@ double SimilarityLookup(const std::vector<NeighborRow>& nb, int32_t a,
                         int32_t b) {
   if (static_cast<size_t>(a) >= nb.size()) return 0;
   return nb[a].Find(b);
-}
-
-/// Eq. (2)'s two sums over one run of `n` cells for a rated item with
-/// rating r. Long runs take the vector loop: blocks of 8 cells with a fixed
-/// trip count, which GCC vectorizes at the x86-64 baseline (float cells
-/// widened to double, two lanes per SSE2 register); the tail and short
-/// runs take the scalar loop. Both add the same terms in the same
-/// per-cell order, so the split changes no bits.
-void AccumulateRun(const float* __restrict sim, int32_t n, double r,
-                   double* __restrict num, double* __restrict den) {
-  constexpr int32_t kBlock = 8;
-  int32_t c = 0;
-  for (; c + kBlock <= n; c += kBlock) {
-    for (int32_t l = 0; l < kBlock; ++l) {
-      const double s = sim[c + l];
-      num[c + l] += s * r;
-      den[c + l] += std::fabs(s);
-    }
-  }
-  for (; c < n; ++c) {
-    const double s = sim[c];
-    num[c] += s * r;
-    den[c] += std::fabs(s);
-  }
 }
 
 /// Dense scatter target reused across PredictBatch calls on one thread.
@@ -314,6 +292,8 @@ void ItemCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
   // ascending j, the gather order, so the result is the same bits for any
   // batch composition. A bridged zero cell adds +0 to num and den, which
   // start at +0.0 and so never hold -0.0: no sum changes (DESIGN.md §10).
+  // The walk (cf_kernel.h) fuses rated rows four at a time, in the widest
+  // variant this CPU runs; every variant gives these bits.
   int32_t lo = num_rows, hi = -1;
   for (int32_t i : items) {
     if (!in_table(i)) continue;
@@ -327,16 +307,8 @@ void ItemCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
   den_buf.assign(width, 0.0);
   double* const num = num_buf.data();
   double* const den = den_buf.data();
-  for (size_t k = 0; k < rated.n; ++k) {
-    const int32_t j = rated.idx[k];
-    if (j >= num_rows) continue;  // interned after the build: in no row
-    const double r = rated.rating[k];
-    neighborhoods_[j].ForEachRunIn(
-        lo, hi, [&](int32_t first, const float* cells, int32_t count) {
-          AccumulateRun(cells, count, r, num + (first - lo),
-                        den + (first - lo));
-        });
-  }
+  AccumulateRatedRows(SupportedCfKernels().back(), neighborhoods_, rated, lo,
+                      hi, num, den);
   for (size_t c = 0; c < items.size(); ++c) {
     if (!in_table(items[c])) continue;
     const size_t at = static_cast<size_t>(items[c] - lo);

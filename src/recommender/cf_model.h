@@ -37,6 +37,8 @@ class ItemCFModel : public RecModel {
   const NeighborRow& NeighborhoodAt(int32_t item_idx) const {
     return neighborhoods_[item_idx];
   }
+  /// The whole table, [item_idx]: what the scoring kernel walks.
+  std::span<const NeighborRow> neighborhoods() const { return neighborhoods_; }
 
   size_t ApproxBytes() const override;
 
@@ -61,7 +63,8 @@ class ItemCFModel : public RecModel {
   /// the kernel runs transposed: each rated item j's runs are walked over
   /// the batch's index range into dense num/den arrays, Σ|N(j)| work per
   /// user instead of candidates × |N|; the table's symmetry makes that the
-  /// same sum, and a run's zero cells add +0 terms that change no bits. Truncated rows are not symmetric, so top_k > 0 gathers each
+  /// same sum, and a run's zero cells add +0 terms that change no bits.
+  /// Truncated rows are not symmetric, so top_k > 0 gathers each
   /// candidate's row against the user's scattered ratings instead.
   void DoPredictBatch(int32_t user_idx, std::span<const int32_t> items,
                       std::span<double> out) const override;

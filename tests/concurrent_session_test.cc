@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <memory>
 #include <shared_mutex>
@@ -319,6 +321,76 @@ TEST(ConcurrentSessionTest, TracedReaderSharesTheEngineLock) {
   EXPECT_GT(rs.value().NumRows(), 0u);
   EXPECT_NE(rs.value().trace.find("execute"), std::string::npos);
   EXPECT_EQ(rs.value().trace, db->last_trace());
+  ASSERT_TRUE(db->Close().ok());
+  ::unlink(path.c_str());
+  ::unlink((path + ".wal").c_str());
+}
+
+/// A model whose refresh prepare runs `gate` (a bounded wait) and then
+/// returns an empty update.
+class GatedPrepareModel : public RecModel {
+ public:
+  GatedPrepareModel(std::shared_ptr<const RatingMatrix> ratings,
+                    std::function<void()> gate)
+      : RecModel(std::move(ratings)), gate_(std::move(gate)) {}
+  RecAlgorithm algorithm() const override { return RecAlgorithm::kItemCosCF; }
+  size_t ApproxBytes() const override { return 0; }
+  bool SupportsIncrementalUpdate() const override { return true; }
+  Result<ModelUpdate> PrepareDeltaUpdate(
+      const std::vector<DeltaOp>& ops) const override {
+    (void)ops;
+    gate_();
+    return ModelUpdate{};
+  }
+
+ protected:
+  void DoPredictBatch(int32_t user_idx, std::span<const int32_t> items,
+                      std::span<double> out) const override {
+    (void)user_idx;
+    (void)items;
+    std::fill(out.begin(), out.end(), 1.0);
+  }
+
+ private:
+  std::function<void()> gate_;
+};
+
+TEST(ConcurrentSessionTest, ForegroundRefreshPreparesUnderTheSharedLock) {
+  // RefreshRecommender prepares under the shared lock, as the background
+  // lane does: a SELECT on another thread completes while the prepare
+  // runs. The prepare waits (at most 5 s) for that SELECT to return.
+  std::string path = TempDbPath("recdb_refresh_shared_prepare.db");
+  auto db = SeededDb(path);
+  ASSERT_NE(db, nullptr);
+  auto rec = db->registry()->Get("Rec");
+  ASSERT_TRUE(rec.ok());
+  std::promise<void> prepare_started;
+  std::promise<void> select_returned;
+  auto select_done = select_returned.get_future().share();
+  std::atomic<bool> select_ran_during_prepare{false};
+  rec.value()->AdoptModelForTest(std::make_unique<GatedPrepareModel>(
+      rec.value()->model()->ratings_ptr(), [&] {
+        prepare_started.set_value();
+        select_ran_during_prepare.store(
+            select_done.wait_for(std::chrono::seconds(5)) ==
+            std::future_status::ready);
+      }));
+  ASSERT_TRUE(db->Execute("INSERT INTO Ratings VALUES (1, 99, 4.0)").ok());
+
+  std::thread reader([&] {
+    if (prepare_started.get_future().wait_for(std::chrono::seconds(30)) ==
+        std::future_status::ready) {
+      EXPECT_TRUE(db->Execute("SELECT uid FROM Ratings").ok());
+    }
+    select_returned.set_value();
+  });
+  auto refreshed = db->RefreshRecommender("Rec");
+  reader.join();
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status();
+  EXPECT_TRUE(refreshed.value());
+  EXPECT_TRUE(select_ran_during_prepare.load())
+      << "a SELECT waited for RefreshRecommender's prepare";
+  EXPECT_FALSE(rec.value()->live().has_delta());
   ASSERT_TRUE(db->Close().ok());
   ::unlink(path.c_str());
   ::unlink((path + ".wal").c_str());

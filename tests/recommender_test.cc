@@ -4,10 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
+#include <span>
+#include <string>
 #include <vector>
 
+#include "api/recdb.h"
 #include "common/rng.h"
+#include "datagen/datagen.h"
+#include "recommender/cf_kernel.h"
 #include "recommender/cf_model.h"
 #include "recommender/recommender.h"
 #include "recommender/similarity.h"
@@ -365,6 +371,177 @@ TEST(NeighborRowTest, BridgesGapsOfAtMostTwoCells) {
   set(6, 0.125f);
   ASSERT_EQ(row.runs().size(), 1u);
   EXPECT_EQ(row.runs()[0], (NeighborRow::Run{3, 9}));
+}
+
+// ------------------------------------------------------------ CF kernel
+
+/// The per-row walk the fused kernel replaces: each rated row below the
+/// table's end, in ascending order, adds one term per cell of its runs
+/// clipped to [lo, hi].
+void PerRowWalk(std::span<const NeighborRow> table, const CsrRow& rated,
+                int32_t lo, int32_t hi, double* num, double* den) {
+  for (size_t k = 0; k < rated.n; ++k) {
+    if (rated.idx[k] >= static_cast<int32_t>(table.size())) continue;
+    const double r = rated.rating[k];
+    table[rated.idx[k]].ForEachRunIn(
+        lo, hi, [&](int32_t first, const float* cells, int32_t count) {
+          for (int32_t c = 0; c < count; ++c) {
+            const double sim = cells[c];
+            num[first - lo + c] += sim * r;
+            den[first - lo + c] += std::fabs(sim);
+          }
+        });
+  }
+}
+
+/// Every kernel variant this host runs, called directly, against the
+/// per-row walk and against the baseline variant: num and den byte for
+/// byte.
+::testing::AssertionResult VariantsMatchPerRowWalk(
+    std::span<const NeighborRow> table, const CsrRow& rated, int32_t lo,
+    int32_t hi) {
+  const size_t width = static_cast<size_t>(hi - lo) + 1;
+  const size_t bytes = width * sizeof(double);
+  std::vector<double> want_num(width, 0.0), want_den(width, 0.0);
+  PerRowWalk(table, rated, lo, hi, want_num.data(), want_den.data());
+  std::vector<double> base_num, base_den;
+  for (CfKernel kernel : SupportedCfKernels()) {
+    std::vector<double> num(width, 0.0), den(width, 0.0);
+    AccumulateRatedRows(kernel, table, rated, lo, hi, num.data(), den.data());
+    const std::string where = std::string(CfKernelName(kernel)) + ", " +
+                              std::to_string(rated.n) + " rated rows, [" +
+                              std::to_string(lo) + ", " + std::to_string(hi) +
+                              "]";
+    if (std::memcmp(num.data(), want_num.data(), bytes) != 0 ||
+        std::memcmp(den.data(), want_den.data(), bytes) != 0) {
+      return ::testing::AssertionFailure()
+             << where << ": differs from the per-row walk";
+    }
+    if (kernel == CfKernel::kBaseline) {
+      base_num = num;
+      base_den = den;
+    } else if (std::memcmp(num.data(), base_num.data(), bytes) != 0 ||
+               std::memcmp(den.data(), base_den.data(), bytes) != 0) {
+      return ::testing::AssertionFailure()
+             << where << ": differs from the baseline variant";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(CfKernelTest, VariantsMatchPerRowWalkOnMovieLensItemCosCF) {
+  ASSERT_FALSE(SupportedCfKernels().empty());
+  EXPECT_EQ(SupportedCfKernels().front(), CfKernel::kBaseline);
+  for (CfKernel kernel : SupportedCfKernels()) {
+    RecordProperty(std::string("variant_") + CfKernelName(kernel), "run");
+  }
+  RecDB db;
+  auto ds = datagen::LoadDataset(&db, datagen::DatasetSpec::MovieLens100K());
+  ASSERT_TRUE(ds.ok()) << ds.status();
+  ASSERT_TRUE(db.Execute("CREATE RECOMMENDER ml ON " +
+                         ds.value().ratings_table +
+                         " USERS FROM uid ITEMS FROM iid RATINGS FROM "
+                         "ratingval USING ItemCosCF")
+                  .ok());
+  const auto* model = dynamic_cast<const ItemCFModel*>(
+      db.GetRecommender("ml").value()->model());
+  ASSERT_NE(model, nullptr);
+  const std::span<const NeighborRow> table = model->neighborhoods();
+  const auto rows = static_cast<int32_t>(table.size());
+  Rng rng(28);
+  for (size_t u = 0; u < model->ratings().NumUsers(); u += 5) {
+    const CsrRow rated = model->ratings().UserCsrRow(static_cast<int32_t>(u));
+    // The whole catalog, a range cutting through runs, and the user's
+    // first 1-7 rated rows (a remainder with no group, or one group and a
+    // remainder of 1-3).
+    ASSERT_TRUE(VariantsMatchPerRowWalk(table, rated, 0, rows - 1))
+        << "user " << u;
+    const auto lo = static_cast<int32_t>(rng.UniformInt(1, rows / 2));
+    const auto hi = static_cast<int32_t>(rng.UniformInt(lo, rows - 2));
+    ASSERT_TRUE(VariantsMatchPerRowWalk(table, rated, lo, hi)) << "user " << u;
+    CsrRow head = rated;
+    head.n = std::min<size_t>(rated.n, 1 + u % 7);
+    ASSERT_TRUE(VariantsMatchPerRowWalk(table, head, 0, rows - 1))
+        << "user " << u;
+    // Integer ratings times float similarities are exact in double, and
+    // so are most of their sums: any order would give these bits. Ratings
+    // of r / 3 + 0.1 make the sums round, so only the per-row walk's order
+    // does.
+    std::vector<double> inexact(rated.rating, rated.rating + rated.n);
+    for (double& r : inexact) r = r / 3 + 0.1;
+    const CsrRow rounding{rated.idx, inexact.data(), rated.n};
+    ASSERT_TRUE(VariantsMatchPerRowWalk(table, rounding, 0, rows - 1))
+        << "user " << u;
+  }
+}
+
+TEST(CfKernelTest, VariantsMatchPerRowWalkOnMultiRunRows) {
+  // Rows edited by SetEntries erases: a long erase splits a run (a gap
+  // longer than kMaxBridge), a short one leaves bridged zero cells inside
+  // it. Similarities of both signs; ratings include 0.0, whose term with a
+  // negative similarity is -0.0 (DESIGN.md §10), and values whose products
+  // round. Rated rows run past the table's end.
+  constexpr int32_t kRows = 96;
+  Rng rng(2028);
+  std::vector<NeighborRow> table(kRows);
+  size_t multi_run = 0, bridged = 0;
+  for (NeighborRow& row : table) {
+    const double density = rng.UniformDouble(0.3, 1.0);
+    std::map<int32_t, float> entries;
+    for (int32_t idx = 0; idx < kRows; ++idx) {
+      if (rng.UniformDouble(0, 1) >= density) continue;
+      const float sim = static_cast<float>(rng.UniformDouble(0.05, 1.0));
+      entries[idx] = rng.UniformInt(0, 3) == 0 ? -sim : sim;
+    }
+    row = RowOf(entries);
+    std::vector<int32_t> idx;
+    const auto start = static_cast<int32_t>(rng.UniformInt(0, kRows - 8));
+    const auto len = static_cast<int32_t>(rng.UniformInt(1, 6));
+    for (int32_t i = start; i < start + len; ++i) idx.push_back(i);
+    row.SetEntries(idx, std::vector<float>(idx.size(), 0.0f));
+    multi_run += row.runs().size() > 1;
+    bridged += row.num_cells() > row.NumEntries();
+  }
+  ASSERT_GT(multi_run, kRows / 4u);
+  ASSERT_GT(bridged, kRows / 4u);
+
+  const double kRatings[] = {0.0, 1.0, 0.1, 4.0, 1.0 / 3, 0.0, 2.718281828};
+  for (int trial = 0; trial < 400; ++trial) {
+    // 1-11 rated rows: 1-3 alone, then one or two groups of four and a
+    // remainder of 0-3.
+    const auto n = static_cast<size_t>(trial % 11 + 1);
+    std::map<int32_t, double> picked;
+    while (picked.size() < n) {
+      picked[static_cast<int32_t>(rng.UniformInt(0, kRows + 4))] =
+          kRatings[rng.UniformInt(0, 6)];
+    }
+    std::vector<int32_t> idx;
+    std::vector<double> ratings;
+    for (const auto& [i, r] : picked) {
+      idx.push_back(i);
+      ratings.push_back(r);
+    }
+    const CsrRow rated{idx.data(), ratings.data(), idx.size()};
+    ASSERT_TRUE(VariantsMatchPerRowWalk(table, rated, 0, kRows - 1))
+        << "trial " << trial;
+    const auto lo = static_cast<int32_t>(rng.UniformInt(0, kRows - 1));
+    const auto hi = static_cast<int32_t>(rng.UniformInt(lo, kRows - 1));
+    ASSERT_TRUE(VariantsMatchPerRowWalk(table, rated, lo, hi))
+        << "trial " << trial;
+  }
+
+  // A negative cell times a 0.0 rating is -0.0; num starts at +0.0 and
+  // stays +0.0 in every variant.
+  std::vector<NeighborRow> one(4);
+  for (NeighborRow& row : one) row.Append(0, -0.5f);
+  const int32_t idx[] = {0, 1, 2, 3};
+  const double zeros[] = {0.0, 0.0, 0.0, 0.0};
+  for (CfKernel kernel : SupportedCfKernels()) {
+    double num = 0.0, den = 0.0;
+    AccumulateRatedRows(kernel, one, CsrRow{idx, zeros, 4}, 0, 0, &num, &den);
+    EXPECT_FALSE(std::signbit(num)) << CfKernelName(kernel);
+    EXPECT_EQ(den, 2.0) << CfKernelName(kernel);
+  }
 }
 
 TEST(SimilarityTest, ItemNeighborhoodsMatchPairwiseOracle) {
