@@ -4,13 +4,13 @@
 //   scalar — one model->Predict(user, item) call per candidate (the batch-of-
 //            one wrapper, i.e. the pre-batching hot-path shape)
 //   batch  — one model->PredictBatch(user, all items) call per user
-// ItemCosCF also gets one row per ItemCF kernel variant this host runs
-// (cf_kernel.h): the batch row's work, called through that variant.
-// Every row checksums the produced doubles bit-for-bit; any divergence
-// fails the run (the kernels' golden-equality contract). Besides the usual
-// benchmark output the binary writes BENCH_kernels.json with the measured
-// rows/sec and the batch/scalar speedup per algorithm, and rows/sec per
-// ItemCF variant.
+// ItemCosCF and SVD also get one row per kernel variant this host runs
+// (kernel_variant.h): the batch row's work, called through that variant of
+// cf_kernel.h or svd_kernel.h. Every row checksums the produced doubles
+// bit-for-bit; any divergence fails the run (the kernels' golden-equality
+// contract). Besides the usual benchmark output the binary writes
+// BENCH_kernels.json with the measured rows/sec and the batch/scalar
+// speedup per algorithm, and rows/sec per variant.
 #include <algorithm>
 #include <cstring>
 #include <fstream>
@@ -19,6 +19,7 @@
 #include "common/timer.h"
 #include "recommender/cf_kernel.h"
 #include "recommender/cf_model.h"
+#include "recommender/svd_model.h"
 
 namespace recdb::bench {
 namespace {
@@ -32,7 +33,7 @@ struct KernelStat {
   bool set = false;
 };
 
-/// Results keyed "<algo>/<scalar|batch|ItemCF variant>", filled by the
+/// Results keyed "<algo>/<scalar|batch|variant>", filled by the
 /// benchmarks and drained by WriteKernelsJson() after the run.
 std::map<std::string, KernelStat>& Stats() {
   static std::map<std::string, KernelStat> s;
@@ -106,7 +107,7 @@ void BM_Kernel(benchmark::State& state, RecAlgorithm algo, bool batch) {
 /// ItemCosCF through one kernel variant: the accumulation and Eq. (2)
 /// division ItemCFModel's batch kernel does for the same users and items,
 /// so the checksum must equal the batch row's.
-void BM_ItemCFVariant(benchmark::State& state, CfKernel kernel) {
+void BM_ItemCFVariant(benchmark::State& state, KernelVariant kernel) {
   BenchEnv& env = Env(kWhich);
   const auto* model = dynamic_cast<const ItemCFModel*>(
       env.GetRecommender(RecAlgorithm::kItemCosCF)->model());
@@ -130,7 +131,7 @@ void BM_ItemCFVariant(benchmark::State& state, CfKernel kernel) {
   const size_t width = hi < lo ? 0 : static_cast<size_t>(hi - lo) + 1;
   std::vector<double> num(width), den(width);
   TimePasses(
-      state, std::string("ItemCosCF/") + CfKernelName(kernel),
+      state, std::string("ItemCosCF/") + KernelVariantName(kernel),
       users.size() * items.size(), [&] {
         uint64_t checksum = kFnvBasis;
         for (int64_t user : users) {
@@ -151,6 +152,40 @@ void BM_ItemCFVariant(benchmark::State& state, CfKernel kernel) {
       });
 }
 
+/// SVD through one kernel variant: the dot products SvdModel's batch kernel
+/// runs for the same users and items, so the checksum must equal the batch
+/// row's.
+void BM_SvdVariant(benchmark::State& state, KernelVariant kernel) {
+  BenchEnv& env = Env(kWhich);
+  const auto* model = dynamic_cast<const SvdModel*>(
+      env.GetRecommender(RecAlgorithm::kSVD)->model());
+  RECDB_DCHECK(model != nullptr);
+  const RatingMatrix& ratings = model->ratings();
+  const std::vector<int64_t> users = env.SampleUsers(kNumUsers, 11);
+  const std::vector<int64_t>& items = ratings.item_ids();
+  std::vector<int32_t> at(items.size(), -1);
+  for (size_t c = 0; c < items.size(); ++c) {
+    if (const auto idx = ratings.ItemIndex(items[c])) at[c] = *idx;
+  }
+  std::vector<double> out(items.size());
+  TimePasses(state, std::string("SVD/") + KernelVariantName(kernel),
+             users.size() * items.size(), [&] {
+               uint64_t checksum = kFnvBasis;
+               for (int64_t user : users) {
+                 const auto u = ratings.UserIndex(user);
+                 if (u && static_cast<size_t>(*u) < model->NumUserRows()) {
+                   ScoreItemRows(kernel, model->UserFactors(*u).data(),
+                                 model->UserBase(*u), model->ItemRows(), at,
+                                 out);
+                 } else {
+                   std::fill(out.begin(), out.end(), 0.0);
+                 }
+                 for (double v : out) checksum = MixDouble(checksum, v);
+               }
+               return checksum;
+             });
+}
+
 void RegisterAll() {
   const double min_time = SmokeMode() ? 0.01 : 0.5;
   for (RecAlgorithm algo : {RecAlgorithm::kItemCosCF, RecAlgorithm::kUserCosCF,
@@ -168,12 +203,21 @@ void RegisterAll() {
           ->MinTime(min_time);
     }
   }
-  for (CfKernel kernel : SupportedCfKernels()) {
+  for (KernelVariant kernel : SupportedKernelVariants()) {
     const std::string name =
-        std::string("Kernels/ItemCosCF/") + CfKernelName(kernel);
+        std::string("Kernels/ItemCosCF/") + KernelVariantName(kernel);
     benchmark::RegisterBenchmark(
         name.c_str(),
         [kernel](benchmark::State& state) { BM_ItemCFVariant(state, kernel); })
+        ->Unit(benchmark::kMillisecond)
+        ->MinTime(min_time);
+  }
+  for (KernelVariant kernel : SupportedKernelVariants()) {
+    const std::string name =
+        std::string("Kernels/SVD/") + KernelVariantName(kernel);
+    benchmark::RegisterBenchmark(
+        name.c_str(),
+        [kernel](benchmark::State& state) { BM_SvdVariant(state, kernel); })
         ->Unit(benchmark::kMillisecond)
         ->MinTime(min_time);
   }
@@ -182,33 +226,35 @@ void RegisterAll() {
 int dummy = (RegisterAll(), 0);
 
 /// Emit BENCH_kernels.json and verify the scalar/batch checksums agree, and
-/// every ItemCF variant's with ItemCosCF batch. Returns false (process
-/// failure, so the smoke test trips) on divergence.
+/// every ItemCosCF and SVD variant's with its algorithm's batch row.
+/// Returns false (process failure, so the smoke test trips) on divergence.
 bool WriteKernelsJson() {
   std::string results;
   bool all_match = true;
   std::string variants;
-  const KernelStat& item_batch = Stats()["ItemCosCF/batch"];
-  for (CfKernel kernel : SupportedCfKernels()) {
-    const KernelStat& stat =
-        Stats()[std::string("ItemCosCF/") + CfKernelName(kernel)];
-    if (!stat.set || !item_batch.set) continue;  // filtered out
-    const bool match = stat.checksum == item_batch.checksum;
-    if (!match) {
-      std::fprintf(stderr,
-                   "bench_kernels: CHECKSUM MISMATCH for the ItemCF %s "
-                   "kernel — diverged from the ItemCosCF batch kernel\n",
-                   CfKernelName(kernel));
-      all_match = false;
+  for (RecAlgorithm algo : {RecAlgorithm::kItemCosCF, RecAlgorithm::kSVD}) {
+    const std::string name = RecAlgorithmToString(algo);
+    const KernelStat& batch = Stats()[name + "/batch"];
+    for (KernelVariant kernel : SupportedKernelVariants()) {
+      const KernelStat& stat = Stats()[name + "/" + KernelVariantName(kernel)];
+      if (!stat.set || !batch.set) continue;  // filtered out
+      const bool match = stat.checksum == batch.checksum;
+      if (!match) {
+        std::fprintf(stderr,
+                     "bench_kernels: CHECKSUM MISMATCH for the %s %s "
+                     "kernel — diverged from the %s batch kernel\n",
+                     name.c_str(), KernelVariantName(kernel), name.c_str());
+        all_match = false;
+      }
+      char buf[256];
+      std::snprintf(buf, sizeof(buf),
+                    "    {\"algorithm\": \"%s\", \"kernel\": \"%s\", "
+                    "\"rows_per_sec\": %.1f, \"checksum_match\": %s}",
+                    name.c_str(), KernelVariantName(kernel), stat.rows_per_sec,
+                    match ? "true" : "false");
+      if (!variants.empty()) variants += ",\n";
+      variants += buf;
     }
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"kernel\": \"%s\", \"rows_per_sec\": %.1f, "
-                  "\"checksum_match\": %s}",
-                  CfKernelName(kernel), stat.rows_per_sec,
-                  match ? "true" : "false");
-    if (!variants.empty()) variants += ",\n";
-    variants += buf;
   }
   for (RecAlgorithm algo : {RecAlgorithm::kItemCosCF, RecAlgorithm::kUserCosCF,
                             RecAlgorithm::kSVD}) {
@@ -243,7 +289,7 @@ bool WriteKernelsJson() {
   f << "{\n  \"config\": {\"dataset\": \"" << WhichName(kWhich)
     << "\", \"users\": " << kNumUsers << ", \"threads\": 1, \"smoke\": "
     << (SmokeMode() ? "true" : "false") << "},\n  \"results\": [\n"
-    << results << "\n  ],\n  \"itemcf_variants\": [\n"
+    << results << "\n  ],\n  \"variants\": [\n"
     << variants << "\n  ],\n  " << MetricsJsonSection() << "\n}\n";
   return all_match;
 }

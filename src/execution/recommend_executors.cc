@@ -299,7 +299,11 @@ void PruneEngine::ScoreBatch(int32_t u, const std::vector<int32_t>& items,
   if (items.empty()) return;
   batch_pred_.resize(items.size());
   model_->PredictBatchByIndex(u, items, batch_pred_);
+  // A score below the running threshold cannot enter the heap, so it is
+  // rejected before the id lookups. An equal score can still win on the id
+  // position, so it is offered (DESIGN.md §13).
   for (size_t k = 0; k < items.size(); ++k) {
+    if (batch_pred_[k] < pruner->Threshold()) continue;
     pruner->Offer(batch_pred_[k], snapshot_.ItemIdPos(items[k]),
                   snapshot_.ItemIdAt(items[k]));
   }

@@ -94,8 +94,8 @@ class PruneEngine {
  private:
   /// The bounded sweep of a user with a bound table into `pruner`.
   void SweepBounds(int32_t u, TopKPruner* pruner);
-  /// One index-space PredictBatchByIndex over `items`, each result offered
-  /// to the pruner.
+  /// One index-space PredictBatchByIndex over `items`; each result not
+  /// below the pruner's running threshold is offered to it.
   void ScoreBatch(int32_t u, const std::vector<int32_t>& items,
                   TopKPruner* pruner);
   /// Offer 0.0, in id order, for every unrated item in range whose index

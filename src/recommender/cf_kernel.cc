@@ -2,19 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define RECDB_CF_KERNEL_AVX2 1
-#endif
-
-#if defined(__GNUC__) || defined(__clang__)
-// The walk's helpers are forced inline, so each variant compiles them with
-// its own instruction set instead of calling one baseline copy.
-#define RECDB_KERNEL_INLINE inline __attribute__((always_inline))
-#else
-#define RECDB_KERNEL_INLINE inline
-#endif
 
 namespace recdb {
 
@@ -167,7 +154,7 @@ RECDB_KERNEL_INLINE void Walk(std::span<const NeighborRow> table,
   }
 }
 
-#ifdef RECDB_CF_KERNEL_AVX2
+#ifdef RECDB_KERNEL_AVX2
 // Four doubles per register. AVX2 does not enable FMA, and -ffp-contract=off
 // would forbid contraction anyway.
 __attribute__((target("avx2"))) void WalkAvx2(
@@ -179,38 +166,17 @@ __attribute__((target("avx2"))) void WalkAvx2(
 
 }  // namespace
 
-const char* CfKernelName(CfKernel kernel) {
-  switch (kernel) {
-    case CfKernel::kBaseline:
-      return "baseline";
-    case CfKernel::kAvx2:
-      return "avx2";
-  }
-  return "?";
-}
-
-std::span<const CfKernel> SupportedCfKernels() {
-  static const std::vector<CfKernel> kernels = [] {
-    std::vector<CfKernel> v{CfKernel::kBaseline};
-#ifdef RECDB_CF_KERNEL_AVX2
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2")) v.push_back(CfKernel::kAvx2);
-#endif
-    return v;
-  }();
-  return kernels;
-}
-
-void AccumulateRatedRows(CfKernel kernel, std::span<const NeighborRow> table,
+void AccumulateRatedRows(KernelVariant variant,
+                         std::span<const NeighborRow> table,
                          const CsrRow& rated, int32_t lo, int32_t hi,
                          double* num, double* den) {
-#ifdef RECDB_CF_KERNEL_AVX2
-  if (kernel == CfKernel::kAvx2) {
+#ifdef RECDB_KERNEL_AVX2
+  if (variant == KernelVariant::kAvx2) {
     WalkAvx2(table, rated, lo, hi, num, den);
     return;
   }
 #endif
-  (void)kernel;
+  (void)variant;
   Walk(table, rated, lo, hi, num, den);
 }
 

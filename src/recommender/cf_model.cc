@@ -307,8 +307,8 @@ void ItemCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
   den_buf.assign(width, 0.0);
   double* const num = num_buf.data();
   double* const den = den_buf.data();
-  AccumulateRatedRows(SupportedCfKernels().back(), neighborhoods_, rated, lo,
-                      hi, num, den);
+  AccumulateRatedRows(SupportedKernelVariants().back(), neighborhoods_, rated,
+                      lo, hi, num, den);
   for (size_t c = 0; c < items.size(); ++c) {
     if (!in_table(items[c])) continue;
     const size_t at = static_cast<size_t>(items[c] - lo);

@@ -16,27 +16,6 @@ uint64_t PairHash(int64_t u, int64_t i) {
   return h;
 }
 
-/// Fixed-association, auto-vectorizable dot product of two factor rows.
-/// Eight independent float accumulators let the compiler emit SIMD adds and
-/// multiplies (a single double accumulator is a serial dependency chain the
-/// vectorizer may not reorder). The association — lane j sums the k ≡ j
-/// (mod 8) terms, then a fixed reduction tree — is deterministic, and batch
-/// and scalar prediction share this one kernel, so batch == scalar stays
-/// bit-identical by construction.
-inline double DotRows(const float* a, const float* b, int32_t n) {
-  float acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  int32_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    for (int32_t j = 0; j < 8; ++j) acc[j] += a[k + j] * b[k + j];
-  }
-  for (; k < n; ++k) acc[k & 7] += a[k] * b[k];
-  const float s01 = acc[0] + acc[1];
-  const float s23 = acc[2] + acc[3];
-  const float s45 = acc[4] + acc[5];
-  const float s67 = acc[6] + acc[7];
-  return static_cast<double>((s01 + s23) + (s45 + s67));
-}
-
 }  // namespace
 
 std::unique_ptr<SvdModel> SvdModel::Build(
@@ -161,24 +140,21 @@ void SvdModel::DoPredictBatch(int32_t user_idx, std::span<const int32_t> items,
     std::fill(out.begin(), out.end(), 0.0);
     return;
   }
-  // The user's factor row is resolved once; each candidate is then a pure
-  // dot product streaming the contiguous row-major item factor rows.
-  const int32_t f = opts_.num_factors;
-  const float* pu = user_factors_.data() + static_cast<size_t>(user_idx) * f;
-  const float* qf = item_factors_.data();
-  const bool biases = opts_.use_biases;
-  const double user_base = biases ? global_mean_ + user_bias_[user_idx] : 0.0;
-  const size_t num_rows = NumItemRows();
-  for (size_t c = 0; c < items.size(); ++c) {
-    const int32_t i = items[c];
-    if (i < 0 || static_cast<size_t>(i) >= num_rows) {
-      out[c] = 0;  // unknown, or interned after training: no factor row yet
-      continue;
-    }
-    const float* qi = qf + static_cast<size_t>(i) * f;
-    const double pred = biases ? user_base + item_bias_[i] : 0.0;
-    out[c] = pred + DotRows(pu, qi, f);
-  }
+  // The user's factor row is resolved once; each candidate is then a dot
+  // product streaming the contiguous row-major item factor rows, four at a
+  // time in the widest variant this CPU runs (svd_kernel.h).
+  ScoreItemRows(SupportedKernelVariants().back(), UserFactors(user_idx).data(),
+                UserBase(user_idx), ItemRows(), items, out);
+}
+
+ItemFactorRows SvdModel::ItemRows() const {
+  return {item_factors_.data(),
+          opts_.use_biases ? item_bias_.data() : nullptr, NumItemRows(),
+          opts_.num_factors};
+}
+
+double SvdModel::UserBase(int32_t user_idx) const {
+  return opts_.use_biases ? global_mean_ + user_bias_[user_idx] : 0.0;
 }
 
 std::span<const float> SvdModel::UserFactors(int32_t user_idx) const {
@@ -309,8 +285,8 @@ bool SvdModel::ComputePruneBounds(PruneBoundTable* out) const {
   if (opts_.use_biases) {
     out->item_offset.assign(item_bias_.begin(), item_bias_.begin() + ni);
   }
-  // DotRows accumulates in float lanes; its result can exceed the
-  // real-valued ‖p‖‖q‖ bound by O(f·eps_float) relative.
+  // The kernel accumulates in float lanes (svd_kernel.h); its result can
+  // exceed the real-valued ‖p‖‖q‖ bound by O(f·eps_float) relative.
   out->slack = 1e-5;
   // Items without a factor row (interned since) score exactly 0 until
   // folded in, as the table's contract requires.

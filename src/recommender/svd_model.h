@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "recommender/model.h"
+#include "recommender/svd_kernel.h"
 
 namespace recdb {
 
@@ -56,6 +57,12 @@ class SvdModel : public RecModel {
   std::span<const float> UserFactors(int32_t user_idx) const;
   std::span<const float> ItemFactors(int32_t item_idx) const;
 
+  /// The scoring kernel's inputs (svd_kernel.h): every item factor row,
+  /// with the item biases when use_biases, and what a user's dot products
+  /// are added to before the item bias (global mean + user bias, else 0).
+  ItemFactorRows ItemRows() const;
+  double UserBase(int32_t user_idx) const;
+
   size_t ApproxBytes() const override;
 
   const SvdOptions& options() const { return opts_; }
@@ -80,7 +87,8 @@ class SvdModel : public RecModel {
 
   /// Cauchy–Schwarz bound: |p_u·q_i| <= ‖p_u‖·‖q_i‖, plus the exact bias
   /// offsets when use_biases (DESIGN.md §13). The slack covers the float
-  /// lane accumulation in DotRows exceeding the real-valued bound.
+  /// lane accumulation of the scoring kernel exceeding the real-valued
+  /// bound.
   bool ComputePruneBounds(PruneBoundTable* out) const override;
   double PruneUserScale(int32_t user_idx) const override;
   double PruneUserOffset(int32_t user_idx) const override;
@@ -88,8 +96,9 @@ class SvdModel : public RecModel {
 
  protected:
   /// The user's factor row is resolved once; each candidate is a dot
-  /// product over contiguous row-major factor storage — a tight,
-  /// auto-vectorizable inner loop (see RECDB_NATIVE in CMakeLists.txt).
+  /// product over contiguous row-major factor storage, scored four at a
+  /// time by the CPU-dispatched kernel in svd_kernel.h. Every variant gives
+  /// the same bits, with or without -march=native.
   void DoPredictBatch(int32_t user_idx, std::span<const int32_t> items,
                       std::span<double> out) const override;
 

@@ -13,22 +13,26 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "api/recdb.h"
 #include "common/task_scheduler.h"
 #include "datagen/datagen.h"
 #include "execution/executor.h"
+#include "execution/recommend_executors.h"
 #include "execution/topk_pruner.h"
 #include "index/candidate_index.h"
 #include "obs/metrics.h"
 #include "recommender/model.h"
 #include "recommender/rating_matrix.h"
 #include "recommender/recommender.h"
+#include "recommender/svd_model.h"
 
 namespace recdb {
 namespace {
@@ -710,6 +714,96 @@ TEST(GlobalThresholdTest, TiesAtZeroAcrossUsersMatchExact) {
             std::to_string(nonzero + 7));
     ASSERT_EQ(exact.NumRows(), nonzero + 7) << algo;
     EXPECT_EQ(exact.At(nonzero + 6, 2).AsDouble(), 0.0) << algo;
+  }
+}
+
+TEST(SvdSweepTest, ScoreEqualToTheThresholdIsOfferedAndWinsOnIdPosition) {
+  // A seed user interns items 60..1 in descending id order, so a lower
+  // index is a higher id. Items X = 40 (index 20) and Y = 30 (index 30) get
+  // the same factor row, 8·p_T for the target user T, so they tie exactly
+  // for T; Z1 = 50 (index 10) and Z2 = 20 (index 40) get 16·p_T and score
+  // above them. Equal bounds sweep by index, so X is offered before Y. With
+  // k = 1 over indices [11, 40), which leave Z1 and Z2 out, and k = 3 over
+  // the whole catalog, X holds the k-th place when Y arrives scoring
+  // exactly the threshold; Y must still be offered, and it wins on its
+  // lower id position.
+  auto m = std::make_shared<RatingMatrix>();
+  for (int i = 60; i >= 1; --i) m->Add(1000, i, (i % 7 + 1) / 3.0);
+  for (int u = 1; u <= 40; ++u) {
+    for (int k = 0; k < 6; ++k) {
+      m->Add(u, (u * 13 + k * 17) % 60 + 1, ((u + k) % 9 + 1) / 2.0);
+    }
+  }
+  constexpr int64_t kTarget = 1001;
+  for (int i : {3, 7, 11, 52}) m->Add(kTarget, i, 4.0);
+  std::unique_ptr<SvdModel> model = SvdModel::Build(m);
+  const int32_t t = *m->UserIndex(kTarget);
+  const std::span<const float> pt = model->UserFactors(t);
+  auto scaled = [&](float c) {
+    std::vector<float> row(pt.begin(), pt.end());
+    for (float& v : row) v *= c;
+    return row;
+  };
+  ModelUpdate update;
+  update.num_users = model->NumUserRows();
+  update.num_items = model->NumItemRows();
+  for (int64_t id : {40, 30}) {
+    update.item_rows.emplace_back(*m->ItemIndex(id), scaled(8.0f));
+  }
+  for (int64_t id : {50, 20}) {
+    update.item_rows.emplace_back(*m->ItemIndex(id), scaled(16.0f));
+  }
+  model->ApplyDeltaUpdate(std::move(update));
+  ASSERT_LT(*m->ItemIndex(40), *m->ItemIndex(30));
+  const std::shared_ptr<CandidateIndex> bounds = CandidateIndex::Build(*model);
+  ASSERT_NE(bounds, nullptr);
+
+  // Exact: every unseen item with index in [begin, end) scored, ranked by
+  // (score desc, id position), the first k kept.
+  auto exact = [&](size_t k, int32_t begin, int32_t end) {
+    std::vector<int32_t> unseen;
+    for (int32_t i = begin; i < end; ++i) {
+      if (!m->Get(kTarget, m->ItemIdAt(i)).has_value()) unseen.push_back(i);
+    }
+    std::vector<double> scores(unseen.size());
+    model->PredictBatchByIndex(t, unseen, scores);
+    std::vector<TopKPruner::Entry> all;
+    for (size_t c = 0; c < unseen.size(); ++c) {
+      all.push_back({scores[c], m->ItemIdPos(unseen[c]),
+                     m->ItemIdAt(unseen[c])});
+    }
+    std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+      if (a.score != b.score) return a.score > b.score;
+      return a.rank < b.rank;
+    });
+    all.resize(std::min(k, all.size()));
+    return all;
+  };
+  const auto num_items = static_cast<int32_t>(m->NumItems());
+  for (const auto& [k, begin, end] :
+       {std::tuple<size_t, int32_t, int32_t>{1, 11, 40},
+        std::tuple<size_t, int32_t, int32_t>{3, 0, num_items}}) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    const std::vector<TopKPruner::Entry> next = exact(k + 1, begin, end);
+    ASSERT_EQ(next.size(), k + 1);
+    ASSERT_EQ(next[k - 1].item_id, 30);
+    ASSERT_EQ(next[k].item_id, 40);
+    ASSERT_EQ(next[k - 1].score, next[k].score);
+    if (k > 1) {
+      ASSERT_GT(next[k - 2].score, next[k - 1].score);
+    }
+
+    const std::vector<TopKPruner::Entry> want = exact(k, begin, end);
+    PruneEngine engine(model.get(), *m, bounds.get());
+    const std::vector<TopKPruner::Entry> got = engine.UserTopK(
+        kTarget, k, -std::numeric_limits<double>::infinity(),
+        static_cast<size_t>(begin), static_cast<size_t>(end));
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t r = 0; r < want.size(); ++r) {
+      EXPECT_EQ(got[r].item_id, want[r].item_id) << "rank " << r;
+      EXPECT_EQ(got[r].score, want[r].score) << "rank " << r;
+      EXPECT_EQ(got[r].rank, want[r].rank) << "rank " << r;
+    }
   }
 }
 

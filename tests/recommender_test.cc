@@ -17,6 +17,7 @@
 #include "recommender/cf_model.h"
 #include "recommender/recommender.h"
 #include "recommender/similarity.h"
+#include "recommender/svd_kernel.h"
 #include "recommender/svd_model.h"
 
 namespace recdb {
@@ -405,10 +406,10 @@ void PerRowWalk(std::span<const NeighborRow> table, const CsrRow& rated,
   std::vector<double> want_num(width, 0.0), want_den(width, 0.0);
   PerRowWalk(table, rated, lo, hi, want_num.data(), want_den.data());
   std::vector<double> base_num, base_den;
-  for (CfKernel kernel : SupportedCfKernels()) {
+  for (KernelVariant kernel : SupportedKernelVariants()) {
     std::vector<double> num(width, 0.0), den(width, 0.0);
     AccumulateRatedRows(kernel, table, rated, lo, hi, num.data(), den.data());
-    const std::string where = std::string(CfKernelName(kernel)) + ", " +
+    const std::string where = std::string(KernelVariantName(kernel)) + ", " +
                               std::to_string(rated.n) + " rated rows, [" +
                               std::to_string(lo) + ", " + std::to_string(hi) +
                               "]";
@@ -417,7 +418,7 @@ void PerRowWalk(std::span<const NeighborRow> table, const CsrRow& rated,
       return ::testing::AssertionFailure()
              << where << ": differs from the per-row walk";
     }
-    if (kernel == CfKernel::kBaseline) {
+    if (kernel == KernelVariant::kBaseline) {
       base_num = num;
       base_den = den;
     } else if (std::memcmp(num.data(), base_num.data(), bytes) != 0 ||
@@ -430,10 +431,10 @@ void PerRowWalk(std::span<const NeighborRow> table, const CsrRow& rated,
 }
 
 TEST(CfKernelTest, VariantsMatchPerRowWalkOnMovieLensItemCosCF) {
-  ASSERT_FALSE(SupportedCfKernels().empty());
-  EXPECT_EQ(SupportedCfKernels().front(), CfKernel::kBaseline);
-  for (CfKernel kernel : SupportedCfKernels()) {
-    RecordProperty(std::string("variant_") + CfKernelName(kernel), "run");
+  ASSERT_FALSE(SupportedKernelVariants().empty());
+  EXPECT_EQ(SupportedKernelVariants().front(), KernelVariant::kBaseline);
+  for (KernelVariant kernel : SupportedKernelVariants()) {
+    RecordProperty(std::string("variant_") + KernelVariantName(kernel), "run");
   }
   RecDB db;
   auto ds = datagen::LoadDataset(&db, datagen::DatasetSpec::MovieLens100K());
@@ -536,11 +537,145 @@ TEST(CfKernelTest, VariantsMatchPerRowWalkOnMultiRunRows) {
   for (NeighborRow& row : one) row.Append(0, -0.5f);
   const int32_t idx[] = {0, 1, 2, 3};
   const double zeros[] = {0.0, 0.0, 0.0, 0.0};
-  for (CfKernel kernel : SupportedCfKernels()) {
+  for (KernelVariant kernel : SupportedKernelVariants()) {
     double num = 0.0, den = 0.0;
     AccumulateRatedRows(kernel, one, CsrRow{idx, zeros, 4}, 0, 0, &num, &den);
-    EXPECT_FALSE(std::signbit(num)) << CfKernelName(kernel);
-    EXPECT_EQ(den, 2.0) << CfKernelName(kernel);
+    EXPECT_FALSE(std::signbit(num)) << KernelVariantName(kernel);
+    EXPECT_EQ(den, 2.0) << KernelVariantName(kernel);
+  }
+}
+
+/// One SVD score in the model's order, test-side: eight float lanes, lane
+/// j summing the k ≡ j (mod 8) terms in ascending k, reduced as
+/// (s01 + s23) + (s45 + s67), widened to double and added to the base.
+double ReferenceSvdScore(const float* pu, double user_base,
+                         const ItemFactorRows& rows, int32_t i) {
+  if (i < 0 || static_cast<size_t>(i) >= rows.num_rows) return 0.0;
+  const int32_t n = rows.num_factors;
+  const float* q = rows.factors + static_cast<size_t>(i) * n;
+  float acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+  int32_t k = 0;
+  for (; k + 8 <= n; k += 8) {
+    for (int32_t j = 0; j < 8; ++j) acc[j] += pu[k + j] * q[k + j];
+  }
+  for (; k < n; ++k) acc[k & 7] += pu[k] * q[k];
+  const float dot =
+      ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
+      ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+  const double base = rows.bias != nullptr ? user_base + rows.bias[i] : 0.0;
+  return base + static_cast<double>(dot);
+}
+
+/// Every SVD kernel variant this host runs, called directly, against the
+/// reference: each score byte for byte.
+::testing::AssertionResult SvdVariantsMatchReference(
+    const float* pu, double user_base, const ItemFactorRows& rows,
+    std::span<const int32_t> items) {
+  std::vector<double> want(items.size());
+  for (size_t c = 0; c < items.size(); ++c) {
+    want[c] = ReferenceSvdScore(pu, user_base, rows, items[c]);
+  }
+  for (KernelVariant variant : SupportedKernelVariants()) {
+    std::vector<double> out(items.size(), -1.0);
+    ScoreItemRows(variant, pu, user_base, rows, items, out);
+    for (size_t c = 0; c < items.size(); ++c) {
+      if (std::memcmp(&out[c], &want[c], sizeof(double)) != 0) {
+        return ::testing::AssertionFailure()
+               << KernelVariantName(variant) << ", f = " << rows.num_factors
+               << ", biases " << (rows.bias != nullptr) << ", batch of "
+               << items.size() << ": candidate " << c << " (item "
+               << items[c] << ") scored " << out[c] << ", want " << want[c];
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(SvdKernelTest, VariantsMatchDotRowsBitForBit) {
+  ASSERT_EQ(SupportedKernelVariants().front(), KernelVariant::kBaseline);
+  for (KernelVariant variant : SupportedKernelVariants()) {
+    RecordProperty(std::string("variant_") + KernelVariantName(variant),
+                   "run");
+  }
+  constexpr int32_t kRows = 301;
+  Rng rng(29);
+  std::vector<int32_t> catalog(kRows);
+  for (int32_t i = 0; i < kRows; ++i) catalog[i] = i;
+  for (int32_t f : {1, 7, 8, 16, 32, 33}) {
+    // Non-integer factors of both signs, so lane sums round and a change
+    // of summation order shows.
+    std::vector<float> factors(static_cast<size_t>(kRows) * f);
+    for (float& v : factors) v = static_cast<float>(rng.Gaussian(0, 0.7));
+    std::vector<float> bias(kRows);
+    for (float& b : bias) b = static_cast<float>(rng.UniformDouble(-0.4, 0.4));
+    std::vector<float> user(f), zero_user(f, 0.0f);
+    for (float& v : user) v = static_cast<float>(rng.Gaussian(0, 0.7));
+    for (bool biases : {false, true}) {
+      const ItemFactorRows rows{factors.data(),
+                                biases ? bias.data() : nullptr, kRows, f};
+      const double user_base = biases ? 3.52986 + 0.0731 : 0.0;
+      for (const float* pu : {user.data(), zero_user.data()}) {
+        ASSERT_TRUE(SvdVariantsMatchReference(pu, user_base, rows, catalog));
+        // Batches of 0-9 (no group of four, one or two groups and a
+        // remainder), with negative, past-the-end and duplicate indices
+        // interleaved among known ones.
+        for (size_t n = 0; n <= 9; ++n) {
+          for (int trial = 0; trial < 25; ++trial) {
+            std::vector<int32_t> items(n);
+            for (size_t c = 0; c < n; ++c) {
+              switch (rng.UniformInt(0, 5)) {
+                case 0:
+                  items[c] = -1 - static_cast<int32_t>(rng.UniformInt(0, 2));
+                  break;
+                case 1:
+                  items[c] = kRows + static_cast<int32_t>(rng.UniformInt(0, 2));
+                  break;
+                case 2:
+                  items[c] = c > 0 ? items[c - 1] : kRows - 1;
+                  break;
+                default:
+                  items[c] = static_cast<int32_t>(rng.UniformInt(0, kRows - 1));
+              }
+            }
+            ASSERT_TRUE(SvdVariantsMatchReference(pu, user_base, rows, items))
+                << "trial " << trial;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SvdKernelTest, TrainedModelScoresInTheReferenceOrder) {
+  // The model's batch path over the whole catalog and three past-the-end
+  // indices (no factor row), biases on and off.
+  auto m = std::make_shared<RatingMatrix>();
+  Rng rng(2029);
+  for (int u = 1; u <= 50; ++u) {
+    for (int k = 0; k < 12; ++k) {
+      m->Add(u, rng.UniformInt(1, 80), rng.UniformDouble(0.5, 5.0));
+    }
+  }
+  for (bool biases : {false, true}) {
+    SvdOptions opts;
+    opts.use_biases = biases;
+    opts.num_epochs = 5;
+    std::unique_ptr<SvdModel> model = SvdModel::Build(m, opts);
+    std::vector<int32_t> items;
+    for (int32_t i = 0; i < static_cast<int32_t>(m->NumItems()) + 3; ++i) {
+      items.push_back(i);
+    }
+    std::vector<double> out(items.size());
+    for (int32_t u = 0; u < static_cast<int32_t>(m->NumUsers()); ++u) {
+      model->PredictBatchByIndex(u, items, out);
+      for (size_t c = 0; c < items.size(); ++c) {
+        const double want = ReferenceSvdScore(model->UserFactors(u).data(),
+                                              model->UserBase(u),
+                                              model->ItemRows(), items[c]);
+        ASSERT_EQ(std::memcmp(&out[c], &want, sizeof(double)), 0)
+            << "biases " << biases << ", user " << u << ", item " << c;
+      }
+    }
   }
 }
 
