@@ -52,7 +52,7 @@ void BM_Parallel_NeighborhoodBuild(benchmark::State& state) {
   size_t iterations = 0;
   for (auto _ : state) {
     Stopwatch watch;
-    auto nh = BuildItemNeighborhoods(ratings, opts);
+    auto nh = BuildNeighborTable(ratings, CfSide::kItem, opts);
     total_seconds += watch.ElapsedSeconds();
     ++iterations;
     uint64_t sum = NeighborhoodChecksum(nh);

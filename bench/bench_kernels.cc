@@ -8,9 +8,12 @@
 // (kernel_variant.h): the batch row's work, called through that variant of
 // cf_kernel.h or svd_kernel.h. Every row checksums the produced doubles
 // bit-for-bit; any divergence fails the run (the kernels' golden-equality
-// contract). Besides the usual benchmark output the binary writes
-// BENCH_kernels.json with the measured rows/sec and the batch/scalar
-// speedup per algorithm, and rows/sec per variant.
+// contract). ItemCosCF and UserCosCF also time the neighborhood builder
+// (similarity.h): a full build of every row, and a 97-row recompute (the
+// rows a 100-write refresh recomputes), each checksummed against the
+// recommender's own table. Besides the usual benchmark output the binary
+// writes BENCH_kernels.json with the measured rows/sec and the batch/scalar
+// speedup per algorithm, rows/sec per variant, and the build times.
 #include <algorithm>
 #include <cstring>
 #include <fstream>
@@ -31,6 +34,7 @@ struct KernelStat {
   double rows_per_sec = 0;
   uint64_t checksum = 0;
   bool set = false;
+  size_t rows_per_pass = 0;
 };
 
 /// Results keyed "<algo>/<scalar|batch|variant>", filled by the
@@ -50,6 +54,18 @@ uint64_t MixDouble(uint64_t h, double v) {
 }
 
 constexpr uint64_t kFnvBasis = 1469598103934665603ull;
+
+/// Rows a refresh-sized recompute builds: about what 100 writes touch.
+constexpr size_t kRecomputeRows = 97;
+
+uint64_t MixRow(uint64_t h, const NeighborRow& row) {
+  for (const NeighborRow::Run& run : row.runs()) {
+    h = (h ^ static_cast<uint64_t>(run.first)) * 1099511628211ull;
+    h = (h ^ static_cast<uint64_t>(run.count)) * 1099511628211ull;
+  }
+  for (float sim : row.cells()) h = MixDouble(h, sim);
+  return h;
+}
 
 /// Times `pass` (one scoring pass over the user sample, returning its
 /// checksum) once per benchmark iteration and records the result under
@@ -72,6 +88,7 @@ void TimePasses(benchmark::State& state, const std::string& key,
   stat.rows_per_sec = total_seconds > 0 ? rows / total_seconds : 0;
   stat.checksum = checksum;
   stat.set = true;
+  stat.rows_per_pass = rows_per_iter;
 
   state.SetItemsProcessed(static_cast<int64_t>(rows));
   state.counters["rows_per_sec"] = stat.rows_per_sec;
@@ -186,6 +203,44 @@ void BM_SvdVariant(benchmark::State& state, KernelVariant kernel) {
              });
 }
 
+/// The neighborhood builder over the recommender's matrix: every row
+/// (`recompute` false) or kRecomputeRows rows spread over the table. The
+/// checksum of the built rows must equal the same rows of the table the
+/// recommender built.
+void BM_Build(benchmark::State& state, RecAlgorithm algo, bool recompute) {
+  BenchEnv& env = Env(kWhich);
+  const auto* model = dynamic_cast<const NeighborhoodModel*>(
+      env.GetRecommender(algo)->model());
+  RECDB_DCHECK(model != nullptr);
+  const RatingMatrix& ratings = model->ratings();
+  const CfSide side = IsItemBased(algo) ? CfSide::kItem : CfSide::kUser;
+  const size_t n = model->neighborhoods().size();
+  std::vector<int32_t> rows;
+  const size_t count = recompute ? std::min(kRecomputeRows, n) : n;
+  for (size_t k = 0; k < count; ++k) {
+    rows.push_back(static_cast<int32_t>(k * n / count));
+  }
+  uint64_t want = kFnvBasis;
+  for (int32_t p : rows) want = MixRow(want, model->NeighborhoodAt(p));
+  const std::string key = std::string("Build/") + RecAlgorithmToString(algo) +
+                          (recompute ? "/recompute" : "/full");
+  const SimilarityOptions opts;
+  TimePasses(state, key, rows.size(), [&] {
+    uint64_t checksum = kFnvBasis;
+    if (recompute) {
+      for (const auto& entry : BuildNeighborRows(ratings, side, opts, rows)) {
+        checksum = MixRow(checksum, entry.second);
+      }
+    } else {
+      for (const NeighborRow& row : BuildNeighborTable(ratings, side, opts)) {
+        checksum = MixRow(checksum, row);
+      }
+    }
+    return checksum;
+  });
+  Stats()[key + "/table"] = KernelStat{0, want, true, rows.size()};
+}
+
 void RegisterAll() {
   const double min_time = SmokeMode() ? 0.01 : 0.5;
   for (RecAlgorithm algo : {RecAlgorithm::kItemCosCF, RecAlgorithm::kUserCosCF,
@@ -212,6 +267,21 @@ void RegisterAll() {
         ->Unit(benchmark::kMillisecond)
         ->MinTime(min_time);
   }
+  for (RecAlgorithm algo :
+       {RecAlgorithm::kItemCosCF, RecAlgorithm::kUserCosCF}) {
+    for (bool recompute : {false, true}) {
+      const std::string name = std::string("Build/") +
+                               RecAlgorithmToString(algo) +
+                               (recompute ? "/recompute" : "/full");
+      benchmark::RegisterBenchmark(
+          name.c_str(),
+          [algo, recompute](benchmark::State& state) {
+            BM_Build(state, algo, recompute);
+          })
+          ->Unit(benchmark::kMillisecond)
+          ->MinTime(min_time);
+    }
+  }
   for (KernelVariant kernel : SupportedKernelVariants()) {
     const std::string name =
         std::string("Kernels/SVD/") + KernelVariantName(kernel);
@@ -225,8 +295,9 @@ void RegisterAll() {
 
 int dummy = (RegisterAll(), 0);
 
-/// Emit BENCH_kernels.json and verify the scalar/batch checksums agree, and
-/// every ItemCosCF and SVD variant's with its algorithm's batch row.
+/// Emit BENCH_kernels.json and verify the scalar/batch checksums agree,
+/// every ItemCosCF and SVD variant's with its algorithm's batch row, and
+/// every build row's with the recommender's table.
 /// Returns false (process failure, so the smoke test trips) on divergence.
 bool WriteKernelsJson() {
   std::string results;
@@ -285,12 +356,44 @@ bool WriteKernelsJson() {
     if (!results.empty()) results += ",\n";
     results += buf;
   }
+  std::string builds;
+  for (RecAlgorithm algo :
+       {RecAlgorithm::kItemCosCF, RecAlgorithm::kUserCosCF}) {
+    for (const char* kind : {"full", "recompute"}) {
+      const std::string key = std::string("Build/") +
+                              RecAlgorithmToString(algo) + "/" + kind;
+      const KernelStat& stat = Stats()[key];
+      const KernelStat& table = Stats()[key + "/table"];
+      if (!stat.set) continue;  // filtered out
+      const bool match = stat.checksum == table.checksum;
+      if (!match) {
+        std::fprintf(stderr,
+                     "bench_kernels: CHECKSUM MISMATCH for the %s build — "
+                     "diverged from the recommender's table\n",
+                     key.c_str());
+        all_match = false;
+      }
+      char buf[256];
+      std::snprintf(buf, sizeof(buf),
+                    "    {\"algorithm\": \"%s\", \"build\": \"%s\", "
+                    "\"rows\": %zu, \"ms_per_build\": %.3f, "
+                    "\"rows_per_sec\": %.1f, \"checksum_match\": %s}",
+                    RecAlgorithmToString(algo), kind, stat.rows_per_pass,
+                    stat.rows_per_sec > 0
+                        ? 1e3 * stat.rows_per_pass / stat.rows_per_sec
+                        : 0.0,
+                    stat.rows_per_sec, match ? "true" : "false");
+      if (!builds.empty()) builds += ",\n";
+      builds += buf;
+    }
+  }
   std::ofstream f("BENCH_kernels.json");
   f << "{\n  \"config\": {\"dataset\": \"" << WhichName(kWhich)
     << "\", \"users\": " << kNumUsers << ", \"threads\": 1, \"smoke\": "
     << (SmokeMode() ? "true" : "false") << "},\n  \"results\": [\n"
     << results << "\n  ],\n  \"variants\": [\n"
-    << variants << "\n  ],\n  " << MetricsJsonSection() << "\n}\n";
+    << variants << "\n  ],\n  \"builds\": [\n"
+    << builds << "\n  ],\n  " << MetricsJsonSection() << "\n}\n";
   return all_match;
 }
 

@@ -955,77 +955,91 @@ size_t RecDB::PartitionUserIndexLocked(const TableInfo& table) const {
   return idx.ok() ? idx.value() : SIZE_MAX;
 }
 
-Result<ResultSet> RecDB::ExecuteInsert(const InsertStatement& stmt) {
-  RECDB_ASSIGN_OR_RETURN(TableInfo * table, catalog_->GetTable(stmt.table_name));
-  const Schema& schema = table->schema;
-  ExecSchema empty_schema;
-  Tuple empty_tuple;
+Status RecDB::LandInsertRows(
+    TableInfo* table, size_t num_rows,
+    const std::function<Result<Tuple>(size_t)>& build_row, size_t* applied,
+    size_t* stored) {
   // Serving-layer partition filter: when this engine is one shard behind the
-  // router, a broadcast INSERT lands only its owned rows in the heap (and
-  // therefore this shard's WAL); shard 0 feeds EVERY row to the shared
-  // model plane, in statement order (partitioned storage, one model plane).
+  // router, an INSERT lands only its owned rows in the heap (and therefore
+  // this shard's WAL); shard 0 feeds EVERY row to the shared model plane,
+  // in statement order (partitioned storage, one model plane).
   const size_t part_user_idx = PartitionUserIndexLocked(*table);
   // Land every row in the heap first, then feed the recommenders once: a
   // multi-row INSERT becomes one versioned delta batch instead of N.
-  std::vector<Tuple> applied;
-  applied.reserve(stmt.rows.size());
-  size_t stored = 0;
+  std::vector<Tuple> rows;
+  rows.reserve(num_rows);
+  *stored = 0;
   Status st = Status::OK();
-  for (const auto& row : stmt.rows) {
-    if (row.size() != schema.NumColumns()) {
-      st = Status::InvalidArgument(StringFormat(
-          "INSERT row has %zu values, table %s has %zu columns", row.size(),
-          table->name.c_str(), schema.NumColumns()));
+  for (size_t k = 0; k < num_rows; ++k) {
+    auto row = build_row(k);
+    if (!row.ok()) {
+      st = row.status();
       break;
     }
-    auto build = [&]() -> Result<Tuple> {
-      std::vector<Value> vals;
-      vals.reserve(row.size());
-      for (size_t i = 0; i < row.size(); ++i) {
-        RECDB_ASSIGN_OR_RETURN(auto bound, BindExpr(*row[i], empty_schema));
-        RECDB_ASSIGN_OR_RETURN(Value v, bound->Eval(empty_tuple));
-        RECDB_ASSIGN_OR_RETURN(v, v.CastTo(schema.ColumnAt(i).type));
-        vals.push_back(std::move(v));
-      }
-      return Tuple(std::move(vals));
-    }();
-    if (!build.ok()) {
-      st = build.status();
-      break;
-    }
-    if (ShardOwnsRow(options_, build.value(), part_user_idx)) {
-      st = table->heap->Insert(build.value()).status();
+    if (ShardOwnsRow(options_, row.value(), part_user_idx)) {
+      st = table->heap->Insert(row.value()).status();
       if (!st.ok()) break;
-      ++stored;
+      ++*stored;
       if (part_user_idx != SIZE_MAX) {
         obs::Count(obs::Counter::kServingDmlRowsRouted);
       }
     } else {
       obs::Count(obs::Counter::kServingDmlRowsFiltered);
     }
-    applied.push_back(std::move(build).value());
+    rows.push_back(std::move(row).value());
   }
-  // Notify every processed row — including ones the ownership filter kept
-  // out of the heap — even on failure: recommender state must match the
-  // global statement's observable contents.
+  // Feed every processed row — including ones the ownership filter kept
+  // out of the heap — even on failure: the rows before the failing one
+  // are in the heap (and the WAL the caller commits), so recommender state
+  // must hold them too.
+  *applied = rows.size();
   std::vector<RatingRowOp> ops;
-  ops.reserve(applied.size());
-  for (const Tuple& t : applied) ops.push_back({/*remove=*/false, &t});
-  Status notify =
-      NotifyRatingOps(table->name, schema, ops, /*seen_by_all_shards=*/true);
-  if (st.ok()) st = notify;
+  ops.reserve(rows.size());
+  for (const Tuple& t : rows) ops.push_back({/*remove=*/false, &t});
+  Status notify = NotifyRatingOps(table->name, table->schema, ops,
+                                  /*seen_by_all_shards=*/true);
+  return st.ok() ? notify : st;
+}
+
+Result<ResultSet> RecDB::ExecuteInsert(const InsertStatement& stmt) {
+  RECDB_ASSIGN_OR_RETURN(TableInfo * table, catalog_->GetTable(stmt.table_name));
+  const Schema& schema = table->schema;
+  ExecSchema empty_schema;
+  Tuple empty_tuple;
+  size_t applied = 0;
+  size_t stored = 0;
+  Status st = LandInsertRows(
+      table, stmt.rows.size(),
+      [&](size_t k) -> Result<Tuple> {
+        const auto& row = stmt.rows[k];
+        if (row.size() != schema.NumColumns()) {
+          return Status::InvalidArgument(StringFormat(
+              "INSERT row has %zu values, table %s has %zu columns",
+              row.size(), table->name.c_str(), schema.NumColumns()));
+        }
+        std::vector<Value> vals;
+        vals.reserve(row.size());
+        for (size_t i = 0; i < row.size(); ++i) {
+          RECDB_ASSIGN_OR_RETURN(auto bound, BindExpr(*row[i], empty_schema));
+          RECDB_ASSIGN_OR_RETURN(Value v, bound->Eval(empty_tuple));
+          RECDB_ASSIGN_OR_RETURN(v, v.CastTo(schema.ColumnAt(i).type));
+          vals.push_back(std::move(v));
+        }
+        return Tuple(std::move(vals));
+      },
+      &applied, &stored);
   if (!st.ok()) {
     // Partial failure: report how many rows actually reached the table so
     // the caller knows the statement's observable effect.
     return Status(st.code(),
                   StringFormat("%s (INSERT aborted: %zu of %zu rows "
                                "applied to %s)",
-                               st.message().c_str(), applied.size(),
+                               st.message().c_str(), applied,
                                stmt.rows.size(), table->name.c_str()));
   }
   ResultSet rs;
-  rs.message = StringFormat("inserted %zu rows into %s", applied.size(),
-                            table->name.c_str());
+  rs.message =
+      StringFormat("inserted %zu rows into %s", applied, table->name.c_str());
   rs.rows_affected = stored;
   return rs;
 }
@@ -1114,17 +1128,10 @@ Result<std::shared_ptr<RatingMatrix>> RecDB::LoadRatingsMatrix(
     RECDB_ASSIGN_OR_RETURN(auto next, it.Next());
     if (!next.has_value()) break;
     const Tuple& t = next->second;
-    const Value& u = t.At(user_idx);
-    const Value& i = t.At(item_idx);
-    const Value& r = t.At(rating_idx);
-    if (u.is_null() || i.is_null() || r.is_null()) continue;
-    if (u.type() != TypeId::kInt64 || i.type() != TypeId::kInt64 ||
-        !r.is_numeric()) {
-      return Status::InvalidArgument(
-          "ratings table columns must be INT user id, INT item id, "
-          "numeric rating");
-    }
-    matrix->Add(u.AsInt(), i.AsInt(), r.AsNumeric());
+    RECDB_ASSIGN_OR_RETURN(
+        auto rating,
+        RatingFromRow(t.At(user_idx), t.At(item_idx), t.At(rating_idx)));
+    if (rating) matrix->Add(rating->user, rating->item, rating->rating);
   }
   matrix->Freeze();
   return matrix;
@@ -1190,6 +1197,22 @@ Result<bool> RecDB::RefreshRecommender(const std::string& name) {
 }
 
 void RecDB::DrainBackgroundWork() { TaskScheduler::Global().DrainBackground(); }
+
+Result<std::optional<RatingTriple>> RatingFromRow(const Value& user,
+                                                  const Value& item,
+                                                  const Value& rating) {
+  if (user.is_null() || item.is_null() || rating.is_null()) {
+    return std::optional<RatingTriple>();
+  }
+  if (user.type() != TypeId::kInt64 || item.type() != TypeId::kInt64 ||
+      !rating.is_numeric()) {
+    return Status::InvalidArgument(
+        "ratings table columns must be INT user id, INT item id, "
+        "numeric rating");
+  }
+  return std::optional<RatingTriple>(
+      RatingTriple{user.AsInt(), item.AsInt(), rating.AsNumeric()});
+}
 
 Result<RecommenderConfig> RecommenderConfigFor(
     const CreateRecommenderStatement& stmt, const RecDBOptions& options) {
@@ -1457,37 +1480,25 @@ Status RecDB::BulkInsert(const std::string& table,
     RECDB_RETURN_NOT_OK(options_status_);
     RECDB_ASSIGN_OR_RETURN(TableInfo * info, catalog_->GetTable(table));
     const Schema& schema = info->schema;
-    // Same ownership filter and feed-once rule as ExecuteInsert: owned rows
-    // reach the heap, shard 0 feeds every row to the shared model plane.
-    const size_t part_user_idx = PartitionUserIndexLocked(*info);
-    std::vector<Tuple> applied;
-    applied.reserve(rows.size());
-    for (const auto& row : rows) {
-      if (row.size() != schema.NumColumns()) {
-        return Status::InvalidArgument("bulk row width mismatch");
-      }
-      std::vector<Value> vals;
-      vals.reserve(row.size());
-      for (size_t i = 0; i < row.size(); ++i) {
-        RECDB_ASSIGN_OR_RETURN(Value v, row[i].CastTo(schema.ColumnAt(i).type));
-        vals.push_back(std::move(v));
-      }
-      Tuple tuple(std::move(vals));
-      if (ShardOwnsRow(options_, tuple, part_user_idx)) {
-        RECDB_RETURN_NOT_OK(info->heap->Insert(tuple).status());
-        if (part_user_idx != SIZE_MAX) {
-          obs::Count(obs::Counter::kServingDmlRowsRouted);
-        }
-      } else {
-        obs::Count(obs::Counter::kServingDmlRowsFiltered);
-      }
-      applied.push_back(std::move(tuple));
-    }
-    std::vector<RatingRowOp> ops;
-    ops.reserve(applied.size());
-    for (const Tuple& t : applied) ops.push_back({/*remove=*/false, &t});
-    return NotifyRatingOps(info->name, schema, ops,
-                           /*seen_by_all_shards=*/true);
+    size_t applied = 0;
+    size_t stored = 0;
+    return LandInsertRows(
+        info, rows.size(),
+        [&](size_t k) -> Result<Tuple> {
+          const auto& row = rows[k];
+          if (row.size() != schema.NumColumns()) {
+            return Status::InvalidArgument("bulk row width mismatch");
+          }
+          std::vector<Value> vals;
+          vals.reserve(row.size());
+          for (size_t i = 0; i < row.size(); ++i) {
+            RECDB_ASSIGN_OR_RETURN(Value v,
+                                   row[i].CastTo(schema.ColumnAt(i).type));
+            vals.push_back(std::move(v));
+          }
+          return Tuple(std::move(vals));
+        },
+        &applied, &stored);
   }();
   // Commit whatever was appended even on partial failure: the applied rows
   // are live in memory and must stay durable-consistent with it.

@@ -12,8 +12,10 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -90,6 +92,21 @@ Result<RecommenderConfig> RecommenderConfigFor(
 /// InvalidArgument here (and from Open / SET / the first Execute) rather
 /// than being silently clamped.
 Status ValidateShardOptions(const RecDBOptions& options);
+
+/// One (user, item, rating) row of a ratings table, as a model loads it.
+struct RatingTriple {
+  int64_t user = 0;
+  int64_t item = 0;
+  double rating = 0;
+};
+
+/// The one check between a ratings-table row and a RatingMatrix, for a
+/// single node's load and the router's gathered build alike: a row with a
+/// NULL user, item or rating is skipped (nullopt); a user or item id that
+/// is not INT, or a rating that is not numeric, fails the build.
+Result<std::optional<RatingTriple>> RatingFromRow(const Value& user,
+                                                  const Value& item,
+                                                  const Value& rating);
 
 /// Result of one executed statement.
 struct ResultSet {
@@ -301,6 +318,16 @@ class RecDB {
   Status NotifyRatingOps(const std::string& table, const Schema& schema,
                          const std::vector<RatingRowOp>& ops,
                          bool seen_by_all_shards);
+
+  /// The one row-landing loop of INSERT and BulkInsert: builds row k with
+  /// `build_row(k)` (already cast to the schema; an error stops the loop),
+  /// lands the rows this shard owns in the heap, then feeds every row built
+  /// so far to the recommenders, on failure too, so the model sees exactly
+  /// the rows the heap and WAL hold. Returns the first failure; `*applied`
+  /// counts the rows fed, `*stored` the rows in this shard's heap.
+  Status LandInsertRows(TableInfo* table, size_t num_rows,
+                        const std::function<Result<Tuple>(size_t)>& build_row,
+                        size_t* applied, size_t* stored);
 
   /// Column index of `table`'s declared partition user column, or SIZE_MAX
   /// when the serving filter is inactive (single shard / undeclared table).

@@ -194,7 +194,7 @@
   X(kModelTrainUs, "model.train_us", "us",                                    \
     "Recommender::Build wall-clock per build")                                \
   X(kModelNeighborhoodUs, "model.neighborhood_us", "us",                      \
-    "BuildNeighborhoods wall-clock per similarity build")                     \
+    "BuildNeighborTable wall-clock per full table build")                     \
   X(kCacheRunUs, "cache.run_us", "us",                                        \
     "CacheManager::Run wall-clock per maintenance sweep")                     \
   X(kCacheMaterializeUs, "cache.materialize_us", "us",                        \

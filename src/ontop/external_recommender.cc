@@ -4,23 +4,8 @@ namespace recdb::ontop {
 
 Status ExternalRecommender::Build() {
   auto snapshot = std::make_shared<RatingMatrix>(*ratings_);
-  switch (opts_.algorithm) {
-    case RecAlgorithm::kItemCosCF:
-      model_ = ItemCFModel::Build(snapshot, false, opts_.sim_opts);
-      break;
-    case RecAlgorithm::kItemPearCF:
-      model_ = ItemCFModel::Build(snapshot, true, opts_.sim_opts);
-      break;
-    case RecAlgorithm::kUserCosCF:
-      model_ = UserCFModel::Build(snapshot, false, opts_.sim_opts);
-      break;
-    case RecAlgorithm::kUserPearCF:
-      model_ = UserCFModel::Build(snapshot, true, opts_.sim_opts);
-      break;
-    case RecAlgorithm::kSVD:
-      model_ = SvdModel::Build(snapshot, opts_.svd_opts);
-      break;
-  }
+  model_ = BuildRecModel(opts_.algorithm, std::move(snapshot),
+                         opts_.sim_opts, opts_.svd_opts);
   if (model_ == nullptr) return Status::Internal("external model build failed");
   return Status::OK();
 }

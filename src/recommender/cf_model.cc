@@ -9,26 +9,6 @@ namespace recdb {
 
 namespace {
 
-size_t NeighborhoodBytes(const std::vector<NeighborRow>& nb) {
-  size_t total = 0;
-  for (const NeighborRow& row : nb) total += row.ApproxBytes();
-  return total;
-}
-
-size_t NeighborhoodEntries(const std::vector<NeighborRow>& nb) {
-  size_t total = 0;
-  for (const NeighborRow& row : nb) total += row.NumEntries();
-  return total;
-}
-
-/// sim(a, b) by a walk of a's runs; nothing on a query path asks for one
-/// pair's similarity.
-double SimilarityLookup(const std::vector<NeighborRow>& nb, int32_t a,
-                        int32_t b) {
-  if (static_cast<size_t>(a) >= nb.size()) return 0;
-  return nb[a].Find(b);
-}
-
 /// Dense scatter target reused across PredictBatch calls on one thread.
 /// Epoch stamps make Reset O(1): a slot is live only when its stamp matches
 /// the current epoch, so no per-call clearing of the value array.
@@ -63,105 +43,65 @@ DenseScratch& TlsScratch() {
   return scratch;
 }
 
-/// Item rows a delta op set can reach in a truncated table, where a row's
-/// kept neighbors can change whenever any sim in it moves: for each op
-/// (u, i) that is item i itself, every item sharing a rater with i (i's
-/// norm — and for Pearson its mean — changed, which moves sim(i, j) for
-/// every pair with nonzero dot), and every item rated by u (their dot with
-/// i gained or lost the shared dimension; after a remove u may no longer
-/// appear in i's merged rater list, so u is unioned in explicitly).
-/// Computed on the merged matrix; an over-approximation is always safe, a
-/// miss never is.
-std::vector<int32_t> TouchedItemRows(const RatingMatrix& m,
-                                     const std::vector<DeltaOp>& ops) {
-  std::vector<char> touched(m.NumItems(), 0);
-  std::vector<char> user_done(m.NumUsers(), 0);
-  auto mark_items_of = [&](int32_t v) {
-    if (v < 0 || static_cast<size_t>(v) >= user_done.size() || user_done[v]) {
+/// Rows a delta op set can reach in a truncated table, where a row's kept
+/// neighbors can change whenever any sim in it moves: for each op, its
+/// row's entity e itself, every entity sharing a dimension with e (e's
+/// norm — and for Pearson its mean — changed, which moves sim(e, f) for
+/// every pair with nonzero dot), and every entity of the op's dimension d
+/// (their dot with e gained or lost d; after a remove d may no longer
+/// appear in e's merged vector, so d is unioned in explicitly). For ItemCF
+/// e is the op's item and d its user; UserCF mirrors that. Computed on the
+/// merged matrix; an over-approximation is always safe, a miss never is.
+std::vector<int32_t> TouchedRows(const SideView& side,
+                                 const std::vector<DeltaOp>& ops) {
+  std::vector<char> touched(side.num_rows(), 0);
+  std::vector<char> dim_done(side.num_dims(), 0);
+  auto mark_rows_of = [&](int32_t d) {
+    if (d < 0 || static_cast<size_t>(d) >= dim_done.size() || dim_done[d]) {
       return;
     }
-    user_done[v] = 1;
-    const CsrRow row = m.UserCsrRow(v);
+    dim_done[d] = 1;
+    const CsrRow row = side.Dimension(d);
     for (size_t k = 0; k < row.n; ++k) touched[row.idx[k]] = 1;
   };
   for (const auto& op : ops) {
-    if (op.item_idx >= 0 &&
-        static_cast<size_t>(op.item_idx) < touched.size()) {
-      touched[op.item_idx] = 1;
-      const CsrRow raters = m.ItemCsrRow(op.item_idx);
-      for (size_t k = 0; k < raters.n; ++k) mark_items_of(raters.idx[k]);
+    const int32_t e = side.RowOf(op);
+    if (e >= 0 && static_cast<size_t>(e) < touched.size()) {
+      touched[e] = 1;
+      const CsrRow vec = side.Vector(e);
+      for (size_t k = 0; k < vec.n; ++k) mark_rows_of(vec.idx[k]);
     }
-    mark_items_of(op.user_idx);
+    mark_rows_of(side.DimOf(op));
   }
   std::vector<int32_t> rows;
-  for (size_t i = 0; i < touched.size(); ++i) {
-    if (touched[i]) rows.push_back(static_cast<int32_t>(i));
+  for (size_t e = 0; e < touched.size(); ++e) {
+    if (touched[e]) rows.push_back(static_cast<int32_t>(e));
   }
   return rows;
 }
 
-/// User-side mirror of TouchedItemRows.
-std::vector<int32_t> TouchedUserRows(const RatingMatrix& m,
-                                     const std::vector<DeltaOp>& ops) {
-  std::vector<char> touched(m.NumUsers(), 0);
-  std::vector<char> item_done(m.NumItems(), 0);
-  auto mark_raters_of = [&](int32_t j) {
-    if (j < 0 || static_cast<size_t>(j) >= item_done.size() || item_done[j]) {
-      return;
-    }
-    item_done[j] = 1;
-    const CsrRow row = m.ItemCsrRow(j);
-    for (size_t k = 0; k < row.n; ++k) touched[row.idx[k]] = 1;
-  };
-  for (const auto& op : ops) {
-    if (op.user_idx >= 0 &&
-        static_cast<size_t>(op.user_idx) < touched.size()) {
-      touched[op.user_idx] = 1;
-      const CsrRow rated = m.UserCsrRow(op.user_idx);
-      for (size_t k = 0; k < rated.n; ++k) mark_raters_of(rated.idx[k]);
-    }
-    mark_raters_of(op.item_idx);
-  }
-  std::vector<int32_t> rows;
-  for (size_t u = 0; u < touched.size(); ++u) {
-    if (touched[u]) rows.push_back(static_cast<int32_t>(u));
-  }
-  return rows;
-}
-
-/// The distinct entities on `side` (item or user) that `ops` wrote,
-/// ascending: the rows an untruncated refresh recomputes.
-std::vector<int32_t> OpRows(const std::vector<DeltaOp>& ops,
-                            int32_t DeltaOp::*side) {
+/// The distinct rows that `ops` wrote, ascending: the rows an untruncated
+/// refresh recomputes.
+std::vector<int32_t> OpRows(const SideView& side,
+                            const std::vector<DeltaOp>& ops) {
   std::vector<int32_t> rows;
   rows.reserve(ops.size());
-  for (const auto& op : ops) rows.push_back(op.*side);
+  for (const auto& op : ops) rows.push_back(side.RowOf(op));
   std::sort(rows.begin(), rows.end());
   rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
   return rows;
 }
 
-/// The one refresh both CF families share. An untruncated table is
-/// symmetric (similarity.h), so `rows` are the op entities: they are
-/// recomputed, and each fresh row p is mirrored into every row its old or
-/// fresh row names with a changed entry — rows recomputed here are already
-/// exact and are not mirrored into. The mirrored rows each get a stripe of
-/// their new entries for the fresh rows (ModelUpdate::mirror_cells). A
-/// truncated table recomputes every row in `rows` and mirrors nothing.
-/// Returns the rows the update changes, ascending (the caller maps them to
-/// the stale ids whose cached scores the commit evicts).
-template <typename Recompute>
-std::vector<int32_t> PrepareNeighborhoodUpdate(
-    const std::vector<NeighborRow>& table, bool symmetric,
-    const std::vector<int32_t>& rows, const Recompute& recompute,
-    ModelUpdate* update) {
-  update->rows = recompute(rows);
+/// The mirror half of an untruncated refresh. The table is symmetric
+/// (similarity.h), so update->rows are the op entities' fresh rows, and
+/// each fresh row p is mirrored into every row its old or fresh row names
+/// with a changed entry — rows recomputed here are already exact and are
+/// not mirrored into. The mirrored rows each get a stripe of their new
+/// entries for the fresh rows (ModelUpdate::mirror_cells). Returns the rows
+/// the update changes, ascending.
+std::vector<int32_t> MirrorFreshRows(const std::vector<NeighborRow>& table,
+                                     ModelUpdate* update) {
   std::vector<int32_t> changed;
-  if (!symmetric) {
-    for (const auto& [p, row] : update->rows) changed.push_back(p);
-    return changed;
-  }
-
   // slot[q]: q's stripe once the mirrored rows are numbered.
   constexpr int32_t kNone = -1, kFresh = -2, kMirrored = -3;
   std::vector<int32_t> slot(update->num_rows, kNone);
@@ -207,45 +147,105 @@ std::vector<int32_t> PrepareNeighborhoodUpdate(
   return changed;
 }
 
-/// Install recomputed rows into the table, growing it for entities
-/// interned since the model was built, then write each mirrored row's
-/// stripe into it in one forward walk (caller holds the writer lock).
-void InstallNeighborRows(std::vector<NeighborRow>* nb, ModelUpdate&& update) {
-  if (update.num_rows > nb->size()) nb->resize(update.num_rows);
+/// The matrix a model is built over, frozen to flat CSR first.
+std::shared_ptr<const RatingMatrix> Frozen(std::shared_ptr<RatingMatrix> m) {
+  m->Freeze();
+  return m;
+}
+
+}  // namespace
+
+NeighborhoodModel::NeighborhoodModel(std::shared_ptr<RatingMatrix> ratings,
+                                     CfSide side, bool centered,
+                                     const SimilarityOptions& opts)
+    : RecModel(Frozen(std::move(ratings))), side_(side), opts_(opts) {
+  opts_.centered = centered;
+  neighborhoods_ = BuildNeighborTable(*ratings_, side_, opts_);
+}
+
+double NeighborhoodModel::Similarity(int64_t a, int64_t b) const {
+  const SideView side(*ratings_, side_);
+  const auto pa = side.Index(a);
+  const auto pb = side.Index(b);
+  if (!pa || !pb || static_cast<size_t>(*pa) >= neighborhoods_.size()) {
+    return 0;
+  }
+  return neighborhoods_[*pa].Find(*pb);
+}
+
+size_t NeighborhoodModel::ApproxBytes() const {
+  size_t total = ratings_->CsrApproxBytes();
+  for (const NeighborRow& row : neighborhoods_) total += row.ApproxBytes();
+  return total;
+}
+
+size_t NeighborhoodModel::NumNeighborEntries() const {
+  size_t total = 0;
+  for (const NeighborRow& row : neighborhoods_) total += row.NumEntries();
+  return total;
+}
+
+Result<ModelUpdate> NeighborhoodModel::PrepareDeltaUpdate(
+    const std::vector<DeltaOp>& ops) const {
+  const SideView side(*ratings_, side_);
+  ModelUpdate update;
+  update.num_rows = side.num_rows();
+  if (ops.empty()) return update;
+  // Untruncated, the op entities' rows are recomputed and mirrored; a
+  // truncated table recomputes every row an op can reach and mirrors
+  // nothing.
+  const bool symmetric = opts_.top_k == 0;
+  update.rows = BuildNeighborRows(
+      *ratings_, side_, opts_,
+      symmetric ? OpRows(side, ops) : TouchedRows(side, ops));
+  std::vector<int32_t> changed;
+  if (symmetric) {
+    changed = MirrorFreshRows(neighborhoods_, &update);
+  } else {
+    for (const auto& [p, row] : update.rows) changed.push_back(p);
+  }
+  // The commit evicts the cached scores of the changed rows' entities.
+  std::vector<int64_t>& stale =
+      side_ == CfSide::kItem ? update.stale_items : update.stale_users;
+  stale.reserve(changed.size());
+  for (int32_t idx : changed) stale.push_back(side.IdAt(idx));
+  return update;
+}
+
+/// Install the recomputed rows, growing the table for entities interned
+/// since the model was built, then write each mirrored row's stripe into
+/// it in one forward walk (caller holds the writer lock).
+void NeighborhoodModel::ApplyDeltaUpdate(ModelUpdate&& update) {
+  if (update.num_rows > neighborhoods_.size()) {
+    neighborhoods_.resize(update.num_rows);
+  }
   std::vector<int32_t> fresh;
   fresh.reserve(update.rows.size());
   for (auto& [idx, row] : update.rows) {
-    RECDB_DCHECK(idx >= 0 && static_cast<size_t>(idx) < nb->size());
-    (*nb)[idx] = std::move(row);
+    RECDB_DCHECK(idx >= 0 && static_cast<size_t>(idx) < neighborhoods_.size());
+    neighborhoods_[idx] = std::move(row);
     fresh.push_back(idx);
   }
   const std::span<const float> cells = update.mirror_cells;
   for (size_t s = 0; s < update.mirror_rows.size(); ++s) {
-    (*nb)[update.mirror_rows[s]].SetEntries(
+    neighborhoods_[update.mirror_rows[s]].SetEntries(
         fresh, cells.subspan(s * fresh.size(), fresh.size()));
   }
   obs::Count(obs::Counter::kIngestRowUpdates, fresh.size());
 }
 
-}  // namespace
-
-ItemCFModel::ItemCFModel(std::shared_ptr<const RatingMatrix> ratings,
-                         bool centered, const SimilarityOptions& opts,
-                         std::vector<NeighborRow> neighborhoods)
-    : RecModel(std::move(ratings)),
-      centered_(centered),
-      opts_(opts),
-      neighborhoods_(std::move(neighborhoods)) {}
-
 std::unique_ptr<ItemCFModel> ItemCFModel::Build(
     std::shared_ptr<RatingMatrix> ratings, bool centered,
     const SimilarityOptions& opts) {
-  SimilarityOptions o = opts;
-  o.centered = centered;
-  ratings->Freeze();
-  auto neighborhoods = BuildItemNeighborhoods(*ratings, o);
-  return std::unique_ptr<ItemCFModel>(new ItemCFModel(
-      std::move(ratings), centered, o, std::move(neighborhoods)));
+  return std::unique_ptr<ItemCFModel>(
+      new ItemCFModel(std::move(ratings), centered, opts));
+}
+
+std::unique_ptr<UserCFModel> UserCFModel::Build(
+    std::shared_ptr<RatingMatrix> ratings, bool centered,
+    const SimilarityOptions& opts) {
+  return std::unique_ptr<UserCFModel>(
+      new UserCFModel(std::move(ratings), centered, opts));
 }
 
 void ItemCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
@@ -314,66 +314,6 @@ void ItemCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
     const size_t at = static_cast<size_t>(items[c] - lo);
     out[c] = den[at] == 0 ? 0 : num[at] / den[at];
   }
-}
-
-double ItemCFModel::Similarity(int64_t item_a, int64_t item_b) const {
-  auto a = ratings_->ItemIndex(item_a);
-  auto b = ratings_->ItemIndex(item_b);
-  if (!a || !b) return 0;
-  return SimilarityLookup(neighborhoods_, *a, *b);
-}
-
-size_t ItemCFModel::ApproxBytes() const {
-  return NeighborhoodBytes(neighborhoods_) +
-         ratings_->CsrApproxBytes();
-}
-
-size_t ItemCFModel::NumNeighborEntries() const {
-  return NeighborhoodEntries(neighborhoods_);
-}
-
-Result<ModelUpdate> ItemCFModel::PrepareDeltaUpdate(
-    const std::vector<DeltaOp>& ops) const {
-  ModelUpdate update;
-  update.num_rows = ratings_->NumItems();
-  if (ops.empty()) return update;
-  const bool symmetric = opts_.top_k == 0;
-  const std::vector<int32_t> changed = PrepareNeighborhoodUpdate(
-      neighborhoods_, symmetric,
-      symmetric ? OpRows(ops, &DeltaOp::item_idx)
-                : TouchedItemRows(*ratings_, ops),
-      [&](const std::vector<int32_t>& rows) {
-        return RecomputeItemNeighborhoodRows(*ratings_, opts_, rows);
-      },
-      &update);
-  update.stale_items.reserve(changed.size());
-  for (int32_t idx : changed) {
-    update.stale_items.push_back(ratings_->ItemIdAt(idx));
-  }
-  return update;
-}
-
-void ItemCFModel::ApplyDeltaUpdate(ModelUpdate&& update) {
-  InstallNeighborRows(&neighborhoods_, std::move(update));
-}
-
-UserCFModel::UserCFModel(std::shared_ptr<const RatingMatrix> ratings,
-                         bool centered, const SimilarityOptions& opts,
-                         std::vector<NeighborRow> neighborhoods)
-    : RecModel(std::move(ratings)),
-      centered_(centered),
-      opts_(opts),
-      neighborhoods_(std::move(neighborhoods)) {}
-
-std::unique_ptr<UserCFModel> UserCFModel::Build(
-    std::shared_ptr<RatingMatrix> ratings, bool centered,
-    const SimilarityOptions& opts) {
-  SimilarityOptions o = opts;
-  o.centered = centered;
-  ratings->Freeze();
-  auto neighborhoods = BuildUserNeighborhoods(*ratings, o);
-  return std::unique_ptr<UserCFModel>(new UserCFModel(
-      std::move(ratings), centered, o, std::move(neighborhoods)));
 }
 
 void UserCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
@@ -448,47 +388,6 @@ void UserCFModel::DoPredictBatch(int32_t u, std::span<const int32_t> items,
     }
     out[c] = den == 0 ? 0 : num / den;
   }
-}
-
-double UserCFModel::Similarity(int64_t user_a, int64_t user_b) const {
-  auto a = ratings_->UserIndex(user_a);
-  auto b = ratings_->UserIndex(user_b);
-  if (!a || !b) return 0;
-  return SimilarityLookup(neighborhoods_, *a, *b);
-}
-
-size_t UserCFModel::ApproxBytes() const {
-  return NeighborhoodBytes(neighborhoods_) +
-         ratings_->CsrApproxBytes();
-}
-
-size_t UserCFModel::NumNeighborEntries() const {
-  return NeighborhoodEntries(neighborhoods_);
-}
-
-Result<ModelUpdate> UserCFModel::PrepareDeltaUpdate(
-    const std::vector<DeltaOp>& ops) const {
-  ModelUpdate update;
-  update.num_rows = ratings_->NumUsers();
-  if (ops.empty()) return update;
-  const bool symmetric = opts_.top_k == 0;
-  const std::vector<int32_t> changed = PrepareNeighborhoodUpdate(
-      neighborhoods_, symmetric,
-      symmetric ? OpRows(ops, &DeltaOp::user_idx)
-                : TouchedUserRows(*ratings_, ops),
-      [&](const std::vector<int32_t>& rows) {
-        return RecomputeUserNeighborhoodRows(*ratings_, opts_, rows);
-      },
-      &update);
-  update.stale_users.reserve(changed.size());
-  for (int32_t idx : changed) {
-    update.stale_users.push_back(ratings_->UserIdAt(idx));
-  }
-  return update;
-}
-
-void UserCFModel::ApplyDeltaUpdate(ModelUpdate&& update) {
-  InstallNeighborRows(&neighborhoods_, std::move(update));
 }
 
 }  // namespace recdb

@@ -5,10 +5,12 @@
 // user's ratings over the intersection of the item's neighborhood and the
 // user's rated items, normalized by Σ|sim|. UserCFModel is the symmetric
 // user-user variant (paper Section IV-A.2). Both store their table as one
-// NeighborRow per entity (neighbor_row.h).
+// NeighborRow per entity (neighbor_row.h), built, refreshed and read by one
+// body (NeighborhoodModel); each adds only its Eq. (2) kernel.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "recommender/model.h"
@@ -16,7 +18,51 @@
 
 namespace recdb {
 
-class ItemCFModel : public RecModel {
+/// One neighborhood table over one side of the matrix: the build, the
+/// refresh and the lookups ItemCF and UserCF share.
+class NeighborhoodModel : public RecModel {
+ public:
+  /// Similarity of two entities of the table's side by external id (0 when
+  /// either is unknown or the pair is not in the neighborhood list). A walk
+  /// of the index-sorted row: an inspection aid, not on any query path.
+  double Similarity(int64_t a, int64_t b) const;
+
+  /// The neighborhood row of an entity (dense indices), test/inspection aid.
+  const NeighborRow& NeighborhoodAt(int32_t idx) const {
+    return neighborhoods_[idx];
+  }
+  /// The whole table, [idx]: what the scoring kernels walk.
+  std::span<const NeighborRow> neighborhoods() const { return neighborhoods_; }
+
+  size_t ApproxBytes() const override;
+
+  /// Total neighbor entries across all lists (model-size ablations).
+  size_t NumNeighborEntries() const;
+
+  /// Incremental maintenance, bit-identical to a full rebuild: both build
+  /// their rows through BuildNeighborRows. A rating op changes only its
+  /// entity's vector on this side. Untruncated (top_k == 0), the refresh
+  /// recomputes the op entities' rows and mirrors each one's entries into
+  /// its neighbors' rows (ModelUpdate::mirror_rows). A truncated row can
+  /// change whenever any sim in it moves, so top_k > 0 recomputes every row
+  /// an op can reach: the op's entity, every entity sharing a dimension
+  /// with it, and every entity of the op's dimension.
+  bool SupportsIncrementalUpdate() const override { return true; }
+  Result<ModelUpdate> PrepareDeltaUpdate(
+      const std::vector<DeltaOp>& ops) const override;
+  void ApplyDeltaUpdate(ModelUpdate&& update) override;
+
+ protected:
+  /// Freezes `ratings` and builds every row of `side`'s table.
+  NeighborhoodModel(std::shared_ptr<RatingMatrix> ratings, CfSide side,
+                    bool centered, const SimilarityOptions& opts);
+
+  CfSide side_;
+  SimilarityOptions opts_;  // as resolved at build time (centered included)
+  std::vector<NeighborRow> neighborhoods_;  // [side index]
+};
+
+class ItemCFModel : public NeighborhoodModel {
  public:
   /// Build from a ratings snapshot (frozen to flat CSR as a side effect).
   /// `centered` selects Pearson (ItemPearCF) vs plain cosine (ItemCosCF).
@@ -25,37 +71,9 @@ class ItemCFModel : public RecModel {
       const SimilarityOptions& opts = {});
 
   RecAlgorithm algorithm() const override {
-    return centered_ ? RecAlgorithm::kItemPearCF : RecAlgorithm::kItemCosCF;
+    return opts_.centered ? RecAlgorithm::kItemPearCF
+                          : RecAlgorithm::kItemCosCF;
   }
-
-  /// Similarity of two items by external id (0 when either is unknown or
-  /// the pair is not in the neighborhood list). A binary search of the
-  /// index-sorted row: an inspection aid, not on any query path.
-  double Similarity(int64_t item_a, int64_t item_b) const;
-
-  /// The neighborhood row of an item (dense indices), test/inspection aid.
-  const NeighborRow& NeighborhoodAt(int32_t item_idx) const {
-    return neighborhoods_[item_idx];
-  }
-  /// The whole table, [item_idx]: what the scoring kernel walks.
-  std::span<const NeighborRow> neighborhoods() const { return neighborhoods_; }
-
-  size_t ApproxBytes() const override;
-
-  /// Total neighbor entries across all lists (model-size ablations).
-  size_t NumNeighborEntries() const;
-
-  /// Incremental maintenance, bit-identical to a full rebuild. A rating op
-  /// changes only its item's vector. Untruncated (top_k == 0), the refresh
-  /// recomputes the op items' rows and mirrors each one's entries into its
-  /// neighbors' rows (ModelUpdate::mirror_rows). A truncated row can change
-  /// whenever any sim in it moves, so top_k > 0 recomputes every row an op
-  /// can reach: the op's item, every item sharing a rater with it, and the
-  /// op user's rated items.
-  bool SupportsIncrementalUpdate() const override { return true; }
-  Result<ModelUpdate> PrepareDeltaUpdate(
-      const std::vector<DeltaOp>& ops) const override;
-  void ApplyDeltaUpdate(ModelUpdate&& update) override;
 
  protected:
   /// Eq. (2) for every candidate, each candidate's sum taken over the
@@ -70,41 +88,21 @@ class ItemCFModel : public RecModel {
                       std::span<double> out) const override;
 
  private:
-  ItemCFModel(std::shared_ptr<const RatingMatrix> ratings, bool centered,
-              const SimilarityOptions& opts,
-              std::vector<NeighborRow> neighborhoods);
-
-  bool centered_;
-  SimilarityOptions opts_;  // as resolved at build time (centered included)
-  std::vector<NeighborRow> neighborhoods_;  // [item_idx]
+  ItemCFModel(std::shared_ptr<RatingMatrix> ratings, bool centered,
+              const SimilarityOptions& opts)
+      : NeighborhoodModel(std::move(ratings), CfSide::kItem, centered, opts) {}
 };
 
-class UserCFModel : public RecModel {
+class UserCFModel : public NeighborhoodModel {
  public:
   static std::unique_ptr<UserCFModel> Build(
       std::shared_ptr<RatingMatrix> ratings, bool centered,
       const SimilarityOptions& opts = {});
 
   RecAlgorithm algorithm() const override {
-    return centered_ ? RecAlgorithm::kUserPearCF : RecAlgorithm::kUserCosCF;
+    return opts_.centered ? RecAlgorithm::kUserPearCF
+                          : RecAlgorithm::kUserCosCF;
   }
-
-  double Similarity(int64_t user_a, int64_t user_b) const;
-
-  const NeighborRow& NeighborhoodAt(int32_t user_idx) const {
-    return neighborhoods_[user_idx];
-  }
-
-  size_t ApproxBytes() const override;
-  size_t NumNeighborEntries() const;
-
-  /// User-side counterpart of ItemCFModel::PrepareDeltaUpdate: untruncated,
-  /// the op users' rows are recomputed and mirrored into their co-rating
-  /// users' rows.
-  bool SupportsIncrementalUpdate() const override { return true; }
-  Result<ModelUpdate> PrepareDeltaUpdate(
-      const std::vector<DeltaOp>& ops) const override;
-  void ApplyDeltaUpdate(ModelUpdate&& update) override;
 
  protected:
   /// Eq. (2) over the user side, each candidate's sum taken over its
@@ -118,13 +116,9 @@ class UserCFModel : public RecModel {
                       std::span<double> out) const override;
 
  private:
-  UserCFModel(std::shared_ptr<const RatingMatrix> ratings, bool centered,
-              const SimilarityOptions& opts,
-              std::vector<NeighborRow> neighborhoods);
-
-  bool centered_;
-  SimilarityOptions opts_;  // as resolved at build time (centered included)
-  std::vector<NeighborRow> neighborhoods_;  // [user_idx]
+  UserCFModel(std::shared_ptr<RatingMatrix> ratings, bool centered,
+              const SimilarityOptions& opts)
+      : NeighborhoodModel(std::move(ratings), CfSide::kUser, centered, opts) {}
 };
 
 }  // namespace recdb

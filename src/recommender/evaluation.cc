@@ -16,24 +16,6 @@ uint64_t SplitHash(int64_t u, int64_t i) {
   return h;
 }
 
-std::unique_ptr<RecModel> BuildModel(std::shared_ptr<RatingMatrix> train,
-                                     RecAlgorithm algo,
-                                     const EvalOptions& options) {
-  switch (algo) {
-    case RecAlgorithm::kItemCosCF:
-      return ItemCFModel::Build(train, false, options.sim_opts);
-    case RecAlgorithm::kItemPearCF:
-      return ItemCFModel::Build(train, true, options.sim_opts);
-    case RecAlgorithm::kUserCosCF:
-      return UserCFModel::Build(train, false, options.sim_opts);
-    case RecAlgorithm::kUserPearCF:
-      return UserCFModel::Build(train, true, options.sim_opts);
-    case RecAlgorithm::kSVD:
-      return SvdModel::Build(train, options.svd_opts);
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 Result<EvalResult> EvaluateAlgorithm(const RatingMatrix& full,
@@ -68,7 +50,8 @@ Result<EvalResult> EvaluateAlgorithm(const RatingMatrix& full,
     return Status::InvalidArgument("degenerate train/test split");
   }
 
-  auto model = BuildModel(train, algo, options);
+  auto model =
+      BuildRecModel(algo, train, options.sim_opts, options.svd_opts);
   if (model == nullptr) return Status::Internal("model build failed");
 
   EvalResult result;

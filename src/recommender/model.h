@@ -18,6 +18,8 @@
 
 namespace recdb {
 
+struct SvdOptions;
+
 /// Incremental model maintenance payload: the rows a model must replace to
 /// become equivalent to a full rebuild over the matrix's merged contents.
 /// Produced by PrepareDeltaUpdate (read-only, so it can run off the writer
@@ -189,5 +191,12 @@ class RecModel {
 
   std::shared_ptr<const RatingMatrix> ratings_;
 };
+
+/// The one algorithm-to-model factory: train `algorithm` over `ratings`
+/// (frozen to flat CSR first). CF reads `sim_opts`, SVD `svd_opts`.
+std::unique_ptr<RecModel> BuildRecModel(RecAlgorithm algorithm,
+                                        std::shared_ptr<RatingMatrix> ratings,
+                                        const SimilarityOptions& sim_opts,
+                                        const SvdOptions& svd_opts);
 
 }  // namespace recdb

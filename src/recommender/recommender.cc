@@ -8,32 +8,6 @@
 
 namespace recdb {
 
-namespace {
-
-std::unique_ptr<RecModel> BuildModel(RecAlgorithm algorithm,
-                                     std::shared_ptr<RatingMatrix> matrix,
-                                     const RecommenderConfig& config) {
-  switch (algorithm) {
-    case RecAlgorithm::kItemCosCF:
-      return ItemCFModel::Build(std::move(matrix), /*centered=*/false,
-                                config.sim_opts);
-    case RecAlgorithm::kItemPearCF:
-      return ItemCFModel::Build(std::move(matrix), /*centered=*/true,
-                                config.sim_opts);
-    case RecAlgorithm::kUserCosCF:
-      return UserCFModel::Build(std::move(matrix), /*centered=*/false,
-                                config.sim_opts);
-    case RecAlgorithm::kUserPearCF:
-      return UserCFModel::Build(std::move(matrix), /*centered=*/true,
-                                config.sim_opts);
-    case RecAlgorithm::kSVD:
-      return SvdModel::Build(std::move(matrix), config.svd_opts);
-  }
-  return nullptr;
-}
-
-}  // namespace
-
 void Recommender::AddRating(int64_t user_id, int64_t item_id, double rating) {
   const size_t delta_before = matrix_->delta_size();
   RatingChange change = matrix_->Add(user_id, item_id, rating);
@@ -136,7 +110,8 @@ Result<double> Recommender::Build() {
   const size_t delta_cleared = matrix_->delta_size();
   matrix_->Freeze();
   std::unique_ptr<RecModel> model =
-      BuildModel(config_.algorithm, matrix_, config_);
+      BuildRecModel(config_.algorithm, matrix_, config_.sim_opts,
+                    config_.svd_opts);
   if (model == nullptr) {
     return Status::Internal("model construction failed for " + config_.name);
   }
@@ -191,7 +166,8 @@ bool Recommender::CommitRefresh(RefreshPlan&& plan) {
       pairs.insert(pairs.end(), erased.begin(), erased.end());
     }
     std::unique_ptr<RecModel> rebuilt =
-        BuildModel(config_.algorithm, matrix_, config_);
+        BuildRecModel(config_.algorithm, matrix_, config_.sim_opts,
+                    config_.svd_opts);
     if (rebuilt != nullptr) model_ = std::move(rebuilt);
     obs::Count(obs::Counter::kIngestFullRebuilds);
     obs::Count(obs::Counter::kModelBuilds);

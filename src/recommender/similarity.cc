@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <numeric>
 
-#include "common/status.h"
 #include "common/task_scheduler.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
@@ -14,22 +14,19 @@ namespace recdb {
 namespace {
 
 /// Neighbor selection for one output row: filter, then optionally trim to
-/// the top-k by |sim|. Candidates are visited in ascending neighbor index
-/// and appended in that order, so the row needs no sort. Shared between
-/// the full build and per-row recompute so the two paths cannot drift —
-/// the delta path's bit-identity guarantee depends on this being the same
-/// code.
-template <typename DotFn, typename OverlapFn>
-NeighborRow SelectRow(size_t p, size_t n, const std::vector<double>& norms,
-                      const SimilarityOptions& opts, DotFn dot_at,
-                      OverlapFn overlap_at) {
-  const bool need_overlap = opts.min_overlap > 1;
+/// the top-k by |sim|. `dot[q]` is the row's float dot with q (0 for q =
+/// p), `overlap[q]` its co-rated dimension count (null when min_overlap
+/// <= 1). Candidates are visited in ascending neighbor index and appended
+/// in that order, so the row needs no sort.
+NeighborRow SelectRow(size_t p, const std::vector<double>& norms,
+                      const SimilarityOptions& opts, const float* dot,
+                      const int32_t* overlap) {
+  const size_t n = norms.size();
   // sim(p, q), or 0 when the pair is filtered out.
   auto sim_at = [&](size_t q) -> float {
-    if (p == q) return 0.0f;
-    const float d = dot_at(q);
+    const float d = dot[q];
     if (d == 0.0f) return 0.0f;
-    if (need_overlap && overlap_at(q) < opts.min_overlap) return 0.0f;
+    if (overlap != nullptr && overlap[q] < opts.min_overlap) return 0.0f;
     const double denom = norms[p] * norms[q];
     if (denom <= 0) return 0.0f;
     return static_cast<float>(d / denom);
@@ -86,13 +83,10 @@ struct Occurrence {
   uint32_t pos;
 };
 
-/// The serial prologue both builds share. Vectors are items (dimensions =
-/// users, read through UserCsrRow) for item-based CF and users (dimensions
-/// = items) for user-based. `val` holds every dimension row's (possibly
-/// centered) values, flat and parallel to the row views' idx arrays;
-/// norms accumulate per entry in ascending dimension order; occ[r] lists
-/// where row r occurs, in that same order — for `wanted` rows only when a
-/// mask is given.
+/// The serial prologue of a build. `val` holds every dimension row's
+/// (possibly centered) values, flat and parallel to the row views' idx
+/// arrays; norms accumulate per entry in ascending dimension order; occ[r]
+/// lists where a `wanted` row r occurs, in that same order.
 struct Dimensions {
   std::vector<CsrRow> rows;
   std::vector<size_t> off;
@@ -104,16 +98,15 @@ struct Dimensions {
   const double* values(size_t d) const { return val.data() + off[d]; }
 };
 
-Dimensions CenterDimensions(const RatingMatrix& m, bool item_based,
+Dimensions CenterDimensions(const SideView& side,
                             const SimilarityOptions& opts,
-                            const std::vector<char>* wanted) {
-  const size_t n = item_based ? m.NumItems() : m.NumUsers();
-  const size_t num_dims = item_based ? m.NumUsers() : m.NumItems();
+                            const std::vector<char>& wanted) {
+  const size_t n = side.num_rows();
+  const size_t num_dims = side.num_dims();
   std::vector<double> means(n, 0.0);
   if (opts.centered) {
     for (size_t v = 0; v < n; ++v) {
-      const int32_t vi = static_cast<int32_t>(v);
-      means[v] = item_based ? m.ItemMean(vi) : m.UserMean(vi);
+      means[v] = side.Mean(static_cast<int32_t>(v));
     }
   }
   Dimensions dims;
@@ -121,8 +114,7 @@ Dimensions CenterDimensions(const RatingMatrix& m, bool item_based,
   dims.off.reserve(num_dims);
   size_t total = 0;
   for (size_t d = 0; d < num_dims; ++d) {
-    const int32_t di = static_cast<int32_t>(d);
-    dims.rows.push_back(item_based ? m.UserCsrRow(di) : m.ItemCsrRow(di));
+    dims.rows.push_back(side.Dimension(static_cast<int32_t>(d)));
     dims.off.push_back(total);
     total += dims.rows.back().n;
   }
@@ -135,7 +127,7 @@ Dimensions CenterDimensions(const RatingMatrix& m, bool item_based,
     for (size_t k = 0; k < row.n; ++k) {
       const int32_t e = row.idx[k];
       const double v = row.rating[k] - (opts.centered ? means[e] : 0.0);
-      if (wanted == nullptr || (*wanted)[e]) {
+      if (wanted[e]) {
         dims.occ[e].push_back(
             Occurrence{static_cast<uint32_t>(d), static_cast<uint32_t>(k)});
       }
@@ -147,83 +139,38 @@ Dimensions CenterDimensions(const RatingMatrix& m, bool item_based,
   return dims;
 }
 
-/// Sparse co-occurrence accumulation.
-///
-/// Each vector (item for item-based CF, user for user-based) is compared
-/// with every other over the dimensions they share. For every dimension we
-/// accumulate all pairwise products into a dense dot-product matrix, then
-/// normalize by vector norms — one pass over Σ_d nnz(d)² products, the
-/// standard way to build full similarity lists. Dimension rows are read
-/// through the matrix's row views; only their centered values are copied.
-///
-/// The Σ_d nnz(d)² pass is morsel-parallel over *output rows*: entries
-/// within a dimension are idx-sorted, so every product of dimension d lands
-/// in row min(ea.idx, eb.idx) and each worker owns a disjoint row range —
-/// no write conflicts. The serial prologue builds the per-row occurrence
-/// lists in ascending dimension order, so each cell accumulates its float
-/// products in exactly the serial order and the result is bit-identical
-/// under any thread count.
-std::vector<NeighborRow> BuildNeighborhoods(
-    const RatingMatrix& m, bool item_based, const SimilarityOptions& opts) {
-  Stopwatch watch;
-  const Dimensions dims = CenterDimensions(m, item_based, opts, nullptr);
-  const size_t n = dims.num_vectors();
-  // Dense accumulators. n is at most a few thousand for the paper's
-  // datasets; n^2 floats stay well under typical memory budgets.
-  std::vector<float> dot(n * n, 0.0f);
-  std::vector<int32_t> overlap;
-  const bool need_overlap = opts.min_overlap > 1;
-  if (need_overlap) overlap.assign(n * n, 0);
-
-  TaskScheduler& sched = TaskScheduler::Global();
-  const size_t row_morsel =
-      std::clamp<size_t>(n / (sched.num_threads() * 8), 8, 1024);
-  sched.ParallelFor(n, row_morsel, [&](size_t begin, size_t end) {
-    for (size_t r = begin; r < end; ++r) {
-      float* row = dot.data() + r * n;
-      for (const Occurrence& o : dims.occ[r]) {
-        const CsrRow& dim = dims.rows[o.dim];
-        const double* val = dims.values(o.dim);
-        const double va = val[o.pos];
-        for (size_t b = o.pos + 1; b < dim.n; ++b) {
-          row[dim.idx[b]] += static_cast<float>(va * val[b]);
-          if (need_overlap) overlap[r * n + dim.idx[b]]++;
-        }
-      }
-    }
-  });
-
-  // Per-row neighbor lists are independent: parallel over rows, each row's
-  // sort and top-k trim identical to the serial computation.
-  std::vector<NeighborRow> result(n);
-  sched.ParallelFor(n, row_morsel, [&](size_t begin, size_t end) {
-    for (size_t p = begin; p < end; ++p) {
-      result[p] = SelectRow(
-          p, n, dims.norms, opts,
-          [&](size_t q) { return dot[p < q ? p * n + q : q * n + p]; },
-          [&](size_t q) {
-            return overlap[p < q ? p * n + q : q * n + p];
-          });
-    }
-  });
-  obs::ObserveUs(obs::Histogram::kModelNeighborhoodUs,
-                 static_cast<uint64_t>(watch.ElapsedSeconds() * 1e6));
-  return result;
+/// dot[idx[b]] += float(vp * val[b]) for b in [begin, end), four entries
+/// a step. A dimension's indices are distinct, so a step's four cells are
+/// distinct and each cell still gets its terms in dimension order.
+void AddProducts(float* dot, const int32_t* idx, const double* val,
+                 double vp, size_t begin, size_t end) {
+  size_t b = begin;
+  for (; b + 4 <= end; b += 4) {
+    const float t0 = static_cast<float>(vp * val[b]);
+    const float t1 = static_cast<float>(vp * val[b + 1]);
+    const float t2 = static_cast<float>(vp * val[b + 2]);
+    const float t3 = static_cast<float>(vp * val[b + 3]);
+    dot[idx[b]] += t0;
+    dot[idx[b + 1]] += t1;
+    dot[idx[b + 2]] += t2;
+    dot[idx[b + 3]] += t3;
+  }
+  for (; b < end; ++b) dot[idx[b]] += static_cast<float>(vp * val[b]);
 }
 
-/// Recompute a subset of output rows over the same matrix a full
-/// BuildNeighborhoods would see. For a pair (p, q) the full build
-/// accumulates float(v_min * v_max) into the min-row cell once per shared
-/// dimension, visiting dimensions in ascending order; here we accumulate
-/// float(v_p * v_q) into a dense per-row buffer while walking p's
-/// occurrences in the same ascending-dimension order. The double multiply
-/// is commutative, so each cell sees the identical float sequence and the
-/// recomputed row is bit-identical to the full build's.
-std::vector<std::pair<int32_t, NeighborRow>> RecomputeRows(
-    const RatingMatrix& m, bool item_based, const SimilarityOptions& opts,
+}  // namespace
+
+/// Row p walks its occurrences in ascending dimension order and adds
+/// float(v_p * v_q) for every other entry q of each dimension into a dense
+/// per-row buffer; a pair's cell in row q gets float(v_q * v_p), the same
+/// products (the double multiply commutes) in the same order. Rows are
+/// independent, so the build is morsel-parallel over rows, and each row's
+/// floats are the serial ones under any thread count.
+std::vector<std::pair<int32_t, NeighborRow>> BuildNeighborRows(
+    const RatingMatrix& ratings, CfSide side, const SimilarityOptions& opts,
     const std::vector<int32_t>& rows) {
-  const size_t n = item_based ? m.NumItems() : m.NumUsers();
-  const bool need_overlap = opts.min_overlap > 1;
+  const SideView view(ratings, side);
+  const size_t n = view.num_rows();
   std::vector<char> wanted(n, 0);
   std::vector<int32_t> targets;
   targets.reserve(rows.size());
@@ -236,7 +183,8 @@ std::vector<std::pair<int32_t, NeighborRow>> RecomputeRows(
   std::sort(targets.begin(), targets.end());
   // Norms are needed for every vector, not just targets — sim(p, q)
   // divides by both.
-  const Dimensions dims = CenterDimensions(m, item_based, opts, &wanted);
+  const Dimensions dims = CenterDimensions(view, opts, wanted);
+  const bool need_overlap = opts.min_overlap > 1;
 
   std::vector<std::pair<int32_t, NeighborRow>> result(targets.size());
   TaskScheduler& sched = TaskScheduler::Global();
@@ -244,63 +192,43 @@ std::vector<std::pair<int32_t, NeighborRow>> RecomputeRows(
       std::clamp<size_t>(targets.size() / (sched.num_threads() * 4), 1, 256);
   sched.ParallelFor(targets.size(), row_morsel,
                     [&](size_t begin, size_t end) {
-    std::vector<float> acc(n, 0.0f);
-    std::vector<int32_t> ov;
-    if (need_overlap) ov.assign(n, 0);
+    std::vector<float> dot(n, 0.0f);
+    std::vector<int32_t> overlap(need_overlap ? n : 0, 0);
     for (size_t t = begin; t < end; ++t) {
       const size_t p = static_cast<size_t>(targets[t]);
       for (const Occurrence& o : dims.occ[p]) {
         const CsrRow& dim = dims.rows[o.dim];
         const double* val = dims.values(o.dim);
         const double vp = val[o.pos];
-        for (size_t b = 0; b < dim.n; ++b) {
-          if (b == o.pos) continue;
-          acc[dim.idx[b]] += static_cast<float>(vp * val[b]);
-          if (need_overlap) ov[dim.idx[b]]++;
+        // Every entry but p's own, as two loops with no test inside.
+        AddProducts(dot.data(), dim.idx, val, vp, 0, o.pos);
+        AddProducts(dot.data(), dim.idx, val, vp, o.pos + 1, dim.n);
+        if (need_overlap) {
+          for (size_t b = 0; b < dim.n; ++b) ++overlap[dim.idx[b]];
         }
       }
       result[t] = {targets[t],
-                   SelectRow(
-                       p, n, dims.norms, opts,
-                       [&](size_t q) { return acc[q]; },
-                       [&](size_t q) { return ov[q]; })};
-      // Reset only what this row touched before the buffer is reused.
-      for (const Occurrence& o : dims.occ[p]) {
-        const CsrRow& dim = dims.rows[o.dim];
-        for (size_t b = 0; b < dim.n; ++b) {
-          acc[dim.idx[b]] = 0.0f;
-          if (need_overlap) ov[dim.idx[b]] = 0;
-        }
-      }
+                   SelectRow(p, dims.norms, opts, dot.data(),
+                             need_overlap ? overlap.data() : nullptr)};
+      std::fill(dot.begin(), dot.end(), 0.0f);
+      std::fill(overlap.begin(), overlap.end(), 0);
     }
   });
   return result;
 }
 
-}  // namespace
-
-std::vector<NeighborRow> BuildItemNeighborhoods(
-    const RatingMatrix& ratings, const SimilarityOptions& opts) {
-  return BuildNeighborhoods(ratings, /*item_based=*/true, opts);
-}
-
-std::vector<NeighborRow> BuildUserNeighborhoods(
-    const RatingMatrix& ratings, const SimilarityOptions& opts) {
-  return BuildNeighborhoods(ratings, /*item_based=*/false, opts);
-}
-
-std::vector<std::pair<int32_t, NeighborRow>>
-RecomputeItemNeighborhoodRows(const RatingMatrix& ratings,
-                              const SimilarityOptions& opts,
-                              const std::vector<int32_t>& rows) {
-  return RecomputeRows(ratings, /*item_based=*/true, opts, rows);
-}
-
-std::vector<std::pair<int32_t, NeighborRow>>
-RecomputeUserNeighborhoodRows(const RatingMatrix& ratings,
-                              const SimilarityOptions& opts,
-                              const std::vector<int32_t>& rows) {
-  return RecomputeRows(ratings, /*item_based=*/false, opts, rows);
+std::vector<NeighborRow> BuildNeighborTable(const RatingMatrix& ratings,
+                                            CfSide side,
+                                            const SimilarityOptions& opts) {
+  Stopwatch watch;
+  std::vector<int32_t> all(SideView(ratings, side).num_rows());
+  std::iota(all.begin(), all.end(), 0);
+  auto rows = BuildNeighborRows(ratings, side, opts, all);
+  std::vector<NeighborRow> table(rows.size());
+  for (auto& [p, row] : rows) table[p] = std::move(row);
+  obs::ObserveUs(obs::Histogram::kModelNeighborhoodUs,
+                 static_cast<uint64_t>(watch.ElapsedSeconds() * 1e6));
+  return table;
 }
 
 double PairwiseCosine(const CsrRow& a, const CsrRow& b) {

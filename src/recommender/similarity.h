@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -26,40 +27,74 @@ struct SimilarityOptions {
   int32_t min_overlap = 1;
 };
 
-/// Compute per-item similarity lists (paper Item Neighborhood Table):
-/// result[i] is item i's neighbors, in ascending neighbor index.
+/// Which entities a neighborhood table's rows are: items (the paper's Item
+/// Neighborhood Table, each item a vector over its raters) or users (the
+/// User Neighborhood Table, each user a vector over its rated items).
+enum class CfSide : uint8_t { kItem, kUser };
+
+/// The matrix as one side's table reads it: the side's entities are rows,
+/// each a vector over the other side's entities, its dimensions.
+class SideView {
+ public:
+  SideView(const RatingMatrix& m, CfSide side)
+      : m_(m), items_(side == CfSide::kItem) {}
+
+  size_t num_rows() const { return items_ ? m_.NumItems() : m_.NumUsers(); }
+  size_t num_dims() const { return items_ ? m_.NumUsers() : m_.NumItems(); }
+  /// Row e's vector: (dimension, rating), ascending dimension.
+  CsrRow Vector(int32_t e) const {
+    return items_ ? m_.ItemCsrRow(e) : m_.UserCsrRow(e);
+  }
+  /// Dimension d's entries: (row, rating), ascending row.
+  CsrRow Dimension(int32_t d) const {
+    return items_ ? m_.UserCsrRow(d) : m_.ItemCsrRow(d);
+  }
+  double Mean(int32_t e) const {
+    return items_ ? m_.ItemMean(e) : m_.UserMean(e);
+  }
+  std::optional<int32_t> Index(int64_t id) const {
+    return items_ ? m_.ItemIndex(id) : m_.UserIndex(id);
+  }
+  int64_t IdAt(int32_t e) const {
+    return items_ ? m_.ItemIdAt(e) : m_.UserIdAt(e);
+  }
+  /// The row and the dimension a rating op wrote.
+  int32_t RowOf(const DeltaOp& op) const {
+    return items_ ? op.item_idx : op.user_idx;
+  }
+  int32_t DimOf(const DeltaOp& op) const {
+    return items_ ? op.user_idx : op.item_idx;
+  }
+
+ private:
+  const RatingMatrix& m_;
+  bool items_;
+};
+
+/// The one neighborhood row builder: a full build (CREATE RECOMMENDER,
+/// recovery, the router's gathered build) and a refresh both compute their
+/// rows here. Row p accumulates float(v_p · v_q) for every q, walking p's
+/// dimensions in ascending order, then divides by norms[p] · norms[q].
+/// Each returned pair is (row index, row), ascending; `rows` may repeat an
+/// index or name one past the matrix (ignored), and may name rows past the
+/// caller's current table (new entities).
 ///
 /// An untruncated table (top_k == 0) is symmetric bit for bit: row p holds
-/// (q, s) exactly when row q holds (p, s). Both cells read the one float
-/// dot the build accumulates per pair and divide it by norms[p] * norms[q],
-/// a commutative double product. Eq. (2) accumulation over the table is
-/// therefore order-exact when transposed (see ItemCFModel), and a rating
-/// op on entity i changes only row i and i's entry in other rows.
-std::vector<NeighborRow> BuildItemNeighborhoods(
-    const RatingMatrix& ratings, const SimilarityOptions& opts);
+/// (q, s) exactly when row q holds (p, s). Both rows accumulate the same
+/// products in the same ascending-dimension order (the double multiply
+/// commutes) and divide by the same commutative double product of norms.
+/// Eq. (2) accumulation over the table is therefore order-exact when
+/// transposed (see ItemCFModel), and a rating op on entity i changes only
+/// row i and i's entry in other rows.
+std::vector<std::pair<int32_t, NeighborRow>> BuildNeighborRows(
+    const RatingMatrix& ratings, CfSide side, const SimilarityOptions& opts,
+    const std::vector<int32_t>& rows);
 
-/// Compute per-user similarity lists (paper User Neighborhood Table).
-std::vector<NeighborRow> BuildUserNeighborhoods(
-    const RatingMatrix& ratings, const SimilarityOptions& opts);
-
-/// Recompute a subset of item-neighborhood rows against the matrix's
-/// current (merged) contents. Each returned pair is (item row index,
-/// fresh neighbor row), byte-identical to the same row of a full
-/// BuildItemNeighborhoods over the same matrix: products are accumulated
-/// in the same ascending-dimension float order and the selection/top-k
-/// logic is shared code. Pairs come back in ascending row index. Row
-/// indices may exceed the caller's current neighborhood table size (new
-/// items); indices outside the matrix are ignored.
-std::vector<std::pair<int32_t, NeighborRow>>
-RecomputeItemNeighborhoodRows(const RatingMatrix& ratings,
-                              const SimilarityOptions& opts,
-                              const std::vector<int32_t>& rows);
-
-/// User-based counterpart of RecomputeItemNeighborhoodRows.
-std::vector<std::pair<int32_t, NeighborRow>>
-RecomputeUserNeighborhoodRows(const RatingMatrix& ratings,
-                              const SimilarityOptions& opts,
-                              const std::vector<int32_t>& rows);
+/// Every row of the side's table, [row index]: BuildNeighborRows over all
+/// rows, timed into model.neighborhood_us.
+std::vector<NeighborRow> BuildNeighborTable(const RatingMatrix& ratings,
+                                            CfSide side,
+                                            const SimilarityOptions& opts);
 
 /// Pairwise similarity of two sparse rows (sorted by idx), per Eq. (1).
 /// Exposed for direct testing against hand-computed fixtures.

@@ -491,12 +491,7 @@ Result<ResultSet> ShardedRecDB::GatherCreateRecommender(
   // the canonical (uid, iid) order. The canonical order is shard-count-
   // invariant, so any fleet size trains the identical model — and a
   // single-node reference loaded in this order answers bit-identically.
-  struct GatheredRow {
-    int64_t user;
-    int64_t item;
-    double rating;
-  };
-  std::vector<GatheredRow> rows;
+  std::vector<RatingTriple> rows;
   const std::string gather_sql = "SELECT " + config.user_col + ", " +
                                  config.item_col + ", " + config.rating_col +
                                  " FROM " + config.ratings_table;
@@ -504,29 +499,24 @@ Result<ResultSet> ShardedRecDB::GatherCreateRecommender(
     RECDB_ASSIGN_OR_RETURN(ResultSet part, shards_[k]->Execute(gather_sql));
     rows.reserve(rows.size() + part.rows.size());
     for (const Tuple& t : part.rows) {
-      const Value& u = t.At(0);
-      const Value& i = t.At(1);
-      const Value& r = t.At(2);
-      if (u.is_null() || i.is_null() || r.is_null()) continue;
-      if (u.type() != TypeId::kInt64 || i.type() != TypeId::kInt64 ||
-          !r.is_numeric()) {
-        continue;
-      }
-      rows.push_back({u.AsInt(), i.AsInt(), r.AsNumeric()});
+      // The single node's row check: a type error fails the build here too.
+      RECDB_ASSIGN_OR_RETURN(auto rating,
+                             RatingFromRow(t.At(0), t.At(1), t.At(2)));
+      if (rating) rows.push_back(*rating);
     }
   }
   // stable: duplicate (uid, iid) cells keep their within-shard heap order
   // (all copies of a cell live on the owner), so last-wins matches a
   // single-node load of the same sorted stream.
   std::stable_sort(rows.begin(), rows.end(),
-                   [](const GatheredRow& a, const GatheredRow& b) {
+                   [](const RatingTriple& a, const RatingTriple& b) {
                      if (a.user != b.user) return a.user < b.user;
                      return a.item < b.item;
                    });
 
   // Build once; every shard registers the same recommender.
   auto matrix = std::make_shared<RatingMatrix>();
-  for (const GatheredRow& row : rows) {
+  for (const RatingTriple& row : rows) {
     matrix->Add(row.user, row.item, row.rating);
   }
   auto rec = std::make_shared<Recommender>(std::move(config));

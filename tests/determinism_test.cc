@@ -545,14 +545,14 @@ TEST(ParallelDeterminismTest, NeighborhoodsBitIdenticalAcrossThreadCounts) {
   variants[2].min_overlap = 2;
   for (const auto& opts : variants) {
     TaskScheduler::SetGlobalParallelism(1);
-    auto items_serial = BuildItemNeighborhoods(m, opts);
-    auto users_serial = BuildUserNeighborhoods(m, opts);
+    auto items_serial = BuildNeighborTable(m, CfSide::kItem, opts);
+    auto users_serial = BuildNeighborTable(m, CfSide::kUser, opts);
     for (size_t threads : {2u, 8u}) {
       TaskScheduler::SetGlobalParallelism(threads);
-      ExpectNeighborhoodsEqual(BuildItemNeighborhoods(m, opts), items_serial,
-                               "item neighborhoods");
-      ExpectNeighborhoodsEqual(BuildUserNeighborhoods(m, opts), users_serial,
-                               "user neighborhoods");
+      ExpectNeighborhoodsEqual(BuildNeighborTable(m, CfSide::kItem, opts),
+                               items_serial, "item neighborhoods");
+      ExpectNeighborhoodsEqual(BuildNeighborTable(m, CfSide::kUser, opts),
+                               users_serial, "user neighborhoods");
     }
   }
 }

@@ -154,6 +154,30 @@ TEST_F(RatingsDmlTest, RebuildAfterDeletesReflectsRemovals) {
   EXPECT_FALSE(rec_->model()->ratings().Get(1, 1).has_value());
 }
 
+// Regression: a BulkInsert whose row k failed its cast left rows 0..k-1 in
+// the heap (and committed them to the WAL) without feeding them to the
+// recommenders; SQL INSERT fed its landed prefix. Both now share one
+// row-landing loop, so the matrix holds exactly the rows the table holds.
+TEST_F(RatingsDmlTest, FailedBulkInsertFeedsTheRowsItLanded) {
+  std::vector<std::vector<Value>> rows = {
+      {Value::Int(10), Value::Int(1), Value::Double(4.0)},
+      {Value::Int(11), Value::Int(1), Value::Double(3.0)},
+      {Value::String("x"), Value::Int(1), Value::Double(2.0)}};
+  EXPECT_FALSE(db_->BulkInsert("Ratings", rows).ok());
+  auto count = db_->Execute("SELECT uid FROM Ratings WHERE uid >= 10");
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(count.value().rows.size(), 2u);
+  EXPECT_EQ(rec_->live().Get(10, 1), std::optional<double>(4.0));
+  EXPECT_EQ(rec_->live().Get(11, 1), std::optional<double>(3.0));
+
+  // The SQL path lands and feeds the same prefix.
+  EXPECT_FALSE(
+      db_->Execute("INSERT INTO Ratings VALUES (12, 2, 5.0), ('y', 2, 1.0)")
+          .ok());
+  EXPECT_EQ(rec_->live().Get(12, 2), std::optional<double>(5.0));
+  EXPECT_EQ(rec_->live().NumRatings(), 9u);
+}
+
 TEST(RatingMatrixRemoveTest, RemoveBookkeeping) {
   RatingMatrix m;
   m.Add(1, 1, 4.0);

@@ -451,8 +451,8 @@ std::vector<NeighborRow> ScratchTable(const Recommender& rec) {
   opts.centered = rec.algorithm() == RecAlgorithm::kItemPearCF ||
                   rec.algorithm() == RecAlgorithm::kUserPearCF;
   return IsItemBased(rec.algorithm())
-             ? BuildItemNeighborhoods(rec.live(), opts)
-             : BuildUserNeighborhoods(rec.live(), opts);
+             ? BuildNeighborTable(rec.live(), CfSide::kItem, opts)
+             : BuildNeighborTable(rec.live(), CfSide::kUser, opts);
 }
 
 /// A neighborhood table as (neighbor, sim) pairs, one row per entity.

@@ -3,6 +3,7 @@
 // and the maintenance (rebuild-threshold) policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -681,7 +682,7 @@ TEST(SvdKernelTest, TrainedModelScoresInTheReferenceOrder) {
 
 TEST(SimilarityTest, ItemNeighborhoodsMatchPairwiseOracle) {
   auto m = Figure1Ratings();
-  auto nb = BuildItemNeighborhoods(*m, SimilarityOptions{});
+  auto nb = BuildNeighborTable(*m, CfSide::kItem, SimilarityOptions{});
   ASSERT_EQ(nb.size(), m->NumItems());
   for (size_t p = 0; p < m->NumItems(); ++p) {
     int32_t prev = -1;
@@ -750,7 +751,7 @@ TEST(SimilarityTest, CosineRangeIsBounded) {
       m.Add(u, rng.UniformInt(0, 30), rng.UniformDouble(1, 5));
     }
   }
-  auto nb = BuildItemNeighborhoods(m, SimilarityOptions{});
+  auto nb = BuildNeighborTable(m, CfSide::kItem, SimilarityOptions{});
   for (const auto& row : nb) {
     for (const auto& n : row) {
       EXPECT_LE(n.sim, 1.0 + 1e-5);
@@ -769,8 +770,8 @@ TEST(SimilarityTest, TopKTruncationKeepsStrongest) {
   }
   SimilarityOptions full, truncated;
   truncated.top_k = 3;
-  auto nb_full = BuildItemNeighborhoods(m, full);
-  auto nb_k = BuildItemNeighborhoods(m, truncated);
+  auto nb_full = BuildNeighborTable(m, CfSide::kItem, full);
+  auto nb_k = BuildNeighborTable(m, CfSide::kItem, truncated);
   for (size_t i = 0; i < nb_k.size(); ++i) {
     EXPECT_LE(nb_k[i].NumEntries(), 3u);
     if (nb_full[i].NumEntries() >= 3) {
@@ -797,10 +798,176 @@ TEST(SimilarityTest, MinOverlapFiltersThinPairs) {
   m.Add(3, 2, 2);
   SimilarityOptions opts;
   opts.min_overlap = 2;
-  auto nb = BuildItemNeighborhoods(m, opts);
+  auto nb = BuildNeighborTable(m, CfSide::kItem, opts);
   auto i0 = m.ItemIndex(0).value();
   auto i2 = m.ItemIndex(2).value();
   for (const auto& n : nb[i0]) EXPECT_NE(n.idx, i2);
+}
+
+// ------------------------------------------------------ neighborhood oracle
+
+/// Ratings r/3 + 0.1 on a 0.5-step scale: unlike integer or half-step
+/// ratings, their products do not sum exactly in float, so a builder that
+/// changed a pair's summation order would change bits. Items 30-35 copy
+/// items 0-5 and users 40-45 copy users 0-5, so many rows hold equal |sim|
+/// for different neighbors: the top-k cut lands on ties.
+std::shared_ptr<RatingMatrix> OddRatingsWithTwins() {
+  constexpr int kUsers = 40, kItems = 30, kTwins = 6;
+  std::vector<std::vector<double>> r(kUsers + kTwins,
+                                     std::vector<double>(kItems + kTwins, 0));
+  Rng rng(2024);
+  for (int u = 0; u < kUsers; ++u) {
+    for (int i = 0; i < kItems; ++i) {
+      if (rng.UniformInt(0, 99) < 45) {
+        r[u][i] = (1.0 + 0.5 * static_cast<double>(rng.UniformInt(0, 8))) / 3 +
+                  0.1;
+      }
+    }
+    for (int k = 0; k < kTwins; ++k) r[u][kItems + k] = r[u][k];
+  }
+  for (int k = 0; k < kTwins; ++k) r[kUsers + k] = r[k];
+  auto m = std::make_shared<RatingMatrix>();
+  for (size_t u = 0; u < r.size(); ++u) {
+    for (size_t i = 0; i < r[u].size(); ++i) {
+      if (r[u][i] != 0) m->Add(100 + u, 500 + i, r[u][i]);
+    }
+  }
+  return m;
+}
+
+/// A test-side reference for row p, written from the definition: for every
+/// q != p, walk the two vectors' shared dimensions in ascending order,
+/// accumulate float(v_p * v_q) in a float, and divide by the norms (each
+/// sqrt of Σ v² in ascending dimension order, in double). Pearson centers
+/// each vector by its own mean. top_k keeps the k largest |sim|, the lower
+/// index first on a tie; `*cut_tie` records a tie across the cut.
+std::vector<std::pair<int32_t, float>> OracleRow(const RatingMatrix& m,
+                                                 CfSide side,
+                                                 const SimilarityOptions& opts,
+                                                 int32_t p, bool* cut_tie) {
+  const SideView view(m, side);
+  auto value = [&](int32_t e, double rating) {
+    return rating - (opts.centered ? view.Mean(e) : 0.0);
+  };
+  auto norm = [&](int32_t e) {
+    const CsrRow v = view.Vector(e);
+    double sum = 0;
+    for (size_t k = 0; k < v.n; ++k) {
+      const double c = value(e, v.rating[k]);
+      sum += c * c;
+    }
+    return std::sqrt(sum);
+  };
+  const CsrRow a = view.Vector(p);
+  std::vector<std::pair<int32_t, float>> row;
+  for (int32_t q = 0; q < static_cast<int32_t>(view.num_rows()); ++q) {
+    if (q == p) continue;
+    const CsrRow b = view.Vector(q);
+    float dot = 0;
+    int32_t shared = 0;
+    for (size_t i = 0, j = 0; i < a.n && j < b.n;) {
+      if (a.idx[i] < b.idx[j]) {
+        ++i;
+      } else if (a.idx[i] > b.idx[j]) {
+        ++j;
+      } else {
+        dot += static_cast<float>(value(p, a.rating[i++]) *
+                                  value(q, b.rating[j++]));
+        ++shared;
+      }
+    }
+    const double denom = norm(p) * norm(q);
+    if (dot == 0 || shared < opts.min_overlap || denom <= 0) continue;
+    const float sim = static_cast<float>(dot / denom);
+    if (sim != 0) row.emplace_back(q, sim);
+  }
+  const size_t k = static_cast<size_t>(opts.top_k);
+  if (k > 0 && row.size() > k) {
+    std::stable_sort(row.begin(), row.end(), [](const auto& x, const auto& y) {
+      return std::fabs(x.second) > std::fabs(y.second);
+    });
+    *cut_tie |= std::fabs(row[k - 1].second) == std::fabs(row[k].second);
+    row.resize(k);
+    std::sort(row.begin(), row.end());
+  }
+  return row;
+}
+
+/// Every row of `model` holds exactly the oracle's neighbors, each sim the
+/// same float bits, in the canonical run form a fresh Append gives.
+void ExpectRowsMatchOracle(const NeighborhoodModel& model,
+                           const RatingMatrix& m, CfSide side,
+                           const SimilarityOptions& opts,
+                           const std::string& what, bool* cut_tie) {
+  const size_t n = SideView(m, side).num_rows();
+  ASSERT_EQ(model.neighborhoods().size(), n) << what;
+  for (size_t p = 0; p < n; ++p) {
+    const int32_t row_idx = static_cast<int32_t>(p);
+    const auto want = OracleRow(m, side, opts, row_idx, cut_tie);
+    const NeighborRow& row = model.NeighborhoodAt(row_idx);
+    std::vector<std::pair<int32_t, float>> got;
+    NeighborRow canonical;
+    for (const Neighbor nb : row) got.emplace_back(nb.idx, nb.sim);
+    for (const auto& [q, sim] : want) canonical.Append(q, sim);
+    ASSERT_EQ(got.size(), want.size()) << what << ", row " << p;
+    for (size_t c = 0; c < got.size(); ++c) {
+      EXPECT_EQ(got[c].first, want[c].first) << what << ", row " << p;
+      EXPECT_EQ(std::memcmp(&got[c].second, &want[c].second, sizeof(float)), 0)
+          << what << ", row " << p << ", neighbor " << got[c].first << ": "
+          << got[c].second << " vs oracle " << want[c].second;
+    }
+    EXPECT_TRUE(row == canonical) << what << ", row " << p;
+  }
+}
+
+TEST(SimilarityTest, EveryCfRowMatchesTheOracleBitForBit) {
+  std::vector<SimilarityOptions> variants(4);
+  variants[1].min_overlap = 3;
+  variants[2].top_k = 3;
+  variants[3].top_k = 5;
+  variants[3].min_overlap = 2;
+  const RecAlgorithm algos[] = {RecAlgorithm::kItemCosCF,
+                                RecAlgorithm::kItemPearCF,
+                                RecAlgorithm::kUserCosCF,
+                                RecAlgorithm::kUserPearCF};
+  bool cut_tie = false;
+  for (RecAlgorithm algo : algos) {
+    const CfSide side = IsItemBased(algo) ? CfSide::kItem : CfSide::kUser;
+    for (const SimilarityOptions& variant : variants) {
+      const std::string what =
+          std::string(RecAlgorithmToString(algo)) + " top_k " +
+          std::to_string(variant.top_k) + " min_overlap " +
+          std::to_string(variant.min_overlap);
+      // Full build.
+      auto m = OddRatingsWithTwins();
+      SimilarityOptions opts = variant;
+      opts.centered = algo == RecAlgorithm::kItemPearCF ||
+                      algo == RecAlgorithm::kUserPearCF;
+      auto model = BuildRecModel(algo, m, variant, SvdOptions{});
+      ExpectRowsMatchOracle(static_cast<const NeighborhoodModel&>(*model), *m,
+                            side, opts, what, &cut_tie);
+
+      // Refresh: writes that add a rating, overwrite one, remove one and
+      // intern a new user and item, then the rows the refresh installs.
+      RecommenderConfig cfg;
+      cfg.name = "oracle";
+      cfg.algorithm = algo;
+      cfg.sim_opts = variant;
+      Recommender rec(cfg);
+      rec.SeedMatrix(OddRatingsWithTwins());
+      ASSERT_TRUE(rec.Build().ok());
+      rec.AddRating(103, 507, 4.5 / 3 + 0.1);
+      rec.AddRating(100, 500, 1.0 / 3 + 0.1);
+      rec.RemoveRating(110, 510);
+      rec.AddRating(190, 590, 2.5 / 3 + 0.1);
+      rec.AddRating(104, 590, 3.5 / 3 + 0.1);
+      ASSERT_TRUE(rec.Refresh().ok());
+      ExpectRowsMatchOracle(
+          static_cast<const NeighborhoodModel&>(*rec.model()), rec.live(),
+          side, opts, what + " after refresh", &cut_tie);
+    }
+  }
+  EXPECT_TRUE(cut_tie) << "no top-k cut fell on a |sim| tie";
 }
 
 TEST(ItemCFTest, PredictionMatchesEquation2ByHand) {

@@ -464,6 +464,37 @@ TEST(ServingDml, FailedMultiRowInsertMatchesSingleNode) {
   }
 }
 
+// Regression: the router's gathered CREATE RECOMMENDER skipped rows whose
+// user, item or rating had the wrong type, and built an empty model where a
+// single node fails the statement. Both now run the one row check.
+TEST(ServingCreate, RouterRejectsTheRowsASingleNodeRejects) {
+  const char* create_table = "CREATE TABLE t (uid INT, iid INT, r VARCHAR)";
+  const char* insert =
+      "INSERT INTO t VALUES (1, 1, 'a'), (2, 1, 'b'), (3, 2, 'c')";
+  const char* create_rec =
+      "CREATE RECOMMENDER R ON t USERS FROM uid ITEMS FROM iid RATINGS FROM r";
+  RecDB single;
+  ASSERT_TRUE(single.Execute(create_table).ok());
+  ASSERT_TRUE(single.Execute(insert).ok());
+  auto want = single.Execute(create_rec);
+  ASSERT_FALSE(want.ok());
+  for (size_t shards : {2, 8}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    ShardedRecDBOptions opts;
+    opts.num_shards = shards;
+    auto db = ShardedRecDB::Create(opts);
+    ASSERT_TRUE(db.ok()) << db.status().message();
+    ASSERT_TRUE(db.value()->Execute(create_table).ok());
+    ASSERT_TRUE(db.value()->DeclarePartitionedTable("t", "uid").ok());
+    ASSERT_TRUE(db.value()->Execute(insert).ok());
+    auto got = db.value()->Execute(create_rec);
+    ASSERT_FALSE(got.ok()) << got.value().message;
+    EXPECT_EQ(got.status().code(), want.status().code());
+    EXPECT_EQ(got.status().message(), want.status().message());
+    EXPECT_FALSE(db.value()->shard(0)->registry()->Get("R").ok());
+  }
+}
+
 // Users and items a write introduces merge by id like every other one: the
 // user an UPDATE introduces (40) and the one a later INSERT introduces (41)
 // come back in the order a single node emits them, and so do the items one
